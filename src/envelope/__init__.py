@@ -17,8 +17,9 @@ from .boundary import (SampledCurve, analytic_ibp_residual, boundary_moment,
                        primitive_tower, sample_path, unit_circle_samples)
 from .errors import (CurveDataError, EnvelopeError,
                      ExtensionPreconditionError, GeometryError, ParseError,
-                     PoleFindingError, PointOnPathError, PoleProximityError,
-                     QuadratureBudgetError, WindingResidualError)
+                     PoleFindingError, PoleInDomainError, PointOnPathError,
+                     PoleProximityError, QuadratureBudgetError,
+                     WindingResidualError)
 from .expr import (Expr, PoleRecord, as_callable, differentiate, evaluate,
                    format_expr, parse, pole_set)
 from .extension import (CrossVerifyReport, Decomposition, LaurentComponent,
@@ -40,7 +41,7 @@ __all__ = [
     "DomainSpec", "EnvelopeError", "Expr", "ExtensionPreconditionError",
     "GeometryError", "GridDomain", "LaurentComponent", "Line",
     "MomentVector", "ParseError", "Path", "PoleFindingError",
-    "PointOnPathError", "PoleProximityError", "PoleRecord",
+    "PoleInDomainError", "PointOnPathError", "PoleProximityError", "PoleRecord",
     "PrimitiveOrderVerdict", "QuadratureBudgetError", "QuadratureResult",
     "SampledCurve", "WindingResidualError", "ZeroTolerance",
     "analytic_ibp_residual", "as_callable", "boundary_moment",

@@ -11,6 +11,7 @@ inconsistency, 1 operational failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -52,7 +53,6 @@ class ScenarioConfig:
     radii: tuple[float, ...]
     zero_tol: _mom.ZeroTolerance
     quad_tol: float
-    grid_resolution: int
     fmt: str
 
 
@@ -217,9 +217,10 @@ def build_config(raw: dict, base_dir: FsPath | None = None,
             diags.append(f"checks: '{c}' needs a curve")
 
     max_degree = merged.get("max_degree")
-    if max_degree is not None and (not isinstance(max_degree, int)
-                                   or max_degree < 0):
-        diags.append("max_degree: must be >= 0")
+    if max_degree is not None and (
+            not isinstance(max_degree, int)
+            or not 0 <= max_degree <= _mom.MAX_MOMENT_DEGREE):
+        diags.append(f"max_degree: must lie in [0, {_mom.MAX_MOMENT_DEGREE}]")
         max_degree = None
     laurent_terms = merged.get("laurent_terms")
     if laurent_terms is not None and (not isinstance(laurent_terms, int)
@@ -267,10 +268,6 @@ def build_config(raw: dict, base_dir: FsPath | None = None,
                         ("quadrature", quad_tol)):
         if not isinstance(value, (int, float)) or value <= 0:
             diags.append(f"tolerances.{name}: positive number required")
-    grid = merged.get("grid_resolution", 128)
-    if not isinstance(grid, int) or grid < 8:
-        diags.append("grid_resolution: integer >= 8 required")
-        grid = 128
     fmt = merged.get("format", "json")
     if fmt not in ("json", "text"):
         diags.append("format: json or text")
@@ -287,7 +284,7 @@ def build_config(raw: dict, base_dir: FsPath | None = None,
         laurent_terms=laurent_terms, tower_levels=tower_levels,
         points=points, node_index=node_index, radii=radii,
         zero_tol=_mom.ZeroTolerance(float(abs_tol), float(rel_tol)),
-        quad_tol=float(quad_tol), grid_resolution=grid, fmt=fmt)
+        quad_tol=float(quad_tol), fmt=fmt)
     return config, []
 
 
@@ -319,8 +316,11 @@ def _jsonable(value):
 
 # ---------------------------------------------------------------------------
 # check runners
+#
+# Every runner takes the config and `scan`, a callable returning the
+# scenario's moment verdict (computed on first call, then shared).
 
-def _run_moments(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
+def _run_moments(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
     degree = cfg.max_degree if cfg.max_degree is not None \
         else _mom.DEFAULT_DEGREE_CUTOFF
     basis = _geom.homology_basis(cfg.domain)
@@ -339,10 +339,8 @@ def _run_moments(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
     return values, tol, "ok"
 
 
-def _run_primitive_order(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
-    verdict = _mom.max_primitive_order(cfg.function, cfg.domain,
-                                       cfg.max_degree, cfg.quad_tol,
-                                       cfg.zero_tol)
+def _run_primitive_order(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
+    verdict = scan()
     values = {
         "max_order": verdict.max_order,
         "all_orders": verdict.all_orders,
@@ -355,10 +353,8 @@ def _run_primitive_order(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
     return values, tol, "ok"
 
 
-def _run_extension(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
-    verdict = _mom.max_primitive_order(cfg.function, cfg.domain,
-                                       cfg.max_degree, cfg.quad_tol,
-                                       cfg.zero_tol)
+def _run_extension(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
+    verdict = scan()
     tol = {"contour": DEFAULT_CONTOUR_TOL}
     if not verdict.all_orders:
         values = {"extends": False, "blocking_degree": verdict.max_order,
@@ -384,9 +380,10 @@ def _run_extension(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
     return values, tol, status
 
 
-def _run_cross_verify(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
+def _run_cross_verify(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
     report = _ext.cross_verify(cfg.function, cfg.domain, cfg.max_degree,
-                               cfg.laurent_terms, cfg.quad_tol, cfg.zero_tol)
+                               cfg.laurent_terms, cfg.quad_tol, cfg.zero_tol,
+                               verdict=scan())
     values = {
         "max_order": report.verdict.max_order,
         "all_orders": report.verdict.all_orders,
@@ -405,7 +402,7 @@ def _run_cross_verify(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
     return values, tol, ("ok" if report.consistent else "inconsistent")
 
 
-def _run_boundary_tower(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
+def _run_boundary_tower(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
     report = _bd.boundary_duality(cfg.curve, cfg.tower_levels, cfg.zero_tol,
                                  cfg.quad_tol)
     values = {
@@ -421,7 +418,7 @@ def _run_boundary_tower(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
     return values, tol, ("ok" if report.depth_matches else "inconsistent")
 
 
-def _run_cauchy(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
+def _run_cauchy(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
     vals = []
     for w in cfg.points:
         vals.append(_bd.cauchy_transform(cfg.curve, w, "auto", cfg.quad_tol))
@@ -429,7 +426,7 @@ def _run_cauchy(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
     return values, {"quadrature": cfg.quad_tol}, "ok"
 
 
-def _run_nontangential(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
+def _run_nontangential(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
     report = _bd.nontangential_check(cfg.curve, cfg.node_index, cfg.radii,
                                      tol=cfg.quad_tol)
     values = {
@@ -444,7 +441,7 @@ def _run_nontangential(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
     return values, {"match": 1e-4}, status
 
 
-def _run_chord_arc(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
+def _run_chord_arc(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
     constant = _bd.chord_arc_constant(cfg.curve)
     report = _bd.difference_quotient_check(cfg.curve, cfg.node_index,
                                            constant)
@@ -511,8 +508,14 @@ def run_scenario(config: ScenarioConfig) -> Report:
 
     An exception inside one check becomes a structured error row; the
     remaining checks still run, so a batch never loses results to one bad
-    entry.
+    entry. The moment verdict is computed at most once and shared by the
+    checks that need it; a verdict that raises is not kept, so every such
+    check reports the error.
     """
+    # functools.cache keeps results, never exceptions
+    scan = functools.cache(lambda: _mom.max_primitive_order(
+        config.function, config.domain, config.max_degree, config.quad_tol,
+        config.zero_tol))
     results = []
     timings = {}
     start_all = time.perf_counter()
@@ -520,7 +523,7 @@ def run_scenario(config: ScenarioConfig) -> Report:
         runner = _RUNNERS[check]
         started = time.perf_counter()
         try:
-            values, tol, status = runner(config)
+            values, tol, status = runner(config, scan)
         except EnvelopeError as exc:
             values = {"error": str(exc), "error_type": type(exc).__name__}
             tol = {}
@@ -555,8 +558,6 @@ def main(argv=None) -> int:
                        help="relative zero-test tolerance")
     run_p.add_argument("--max-degree", type=int, default=None,
                        help="moment degree cutoff")
-    run_p.add_argument("--grid", type=int, default=None,
-                       help="raster resolution for grid operations")
     run_p.add_argument("--format", choices=("json", "text"), default=None)
     run_p.add_argument("--out", default=None,
                        help="write the report here instead of stdout")
@@ -596,8 +597,6 @@ def main(argv=None) -> int:
         overrides["tolerances"] = tols
     if args.max_degree is not None:
         overrides["max_degree"] = args.max_degree
-    if args.grid is not None:
-        overrides["grid_resolution"] = args.grid
     if args.format is not None:
         overrides["format"] = args.format
 

@@ -50,5 +50,6 @@ class CurveDataError(EnvelopeError):
     """Sampled boundary data is malformed or too coarse for the request."""
 
 
-class ScenarioError(EnvelopeError):
-    """Scenario configuration cannot be executed."""
+class PoleInDomainError(EnvelopeError, ValueError):
+    """The expression has a pole inside the domain, where it was promised
+    holomorphic."""

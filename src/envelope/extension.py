@@ -339,16 +339,22 @@ def cross_verify(f, domain: DomainSpec, degree_cutoff: int | None = None,
                  zero_tol: _mom.ZeroTolerance = _mom.ZeroTolerance(),
                  contour_tol: float = 2e-9, reference_rtol: float = 1e-8,
                  probes_per_hole: int = 4,
-                 domain_probes: int = 4) -> CrossVerifyReport:
+                 domain_probes: int = 4,
+                 verdict: _mom.PrimitiveOrderVerdict | None = None
+                 ) -> CrossVerifyReport:
     """Run all three criteria and assert their agreement.
 
     Moment verdict, Laurent tails and (when permitted) envelope evaluation
     are computed by separate routes; any disagreement beyond tolerance
     lands in findings, never in an exception, so a genuinely inconsistent
-    configuration is reported rather than masked.
+    configuration is reported rather than masked. A precomputed verdict
+    (from max_primitive_order with the same f, domain, degree_cutoff, tol
+    and zero_tol) skips the rescan.
     """
     findings: list[str] = []
-    verdict = _mom.max_primitive_order(f, domain, degree_cutoff, tol, zero_tol)
+    if verdict is None:
+        verdict = _mom.max_primitive_order(f, domain, degree_cutoff, tol,
+                                           zero_tol)
     if terms is None:
         terms = verdict.tested_through + 1
     decomp = decompose(f, domain, terms, tol)

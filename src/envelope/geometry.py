@@ -17,7 +17,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import GeometryError, PointOnPathError, WindingResidualError
 
@@ -271,11 +270,6 @@ def _cut(seg: Segment, u: float) -> Segment:
         return Line(seg.a, seg.a + u * (seg.b - seg.a))
     return Arc(seg.center, seg.radius, seg.t0,
                seg.t0 + u * seg.sweep, seg.ccw)
-
-
-def path_length(path: Path) -> float:
-    """Total arclength; lines and arcs contribute in closed form."""
-    return path.length
 
 
 def circle(center: complex, radius: float, ccw: bool = True) -> Path:
@@ -731,6 +725,8 @@ def simply_connected_hull(grid: GridDomain) -> GridDomain:
 
     Idempotent, and the result always contains the input mask.
     """
+    from scipy import ndimage  # slow to import, and only the hull uses it
+
     if not grid.mask.any():
         raise GeometryError("hull of an empty mask is undefined")
     outside = ~grid.mask

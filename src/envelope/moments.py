@@ -19,7 +19,7 @@ import numpy as np
 from . import expr as _expr
 from . import geometry as _geom
 from . import quadrature as _quad
-from .errors import GeometryError, PointOnPathError
+from .errors import GeometryError, PointOnPathError, PoleInDomainError
 from .geometry import Arc, DomainSpec, Line, Path
 
 MAX_MOMENT_DEGREE = 64
@@ -141,8 +141,8 @@ def _pole_in_domain(domain: DomainSpec, location: complex) -> bool:
 
 def inside_pole_budget(f, domain: DomainSpec) -> list[int] | None:
     """Total pole order inside each hole, or None when the pole set is
-    unknown. Raises ValueError if a pole lies in the domain itself, where f
-    was promised holomorphic."""
+    unknown. Raises PoleInDomainError (a ValueError) if a pole lies in the
+    domain itself, where f was promised holomorphic."""
     if not isinstance(f, _expr.Expr):
         return None
     poles = _expr.pole_set(f)
@@ -154,7 +154,7 @@ def inside_pole_budget(f, domain: DomainSpec) -> list[int] | None:
         if j is not None:
             budget[j] += rec.order
         elif _pole_in_domain(domain, rec.location):
-            raise ValueError(
+            raise PoleInDomainError(
                 f"f has a pole at {rec.location:.6g} inside the domain; it "
                 "is not holomorphic there")
     return budget

@@ -4,7 +4,9 @@ Order-16 Gauss-Legendre panels are bisected until the discrepancy between a
 panel and its two children falls under the panel's share of the tolerance
 budget (split proportionally to arclength), with a machine-precision floor
 proportional to the panel's L1 mass so that large-magnitude integrands
-terminate. Integrands are evaluated in vectorized batches of 16 nodes.
+terminate. Integrands are evaluated in vectorized batches of 16 nodes,
+either at complex points (integrate) or at global arclength fractions
+(integrate_parameter); both run the same engine.
 """
 
 from __future__ import annotations
@@ -58,43 +60,44 @@ class _Budget:
                 "non-integrable at this tolerance")
 
 
-def _eval_batch(fn, zs: np.ndarray) -> np.ndarray:
+def _eval_batch(fn, xs: np.ndarray) -> np.ndarray:
+    """fn at every entry of xs, looping over scalars when fn rejects or
+    mangles an ndarray batch."""
     try:
-        vals = np.asarray(fn(zs))
+        vals = np.asarray(fn(xs))
     except EnvelopeError:
         raise
     except Exception:
-        vals = np.array([fn(complex(z)) for z in zs], dtype=complex)
+        vals = np.array([fn(x) for x in xs.tolist()], dtype=complex)
     else:
         if vals.ndim == 0:
-            vals = np.full(zs.shape, complex(vals))
-        elif vals.shape != zs.shape:
-            vals = np.array([fn(complex(z)) for z in zs], dtype=complex)
+            vals = np.full(xs.shape, complex(vals))
+        elif vals.shape != xs.shape:
+            vals = np.array([fn(x) for x in xs.tolist()], dtype=complex)
     return vals.astype(complex, copy=False)
 
 
-def _panel(fn, seg: Segment, a: float, b: float,
+def _panel(values, seg: Segment, a: float, b: float,
            budget: _Budget) -> tuple[complex, float]:
     """Single Gauss panel over parameter interval [a, b]: integral of
-    fn(z(t)) * z'(t) dt and its L1 mass."""
+    values(t) * z'(t) dt and its L1 mass, where values maps local segment
+    parameters to integrand values."""
     budget.spend()
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     ts = mid + half * _NODES
-    zs = seg.point(ts)
-    vel = seg.velocity(ts)
-    contrib = _eval_batch(fn, zs) * vel
+    contrib = values(ts) * seg.velocity(ts)
     value = half * np.sum(_WEIGHTS * contrib)
     mass = half * float(np.sum(_WEIGHTS * np.abs(contrib)))
     return complex(value), mass
 
 
-def _refine(fn, seg: Segment, a: float, b: float, coarse: complex,
+def _refine(values, seg: Segment, a: float, b: float, coarse: complex,
             tol: float, budget: _Budget,
             prev_est: float = math.inf) -> tuple[complex, float]:
     m = 0.5 * (a + b)
-    left, mass_l = _panel(fn, seg, a, m, budget)
-    right, mass_r = _panel(fn, seg, m, b, budget)
+    left, mass_l = _panel(values, seg, a, m, budget)
+    right, mass_r = _panel(values, seg, m, b, budget)
     fine = left + right
     est = abs(fine - coarse)
     mass = mass_l + mass_r
@@ -103,9 +106,32 @@ def _refine(fn, seg: Segment, a: float, b: float, coarse: complex,
     if est > 0.25 * prev_est and est <= _NOISE_CEILING * mass:
         # no longer converging and already at noise scale
         return fine, est
-    vl, el = _refine(fn, seg, a, m, left, 0.5 * tol, budget, est)
-    vr, er = _refine(fn, seg, m, b, right, 0.5 * tol, budget, est)
+    vl, el = _refine(values, seg, a, m, left, 0.5 * tol, budget, est)
+    vr, er = _refine(values, seg, m, b, right, 0.5 * tol, budget, est)
     return vl + vr, el + er
+
+
+def _integrate(values_on, path: Path, tol: float,
+               max_panels: int) -> QuadratureResult:
+    """The adaptive engine. values_on(seg, lo, span) returns the integrand
+    as a function of the local parameter of seg, which starts at global
+    arclength fraction lo and covers the fraction span of the path."""
+    if not tol > 0.0:
+        raise ValueError("tolerance must be positive")
+    budget = _Budget(max_panels)
+    total_len = path.length
+    value = 0j
+    err = 0.0
+    done = 0.0
+    for seg in path.segments:
+        values = values_on(seg, done / total_len, seg.length / total_len)
+        done += seg.length
+        seg_tol = tol * seg.length / total_len
+        coarse, _ = _panel(values, seg, 0.0, 1.0, budget)
+        v, e = _refine(values, seg, 0.0, 1.0, coarse, seg_tol, budget)
+        value += v
+        err += e
+    return QuadratureResult(value, err, budget.evaluations)
 
 
 def integrate(fn, path: Path, tol: float = DEFAULT_TOL,
@@ -121,19 +147,10 @@ def integrate(fn, path: Path, tol: float = DEFAULT_TOL,
     Raises QuadratureBudgetError after `max_panels` panels, which signals a
     non-integrable singularity on or too near the path.
     """
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
-    budget = _Budget(max_panels)
-    total_len = path.length
-    value = 0j
-    err = 0.0
-    for seg in path.segments:
-        seg_tol = tol * seg.length / total_len
-        coarse, _ = _panel(fn, seg, 0.0, 1.0, budget)
-        v, e = _refine(fn, seg, 0.0, 1.0, coarse, seg_tol, budget)
-        value += v
-        err += e
-    return QuadratureResult(value, err, budget.evaluations)
+    def at_points(seg, lo, span):
+        return lambda ts: _eval_batch(fn, seg.point(ts))
+
+    return _integrate(at_points, path, tol, max_panels)
 
 
 def integrate_arc_prefix(fn, path: Path, fraction: float,
@@ -159,60 +176,13 @@ def integrate_parameter(fn_t, path: Path, tol: float = DEFAULT_TOL,
     fraction rather than position: integral of fn_t(s) dz(s).
 
     Needed when the integrand is defined along the curve (for instance a
-    running primitive) and not as a function of the complex point.
+    running primitive) and not as a function of the complex point. Same
+    engine, tolerance contract and budget as integrate.
     """
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
-    budget = _Budget(max_panels)
-    total_len = path.length
-    value = 0j
-    err = 0.0
-    done = 0.0
-    for seg in path.segments:
-        lo = done / total_len
-        span = seg.length / total_len
-        done += seg.length
+    def at_fractions(seg, lo, span):
+        return lambda ts: _eval_batch(fn_t, lo + ts * span)
 
-        def fn(ts, _lo=lo, _span=span):
-            return fn_t(_lo + ts * _span)
-
-        seg_tol = tol * seg.length / total_len
-        coarse, _ = _panel_param(fn, seg, 0.0, 1.0, budget)
-        v, e = _refine_param(fn, seg, 0.0, 1.0, coarse, seg_tol, budget)
-        value += v
-        err += e
-    return QuadratureResult(value, err, budget.evaluations)
-
-
-def _panel_param(fn_t, seg: Segment, a: float, b: float,
-                 budget: _Budget) -> tuple[complex, float]:
-    budget.spend()
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    ts = mid + half * _NODES
-    vel = seg.velocity(ts)
-    vals = np.asarray(fn_t(ts))
-    if vals.shape != ts.shape:
-        vals = np.array([fn_t(float(t)) for t in ts], dtype=complex)
-    contrib = vals.astype(complex, copy=False) * vel
-    value = half * np.sum(_WEIGHTS * contrib)
-    mass = half * float(np.sum(_WEIGHTS * np.abs(contrib)))
-    return complex(value), mass
-
-
-def _refine_param(fn_t, seg: Segment, a: float, b: float, coarse: complex,
-                  tol: float, budget: _Budget) -> tuple[complex, float]:
-    m = 0.5 * (a + b)
-    left, mass_l = _panel_param(fn_t, seg, a, m, budget)
-    right, mass_r = _panel_param(fn_t, seg, m, b, budget)
-    fine = left + right
-    est = abs(fine - coarse)
-    floor = _ROUNDOFF_FACTOR * (mass_l + mass_r)
-    if est <= max(tol, floor):
-        return fine, est
-    vl, el = _refine_param(fn_t, seg, a, m, left, 0.5 * tol, budget)
-    vr, er = _refine_param(fn_t, seg, m, b, right, 0.5 * tol, budget)
-    return vl + vr, el + er
+    return _integrate(at_fractions, path, tol, max_panels)
 
 
 def max_magnitude_on(fn, path: Path, samples: int = 256) -> tuple[float, float]:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from envelope import cli
+from envelope import cli, moments
 
 
 ANNULUS = {
@@ -179,6 +179,23 @@ class TestRunScenario:
         assert rep.results[1]["status"] == "ok"
         assert rep.exit_code == 1
 
+    def test_domain_checks_share_one_moment_scan(self, monkeypatch):
+        calls = []
+        scan = moments.max_primitive_order
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(moments, "max_primitive_order", counted)
+        raw = {"function": "1/(z-5)", "domain": ANNULUS, "max_degree": 4,
+               "checks": ["moments", "primitive_order", "extension",
+                          "cross_verify"]}
+        cfg, _ = cli.build_config(raw)
+        rep = cli.run_scenario(cfg)
+        assert [r["status"] for r in rep.results] == ["ok"] * 4
+        assert len(calls) == 1
+
     def test_determinism_modulo_timings(self):
         raw = {"function": "1/z^2", "domain": ANNULUS,
                "checks": ["moments", "primitive_order"], "max_degree": 6}
@@ -294,6 +311,25 @@ class TestMain:
         code = cli.main(["run", "--scenario", str(p)])
         assert code == 1
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_pole_in_domain_gives_error_rows(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, {
+            "function": "1/(z-1)", "domain": ANNULUS,
+            "checks": ["primitive_order", "extension", "cross_verify"]})
+        code = cli.main(["run", "--scenario", str(scenario)])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1
+        for row in payload["results"]:
+            assert row["status"] == "error"
+            assert row["values"]["error_type"] == "PoleInDomainError"
+
+    def test_max_degree_above_cap_is_diagnosed(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, {
+            "function": "1/z", "domain": ANNULUS,
+            "checks": ["primitive_order"], "max_degree": 100})
+        code = cli.main(["run", "--scenario", str(scenario)])
+        assert code == 1
+        assert "max_degree: must lie in [0, 64]" in capsys.readouterr().err
 
     def test_unrunnable_scenario_exits_one(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, {"checks": ["moments"]})

@@ -84,6 +84,21 @@ class TestPrefixAndParameter:
             c)
         assert out.value == pytest.approx(want.value, abs=1e-7)
 
+    def test_parameter_route_shares_the_engine(self):
+        # the same steep integrand through both front ends: identical
+        # panels, so identical value and evaluation count, and the
+        # stagnation rule keeps the parameter route inside its budget
+        c = geom.circle(0j, 1.0)
+        seg = c.segments[0]
+
+        def f(z):
+            return 1 / (z - 1.001)
+
+        by_point = quad.integrate(f, c)
+        by_param = quad.integrate_parameter(lambda t: f(seg.point(t)), c)
+        assert by_param.value == by_point.value
+        assert by_param.evaluations == by_point.evaluations
+
     def test_max_magnitude_on(self):
         c = geom.circle(0j, 2.0)
         mf, mz = quad.max_magnitude_on(lambda z: z ** 2 + 1, c)
