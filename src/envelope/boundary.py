@@ -29,6 +29,8 @@ MIN_NODES = 16
 MIN_CHORD_ARC_NODES = 64
 _CLOSURE_RTOL = 1e-9
 CORNER_LIMIT_DEG = 30.0
+MATCH_TOL = 1e-4
+NONTANGENTIAL_MOMENT_DEGREE = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,6 +75,11 @@ class SampledCurve:
     @property
     def intervals(self) -> int:
         return len(self.points) - 1
+
+    @property
+    def analytic(self) -> bool:
+        """Whether the analytic description (path and data_fn) is known."""
+        return self.path is not None and self.data_fn is not None
 
     def chords(self) -> np.ndarray:
         return np.diff(self.points)
@@ -156,16 +163,9 @@ def boundary_moment(curve: SampledCurve, k: int) -> complex:
 
 def boundary_moment_analytic(curve: SampledCurve, k: int,
                              tol: float = _quad.DEFAULT_TOL) -> complex:
-    if curve.path is None or curve.data_fn is None:
+    if not curve.analytic:
         raise CurveDataError("analytic moments need path and data_fn")
     return _mom.moment(curve.data_fn, curve.path, k, tol)
-
-
-def _cumulative(nodes: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    out = np.empty_like(nodes)
-    out[0] = 0.0
-    np.cumsum(0.5 * (nodes[:-1] + nodes[1:]) * dz, out=out[1:])
-    return out
 
 
 @dataclass(frozen=True)
@@ -181,13 +181,27 @@ class PrimitiveTowerResult:
     levels: tuple[TowerLevel, ...]
     pass_depth: int
     moments: tuple[complex, ...]
-    moment_scales: tuple[float, ...]
     leading_zero_count: int
     zero_tolerance: _mom.ZeroTolerance
+    functions: tuple[np.ndarray, ...]  # G^0 = data, G^1 .. G^levels
 
     @property
     def duality_consistent(self) -> bool:
         return self.pass_depth == self.leading_zero_count
+
+
+def _leading_zero_count(curve: SampledCurve, moments,
+                        zero_tol: _mom.ZeroTolerance) -> int:
+    """How many moments (degree 0, 1, .. and possibly lazy) test as zero at
+    scale perimeter * max |g| * reach^k before the first that does not."""
+    base = curve.perimeter() * float(np.max(np.abs(curve.values)))
+    reach = max(curve.max_reach(), 1.0)
+    zeros = 0
+    for k, m in enumerate(moments):
+        if abs(m) > zero_tol.abs_tol + zero_tol.rel_tol * (base * reach ** k):
+            break
+        zeros += 1
+    return zeros
 
 
 def primitive_tower(curve: SampledCurve, levels: int = 4,
@@ -202,40 +216,21 @@ def primitive_tower(curve: SampledCurve, levels: int = 4,
     """
     if levels < 1:
         raise ValueError("need at least one tower level")
-    dz = curve.chords()
+    functions = tower_functions(curve, levels)
     perim = curve.perimeter()
-    reach = max(curve.max_reach(), 1.0)
-
-    current = curve.values
     level_rows = []
     for order in range(1, levels + 1):
-        nxt = _cumulative(current, dz)
-        defect = abs(complex(nxt[-1]))
-        scale = perim * float(np.max(np.abs(current)))
+        defect = abs(complex(functions[order][-1]))
+        scale = perim * float(np.max(np.abs(functions[order - 1])))
         passed = defect <= zero_tol.abs_tol + zero_tol.rel_tol * scale
         level_rows.append(TowerLevel(order, defect, scale, passed))
-        current = nxt
+    depth = next((row.order - 1 for row in level_rows if not row.passed),
+                 levels)
 
-    depth = 0
-    for row in level_rows:
-        if not row.passed:
-            break
-        depth += 1
-
-    moms = []
-    scales = []
-    max_g = float(np.max(np.abs(curve.values)))
-    for k in range(levels):
-        moms.append(boundary_moment(curve, k))
-        scales.append(perim * max_g * reach ** k)
-    zeros = 0
-    for m, s in zip(moms, scales):
-        if abs(m) > zero_tol.abs_tol + zero_tol.rel_tol * s:
-            break
-        zeros += 1
-
-    return PrimitiveTowerResult(tuple(level_rows), depth, tuple(moms),
-                                tuple(scales), zeros, zero_tol)
+    moms = tuple(boundary_moment(curve, k) for k in range(levels))
+    return PrimitiveTowerResult(tuple(level_rows), depth, moms,
+                                _leading_zero_count(curve, moms, zero_tol),
+                                zero_tol, tuple(functions))
 
 
 def tower_functions(curve: SampledCurve, levels: int) -> list[np.ndarray]:
@@ -243,8 +238,21 @@ def tower_functions(curve: SampledCurve, levels: int) -> list[np.ndarray]:
     dz = curve.chords()
     out = [curve.values]
     for _ in range(levels):
-        out.append(_cumulative(out[-1], dz))
+        prev = out[-1]
+        nxt = np.zeros_like(prev)
+        np.cumsum(0.5 * (prev[:-1] + prev[1:]) * dz, out=nxt[1:])
+        out.append(nxt)
     return out
+
+
+def _ibp_from_tower(curve: SampledCurve, functions, level: int) -> float:
+    g = functions[level - 1]
+    big_g = functions[level]
+    dz = curve.chords()
+    m1 = _trapezoid_closed(curve.points * g, dz)
+    boundary_term = curve.points[0] * big_g[-1]
+    circuit = _trapezoid_closed(big_g, dz)
+    return abs(m1 - (boundary_term - circuit))
 
 
 def ibp_residual(curve: SampledCurve, level: int = 1) -> float:
@@ -254,14 +262,7 @@ def ibp_residual(curve: SampledCurve, level: int = 1) -> float:
     circle samples of band-limited data, hence the warped samplers)."""
     if level < 1:
         raise ValueError("level must be at least 1")
-    tower = tower_functions(curve, level)
-    g = tower[level - 1]
-    big_g = tower[level]
-    dz = curve.chords()
-    m1 = _trapezoid_closed(curve.points * g, dz)
-    boundary_term = curve.points[0] * big_g[-1]
-    circuit = _trapezoid_closed(big_g, dz)
-    return abs(m1 - (boundary_term - circuit))
+    return _ibp_from_tower(curve, tower_functions(curve, level), level)
 
 
 def analytic_ibp_residual(curve: SampledCurve,
@@ -269,7 +270,7 @@ def analytic_ibp_residual(curve: SampledCurve,
     """Same identity through adaptive quadrature: the running primitive
     F(t) is a fresh prefix integral at every quadrature node, so no
     discretization is shared with the trapezoid route."""
-    if curve.path is None or curve.data_fn is None:
+    if not curve.analytic:
         raise CurveDataError("analytic route needs path and data_fn")
     path = curve.path
     fn = _mom.as_function(curve.data_fn)
@@ -311,17 +312,15 @@ class BoundaryDualityReport:
 
 def boundary_duality(curve: SampledCurve, levels: int = 4,
                     zero_tol: _mom.ZeroTolerance = _mom.ZeroTolerance(),
-                    tol: float = _quad.DEFAULT_TOL,
-                    analytic: bool | None = None) -> BoundaryDualityReport:
+                    tol: float = _quad.DEFAULT_TOL) -> BoundaryDualityReport:
     """Tower depth versus leading zero moments, plus the discrete and
     (when the curve knows its analytic form) quadrature-based
-    integration-by-parts residuals."""
+    integration-by-parts residuals, all from one tower."""
     tower = primitive_tower(curve, levels, zero_tol)
-    residuals = tuple(ibp_residual(curve, lv) for lv in range(1, levels + 1))
-    if analytic is None:
-        analytic = curve.path is not None and curve.data_fn is not None
-    analytic_value = analytic_ibp_residual(curve, tol) if analytic else None
-    return BoundaryDualityReport(tower, residuals, analytic_value)
+    residuals = tuple(_ibp_from_tower(curve, tower.functions, lv)
+                      for lv in range(1, levels + 1))
+    analytic = analytic_ibp_residual(curve, tol) if curve.analytic else None
+    return BoundaryDualityReport(tower, residuals, analytic)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +349,7 @@ def cauchy_transform(curve: SampledCurve, w: complex, route: str = "auto",
     if route not in ("auto", "discrete", "analytic"):
         raise ValueError("route must be auto, discrete or analytic")
     if route == "auto":
-        route = "analytic" if (curve.path is not None
-                               and curve.data_fn is not None) else "discrete"
+        route = "analytic" if curve.analytic else "discrete"
     if _discrete_winding(curve.points, w) != 1:
         raise GeometryError(f"{w:.6g} is not enclosed once by the curve")
     if route == "discrete":
@@ -363,7 +361,7 @@ def cauchy_transform(curve: SampledCurve, w: complex, route: str = "auto",
         kernel = curve.values / (curve.points - w)
         total = _trapezoid_closed(kernel, curve.chords())
         return total / (2j * math.pi)
-    if curve.path is None or curve.data_fn is None:
+    if not curve.analytic:
         raise CurveDataError("analytic route needs path and data_fn")
     fn = _mom.as_function(curve.data_fn)
     value = _quad.integrate(lambda z: fn(z) / (z - w), curve.path, tol).value
@@ -400,15 +398,16 @@ def _corner_angle_deg(curve: SampledCurve, j: int) -> float:
 
 def nontangential_check(curve: SampledCurve, node_index: int = 0,
                         radii: tuple[float, ...] = (1e-1, 1e-2, 1e-3, 5e-5),
-                        match_tol: float = 1e-4,
-                        route: str = "auto",
                         tol: float = _quad.DEFAULT_TOL,
-                        moment_degree: int = 8) -> NontangentialReport:
+                        zero_tol: _mom.ZeroTolerance = _mom.ZeroTolerance()
+                        ) -> NontangentialReport:
     """March toward a boundary node along the inward normal and compare the
     Cauchy transform with the sampled boundary value.
 
-    Convergence to the boundary value is expected exactly when the leading
-    discrete moments vanish; the report carries both the measured and the
+    A match (within MATCH_TOL at the smallest radius) is expected exactly
+    when the moments through NONTANGENTIAL_MOMENT_DEGREE vanish, taken from
+    the transform's own route, so a warped sample's trapezoid error cannot
+    pass for a nonzero moment. The report carries both the measured and the
     expected outcome so a disagreement surfaces as an inconsistency.
     """
     pts = curve.points
@@ -431,26 +430,18 @@ def nontangential_check(curve: SampledCurve, node_index: int = 0,
     boundary_value = complex(curve.values[node_index])
     for r in radii:
         w = z0 + r * normal
-        if _discrete_winding(pts, w) != 1:
-            raise GeometryError(f"approach point {w:.6g} left the interior; "
-                                "radius too large for this curve")
-        v = cauchy_transform(curve, w, route=route, tol=tol)
+        v = cauchy_transform(curve, w, tol=tol)  # refuses w outside the curve
         approach.append(complex(w))
         values.append(v)
         residuals.append(abs(v - boundary_value))
-    matches = residuals[-1] <= match_tol
+    matches = residuals[-1] <= MATCH_TOL
 
-    zeros = 0
-    reach = max(curve.max_reach(), 1.0)
-    perim = curve.perimeter()
-    max_g = float(np.max(np.abs(curve.values)))
-    ztol = _mom.ZeroTolerance()
-    for k in range(moment_degree + 1):
-        m = boundary_moment(curve, k)
-        if abs(m) > ztol.abs_tol + ztol.rel_tol * perim * max_g * reach ** k:
-            break
-        zeros += 1
-    expected = zeros == moment_degree + 1
+    count = NONTANGENTIAL_MOMENT_DEGREE + 1
+    if curve.analytic:
+        moms = (boundary_moment_analytic(curve, k, tol) for k in range(count))
+    else:
+        moms = (boundary_moment(curve, k) for k in range(count))
+    expected = _leading_zero_count(curve, moms, zero_tol) == count
 
     return NontangentialReport(node_index, complex(z0), boundary_value,
                                tuple(approach), tuple(values),
@@ -461,7 +452,10 @@ def nontangential_check(curve: SampledCurve, node_index: int = 0,
 # chord-arc geometry and the difference-quotient bound
 
 def chord_arc_constant(curve: SampledCurve) -> float:
-    """max over node pairs of (shorter arc length) / (chord length)."""
+    """max over node pairs of (shorter arc length) / (chord length).
+
+    Node i meets node i + k mod M for offsets k = 1 .. M/2, every unordered
+    pair and never a node itself: O(M) memory, O(M^2) time."""
     if curve.intervals < MIN_CHORD_ARC_NODES:
         raise CurveDataError(f"chord-arc estimate needs at least "
                              f"{MIN_CHORD_ARC_NODES} intervals")
@@ -469,17 +463,18 @@ def chord_arc_constant(curve: SampledCurve) -> float:
     gaps = np.abs(curve.chords())
     s = np.concatenate(([0.0], np.cumsum(gaps[:-1])))
     total = float(np.sum(gaps))
-    ds = np.abs(s[:, None] - s[None, :])
-    arc = np.minimum(ds, total - ds)
-    chord = np.abs(pts[:, None] - pts[None, :])
-    mask = ~np.eye(len(pts), dtype=bool)
-    scale = float(np.max(np.abs(pts))) or 1.0
-    if np.any(chord[mask] < 1e-12 * scale):
-        raise CurveDataError("coincident nodes make the chord-arc ratio "
-                             "unbounded")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(mask, arc / np.where(mask, chord, 1.0), 0.0)
-    return float(np.max(ratio))
+    floor = 1e-12 * (float(np.max(np.abs(pts))) or 1.0)
+    m = len(pts)
+    pts_twice, s_twice = np.concatenate((pts, pts)), np.concatenate((s, s))
+    worst = 0.0
+    for k in range(1, m // 2 + 1):
+        chord = np.abs(pts_twice[k:k + m] - pts)
+        if np.min(chord) < floor:
+            raise CurveDataError("coincident nodes make the chord-arc ratio "
+                                 "unbounded")
+        ds = np.abs(s_twice[k:k + m] - s)
+        worst = max(worst, float(np.max(np.minimum(ds, total - ds) / chord)))
+    return worst
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,7 +33,6 @@ DOMAIN_CHECKS = ("moments", "primitive_order", "extension", "cross_verify")
 CURVE_CHECKS = ("boundary_tower", "cauchy", "nontangential", "chord_arc")
 ALL_CHECKS = DOMAIN_CHECKS + CURVE_CHECKS
 
-DEFAULT_CONTOUR_TOL = 2e-9
 DEFAULT_QUAD_TOL = 1e-12
 
 
@@ -355,7 +354,7 @@ def _run_primitive_order(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
 
 def _run_extension(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
     verdict = scan()
-    tol = {"contour": DEFAULT_CONTOUR_TOL}
+    tol = {"contour": _ext.CONTOUR_TOL}
     if not verdict.all_orders:
         values = {"extends": False, "blocking_degree": verdict.max_order,
                   "certificate": verdict.certificate}
@@ -374,7 +373,7 @@ def _run_extension(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
         vals.append(v0)
         alts.append(v1)
         worst = max(worst, abs(v0 - v1))
-    status = "ok" if worst <= DEFAULT_CONTOUR_TOL else "inconsistent"
+    status = "ok" if worst <= _ext.CONTOUR_TOL else "inconsistent"
     values = {"extends": True, "points": list(points), "values": vals,
               "alt_values": alts, "max_contour_discrepancy": worst}
     return values, tol, status
@@ -398,7 +397,7 @@ def _run_cross_verify(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
         values["extension_max_reference_residual"] = \
             report.extension.max_reference_residual
     tol = {"abs": cfg.zero_tol.abs_tol, "rel": cfg.zero_tol.rel_tol,
-           "contour": DEFAULT_CONTOUR_TOL}
+           "contour": _ext.CONTOUR_TOL}
     return values, tol, ("ok" if report.consistent else "inconsistent")
 
 
@@ -428,7 +427,7 @@ def _run_cauchy(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
 
 def _run_nontangential(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
     report = _bd.nontangential_check(cfg.curve, cfg.node_index, cfg.radii,
-                                     tol=cfg.quad_tol)
+                                     cfg.quad_tol, cfg.zero_tol)
     values = {
         "node_index": report.node_index,
         "boundary_point": report.boundary_point,
@@ -438,7 +437,7 @@ def _run_nontangential(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
         "expected_match": report.expected_match,
     }
     status = "ok" if report.consistent else "inconsistent"
-    return values, {"match": 1e-4}, status
+    return values, {"match": _bd.MATCH_TOL}, status
 
 
 def _run_chord_arc(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:

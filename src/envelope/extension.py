@@ -29,6 +29,11 @@ from .geometry import DomainSpec, Path
 _TWO_PI_I = 2j * math.pi
 _TWO_PI = 2.0 * math.pi
 _PROBE_SEED = 20260815
+# cross_verify: contour and reference tolerances, probe points per region
+CONTOUR_TOL = 2e-9
+REFERENCE_RTOL = 1e-8
+PROBES_PER_HOLE = 4
+DOMAIN_PROBES = 4
 
 
 def laurent_coefficient(f, basis_curve: Path, center: complex, n: int,
@@ -337,9 +342,6 @@ def _hole_probes(domain: DomainSpec, j: int, count: int,
 def cross_verify(f, domain: DomainSpec, degree_cutoff: int | None = None,
                  terms: int | None = None, tol: float = _quad.DEFAULT_TOL,
                  zero_tol: _mom.ZeroTolerance = _mom.ZeroTolerance(),
-                 contour_tol: float = 2e-9, reference_rtol: float = 1e-8,
-                 probes_per_hole: int = 4,
-                 domain_probes: int = 4,
                  verdict: _mom.PrimitiveOrderVerdict | None = None
                  ) -> CrossVerifyReport:
     """Run all three criteria and assert their agreement.
@@ -408,10 +410,10 @@ def cross_verify(f, domain: DomainSpec, degree_cutoff: int | None = None,
         rng = np.random.default_rng(_PROBE_SEED + 1)
         points: list[complex] = []
         for j in range(len(domain.holes)):
-            points.extend(_hole_probes(domain, j, probes_per_hole, rng))
+            points.extend(_hole_probes(domain, j, PROBES_PER_HOLE, rng))
         if domain.outer is not None or domain.holes:
             points.extend(_domain_probes(
-                domain, domain_probes,
+                domain, DOMAIN_PROBES,
                 max(1e-3, 1e-3 * _domain_diameter(domain)),
                 list(_geom.homology_basis(domain)), rng))
         values, alts, refs = [], [], []
@@ -433,11 +435,11 @@ def cross_verify(f, domain: DomainSpec, degree_cutoff: int | None = None,
                 continue
             refs.append(direct)
             worst_ref = max(worst_ref, abs(v0 - direct) / (1.0 + abs(direct)))
-        if worst_pair > contour_tol:
+        if worst_pair > CONTOUR_TOL:
             findings.append(
                 f"extension values from homologous contours differ by "
                 f"{worst_pair:.3g}")
-        if worst_ref > reference_rtol:
+        if worst_ref > REFERENCE_RTOL:
             findings.append(
                 f"extension disagrees with the truncated-tail route by "
                 f"relative {worst_ref:.3g}")

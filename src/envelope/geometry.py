@@ -544,9 +544,9 @@ def _separating_circle(domain: DomainSpec, j: int, frac: float) -> Path | None:
     return circle(center, radius)
 
 
-def _dilated_hole(domain: DomainSpec, j: int) -> Path:
-    """Fallback basis curve: the hole boundary pushed outward by half the
-    minimal gap to any other boundary component."""
+def _dilated_hole(domain: DomainSpec, j: int, frac: float) -> Path:
+    """Fallback basis curve: the hole boundary pushed outward by the
+    fraction frac of the minimal gap to any other boundary component."""
     hole = domain.holes[j]
     mine = hole.sample(256)
     gap = math.inf
@@ -559,7 +559,7 @@ def _dilated_hole(domain: DomainSpec, j: int) -> Path:
                               - domain.outer.sample(256)[None, :]).min())
     if not math.isfinite(gap):
         gap = 0.5 * hole.length / math.pi
-    d = 0.5 * gap
+    d = frac * gap
     n = 512
     fr = np.arange(n) / n
     pts = []
@@ -605,7 +605,7 @@ def _homology_basis_cached(domain: DomainSpec) -> tuple[Path, ...]:
     for j in range(len(domain.holes)):
         curve = _separating_circle(domain, j, 0.5)
         if curve is None or not _verify_basis_curve(domain, j, curve):
-            curve = _dilated_hole(domain, j)
+            curve = _dilated_hole(domain, j, 0.5)
             if not _verify_basis_curve(domain, j, curve):
                 raise GeometryError(
                     f"could not construct a separating basis curve for hole {j}")
@@ -625,9 +625,11 @@ def homology_basis(domain: DomainSpec) -> list[Path]:
     return list(_homology_basis_cached(domain))
 
 
-def basis_curve_variants(domain: DomainSpec, j: int) -> list[Path]:
+@functools.lru_cache(maxsize=128)
+def basis_curve_variants(domain: DomainSpec, j: int) -> tuple[Path, Path]:
     """Two homologous but distinct admissible curves around hole j, for
-    contour-independence cross-checks."""
+    contour-independence cross-checks. A hole without a separating circle
+    gets its homology basis curve and a narrower dilation of the hole."""
     variants = []
     for frac in (0.35, 0.7):
         c = _separating_circle(domain, j, frac)
@@ -636,12 +638,13 @@ def basis_curve_variants(domain: DomainSpec, j: int) -> list[Path]:
     if len(variants) < 2:
         base = _homology_basis_cached(domain)[j]
         variants = [base]
-        alt = _dilated_hole(domain, j)
+        # not the half gap of the base curve, so the two contours differ
+        alt = _dilated_hole(domain, j, 0.3)
         if _verify_basis_curve(domain, j, alt):
             variants.append(alt)
         else:  # pragma: no cover - last resort, reuse the base curve
             variants.append(base)
-    return variants[:2]
+    return variants[0], variants[1]
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,16 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from envelope import boundary as bd
 from envelope import geometry as geom
+from envelope import moments as mom
 from envelope.errors import CurveDataError, GeometryError
 
 
@@ -165,6 +169,30 @@ class TestMomentsAndTower:
         with pytest.raises(ValueError):
             bd.primitive_tower(circle_curve(np.conj, 64), levels=0)
 
+    @given(inside_order=st.integers(0, 4),
+           inside=st.complex_numbers(max_magnitude=0.5),
+           outside=st.lists(st.tuples(st.floats(1.6, 3.0),
+                                      st.floats(0.0, 2 * math.pi),
+                                      st.integers(1, 2)), max_size=2),
+           poly_degree=st.integers(0, 3),
+           phase=st.floats(0.0, 2 * math.pi))
+    def test_depth_matches_pole_order_count(self, inside_order, inside,
+                                            outside, poly_degree, phase):
+        # a pole of order m inside the unit circle makes the degree m-1
+        # moment the first nonzero one; poles outside and polynomial terms
+        # leave every moment zero
+        coef = np.exp(1j * phase)
+        terms = [lambda z: coef * z ** poly_degree]
+        for radius, angle, order in outside:
+            q = radius * np.exp(1j * angle)
+            terms.append(lambda z, q=q, m=order: coef / (z - q) ** m)
+        if inside_order:
+            terms.append(lambda z: coef / (z - inside) ** inside_order)
+        res = bd.primitive_tower(circle_curve(
+            lambda z: sum(t(z) for t in terms), 256))
+        expected = inside_order - 1 if inside_order else 4
+        assert res.pass_depth == res.leading_zero_count == expected
+
     def test_tower_functions_shape(self):
         c = circle_curve(lambda z: z, 64)
         funcs = bd.tower_functions(c, 3)
@@ -202,6 +230,13 @@ class TestIntegrationByParts:
         assert rep.depth_matches
         assert len(rep.ibp_residuals) == 4
         assert rep.analytic_ibp is not None and rep.analytic_ibp < 1e-9
+
+    def test_equivalence_reuses_the_tower(self):
+        c = circle_curve(np.conj, 128, warp_amplitude=0.3)
+        rep = bd.boundary_duality(c)
+        assert len(rep.tower.functions) == 5
+        assert rep.ibp_residuals == tuple(bd.ibp_residual(c, lv)
+                                          for lv in range(1, 5))
 
     def test_equivalence_skips_analytic_without_path(self):
         rep = bd.boundary_duality(bd.curve_from_csv(csv_text(32)))
@@ -261,6 +296,31 @@ class TestNontangential:
         assert not rep.expected_match
         assert rep.consistent
 
+    def test_warped_holomorphic_data_is_consistent(self):
+        # the trapezoid moments of a warped sample are O(M^-2), far above
+        # the zero tolerance; the analytic route's moments are not
+        c = circle_curve(lambda z: 0.7 * z ** 2, 512, warp_amplitude=0.3)
+        assert abs(bd.boundary_moment(c, 1)) > 1e-8
+        rep = bd.nontangential_check(c, node_index=3)
+        assert rep.matches_boundary
+        assert rep.expected_match
+        assert rep.consistent
+
+    def test_zero_tolerance_decides_expected_match(self):
+        # moments of 1/(z - 0.2) are 2 pi i 0.2^k, zero only at abs_tol 100
+        c = circle_curve(lambda z: 1 / (z - 0.2), 256)
+        assert not bd.nontangential_check(c).expected_match
+        loose = mom.ZeroTolerance(abs_tol=100.0)
+        assert bd.nontangential_check(c, zero_tol=loose).expected_match
+
+    def test_csv_curve_expects_from_discrete_moments(self):
+        t = np.linspace(0.0, 1.0, 129)
+        z = np.exp(2j * math.pi * t)
+        z[-1] = z[0]
+        c = bd.SampledCurve(t, z, z ** 2)
+        rep = bd.nontangential_check(c, radii=(0.5, 0.4))
+        assert rep.expected_match
+
     def test_corner_node_rejected(self):
         path = geom.rectangle(-1, 1, -1, 1)
         c = bd.sample_path(path, lambda z: z, 64)
@@ -278,7 +338,46 @@ class TestNontangential:
             bd.nontangential_check(c, node_index=64)
 
 
+def chord_arc_reference(curve):
+    """Every node pair at once, in dense M x M arrays."""
+    pts = curve.points[:-1]
+    gaps = np.abs(curve.chords())
+    s = np.concatenate(([0.0], np.cumsum(gaps[:-1])))
+    total = float(np.sum(gaps))
+    ds = np.abs(s[:, None] - s[None, :])
+    arc = np.minimum(ds, total - ds)
+    chord = np.abs(pts[:, None] - pts[None, :])
+    off = ~np.eye(len(pts), dtype=bool)
+    return float(np.max(arc[off] / chord[off]))
+
+
 class TestChordArc:
+    @given(nodes=st.integers(64, 200),
+           ripple=st.lists(st.tuples(st.floats(-0.12, 0.12),
+                                     st.floats(0.0, 2 * math.pi)),
+                           min_size=1, max_size=4),
+           warp=st.floats(0.0, 0.9),
+           center=st.complex_numbers(max_magnitude=2.0))
+    def test_matches_all_pairs_reference(self, nodes, ripple, warp, center):
+        t = np.linspace(0.0, 1.0, nodes + 1)
+        theta = 2 * math.pi * np.array([bd.odd_warp(warp)(v) for v in t])
+        radius = 1.0 + sum(a * np.cos((n + 2) * theta + phi)
+                           for n, (a, phi) in enumerate(ripple))
+        pts = center + radius * np.exp(1j * theta)
+        pts[-1] = pts[0]
+        c = bd.SampledCurve(t, pts, np.ones_like(pts))
+        assert bd.chord_arc_constant(c) == chord_arc_reference(c)
+
+    def test_memory_stays_linear(self):
+        c = circle_curve(lambda z: z, 2048)
+        tracemalloc.start()
+        try:
+            bd.chord_arc_constant(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
     def test_circle_constant_near_half_pi(self):
         c = circle_curve(lambda z: z, 1024)
         assert bd.chord_arc_constant(c) == pytest.approx(math.pi / 2,

@@ -290,6 +290,34 @@ class TestMain:
         assert complex(got[0], got[1]) == pytest.approx(w ** 2, abs=1e-10)
         assert payload["results"][1]["values"]["matches_boundary"] is True
 
+    def test_nontangential_on_warped_path_is_ok(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, {
+            "function": "0.7*z^2",
+            "curve": {"path": {"circle": {"center": [0, 0], "radius": 1.0}},
+                      "samples": 512, "warp": 0.3},
+            "checks": ["nontangential"]})
+        code = cli.main(["run", "--scenario", str(scenario)])
+        row = json.loads(capsys.readouterr().out)["results"][0]
+        assert code == 0
+        assert row["status"] == "ok"
+        assert row["values"]["expected_match"] is True
+
+    def test_nontangential_reads_scenario_tolerances(self, tmp_path, capsys):
+        # moments of 1/(z - 0.2) on the unit circle are 2 pi i 0.2^k: nonzero
+        # at the default tolerances, zero at abs 100
+        raw = {"function": "1/(z-0.2)",
+               "curve": {"path": {"circle": {"center": [0, 0],
+                                             "radius": 1.0}},
+                         "samples": 256},
+               "checks": ["nontangential"]}
+        expected = []
+        for tols in ({}, {"abs": 100.0}):
+            scenario = write_scenario(tmp_path, dict(raw, tolerances=tols))
+            cli.main(["run", "--scenario", str(scenario)])
+            row = json.loads(capsys.readouterr().out)["results"][0]
+            expected.append(row["values"]["expected_match"])
+        assert expected == [False, True]
+
     def test_validate_subcommand(self, tmp_path, capsys):
         good = write_scenario(tmp_path, {
             "function": "1/z", "domain": ANNULUS, "checks": ["moments"]},

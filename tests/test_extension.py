@@ -118,6 +118,15 @@ class TestEvaluateExtension:
                                    which_contour=1)
         assert abs(a - b) < 2e-9
 
+    def test_contour_variants_agree_on_dilated_hole(self, slab):
+        f = expr.parse("1/(z-5) + z^2")
+        verdict = mom.max_primitive_order(f, slab)
+        w = 0.4 + 0.02j
+        for which in (0, 1):
+            got = ext.evaluate_extension(f, slab, w, verdict=verdict,
+                                         which_contour=which)
+            assert got == pytest.approx(1 / (w - 5) + w ** 2, abs=1e-12)
+
     def test_refuses_on_nonzero_moment(self, annulus):
         with pytest.raises(ExtensionPreconditionError):
             ext.evaluate_extension(expr.parse("1/z"), annulus, 0.1 + 0j)

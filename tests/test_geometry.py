@@ -191,6 +191,18 @@ class TestHomologyBasis:
         for curve in (a, b):
             assert geom.winding_number(curve, 0j) == 1
 
+    def test_dilated_variants_distinct(self, slab):
+        # the slab admits no separating circle, so both of its contours are
+        # dilations of the hole boundary
+        a, b = geom.basis_curve_variants(slab, 0)
+        assert a is geom.homology_basis(slab)[0]
+        assert abs(a.length - b.length) > 1e-3
+        for curve in (a, b):
+            assert geom.winding_number(curve, 0j) == 1
+            assert geom.winding_number(curve, 0.57j) == 0
+        again = geom.basis_curve_variants(slab, 0)
+        assert again[0] is a and again[1] is b
+
     def test_eccentric_hole(self):
         d = geom.DomainSpec(geom.circle(0j, 2.0),
                             (geom.circle(1.2 + 0j, 0.3),))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from envelope import geometry as geom
 from envelope import quadrature as quad
@@ -15,6 +17,26 @@ class TestIntegrate:
         assert out.value == pytest.approx(2j * math.pi, abs=1e-12)
         assert out.error_estimate < 1e-10
         assert out.evaluations > 0
+
+    @given(poles=st.lists(st.tuples(st.sampled_from([0.0, 0.3, 2.5, 3.0]),
+                                    st.floats(0.0, 2 * math.pi),
+                                    st.integers(1, 3),
+                                    st.complex_numbers(min_magnitude=0.5,
+                                                       max_magnitude=2.0)),
+                          min_size=1, max_size=3),
+           sides=st.sampled_from([0, 3, 5]))
+    def test_reversed_path_negates(self, poles, sides):
+        # the unit circle (sides 0) or a regular polygon inscribed in
+        # radius 1.2; every pole stays at least 0.3 from the path
+        path = geom.circle(0j, 1.0) if not sides else geom.polygon(
+            [1.2 * np.exp(2j * math.pi * k / sides) for k in range(sides)])
+
+        def f(z):
+            return sum(c / (z - r * np.exp(1j * a)) ** m
+                       for r, a, m, c in poles)
+        forward = quad.integrate(f, path).value
+        backward = quad.integrate(f, path.reversed()).value
+        assert abs(forward + backward) <= 1e-10 * (1.0 + abs(forward))
 
     def test_holomorphic_circuit_vanishes(self):
         c = geom.circle(1 + 1j, 1.5)
