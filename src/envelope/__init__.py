@@ -24,7 +24,8 @@ from .expr import (Expr, PoleRecord, as_callable, differentiate, evaluate,
                    format_expr, parse, pole_set)
 from .extension import (CrossVerifyReport, Decomposition, LaurentComponent,
                         cross_verify, decompose, evaluate_extension,
-                        laurent_coefficient)
+                        evaluate_extension_many, laurent_coefficient,
+                        laurent_coefficients)
 from .geometry import (Arc, DomainSpec, GridDomain, Line, Path, circle,
                        homology_basis, hole_witness, interior_point,
                        path_from_json, path_to_json, polygon, rasterize,
@@ -48,9 +49,11 @@ __all__ = [
     "cauchy_transform", "chord_arc_constant", "circle",
     "construct_primitive", "cross_verify", "curve_from_csv", "decompose",
     "derivative_check", "differentiate", "difference_quotient_check",
-    "boundary_duality", "evaluate", "evaluate_extension", "format_expr",
+    "boundary_duality", "evaluate", "evaluate_extension",
+    "evaluate_extension_many", "format_expr",
     "hole_witness", "homology_basis", "ibp_residual", "integrate",
     "integrate_arc_prefix", "interior_point", "laurent_coefficient",
+    "laurent_coefficients",
     "max_primitive_order", "moment", "moment_vector", "nontangential_check",
     "odd_warp", "parse", "path_from_json", "path_independence_check",
     "path_to_json", "pole_set", "polygon", "primitive_tower", "rasterize",

@@ -110,7 +110,7 @@ def sample_path(path: Path, data_fn, intervals: int,
     if abs(u[0]) > 1e-12 or abs(u[-1] - 1.0) > 1e-12 \
             or not np.all(np.diff(u) > 0.0):
         raise CurveDataError("warp must map [0, 1] onto itself increasingly")
-    pts = np.array([path.point_at(v) for v in u], dtype=complex)
+    pts = path.points_at(u)
     pts[-1] = pts[0]
     fn = _mom.as_function(data_fn)
     vals = np.asarray(fn(pts), dtype=complex)

@@ -363,16 +363,11 @@ def _run_extension(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
     if points is None:
         points = tuple(_geom.hole_witness(cfg.domain, j)
                        for j in range(len(cfg.domain.holes)))
-    vals, alts = [], []
-    worst = 0.0
-    for w in points:
-        v0 = _ext.evaluate_extension(cfg.function, cfg.domain, w,
-                                     cfg.quad_tol, verdict, 0)
-        v1 = _ext.evaluate_extension(cfg.function, cfg.domain, w,
-                                     cfg.quad_tol, verdict, 1)
-        vals.append(v0)
-        alts.append(v1)
-        worst = max(worst, abs(v0 - v1))
+    vals = _ext.evaluate_extension_many(cfg.function, cfg.domain, points,
+                                        cfg.quad_tol, verdict, 0)
+    alts = _ext.evaluate_extension_many(cfg.function, cfg.domain, points,
+                                        cfg.quad_tol, verdict, 1)
+    worst = max((abs(v0 - v1) for v0, v1 in zip(vals, alts)), default=0.0)
     status = "ok" if worst <= _ext.CONTOUR_TOL else "inconsistent"
     values = {"extends": True, "points": list(points), "values": vals,
               "alt_values": alts, "max_contour_discrepancy": worst}

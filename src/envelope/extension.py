@@ -36,6 +36,13 @@ PROBES_PER_HOLE = 4
 DOMAIN_PROBES = 4
 
 
+def _check_tail(basis_curve: Path, center: complex, n: int) -> None:
+    if n < 1:
+        raise ValueError("tail coefficients have index n >= 1")
+    if _geom.winding_number(basis_curve, center) != 1:
+        raise GeometryError("basis curve must wind once around the center")
+
+
 def laurent_coefficient(f, basis_curve: Path, center: complex, n: int,
                         tol: float = _quad.DEFAULT_TOL) -> complex:
     """Tail coefficient a_{-n} of the component attached to the hole the
@@ -45,14 +52,24 @@ def laurent_coefficient(f, basis_curve: Path, center: complex, n: int,
 
     The curve must wind once around the center.
     """
-    if n < 1:
-        raise ValueError("tail coefficients have index n >= 1")
-    if _geom.winding_number(basis_curve, center) != 1:
-        raise GeometryError("basis curve must wind once around the center")
+    _check_tail(basis_curve, center, n)
     fn = _mom.as_function(f)
     value = _quad.integrate(
         lambda z: (z - center) ** (n - 1) * fn(z), basis_curve, tol).value
     return value / _TWO_PI_I
+
+
+def laurent_coefficients(f, basis_curve: Path, center: complex, terms: int,
+                         tol: float = _quad.DEFAULT_TOL
+                         ) -> tuple[complex, ...]:
+    """a_{-1} .. a_{-terms} as laurent_coefficient gives them, from one
+    stacked integral over the basis curve."""
+    _check_tail(basis_curve, center, terms)
+    fn = _mom.as_function(f)
+    powers = np.arange(terms)[:, None]
+    stack = _quad.integrate(lambda z: (z - center) ** powers * fn(z),
+                            basis_curve, tol).value
+    return tuple(complex(v) / _TWO_PI_I for v in stack)
 
 
 @dataclass(frozen=True)
@@ -114,18 +131,24 @@ def _component_center(f, domain: DomainSpec, j: int) -> complex:
     return center
 
 
-def _exact_component(fn, curve: Path, w: complex, f_at_w: complex | None,
-                     tol: float) -> complex:
-    """Cauchy-integral value of the hole component at w, valid on either
-    side of the basis curve."""
-    wind = _geom.winding_number(curve, w)
-    cauchy = _quad.integrate(lambda z: fn(z) / (z - w), curve, tol).value \
-        / _TWO_PI_I
-    if wind == 0:
-        return -cauchy
-    if f_at_w is None:
-        raise PoleProximityError("f not evaluable at an interior probe")
-    return f_at_w - cauchy
+def _cauchy_integrals(fn, contour: Path, points: np.ndarray,
+                      tol: float) -> list[complex]:
+    """(1/2 pi i) ∮ f(z) / (z - w) dz over the contour for every w in
+    points, as one stacked integral."""
+    stack = _quad.integrate(lambda z: fn(z) / (z - points[:, None]),
+                            contour, tol).value
+    return [complex(v) / _TWO_PI_I for v in stack]
+
+
+def _exact_components(fn, curve: Path, points: np.ndarray,
+                      f_at: np.ndarray, tol: float) -> np.ndarray:
+    """Cauchy-integral value of the hole component at every point, valid
+    on either side of the basis curve; f_at holds f at the points."""
+    wind = _geom._winding_many(curve, points)
+    if np.any(wind == _geom._ON_PATH):
+        raise PointOnPathError("a probe lies on the basis curve")
+    cauchy = np.array(_cauchy_integrals(fn, curve, points, tol))
+    return np.where(wind == 0, -cauchy, f_at - cauchy)
 
 
 def _domain_probes(domain: DomainSpec, count: int, margin: float,
@@ -179,8 +202,7 @@ def decompose(f, domain: DomainSpec, terms: int | None = None,
     components = []
     for j, curve in enumerate(basis):
         center = _component_center(f, domain, j)
-        coeffs = tuple(laurent_coefficient(fn, curve, center, n, tol)
-                       for n in range(1, terms + 1))
+        coeffs = laurent_coefficients(fn, curve, center, terms, tol)
         max_f, _ = _quad.max_magnitude_on(fn, curve)
         components.append(LaurentComponent(j, center, coeffs,
                                            curve.length * max_f))
@@ -196,19 +218,16 @@ def decompose(f, domain: DomainSpec, terms: int | None = None,
             base = base - comp(z)
         return base
 
-    residuals = []
-    for w in probes:
-        try:
-            f_at_w = fn(w)
-        except PoleProximityError:  # pragma: no cover - probes avoid poles
-            f_at_w = None
-        gap = 0j
+    points = np.array(probes, dtype=complex)
+    gap = np.zeros(points.shape, dtype=complex)
+    if probes:
+        f_at = np.asarray(fn(points), dtype=complex)
         for j, curve in enumerate(basis):
-            exact = _exact_component(fn, curve, w, f_at_w, tol)
-            gap += exact - components[j](w)
-        residuals.append(abs(gap))
+            gap += _exact_components(fn, curve, points, f_at, tol) \
+                - components[j](points)
+    residuals = tuple(float(r) for r in np.hypot(gap.real, gap.imag))
     return Decomposition(domain, tuple(components), tuple(probes),
-                         tuple(residuals), f0)
+                         residuals, f0)
 
 
 def _domain_diameter(domain: DomainSpec) -> float:
@@ -242,9 +261,9 @@ def _locate(domain: DomainSpec, w: complex) -> int | None:
     raise GeometryError(f"{w:.6g} lies outside the simply connected envelope")
 
 
-def _extension_contour(domain: DomainSpec, w: complex,
+def _extension_contour(domain: DomainSpec, w: complex, j: int | None,
                        which: int) -> Path:
-    j = _locate(domain, w)
+    """Contour for w, which lies in hole j (None: in the domain proper)."""
     if j is not None:
         return _geom.basis_curve_variants(domain, j)[which]
     radius = (0.4 if which == 0 else 0.7) * domain.boundary_distance(w)
@@ -266,18 +285,38 @@ def evaluate_extension(f, domain: DomainSpec, w: complex,
     over a contour that winds once around w and zero times around every
     hole other than the one containing it.
     """
+    return evaluate_extension_many(f, domain, [w], tol, verdict,
+                                   which_contour)[0]
+
+
+def evaluate_extension_many(f, domain: DomainSpec, points,
+                            tol: float = _quad.DEFAULT_TOL,
+                            verdict: _mom.PrimitiveOrderVerdict | None = None,
+                            which_contour: int = 0) -> list[complex]:
+    """evaluate_extension at every point. Points in one hole share its
+    contour, and each contour takes one stacked integral for all of its
+    points."""
     if verdict is None:
         verdict = _mom.max_primitive_order(f, domain, None, tol)
     if verdict.max_order is not None:
         raise ExtensionPreconditionError(
             f"a degree-{verdict.max_order} moment is nonzero; f does not "
             "extend to the envelope")
-    contour = _extension_contour(domain, w, which_contour)
-    if contour.distance(w) <= _expr.DEFAULT_POLE_EXCLUSION:
-        raise GeometryError(f"{w:.6g} is too close to the contour")
+    shared: dict[object, tuple[Path, list[int]]] = {}
+    for i, w in enumerate(points):
+        j = _locate(domain, w)
+        contour = _extension_contour(domain, w, j, which_contour)
+        if contour.distance(w) <= _expr.DEFAULT_POLE_EXCLUSION:
+            raise GeometryError(f"{w:.6g} is too close to the contour")
+        key = ("point", i) if j is None else ("hole", j)
+        shared.setdefault(key, (contour, []))[1].append(i)
     fn = _mom.as_function(f)
-    value = _quad.integrate(lambda z: fn(z) / (z - w), contour, tol).value
-    return value / _TWO_PI_I
+    values: list[complex] = [0j] * len(points)
+    for contour, members in shared.values():
+        ws = np.array([points[i] for i in members], dtype=complex)
+        for i, v in zip(members, _cauchy_integrals(fn, contour, ws, tol)):
+            values[i] = v
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +455,12 @@ def cross_verify(f, domain: DomainSpec, degree_cutoff: int | None = None,
                 domain, DOMAIN_PROBES,
                 max(1e-3, 1e-3 * _domain_diameter(domain)),
                 list(_geom.homology_basis(domain)), rng))
-        values, alts, refs = [], [], []
+        values = evaluate_extension_many(fn, domain, points, tol, verdict, 0)
+        alts = evaluate_extension_many(fn, domain, points, tol, verdict, 1)
+        refs = []
         worst_pair = 0.0
         worst_ref = 0.0
-        for w in points:
-            v0 = evaluate_extension(fn, domain, w, tol, verdict, 0)
-            v1 = evaluate_extension(fn, domain, w, tol, verdict, 1)
-            values.append(v0)
-            alts.append(v1)
+        for w, v0, v1 in zip(points, values, alts):
             worst_pair = max(worst_pair, abs(v0 - v1))
             try:
                 direct = complex(fn(w)) - sum((c(w) for c in live), 0j)

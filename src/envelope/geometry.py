@@ -205,9 +205,14 @@ class Path:
     def end(self) -> complex:
         return self.segments[-1].end
 
-    @property
+    @functools.cached_property
     def length(self) -> float:
         return sum(s.length for s in self.segments)
+
+    @functools.cached_property
+    def arrays(self) -> "SegmentArrays":
+        """The segment parameters as arrays, built on first use."""
+        return SegmentArrays(self.segments)
 
     def reversed(self) -> "Path":
         return Path(tuple(s.reversed() for s in reversed(self.segments)),
@@ -226,14 +231,24 @@ class Path:
 
     def point_at(self, fraction: float) -> complex:
         """Point at the given arclength fraction in [0, 1]."""
-        if not 0.0 <= fraction <= 1.0:
+        return complex(self.points_at(np.array([fraction]))[0])
+
+    def points_at(self, fractions) -> np.ndarray:
+        """Points at an array of arclength fractions in [0, 1]."""
+        return self.arrays.nodes(*self.locate(fractions))[0]
+
+    def locate(self, fractions) -> tuple[np.ndarray, np.ndarray]:
+        """(segment index, local parameter) of each arclength fraction in
+        [0, 1]; a fraction on a junction belongs to the earlier segment."""
+        fr = np.asarray(fractions, dtype=float)
+        if not np.all((fr >= 0.0) & (fr <= 1.0)):
             raise ValueError("arclength fraction must lie in [0, 1]")
-        target = fraction * self.length
-        for seg in self.segments:
-            if target <= seg.length or seg is self.segments[-1]:
-                return seg.point(min(1.0, target / seg.length))
-            target -= seg.length
-        raise AssertionError("unreachable")
+        arrays = self.arrays
+        target = fr * self.length
+        index = np.minimum(np.searchsorted(arrays.ends, target),
+                           len(self.segments) - 1)
+        u = (target - arrays.starts[index]) / arrays.lengths[index]
+        return index, np.clip(u, 0.0, 1.0)
 
     def prefix(self, fraction: float) -> "Path | None":
         """Subpath covering arclength fractions [0, fraction]; None if the
@@ -262,7 +277,51 @@ class Path:
         fr = np.linspace(0.0, 1.0, n, endpoint=False)
         if include_end:
             fr = np.concatenate([fr, [1.0]])
-        return np.array([self.point_at(float(f)) for f in fr])
+        return self.points_at(fr)
+
+
+class SegmentArrays:
+    """The segments of a path as parameter arrays: a line is a + t d, an arc
+    center + radius e^{i (t0 + t sweep)}; slots a kind does not use are
+    zero. lengths, starts and ends are per-segment arclengths."""
+
+    def __init__(self, segments: tuple[Segment, ...]):
+        # one row per segment; the arc velocity factor is the scalar
+        # expression of Arc.velocity, so both round alike
+        rows = [(s.center, 0j, s.radius, s.t0, s.sweep,
+                 1j * s.sweep * s.radius, s.length) if isinstance(s, Arc)
+                else (s.a, s.b - s.a, 0.0, 0.0, 0.0, 0j, s.length)
+                for s in segments]
+        (self.origin, self.direction, radius, t0, sweep, self.arc_velocity,
+         lengths) = np.array(rows, dtype=complex).T
+        self.radius, self.t0, self.sweep = radius.real, t0.real, sweep.real
+        self.lengths = lengths.real
+        self.is_arc = self.radius > 0.0
+        self.has_arcs = bool(self.is_arc.any())
+        self.has_lines = not self.is_arc.all()
+        self.ends = np.cumsum(self.lengths)
+        self.starts = np.concatenate(([0.0], self.ends[:-1]))
+
+    def nodes(self, index: np.ndarray, t: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """Points and velocities at local parameters t of the segments
+        index (broadcast against t along its leading axes); entry for entry
+        the numbers Segment.point and Segment.velocity give."""
+        i = index.reshape(index.shape + (1,) * (t.ndim - index.ndim))
+        if self.has_lines:
+            d = self.direction[i]
+            z = self.origin[i] + t * d
+            v = np.broadcast_to(d, z.shape)
+        if self.has_arcs:
+            e = np.exp(1j * (self.t0[i] + t * self.sweep[i]))
+            za = self.origin[i] + self.radius[i] * e
+            va = self.arc_velocity[i] * e
+            if not self.has_lines:
+                return za, va
+            arc = self.is_arc[i]
+            z = np.where(arc, za, z)
+            v = np.where(arc, va, v)
+        return z, v
 
 
 def _cut(seg: Segment, u: float) -> Segment:
@@ -561,19 +620,8 @@ def _dilated_hole(domain: DomainSpec, j: int, frac: float) -> Path:
         gap = 0.5 * hole.length / math.pi
     d = frac * gap
     n = 512
-    fr = np.arange(n) / n
-    pts = []
-    for f in fr:
-        target = float(f) * hole.length
-        for seg in hole.segments:
-            if target <= seg.length or seg is hole.segments[-1]:
-                u = min(1.0, target / seg.length)
-                v = seg.velocity(u)
-                outward = -1j * v / abs(v)
-                pts.append(seg.point(u) + d * outward)
-                break
-            target -= seg.length
-    return polygon(pts)
+    z, v = hole.arrays.nodes(*hole.locate(np.arange(n) / n))
+    return polygon(z + d * (-1j * v / np.abs(v)))
 
 
 def _verify_basis_curve(domain: DomainSpec, j: int, curve: Path) -> bool:

@@ -72,12 +72,16 @@ class MomentVector:
         return None
 
 
-def moment(f, path: Path, k: int, tol: float = _quad.DEFAULT_TOL) -> complex:
-    """∮ z^k f(z) dz along a closed path."""
+def _check_moment_degree(path: Path, k: int) -> None:
     if not path.closed:
         raise GeometryError("moments are defined along closed paths")
     if not 0 <= k <= MAX_MOMENT_DEGREE:
         raise ValueError(f"moment degree must lie in [0, {MAX_MOMENT_DEGREE}]")
+
+
+def moment(f, path: Path, k: int, tol: float = _quad.DEFAULT_TOL) -> complex:
+    """∮ z^k f(z) dz along a closed path."""
+    _check_moment_degree(path, k)
     fn = as_function(f)
     return _quad.integrate(lambda z: z ** k * fn(z), path, tol).value
 
@@ -85,9 +89,14 @@ def moment(f, path: Path, k: int, tol: float = _quad.DEFAULT_TOL) -> complex:
 def moment_vector(f, path: Path, degree_cutoff: int,
                   tol: float = _quad.DEFAULT_TOL,
                   curve_id: str = "curve") -> MomentVector:
-    """All moments of degree 0 .. degree_cutoff with their magnitude scale."""
+    """All moments of degree 0 .. degree_cutoff with their magnitude scale,
+    from one stacked integral: each to the tolerance tol, on one panel
+    tree."""
+    _check_moment_degree(path, degree_cutoff)
     fn = as_function(f)
-    values = tuple(moment(fn, path, k, tol) for k in range(degree_cutoff + 1))
+    degrees = np.arange(degree_cutoff + 1)[:, None]
+    stack = _quad.integrate(lambda z: z ** degrees * fn(z), path, tol)
+    values = tuple(complex(v) for v in stack.value)
     max_f, max_z = _quad.max_magnitude_on(fn, path)
     return MomentVector(curve_id, values, path.length * max_f, max_z)
 

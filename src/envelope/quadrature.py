@@ -4,26 +4,40 @@ Order-16 Gauss-Legendre panels are bisected until the discrepancy between a
 panel and its two children falls under the panel's share of the tolerance
 budget (split proportionally to arclength), with a machine-precision floor
 proportional to the panel's L1 mass so that large-magnitude integrands
-terminate. Integrands are evaluated in vectorized batches of 16 nodes,
-either at complex points (integrate) or at global arclength fractions
-(integrate_parameter); both run the same engine.
+terminate. Refinement runs level by level: the active panels of every
+segment of the path are evaluated together, in one integrand call per tree
+level, split into calls of at most MAX_CALL_VALUES values. Integrands are
+evaluated either at complex points (integrate) or at global arclength
+fractions (integrate_parameter); both run the same engine.
+
+An integrand may return a stack of shape (m, nodes) instead of one value
+per node. The stack refines on one shared panel tree: a panel is accepted
+only when every component passes the test above against its own tolerance
+and its own mass, and the result holds one value per component.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EnvelopeError, QuadratureBudgetError
-from .geometry import Path, Segment
+from .geometry import Path
 
 GAUSS_ORDER = 16
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_PANELS = 1 << 16
+
+# Each integrand call returns at most this many complex values (unless one
+# panel of the stack alone is larger), so no level, stack height or panel
+# budget makes a call's memory grow without bound.
+MAX_CALL_VALUES = 1 << 15
+# The stack height is unknown until the integrand first answers, so the
+# first call covers at most this many panels.
+_FIRST_CALL_PANELS = 16
 
 # Panels whose refinement discrepancy is already at the roundoff floor of
 # their own L1 mass are accepted; pushing further cannot gain accuracy.
@@ -38,100 +52,176 @@ _NOISE_CEILING = 1e-10
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: complex
+    """value is a complex number, or an array with one entry per component
+    of a stacked integrand; error_estimate is the summed refinement
+    discrepancy, of the worst component for a stack."""
+
+    value: complex | np.ndarray
     error_estimate: float
     evaluations: int
 
 
-class _Budget:
-    __slots__ = ("panels", "max_panels", "evaluations")
-
-    def __init__(self, max_panels: int):
-        self.panels = 0
-        self.max_panels = max_panels
-        self.evaluations = 0
-
-    def spend(self) -> None:
-        self.panels += 1
-        self.evaluations += GAUSS_ORDER
-        if self.panels > self.max_panels:
-            raise QuadratureBudgetError(
-                f"panel budget {self.max_panels} exhausted; integrand looks "
-                "non-integrable at this tolerance")
-
-
 def _eval_batch(fn, xs: np.ndarray) -> np.ndarray:
-    """fn at every entry of xs, looping over scalars when fn rejects or
+    """fn at every entry of the 1-d array xs, shape (len(xs),) or, for a
+    stacked integrand, (m, len(xs)); loops over scalars when fn rejects or
     mangles an ndarray batch."""
     try:
         vals = np.asarray(fn(xs))
     except EnvelopeError:
         raise
     except Exception:
-        vals = np.array([fn(x) for x in xs.tolist()], dtype=complex)
+        vals = _eval_each(fn, xs)
     else:
         if vals.ndim == 0:
             vals = np.full(xs.shape, complex(vals))
-        elif vals.shape != xs.shape:
-            vals = np.array([fn(x) for x in xs.tolist()], dtype=complex)
+        elif vals.ndim > 2 or vals.shape[-1:] != xs.shape:
+            vals = _eval_each(fn, xs)
     return vals.astype(complex, copy=False)
 
 
-def _panel(values, seg: Segment, a: float, b: float,
-           budget: _Budget) -> tuple[complex, float]:
-    """Single Gauss panel over parameter interval [a, b]: integral of
-    values(t) * z'(t) dt and its L1 mass, where values maps local segment
-    parameters to integrand values."""
-    budget.spend()
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    ts = mid + half * _NODES
-    contrib = values(ts) * seg.velocity(ts)
-    value = half * np.sum(_WEIGHTS * contrib)
-    mass = half * float(np.sum(_WEIGHTS * np.abs(contrib)))
-    return complex(value), mass
+def _eval_each(fn, xs: np.ndarray) -> np.ndarray:
+    return np.array([fn(x) for x in xs.tolist()], dtype=complex).T
 
 
-def _refine(values, seg: Segment, a: float, b: float, coarse: complex,
-            tol: float, budget: _Budget,
-            prev_est: float = math.inf) -> tuple[complex, float]:
-    m = 0.5 * (a + b)
-    left, mass_l = _panel(values, seg, a, m, budget)
-    right, mass_r = _panel(values, seg, m, b, budget)
-    fine = left + right
-    est = abs(fine - coarse)
-    mass = mass_l + mass_r
-    if est <= max(tol, _ROUNDOFF_FACTOR * mass):
-        return fine, est
-    if est > 0.25 * prev_est and est <= _NOISE_CEILING * mass:
+class _Panels:
+    """Gauss panels of one path, evaluated in capped batches. Counts the
+    panels against the budget and learns the stack height from the first
+    call."""
+
+    def __init__(self, values_at, path: Path, max_panels: int):
+        self.values_at = values_at
+        self.arrays = path.arrays
+        self.max_panels = max_panels
+        self.count = 0
+        self.height: int | None = None
+        self.stacked = False
+
+    def __call__(self, seg: np.ndarray, a: np.ndarray, b: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """Integral of values * z' over the local parameter intervals
+        [a, b] of the segments seg, and its L1 mass: two arrays of shape
+        (height, len(seg))."""
+        if self.count + seg.size > self.max_panels:
+            raise QuadratureBudgetError(
+                f"panel budget {self.max_panels} exhausted; integrand looks "
+                "non-integrable at this tolerance")
+        self.count += seg.size
+        half = 0.5 * (b - a)
+        mid = 0.5 * (a + b)
+        value = mass = None
+        lo = 0
+        while lo < seg.size:
+            hi = lo + self._chunk()
+            part = self._sums(seg[lo:hi], mid[lo:hi], half[lo:hi])
+            if value is None:
+                if hi >= seg.size:
+                    return part
+                value = np.empty((self.height, seg.size), dtype=complex)
+                mass = np.empty((self.height, seg.size))
+            value[:, lo:hi], mass[:, lo:hi] = part
+            lo = hi
+        return value, mass
+
+    def _chunk(self) -> int:
+        if self.height is None:
+            return _FIRST_CALL_PANELS
+        return max(1, MAX_CALL_VALUES // (GAUSS_ORDER * max(1, self.height)))
+
+    def _sums(self, seg, mid, half):
+        ts = mid[:, None] + half[:, None] * _NODES
+        z, dz = self.arrays.nodes(seg, ts)
+        vals = self.values_at(seg, ts, z)
+        if self.height is None:
+            self.stacked = vals.ndim == 2
+            self.height = vals.shape[0] if self.stacked else 1
+        contrib = vals.reshape(self.height, seg.size, GAUSS_ORDER) * dz
+        value = half * np.add.reduce(_WEIGHTS * contrib, axis=-1)
+        mass = half * np.add.reduce(_WEIGHTS * np.abs(contrib), axis=-1)
+        return value, mass
+
+
+def _halves(a: np.ndarray, mid: np.ndarray, b: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Ends of the intervals [a, mid] and [mid, b], interleaved."""
+    lo = np.repeat(a, 2)
+    lo[1::2] = mid
+    hi = np.repeat(b, 2)
+    hi[0::2] = mid
+    return lo, hi
+
+
+def _refine_step(halves, mass, coarse, node_tol, prev_est):
+    """Compare each node's coarse panel with its two halves (interleaved
+    in halves and mass): (done, fine, est), where done marks the nodes whose
+    every component passes."""
+    fine = halves[:, 0::2] + halves[:, 1::2]
+    gap = fine - coarse
+    est = np.hypot(gap.real, gap.imag)  # rounds like abs(complex)
+    mass = mass[:, 0::2] + mass[:, 1::2]
+    passed = (est <= np.maximum(node_tol, _ROUNDOFF_FACTOR * mass)) | (
         # no longer converging and already at noise scale
-        return fine, est
-    vl, el = _refine(values, seg, a, m, left, 0.5 * tol, budget, est)
-    vr, er = _refine(values, seg, m, b, right, 0.5 * tol, budget, est)
-    return vl + vr, el + er
+        (est > 0.25 * prev_est) & (est <= _NOISE_CEILING * mass))
+    return passed.all(axis=0), fine, est
 
 
-def _integrate(values_on, path: Path, tol: float,
+def _integrate(values_at, path: Path, tol: float,
                max_panels: int) -> QuadratureResult:
-    """The adaptive engine. values_on(seg, lo, span) returns the integrand
-    as a function of the local parameter of seg, which starts at global
-    arclength fraction lo and covers the fraction span of the path."""
+    """The adaptive engine. values_at(seg, ts, z) returns the integrand at
+    the local parameters ts (shape (P, 16)) of the segments seg (shape (P,)),
+    whose points are z, flattened to shape (16 P,) or (m, 16 P).
+
+    Every segment starts from one coarse panel, and every refinement step
+    compares a panel with its two halves, as a depth-first recursion would;
+    the tree is built a level at a time and summed bottom-up in the
+    recursion's left/right order, so a scalar integrand gets the same panels
+    and the same sums."""
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
-    budget = _Budget(max_panels)
-    total_len = path.length
-    value = 0j
-    err = 0.0
-    done = 0.0
-    for seg in path.segments:
-        values = values_on(seg, done / total_len, seg.length / total_len)
-        done += seg.length
-        seg_tol = tol * seg.length / total_len
-        coarse, _ = _panel(values, seg, 0.0, 1.0, budget)
-        v, e = _refine(values, seg, 0.0, 1.0, coarse, seg_tol, budget)
-        value += v
-        err += e
-    return QuadratureResult(value, err, budget.evaluations)
+    panels = _Panels(values_at, path, max_panels)
+    count = len(path.segments)
+    seg = np.arange(count)
+    a = np.zeros(count)
+    b = np.ones(count)
+    mid = 0.5 * (a + b)
+    # the coarse panel of every segment is always halved, so one batch
+    # evaluates both levels
+    lo, hi = _halves(a, mid, b)
+    sums, mass = panels(np.concatenate((seg, np.repeat(seg, 2))),
+                        np.concatenate((a, lo)), np.concatenate((b, hi)))
+    coarse, halves, mass = sums[:, :count], sums[:, count:], mass[:, count:]
+    height = panels.height
+    node_tol = tol * path.arrays.lengths / path.length
+    prev_est = np.inf
+    err = np.zeros(height)
+    levels = []
+    while True:
+        done, fine, est = _refine_step(halves, mass, coarse, node_tol,
+                                       prev_est)
+        levels.append((done, fine[:, done]))
+        err += est[:, done].sum(axis=1)
+        split = ~done
+        if not split.any():
+            break
+        seg = np.repeat(seg[split], 2)
+        a, b = _halves(a[split], mid[split], b[split])
+        mid = 0.5 * (a + b)
+        coarse = halves.reshape(height, -1, 2)[:, split].reshape(height, -1)
+        node_tol = np.repeat(0.5 * node_tol[split], 2)
+        prev_est = np.repeat(est[:, split], 2, axis=1)
+        del fine, est, halves, mass  # free them before the next level
+        halves, mass = panels(np.repeat(seg, 2), *_halves(a, mid, b))
+    below = levels.pop()[1]
+    while levels:
+        done, fine = levels.pop()
+        sums = np.empty((height, done.size), dtype=complex)
+        sums[:, done] = fine
+        sums[:, ~done] = below[:, 0::2] + below[:, 1::2]
+        below = sums
+    value = np.cumsum(below, axis=1)[:, -1]
+    if not panels.stacked:
+        value = complex(value[0])
+    return QuadratureResult(value, float(err.max(initial=0.0)),
+                            GAUSS_ORDER * panels.count)
 
 
 def integrate(fn, path: Path, tol: float = DEFAULT_TOL,
@@ -139,18 +229,18 @@ def integrate(fn, path: Path, tol: float = DEFAULT_TOL,
     """Contour integral of fn along the path.
 
     fn receives complex points, in ndarray batches when it supports them
-    (scalar-only callables are detected and looped over). On closed paths
-    the result is orientation-antisymmetric and additive over
-    concatenation; see QuadratureResult.error_estimate for the summed
-    refinement discrepancies actually achieved.
+    (scalar-only callables are detected and looped over). It may return one
+    value per point or a stack of shape (m, points); a stack gives an array
+    of m integrals, each to the tolerance tol. On closed paths the result is
+    orientation-antisymmetric and additive over concatenation; see
+    QuadratureResult.error_estimate for the summed refinement discrepancies
+    actually achieved.
 
     Raises QuadratureBudgetError after `max_panels` panels, which signals a
     non-integrable singularity on or too near the path.
     """
-    def at_points(seg, lo, span):
-        return lambda ts: _eval_batch(fn, seg.point(ts))
-
-    return _integrate(at_points, path, tol, max_panels)
+    return _integrate(lambda seg, ts, z: _eval_batch(fn, z.ravel()),
+                      path, tol, max_panels)
 
 
 def integrate_arc_prefix(fn, path: Path, fraction: float,
@@ -179,8 +269,12 @@ def integrate_parameter(fn_t, path: Path, tol: float = DEFAULT_TOL,
     running primitive) and not as a function of the complex point. Same
     engine, tolerance contract and budget as integrate.
     """
-    def at_fractions(seg, lo, span):
-        return lambda ts: _eval_batch(fn_t, lo + ts * span)
+    lo = path.arrays.starts / path.length
+    span = path.arrays.lengths / path.length
+
+    def at_fractions(seg, ts, z):
+        i = seg[:, None]
+        return _eval_batch(fn_t, (lo[i] + ts * span[i]).ravel())
 
     return _integrate(at_fractions, path, tol, max_panels)
 

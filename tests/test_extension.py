@@ -7,6 +7,7 @@ from envelope import expr
 from envelope import extension as ext
 from envelope import geometry as geom
 from envelope import moments as mom
+from envelope import quadrature as quad
 from envelope.errors import ExtensionPreconditionError, GeometryError
 
 
@@ -43,6 +44,17 @@ class TestLaurentCoefficient:
         curve = geom.homology_basis(annulus)[0]
         with pytest.raises(ValueError):
             ext.laurent_coefficient(expr.parse("1/z"), curve, 0j, 0)
+        with pytest.raises(ValueError):
+            ext.laurent_coefficients(expr.parse("1/z"), curve, 0j, 0)
+
+    def test_stacked_coefficients_match_one_by_one(self, annulus):
+        curve = geom.homology_basis(annulus)[0]
+        f = expr.parse("(2+1i)/(z-0.1)^3 - 1/z + exp(z)")
+        center = 0.05 - 0.02j
+        stacked = ext.laurent_coefficients(f, curve, center, 6)
+        for n, a in enumerate(stacked, start=1):
+            assert abs(a - ext.laurent_coefficient(f, curve, center, n)) \
+                <= 1e-12
 
 
 class TestDecompose:
@@ -54,6 +66,22 @@ class TestDecompose:
         assert c1.center == pytest.approx(3 + 0j, abs=1e-10)
         assert c0.coefficients[1] == pytest.approx(1 + 0j, abs=1e-10)
         assert c1.coefficients[0] == pytest.approx(1 + 0j, abs=1e-10)
+        assert d.max_residual() < 1e-9
+
+    def test_one_integral_per_curve_and_kernel(self, two_hole, monkeypatch):
+        # per basis curve, one stacked integral gives every tail
+        # coefficient and one every probe's Cauchy value
+        integrate = quad.integrate
+        calls = []
+
+        def spy(fn, path, *args, **kwargs):
+            calls.append(path)
+            return integrate(fn, path, *args, **kwargs)
+
+        monkeypatch.setattr(quad, "integrate", spy)
+        d = ext.decompose(expr.parse("1/z^2 + 1/(z-3) + z"), two_hole,
+                          probe_count=25)
+        assert len(calls) == 2 * len(two_hole.holes)
         assert d.max_residual() < 1e-9
 
     def test_f0_reproduces_entire_part(self, two_hole):
@@ -126,6 +154,26 @@ class TestEvaluateExtension:
             got = ext.evaluate_extension(f, slab, w, verdict=verdict,
                                          which_contour=which)
             assert got == pytest.approx(1 / (w - 5) + w ** 2, abs=1e-12)
+
+    def test_points_in_one_hole_share_a_contour(self, annulus, monkeypatch):
+        f = expr.parse("1/(z-5) + z^2")
+        verdict = mom.max_primitive_order(f, annulus)
+        points = [0j, 0.3 - 0.2j, -0.1 + 0.25j, 1.2 + 0.4j, -1.0 - 0.9j]
+        one_by_one = [ext.evaluate_extension(f, annulus, w, verdict=verdict)
+                      for w in points]
+        integrate = quad.integrate
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(quad, "integrate", spy)
+        got = ext.evaluate_extension_many(f, annulus, points, verdict=verdict)
+        assert len(calls) == 3  # the hole's contour, two domain circles
+        for a, b, w in zip(got, one_by_one, points):
+            assert a == pytest.approx(b, abs=1e-12)
+            assert a == pytest.approx(1 / (w - 5) + w ** 2, abs=1e-10)
 
     def test_refuses_on_nonzero_moment(self, annulus):
         with pytest.raises(ExtensionPreconditionError):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from envelope import expr
 from envelope import geometry as geom
@@ -135,6 +137,36 @@ class TestMaxPrimitiveOrder:
         assert verdict.max_order is None
         assert not verdict.definitive
         assert verdict.tested_through == 2
+
+    @given(center=st.complex_numbers(max_magnitude=1.0),
+           hole_r=st.floats(0.3, 0.8),
+           pole=st.tuples(st.floats(0.0, 0.8), st.floats(0.0, 2 * math.pi)),
+           first=st.integers(1, 4),
+           coefficients=st.lists(
+               st.one_of(st.just(0j),
+                         st.complex_numbers(min_magnitude=0.5,
+                                            max_magnitude=2.0)),
+               min_size=1, max_size=4),
+           lead=st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0))
+    def test_order_is_the_first_pole_term_minus_one(
+            self, center, hole_r, pole, first, coefficients, lead):
+        # f = sum a_m / (z - p)^m with p in the hole: the degree-k moment is
+        # 2 pi i sum_m a_m C(k, m-1) p^(k-m+1), which first fails at
+        # k = (smallest m with a_m != 0) - 1
+        center = complex(round(center.real, 3), round(center.imag, 3))
+        domain = geom.DomainSpec(geom.circle(center, 2.5),
+                                 (geom.circle(center, hole_r),))
+        p = center + pole[0] * hole_r * complex(math.cos(pole[1]),
+                                                math.sin(pole[1]))
+        terms = []
+        for m, a in enumerate([lead] + coefficients, start=first):
+            if a != 0:
+                terms.append(f"({a.real:.6f}{a.imag:+.6f}i)"
+                             f"/(z-({p.real:.6f}{p.imag:+.6f}i))^{m}")
+        verdict = mom.max_primitive_order(expr.parse(" + ".join(terms)),
+                                          domain)
+        assert verdict.max_order == first - 1
+        assert verdict.certificate == "failure-witnessed"
 
 
 class TestRingRoute:

@@ -1,13 +1,66 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from envelope import geometry as geom
+from envelope import moments as mom
 from envelope import quadrature as quad
 from envelope.errors import QuadratureBudgetError
+
+
+def reference_integrate(fn, path, tol=quad.DEFAULT_TOL,
+                        max_panels=quad.DEFAULT_MAX_PANELS):
+    """The depth-first engine the level-by-level one replaced: one segment
+    and one 16-node panel at a time. Returns (value, evaluations, mass),
+    mass being the L1 mass of the accepted panels."""
+    spent = [0]
+
+    def panel(seg, a, b):
+        spent[0] += 1
+        if spent[0] > max_panels:
+            raise QuadratureBudgetError("panel budget exhausted")
+        half = 0.5 * (b - a)
+        mid = 0.5 * (a + b)
+        ts = mid + half * quad._NODES
+        contrib = np.asarray(fn(seg.point(ts)), dtype=complex) \
+            * seg.velocity(ts)
+        value = half * np.sum(quad._WEIGHTS * contrib)
+        mass = half * float(np.sum(quad._WEIGHTS * np.abs(contrib)))
+        return complex(value), mass
+
+    def refine(seg, a, b, coarse, tol, prev_est=math.inf):
+        m = 0.5 * (a + b)
+        left, mass_l = panel(seg, a, m)
+        right, mass_r = panel(seg, m, b)
+        fine = left + right
+        est = abs(fine - coarse)
+        mass = mass_l + mass_r
+        if est <= max(tol, quad._ROUNDOFF_FACTOR * mass):
+            return fine, mass
+        if est > 0.25 * prev_est and est <= quad._NOISE_CEILING * mass:
+            return fine, mass
+        vl, ml = refine(seg, a, m, left, 0.5 * tol, est)
+        vr, mr = refine(seg, m, b, right, 0.5 * tol, est)
+        return vl + vr, ml + mr
+
+    value = 0j
+    mass = 0.0
+    for seg in path.segments:
+        coarse, _ = panel(seg, 0.0, 1.0)
+        v, m = refine(seg, 0.0, 1.0, coarse, tol * seg.length / path.length)
+        value += v
+        mass += m
+    return value, quad.GAUSS_ORDER * spent[0], mass
+
+
+def _rational(poles):
+    def f(z):
+        return sum(c / (z - p) ** m for p, m, c in poles)
+    return f
 
 
 class TestIntegrate:
@@ -61,6 +114,10 @@ class TestIntegrate:
         c = geom.circle(0j, 1.0)
         out = quad.integrate(scalar_fn, c)
         assert out.value == pytest.approx(2j * math.pi, abs=1e-12)
+        stacked = quad.integrate(lambda z: [scalar_fn(z), z * scalar_fn(z)],
+                                 c)
+        assert stacked.value[0] == pytest.approx(2j * math.pi, abs=1e-12)
+        assert stacked.value[1] == pytest.approx(0j, abs=1e-12)
 
     def test_tol_must_be_positive(self):
         c = geom.circle(0j, 1.0)
@@ -141,3 +198,104 @@ class TestAccuracyScaling:
         c = geom.circle(0j, 1.0)
         out = quad.integrate(lambda z: 1e14 * z ** 2, c, tol=1e-12)
         assert abs(out.value) < 1e2
+
+
+# the three kinds of path the engine meets: one arc, a polygon, and the
+# arc-plus-line routes of construct_primitive
+_PATHS = st.one_of(
+    st.builds(geom.circle,
+              st.complex_numbers(max_magnitude=0.5),
+              st.floats(0.8, 2.0)),
+    st.builds(lambda n, r, twist: geom.polygon(
+        [r * np.exp(1j * (2 * math.pi * k / n + twist)) for k in range(n)]),
+        st.integers(3, 8), st.floats(0.8, 2.0), st.floats(0.0, 1.0)),
+    st.builds(lambda r0, a0, r1, a1: mom.ring_route(
+        r0 * np.exp(1j * a0), r1 * np.exp(1j * a1)),
+        st.floats(0.6, 2.0), st.floats(0.0, 6.2),
+        st.floats(0.6, 2.0), st.floats(0.1, 3.0)))
+_POLES = st.lists(st.tuples(st.complex_numbers(max_magnitude=2.5),
+                            st.integers(1, 3),
+                            st.complex_numbers(min_magnitude=0.2,
+                                               max_magnitude=2.0)),
+                  min_size=1, max_size=3)
+
+
+class TestLevelEngine:
+    @given(path=_PATHS, poles=_POLES,
+           tol_exp=st.integers(6, 13))
+    # double and triple poles 1e-3 off the path reach the stagnation rule
+    @example(path=geom.circle(0j, 1.0), poles=[(1.001 + 0j, 3, 1 + 0j)],
+             tol_exp=12)
+    @example(path=geom.circle(0j, 1.0), poles=[(1.002 + 0j, 2, 1 + 0j)],
+             tol_exp=9)
+    def test_matches_the_depth_first_engine(self, path, poles, tol_exp):
+        # same panel tree for a scalar integrand, so the same evaluations,
+        # and the same sums up to 4 ulps of the L1 mass
+        poles = [(p, m, c) for p, m, c in poles if path.distance(p) > 5e-4]
+        f = _rational(poles or [(5.0 + 0j, 1, 1.0 + 0j)])
+        tol = 10.0 ** -tol_exp
+        try:
+            want, evaluations, mass = reference_integrate(f, path, tol)
+        except QuadratureBudgetError:
+            with pytest.raises(QuadratureBudgetError):
+                quad.integrate(f, path, tol)
+            return
+        got = quad.integrate(f, path, tol)
+        assert got.evaluations == evaluations
+        assert abs(got.value - want) <= 4 * np.finfo(float).eps * mass
+
+    def test_stacked_moments_match_scalar_moments(self, slab):
+        f = _rational([(0.2 + 0j, 2, 1.0 + 0.5j), (0.57j, 1, -0.7 + 0j)])
+        tol = 1e-12
+        paths = (geom.circle(0.1j, 1.0), geom.rectangle(-1, 1, -1, 1),
+                 geom.homology_basis(slab)[0])
+        for path in paths:
+            vec = mom.moment_vector(f, path, 8, tol)
+            for k, value in enumerate(vec.values):
+                assert abs(value - mom.moment(f, path, k, tol)) <= tol
+
+    def test_stack_near_a_singularity_exhausts_the_budget(self):
+        c = geom.circle(0j, 1.0)
+        with pytest.raises(QuadratureBudgetError):
+            quad.integrate(lambda z: np.stack((z, 1 / (z - (1 + 1e-13)))),
+                           c, tol=1e-13, max_panels=64)
+
+    def test_probe_stack_memory_is_bounded(self):
+        # 100 Cauchy kernels 1e-3 inside the unit circle share one tree of
+        # about 4700 panels; each call holds at most MAX_CALL_VALUES
+        # values, so the peak stays a few MB where one uncapped call per
+        # level would take over 70 MB
+        c = geom.circle(0j, 1.0)
+        ws = 0.999 * np.exp(2j * math.pi * (np.arange(100) + 0.5) / 100)
+        tracemalloc.start()
+        try:
+            out = quad.integrate(lambda z: np.exp(z) / (z - ws[:, None]), c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        assert np.max(np.abs(out.value / (2j * math.pi) - np.exp(ws))) < 1e-10
+
+    def test_dilated_curve_takes_few_integrand_calls(self, slab,
+                                                     monkeypatch):
+        # a 512-segment basis curve: three panels per segment, evaluated
+        # level by level in a handful of capped calls, not one per panel
+        curve = geom.homology_basis(slab)[0]
+        assert len(curve.segments) == 512
+        calls = []
+
+        def f(z):
+            calls.append(z.size)
+            return 1 / (z - 0.2) + 1 / (z - 0.57j) ** 2
+
+        results = []
+        integrate = quad.integrate
+
+        def spy(*args, **kwargs):
+            results.append(integrate(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(quad, "integrate", spy)
+        mom.moment_vector(f, curve, 6)
+        assert [r.evaluations // quad.GAUSS_ORDER for r in results] == [1536]
+        assert len(calls) <= 8
