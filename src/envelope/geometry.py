@@ -286,21 +286,27 @@ class SegmentArrays:
     zero. lengths, starts and ends are per-segment arclengths."""
 
     def __init__(self, segments: tuple[Segment, ...]):
+        arc = [isinstance(s, Arc) for s in segments]
+        self.has_arcs = any(arc)
+        self.has_lines = not all(arc)
         # one row per segment; the arc velocity factor is the scalar
         # expression of Arc.velocity, so both round alike
-        rows = [(s.center, 0j, s.radius, s.t0, s.sweep,
-                 1j * s.sweep * s.radius, s.length) if isinstance(s, Arc)
-                else (s.a, s.b - s.a, 0.0, 0.0, 0.0, 0j, s.length)
-                for s in segments]
-        (self.origin, self.direction, radius, t0, sweep, self.arc_velocity,
-         lengths) = np.array(rows, dtype=complex).T
-        self.radius, self.t0, self.sweep = radius.real, t0.real, sweep.real
-        self.lengths = lengths.real
-        self.is_arc = self.radius > 0.0
-        self.has_arcs = bool(self.is_arc.any())
-        self.has_lines = not self.is_arc.all()
-        self.ends = np.cumsum(self.lengths)
-        self.starts = np.concatenate(([0.0], self.ends[:-1]))
+        rows = [(s.center, 0j, 1j * s.sweep * s.radius, s.radius, s.t0,
+                 s.sweep, s.length) if a
+                else (s.a, s.b - s.a, 0j, 0.0, 0.0, 0.0, s.length)
+                for s, a in zip(segments, arc)]
+        cols = np.array(rows, dtype=complex).T
+        self.origin, self.direction, self.arc_velocity = cols[:3]
+        self.radius, self.t0, self.sweep, self.lengths = cols[3:].real
+        self.is_arc = np.array(arc)
+
+    @functools.cached_property
+    def ends(self) -> np.ndarray:
+        return np.cumsum(self.lengths)
+
+    @functools.cached_property
+    def starts(self) -> np.ndarray:
+        return np.concatenate(([0.0], self.ends[:-1]))
 
     def nodes(self, index: np.ndarray, t: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:

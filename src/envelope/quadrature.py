@@ -18,6 +18,7 @@ and its own mass, and the result holds one value per component.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,17 +151,36 @@ def _halves(a: np.ndarray, mid: np.ndarray, b: np.ndarray
     return lo, hi
 
 
+@functools.lru_cache(maxsize=64)
+def _roots(count: int):
+    """Root nodes of `count` segments (segment, a, b, mid over [0, 1]) and
+    the first batch of panels: each coarse panel and its two halves, since
+    every coarse panel is halved at least once."""
+    seg = np.arange(count)
+    a = np.zeros(count)
+    b = np.ones(count)
+    mid = 0.5 * (a + b)
+    lo, hi = _halves(a, mid, b)
+    first = (np.concatenate((seg, np.repeat(seg, 2))),
+             np.concatenate((a, lo)), np.concatenate((b, hi)))
+    for array in (seg, a, b, mid) + first:
+        array.flags.writeable = False
+    return seg, a, b, mid, first
+
+
 def _refine_step(halves, mass, coarse, node_tol, prev_est):
     """Compare each node's coarse panel with its two halves (interleaved
     in halves and mass): (done, fine, est), where done marks the nodes whose
-    every component passes."""
+    every component passes. prev_est is the parents' est (None at the
+    roots)."""
     fine = halves[:, 0::2] + halves[:, 1::2]
     gap = fine - coarse
     est = np.hypot(gap.real, gap.imag)  # rounds like abs(complex)
     mass = mass[:, 0::2] + mass[:, 1::2]
-    passed = (est <= np.maximum(node_tol, _ROUNDOFF_FACTOR * mass)) | (
+    passed = est <= np.maximum(node_tol, _ROUNDOFF_FACTOR * mass)
+    if prev_est is not None:
         # no longer converging and already at noise scale
-        (est > 0.25 * prev_est) & (est <= _NOISE_CEILING * mass))
+        passed |= (est > 0.25 * prev_est) & (est <= _NOISE_CEILING * mass)
     return passed.all(axis=0), fine, est
 
 
@@ -179,19 +199,12 @@ def _integrate(values_at, path: Path, tol: float,
         raise ValueError("tolerance must be positive")
     panels = _Panels(values_at, path, max_panels)
     count = len(path.segments)
-    seg = np.arange(count)
-    a = np.zeros(count)
-    b = np.ones(count)
-    mid = 0.5 * (a + b)
-    # the coarse panel of every segment is always halved, so one batch
-    # evaluates both levels
-    lo, hi = _halves(a, mid, b)
-    sums, mass = panels(np.concatenate((seg, np.repeat(seg, 2))),
-                        np.concatenate((a, lo)), np.concatenate((b, hi)))
+    seg, a, b, mid, first = _roots(count)
+    sums, mass = panels(*first)
     coarse, halves, mass = sums[:, :count], sums[:, count:], mass[:, count:]
     height = panels.height
     node_tol = tol * path.arrays.lengths / path.length
-    prev_est = np.inf
+    prev_est = None
     err = np.zeros(height)
     levels = []
     while True:
