@@ -43,6 +43,16 @@ def _check_tail(basis_curve: Path, center: complex, n: int) -> None:
         raise GeometryError("basis curve must wind once around the center")
 
 
+def _tail(fn, basis_curve: Path, center: complex, powers: np.ndarray,
+          tol: float) -> np.ndarray:
+    """(1/2 pi i) ∮ (z - center)^p f(z) dz for every p in powers, as one
+    stacked integral."""
+    column = powers[:, None]
+    stack = _quad.integrate(lambda z: (z - center) ** column * fn(z),
+                            basis_curve, tol).value
+    return stack / _TWO_PI_I
+
+
 def laurent_coefficient(f, basis_curve: Path, center: complex, n: int,
                         tol: float = _quad.DEFAULT_TOL) -> complex:
     """Tail coefficient a_{-n} of the component attached to the hole the
@@ -54,9 +64,7 @@ def laurent_coefficient(f, basis_curve: Path, center: complex, n: int,
     """
     _check_tail(basis_curve, center, n)
     fn = _mom.as_function(f)
-    value = _quad.integrate(
-        lambda z: (z - center) ** (n - 1) * fn(z), basis_curve, tol).value
-    return value / _TWO_PI_I
+    return complex(_tail(fn, basis_curve, center, np.array([n - 1]), tol)[0])
 
 
 def laurent_coefficients(f, basis_curve: Path, center: complex, terms: int,
@@ -66,10 +74,8 @@ def laurent_coefficients(f, basis_curve: Path, center: complex, terms: int,
     stacked integral over the basis curve."""
     _check_tail(basis_curve, center, terms)
     fn = _mom.as_function(f)
-    powers = np.arange(terms)[:, None]
-    stack = _quad.integrate(lambda z: (z - center) ** powers * fn(z),
-                            basis_curve, tol).value
-    return tuple(complex(v) / _TWO_PI_I for v in stack)
+    stack = _tail(fn, basis_curve, center, np.arange(terms), tol)
+    return tuple(complex(v) for v in stack)
 
 
 @dataclass(frozen=True)
@@ -132,12 +138,12 @@ def _component_center(f, domain: DomainSpec, j: int) -> complex:
 
 
 def _cauchy_integrals(fn, contour: Path, points: np.ndarray,
-                      tol: float) -> list[complex]:
+                      tol: float) -> np.ndarray:
     """(1/2 pi i) ∮ f(z) / (z - w) dz over the contour for every w in
     points, as one stacked integral."""
     stack = _quad.integrate(lambda z: fn(z) / (z - points[:, None]),
                             contour, tol).value
-    return [complex(v) / _TWO_PI_I for v in stack]
+    return stack / _TWO_PI_I
 
 
 def _exact_components(fn, curve: Path, points: np.ndarray,
@@ -147,7 +153,7 @@ def _exact_components(fn, curve: Path, points: np.ndarray,
     wind = _geom._winding_many(curve, points)
     if np.any(wind == _geom._ON_PATH):
         raise PointOnPathError("a probe lies on the basis curve")
-    cauchy = np.array(_cauchy_integrals(fn, curve, points, tol))
+    cauchy = _cauchy_integrals(fn, curve, points, tol)
     return np.where(wind == 0, -cauchy, f_at - cauchy)
 
 
@@ -221,7 +227,7 @@ def decompose(f, domain: DomainSpec, terms: int | None = None,
     points = np.array(probes, dtype=complex)
     gap = np.zeros(points.shape, dtype=complex)
     if probes:
-        f_at = np.asarray(fn(points), dtype=complex)
+        f_at = _quad._eval_batch(fn, points)
         for j, curve in enumerate(basis):
             gap += _exact_components(fn, curve, points, f_at, tol) \
                 - components[j](points)
@@ -315,7 +321,7 @@ def evaluate_extension_many(f, domain: DomainSpec, points,
     for contour, members in shared.values():
         ws = np.array([points[i] for i in members], dtype=complex)
         for i, v in zip(members, _cauchy_integrals(fn, contour, ws, tol)):
-            values[i] = v
+            values[i] = complex(v)
     return values
 
 

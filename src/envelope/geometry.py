@@ -312,12 +312,15 @@ class SegmentArrays:
               ) -> tuple[np.ndarray, np.ndarray]:
         """Points and velocities at local parameters t of the segments
         index (broadcast against t along its leading axes); entry for entry
-        the numbers Segment.point and Segment.velocity give."""
-        i = index.reshape(index.shape + (1,) * (t.ndim - index.ndim))
+        the numbers Segment.point and Segment.velocity give. On a path of
+        lines only, the velocities broadcast against the points."""
+        if self.lengths.size == 1:
+            i = 0  # scalar parameters compute the same numbers, faster
+        else:
+            i = index.reshape(index.shape + (1,) * (t.ndim - index.ndim))
         if self.has_lines:
-            d = self.direction[i]
-            z = self.origin[i] + t * d
-            v = np.broadcast_to(d, z.shape)
+            v = self.direction[i]
+            z = self.origin[i] + t * v
         if self.has_arcs:
             e = np.exp(1j * (self.t0[i] + t * self.sweep[i]))
             za = self.origin[i] + self.radius[i] * e

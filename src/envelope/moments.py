@@ -79,26 +79,30 @@ def _check_moment_degree(path: Path, k: int) -> None:
         raise ValueError(f"moment degree must lie in [0, {MAX_MOMENT_DEGREE}]")
 
 
+def _moments(fn, path: Path, degrees: np.ndarray, tol: float) -> np.ndarray:
+    """∮ z^k f(z) dz for every k in degrees, as one stacked integral: each
+    to the tolerance tol, on one panel tree."""
+    column = degrees[:, None]
+    return _quad.integrate(lambda z: z ** column * fn(z), path, tol).value
+
+
 def moment(f, path: Path, k: int, tol: float = _quad.DEFAULT_TOL) -> complex:
     """∮ z^k f(z) dz along a closed path."""
     _check_moment_degree(path, k)
-    fn = as_function(f)
-    return _quad.integrate(lambda z: z ** k * fn(z), path, tol).value
+    return complex(_moments(as_function(f), path, np.array([k]), tol)[0])
 
 
 def moment_vector(f, path: Path, degree_cutoff: int,
                   tol: float = _quad.DEFAULT_TOL,
                   curve_id: str = "curve") -> MomentVector:
     """All moments of degree 0 .. degree_cutoff with their magnitude scale,
-    from one stacked integral: each to the tolerance tol, on one panel
-    tree."""
+    from one stacked integral."""
     _check_moment_degree(path, degree_cutoff)
     fn = as_function(f)
-    degrees = np.arange(degree_cutoff + 1)[:, None]
-    stack = _quad.integrate(lambda z: z ** degrees * fn(z), path, tol)
-    values = tuple(complex(v) for v in stack.value)
+    stack = _moments(fn, path, np.arange(degree_cutoff + 1), tol)
     max_f, max_z = _quad.max_magnitude_on(fn, path)
-    return MomentVector(curve_id, values, path.length * max_f, max_z)
+    return MomentVector(curve_id, tuple(complex(v) for v in stack),
+                        path.length * max_f, max_z)
 
 
 @dataclass(frozen=True)

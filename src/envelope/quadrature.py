@@ -18,7 +18,6 @@ and its own mass, and the result holds one value per component.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,17 +70,24 @@ def _eval_batch(fn, xs: np.ndarray) -> np.ndarray:
     except EnvelopeError:
         raise
     except Exception:
+        vals = None
+    if vals is not None and vals.ndim == 0:
+        vals = np.full(xs.shape, complex(vals))
+    if vals is None or vals.ndim > 2 or vals.shape[-1:] != xs.shape:
         vals = _eval_each(fn, xs)
-    else:
-        if vals.ndim == 0:
-            vals = np.full(xs.shape, complex(vals))
-        elif vals.ndim > 2 or vals.shape[-1:] != xs.shape:
-            vals = _eval_each(fn, xs)
+        if vals.ndim > 2 or vals.shape[-1:] != xs.shape:
+            raise ValueError(f"integrand returned shape {vals.shape} for "
+                             f"{xs.size} points")
     return vals.astype(complex, copy=False)
 
 
 def _eval_each(fn, xs: np.ndarray) -> np.ndarray:
-    return np.array([fn(x) for x in xs.tolist()], dtype=complex).T
+    """fn point by point. A scalar answer gives shape (len(xs),); any other
+    answer is one stack column, so the result has shape (m, len(xs))."""
+    vals = [np.asarray(fn(x), dtype=complex) for x in xs.tolist()]
+    if not vals or vals[0].ndim == 0:
+        return np.array(vals, dtype=complex)
+    return np.array([v.reshape(-1) for v in vals]).T
 
 
 class _Panels:
@@ -109,14 +115,14 @@ class _Panels:
         self.count += seg.size
         half = 0.5 * (b - a)
         mid = 0.5 * (a + b)
+        if seg.size <= self._chunk():
+            return self._sums(seg, mid, half)
         value = mass = None
         lo = 0
         while lo < seg.size:
             hi = lo + self._chunk()
             part = self._sums(seg[lo:hi], mid[lo:hi], half[lo:hi])
             if value is None:
-                if hi >= seg.size:
-                    return part
                 value = np.empty((self.height, seg.size), dtype=complex)
                 mass = np.empty((self.height, seg.size))
             value[:, lo:hi], mass[:, lo:hi] = part
@@ -151,23 +157,6 @@ def _halves(a: np.ndarray, mid: np.ndarray, b: np.ndarray
     return lo, hi
 
 
-@functools.lru_cache(maxsize=64)
-def _roots(count: int):
-    """Root nodes of `count` segments (segment, a, b, mid over [0, 1]) and
-    the first batch of panels: each coarse panel and its two halves, since
-    every coarse panel is halved at least once."""
-    seg = np.arange(count)
-    a = np.zeros(count)
-    b = np.ones(count)
-    mid = 0.5 * (a + b)
-    lo, hi = _halves(a, mid, b)
-    first = (np.concatenate((seg, np.repeat(seg, 2))),
-             np.concatenate((a, lo)), np.concatenate((b, hi)))
-    for array in (seg, a, b, mid) + first:
-        array.flags.writeable = False
-    return seg, a, b, mid, first
-
-
 def _refine_step(halves, mass, coarse, node_tol, prev_est):
     """Compare each node's coarse panel with its two halves (interleaved
     in halves and mass): (done, fine, est), where done marks the nodes whose
@@ -199,8 +188,16 @@ def _integrate(values_at, path: Path, tol: float,
         raise ValueError("tolerance must be positive")
     panels = _Panels(values_at, path, max_panels)
     count = len(path.segments)
-    seg, a, b, mid, first = _roots(count)
-    sums, mass = panels(*first)
+    # every coarse panel is halved at least once, so the first batch holds
+    # the coarse panels [0, 1] and then their halves [0, 1/2], [1/2, 1]
+    seg = np.arange(count)
+    a = np.zeros(3 * count)
+    a[count + 1::2] = 0.5
+    b = np.ones(3 * count)
+    b[count::2] = 0.5
+    sums, mass = panels(np.concatenate((seg, np.repeat(seg, 2))), a, b)
+    a, b = a[:count], b[:count]
+    mid = np.full(count, 0.5)
     coarse, halves, mass = sums[:, :count], sums[:, count:], mass[:, count:]
     height = panels.height
     node_tol = tol * path.arrays.lengths / path.length

@@ -84,6 +84,16 @@ class TestDecompose:
         assert len(calls) == 2 * len(two_hole.holes)
         assert d.max_residual() < 1e-9
 
+    def test_scalar_only_callable(self, annulus):
+        def f(z):
+            if isinstance(z, np.ndarray):
+                raise TypeError("scalars only")
+            return 1 / z ** 2 + z
+        d = ext.decompose(f, annulus, terms=3, probe_count=10)
+        assert d.components[0].coefficients[1] == pytest.approx(1 + 0j,
+                                                                abs=1e-10)
+        assert d.max_residual() < 1e-9
+
     def test_f0_reproduces_entire_part(self, two_hole):
         f = expr.parse("1/z + z^2 - 3")
         d = ext.decompose(f, two_hole, probe_count=20)

@@ -118,6 +118,12 @@ class TestIntegrate:
                                  c)
         assert stacked.value[0] == pytest.approx(2j * math.pi, abs=1e-12)
         assert stacked.value[1] == pytest.approx(0j, abs=1e-12)
+        # the library's stacked kernels broadcast a scalar point against a
+        # column of degrees, so each scalar call answers an (m, 1) column
+        vec = mom.moment_vector(scalar_fn, c, 3)
+        assert vec.values[0] == pytest.approx(2j * math.pi, abs=1e-12)
+        assert max(abs(v) for v in vec.values[1:]) < 1e-12
+        assert mom.moment(scalar_fn, c, 0) == vec.values[0]
 
     def test_tol_must_be_positive(self):
         c = geom.circle(0j, 1.0)
