@@ -327,11 +327,11 @@ def boundary_duality(curve: SampledCurve, levels: int = 4,
 # Cauchy transform of the sampled measure
 
 def _discrete_winding(points: np.ndarray, w: complex) -> int:
-    rel = points - w
-    if np.min(np.abs(rel)) == 0.0:
+    """Winding number of the closed polyline through points around w."""
+    if np.min(np.abs(points - w)) == 0.0:
         raise GeometryError("point coincides with a curve node")
-    turns = np.angle(rel[1:] / rel[:-1])
-    total = float(np.sum(turns)) / (2.0 * math.pi)
+    chords = _geom.Chords(points[:-1], points[1:])
+    total = float(chords.turns(np.array([w], dtype=complex))[0])
     nearest = round(total)
     if abs(total - nearest) > 0.01:
         raise GeometryError("winding sum did not settle near an integer")

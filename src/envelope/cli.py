@@ -27,20 +27,20 @@ from . import expr as _expr
 from . import extension as _ext
 from . import geometry as _geom
 from . import moments as _mom
+from . import quadrature as _quad
 from .errors import EnvelopeError, ParseError
 
 DOMAIN_CHECKS = ("moments", "primitive_order", "extension", "cross_verify")
 CURVE_CHECKS = ("boundary_tower", "cauchy", "nontangential", "chord_arc")
 ALL_CHECKS = DOMAIN_CHECKS + CURVE_CHECKS
 
-DEFAULT_QUAD_TOL = 1e-12
+DEFAULT_QUAD_TOL = _quad.DEFAULT_TOL
 
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     raw: dict
     function: object | None
-    function_text: str | None
     domain: _geom.DomainSpec | None
     curve: _bd.SampledCurve | None
     checks: tuple[str, ...]
@@ -278,7 +278,7 @@ def build_config(raw: dict, base_dir: FsPath | None = None,
     if diags:
         return None, diags
     config = ScenarioConfig(
-        raw=merged, function=fn, function_text=fn_text, domain=domain,
+        raw=merged, function=fn, domain=domain,
         curve=curve, checks=tuple(checks), max_degree=max_degree,
         laurent_terms=laurent_terms, tower_levels=tower_levels,
         points=points, node_index=node_index, radii=radii,

@@ -123,18 +123,18 @@ class Decomposition:
         return max(self.reconstruction_residuals, default=0.0)
 
 
-def _component_center(f, domain: DomainSpec, j: int) -> complex:
-    """Hole witness, or the pole itself when exactly one pole cluster sits
-    inside the hole (making truncation at its order exact)."""
-    center = _geom.hole_witness(domain, j)
-    if isinstance(f, _expr.Expr):
-        poles = _expr.pole_set(f)
-        if poles:
-            inside = [p for p in poles
-                      if _mom._pole_hole_index(domain, p.location) == j]
+def _component_centers(f, domain: DomainSpec) -> list[complex]:
+    """Per hole: its witness, or the pole itself when exactly one pole
+    cluster sits inside the hole (making truncation at its order exact)."""
+    centers = [_geom.hole_witness(domain, j) for j in range(len(domain.holes))]
+    poles = _expr.pole_set(f) if isinstance(f, _expr.Expr) else None
+    if poles:
+        holes = _mom._pole_hole_indices(domain, [p.location for p in poles])
+        for j in range(len(centers)):
+            inside = [p for p, k in zip(poles, holes) if k == j]
             if len(inside) == 1:
-                return inside[0].location
-    return center
+                centers[j] = inside[0].location
+    return centers
 
 
 def _cauchy_integrals(fn, contour: Path, points: np.ndarray,
@@ -157,29 +157,55 @@ def _exact_components(fn, curve: Path, points: np.ndarray,
     return np.where(wind == 0, -cauchy, f_at - cauchy)
 
 
-def _domain_probes(domain: DomainSpec, count: int, margin: float,
-                   keep_off: list[Path], rng: np.random.Generator
-                   ) -> list[complex]:
+def _domain_box(domain: DomainSpec, pad: float
+                ) -> tuple[float, float, float, float]:
+    """Bounding box of the outer boundary, or of the holes grown by pad on
+    every side when the domain is unbounded."""
     if domain.outer is not None:
-        x0, x1, y0, y1 = domain.outer.bbox()
-    else:
-        boxes = [h.bbox() for h in domain.holes]
-        x0 = min(b[0] for b in boxes) - 1.0
-        x1 = max(b[1] for b in boxes) + 1.0
-        y0 = min(b[2] for b in boxes) - 1.0
-        y1 = max(b[3] for b in boxes) + 1.0
+        return domain.outer.bbox()
+    boxes = [h.bbox() for h in domain.holes]
+    return (min(b[0] for b in boxes) - pad, max(b[1] for b in boxes) + pad,
+            min(b[2] for b in boxes) - pad, max(b[3] for b in boxes) + pad)
+
+
+def _probe_margin(domain: DomainSpec) -> float:
+    """Least distance of a probe point from a boundary or basis curve."""
+    x0, x1, y0, y1 = _domain_box(domain, 0.0)
+    return max(1e-3, 1e-3 * math.hypot(x1 - x0, y1 - y0))
+
+
+def _sample(box: tuple[float, float, float, float], count: int,
+            attempts: int, accept, rng: np.random.Generator) -> list[complex]:
+    """Up to count points drawn uniformly from box = (x0, x1, y0, y1) that
+    pass accept (a mask over an array of candidates), in at most attempts
+    draws. Each round draws the candidates still missing in one call, as
+    the (x, y) pairs a draw of x then y per point gives, so the points and
+    the state of rng are those of a one-point-at-a-time loop."""
+    x0, x1, y0, y1 = box
     out: list[complex] = []
-    attempts = 0
-    while len(out) < count and attempts < 20000:
-        attempts += 1
-        p = complex(rng.uniform(x0, x1), rng.uniform(y0, y1))
-        if not domain.contains(p):
-            continue
-        if domain.boundary_distance(p) <= margin:
-            continue
-        if any(c.distance(p) <= margin for c in keep_off):
-            continue
-        out.append(p)
+    while len(out) < count and attempts > 0:
+        need = min(count - len(out), attempts)
+        attempts -= need
+        xy = rng.uniform((x0, y0), (x1, y1), size=(need, 2))
+        candidates = xy.view(complex)[:, 0]
+        out.extend(complex(p) for p in candidates[accept(candidates)])
+    return out
+
+
+def _domain_probes(domain: DomainSpec, count: int,
+                   rng: np.random.Generator) -> list[complex]:
+    """count points in the domain, farther than the probe margin from its
+    boundary and from its basis curves."""
+    margin = _probe_margin(domain)
+
+    def accept(points):
+        ok = domain.contains_many(points) \
+            & (domain.boundary_distance(points) > margin)
+        for curve in _geom.homology_basis(domain):
+            ok &= curve.distance(points) > margin
+        return ok
+
+    out = _sample(_domain_box(domain, 1.0), count, 20000, accept, rng)
     if len(out) < count:
         raise GeometryError("could not place probe points in the domain")
     return out
@@ -206,17 +232,15 @@ def decompose(f, domain: DomainSpec, terms: int | None = None,
             terms = _mom.DEFAULT_DEGREE_CUTOFF + 1
     fn = _mom.as_function(f)
     components = []
-    for j, curve in enumerate(basis):
-        center = _component_center(f, domain, j)
+    for j, (curve, center) in enumerate(zip(basis,
+                                            _component_centers(f, domain))):
         coeffs = laurent_coefficients(fn, curve, center, terms, tol)
         max_f, _ = _quad.max_magnitude_on(fn, curve)
         components.append(LaurentComponent(j, center, coeffs,
                                            curve.length * max_f))
 
-    diam = _domain_diameter(domain)
     rng = np.random.default_rng(_PROBE_SEED)
-    margin = max(1e-3, 1e-3 * diam)
-    probes = _domain_probes(domain, probe_count, margin, list(basis), rng)
+    probes = _domain_probes(domain, probe_count, rng)
 
     def f0(z):
         base = fn(z)
@@ -236,46 +260,31 @@ def decompose(f, domain: DomainSpec, terms: int | None = None,
                          residuals, f0)
 
 
-def _domain_diameter(domain: DomainSpec) -> float:
-    if domain.outer is not None:
-        x0, x1, y0, y1 = domain.outer.bbox()
-    else:
-        boxes = [h.bbox() for h in domain.holes]
-        x0 = min(b[0] for b in boxes)
-        x1 = max(b[1] for b in boxes)
-        y0 = min(b[2] for b in boxes)
-        y1 = max(b[3] for b in boxes)
-    return math.hypot(x1 - x0, y1 - y0)
-
-
 # ---------------------------------------------------------------------------
 # envelope evaluation
 
-def _locate(domain: DomainSpec, w: complex) -> int | None:
-    """Hole index containing w, None when w is in the domain proper;
-    GeometryError when w lies outside the hull or on a boundary."""
-    for j, hole in enumerate(domain.holes):
-        try:
-            if _geom.winding_number(hole, w) == 1:
-                return j
-        except PointOnPathError:
-            raise GeometryError(
-                f"{w:.6g} lies on a hole boundary; no exclusion-radius "
-                "evaluation there") from None
-    if domain.contains(w):
-        return None
-    raise GeometryError(f"{w:.6g} lies outside the simply connected envelope")
-
-
-def _extension_contour(domain: DomainSpec, w: complex, j: int | None,
-                       which: int) -> Path:
-    """Contour for w, which lies in hole j (None: in the domain proper)."""
-    if j is not None:
-        return _geom.basis_curve_variants(domain, j)[which]
-    radius = (0.4 if which == 0 else 0.7) * domain.boundary_distance(w)
-    if radius <= 0.0:
-        raise GeometryError(f"no room for a contour around {w:.6g}")
-    return _geom.circle(w, radius)
+def _locate(domain: DomainSpec, points: np.ndarray) -> list[int | None]:
+    """Index of the hole containing each point, None for a point in the
+    domain proper; GeometryError, for the first offending point, when a
+    point lies on a hole boundary or outside the hull."""
+    winds = [_geom._winding_many(hole, points) for hole in domain.holes]
+    inside = domain.contains_many(points)
+    out: list[int | None] = []
+    for i, w in enumerate(points):
+        for j, wind in enumerate(winds):
+            if wind[i] == _geom._ON_PATH:
+                raise GeometryError(
+                    f"{w:.6g} lies on a hole boundary; no exclusion-radius "
+                    "evaluation there")
+            if wind[i] == 1:
+                out.append(j)
+                break
+        else:
+            if not inside[i]:
+                raise GeometryError(
+                    f"{w:.6g} lies outside the simply connected envelope")
+            out.append(None)
+    return out
 
 
 def evaluate_extension(f, domain: DomainSpec, w: complex,
@@ -308,18 +317,29 @@ def evaluate_extension_many(f, domain: DomainSpec, points,
         raise ExtensionPreconditionError(
             f"a degree-{verdict.max_order} moment is nonzero; f does not "
             "extend to the envelope")
-    shared: dict[object, tuple[Path, list[int]]] = {}
-    for i, w in enumerate(points):
-        j = _locate(domain, w)
-        contour = _extension_contour(domain, w, j, which_contour)
-        if contour.distance(w) <= _expr.DEFAULT_POLE_EXCLUSION:
-            raise GeometryError(f"{w:.6g} is too close to the contour")
+    pts = np.array(points, dtype=complex).reshape(-1)
+    shared: dict[tuple[str, int], list[int]] = {}
+    for i, j in enumerate(_locate(domain, pts)):
         key = ("point", i) if j is None else ("hole", j)
-        shared.setdefault(key, (contour, []))[1].append(i)
+        shared.setdefault(key, []).append(i)
+    # a point of the domain proper gets its own circle, a fraction of its
+    # distance to the boundary
+    radii = (0.4 if which_contour == 0 else 0.7) \
+        * domain.boundary_distance(pts)
     fn = _mom.as_function(f)
-    values: list[complex] = [0j] * len(points)
-    for contour, members in shared.values():
-        ws = np.array([points[i] for i in members], dtype=complex)
+    values: list[complex] = [0j] * len(pts)
+    for (kind, k), members in shared.items():
+        if kind == "hole":
+            contour = _geom.basis_curve_variants(domain, k)[which_contour]
+        elif radii[k] > 0.0:
+            contour = _geom.circle(complex(pts[k]), float(radii[k]))
+        else:
+            raise GeometryError(f"no room for a contour around {pts[k]:.6g}")
+        ws = pts[members]
+        near = contour.distance(ws) <= _expr.DEFAULT_POLE_EXCLUSION
+        if near.any():
+            raise GeometryError(
+                f"{ws[np.argmax(near)]:.6g} is too close to the contour")
         for i, v in zip(members, _cauchy_integrals(fn, contour, ws, tol)):
             values[i] = complex(v)
     return values
@@ -360,27 +380,6 @@ def _centered_moments(vec: _mom.MomentVector, center: complex,
         for i in range(k + 1):
             total += math.comb(k, i) * (-center) ** (k - i) * vec.values[i]
         out.append(total)
-    return out
-
-
-def _hole_probes(domain: DomainSpec, j: int, count: int,
-                 rng: np.random.Generator) -> list[complex]:
-    hole = domain.holes[j]
-    x0, x1, y0, y1 = hole.bbox()
-    margin = max(1e-3, 1e-3 * _domain_diameter(domain))
-    out = [_geom.hole_witness(domain, j)]
-    attempts = 0
-    while len(out) < count and attempts < 5000:
-        attempts += 1
-        p = complex(rng.uniform(x0, x1), rng.uniform(y0, y1))
-        try:
-            if _geom.winding_number(hole, p) != 1:
-                continue
-        except PointOnPathError:
-            continue
-        if hole.distance(p) <= margin:
-            continue
-        out.append(p)
     return out
 
 
@@ -453,14 +452,17 @@ def cross_verify(f, domain: DomainSpec, degree_cutoff: int | None = None,
                     zero_tol,
                     verdict.moments[j].max_abs_z + abs(comp.center))]
         rng = np.random.default_rng(_PROBE_SEED + 1)
+        margin = _probe_margin(domain)
         points: list[complex] = []
-        for j in range(len(domain.holes)):
-            points.extend(_hole_probes(domain, j, PROBES_PER_HOLE, rng))
+        for j, hole in enumerate(domain.holes):
+            # the witness, then up to PROBES_PER_HOLE - 1 drawn points
+            points.append(_geom.hole_witness(domain, j))
+            points.extend(_sample(
+                hole.bbox(), PROBES_PER_HOLE - 1, 5000,
+                lambda c, hole=hole: (_geom._winding_many(hole, c) == 1)
+                & (hole.distance(c) > margin), rng))
         if domain.outer is not None or domain.holes:
-            points.extend(_domain_probes(
-                domain, DOMAIN_PROBES,
-                max(1e-3, 1e-3 * _domain_diameter(domain)),
-                list(_geom.homology_basis(domain)), rng))
+            points.extend(_domain_probes(domain, DOMAIN_PROBES, rng))
         values = evaluate_extension_many(fn, domain, points, tol, verdict, 0)
         alts = evaluate_extension_many(fn, domain, points, tol, verdict, 1)
         refs = []

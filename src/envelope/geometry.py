@@ -2,10 +2,14 @@
 
 Paths are chains of line and circular-arc segments. A DomainSpec is a
 bounded or unbounded multiply connected region: an outer boundary (or none)
-minus finitely many holes. Winding numbers come from accumulated argument
-increments with adaptive bisection, so they stay exact for points close to
-a contour. The simply connected hull of a rasterized domain is the
-complement of the grid component of infinity.
+minus finitely many holes. Winding numbers and distances come from one
+kernel over the chords of a path (its lines, and its arcs cut into pieces
+of at most pi/2), evaluated for arrays of points at once. The argument
+increment of an arc piece is its chord angle, plus a full turn in the
+piece's direction when the point is inside its circle and the chord angle
+turns the other way, so winding numbers are exact for every point off the
+path. The simply connected hull of a rasterized domain is the complement
+of the grid component of infinity.
 """
 
 from __future__ import annotations
@@ -223,8 +227,12 @@ class Path:
         return (min(b[0] for b in boxes), max(b[1] for b in boxes),
                 min(b[2] for b in boxes), max(b[3] for b in boxes))
 
-    def distance(self, p: complex) -> float:
-        return min(s.distance(p) for s in self.segments)
+    def distance(self, p):
+        """Distance from a point, or from each point of an array, to the
+        path."""
+        pts = np.asarray(p, dtype=complex)
+        d = self.arrays.chords.distances(pts.reshape(-1))
+        return float(d[0]) if pts.ndim == 0 else d.reshape(pts.shape)
 
     def max_distance(self, p: complex) -> float:
         return max(s.max_distance(p) for s in self.segments)
@@ -286,6 +294,7 @@ class SegmentArrays:
     zero. lengths, starts and ends are per-segment arclengths."""
 
     def __init__(self, segments: tuple[Segment, ...]):
+        self.segments = segments
         arc = [isinstance(s, Arc) for s in segments]
         self.has_arcs = any(arc)
         self.has_lines = not all(arc)
@@ -307,6 +316,23 @@ class SegmentArrays:
     @functools.cached_property
     def starts(self) -> np.ndarray:
         return np.concatenate(([0.0], self.ends[:-1]))
+
+    @functools.cached_property
+    def chords(self) -> "Chords":
+        """The lines, then the arcs cut into pieces of at most pi/2; piece
+        ends are the numbers Arc.point gives."""
+        lines = [s for s in self.segments if isinstance(s, Line)]
+        a, b = [s.a for s in lines], [s.b for s in lines]
+        circles = []  # (center, radius, turn) per arc piece
+        for s in self.segments:
+            if isinstance(s, Arc):
+                pieces = max(1, math.ceil(s.extent / (0.5 * math.pi)))
+                ends = [s.point(i / pieces) for i in range(pieces + 1)]
+                a += ends[:-1]
+                b += ends[1:]
+                circles += [(s.center, s.radius, 1.0 if s.ccw else -1.0)] \
+                    * pieces
+        return Chords(a, b, *zip(*circles))
 
     def nodes(self, index: np.ndarray, t: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
@@ -363,116 +389,129 @@ def rectangle(x0: float, x1: float, y0: float, y1: float) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# winding numbers
+# winding numbers and distances
+
+# Points closer to a path than this fraction of its length lie on it.
+_ON_PATH_BAND = 1e-9
+# Point-chord pairs per block of the kernel, so its temporaries stay near
+# 1 MB each whatever the number of points and chords.
+_BLOCK_PAIRS = 2 ** 16
+_ON_PATH = -(10 ** 9)  # sentinel for points that land on a contour
+
+
+class Chords:
+    """Chords a -> b of a chain of lines and arc pieces, the kernel behind
+    winding numbers and distances of arrays of points. The last
+    len(center) chords are arc pieces of at most pi/2 on the circles
+    (center, radius), turning counterclockwise where turn is +1 and
+    clockwise where it is -1."""
+
+    def __init__(self, a, b, center=(), radius=(), turn=()):
+        self.a = np.asarray(a, dtype=complex)
+        self.b = np.asarray(b, dtype=complex)
+        self.lines = len(self.a) - len(center)
+        self.center = np.asarray(center, dtype=complex)
+        self.radius = np.asarray(radius, dtype=float)
+        self.turn = np.asarray(turn, dtype=float)
+
+    def _blocks(self, points: np.ndarray):
+        """(slice, points as a column, a - p, b - p) per block of points."""
+        step = max(1, _BLOCK_PAIRS // len(self.a))
+        for s in range(0, len(points), step):
+            p = points[s:s + step, None]
+            yield slice(s, s + step), p, self.a - p, self.b - p
+
+    def turns(self, points: np.ndarray) -> np.ndarray:
+        """Argument increment of the chain around each point, in turns.
+        Each chord adds its angle arg((b - p) / (a - p)) in (-pi, pi]. For p
+        inside its circle an arc piece sweeps (0, 2 pi) in its own
+        direction, so a chord angle of the other sign gains a full turn:
+        p lies between piece and chord, or on the chord, where rounding
+        picks the sign of +-pi."""
+        out = np.empty(len(points))
+        n = self.lines
+        with np.errstate(all="ignore"):
+            for block, p, rel_a, rel_b in self._blocks(points):
+                angle = np.angle(rel_b / rel_a)
+                if n < len(self.a):
+                    chord_angle = angle[:, n:]
+                    wrapped = ((_modulus(p - self.center) <= self.radius)
+                               & (self.turn * chord_angle < 0.0))
+                    angle[:, n:] = np.where(
+                        wrapped, chord_angle + self.turn * _TWO_PI,
+                        chord_angle)
+                out[block] = angle.sum(axis=1)
+        return out / _TWO_PI
+
+    def distances(self, points: np.ndarray) -> np.ndarray:
+        """Distance from each point to the chain: to the nearest point of a
+        line; to an arc piece radially inside its wedge, else to its nearer
+        end, but never below the radial distance (a lower bound that
+        rounding in the end distances would undercut)."""
+        out = np.empty(len(points))
+        n = self.lines
+        direction = self.b[:n] - self.a[:n]
+        norm2 = _modulus(direction) ** 2
+        start_ray = self.a[n:] - self.center
+        end_ray = self.b[n:] - self.center
+        for block, p, rel_a, rel_b in self._blocks(points):
+            d = np.empty(rel_a.shape)
+            if n:
+                # Line.distance, with p - a = -(a - p)
+                t = -(rel_a[:, :n].real * direction.real
+                      + rel_a[:, :n].imag * direction.imag) / norm2
+                t = np.clip(t, 0.0, 1.0)
+                d[:, :n] = _modulus(self.a[:n] + t * direction - p)
+            if n < len(self.a):
+                v = p - self.center
+                r = _modulus(v)
+                wedge = ((r > 0.0)
+                         & (self.turn * _cross(start_ray, v) >= 0.0)
+                         & (self.turn * _cross(v, end_ray) >= 0.0))
+                ends = np.minimum(_modulus(rel_a[:, n:]),
+                                  _modulus(rel_b[:, n:]))
+                d[:, n:] = np.maximum(np.abs(r - self.radius),
+                                      np.where(wedge, 0.0, ends))
+            out[block] = d.min(axis=1)
+        return out
+
+
+def _cross(u, v):
+    return u.real * v.imag - u.imag * v.real
+
+
+def _modulus(z):
+    """|z| rounded as abs(complex) rounds it, which np.abs may not."""
+    return np.hypot(z.real, z.imag)
+
 
 def winding_number(path: Path, point: complex) -> int:
     """Winding number of a closed path around a point off the path.
 
-    Argument increments are accumulated per segment piece, bisecting any
-    piece whose chord subtends more than pi/2, so the count is exact for
-    any point at positive distance. Raises PointOnPathError when the point
-    is within 1e-9 * length of the path and WindingResidualError if the
-    total fails to land near an integer multiple of 2*pi.
+    The one-point case of _winding_many. Raises PointOnPathError when the
+    point is within 1e-9 * length of the path and WindingResidualError if
+    the total fails to land near an integer multiple of 2*pi.
     """
     if not path.closed:
         raise GeometryError("winding number needs a closed path")
-    if path.distance(point) <= 1e-9 * path.length:
+    w = int(_winding_many(path, np.array([point], dtype=complex))[0])
+    if w != _ON_PATH:
+        return w
+    if path.distance(point) <= _ON_PATH_BAND * path.length:
         raise PointOnPathError(f"point {point:.6g} lies on the path")
-    total = 0.0
-    for seg in path.segments:
-        total += _segment_sweep(seg, point)
-    turns = total / _TWO_PI
-    k = round(turns)
-    if abs(turns - k) >= WINDING_RESIDUAL_LIMIT:
-        raise WindingResidualError(
-            f"winding residual {abs(turns - k):.3g} exceeds limit")
-    return int(k)
-
-
-def _in_lens(center: complex, radius: float, za: complex, zb: complex,
-             p: complex) -> bool:
-    """Is p strictly between the chord za..zb and the minor arc over it?
-
-    The chord angle at p equals the true arc sweep exactly unless p lies in
-    this lens (then they differ by a full turn). Points on the open chord
-    count as inside so the ambiguous arg of a negative real ratio is never
-    trusted.
-    """
-    if abs(p - center) > radius:
-        return False
-    chord = zb - za
-    side_p = ((p - za) / chord).imag
-    side_c = ((center - za) / chord).imag
-    return side_p * side_c <= 0.0
-
-
-def _segment_sweep(seg: Segment, p: complex) -> float:
-    if isinstance(seg, Line):
-        return cmath.phase((seg.b - p) / (seg.a - p))
-    pieces = max(1, int(math.ceil(seg.extent / (0.5 * math.pi))))
-    total = 0.0
-    for i in range(pieces):
-        total += _arc_sweep(seg, p, i / pieces, (i + 1) / pieces, 0)
-    return total
-
-
-def _arc_sweep(seg: Arc, p: complex, a: float, b: float, depth: int) -> float:
-    za = seg.point(a)
-    zb = seg.point(b)
-    if not _in_lens(seg.center, seg.radius, za, zb, p):
-        return cmath.phase((zb - p) / (za - p))
-    if depth > 60:  # pragma: no cover - p is on the arc, guarded by caller
-        raise WindingResidualError("arc sweep failed to resolve")
-    m = 0.5 * (a + b)
-    return (_arc_sweep(seg, p, a, m, depth + 1)
-            + _arc_sweep(seg, p, m, b, depth + 1))
+    raise WindingResidualError("winding total is not near an integer")
 
 
 def _winding_many(path: Path, points: np.ndarray) -> np.ndarray:
-    """Vectorized winding numbers for many points at once.
-
-    Chordal argument sums are exact except for points inside a chord/arc
-    lens or (nearly) on the path itself; those few fall back to the scalar
-    routine, and centers exactly on a contour get the _ON_PATH sentinel.
-    """
-    pts = points.ravel()
-    total = np.zeros(pts.shape, dtype=float)
-    risky = np.zeros(pts.shape, dtype=bool)
-    on_tol = 1e-9 * max(1.0, path.length)
-    with np.errstate(all="ignore"):
-        for seg in path.segments:
-            if isinstance(seg, Line):
-                total += np.angle((seg.b - pts) / (seg.a - pts))
-                d = seg.b - seg.a
-                t = ((pts - seg.a).real * d.real
-                     + (pts - seg.a).imag * d.imag) / abs(d) ** 2
-                t = np.clip(t, 0.0, 1.0)
-                risky |= np.abs(seg.a + t * d - pts) <= on_tol
-            else:
-                pieces = max(4, int(math.ceil(seg.extent / (math.pi / 8))))
-                ts = np.linspace(0.0, 1.0, pieces + 1)
-                zs = seg.point(ts)
-                inside_circle = np.abs(pts - seg.center) <= seg.radius
-                for z0, z1 in zip(zs[:-1], zs[1:]):
-                    total += np.angle((z1 - pts) / (z0 - pts))
-                    chord = z1 - z0
-                    side_p = ((pts - z0) / chord).imag
-                    side_c = ((seg.center - z0) / chord).imag
-                    risky |= inside_circle & (side_p * side_c <= 0.0)
-                risky |= np.abs(np.abs(pts - seg.center) - seg.radius) <= on_tol
-    turns = total / _TWO_PI
+    """Winding numbers of a closed path around an array of points. Points
+    within 1e-9 * length of the path, or whose total misses an integer,
+    get the _ON_PATH sentinel."""
+    pts = np.asarray(points, dtype=complex).reshape(-1)
+    turns = path.arrays.chords.turns(pts)
     out = np.rint(np.where(np.isfinite(turns), turns, 0.0)).astype(int)
-    risky |= ~np.isfinite(turns)
-    risky |= np.abs(turns - out) >= WINDING_RESIDUAL_LIMIT
-    for i in np.nonzero(risky)[0]:
-        try:
-            out[i] = winding_number(path, complex(pts[i]))
-        except (PointOnPathError, WindingResidualError):
-            out[i] = _ON_PATH
-    return out.reshape(points.shape)
-
-
-_ON_PATH = -(10 ** 9)  # sentinel for cell centers that land on a contour
+    out[~(np.abs(turns - out) < WINDING_RESIDUAL_LIMIT)
+        | (path.distance(pts) <= _ON_PATH_BAND * path.length)] = _ON_PATH
+    return out.reshape(np.shape(points))
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +540,14 @@ class DomainSpec:
                 raise GeometryError(
                     "boundary paths must be positively oriented (winding +1 "
                     f"around their interior, found {w})")
-        for j, hole in enumerate(self.holes):
-            wit = interior_point(hole)
-            if self.outer is not None and winding_number(self.outer, wit) != 1:
+        # a witness on another boundary counts as outside or overlapping
+        wits = np.array([interior_point(h) for h in self.holes], dtype=complex)
+        if self.outer is not None:
+            for j in np.flatnonzero(_winding_many(self.outer, wits) != 1):
                 raise GeometryError(f"hole {j} is not inside the outer boundary")
-            for i, other in enumerate(self.holes):
-                if i != j and winding_number(other, wit) != 0:
+        for i, hole in enumerate(self.holes):
+            for j in np.flatnonzero(_winding_many(hole, wits) != 0):
+                if i != j:
                     raise GeometryError(f"holes {i} and {j} overlap")
         _check_clearance(self.outer, self.holes)
 
@@ -518,23 +559,22 @@ class DomainSpec:
         return ((self.outer,) if self.outer else ()) + self.holes
 
     def contains(self, point: complex) -> bool:
-        try:
-            if self.outer is not None and winding_number(self.outer, point) != 1:
-                return False
-            return all(winding_number(h, point) == 0 for h in self.holes)
-        except PointOnPathError:
-            return False
+        return bool(self.contains_many(np.array([point], dtype=complex))[0])
 
     def contains_many(self, points: np.ndarray) -> np.ndarray:
-        inside = np.ones(points.shape, dtype=bool)
+        """Which points lie in the domain; points on a boundary do not."""
+        inside = np.ones(np.shape(points), dtype=bool)
         if self.outer is not None:
             inside &= _winding_many(self.outer, points) == 1
         for hole in self.holes:
             inside &= _winding_many(hole, points) == 0
         return inside
 
-    def boundary_distance(self, point: complex) -> float:
-        return min(p.distance(point) for p in self.boundary_paths())
+    def boundary_distance(self, point):
+        """Distance from a point, or from each point of an array, to the
+        nearest boundary component."""
+        dists = [p.distance(point) for p in self.boundary_paths()]
+        return np.minimum.reduce(dists) if np.ndim(point) else min(dists)
 
 
 def _check_clearance(outer: Path | None, holes: tuple[Path, ...]) -> None:
@@ -557,29 +597,19 @@ def interior_point(path: Path) -> complex:
     """
     if not path.closed:
         raise GeometryError("interior point needs a closed path")
-    samples = path.sample(64)
-    candidate = complex(np.mean(samples))
-    if _strictly_inside(path, candidate):
-        return candidate
     x0, x1, y0, y1 = path.bbox()
+    candidates = [np.array([np.mean(path.sample(64))])]
     for n in (8, 16, 32, 64):
         xs = np.linspace(x0, x1, n + 2)[1:-1]
         ys = np.linspace(y0, y1, n + 2)[1:-1]
-        for y in ys:
-            for x in xs:
-                p = complex(x, y)
-                if _strictly_inside(path, p):
-                    return p
+        candidates.append((xs[None, :] + 1j * ys[:, None]).ravel())
+    for points in candidates:  # the grids row by row, lowest y first
+        wind = _winding_many(path, points)
+        hits = np.flatnonzero((wind != 0) & (wind != _ON_PATH)
+                              & (path.distance(points) > 1e-6 * path.length))
+        if hits.size:
+            return complex(points[hits[0]])
     raise GeometryError("could not locate a point inside the path")
-
-
-def _strictly_inside(path: Path, p: complex) -> bool:
-    if path.distance(p) <= 1e-6 * path.length:
-        return False
-    try:
-        return winding_number(path, p) != 0
-    except (PointOnPathError, WindingResidualError):
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -593,13 +623,15 @@ def _hole_enclosure(domain: DomainSpec, j: int) -> tuple[complex, float, float]:
     hole = domain.holes[j]
     center = complex(np.mean(hole.sample(256)))
     lo = hole.max_distance(center)
-    hi = math.inf
-    for i, other in enumerate(domain.holes):
-        if i != j:
-            hi = min(hi, other.distance(center))
-    if domain.outer is not None:
-        hi = min(hi, domain.outer.distance(center))
+    hi = min((p.distance(center) for p in _other_boundaries(domain, j)),
+             default=math.inf)
     return center, lo, hi
+
+
+def _other_boundaries(domain: DomainSpec, j: int) -> tuple[Path, ...]:
+    """Every boundary component of the domain but hole j."""
+    outer = (domain.outer,) if domain.outer is not None else ()
+    return outer + domain.holes[:j] + domain.holes[j + 1:]
 
 
 def _separating_circle(domain: DomainSpec, j: int, frac: float) -> Path | None:
@@ -617,14 +649,8 @@ def _dilated_hole(domain: DomainSpec, j: int, frac: float) -> Path:
     fraction frac of the minimal gap to any other boundary component."""
     hole = domain.holes[j]
     mine = hole.sample(256)
-    gap = math.inf
-    for i, other in enumerate(domain.holes):
-        if i == j:
-            continue
-        gap = min(gap, np.abs(mine[:, None] - other.sample(256)[None, :]).min())
-    if domain.outer is not None:
-        gap = min(gap, np.abs(mine[:, None]
-                              - domain.outer.sample(256)[None, :]).min())
+    gap = min((np.abs(mine[:, None] - p.sample(256)[None, :]).min()
+               for p in _other_boundaries(domain, j)), default=math.inf)
     if not math.isfinite(gap):
         gap = 0.5 * hole.length / math.pi
     d = frac * gap
@@ -634,26 +660,17 @@ def _dilated_hole(domain: DomainSpec, j: int, frac: float) -> Path:
 
 
 def _verify_basis_curve(domain: DomainSpec, j: int, curve: Path) -> bool:
-    try:
-        if winding_number(curve, _hole_witness(domain, j)) != 1:
-            return False
-        for i in range(len(domain.holes)):
-            if i != j and winding_number(curve, _hole_witness(domain, i)) != 0:
-                return False
-        probes = curve.sample(64)
-        return bool(domain.contains_many(probes).all())
-    except GeometryError:
-        return False
-
-
-@functools.lru_cache(maxsize=512)
-def _hole_witness(domain: DomainSpec, j: int) -> complex:
-    return interior_point(domain.holes[j])
+    """Does the curve wind once around hole j, zero times around the other
+    holes, and lie in the domain?"""
+    wits = [hole_witness(domain, i) for i in range(len(domain.holes))]
+    return np.array_equal(_winding_many(curve, wits),
+                          np.arange(len(wits)) == j) \
+        and bool(domain.contains_many(curve.sample(64)).all())
 
 
 def hole_witness(domain: DomainSpec, j: int) -> complex:
     """A point strictly inside hole j."""
-    return _hole_witness(domain, j)
+    return interior_point(domain.holes[j])
 
 
 @functools.lru_cache(maxsize=128)
@@ -725,12 +742,6 @@ class GridDomain:
         if not (x1 > x0 and y1 > y0):
             raise GeometryError("empty bounding box")
 
-    def cell_centers(self) -> np.ndarray:
-        x0, x1, y0, y1 = self.bounds
-        xs = x0 + (np.arange(self.nx) + 0.5) * (x1 - x0) / self.nx
-        ys = y0 + (np.arange(self.ny) + 0.5) * (y1 - y0) / self.ny
-        return xs[None, :] + 1j * ys[:, None]
-
     def same_grid(self, other: "GridDomain") -> bool:
         return (self.nx, self.ny) == (other.nx, other.ny) \
             and np.allclose(self.bounds, other.bounds)
@@ -765,15 +776,7 @@ def rasterize(domain: DomainSpec, resolution: int | tuple[int, int],
     xs = x0 + (np.arange(nx) + 0.5) * (x1 - x0) / nx
     ys = y0 + (np.arange(ny) + 0.5) * (y1 - y0) / ny
     centers = xs[None, :] + 1j * ys[:, None]
-    if domain.outer is not None:
-        w = _winding_many(domain.outer, centers)
-        mask = w == 1
-    else:
-        mask = np.ones(centers.shape, dtype=bool)
-    for hole in domain.holes:
-        w = _winding_many(hole, centers)
-        mask &= w == 0
-    return GridDomain((x0, x1, y0, y1), nx, ny, mask)
+    return GridDomain((x0, x1, y0, y1), nx, ny, domain.contains_many(centers))
 
 
 _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)

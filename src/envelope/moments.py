@@ -19,7 +19,7 @@ import numpy as np
 from . import expr as _expr
 from . import geometry as _geom
 from . import quadrature as _quad
-from .errors import GeometryError, PointOnPathError, PoleInDomainError
+from .errors import GeometryError, PoleInDomainError
 from .geometry import Arc, DomainSpec, Line, Path
 
 MAX_MOMENT_DEGREE = 64
@@ -130,26 +130,15 @@ class PrimitiveOrderVerdict:
         return self.max_order is None
 
 
-def _pole_hole_index(domain: DomainSpec, location: complex) -> int | None:
-    for j, hole in enumerate(domain.holes):
-        try:
-            if _geom.winding_number(hole, location) == 1:
-                return j
-        except PointOnPathError:
-            return j
-    return None
-
-
-def _pole_in_domain(domain: DomainSpec, location: complex) -> bool:
-    if _pole_hole_index(domain, location) is not None:
-        return False
-    try:
-        if domain.outer is not None \
-                and _geom.winding_number(domain.outer, location) != 1:
-            return False
-    except PointOnPathError:
-        return False
-    return True
+def _pole_hole_indices(domain: DomainSpec, locations) -> np.ndarray:
+    """Index of the first hole that each location lies in or on, -1 for a
+    location in no hole."""
+    points = np.array(locations, dtype=complex)
+    out = np.full(len(points), -1)
+    for j in reversed(range(len(domain.holes))):
+        wind = _geom._winding_many(domain.holes[j], points)
+        out[(wind == 1) | (wind == _geom._ON_PATH)] = j
+    return out
 
 
 def inside_pole_budget(f, domain: DomainSpec) -> list[int] | None:
@@ -161,12 +150,13 @@ def inside_pole_budget(f, domain: DomainSpec) -> list[int] | None:
     poles = _expr.pole_set(f)
     if poles is None:
         return None
+    locations = np.array([rec.location for rec in poles], dtype=complex)
     budget = [0] * len(domain.holes)
-    for rec in poles:
-        j = _pole_hole_index(domain, rec.location)
-        if j is not None:
+    for rec, j, inside in zip(poles, _pole_hole_indices(domain, locations),
+                              domain.contains_many(locations)):
+        if j >= 0:
             budget[j] += rec.order
-        elif _pole_in_domain(domain, rec.location):
+        elif inside:
             raise PoleInDomainError(
                 f"f has a pole at {rec.location:.6g} inside the domain; it "
                 "is not holomorphic there")

@@ -30,6 +30,7 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_PANELS = 1 << 16
+MAGNITUDE_SAMPLES = 256
 
 # Each integrand call returns at most this many complex values (unless one
 # panel of the stack alone is larger), so no level, stack height or panel
@@ -289,9 +290,9 @@ def integrate_parameter(fn_t, path: Path, tol: float = DEFAULT_TOL,
     return _integrate(at_fractions, path, tol, max_panels)
 
 
-def max_magnitude_on(fn, path: Path, samples: int = 256) -> tuple[float, float]:
-    """(max |fn|, max |z|) over equally spaced points; the magnitude scan
-    behind relative zero tests."""
-    zs = path.sample(samples)
+def max_magnitude_on(fn, path: Path) -> tuple[float, float]:
+    """(max |fn|, max |z|) over MAGNITUDE_SAMPLES equally spaced points; the
+    magnitude scan behind relative zero tests."""
+    zs = path.sample(MAGNITUDE_SAMPLES)
     vals = _eval_batch(fn, zs)
     return float(np.max(np.abs(vals))), float(np.max(np.abs(zs)))

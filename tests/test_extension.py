@@ -1,14 +1,73 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from envelope import expr
 from envelope import extension as ext
 from envelope import geometry as geom
 from envelope import moments as mom
 from envelope import quadrature as quad
-from envelope.errors import ExtensionPreconditionError, GeometryError
+from envelope.errors import (ExtensionPreconditionError, GeometryError,
+                             PointOnPathError)
+
+
+# ---------------------------------------------------------------------------
+# the one-point-at-a-time probe loops the batched sampler replaced, kept as
+# its reference: one (x, y) draw, one membership test and one distance per
+# segment at a time
+
+def _distance(path, p):
+    return min(seg.distance(p) for seg in path.segments)
+
+
+def _scalar_contains(domain, p):
+    try:
+        if domain.outer is not None \
+                and geom.winding_number(domain.outer, p) != 1:
+            return False
+        return all(geom.winding_number(h, p) == 0 for h in domain.holes)
+    except PointOnPathError:
+        return False
+
+
+def reference_domain_probes(domain, count, margin, keep_off, rng):
+    x0, x1, y0, y1 = domain.outer.bbox()
+    out = []
+    attempts = 0
+    while len(out) < count and attempts < 20000:
+        attempts += 1
+        p = complex(rng.uniform(x0, x1), rng.uniform(y0, y1))
+        if not _scalar_contains(domain, p):
+            continue
+        if min(_distance(b, p) for b in domain.boundary_paths()) <= margin:
+            continue
+        if any(_distance(c, p) <= margin for c in keep_off):
+            continue
+        out.append(p)
+    return out
+
+
+def reference_hole_probes(domain, j, count, margin, rng):
+    hole = domain.holes[j]
+    x0, x1, y0, y1 = hole.bbox()
+    out = [geom.hole_witness(domain, j)]
+    attempts = 0
+    while len(out) < count and attempts < 5000:
+        attempts += 1
+        p = complex(rng.uniform(x0, x1), rng.uniform(y0, y1))
+        try:
+            if geom.winding_number(hole, p) != 1:
+                continue
+        except PointOnPathError:
+            continue
+        if _distance(hole, p) <= margin:
+            continue
+        out.append(p)
+    return out
 
 
 class TestLaurentCoefficient:
@@ -237,6 +296,110 @@ class TestCrossVerify:
         rep = ext.cross_verify(lambda z: z ** 3 - 1, annulus)
         assert rep.consistent
         assert rep.verdict.all_orders
+
+
+class TestProbeSampler:
+    @pytest.mark.parametrize("name", ["annulus", "two_hole"])
+    def test_probes_match_the_scalar_sampler(self, name, request):
+        domain = request.getfixturevalue(name)
+        basis = geom.homology_basis(domain)
+        x0, x1, y0, y1 = domain.outer.bbox()
+        margin = max(1e-3, 1e-3 * math.hypot(x1 - x0, y1 - y0))
+        f = expr.parse("1/(z-9) + z")
+        d = ext.decompose(f, domain)
+        rng = np.random.default_rng(ext._PROBE_SEED)
+        assert list(d.probe_points) == reference_domain_probes(
+            domain, 100, margin, basis, rng)
+        rep = ext.cross_verify(f, domain)
+        # hole probes, then domain probes, from one generator
+        rng = np.random.default_rng(ext._PROBE_SEED + 1)
+        want = []
+        for j in range(len(domain.holes)):
+            want += reference_hole_probes(domain, j, ext.PROBES_PER_HOLE,
+                                          margin, rng)
+        want += reference_domain_probes(domain, ext.DOMAIN_PROBES, margin,
+                                        basis, rng)
+        assert list(rep.extension.points) == want
+
+    def test_sampler_makes_no_scalar_winding_call(self, two_hole,
+                                                  monkeypatch):
+        callers = []
+        winding_number = geom.winding_number
+
+        def spy(path, point):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return winding_number(path, point)
+
+        monkeypatch.setattr(geom, "winding_number", spy)
+        probes = ext._domain_probes(two_hole, 100, np.random.default_rng(5))
+        assert len(probes) == 100
+        assert callers == []
+        ext.cross_verify(expr.parse("1/(z-9) + z"), two_hole)
+        # the only one-point calls left check each Laurent tail's center
+        assert set(callers) == {"_check_tail"}
+
+
+_ROUNDED = st.floats(-1.0, 1.0).map(lambda x: round(x, 3))
+
+
+@st.composite
+def _outside_poles_case(draw):
+    """An annulus or a two-hole domain, f a sum of a / (z - p)^m with every
+    p outside the outer circle, and points spread over the hull."""
+    center = complex(draw(_ROUNDED), draw(_ROUNDED))
+    if draw(st.booleans()):
+        radius = 2.0
+        holes = (geom.circle(center + complex(draw(_ROUNDED), draw(_ROUNDED))
+                             * 0.4, round(draw(st.floats(0.2, 0.6)), 3)),)
+    else:
+        radius = 2.5
+        holes = tuple(geom.circle(center + dx,
+                                  round(draw(st.floats(0.2, 0.5)), 3))
+                      for dx in (-1.0, 1.0))
+    domain = geom.DomainSpec(geom.circle(center, radius), holes)
+    poles = []
+    for _ in range(draw(st.integers(1, 3))):
+        rho = radius * draw(st.floats(1.3, 3.0))
+        angle = draw(st.floats(0.0, 2 * math.pi))
+        p = center + rho * complex(math.cos(angle), math.sin(angle))
+        a = complex(draw(_ROUNDED), draw(_ROUNDED)) + 1.5
+        poles.append((complex(round(p.real, 6), round(p.imag, 6)),
+                      draw(st.integers(1, 3)), a))
+    points = []
+    for _ in range(draw(st.integers(1, 8))):
+        s = radius * draw(st.floats(0.0, 0.95))
+        phi = draw(st.floats(0.0, 2 * math.pi))
+        points.append(center + s * complex(math.cos(phi), math.sin(phi)))
+    return domain, poles, points
+
+
+class TestExtensionAcrossContours:
+    @given(case=_outside_poles_case())
+    def test_contours_agree_and_equal_f(self, case):
+        # f is holomorphic on the whole hull, so its extension is f itself,
+        # whichever admissible contour the Cauchy integral runs over
+        domain, poles, points = case
+        curves = list(domain.boundary_paths())
+        for j in range(len(domain.holes)):
+            curves += geom.basis_curve_variants(domain, j)
+        points = [w for w in points
+                  if min(c.distance(w) for c in curves) > 0.02]
+        assume(points)
+        text = " + ".join(f"({a.real:.6f}{a.imag:+.6f}i)"
+                          f"/(z-({p.real:.6f}{p.imag:+.6f}i))^{m}"
+                          for p, m, a in poles)
+        f = expr.parse(text)
+        verdict = mom.max_primitive_order(f, domain)
+        assert verdict.all_orders
+        values = ext.evaluate_extension_many(f, domain, points,
+                                             verdict=verdict, which_contour=0)
+        alts = ext.evaluate_extension_many(f, domain, points,
+                                           verdict=verdict, which_contour=1)
+        for w, v0, v1 in zip(points, values, alts):
+            direct = sum(a / (w - p) ** m for p, m, a in poles)
+            assert abs(v0 - v1) <= ext.CONTOUR_TOL
+            assert abs(v0 - direct) / (1.0 + abs(direct)) \
+                <= ext.REFERENCE_RTOL
 
 
 class TestSeededRandomRationals:

@@ -1,12 +1,126 @@
+import cmath
+import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from envelope import geometry as geom
 from envelope import moments as mom
-from envelope.errors import GeometryError, PointOnPathError
+from envelope.errors import (GeometryError, PointOnPathError,
+                             WindingResidualError)
+
+
+# ---------------------------------------------------------------------------
+# the scalar routine the chord kernel replaced, kept as its reference: arc
+# pieces of at most pi/2 are bisected until the point leaves the lens
+# between piece and chord
+
+def _in_lens(center, radius, za, zb, p):
+    if abs(p - center) > radius:
+        return False
+    chord = zb - za
+    side_p = ((p - za) / chord).imag
+    side_c = ((center - za) / chord).imag
+    return side_p * side_c <= 0.0
+
+
+def _arc_sweep(seg, p, a, b, depth):
+    za = seg.point(a)
+    zb = seg.point(b)
+    if not _in_lens(seg.center, seg.radius, za, zb, p):
+        return cmath.phase((zb - p) / (za - p))
+    if depth > 60:
+        raise WindingResidualError("arc sweep failed to resolve")
+    m = 0.5 * (a + b)
+    return _arc_sweep(seg, p, a, m, depth + 1) \
+        + _arc_sweep(seg, p, m, b, depth + 1)
+
+
+def _segment_sweep(seg, p):
+    if isinstance(seg, geom.Line):
+        return cmath.phase((seg.b - p) / (seg.a - p))
+    pieces = max(1, int(math.ceil(seg.extent / (0.5 * math.pi))))
+    return sum(_arc_sweep(seg, p, i / pieces, (i + 1) / pieces, 0)
+               for i in range(pieces))
+
+
+def reference_distance(path, p):
+    return min(seg.distance(p) for seg in path.segments)
+
+
+def reference_winding(path, p):
+    """Winding number, or None for a point on the path (or one whose
+    total misses an integer)."""
+    if reference_distance(path, p) <= 1e-9 * path.length:
+        return None
+    try:
+        turns = sum(_segment_sweep(seg, p) for seg in path.segments) \
+            / (2 * math.pi)
+    except WindingResidualError:
+        return None
+    k = round(turns)
+    return int(k) if abs(turns - k) < geom.WINDING_RESIDUAL_LIMIT else None
+
+
+@functools.lru_cache(maxsize=1)
+def _dilated_curve():
+    """The 512-segment basis curve of the slab fixture's slab hole."""
+    slab = geom.DomainSpec(geom.circle(0j, 3.0), (
+        geom.polygon([-1.3 - 0.1j, 1.3 - 0.1j, 1.3 + 0.1j, -1.3 + 0.1j]),
+        geom.circle(0.57j, 0.17)))
+    return geom.homology_basis(slab)[0]
+
+
+def _closed_ring_route(base, target, center):
+    route = mom.ring_route(base, target, center)
+    return geom.Path(route.segments + (geom.Line(target, base),))
+
+
+_COORD = st.floats(-3.0, 3.0).map(lambda x: round(x, 3))
+_CIRCLES = st.builds(lambda x, y, r, ccw: geom.circle(complex(x, y), r, ccw),
+                     _COORD, _COORD, st.floats(0.05, 3.0), st.booleans())
+# star-shaped polygons of either orientation: vertices at increasing angles
+_POLYGONS = st.builds(
+    lambda c, vertices, ccw: geom.polygon(
+        [c + r * cmath.exp(1j * t) for t, r in sorted(vertices)][::1 if ccw
+                                                                  else -1]),
+    st.builds(complex, _COORD, _COORD),
+    st.lists(st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.1, 3.0)),
+             min_size=3, max_size=9, unique_by=lambda v: round(v[0], 2)),
+    st.booleans())
+_RING_ROUTES = st.builds(
+    lambda r0, t0, r1, t1, c: _closed_ring_route(
+        c + r0 * cmath.exp(1j * t0), c + r1 * cmath.exp(1j * t1), c),
+    st.floats(0.2, 2.0), st.floats(-3.0, 3.0), st.floats(0.2, 2.0),
+    st.floats(0.3, 3.0), st.builds(complex, _COORD, _COORD)).filter(
+    lambda path: path.closed)
+_KERNEL_PATHS = st.one_of(_CIRCLES, _POLYGONS, _RING_ROUTES,
+                          st.builds(_dilated_curve))
+
+
+@st.composite
+def _path_and_points(draw):
+    """A closed path, and points uniform over its bounding box plus points
+    10^-8 to 10^-1 off the path along its normal."""
+    path = draw(_KERNEL_PATHS)
+    x0, x1, y0, y1 = path.bbox()
+    uniform = draw(st.lists(st.tuples(st.floats(-0.1, 1.1),
+                                      st.floats(-0.1, 1.1)),
+                            min_size=8, max_size=40))
+    near = draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-8.0, -1.0),
+                                   st.booleans()),
+                         min_size=8, max_size=40))
+    z, v = path.arrays.nodes(*path.locate([f for f, _, _ in near]))
+    normal = -1j * v / np.abs(v)
+    offsets = np.array([10.0 ** e * (1 if out else -1) for _, e, out in near])
+    points = [complex(x0 + u * (x1 - x0), y0 + w * (y1 - y0))
+              for u, w in uniform]
+    return path, np.array(points + list(z + offsets * normal))
 
 
 class TestSegments:
@@ -166,6 +280,73 @@ class TestWinding:
             if w == geom._ON_PATH:
                 continue
             assert w == geom.winding_number(path, p)
+
+
+class TestChordKernel:
+    @given(case=_path_and_points())
+    def test_matches_the_recursive_scalar_routine(self, case):
+        path, points = case
+        band = 1e-9 * path.length
+        got = geom._winding_many(path, points)
+        distances = path.distance(points)
+        for p, w, d in zip(points, got, distances):
+            want_d = reference_distance(path, p)
+            assert abs(d - want_d) <= 1e-15 * path.length
+            if abs(want_d - band) <= 1e-15 * path.length:
+                continue  # rounding decides whether p lies on the path
+            want = reference_winding(path, p)
+            assert w == (geom._ON_PATH if want is None else want)
+            assert path.distance(p) == d
+            if want is None:
+                with pytest.raises(GeometryError):
+                    geom.winding_number(path, p)
+            else:
+                assert geom.winding_number(path, p) == want
+
+    def test_distance_of_one_point_and_of_an_array(self):
+        c = geom.circle(1 + 1j, 2.0)
+        assert isinstance(c.distance(4 + 1j), float)
+        assert c.distance(4 + 1j) == c.segments[0].distance(4 + 1j)
+        grid = np.array([[0j, 1 + 1j], [3 + 1j, 5 + 5j]])
+        assert c.distance(grid).shape == (2, 2)
+        assert c.distance(grid)[1, 0] == 0.0
+
+    def test_points_on_an_arc_piece_chord(self):
+        # the chord of the last quarter of circle(0, 2) is x - y = 2; on it
+        # rounding picks the sign of a chord angle of +-pi, which the lens
+        # test of the recursive routine could contradict (it counted
+        # 0.8828125 - 1.1171875j, a rasterization cell center, as outside)
+        c = geom.circle(0j, 2.0)
+        t = np.linspace(0.05, 0.95, 37)
+        points = np.append(2 * t - 2j * (1 - t), 0.8828125 - 1.1171875j)
+        assert np.all(geom._winding_many(c, points) == 1)
+        assert all(geom.winding_number(c, p) == 1 for p in points)
+        cw = geom.circle(0j, 2.0, ccw=False)
+        assert np.all(geom._winding_many(cw, points) == -1)
+
+    def test_memory_is_bounded(self):
+        # 65,536 points against 512 chords, taken in blocks of at most
+        # 2^16 point-chord pairs
+        curve = _dilated_curve()
+        x0, x1, y0, y1 = curve.bbox()
+        xs = np.linspace(x0 - 0.1, x1 + 0.1, 256)
+        ys = np.linspace(y0 - 0.1, y1 + 0.1, 256)
+        points = xs[None, :] + 1j * ys[:, None]
+        curve.arrays.chords  # built once per path, not part of the peak
+        tracemalloc.start()
+        try:
+            wind = geom._winding_many(curve, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert wind.shape == points.shape
+        assert np.count_nonzero(wind == 1) > 0
+
+    def test_open_path_distance(self):
+        p = geom.Path((geom.Line(0j, 1 + 0j), geom.Line(1 + 0j, 1 + 1j)))
+        assert p.distance(2 + 2j) == pytest.approx(math.sqrt(2))
+        assert p.distance(np.array([0.5 + 0.5j]))[0] == pytest.approx(0.5)
 
 
 class TestDomainSpec:
