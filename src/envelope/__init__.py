@@ -34,7 +34,7 @@ from .moments import (MomentVector, PrimitiveOrderVerdict, ZeroTolerance,
                       construct_primitive, derivative_check,
                       max_primitive_order, moment, moment_vector,
                       path_independence_check, ring_route)
-from .quadrature import QuadratureResult, integrate, integrate_arc_prefix
+from .quadrature import QuadratureResult, integrate
 
 __all__ = [
     "__version__",
@@ -52,8 +52,7 @@ __all__ = [
     "boundary_duality", "evaluate", "evaluate_extension",
     "evaluate_extension_many", "format_expr",
     "hole_witness", "homology_basis", "ibp_residual", "integrate",
-    "integrate_arc_prefix", "interior_point", "laurent_coefficient",
-    "laurent_coefficients",
+    "interior_point", "laurent_coefficient", "laurent_coefficients",
     "max_primitive_order", "moment", "moment_vector", "nontangential_check",
     "odd_warp", "parse", "path_from_json", "path_independence_check",
     "path_to_json", "pole_set", "polygon", "primitive_tower", "rasterize",

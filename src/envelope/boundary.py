@@ -267,28 +267,18 @@ def ibp_residual(curve: SampledCurve, level: int = 1) -> float:
 
 def analytic_ibp_residual(curve: SampledCurve,
                           tol: float = _quad.DEFAULT_TOL) -> float:
-    """Same identity through adaptive quadrature: the running primitive
-    F(t) is a fresh prefix integral at every quadrature node, so no
-    discretization is shared with the trapezoid route."""
+    """Same identity through adaptive quadrature: one adaptive pass over
+    [g, z g] gives m0, m1 and its accepted panels; the running primitive G
+    at each panel's Gauss nodes is the sum of the earlier panels plus a
+    Gauss rule from the panel's start to the node, and the circuit of G dz
+    is the Gauss sum on the same panels. No discretization is shared with
+    the trapezoid route."""
     if not curve.analytic:
         raise CurveDataError("analytic route needs path and data_fn")
-    path = curve.path
-    fn = _mom.as_function(curve.data_fn)
-    m0 = _quad.integrate(fn, path, tol).value
-    m1 = _quad.integrate(lambda z: z * fn(z), path, tol).value
-
-    def prefix(t: float) -> complex:
-        if t <= 0.0:
-            return 0j
-        return _quad.integrate_arc_prefix(fn, path, min(t, 1.0), tol)
-
-    def prefix_many(ts):
-        return np.array([prefix(float(t)) for t in np.atleast_1d(ts)],
-                        dtype=complex)
-
-    circuit = _quad.integrate_parameter(prefix_many, path, tol).value
-    boundary_term = path.start * m0
-    return abs(m1 - (boundary_term - circuit))
+    run = _quad._running_primitive(_mom.as_function(curve.data_fn),
+                                   curve.path, tol)
+    m0, m1 = run.stack.value
+    return abs(m1 - (curve.path.start * m0 - run.circuit))
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,6 +411,8 @@ def nontangential_check(curve: SampledCurve, node_index: int = 0,
     tangent = pts[node_index + 1] - prev_pt
     tangent /= abs(tangent)
     normal = 1j * tangent  # inward for positively oriented curves
+    if not radii:
+        raise ValueError("need at least one radius")
     if not sorted(radii, reverse=True) == list(radii):
         raise ValueError("radii must decrease")
 
@@ -438,7 +430,8 @@ def nontangential_check(curve: SampledCurve, node_index: int = 0,
 
     count = NONTANGENTIAL_MOMENT_DEGREE + 1
     if curve.analytic:
-        moms = (boundary_moment_analytic(curve, k, tol) for k in range(count))
+        moms = _mom._moments(_mom.as_function(curve.data_fn), curve.path,
+                             np.arange(count), tol)
     else:
         moms = (boundary_moment(curve, k) for k in range(count))
     expected = _leading_zero_count(curve, moms, zero_tol) == count

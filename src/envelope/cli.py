@@ -221,14 +221,20 @@ def build_config(raw: dict, base_dir: FsPath | None = None,
             or not 0 <= max_degree <= _mom.MAX_MOMENT_DEGREE):
         diags.append(f"max_degree: must lie in [0, {_mom.MAX_MOMENT_DEGREE}]")
         max_degree = None
+    # both size arrays (one per tower level, one stack component per
+    # Laurent term), so both are capped
+    most_terms = _mom.MAX_MOMENT_DEGREE + 1
     laurent_terms = merged.get("laurent_terms")
-    if laurent_terms is not None and (not isinstance(laurent_terms, int)
-                                      or laurent_terms < 1):
-        diags.append("laurent_terms: must be >= 1")
+    if laurent_terms is not None and (
+            not isinstance(laurent_terms, int)
+            or not 1 <= laurent_terms <= most_terms):
+        diags.append(f"laurent_terms: must lie in [1, {most_terms}]")
         laurent_terms = None
     tower_levels = merged.get("tower_levels", 4)
-    if not isinstance(tower_levels, int) or tower_levels < 1:
-        diags.append("tower_levels: must be >= 1")
+    if not isinstance(tower_levels, int) \
+            or not 1 <= tower_levels <= _mom.MAX_MOMENT_DEGREE:
+        diags.append(f"tower_levels: must lie in "
+                     f"[1, {_mom.MAX_MOMENT_DEGREE}]")
         tower_levels = 4
 
     points = None

@@ -258,28 +258,6 @@ class Path:
         u = (target - arrays.starts[index]) / arrays.lengths[index]
         return index, np.clip(u, 0.0, 1.0)
 
-    def prefix(self, fraction: float) -> "Path | None":
-        """Subpath covering arclength fractions [0, fraction]; None if the
-        prefix is empty."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("arclength fraction must lie in [0, 1]")
-        target = fraction * self.length
-        if target <= 0.0:
-            return None
-        parts: list[Segment] = []
-        for seg in self.segments:
-            if target >= seg.length * (1.0 - 1e-15):
-                parts.append(seg)
-                target -= seg.length
-                if target <= 0.0:
-                    break
-            else:
-                u = target / seg.length
-                if u > 1e-12:
-                    parts.append(_cut(seg, u))
-                break
-        return Path(tuple(parts), closed=False) if parts else None
-
     def sample(self, n: int, include_end: bool = False) -> np.ndarray:
         """n points equally spaced in arclength (n+1 with the endpoint)."""
         fr = np.linspace(0.0, 1.0, n, endpoint=False)
@@ -357,13 +335,6 @@ class SegmentArrays:
             z = np.where(arc, za, z)
             v = np.where(arc, va, v)
         return z, v
-
-
-def _cut(seg: Segment, u: float) -> Segment:
-    if isinstance(seg, Line):
-        return Line(seg.a, seg.a + u * (seg.b - seg.a))
-    return Arc(seg.center, seg.radius, seg.t0,
-               seg.t0 + u * seg.sweep, seg.ccw)
 
 
 def circle(center: complex, radius: float, ccw: bool = True) -> Path:

@@ -6,9 +6,9 @@ budget (split proportionally to arclength), with a machine-precision floor
 proportional to the panel's L1 mass so that large-magnitude integrands
 terminate. Refinement runs level by level: the active panels of every
 segment of the path are evaluated together, in one integrand call per tree
-level, split into calls of at most MAX_CALL_VALUES values. Integrands are
-evaluated either at complex points (integrate) or at global arclength
-fractions (integrate_parameter); both run the same engine.
+level, split into calls of at most MAX_CALL_VALUES values. The engine
+also returns its panel tree, so a running primitive along the path is
+built on the accepted panels without a second adaptive pass.
 
 An integrand may return a stack of shape (m, nodes) instead of one value
 per node. The stack refines on one shared panel tree: a panel is accepted
@@ -174,8 +174,8 @@ def _refine_step(halves, mass, coarse, node_tol, prev_est):
     return passed.all(axis=0), fine, est
 
 
-def _integrate(values_at, path: Path, tol: float,
-               max_panels: int) -> QuadratureResult:
+def _integrate(values_at, path: Path, tol: float, max_panels: int
+               ) -> tuple[QuadratureResult, list]:
     """The adaptive engine. values_at(seg, ts, z) returns the integrand at
     the local parameters ts (shape (P, 16)) of the segments seg (shape (P,)),
     whose points are z, flattened to shape (16 P,) or (m, 16 P).
@@ -184,7 +184,11 @@ def _integrate(values_at, path: Path, tol: float,
     compares a panel with its two halves, as a depth-first recursion would;
     the tree is built a level at a time and summed bottom-up in the
     recursion's left/right order, so a scalar integrand gets the same panels
-    and the same sums."""
+    and the same sums.
+
+    Returns the result and the tree: per level, the done mask, the sums of
+    the done nodes and the seg, a, mid and b of every node. The halves of
+    the done nodes are the panels whose sums make up the value."""
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     panels = _Panels(values_at, path, max_panels)
@@ -208,7 +212,7 @@ def _integrate(values_at, path: Path, tol: float,
     while True:
         done, fine, est = _refine_step(halves, mass, coarse, node_tol,
                                        prev_est)
-        levels.append((done, fine[:, done]))
+        levels.append((done, fine[:, done], seg, a, mid, b))
         err += est[:, done].sum(axis=1)
         split = ~done
         if not split.any():
@@ -221,9 +225,8 @@ def _integrate(values_at, path: Path, tol: float,
         prev_est = np.repeat(est[:, split], 2, axis=1)
         del fine, est, halves, mass  # free them before the next level
         halves, mass = panels(np.repeat(seg, 2), *_halves(a, mid, b))
-    below = levels.pop()[1]
-    while levels:
-        done, fine = levels.pop()
+    below = levels[-1][1]
+    for done, fine, *_ in reversed(levels[:-1]):
         sums = np.empty((height, done.size), dtype=complex)
         sums[:, done] = fine
         sums[:, ~done] = below[:, 0::2] + below[:, 1::2]
@@ -231,8 +234,9 @@ def _integrate(values_at, path: Path, tol: float,
     value = np.cumsum(below, axis=1)[:, -1]
     if not panels.stacked:
         value = complex(value[0])
-    return QuadratureResult(value, float(err.max(initial=0.0)),
-                            GAUSS_ORDER * panels.count)
+    result = QuadratureResult(value, float(err.max(initial=0.0)),
+                              GAUSS_ORDER * panels.count)
+    return result, levels
 
 
 def integrate(fn, path: Path, tol: float = DEFAULT_TOL,
@@ -251,43 +255,54 @@ def integrate(fn, path: Path, tol: float = DEFAULT_TOL,
     non-integrable singularity on or too near the path.
     """
     return _integrate(lambda seg, ts, z: _eval_batch(fn, z.ravel()),
-                      path, tol, max_panels)
+                      path, tol, max_panels)[0]
 
 
-def integrate_arc_prefix(fn, path: Path, fraction: float,
-                         tol: float = DEFAULT_TOL,
-                         max_panels: int = DEFAULT_MAX_PANELS) -> complex:
-    """Integral of fn along the initial arclength fraction of the path.
+@dataclass(frozen=True, eq=False)
+class _RunningPrimitive:
+    """The stack [f, z f] integrated along a path, and the running primitive
+    G(z) = integral of f dz from the path's start to z at the Gauss nodes of
+    the panels the engine accepted, panels in path order."""
 
-    fraction 0 gives 0; fraction 1 agrees with integrate over the whole
-    path. Used to build primitives along a curve.
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("arclength fraction must lie in [0, 1]")
-    head = path.prefix(fraction)
-    if head is None:
-        return 0j
-    return integrate(fn, head, tol, max_panels).value
+    stack: QuadratureResult  # value: integrals of f dz and of z f dz
+    panel_sums: np.ndarray   # integral of f dz over each panel, shape (P,)
+    points: np.ndarray       # the Gauss nodes of each panel, shape (P, 16)
+    values: np.ndarray       # G at those nodes, shape (P, 16)
+    circuit: complex         # integral of G dz, Gauss sums on the panels
 
 
-def integrate_parameter(fn_t, path: Path, tol: float = DEFAULT_TOL,
-                        max_panels: int = DEFAULT_MAX_PANELS
-                        ) -> QuadratureResult:
-    """Contour integral of a function given against global arclength
-    fraction rather than position: integral of fn_t(s) dz(s).
+def _running_primitive(fn, path: Path, tol: float = DEFAULT_TOL
+                       ) -> _RunningPrimitive:
+    """One adaptive pass over the stack [f, z f]. On each accepted panel
+    [a, b], G at the Gauss node t is the sum of the earlier panels' integrals
+    plus a 16-node Gauss rule on [a, t], and the panel's own integral is the
+    panel rule on [a, b]. Every such rule is exact for polynomials of degree
+    31, so G is as accurate as the panel sums; the rules of all panels go to
+    fn together, in capped batches."""
+    def stack_at(seg, ts, z):
+        z = z.ravel()
+        f = _eval_batch(fn, z)
+        return np.stack((f, z * f))
 
-    Needed when the integrand is defined along the curve (for instance a
-    running primitive) and not as a function of the complex point. Same
-    engine, tolerance contract and budget as integrate.
-    """
-    lo = path.arrays.starts / path.length
-    span = path.arrays.lengths / path.length
-
-    def at_fractions(seg, ts, z):
-        i = seg[:, None]
-        return _eval_batch(fn_t, (lo[i] + ts * span[i]).ravel())
-
-    return _integrate(at_fractions, path, tol, max_panels)
+    stack, tree = _integrate(stack_at, path, tol, DEFAULT_MAX_PANELS)
+    done, _, seg, a, mid, b = zip(*tree)
+    done, seg, a, mid, b = map(np.concatenate, (done, seg, a, mid, b))
+    seg = np.repeat(seg[done], 2)
+    a, b = _halves(a[done], mid[done], b[done])
+    order = np.lexsort((a, seg))  # path order
+    seg, a, b = seg[order], a[order], b[order]
+    ts = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _NODES
+    z, dz = path.arrays.nodes(seg, ts)
+    rules = _Panels(lambda s, t, w: _eval_batch(fn, w.ravel()), path,
+                    (GAUSS_ORDER + 1) * DEFAULT_MAX_PANELS)
+    ends = np.column_stack((ts, b))  # one rule from a to each node and to b
+    inner = rules(np.repeat(seg, GAUSS_ORDER + 1),
+                  np.repeat(a, GAUSS_ORDER + 1), ends.ravel())[0]
+    inner = inner.reshape(ends.shape)
+    sums = inner[:, -1]
+    g = np.concatenate(([0j], np.cumsum(sums[:-1])))[:, None] + inner[:, :-1]
+    circuit = np.sum(0.5 * (b - a) * np.add.reduce(_WEIGHTS * g * dz, axis=1))
+    return _RunningPrimitive(stack, sums, z, g, complex(circuit))
 
 
 def max_magnitude_on(fn, path: Path) -> tuple[float, float]:

@@ -218,6 +218,32 @@ class TestIntegrationByParts:
         c = circle_curve(np.conj, 64)
         assert bd.analytic_ibp_residual(c) < 1e-9
 
+    @given(kind=st.sampled_from(["power", "pole-inside", "pole-outside",
+                                 "conj"]),
+           center=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+           radius=st.floats(0.8, 1.2), order=st.integers(0, 3),
+           spot=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi)),
+           coef=st.tuples(st.floats(0.5, 1.5), st.floats(0.0, 2 * math.pi)))
+    def test_analytic_residual_on_generated_circles(self, kind, center,
+                                                    radius, order, spot,
+                                                    coef):
+        # powers, poles of order 1 to 3 inside (at most 0.4 R from the
+        # center) and outside (2.5 R to 3 R away), and conj(z)
+        c = complex(*center)
+        a = coef[0] * np.exp(1j * coef[1])
+        reach = 0.4 * spot[0] if kind == "pole-inside" else 2.5 + 0.5 * spot[0]
+        q = c + reach * radius * np.exp(1j * spot[1])
+
+        def power(z):
+            return a * z ** order
+
+        def pole(z):
+            return a / (z - q) ** max(order, 1)
+
+        fn = {"power": power, "conj": np.conj}.get(kind, pole)
+        curve = bd.sample_path(geom.circle(c, radius), fn, 64)
+        assert bd.analytic_ibp_residual(curve) <= 1e-12
+
     def test_analytic_residual_needs_path(self):
         c = bd.curve_from_csv(csv_text(32))
         with pytest.raises(CurveDataError, match="path"):
@@ -326,6 +352,11 @@ class TestNontangential:
         c = bd.sample_path(path, lambda z: z, 64)
         with pytest.raises(CurveDataError, match="corner"):
             bd.nontangential_check(c, node_index=0)
+
+    def test_radii_must_not_be_empty(self):
+        c = circle_curve(lambda z: z, 256)
+        with pytest.raises(ValueError, match="radius"):
+            bd.nontangential_check(c, radii=())
 
     def test_radii_must_decrease(self):
         c = circle_curve(lambda z: z, 128)

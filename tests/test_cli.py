@@ -359,6 +359,22 @@ class TestMain:
         assert code == 1
         assert "max_degree: must lie in [0, 64]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, cap", [("tower_levels", 64),
+                                            ("laurent_terms", 65)])
+    def test_memory_fields_above_cap_are_diagnosed(self, tmp_path, capsys,
+                                                   field, cap):
+        # tower levels and Laurent terms size arrays, so both are capped
+        # like max_degree; only the values just past the caps are run
+        (tmp_path / "c.csv").write_text(circle_csv(64))
+        raw = {"function": "1/z", "domain": ANNULUS,
+               "curve": {"csv": "c.csv"},
+               "checks": ["cross_verify", "boundary_tower"]}
+        assert cli.validate({**raw, field: cap}, tmp_path) == []
+        scenario = write_scenario(tmp_path, {**raw, field: cap + 1})
+        code = cli.main(["run", "--scenario", str(scenario)])
+        assert code == 1
+        assert f"{field}: must lie in [1, {cap}]" in capsys.readouterr().err
+
     def test_unrunnable_scenario_exits_one(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, {"checks": ["moments"]})
         code = cli.main(["run", "--scenario", str(scenario)])

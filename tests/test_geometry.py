@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from envelope import geometry as geom
@@ -101,6 +101,19 @@ _RING_ROUTES = st.builds(
     lambda path: path.closed)
 _KERNEL_PATHS = st.one_of(_CIRCLES, _POLYGONS, _RING_ROUTES,
                           st.builds(_dilated_curve))
+
+
+def _half_disc_and_points():
+    """An upper half circle closed by three lines, and 200 points uniform
+    over a box around it."""
+    path = geom.Path((
+        geom.Arc(0j, 1.0, 0.0, math.pi),
+        geom.Line(-1 + 0j, -1 - 1j),
+        geom.Line(-1 - 1j, 1 - 1j),
+        geom.Line(1 - 1j, 1 + 0j),
+    ))
+    rng = np.random.default_rng(1234)
+    return path, rng.uniform(-2, 2, 200) + 1j * rng.uniform(-2.5, 1.5, 200)
 
 
 @st.composite
@@ -220,13 +233,6 @@ class TestPath:
                 assert np.max(np.abs(got - want)) <= 1e-15 * path.length
             assert path.point_at(float(fractions[-1])) == got[-1]
 
-    def test_prefix_of_half_circle(self):
-        c = geom.circle(0j, 1.0)
-        half = c.prefix(0.5)
-        assert half.start == pytest.approx(1 + 0j)
-        assert half.end == pytest.approx(-1 + 0j)
-        assert half.length == pytest.approx(math.pi)
-
     def test_reversed_swaps_endpoints(self):
         p = geom.Path((geom.Line(0j, 1 + 1j),))
         assert p.reversed().start == 1 + 1j
@@ -267,23 +273,10 @@ class TestWinding:
         with pytest.raises(GeometryError):
             geom.winding_number(p, 0.5 + 0.5j)
 
-    def test_vectorized_matches_scalar(self, rng):
-        path = geom.Path((
-            geom.Arc(0j, 1.0, 0.0, math.pi),
-            geom.Line(-1 + 0j, -1 - 1j),
-            geom.Line(-1 - 1j, 1 - 1j),
-            geom.Line(1 - 1j, 1 + 0j),
-        ))
-        pts = rng.uniform(-2, 2, 200) + 1j * rng.uniform(-2.5, 1.5, 200)
-        got = geom._winding_many(path, pts)
-        for p, w in zip(pts, got):
-            if w == geom._ON_PATH:
-                continue
-            assert w == geom.winding_number(path, p)
-
 
 class TestChordKernel:
     @given(case=_path_and_points())
+    @example(case=_half_disc_and_points())
     def test_matches_the_recursive_scalar_routine(self, case):
         path, points = case
         band = 1e-9 * path.length

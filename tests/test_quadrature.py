@@ -143,52 +143,65 @@ class TestIntegrate:
         out = quad.integrate(lambda z: 1 / (z - 1.001), c)
         assert out.value == pytest.approx(0j, abs=1e-9)
 
-
-class TestPrefixAndParameter:
-    def test_prefix_half_residue(self):
-        c = geom.circle(0j, 1.0)
-        val = quad.integrate_arc_prefix(lambda z: 1 / z, c, 0.5)
-        assert val == pytest.approx(1j * math.pi, abs=1e-12)
-
-    def test_prefix_full_equals_circuit(self):
-        c = geom.circle(0j, 1.0)
-        full = quad.integrate_arc_prefix(lambda z: 1 / z, c, 1.0)
-        assert full == pytest.approx(2j * math.pi, abs=1e-12)
-
-    def test_parameter_route_matches_plain(self):
-        c = geom.circle(0j, 1.0)
-
-        def fn_t(ts):
-            ts = np.atleast_1d(ts)
-            return np.asarray(ts, dtype=complex) ** 2
-
-        out = quad.integrate_parameter(fn_t, c)
-        # circuit of t(z)^2 dz along the unit circle, t = arclength fraction
-        want = quad.integrate(
-            lambda z: ((np.angle(z) % (2 * math.pi)) / (2 * math.pi)) ** 2,
-            c)
-        assert out.value == pytest.approx(want.value, abs=1e-7)
-
-    def test_parameter_route_shares_the_engine(self):
-        # the same steep integrand through both front ends: identical
-        # panels, so identical value and evaluation count, and the
-        # stagnation rule keeps the parameter route inside its budget
-        c = geom.circle(0j, 1.0)
-        seg = c.segments[0]
-
-        def f(z):
-            return 1 / (z - 1.001)
-
-        by_point = quad.integrate(f, c)
-        by_param = quad.integrate_parameter(lambda t: f(seg.point(t)), c)
-        assert by_param.value == by_point.value
-        assert by_param.evaluations == by_point.evaluations
-
     def test_max_magnitude_on(self):
         c = geom.circle(0j, 2.0)
         mf, mz = quad.max_magnitude_on(lambda z: z ** 2 + 1, c)
         assert mz == pytest.approx(2.0, rel=1e-6)
         assert mf == pytest.approx(5.0, rel=1e-3)
+
+
+class TestRunningPrimitive:
+    """quadrature._running_primitive: G(z) = integral of f from the path's
+    start to z at the Gauss nodes of the accepted panels, in path order."""
+
+    def test_reciprocal_gives_the_angle(self):
+        c = geom.circle(0j, 1.0)
+        run = quad._running_primitive(lambda z: 1 / z, c)
+        theta = np.angle(run.points) % (2 * math.pi)
+        assert np.max(np.abs(run.values - 1j * theta)) <= 1e-14
+        # the panel sums add up to the circuit integral
+        full = quad.integrate(lambda z: 1 / z, c).value
+        assert full == pytest.approx(2j * math.pi, abs=1e-12)
+        assert np.sum(run.panel_sums) == pytest.approx(full, abs=1e-14)
+        assert run.stack.value[0] == pytest.approx(full, abs=1e-14)
+
+    def test_stack_takes_the_evaluations_of_integrate(self):
+        # a steep integrand: the stack [f, z f] refines on the same panels
+        # whether the helper or integrate runs it
+        c = geom.circle(0j, 1.0)
+
+        def f(z):
+            return 1 / (z - 1.001)
+
+        run = quad._running_primitive(f, c)
+        plain = quad.integrate(lambda z: np.stack((f(z), z * f(z))), c)
+        assert run.stack.evaluations == plain.evaluations
+        assert np.array_equal(run.stack.value, plain.value)
+
+    @pytest.mark.parametrize("path", [
+        geom.circle(0.3 - 0.2j, 1.3),
+        geom.circle(-0.4 + 0.1j, 0.85, ccw=False),
+        geom.polygon([0.2 + 1.5 * np.exp(2j * math.pi * k / 5)
+                      for k in range(5)]),
+    ])
+    @pytest.mark.parametrize("k", range(5))
+    def test_primitive_of_powers_to_rounding(self, path, k):
+        # a 16x16 spectral integration matrix on the same panels misses by
+        # up to 5e-10 on the circles, where few panels are accepted
+        run = quad._running_primitive(lambda z: z ** k, path)
+        want = (run.points ** (k + 1) - path.start ** (k + 1)) / (k + 1)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(run.values - want)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("center, radius", [(0j, 1.0), (0.4 - 0.3j, 1.2),
+                                                (-1 + 2j, 0.7)])
+    def test_circuit_of_the_conjugate_primitive(self, center, radius):
+        # on the circle conj(z) = conj(c) + R^2 / (z - c), so G dz integrates
+        # to 2 pi i R^3
+        c = geom.circle(center, radius)
+        run = quad._running_primitive(np.conj, c)
+        assert abs(run.circuit - 2j * math.pi * radius ** 3) \
+            <= 1e-13 * radius ** 3
 
 
 class TestAccuracyScaling:
