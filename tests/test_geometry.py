@@ -273,6 +273,20 @@ class TestWinding:
         with pytest.raises(GeometryError):
             geom.winding_number(p, 0.5 + 0.5j)
 
+    def test_vectorized_matches_scalar(self, rng):
+        path = geom.Path((
+            geom.Arc(0j, 1.0, 0.0, math.pi),
+            geom.Line(-1 + 0j, -1 - 1j),
+            geom.Line(-1 - 1j, 1 - 1j),
+            geom.Line(1 - 1j, 1 + 0j),
+        ))
+        pts = rng.uniform(-2, 2, 200) + 1j * rng.uniform(-2.5, 1.5, 200)
+        got = geom._winding_many(path, pts)
+        for p, w in zip(pts, got):
+            if w == geom._ON_PATH:
+                continue
+            assert w == geom.winding_number(path, p)
+
 
 class TestChordKernel:
     @given(case=_path_and_points())

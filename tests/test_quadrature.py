@@ -150,6 +150,27 @@ class TestIntegrate:
         assert mf == pytest.approx(5.0, rel=1e-3)
 
 
+class TestPrefixAndParameter:
+    """Integrals of 1/z along the first part and along the whole of the unit
+    circle, through integrate and through the running primitive."""
+
+    def test_prefix_half_residue(self):
+        upper = geom.Path((geom.Arc(0j, 1.0, 0.0, math.pi),))
+        assert quad.integrate(lambda z: 1 / z, upper).value \
+            == pytest.approx(1j * math.pi, abs=1e-12)
+        run = quad._running_primitive(lambda z: 1 / z, upper)
+        assert np.sum(run.panel_sums) == pytest.approx(1j * math.pi,
+                                                       abs=1e-12)
+
+    def test_prefix_full_equals_circuit(self):
+        c = geom.circle(0j, 1.0)
+        run = quad._running_primitive(lambda z: 1 / z, c)
+        full = np.sum(run.panel_sums)
+        assert full == pytest.approx(2j * math.pi, abs=1e-12)
+        assert full == pytest.approx(quad.integrate(lambda z: 1 / z, c).value,
+                                     abs=1e-14)
+
+
 class TestRunningPrimitive:
     """quadrature._running_primitive: G(z) = integral of f from the path's
     start to z at the Gauss nodes of the accepted panels, in path order."""
