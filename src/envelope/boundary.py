@@ -60,6 +60,8 @@ class SampledCurve:
                 or params.shape != values.shape:
             raise CurveDataError("params, points and values must be equal "
                                  "length 1-d arrays")
+        if not all(np.isfinite(a).all() for a in (params, points, values)):
+            raise CurveDataError("params, points and values must be finite")
         if len(params) < MIN_NODES + 1:
             raise CurveDataError(f"need at least {MIN_NODES} intervals, got "
                                  f"{len(params) - 1}")
@@ -161,13 +163,6 @@ def boundary_moment(curve: SampledCurve, k: int) -> complex:
     return _trapezoid_closed(w, curve.chords())
 
 
-def boundary_moment_analytic(curve: SampledCurve, k: int,
-                             tol: float = _quad.DEFAULT_TOL) -> complex:
-    if not curve.analytic:
-        raise CurveDataError("analytic moments need path and data_fn")
-    return _mom.moment(curve.data_fn, curve.path, k, tol)
-
-
 @dataclass(frozen=True)
 class TowerLevel:
     order: int
@@ -190,18 +185,12 @@ class PrimitiveTowerResult:
         return self.pass_depth == self.leading_zero_count
 
 
-def _leading_zero_count(curve: SampledCurve, moments,
-                        zero_tol: _mom.ZeroTolerance) -> int:
-    """How many moments (degree 0, 1, .. and possibly lazy) test as zero at
-    scale perimeter * max |g| * reach^k before the first that does not."""
+def _moment_scales(curve: SampledCurve, count: int) -> list[float]:
+    """Zero-test scale of the moments of degree 0 .. count - 1:
+    perimeter * max |g| * max(1, max |z|)^k."""
     base = curve.perimeter() * float(np.max(np.abs(curve.values)))
     reach = max(curve.max_reach(), 1.0)
-    zeros = 0
-    for k, m in enumerate(moments):
-        if abs(m) > zero_tol.abs_tol + zero_tol.rel_tol * (base * reach ** k):
-            break
-        zeros += 1
-    return zeros
+    return [base * reach ** k for k in range(count)]
 
 
 def primitive_tower(curve: SampledCurve, levels: int = 4,
@@ -218,18 +207,18 @@ def primitive_tower(curve: SampledCurve, levels: int = 4,
         raise ValueError("need at least one tower level")
     functions = tower_functions(curve, levels)
     perim = curve.perimeter()
-    level_rows = []
-    for order in range(1, levels + 1):
-        defect = abs(complex(functions[order][-1]))
-        scale = perim * float(np.max(np.abs(functions[order - 1])))
-        passed = defect <= zero_tol.abs_tol + zero_tol.rel_tol * scale
-        level_rows.append(TowerLevel(order, defect, scale, passed))
-    depth = next((row.order - 1 for row in level_rows if not row.passed),
-                 levels)
+    defects = [abs(complex(g[-1])) for g in functions[1:]]
+    scales = [perim * float(np.max(np.abs(g))) for g in functions[:-1]]
+    level_rows = tuple(
+        TowerLevel(order, defect, scale, defect <= zero_tol.bound(scale))
+        for order, (defect, scale) in enumerate(zip(defects, scales), 1))
+    depth = zero_tol.first_nonzero(defects, scales)
 
     moms = tuple(boundary_moment(curve, k) for k in range(levels))
-    return PrimitiveTowerResult(tuple(level_rows), depth, moms,
-                                _leading_zero_count(curve, moms, zero_tol),
+    zeros = zero_tol.first_nonzero(moms, _moment_scales(curve, levels))
+    return PrimitiveTowerResult(level_rows,
+                                levels if depth is None else depth, moms,
+                                levels if zeros is None else zeros,
                                 zero_tol, tuple(functions))
 
 
@@ -433,8 +422,9 @@ def nontangential_check(curve: SampledCurve, node_index: int = 0,
         moms = _mom._moments(_mom.as_function(curve.data_fn), curve.path,
                              np.arange(count), tol)
     else:
-        moms = (boundary_moment(curve, k) for k in range(count))
-    expected = _leading_zero_count(curve, moms, zero_tol) == count
+        moms = [boundary_moment(curve, k) for k in range(count)]
+    expected = zero_tol.first_nonzero(
+        moms, _moment_scales(curve, count)) is None
 
     return NontangentialReport(node_index, complex(z0), boundary_value,
                                tuple(approach), tuple(values),

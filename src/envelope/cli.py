@@ -29,12 +29,16 @@ from . import geometry as _geom
 from . import moments as _mom
 from . import quadrature as _quad
 from .errors import EnvelopeError, ParseError
+from .geometry import _json_number, _json_point
 
 DOMAIN_CHECKS = ("moments", "primitive_order", "extension", "cross_verify")
 CURVE_CHECKS = ("boundary_tower", "cauchy", "nontangential", "chord_arc")
 ALL_CHECKS = DOMAIN_CHECKS + CURVE_CHECKS
 
 DEFAULT_QUAD_TOL = _quad.DEFAULT_TOL
+# every tower level keeps one array per sample, so the sample count is
+# capped like the level count
+MAX_SAMPLES = 2 ** 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,33 +59,59 @@ class ScenarioConfig:
     fmt: str
 
 
-def _as_complex(node, where: str, diags: list[str]) -> complex | None:
-    if (isinstance(node, (list, tuple)) and len(node) == 2
-            and all(isinstance(v, (int, float)) for v in node)):
-        return complex(node[0], node[1])
-    diags.append(f"{where}: expected [re, im]")
+def _object(node, where: str, diags: list[str]) -> dict | None:
+    if isinstance(node, dict):
+        return node
+    diags.append(f"{where}: expected an object")
     return None
 
 
+def _integer(node: dict, key: str, default: int | None, lo: int, hi: int,
+             diags: list[str], where: str | None = None) -> int | None:
+    """node[key] as an integer in [lo, hi]; default when the field is absent
+    or null, and, with a diagnostic, when it is anything else."""
+    value = node.get(key)
+    if value is None:
+        return default
+    number = _json_number(value, integer=True)
+    if number is None or not lo <= number <= hi:
+        diags.append(f"{where or key}: must lie in [{lo}, {hi}]")
+        return default
+    return number
+
+
+def _as_complex(node, where: str, diags: list[str]) -> complex | None:
+    point = _json_point(node)
+    if point is None:
+        diags.append(f"{where}: expected [re, im]")
+    return point
+
+
 def _path_from_node(node, where: str, diags: list[str]) -> _geom.Path | None:
-    if not isinstance(node, dict):
-        diags.append(f"{where}: expected an object")
+    if _object(node, where, diags) is None:
         return None
     try:
         if "circle" in node:
-            spec = node["circle"]
+            spec = _object(node["circle"], f"{where}.circle", diags)
+            if spec is None:
+                return None
             center = _as_complex(spec.get("center", [0.0, 0.0]),
                                  f"{where}.circle.center", diags)
-            radius = spec.get("radius")
-            if center is None or not isinstance(radius, (int, float)) \
-                    or radius <= 0:
+            radius = _json_number(spec.get("radius"))
+            if center is None or radius is None or radius <= 0:
                 diags.append(f"{where}.circle.radius: positive number "
                              "required")
                 return None
-            return _geom.circle(center, float(radius),
+            return _geom.circle(center, radius,
                                 ccw=bool(spec.get("ccw", True)))
         if "polygon" in node:
-            verts = node["polygon"].get("vertices", [])
+            spec = _object(node["polygon"], f"{where}.polygon", diags)
+            if spec is None:
+                return None
+            verts = spec.get("vertices", [])
+            if not isinstance(verts, list):
+                diags.append(f"{where}.polygon.vertices: expected a list")
+                return None
             points = [_as_complex(v, f"{where}.polygon.vertices[{i}]", diags)
                       for i, v in enumerate(verts)]
             if any(p is None for p in points) or len(points) < 3:
@@ -99,16 +129,19 @@ def _path_from_node(node, where: str, diags: list[str]) -> _geom.Path | None:
 
 def _build_domain(node, where: str, diags: list[str]
                   ) -> _geom.DomainSpec | None:
-    if not isinstance(node, dict):
-        diags.append(f"{where}: expected an object")
+    if _object(node, where, diags) is None:
         return None
     outer = None
     if node.get("outer") is not None:
         outer = _path_from_node(node["outer"], f"{where}.outer", diags)
         if outer is None:
             return None
+    holes_raw = node.get("holes", [])
+    if not isinstance(holes_raw, list):
+        diags.append(f"{where}.holes: expected a list")
+        return None
     holes = []
-    for i, h in enumerate(node.get("holes", [])):
+    for i, h in enumerate(holes_raw):
         p = _path_from_node(h, f"{where}.holes[{i}]", diags)
         if p is None:
             return None
@@ -122,39 +155,37 @@ def _build_domain(node, where: str, diags: list[str]
 
 def _build_curve(node, where: str, base_dir: FsPath, fn,
                  diags: list[str]) -> _bd.SampledCurve | None:
-    if not isinstance(node, dict):
-        diags.append(f"{where}: expected an object")
+    if _object(node, where, diags) is None:
         return None
     if "csv" in node:
+        if not isinstance(node["csv"], str):
+            diags.append(f"{where}.csv: expected a file path")
+            return None
         target = FsPath(node["csv"])
         if not target.is_absolute():
             target = base_dir / target
-        if not target.exists():
-            diags.append(f"{where}.csv: file not found: {target}")
-            return None
         try:
             with open(target) as handle:
                 return _bd.curve_from_csv(handle)
-        except (EnvelopeError, ValueError) as exc:
+        except FileNotFoundError:
+            diags.append(f"{where}.csv: file not found: {target}")
+        except (EnvelopeError, OSError, ValueError) as exc:
             diags.append(f"{where}.csv: {exc}")
-            return None
+        return None
     if "path" in node:
         path = _path_from_node(node["path"], f"{where}.path", diags)
         if path is None:
             return None
-        samples = node.get("samples", 256)
-        if not isinstance(samples, int) or samples < _bd.MIN_NODES:
-            diags.append(f"{where}.samples: integer >= {_bd.MIN_NODES} "
-                         "required")
-            return None
+        samples = _integer(node, "samples", 256, _bd.MIN_NODES, MAX_SAMPLES,
+                           diags, f"{where}.samples")
         if fn is None:
             diags.append(f"{where}: sampling a path needs a function")
             return None
-        warp_amp = node.get("warp", 0.0)
-        if not isinstance(warp_amp, (int, float)) or not 0 <= warp_amp < 1:
+        warp_amp = _json_number(node.get("warp", 0.0))
+        if warp_amp is None or not 0 <= warp_amp < 1:
             diags.append(f"{where}.warp: amplitude in [0, 1) required")
             return None
-        warp = _bd.odd_warp(float(warp_amp)) if warp_amp else None
+        warp = _bd.odd_warp(warp_amp) if warp_amp else None
         try:
             return _bd.sample_path(path, fn, samples, warp)
         except EnvelopeError as exc:
@@ -215,27 +246,13 @@ def build_config(raw: dict, base_dir: FsPath | None = None,
         if c in CURVE_CHECKS and curve is None:
             diags.append(f"checks: '{c}' needs a curve")
 
-    max_degree = merged.get("max_degree")
-    if max_degree is not None and (
-            not isinstance(max_degree, int)
-            or not 0 <= max_degree <= _mom.MAX_MOMENT_DEGREE):
-        diags.append(f"max_degree: must lie in [0, {_mom.MAX_MOMENT_DEGREE}]")
-        max_degree = None
+    cap = _mom.MAX_MOMENT_DEGREE
+    max_degree = _integer(merged, "max_degree", None, 0, cap, diags)
     # both size arrays (one per tower level, one stack component per
     # Laurent term), so both are capped
-    most_terms = _mom.MAX_MOMENT_DEGREE + 1
-    laurent_terms = merged.get("laurent_terms")
-    if laurent_terms is not None and (
-            not isinstance(laurent_terms, int)
-            or not 1 <= laurent_terms <= most_terms):
-        diags.append(f"laurent_terms: must lie in [1, {most_terms}]")
-        laurent_terms = None
-    tower_levels = merged.get("tower_levels", 4)
-    if not isinstance(tower_levels, int) \
-            or not 1 <= tower_levels <= _mom.MAX_MOMENT_DEGREE:
-        diags.append(f"tower_levels: must lie in "
-                     f"[1, {_mom.MAX_MOMENT_DEGREE}]")
-        tower_levels = 4
+    laurent_terms = _integer(merged, "laurent_terms", None, 1, cap + 1,
+                             diags)
+    tower_levels = _integer(merged, "tower_levels", 4, 1, cap, diags)
 
     points = None
     if merged.get("points") is not None:
@@ -247,31 +264,24 @@ def build_config(raw: dict, base_dir: FsPath | None = None,
             if all(p is not None for p in pts):
                 points = tuple(pts)
 
-    node_index = merged.get("node_index", 0)
-    if not isinstance(node_index, int) or node_index < 0:
+    node_index = _json_number(merged.get("node_index", 0), integer=True)
+    if node_index is None or node_index < 0:
         diags.append("node_index: must be >= 0")
         node_index = 0
     radii_raw = merged.get("radii", [1e-1, 1e-2, 1e-3, 5e-5])
-    radii: tuple[float, ...] = ()
-    if (not isinstance(radii_raw, list) or not radii_raw
-            or not all(isinstance(r, (int, float)) and r > 0
-                       for r in radii_raw)):
+    radii = tuple(_json_number(r) for r in radii_raw) \
+        if isinstance(radii_raw, list) else ()
+    if not radii or None in radii or min(radii) <= 0:
         diags.append("radii: list of positive numbers required")
-    elif sorted(radii_raw, reverse=True) != list(radii_raw):
+    elif sorted(radii, reverse=True) != list(radii):
         diags.append("radii: must decrease")
-    else:
-        radii = tuple(float(r) for r in radii_raw)
 
-    tols = merged.get("tolerances", {})
-    if not isinstance(tols, dict):
-        diags.append("tolerances: expected an object")
-        tols = {}
-    abs_tol = tols.get("abs", 1e-9)
-    rel_tol = tols.get("rel", 1e-10)
-    quad_tol = tols.get("quadrature", DEFAULT_QUAD_TOL)
-    for name, value in (("abs", abs_tol), ("rel", rel_tol),
-                        ("quadrature", quad_tol)):
-        if not isinstance(value, (int, float)) or value <= 0:
+    tols = _object(merged.get("tolerances", {}), "tolerances", diags) or {}
+    defaults = {"abs": 1e-9, "rel": 1e-10, "quadrature": DEFAULT_QUAD_TOL}
+    tol_values = {}
+    for name, default in defaults.items():
+        tol_values[name] = _json_number(tols.get(name, default))
+        if tol_values[name] is None or tol_values[name] <= 0:
             diags.append(f"tolerances.{name}: positive number required")
     fmt = merged.get("format", "json")
     if fmt not in ("json", "text"):
@@ -288,8 +298,8 @@ def build_config(raw: dict, base_dir: FsPath | None = None,
         curve=curve, checks=tuple(checks), max_degree=max_degree,
         laurent_terms=laurent_terms, tower_levels=tower_levels,
         points=points, node_index=node_index, radii=radii,
-        zero_tol=_mom.ZeroTolerance(float(abs_tol), float(rel_tol)),
-        quad_tol=float(quad_tol), fmt=fmt)
+        zero_tol=_mom.ZeroTolerance(tol_values["abs"], tol_values["rel"]),
+        quad_tol=tol_values["quadrature"], fmt=fmt)
     return config, []
 
 
@@ -567,13 +577,16 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     scenario_path = FsPath(args.scenario)
-    if not scenario_path.exists():
+    try:
+        with open(scenario_path, encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except FileNotFoundError:
         print(f"scenario file not found: {scenario_path}", file=sys.stderr)
         return 1
-    try:
-        with open(scenario_path) as handle:
-            raw = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        print(f"cannot read the scenario file: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:  # also bytes that are not UTF-8
         print(f"scenario is not valid JSON: {exc}", file=sys.stderr)
         return 1
 
@@ -587,9 +600,12 @@ def main(argv=None) -> int:
         return 0
 
     overrides: dict = {}
-    if args.tol_abs is not None or args.tol_rel is not None:
-        tols = dict(raw.get("tolerances", {})) if isinstance(raw, dict) \
-            else {}
+    tols = raw.get("tolerances", {}) if isinstance(raw, dict) else {}
+    # a tolerances field that is not an object is left for build_config
+    # to diagnose
+    if isinstance(tols, dict) \
+            and (args.tol_abs is not None or args.tol_rel is not None):
+        tols = dict(tols)
         if args.tol_abs is not None:
             tols["abs"] = args.tol_abs
         if args.tol_rel is not None:

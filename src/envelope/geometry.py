@@ -783,17 +783,51 @@ def segment_to_json(seg: Segment) -> dict:
             "r": seg.radius, "t0": seg.t0, "t1": seg.t1, "ccw": seg.ccw}
 
 
+def _json_number(node, integer: bool = False) -> float | int | None:
+    """node as a finite float (an int when integer is set), or None for
+    anything else: json reads true and false as integers and NaN and
+    Infinity as floats, and none of them is a number here."""
+    if isinstance(node, bool) or not isinstance(node, (int, float)):
+        return None
+    if integer:
+        return node if isinstance(node, int) else None
+    try:
+        value = float(node)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _json_point(node) -> complex | None:
+    """[re, im] as a complex number, or None for anything else."""
+    if isinstance(node, (list, tuple)) and len(node) == 2:
+        x, y = _json_number(node[0]), _json_number(node[1])
+        if x is not None and y is not None:
+            return complex(x, y)
+    return None
+
+
 def segment_from_json(obj: dict) -> Segment:
+    if not isinstance(obj, dict):
+        raise GeometryError("a segment is an object")
     kind = obj.get("kind")
     if kind == "line":
-        return Line(complex(*obj["a"]), complex(*obj["b"]))
-    if kind == "arc":
-        t0, t1, ccw = float(obj["t0"]), float(obj["t1"]), bool(obj["ccw"])
-        sweep = ((t1 - t0) % _TWO_PI) if ccw else -((t0 - t1) % _TWO_PI)
-        if sweep == 0.0:
-            sweep = _TWO_PI if ccw else -_TWO_PI
-        return Arc(complex(*obj["center"]), float(obj["r"]), t0, t0 + sweep, ccw)
-    raise GeometryError(f"unknown segment kind {kind!r}")
+        ends = [_json_point(obj.get(key)) for key in ("a", "b")]
+        if None not in ends:
+            return Line(*ends)
+    elif kind == "arc":
+        center = _json_point(obj.get("center"))
+        r, t0, t1 = (_json_number(obj.get(key)) for key in ("r", "t0", "t1"))
+        if None not in (center, r, t0, t1):
+            ccw = bool(obj["ccw"])
+            sweep = ((t1 - t0) % _TWO_PI) if ccw else -((t0 - t1) % _TWO_PI)
+            if sweep == 0.0:
+                sweep = _TWO_PI if ccw else -_TWO_PI
+            return Arc(center, r, t0, t0 + sweep, ccw)
+    else:
+        raise GeometryError(f"unknown segment kind {kind!r}")
+    raise GeometryError(f"{kind} segment: points must be [re, im] pairs and "
+                        "every coordinate a finite number")
 
 
 def path_to_json(path: Path) -> list[dict]:

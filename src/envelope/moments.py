@@ -28,8 +28,11 @@ DEFAULT_DEGREE_CUTOFF = 32  # heuristic cutoff when the pole set is unknown
 
 @dataclass(frozen=True)
 class ZeroTolerance:
-    """A value counts as zero when |v| <= abs_tol + rel_tol * scale, with
-    scale = path length * max |z^k f| sampled along the curve."""
+    """The one zero test of the package: a value v counts as zero when
+    |v| <= bound(scale) = abs_tol + rel_tol * scale. Each check passes one
+    magnitude scale per value (moments, Laurent tail coefficients, boundary
+    moments and closing defects each have their own); only the comparison
+    and the scan for the first nonzero value live here."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-10
@@ -37,6 +40,17 @@ class ZeroTolerance:
     def __post_init__(self):
         if self.abs_tol < 0.0 or self.rel_tol < 0.0:
             raise ValueError("tolerances must be nonnegative")
+
+    def bound(self, scale: float) -> float:
+        return self.abs_tol + self.rel_tol * scale
+
+    def first_nonzero(self, values, scales) -> int | None:
+        """Index of the first value above the bound of its scale, None when
+        every value counts as zero."""
+        for k, (v, scale) in enumerate(zip(values, scales)):
+            if abs(v) > self.bound(scale):
+                return k
+        return None
 
 
 def as_function(f):
@@ -59,17 +73,13 @@ class MomentVector:
     def degree_cutoff(self) -> int:
         return len(self.values) - 1
 
-    def threshold(self, k: int, tol: ZeroTolerance) -> float:
-        return tol.abs_tol + tol.rel_tol * self.scale * self.max_abs_z ** k
-
-    def is_zero(self, k: int, tol: ZeroTolerance) -> bool:
-        return abs(self.values[k]) <= self.threshold(k, tol)
+    def scales(self) -> list[float]:
+        """Zero-test scale of each degree k: scale * max|z|^k."""
+        return [self.scale * self.max_abs_z ** k
+                for k in range(len(self.values))]
 
     def first_nonzero(self, tol: ZeroTolerance) -> int | None:
-        for k in range(len(self.values)):
-            if not self.is_zero(k, tol):
-                return k
-        return None
+        return tol.first_nonzero(self.values, self.scales())
 
 
 def _check_moment_degree(path: Path, k: int) -> None:
@@ -79,11 +89,13 @@ def _check_moment_degree(path: Path, k: int) -> None:
         raise ValueError(f"moment degree must lie in [0, {MAX_MOMENT_DEGREE}]")
 
 
-def _moments(fn, path: Path, degrees: np.ndarray, tol: float) -> np.ndarray:
-    """∮ z^k f(z) dz for every k in degrees, as one stacked integral: each
-    to the tolerance tol, on one panel tree."""
+def _moments(fn, path: Path, degrees: np.ndarray, tol: float,
+             center: complex = 0j) -> np.ndarray:
+    """∮ (z - center)^k f(z) dz for every k in degrees, as one stacked
+    integral: each to the tolerance tol, on one panel tree."""
     column = degrees[:, None]
-    return _quad.integrate(lambda z: z ** column * fn(z), path, tol).value
+    return _quad.integrate(lambda z: (z - center) ** column * fn(z), path,
+                           tol).value
 
 
 def moment(f, path: Path, k: int, tol: float = _quad.DEFAULT_TOL) -> complex:

@@ -65,6 +65,16 @@ class TestSampledCurve:
         with pytest.raises(CurveDataError, match="0 to 1"):
             bd.SampledCurve(t, z, z)
 
+    @pytest.mark.parametrize("field", ["params", "points", "values"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_validation_rejects_non_finite_samples(self, field, bad):
+        c = circle_curve(lambda z: z, 32)
+        arrays = {"params": c.params.copy(), "points": c.points.copy(),
+                  "values": c.values.copy()}
+        arrays[field][5] = bad
+        with pytest.raises(CurveDataError, match="finite"):
+            bd.SampledCurve(**arrays)
+
     def test_geometry_helpers(self):
         c = circle_curve(lambda z: z, 256)
         assert c.intervals == 256
@@ -116,6 +126,17 @@ class TestSampling:
             c = bd.curve_from_csv(handle)
         assert c.intervals == 32
 
+    @pytest.mark.parametrize("column", [1, 3], ids=["node", "data"])
+    def test_csv_nan_rejected(self, column):
+        # a NaN node once escaped as a ValueError from an integer
+        # conversion, and NaN data read as closing defects that disagree
+        rows = csv_text(32).splitlines()
+        cells = rows[4].split(",")
+        cells[column] = "nan"
+        rows[4] = ",".join(cells)
+        with pytest.raises(CurveDataError, match="finite"):
+            bd.curve_from_csv("\n".join(rows) + "\n")
+
     def test_csv_wrong_width_rejected(self):
         with pytest.raises(CurveDataError, match="5 columns"):
             bd.curve_from_csv(io.StringIO("0,1\n0.5,2\n1,1\n"))
@@ -137,15 +158,9 @@ class TestMomentsAndTower:
 
     def test_analytic_moment_matches_discrete(self):
         c = circle_curve(np.reciprocal, 256)
-        assert bd.boundary_moment_analytic(c, 0) == pytest.approx(
-            bd.boundary_moment(c, 0), rel=1e-3)
-        assert bd.boundary_moment_analytic(c, 0) == pytest.approx(
-            2j * math.pi, abs=1e-10)
-
-    def test_analytic_moment_needs_path(self):
-        c = bd.curve_from_csv(csv_text(32))
-        with pytest.raises(CurveDataError, match="path"):
-            bd.boundary_moment_analytic(c, 0)
+        analytic = mom.moment(c.data_fn, c.path, 0)
+        assert analytic == pytest.approx(bd.boundary_moment(c, 0), rel=1e-3)
+        assert analytic == pytest.approx(2j * math.pi, abs=1e-10)
 
     @pytest.mark.parametrize("fn,depth", [
         (lambda z: z ** 2, 4),

@@ -1,12 +1,16 @@
 """Scenario parsing, report rendering and the command line entry point."""
 
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from envelope import cli, moments
+from envelope import geometry as geom
 
 
 ANNULUS = {
@@ -92,6 +96,146 @@ class TestValidate:
 
     def test_non_object_scenario(self):
         assert cli.validate([1, 2, 3]) == ["scenario: expected a JSON object"]
+
+    @pytest.mark.parametrize("raw, field", [
+        ({"domain": {"outer": {"circle": 5}}}, "domain.outer.circle:"),
+        ({"domain": {"outer": {"polygon": [[0, 0], [1, 0], [0, 1]]}}},
+         "domain.outer.polygon:"),
+        ({"domain": {"outer": {"polygon": {"vertices": 5}}}},
+         "domain.outer.polygon.vertices:"),
+        ({"domain": {**ANNULUS, "holes": 5}}, "domain.holes:"),
+        ({"domain": {"holes": [{"segments": [5]}]}}, "domain.holes[0]:"),
+        ({"curve": {"csv": 5}}, "curve.csv:"),
+        ({"curve": {"csv": ""}}, "curve.csv:"),
+    ])
+    def test_wrong_shapes_get_field_diagnostics(self, tmp_path, raw, field):
+        raw = {"function": "z", "checks": ["moments"], **raw}
+        diags = cli.validate(raw, tmp_path)
+        assert any(d.startswith(field) for d in diags), diags
+
+    @pytest.mark.parametrize("change, field", [
+        ({"max_degree": True}, "max_degree:"),
+        ({"laurent_terms": True}, "laurent_terms:"),
+        ({"tower_levels": True}, "tower_levels:"),
+        ({"node_index": False}, "node_index:"),
+        ({"tolerances": {"abs": True}}, "tolerances.abs:"),
+        ({"tolerances": {"rel": math.nan}}, "tolerances.rel:"),
+        ({"tolerances": {"quadrature": math.inf}}, "tolerances.quadrature:"),
+        ({"points": [[True, False]]}, "points[0]:"),
+        ({"points": [[0.1, math.nan]]}, "points[0]:"),
+        ({"radii": [math.inf, 1e-3]}, "radii:"),
+        ({"radii": [math.nan]}, "radii:"),
+        ({"domain": {"holes": [{"circle": {"radius": math.nan}}]}},
+         "domain.holes[0].circle.radius:"),
+        ({"domain": {"holes": [{"circle": {"radius": True}}]}},
+         "domain.holes[0].circle.radius:"),
+        ({"domain": {"holes": [{"circle": {"center": [True, 0],
+                                           "radius": 0.5}}]}},
+         "domain.holes[0].circle.center:"),
+        ({"domain": {"holes": [{"segments": [
+            {"kind": "arc", "center": [0, 0], "r": math.inf, "t0": 0,
+             "t1": 0, "ccw": True}]}]}}, "domain.holes[0]:"),
+        ({"domain": {"holes": [{"segments": [
+            {"kind": "arc", "center": [True, False], "r": 0.5, "t0": 0,
+             "t1": 0, "ccw": True}]}]}}, "domain.holes[0]:"),
+        ({"curve": {"path": {"circle": {"radius": 1}}, "samples": True}},
+         "curve.samples:"),
+        ({"curve": {"path": {"circle": {"radius": 1}}, "warp": math.nan}},
+         "curve.warp:"),
+    ])
+    def test_numbers_that_are_not_numbers(self, change, field):
+        # json reads true as 1 and reads NaN and Infinity; none is a number
+        raw = {"function": "1/z^2", "domain": ANNULUS,
+               "checks": ["moments"], **change}
+        diags = cli.validate(raw)
+        assert any(d.startswith(field) for d in diags), diags
+
+    def test_sample_count_is_capped(self):
+        raw = {"function": "z", "checks": ["boundary_tower"],
+               "curve": {"path": {"circle": {"radius": 1}}}}
+        assert cli.validate({**raw, "curve": {**raw["curve"],
+                                              "samples": 2 ** 16}}) == []
+        diags = cli.validate({**raw, "curve": {**raw["curve"],
+                                               "samples": 2 ** 16 + 1}})
+        assert diags == ["curve.samples: must lie in [16, 65536]"]
+
+    def test_non_finite_csv_sample_is_diagnosed(self, tmp_path):
+        rows = circle_csv(64).splitlines()
+        for column in (1, 3):  # a node column, then a data column
+            bad = rows[5].split(",")
+            bad[column] = "nan"
+            (tmp_path / "c.csv").write_text(
+                "\n".join(rows[:5] + [",".join(bad)] + rows[6:]) + "\n")
+            diags = cli.validate({"checks": ["boundary_tower"],
+                                  "curve": {"csv": "c.csv"}}, tmp_path)
+            assert diags[0] == ("curve.csv: params, points and values must "
+                                "be finite")
+
+
+def _field_paths(node, prefix=()):
+    """Key path of every field of a JSON tree, nested ones included."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+def _valid_scenarios():
+    """Scenarios that build, between them naming every field."""
+    full = {
+        "function": "1/z^2 + exp(z)", "domain": {
+            "outer": {"circle": {"center": [0.0, 0.0], "radius": 2.0,
+                                 "ccw": True}},
+            "holes": [{"circle": {"center": [0.0, 0.0], "radius": 0.5}},
+                      {"polygon": {"vertices": [[1.0, 0.0], [1.4, 0.0],
+                                                [1.2, 0.3]]}}]},
+        "curve": {"path": {"segments": geom.path_to_json(
+            geom.circle(0.1j, 1.0))}, "samples": 64, "warp": 0.3},
+        "checks": ["moments", "cross_verify", "boundary_tower", "cauchy"],
+        "max_degree": 4, "laurent_terms": 5, "tower_levels": 3,
+        "points": [[0.0, 0.1], [0.2, 0.0]], "node_index": 2,
+        "radii": [0.1, 0.01], "tolerances": {"abs": 1e-9, "rel": 1e-10,
+                                             "quadrature": 1e-12},
+        "format": "text",
+    }
+    csv = {"checks": ["chord_arc"], "curve": {"csv": "c.csv"}}
+    return full, csv
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("csv")
+    (directory / "c.csv").write_text(circle_csv(64))
+    return directory
+
+
+@given(data=st.data(), value=_JSON)
+def test_any_json_in_any_field_gives_diagnostics(csv_dir, data, value):
+    """build_config never raises: a scenario with an arbitrary JSON value
+    in one of its fields builds, or gets diagnostics."""
+    base = data.draw(st.sampled_from(_valid_scenarios()))
+    assert cli.build_config(base, csv_dir)[1] == []
+    path = data.draw(st.sampled_from(list(_field_paths(base))))
+    raw = copy.deepcopy(base)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    config, diags = cli.build_config(raw, csv_dir)
+    assert (config is None) == bool(diags)
 
 
 class TestBuildConfig:
@@ -332,6 +476,37 @@ class TestMain:
         code = cli.main(["run", "--scenario", str(tmp_path / "nope.json")])
         assert code == 1
         assert "not found" in capsys.readouterr().err
+
+    def test_directory_as_scenario(self, tmp_path, capsys):
+        for command in ("run", "validate"):
+            assert cli.main([command, "--scenario", str(tmp_path)]) == 1
+            assert "cannot read the scenario file" in capsys.readouterr().err
+
+    def test_scenario_that_is_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "latin1.json"
+        p.write_bytes('{"function": "z", "note": "\u00e9"}'.encode("latin-1"))
+        for command in ("run", "validate"):
+            assert cli.main([command, "--scenario", str(p)]) == 1
+            assert "not valid JSON" in capsys.readouterr().err
+
+    def test_nan_tolerance_in_scenario_file(self, tmp_path, capsys):
+        # json.dumps writes NaN, and json.load reads it back as a float
+        scenario = write_scenario(tmp_path, {
+            "function": "1/z", "domain": ANNULUS, "checks": ["moments"],
+            "tolerances": {"abs": math.nan}})
+        assert cli.main(["run", "--scenario", str(scenario)]) == 1
+        assert "tolerances.abs: positive number required" \
+            in capsys.readouterr().err
+
+    def test_tolerance_flag_over_a_tolerances_field_that_is_no_object(
+            self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, {
+            "function": "1/z", "domain": ANNULUS, "checks": ["moments"],
+            "tolerances": 5})
+        code = cli.main(["run", "--scenario", str(scenario),
+                         "--tol-abs", "1e-6"])
+        assert code == 1
+        assert "tolerances: expected an object" in capsys.readouterr().err
 
     def test_malformed_json(self, tmp_path, capsys):
         p = tmp_path / "broken.json"

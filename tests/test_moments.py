@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from envelope import boundary as bd
 from envelope import expr
+from envelope import extension as ext
 from envelope import geometry as geom
 from envelope import moments as mom
 from envelope.errors import GeometryError
@@ -58,11 +60,68 @@ class TestZeroTolerance:
         c = geom.circle(0j, 2.0)
         vec = mom.moment_vector(expr.parse("1/z"), c, 3)
         tol = mom.ZeroTolerance()
-        assert vec.threshold(3, tol) > vec.threshold(0, tol)
+        scales = vec.scales()
+        assert tol.bound(scales[3]) > tol.bound(scales[0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
             mom.ZeroTolerance(abs_tol=-1.0)
+
+    def test_first_nonzero_scans_against_each_scale(self):
+        tol = mom.ZeroTolerance(abs_tol=1.0, rel_tol=0.5)
+        assert tol.bound(4.0) == 3.0
+        assert tol.first_nonzero([2.5, 2.5j, 2.5], [4.0, 4.0, 2.0]) == 2
+        assert tol.first_nonzero([2.5, -3.0], [4.0, 4.0]) is None
+        assert tol.first_nonzero([], []) is None
+
+
+class TestOneZeroTest:
+    """Every "counts as zero" decision of the package goes through
+    ZeroTolerance.bound: replacing it moves every verdict that rests on
+    one."""
+
+    @pytest.fixture
+    def set_bound(self, monkeypatch):
+        def patch(value):
+            monkeypatch.setattr(mom.ZeroTolerance, "bound",
+                                lambda self, scale: value)
+        return patch
+
+    def test_moment_verdict(self, annulus, set_bound):
+        # moments of 1/z^2: only the degree-1 moment, 2 pi i, is nonzero
+        f = expr.parse("1/z^2")
+        assert mom.max_primitive_order(f, annulus).max_order == 1
+        set_bound(10.0)
+        assert mom.max_primitive_order(f, annulus).max_order is None
+        set_bound(-1.0)
+        assert mom.max_primitive_order(f, annulus).max_order == 0
+
+    def test_first_tail_coefficient_of_cross_verify(self, annulus,
+                                                    set_bound):
+        # |m1| = 2 pi stays above a bound of 3; the one live coefficient,
+        # a_-2 = 1, falls below it
+        f = expr.parse("1/z^2")
+        assert ext.cross_verify(f, annulus).consistent
+        set_bound(3.0)
+        findings = ext.cross_verify(f, annulus).findings
+        assert findings == ("hole 0: degree-1 moment is nonzero but every "
+                            "tail coefficient tested as zero",)
+
+    def test_boundary_counts(self, set_bound):
+        curve = bd.unit_circle_samples(lambda z: z ** -2, 256)
+
+        def counts():
+            tower = bd.primitive_tower(curve, 4)
+            expected = bd.nontangential_check(curve).expected_match
+            return tower.pass_depth, tower.leading_zero_count, expected
+
+        assert counts() == (1, 1, False)
+        set_bound(-1.0)
+        assert counts() == (0, 0, False)
+        assert not any(level.passed
+                       for level in bd.primitive_tower(curve, 4).levels)
+        set_bound(math.inf)
+        assert counts() == (4, 4, True)
 
 
 class TestPoleBudget:
