@@ -29,7 +29,7 @@ from . import geometry as _geom
 from . import moments as _mom
 from . import quadrature as _quad
 from .errors import EnvelopeError, ParseError
-from .geometry import _json_number, _json_point
+from .geometry import _json_coordinate, _json_number, _json_point
 
 DOMAIN_CHECKS = ("moments", "primitive_order", "extension", "cross_verify")
 CURVE_CHECKS = ("boundary_tower", "cauchy", "nontangential", "chord_arc")
@@ -83,7 +83,8 @@ def _integer(node: dict, key: str, default: int | None, lo: int, hi: int,
 def _as_complex(node, where: str, diags: list[str]) -> complex | None:
     point = _json_point(node)
     if point is None:
-        diags.append(f"{where}: expected [re, im]")
+        diags.append(f"{where}: expected [re, im], each of magnitude at "
+                     f"most {_geom.MAX_COORDINATE:g}")
     return point
 
 
@@ -97,13 +98,16 @@ def _path_from_node(node, where: str, diags: list[str]) -> _geom.Path | None:
                 return None
             center = _as_complex(spec.get("center", [0.0, 0.0]),
                                  f"{where}.circle.center", diags)
-            radius = _json_number(spec.get("radius"))
+            radius = _json_coordinate(spec.get("radius"))
             if center is None or radius is None or radius <= 0:
-                diags.append(f"{where}.circle.radius: positive number "
-                             "required")
+                diags.append(f"{where}.circle.radius: positive number of at "
+                             f"most {_geom.MAX_COORDINATE:g} required")
                 return None
-            return _geom.circle(center, radius,
-                                ccw=bool(spec.get("ccw", True)))
+            ccw = spec.get("ccw", True)
+            if not isinstance(ccw, bool):
+                diags.append(f"{where}.circle.ccw: true or false required")
+                return None
+            return _geom.circle(center, radius, ccw=ccw)
         if "polygon" in node:
             spec = _object(node["polygon"], f"{where}.polygon", diags)
             if spec is None:

@@ -2,13 +2,13 @@
 envelope.
 
 Every f holomorphic on a multiply connected domain splits as f0 + sum of
-per-hole components, each component holomorphic off its hole and vanishing
-at infinity. The tail coefficients come from basis-curve integrals with the
-kernel (z - c)^(n-1), which extracts the coefficient of (z - c)^(-n). When
-all tails vanish, f extends holomorphically to the envelope (the hull), and
-the extension is computed by Cauchy integrals over separating contours;
-disagreement between two admissible contours, or between the Cauchy value
-and the truncated-tail route, is reported as a finding rather than hidden.
+per-hole components, each holomorphic off its hole and vanishing at
+infinity. Tail coefficients come from basis-curve integrals with kernel
+(z - c)^(n-1), the component at w from (f(z) - f(w)) / (z - w), smooth at
+w. When all tails vanish, f extends holomorphically to the envelope (the
+hull), computed by Cauchy integrals over separating contours; disagreement
+between two admissible contours, or with the truncated-tail route, is
+reported as a finding rather than hidden.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from . import expr as _expr
 from . import geometry as _geom
 from . import moments as _mom
 from . import quadrature as _quad
-from .errors import (EnvelopeError, ExtensionPreconditionError, GeometryError,
-                     PointOnPathError, PoleProximityError)
+from .errors import (ExtensionPreconditionError, GeometryError,
+                     PoleProximityError)
 from .geometry import DomainSpec, Path
 
 _TWO_PI_I = 2j * math.pi
@@ -126,24 +126,14 @@ def _component_centers(f, domain: DomainSpec) -> list[complex]:
     return centers
 
 
-def _cauchy_integrals(fn, contour: Path, points: np.ndarray,
-                      tol: float) -> np.ndarray:
-    """(1/2 pi i) ∮ f(z) / (z - w) dz over the contour for every w in
-    points, as one stacked integral."""
-    stack = _quad.integrate(lambda z: fn(z) / (z - points[:, None]),
-                            contour, tol).value
-    return stack / _TWO_PI_I
-
-
 def _exact_components(fn, curve: Path, points: np.ndarray,
                       f_at: np.ndarray, tol: float) -> np.ndarray:
-    """Cauchy-integral value of the hole component at every point, valid
-    on either side of the basis curve; f_at holds f at the points."""
-    wind = _geom._winding_many(curve, points)
-    if np.any(wind == _geom._ON_PATH):
-        raise PointOnPathError("a probe lies on the basis curve")
-    cauchy = _cauchy_integrals(fn, curve, points, tol)
-    return np.where(wind == 0, -cauchy, f_at - cauchy)
+    """Hole component -(1/2 pi i) ∮ (f(z) - f(w)) / (z - w) dz at every
+    point w, on either side of the basis curve; f_at holds f at the points.
+    Precondition: every w lies farther than _probe_margin from the curve."""
+    stack = _quad.integrate(
+        lambda z: (fn(z) - f_at[:, None]) / (z - points[:, None]), curve, tol)
+    return -stack.value / _TWO_PI_I
 
 
 def _domain_box(domain: DomainSpec, pad: float
@@ -208,9 +198,9 @@ def decompose(f, domain: DomainSpec, terms: int | None = None,
     terms defaults to the inside-pole budget when the pole set is known
     (then the truncation is exact for a snapped center) and to the
     heuristic degree cutoff plus one otherwise. The reconstruction residual
-    at each probe point compares every truncated tail against the exact
-    Cauchy-integral component through the same basis curve, an independent
-    route that does not assume the defining identity.
+    at each probe w compares every truncated tail with the exact component,
+    the integral of (f(z) - f(w)) / (z - w) over the same basis curve: an
+    independent route that does not assume the defining identity.
     """
     basis = _geom.homology_basis(domain)
     budget = _mom.inside_pole_budget(f, domain)
@@ -329,7 +319,10 @@ def evaluate_extension_many(f, domain: DomainSpec, points,
         if near.any():
             raise GeometryError(
                 f"{ws[np.argmax(near)]:.6g} is too close to the contour")
-        for i, v in zip(members, _cauchy_integrals(fn, contour, ws, tol)):
+        # (1/2 pi i) ∮ f(z) / (z - w) dz for every w, one stacked integral
+        stack = _quad.integrate(lambda z: fn(z) / (z - ws[:, None]), contour,
+                                tol).value
+        for i, v in zip(members, stack / _TWO_PI_I):
             values[i] = complex(v)
     return values
 

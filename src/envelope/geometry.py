@@ -26,6 +26,10 @@ from .errors import GeometryError, PointOnPathError, WindingResidualError
 
 _TWO_PI = 2.0 * math.pi
 ENDPOINT_TOL = 1e-12
+# Largest magnitude of a coordinate or radius read from a scenario. Squared
+# distances of such points (Chords.distances) stay inside the float range,
+# which points near 1.3e154 overflow.
+MAX_COORDINATE = 1e150
 # Winding totals must land within this fraction of a full turn of an integer.
 WINDING_RESIDUAL_LIMIT = 0.01
 
@@ -798,10 +802,17 @@ def _json_number(node, integer: bool = False) -> float | int | None:
     return value if math.isfinite(value) else None
 
 
+def _json_coordinate(node) -> float | None:
+    """node as a float of magnitude at most MAX_COORDINATE, or None."""
+    value = _json_number(node)
+    return value if value is not None and abs(value) <= MAX_COORDINATE \
+        else None
+
+
 def _json_point(node) -> complex | None:
     """[re, im] as a complex number, or None for anything else."""
     if isinstance(node, (list, tuple)) and len(node) == 2:
-        x, y = _json_number(node[0]), _json_number(node[1])
+        x, y = _json_coordinate(node[0]), _json_coordinate(node[1])
         if x is not None and y is not None:
             return complex(x, y)
     return None
@@ -817,17 +828,19 @@ def segment_from_json(obj: dict) -> Segment:
             return Line(*ends)
     elif kind == "arc":
         center = _json_point(obj.get("center"))
-        r, t0, t1 = (_json_number(obj.get(key)) for key in ("r", "t0", "t1"))
-        if None not in (center, r, t0, t1):
-            ccw = bool(obj["ccw"])
+        r = _json_coordinate(obj.get("r"))
+        t0, t1 = (_json_number(obj.get(key)) for key in ("t0", "t1"))
+        ccw = obj.get("ccw")
+        if None not in (center, r, t0, t1) and isinstance(ccw, bool):
             sweep = ((t1 - t0) % _TWO_PI) if ccw else -((t0 - t1) % _TWO_PI)
             if sweep == 0.0:
                 sweep = _TWO_PI if ccw else -_TWO_PI
             return Arc(center, r, t0, t0 + sweep, ccw)
     else:
         raise GeometryError(f"unknown segment kind {kind!r}")
-    raise GeometryError(f"{kind} segment: points must be [re, im] pairs and "
-                        "every coordinate a finite number")
+    raise GeometryError(f"{kind} segment: points must be [re, im] pairs, "
+                        "coordinates and radii numbers of magnitude at most "
+                        f"{MAX_COORDINATE:g}, and an arc's ccw true or false")
 
 
 def path_to_json(path: Path) -> list[dict]:

@@ -150,6 +150,62 @@ class TestValidate:
         diags = cli.validate(raw)
         assert any(d.startswith(field) for d in diags), diags
 
+    @pytest.mark.parametrize("ccw", ["no", [0], 1, 0, None])
+    def test_circle_ccw_must_be_a_boolean(self, ccw):
+        # bool("no") and bool([0]) used to orient the circle
+        # counter-clockwise
+        domain = {**ANNULUS, "holes": [
+            {"circle": {"center": [0.0, 0.0], "radius": 0.5, "ccw": ccw}}]}
+        diags = cli.validate({"function": "z", "domain": domain,
+                              "checks": ["moments"]})
+        assert diags[0] == "domain.holes[0].circle.ccw: true or false required"
+
+    @pytest.mark.parametrize("ccw", ["no", [0], 1, 0, None])
+    def test_arc_ccw_must_be_a_boolean(self, ccw):
+        arc = {"kind": "arc", "center": [0, 0], "r": 0.5, "t0": 0, "t1": 0}
+        for value in (True, False):
+            assert geom.segment_from_json({**arc, "ccw": value}).ccw is value
+        for bad in ({**arc, "ccw": ccw}, arc):
+            domain = {**ANNULUS, "holes": [{"segments": [bad]}]}
+            diags = cli.validate({"function": "z", "domain": domain,
+                                  "checks": ["moments"]})
+            assert diags[0].startswith("domain.holes[0]: arc segment:")
+            assert diags[0].endswith("ccw true or false")
+
+    @pytest.mark.parametrize("big", [1.34e154, 1e200, -2e150])
+    def test_coordinates_beyond_the_bound_are_refused(self, big):
+        # a polygon vertex at 1.34e154 overflowed the squared distances of
+        # the geometry kernel; the suite turns that warning into an error
+        bound = f"{geom.MAX_COORDINATE:g}"
+        arc = {"kind": "arc", "center": [0, 0], "r": 0.5, "t0": 0, "t1": 0,
+               "ccw": True}
+        cases = [
+            ({"polygon": {"vertices": [[0, 0], [big, 0], [0, 1]]}},
+             "domain.holes[0].polygon.vertices[1]:"),
+            ({"circle": {"center": [0, big], "radius": 0.5}},
+             "domain.holes[0].circle.center:"),
+            ({"circle": {"center": [0, 0], "radius": abs(big)}},
+             "domain.holes[0].circle.radius:"),
+            ({"segments": [{**arc, "r": abs(big)}]}, "domain.holes[0]:"),
+            ({"segments": [{**arc, "center": [big, 0]}]}, "domain.holes[0]:"),
+        ]
+        for hole, field in cases:
+            diags = cli.validate({"function": "z", "checks": ["moments"],
+                                  "domain": {"holes": [hole]}})
+            assert diags[0].startswith(field) and bound in diags[0], diags
+        diags = cli.validate({"function": "z", "checks": ["cauchy"],
+                              "curve": {"path": {"circle": {"radius": 1}}},
+                              "points": [[0.1, big]]})
+        assert diags[0].startswith("points[0]:") and bound in diags[0]
+
+    def test_coordinates_at_the_bound_are_read(self):
+        big = geom.MAX_COORDINATE
+        domain = {"outer": {"circle": {"center": [0, 0], "radius": big}},
+                  "holes": [{"polygon": {"vertices": [
+                      [0.5 * big, 0], [0, 0.5 * big], [-0.5 * big, 0]]}}]}
+        assert cli.validate({"function": "z", "checks": ["moments"],
+                             "domain": domain}) == []
+
     def test_sample_count_is_capped(self):
         raw = {"function": "z", "checks": ["boundary_tower"],
                "curve": {"path": {"circle": {"radius": 1}}}}

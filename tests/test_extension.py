@@ -70,6 +70,19 @@ def reference_hole_probes(domain, j, count, margin, rng):
     return out
 
 
+# ---------------------------------------------------------------------------
+# the plain Cauchy kernel the subtracted one replaced, kept as its reference:
+# -(1/2 pi i) ∮ f(z) / (z - w) dz, plus f(w) where the basis curve winds
+# once around w
+
+def reference_exact_components(fn, curve, points, f_at, tol):
+    wind = geom._winding_many(curve, points)
+    assert not np.any(wind == geom._ON_PATH)
+    cauchy = quad.integrate(lambda z: fn(z) / (z - points[:, None]), curve,
+                            tol).value / (2j * math.pi)
+    return np.where(wind == 0, -cauchy, f_at - cauchy)
+
+
 class TestLaurentCoefficient:
     def test_reciprocal_residue(self, annulus):
         curve = geom.homology_basis(annulus)[0]
@@ -337,6 +350,97 @@ class TestProbeSampler:
         ext.cross_verify(expr.parse("1/(z-9) + z"), two_hole)
         # the only one-point calls left check each Laurent tail's center
         assert set(callers) == {"_check_tail"}
+
+
+# the pole a / (z - p)^2 of the kernel tests, inside both basis curves
+_POLE, _RESIDUE = 0.1 + 0.05j, 0.7 - 0.3j
+_KERNEL_CURVES = {
+    "circle": geom.circle(0j, 1.0),
+    "polygon": geom.polygon([-1 - 1j, 1.2 - 0.9j, 1.1 + 1j, -0.9 + 1.1j]),
+}
+
+
+def _pole_plus_exp(z):
+    return _RESIDUE / (z - _POLE) ** 2 + np.exp(z)
+
+
+class TestSubtractedKernel:
+    # Roundoff bound of the subtracted kernel at a point w at distance dist
+    # from a curve of length L: f(z) - f(w) carries about 2 eps max|f| at
+    # each node, the division by z - w, |z - w| >= dist, amplifies it to at
+    # most 2 eps max|f| / dist, and the Gauss weights sum to L, so the
+    # component, a 1/(2 pi) multiple of the integral, is off by at most
+    # eps max|f| L / (pi dist). Both curves below have L < 4 pi, hence
+    # c = 4; the quadrature error at tol 1e-12 is far below this bound for
+    # the smooth integrand (measured: under 0.07 of it at dist = 0.1).
+    ROUNDOFF_C = 4.0
+
+    @pytest.mark.parametrize("name, text", [
+        ("annulus", "1/(z-0.1)^2 + exp(z)"),
+        ("two_hole", "1/(z-0.1)^2 + (2-1i)/(z-3) + exp(z)"),
+        ("slab", "1/(z-0.3)^2 + 0.5/(z-(0+0.57i)) + exp(z)"),
+    ])
+    def test_matches_the_reference_kernel_at_the_probes(self, name, text,
+                                                        request):
+        # poles in the holes only
+        domain = request.getfixturevalue(name)
+        fn = mom.as_function(expr.parse(text))
+        points = np.array(ext._domain_probes(
+            domain, 100, np.random.default_rng(ext._PROBE_SEED)))
+        f_at = quad._eval_batch(fn, points)
+        sides = set()
+        for curve in geom.homology_basis(domain):
+            sides.update(geom._winding_many(curve, points).tolist())
+            got = ext._exact_components(fn, curve, points, f_at, 1e-12)
+            want = reference_exact_components(fn, curve, points, f_at, 1e-12)
+            max_f = max(np.abs(f_at).max(),
+                        quad.max_magnitude_on(fn, curve)[0])
+            assert np.abs(got - want).max() <= 1e-14 * (1.0 + max_f)
+        assert sides == {0, 1}  # probes on both sides of a basis curve
+
+    @given(name=st.sampled_from(sorted(_KERNEL_CURVES)),
+           near=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-8.0, -1.0),
+                                   st.booleans()), min_size=1, max_size=8))
+    def test_within_the_roundoff_bound_on_both_sides(self, name, near):
+        # the component of a / (z - p)^2 + exp(z) with p inside the curve is
+        # a / (w - p)^2 on either side of it
+        curve = _KERNEL_CURVES[name]
+        z, v = curve.arrays.nodes(*curve.locate([f for f, _, _ in near]))
+        offsets = np.array([10.0 ** e * (1 if out else -1)
+                            for _, e, out in near])
+        points = z + offsets * (-1j * v / np.abs(v))
+        f_at = _pole_plus_exp(points)
+        got = ext._exact_components(_pole_plus_exp, curve, points, f_at,
+                                    1e-12)
+        want = _RESIDUE / (points - _POLE) ** 2
+        max_f = max(quad.max_magnitude_on(_pole_plus_exp, curve)[0],
+                    np.abs(f_at).max())
+        assert curve.length < 4 * math.pi
+        bound = self.ROUNDOFF_C * np.finfo(float).eps * max_f \
+            / curve.distance(points)
+        assert np.all(np.abs(got - want) <= bound)
+
+    def test_probe_stack_panels_do_not_depend_on_distance(self, monkeypatch):
+        # 100 kernels exp(z) / (z - w), w at distance d inside the unit
+        # circle: the plain kernel takes 1,495 panels at d = 1e-2 and runs
+        # out of its 65,536-panel budget at d = 1e-7
+        integrate = quad.integrate
+        panels = []
+
+        def spy(*args, **kwargs):
+            result = integrate(*args, **kwargs)
+            panels.append(result.evaluations // quad.GAUSS_ORDER)
+            return result
+
+        monkeypatch.setattr(quad, "integrate", spy)
+        circle = _KERNEL_CURVES["circle"]
+        angles = np.linspace(0.0, 2 * math.pi, 100, endpoint=False) + 0.1
+        for d in (1e-2, 1e-7):
+            points = (1.0 - d) * np.exp(1j * angles)
+            got = ext._exact_components(np.exp, circle, points,
+                                        np.exp(points), 1e-12)
+            assert np.abs(got).max() <= 1e-13  # exp has no hole component
+        assert panels[0] == panels[1] <= 16
 
 
 _ROUNDED = st.floats(-1.0, 1.0).map(lambda x: round(x, 3))
