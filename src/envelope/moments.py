@@ -92,10 +92,26 @@ def _check_moment_degree(path: Path, k: int) -> None:
 def _moments(fn, path: Path, degrees: np.ndarray, tol: float,
              center: complex = 0j) -> np.ndarray:
     """∮ (z - center)^k f(z) dz for every k in degrees, as one stacked
-    integral: each to the tolerance tol, on one panel tree."""
+    integral: each to the tolerance tol, on one panel tree.
+
+    A power beyond the float range is refused with a GeometryError: the
+    engine would otherwise refine inf and NaN values until its panel budget
+    runs out."""
     column = degrees[:, None]
-    return _quad.integrate(lambda z: (z - center) ** column * fn(z), path,
-                           tol).value
+
+    def integrand(z):
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = (z - center) ** column
+        if not np.isfinite(powers).all():
+            degree = int(degrees[~np.isfinite(powers).all(axis=1)][0])
+            reach = float(np.max(np.abs(z - center)))
+            raise GeometryError(
+                f"moment degree {degree} overflows: (z - center)^{degree} "
+                f"leaves the float range where the path reaches "
+                f"max|z - center| = {reach:.6g}")
+        return powers * fn(z)
+
+    return _quad.integrate(integrand, path, tol).value
 
 
 def moment(f, path: Path, k: int, tol: float = _quad.DEFAULT_TOL) -> complex:

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from envelope import boundary as bd
@@ -384,6 +384,38 @@ class TestNontangential:
             bd.nontangential_check(c, node_index=64)
 
 
+def chord_arc_offsets_reference(curve):
+    """The offset loop: node i meets node i + k mod M for k = 1 .. M/2, one
+    offset at a time, with the exact formula of the pruned search."""
+    pts = curve.points[:-1]
+    gaps = np.abs(curve.chords())
+    s = np.concatenate(([0.0], np.cumsum(gaps[:-1])))
+    total = float(np.sum(gaps))
+    floor = 1e-12 * (float(np.max(np.abs(pts))) or 1.0)
+    m = len(pts)
+    pts_twice, s_twice = np.concatenate((pts, pts)), np.concatenate((s, s))
+    worst = 0.0
+    for k in range(1, m // 2 + 1):
+        chord = np.abs(pts_twice[k:k + m] - pts)
+        if np.min(chord) < floor:
+            raise CurveDataError("coincident nodes make the chord-arc ratio "
+                                 "unbounded")
+        ds = np.abs(s_twice[k:k + m] - s)
+        worst = max(worst, float(np.max(np.minimum(ds, total - ds) / chord)))
+    return worst
+
+
+def pinched_curve(nodes, gap=1e-3, center=0j, turn=0.0):
+    """A closed curve of diameter about 2 whose upper and lower halves come
+    within gap times the diameter of each other at x = 0."""
+    t = np.linspace(0.0, 1.0, nodes + 1)
+    theta = 2 * math.pi * t
+    y = np.sin(theta) * (gap + (1.0 - gap) * np.abs(np.cos(theta)))
+    pts = center + np.exp(1j * turn) * (np.cos(theta) + 1j * y)
+    pts[-1] = pts[0]
+    return bd.SampledCurve(t, pts, np.ones_like(pts))
+
+
 def chord_arc_reference(curve):
     """Every node pair at once, in dense M x M arrays."""
     pts = curve.points[:-1]
@@ -446,6 +478,91 @@ class TestChordArc:
         broken = bd.SampledCurve(c.params, pts, c.values)
         with pytest.raises(CurveDataError, match="coincident"):
             bd.chord_arc_constant(broken)
+
+    @given(shape=st.sampled_from(["circle", "rippled", "pinched", "pulled"]),
+           nodes=st.sampled_from([512, 777, 1024, 2048, 3001, 4096]),
+           ripple=st.tuples(st.floats(0.0, 0.1), st.integers(2, 9)),
+           warp=st.floats(0.0, 0.9),
+           gap=st.floats(1e-3, 1e-1),
+           turn=st.floats(0.0, 2 * math.pi),
+           center=st.complex_numbers(max_magnitude=3.0),
+           seed=st.integers(0, 2 ** 16))
+    @example(shape="pinched", nodes=4096, ripple=(0.0, 2), warp=0.0,
+             gap=1e-3, turn=0.0, center=0j, seed=0)
+    def test_pruned_search_matches_offset_loop(self, shape, nodes, ripple,
+                                               warp, gap, turn, center, seed):
+        # sizes where pruning acts: uniform circles tie along the whole
+        # diameter band, rippled and warped circles do not, pinched curves
+        # put the maximum at two nodes a small gap apart, and pulled
+        # circles hide several such pairs inside tiles whose centre chords
+        # are long, where only a sound chord bound keeps them
+        if shape == "pinched":
+            c = pinched_curve(nodes, gap, center, turn)
+        else:
+            t = np.linspace(0.0, 1.0, nodes + 1)
+            theta = turn + 2 * math.pi * t
+            radius = 1.0
+            if shape == "rippled":
+                theta = turn + 2 * math.pi * np.array(
+                    [bd.odd_warp(warp)(v) for v in t])
+                amplitude, order = ripple
+                radius = 1.0 + amplitude * np.cos(order * theta)
+            pts = center + radius * np.exp(1j * theta)
+            if shape == "pulled":
+                rng = np.random.default_rng(seed)
+                for _ in range(3):
+                    p = int(rng.integers(nodes))
+                    q = (p + nodes // 2 + int(rng.integers(-nodes // 8,
+                                                           nodes // 8))) \
+                        % nodes
+                    mid = 0.5 * (pts[p] + pts[q])
+                    unit = (pts[q] - pts[p]) / abs(pts[q] - pts[p])
+                    width = gap * 10 ** rng.uniform(-1, 0)
+                    pts[p], pts[q] = mid - width * unit, mid + width * unit
+            pts[-1] = pts[0]
+            c = bd.SampledCurve(t, pts, np.ones_like(pts))
+        assert bd.chord_arc_constant(c) == chord_arc_offsets_reference(c)
+
+    @pytest.mark.parametrize("target, source", [
+        (5, 5 + 1023),  # offset 1023 on 2048 nodes: near M/2
+        (6, 5),         # adjacent duplicate, offset 1
+    ])
+    def test_far_and_adjacent_coincident_nodes_rejected(self, target,
+                                                        source):
+        c = circle_curve(lambda z: z, 2048)
+        pts = c.points.copy()
+        pts[target] = pts[source]
+        broken = bd.SampledCurve(c.params, pts, c.values)
+        with pytest.raises(CurveDataError, match="coincident"):
+            bd.chord_arc_constant(broken)
+        with pytest.raises(CurveDataError, match="coincident"):
+            chord_arc_offsets_reference(broken)
+
+    def test_pairs_evaluated_on_a_uniform_circle(self, monkeypatch):
+        # the uniform circle is the tied case: its ratio is pi/2 to within
+        # 1e-7 along a band of offsets around M/2, so few tiles drop early
+        pairs = []
+        exact = bd._pair_ratios
+
+        def counting(pts, s, total, floor, i, j):
+            pairs.append(len(i))
+            return exact(pts, s, total, floor, i, j)
+
+        monkeypatch.setattr(bd, "_pair_ratios", counting)
+        m = 4096
+        c = circle_curve(lambda z: z, m)
+        assert bd.chord_arc_constant(c) == chord_arc_offsets_reference(c)
+        assert sum(pairs) <= 0.05 * m * m / 2
+
+    def test_memory_stays_linear_at_8192_samples(self):
+        c = circle_curve(lambda z: z, 8192)
+        tracemalloc.start()
+        try:
+            bd.chord_arc_constant(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 class TestDifferenceQuotient:

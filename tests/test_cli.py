@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -581,6 +582,35 @@ class TestMain:
         for row in payload["results"]:
             assert row["status"] == "error"
             assert row["values"]["error_type"] == "PoleInDomainError"
+
+    @pytest.mark.parametrize("outer, inner, status", [
+        (1e12, 5e11, "error"), (1e9, 5e8, "ok")])
+    def test_overflowing_moment_powers_give_error_rows(self, tmp_path, capsys,
+                                                       outer, inner, status):
+        # at radius 7.5e11 the degree-26 power of z leaves the float range;
+        # the run stops at once, with no warning, instead of refining inf
+        # values until the panel budget runs out
+        scenario = write_scenario(tmp_path, {
+            "function": "1/z^2",
+            "domain": {
+                "outer": {"circle": {"center": [0, 0], "radius": outer}},
+                "holes": [{"circle": {"center": [0, 0], "radius": inner}}]},
+            "checks": ["moments", "primitive_order", "extension",
+                       "cross_verify"],
+            "max_degree": 32})
+        start = time.perf_counter()
+        code = cli.main(["run", "--scenario", str(scenario)])
+        elapsed = time.perf_counter() - start
+        payload = json.loads(capsys.readouterr().out)
+        assert [row["status"] for row in payload["results"]] == [status] * 4
+        if status == "error":
+            assert code == 1
+            assert elapsed < 1.0
+            for row in payload["results"]:
+                assert row["values"]["error_type"] == "GeometryError"
+                assert "degree 26 overflows" in row["values"]["error"]
+        else:
+            assert code == 0
 
     def test_max_degree_above_cap_is_diagnosed(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, {
