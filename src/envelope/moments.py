@@ -94,22 +94,24 @@ def _moments(fn, path: Path, degrees: np.ndarray, tol: float,
     """∮ (z - center)^k f(z) dz for every k in degrees, as one stacked
     integral: each to the tolerance tol, on one panel tree.
 
-    A power beyond the float range is refused with a GeometryError: the
-    engine would otherwise refine inf and NaN values until its panel budget
-    runs out."""
+    An integrand value beyond the float range, where f itself is finite, is
+    refused with a GeometryError: the engine would otherwise refine inf and
+    NaN values until its panel budget runs out."""
     column = degrees[:, None]
 
     def integrand(z):
+        values = fn(z)
         with np.errstate(over="ignore", invalid="ignore"):
-            powers = (z - center) ** column
-        if not np.isfinite(powers).all():
-            degree = int(degrees[~np.isfinite(powers).all(axis=1)][0])
+            stack = (z - center) ** column * values
+        finite = np.isfinite(stack).all(axis=-1)
+        if not finite.all() and np.isfinite(values).all():
+            degree = int(degrees[~finite][0])
             reach = float(np.max(np.abs(z - center)))
             raise GeometryError(
                 f"moment degree {degree} overflows: (z - center)^{degree} "
-                f"leaves the float range where the path reaches "
+                f"f(z) leaves the float range where the path reaches "
                 f"max|z - center| = {reach:.6g}")
-        return powers * fn(z)
+        return stack
 
     return _quad.integrate(integrand, path, tol).value
 

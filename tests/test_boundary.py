@@ -539,8 +539,8 @@ class TestChordArc:
             chord_arc_offsets_reference(broken)
 
     def test_pairs_evaluated_on_a_uniform_circle(self, monkeypatch):
-        # the uniform circle is the tied case: its ratio is pi/2 to within
-        # 1e-7 along a band of offsets around M/2, so few tiles drop early
+        # the uniform circle is the tied case: its ratio nearly ties with
+        # pi/2 along a band of offsets around M/2, so few tiles drop early
         pairs = []
         exact = bd._pair_ratios
 

@@ -40,13 +40,16 @@ class TestMoment:
         with pytest.raises(GeometryError):
             mom.moment(lambda z: z, p, 0)
 
-    def test_overflowing_power_is_refused(self):
+    def test_overflowing_integrand_is_refused(self):
         c = geom.circle(0j, 1e12)
         with pytest.raises(GeometryError,
                            match=r"degree 26 overflows.*1e\+12"):
             mom.moment_vector(lambda z: 1 / z ** 2, c, 32)
         vec = mom.moment_vector(lambda z: 1 / z ** 2, geom.circle(0j, 1e9), 32)
         assert np.all(np.isfinite(vec.values))
+        # the powers are finite there, but z^14 times f = z^20 is not
+        with pytest.raises(GeometryError, match="degree 15 overflows"):
+            mom.moment_vector(lambda z: z ** 20, geom.circle(0j, 1e9), 32)
 
     def test_degree_bounds(self):
         c = geom.circle(0j, 1.0)
