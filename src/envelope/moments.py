@@ -94,24 +94,31 @@ def _moments(fn, path: Path, degrees: np.ndarray, tol: float,
     """∮ (z - center)^k f(z) dz for every k in degrees, as one stacked
     integral: each to the tolerance tol, on one panel tree.
 
-    An integrand value beyond the float range, where f itself is finite, is
-    refused with a GeometryError: the engine would otherwise refine inf and
-    NaN values until its panel budget runs out."""
+    An integrand value that overflows the float range, where f itself is
+    finite, is refused with a GeometryError naming the first degree that
+    overflows: the engine would otherwise refine inf and NaN values until
+    its panel budget runs out. The overflow is caught by numpy's floating
+    point flags, so values that stay in range pay no extra pass."""
     column = degrees[:, None]
 
     def integrand(z):
         values = fn(z)
+        try:
+            with np.errstate(over="raise"):
+                return (z - center) ** column * values
+        except FloatingPointError:
+            pass
         with np.errstate(over="ignore", invalid="ignore"):
             stack = (z - center) ** column * values
         finite = np.isfinite(stack).all(axis=-1)
-        if not finite.all() and np.isfinite(values).all():
-            degree = int(degrees[~finite][0])
-            reach = float(np.max(np.abs(z - center)))
-            raise GeometryError(
-                f"moment degree {degree} overflows: (z - center)^{degree} "
-                f"f(z) leaves the float range where the path reaches "
-                f"max|z - center| = {reach:.6g}")
-        return stack
+        if finite.all():
+            return stack
+        degree = int(degrees[~finite][0])
+        reach = float(np.max(np.abs(z - center)))
+        raise GeometryError(
+            f"moment degree {degree} overflows: (z - center)^{degree} f(z) "
+            f"leaves the float range where the path reaches "
+            f"max|z - center| = {reach:.6g}")
 
     return _quad.integrate(integrand, path, tol).value
 
