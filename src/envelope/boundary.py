@@ -515,7 +515,7 @@ def chord_arc_constant(curve: SampledCurve) -> float:
     s2 = np.concatenate((s, s + total))
     slack = _CHORD_ARC_MARGIN * total
     batch = max(m // 4, 1024)
-    # the top tiles: one batch of squares with an edge of 4 * 2^p
+    # the top tiles: at most one batch of squares with an edge of 4 * 2^p
     edge = _LEAF_EDGE
     while (m // edge + 1) * (m // (2 * edge) + 1) > batch:
         edge *= 2
