@@ -312,39 +312,36 @@ def _discrete_winding(points: np.ndarray, w: complex) -> int:
     chords = _geom.Chords(points[:-1], points[1:])
     total = float(chords.turns(np.array([w], dtype=complex))[0])
     nearest = round(total)
-    if abs(total - nearest) > 0.01:
+    if abs(total - nearest) > _geom.WINDING_RESIDUAL_LIMIT:
         raise GeometryError("winding sum did not settle near an integer")
     return int(nearest)
 
 
-def cauchy_transform(curve: SampledCurve, w: complex, route: str = "auto",
+def cauchy_transform(curve: SampledCurve, w: complex,
                      tol: float = _quad.DEFAULT_TOL) -> complex:
-    """(1/2 pi i) circuit of g(z)/(z - w) dz for w inside the curve.
+    """(1/2 pi i) circuit of g(z)/(z - w) dz for w inside the curve: by
+    adaptive quadrature along the path when the curve is path-backed, by
+    the trapezoid sum over the polyline otherwise.
 
     The discrete route refuses points closer to the polyline nodes than
     five local spacings, where the trapezoid kernel loses accuracy; the
     analytic route only needs w off the path.
     """
-    if route not in ("auto", "discrete", "analytic"):
-        raise ValueError("route must be auto, discrete or analytic")
-    if route == "auto":
-        route = "analytic" if curve.analytic else "discrete"
     if _discrete_winding(curve.points, w) != 1:
         raise GeometryError(f"{w:.6g} is not enclosed once by the curve")
-    if route == "discrete":
-        dist = float(np.min(np.abs(curve.points - w)))
-        if dist < 5.0 * curve.local_spacing(w):
-            raise CurveDataError(
-                "point sits within five node spacings of the curve; the "
-                "discrete transform is unreliable there")
-        kernel = curve.values / (curve.points - w)
-        total = _trapezoid_closed(kernel, curve.chords())
-        return total / (2j * math.pi)
-    if not curve.analytic:
-        raise CurveDataError("analytic route needs path and data_fn")
-    fn = _mom.as_function(curve.data_fn)
-    value = _quad.integrate(lambda z: fn(z) / (z - w), curve.path, tol).value
-    return value / (2j * math.pi)
+    if curve.analytic:
+        fn = _mom.as_function(curve.data_fn)
+        value = _quad.integrate(lambda z: fn(z) / (z - w), curve.path,
+                                tol).value
+        return value / (2j * math.pi)
+    dist = float(np.min(np.abs(curve.points - w)))
+    if dist < 5.0 * curve.local_spacing(w):
+        raise CurveDataError(
+            "point sits within five node spacings of the curve; the "
+            "discrete transform is unreliable there")
+    kernel = curve.values / (curve.points - w)
+    total = _trapezoid_closed(kernel, curve.chords())
+    return total / (2j * math.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -435,7 +435,7 @@ def _run_boundary_tower(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
 def _run_cauchy(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
     vals = []
     for w in cfg.points:
-        vals.append(_bd.cauchy_transform(cfg.curve, w, "auto", cfg.quad_tol))
+        vals.append(_bd.cauchy_transform(cfg.curve, w, cfg.quad_tol))
     values = {"points": list(cfg.points), "values": vals}
     return values, {"quadrature": cfg.quad_tol}, "ok"
 

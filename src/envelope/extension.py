@@ -116,13 +116,10 @@ def _component_centers(f, domain: DomainSpec) -> list[complex]:
     """Per hole: its witness, or the pole itself when exactly one pole
     cluster sits inside the hole (making truncation at its order exact)."""
     centers = [_geom.hole_witness(domain, j) for j in range(len(domain.holes))]
-    poles = _expr.pole_set(f) if isinstance(f, _expr.Expr) else None
-    if poles:
-        holes = _mom._pole_hole_indices(domain, [p.location for p in poles])
-        for j in range(len(centers)):
-            inside = [p for p, k in zip(poles, holes) if k == j]
-            if len(inside) == 1:
-                centers[j] = inside[0].location
+    if isinstance(f, _expr.Expr):
+        for j, poles in enumerate(_mom._hole_poles(f, domain) or ()):
+            if len(poles) == 1:
+                centers[j] = poles[0].location
     return centers
 
 
@@ -142,6 +139,8 @@ def _domain_box(domain: DomainSpec, pad: float
     every side when the domain is unbounded."""
     if domain.outer is not None:
         return domain.outer.bbox()
+    if not domain.holes:
+        raise GeometryError("the whole plane has no box to place probes in")
     boxes = [h.bbox() for h in domain.holes]
     return (min(b[0] for b in boxes) - pad, max(b[1] for b in boxes) + pad,
             min(b[2] for b in boxes) - pad, max(b[3] for b in boxes) + pad)
@@ -178,8 +177,8 @@ def _domain_probes(domain: DomainSpec, count: int,
     margin = _probe_margin(domain)
 
     def accept(points):
-        ok = domain.contains_many(points) \
-            & (domain.boundary_distance(points) > margin)
+        where = _geom.classify(domain, points)
+        ok = where.inside & (where.distance > margin)
         for curve in _geom.homology_basis(domain):
             ok &= curve.distance(points) > margin
         return ok
@@ -203,12 +202,10 @@ def decompose(f, domain: DomainSpec, terms: int | None = None,
     independent route that does not assume the defining identity.
     """
     basis = _geom.homology_basis(domain)
-    budget = _mom.inside_pole_budget(f, domain)
     if terms is None:
-        if budget is not None:
-            terms = max(1, max(budget, default=1))
-        else:
-            terms = _mom.DEFAULT_DEGREE_CUTOFF + 1
+        budget = _mom.inside_pole_budget(f, domain)
+        terms = _mom.DEFAULT_DEGREE_CUTOFF + 1 if budget is None \
+            else max(1, max(budget, default=1))
     fn = _mom.as_function(f)
     components = []
     for j, (curve, center) in enumerate(zip(basis,
@@ -242,30 +239,6 @@ def decompose(f, domain: DomainSpec, terms: int | None = None,
 # ---------------------------------------------------------------------------
 # envelope evaluation
 
-def _locate(domain: DomainSpec, points: np.ndarray) -> list[int | None]:
-    """Index of the hole containing each point, None for a point in the
-    domain proper; GeometryError, for the first offending point, when a
-    point lies on a hole boundary or outside the hull."""
-    winds = [_geom._winding_many(hole, points) for hole in domain.holes]
-    inside = domain.contains_many(points)
-    out: list[int | None] = []
-    for i, w in enumerate(points):
-        for j, wind in enumerate(winds):
-            if wind[i] == _geom._ON_PATH:
-                raise GeometryError(
-                    f"{w:.6g} lies on a hole boundary; no exclusion-radius "
-                    "evaluation there")
-            if wind[i] == 1:
-                out.append(j)
-                break
-        else:
-            if not inside[i]:
-                raise GeometryError(
-                    f"{w:.6g} lies outside the simply connected envelope")
-            out.append(None)
-    return out
-
-
 def evaluate_extension(f, domain: DomainSpec, w: complex,
                        tol: float = _quad.DEFAULT_TOL,
                        verdict: _mom.PrimitiveOrderVerdict | None = None,
@@ -297,19 +270,28 @@ def evaluate_extension_many(f, domain: DomainSpec, points,
             f"a degree-{verdict.max_order} moment is nonzero; f does not "
             "extend to the envelope")
     pts = np.array(points, dtype=complex).reshape(-1)
+    where = _geom.classify(domain, pts)
+    for i in np.flatnonzero(where.on_boundary
+                            | ((where.hole < 0) & ~where.inside)):
+        raise GeometryError(
+            f"{pts[i]:.6g} lies on a hole boundary; no exclusion-radius "
+            "evaluation there" if where.hole[i] >= 0 else
+            f"{pts[i]:.6g} lies outside the simply connected envelope")
     shared: dict[tuple[str, int], list[int]] = {}
-    for i, j in enumerate(_locate(domain, pts)):
-        key = ("point", i) if j is None else ("hole", j)
+    for i, j in enumerate(where.hole.tolist()):
+        key = ("point", i) if j < 0 else ("hole", j)
         shared.setdefault(key, []).append(i)
     # a point of the domain proper gets its own circle, a fraction of its
     # distance to the boundary
-    radii = (0.4 if which_contour == 0 else 0.7) \
-        * domain.boundary_distance(pts)
+    radii = (0.4 if which_contour == 0 else 0.7) * where.distance
     fn = _mom.as_function(f)
     values: list[complex] = [0j] * len(pts)
     for (kind, k), members in shared.items():
         if kind == "hole":
             contour = _geom.basis_curve_variants(domain, k)[which_contour]
+        elif math.isinf(radii[k]):
+            raise GeometryError("the whole plane has no boundary to size a "
+                                f"contour around {pts[k]:.6g} by")
         elif radii[k] > 0.0:
             contour = _geom.circle(complex(pts[k]), float(radii[k]))
         else:
@@ -431,13 +413,17 @@ def cross_verify(f, domain: DomainSpec, degree_cutoff: int | None = None,
         rng = np.random.default_rng(_PROBE_SEED + 1)
         margin = _probe_margin(domain)
         points: list[complex] = []
+
+        def in_hole(candidates, j):
+            # the boundary nearest to a point in a hole is the hole's own
+            where = _geom.classify(domain, candidates)
+            return (where.hole == j) & (where.distance > margin)
+
         for j, hole in enumerate(domain.holes):
             # the witness, then up to PROBES_PER_HOLE - 1 drawn points
             points.append(_geom.hole_witness(domain, j))
-            points.extend(_sample(
-                hole.bbox(), PROBES_PER_HOLE - 1, 5000,
-                lambda c, hole=hole: (_geom._winding_many(hole, c) == 1)
-                & (hole.distance(c) > margin), rng))
+            points.extend(_sample(hole.bbox(), PROBES_PER_HOLE - 1, 5000,
+                                  lambda c, j=j: in_hole(c, j), rng))
         if domain.outer is not None or domain.holes:
             points.extend(_domain_probes(domain, DOMAIN_PROBES, rng))
         values = evaluate_extension_many(fn, domain, points, tol, verdict, 0)

@@ -8,8 +8,9 @@ of at most pi/2), evaluated for arrays of points at once. The argument
 increment of an arc piece is its chord angle, plus a full turn in the
 piece's direction when the point is inside its circle and the chord angle
 turns the other way, so winding numbers are exact for every point off the
-path. The simply connected hull of a rasterized domain is the complement
-of the grid component of infinity.
+path. classify places points against a domain with one kernel pass per
+boundary component. The simply connected hull of a rasterized domain is
+the complement of the grid component of infinity.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -469,24 +471,25 @@ def winding_number(path: Path, point: complex) -> int:
     """
     if not path.closed:
         raise GeometryError("winding number needs a closed path")
-    w = int(_winding_many(path, np.array([point], dtype=complex))[0])
-    if w != _ON_PATH:
-        return w
-    if path.distance(point) <= _ON_PATH_BAND * path.length:
+    wind, dist = _winding_many(path, np.array([point], dtype=complex))
+    if wind[0] != _ON_PATH:
+        return int(wind[0])
+    if dist[0] <= _ON_PATH_BAND * path.length:
         raise PointOnPathError(f"point {point:.6g} lies on the path")
     raise WindingResidualError("winding total is not near an integer")
 
 
-def _winding_many(path: Path, points: np.ndarray) -> np.ndarray:
-    """Winding numbers of a closed path around an array of points. Points
-    within 1e-9 * length of the path, or whose total misses an integer,
-    get the _ON_PATH sentinel."""
+def _winding_many(path: Path, points) -> tuple[np.ndarray, np.ndarray]:
+    """Winding numbers of a closed path around an array of points, and the
+    distance of each point to the path. Points within 1e-9 * length of the
+    path, or whose total misses an integer, get the _ON_PATH sentinel."""
     pts = np.asarray(points, dtype=complex).reshape(-1)
     turns = path.arrays.chords.turns(pts)
+    dist = path.distance(pts)
     out = np.rint(np.where(np.isfinite(turns), turns, 0.0)).astype(int)
     out[~(np.abs(turns - out) < WINDING_RESIDUAL_LIMIT)
-        | (path.distance(pts) <= _ON_PATH_BAND * path.length)] = _ON_PATH
-    return out.reshape(np.shape(points))
+        | (dist <= _ON_PATH_BAND * path.length)] = _ON_PATH
+    return out.reshape(np.shape(points)), dist.reshape(np.shape(points))
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +521,10 @@ class DomainSpec:
         # a witness on another boundary counts as outside or overlapping
         wits = np.array([interior_point(h) for h in self.holes], dtype=complex)
         if self.outer is not None:
-            for j in np.flatnonzero(_winding_many(self.outer, wits) != 1):
+            for j in np.flatnonzero(_winding_many(self.outer, wits)[0] != 1):
                 raise GeometryError(f"hole {j} is not inside the outer boundary")
         for i, hole in enumerate(self.holes):
-            for j in np.flatnonzero(_winding_many(hole, wits) != 0):
+            for j in np.flatnonzero(_winding_many(hole, wits)[0] != 0):
                 if i != j:
                     raise GeometryError(f"holes {i} and {j} overlap")
         _check_clearance(self.outer, self.holes)
@@ -534,22 +537,50 @@ class DomainSpec:
         return ((self.outer,) if self.outer else ()) + self.holes
 
     def contains(self, point: complex) -> bool:
-        return bool(self.contains_many(np.array([point], dtype=complex))[0])
+        return bool(classify(self, point).inside)
 
     def contains_many(self, points: np.ndarray) -> np.ndarray:
         """Which points lie in the domain; points on a boundary do not."""
-        inside = np.ones(np.shape(points), dtype=bool)
-        if self.outer is not None:
-            inside &= _winding_many(self.outer, points) == 1
-        for hole in self.holes:
-            inside &= _winding_many(hole, points) == 0
-        return inside
+        return classify(self, points).inside
 
     def boundary_distance(self, point):
         """Distance from a point, or from each point of an array, to the
         nearest boundary component."""
         dists = [p.distance(point) for p in self.boundary_paths()]
         return np.minimum.reduce(dists) if np.ndim(point) else min(dists)
+
+
+class Classification(NamedTuple):
+    hole: np.ndarray         # hole a point lies in or on, -1 for none
+    inside: np.ndarray       # in the domain proper, off its boundary
+    on_boundary: np.ndarray  # on the boundary of its hole
+    distance: np.ndarray     # to the nearest boundary component
+
+
+def classify(domain: DomainSpec, points) -> Classification:
+    """Where each point lies against a domain (arrays of the points' shape),
+    from one winding-and-distance pass per boundary component. A winding
+    total that misses an integer counts as on the boundary; a point that
+    rounding puts on two holes goes to the first. Distances on the whole
+    plane are inf."""
+    pts = np.asarray(points, dtype=complex)
+    flat = pts.reshape(-1)
+    hole = np.full(flat.shape, -1)
+    inside = np.ones(flat.shape, dtype=bool)
+    on_boundary = np.zeros(flat.shape, dtype=bool)
+    distance = np.full(flat.shape, math.inf)
+    if domain.outer is not None:
+        wind, distance = _winding_many(domain.outer, flat)
+        inside = wind == 1
+    for j in reversed(range(len(domain.holes))):
+        wind, dist = _winding_many(domain.holes[j], flat)
+        inside &= wind == 0
+        mine = (wind == 1) | (wind == _ON_PATH)
+        hole[mine] = j
+        on_boundary[mine] = wind[mine] == _ON_PATH
+        distance = np.minimum(distance, dist)
+    return Classification(*(array.reshape(pts.shape) for array in
+                            (hole, inside, on_boundary, distance)))
 
 
 def _check_clearance(outer: Path | None, holes: tuple[Path, ...]) -> None:
@@ -579,9 +610,9 @@ def interior_point(path: Path) -> complex:
         ys = np.linspace(y0, y1, n + 2)[1:-1]
         candidates.append((xs[None, :] + 1j * ys[:, None]).ravel())
     for points in candidates:  # the grids row by row, lowest y first
-        wind = _winding_many(path, points)
+        wind, dist = _winding_many(path, points)
         hits = np.flatnonzero((wind != 0) & (wind != _ON_PATH)
-                              & (path.distance(points) > 1e-6 * path.length))
+                              & (dist > 1e-6 * path.length))
         if hits.size:
             return complex(points[hits[0]])
     raise GeometryError("could not locate a point inside the path")
@@ -638,7 +669,7 @@ def _verify_basis_curve(domain: DomainSpec, j: int, curve: Path) -> bool:
     """Does the curve wind once around hole j, zero times around the other
     holes, and lie in the domain?"""
     wits = [hole_witness(domain, i) for i in range(len(domain.holes))]
-    return np.array_equal(_winding_many(curve, wits),
+    return np.array_equal(_winding_many(curve, wits)[0],
                           np.arange(len(wits)) == j) \
         and bool(domain.contains_many(curve.sample(64)).all())
 

@@ -10,6 +10,7 @@ from the path and the derivative ladder can be verified numerically.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -167,37 +168,32 @@ class PrimitiveOrderVerdict:
         return self.max_order is None
 
 
-def _pole_hole_indices(domain: DomainSpec, locations) -> np.ndarray:
-    """Index of the first hole that each location lies in or on, -1 for a
-    location in no hole."""
-    points = np.array(locations, dtype=complex)
-    out = np.full(len(points), -1)
-    for j in reversed(range(len(domain.holes))):
-        wind = _geom._winding_many(domain.holes[j], points)
-        out[(wind == 1) | (wind == _geom._ON_PATH)] = j
-    return out
+@functools.lru_cache(maxsize=128)
+def _hole_poles(f: _expr.Expr, domain: DomainSpec
+                ) -> tuple[tuple[_expr.PoleRecord, ...], ...] | None:
+    """The poles of f in each hole, a pole on a hole boundary counting for
+    that hole, or None when the pole set is unknown; cached, so a scenario
+    finds its poles once. Raises as inside_pole_budget does."""
+    poles = _expr.pole_set(f)
+    if poles is None:
+        return None
+    where = _geom.classify(domain, [rec.location for rec in poles])
+    for rec, inside in zip(poles, where.inside):
+        if inside:
+            raise PoleInDomainError(
+                f"f has a pole at {rec.location:.6g} inside the domain; it "
+                "is not holomorphic there")
+    return tuple(tuple(rec for rec, k in zip(poles, where.hole) if k == j)
+                 for j in range(len(domain.holes)))
 
 
 def inside_pole_budget(f, domain: DomainSpec) -> list[int] | None:
     """Total pole order inside each hole, or None when the pole set is
     unknown. Raises PoleInDomainError (a ValueError) if a pole lies in the
     domain itself, where f was promised holomorphic."""
-    if not isinstance(f, _expr.Expr):
-        return None
-    poles = _expr.pole_set(f)
-    if poles is None:
-        return None
-    locations = np.array([rec.location for rec in poles], dtype=complex)
-    budget = [0] * len(domain.holes)
-    for rec, j, inside in zip(poles, _pole_hole_indices(domain, locations),
-                              domain.contains_many(locations)):
-        if j >= 0:
-            budget[j] += rec.order
-        elif inside:
-            raise PoleInDomainError(
-                f"f has a pole at {rec.location:.6g} inside the domain; it "
-                "is not holomorphic there")
-    return budget
+    by_hole = _hole_poles(f, domain) if isinstance(f, _expr.Expr) else None
+    return None if by_hole is None \
+        else [sum(rec.order for rec in poles) for poles in by_hole]
 
 
 def max_primitive_order(f, domain: DomainSpec,
@@ -221,31 +217,19 @@ def max_primitive_order(f, domain: DomainSpec,
                                      (), (), zero_tol)
     budget = inside_pole_budget(f, domain)
     if degree_cutoff is None:
-        if budget is not None:
-            degree_cutoff = max(8, max(budget))
-        else:
-            degree_cutoff = DEFAULT_DEGREE_CUTOFF
+        degree_cutoff = DEFAULT_DEGREE_CUTOFF if budget is None \
+            else max(8, max(budget))
     fn = as_function(f)
-    basis = _geom.homology_basis(domain)
-    vectors = []
-    firsts = []
-    for j, curve in enumerate(basis):
-        vec = moment_vector(fn, curve, degree_cutoff, tol, curve_id=f"hole{j}")
-        vectors.append(vec)
-        firsts.append(vec.first_nonzero(zero_tol))
+    vectors = [moment_vector(fn, curve, degree_cutoff, tol, f"hole-{j}")
+               for j, curve in enumerate(_geom.homology_basis(domain))]
+    firsts = [vec.first_nonzero(zero_tol) for vec in vectors]
     hits = [k for k in firsts if k is not None]
-    if hits:
-        k_star = min(hits)
-        return PrimitiveOrderVerdict(k_star, degree_cutoff, True,
-                                     "failure-witnessed", tuple(firsts),
-                                     tuple(vectors), zero_tol)
-    if budget is not None and degree_cutoff >= max(budget):
-        return PrimitiveOrderVerdict(None, degree_cutoff, True,
-                                     "pole-certified", tuple(firsts),
-                                     tuple(vectors), zero_tol)
-    return PrimitiveOrderVerdict(None, degree_cutoff, False,
-                                 "heuristic-cutoff", tuple(firsts),
-                                 tuple(vectors), zero_tol)
+    certified = budget is not None and degree_cutoff >= max(budget)
+    certificate = "failure-witnessed" if hits \
+        else "pole-certified" if certified else "heuristic-cutoff"
+    return PrimitiveOrderVerdict(min(hits, default=None), degree_cutoff,
+                                 bool(hits) or certified, certificate,
+                                 tuple(firsts), tuple(vectors), zero_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -284,36 +284,37 @@ class TestIntegrationByParts:
         assert rep.analytic_ibp is None
 
 
+def polyline_only(curve):
+    """The samples of a path-backed curve without its path and data, so the
+    transform takes the discrete route."""
+    return bd.SampledCurve(curve.params, curve.points, curve.values)
+
+
 class TestCauchyTransform:
     def test_discrete_reproduces_polynomial(self):
-        c = circle_curve(lambda z: z ** 2, 1024)
+        c = polyline_only(circle_curve(lambda z: z ** 2, 1024))
         w = 0.3 + 0.2j
-        assert abs(bd.cauchy_transform(c, w, route="discrete") - w ** 2) < 1e-5
+        assert abs(bd.cauchy_transform(c, w) - w ** 2) < 1e-5
 
     def test_analytic_reproduces_polynomial(self):
         c = circle_curve(lambda z: z ** 2, 64)
         w = 0.3 + 0.2j
-        got = bd.cauchy_transform(c, w, route="analytic")
+        got = bd.cauchy_transform(c, w)
         assert abs(got - w ** 2) < 1e-12
 
     def test_antiholomorphic_data_transforms_to_zero(self):
         c = circle_curve(np.conj, 64)
-        assert abs(bd.cauchy_transform(c, 0.4 - 0.1j, route="analytic")) < 1e-12
+        assert abs(bd.cauchy_transform(c, 0.4 - 0.1j)) < 1e-12
 
     def test_discrete_refuses_near_curve(self):
-        c = circle_curve(lambda z: z, 256)
+        c = polyline_only(circle_curve(lambda z: z, 256))
         with pytest.raises(CurveDataError, match="spacing"):
-            bd.cauchy_transform(c, 0.999 + 0j, route="discrete")
+            bd.cauchy_transform(c, 0.999 + 0j)
 
     def test_refuses_outside_point(self):
         c = circle_curve(lambda z: z, 64)
         with pytest.raises(GeometryError, match="enclosed"):
             bd.cauchy_transform(c, 2.0 + 0j)
-
-    def test_route_validated(self):
-        c = circle_curve(lambda z: z, 64)
-        with pytest.raises(ValueError):
-            bd.cauchy_transform(c, 0j, route="magic")
 
     def test_auto_prefers_analytic_when_available(self):
         c = circle_curve(lambda z: z ** 3, 64)

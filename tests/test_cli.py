@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from envelope import cli, moments
+from envelope import cli, expr, moments
 from envelope import geometry as geom
 
 
@@ -397,6 +397,42 @@ class TestRunScenario:
         assert [r["status"] for r in rep.results] == ["ok"] * 4
         assert len(calls) == 1
 
+    def test_domain_checks_find_the_poles_once(self, monkeypatch):
+        calls = []
+        pole_set = expr.pole_set
+
+        def counted(node):
+            calls.append(node)
+            return pole_set(node)
+
+        monkeypatch.setattr(expr, "pole_set", counted)
+        moments._hole_poles.cache_clear()  # as at the start of a real run
+        raw = {"function": "1/(z-5) + 0.5/(z-0.1)^2", "domain": ANNULUS,
+               "max_degree": 4, "checks": ["moments", "primitive_order",
+                                           "extension", "cross_verify"]}
+        cfg, _ = cli.build_config(raw)
+        rep = cli.run_scenario(cfg)
+        assert [r["status"] for r in rep.results] == ["ok"] * 4
+        assert len(calls) == 1
+
+    def test_verdict_names_curves_as_the_moments_row(self):
+        raw = {"function": "1/z^2 + 1/(z-3)^3", "max_degree": 4,
+               "domain": {"outer": {"circle": {"center": [1.5, 0.0],
+                                               "radius": 4.0}},
+                          "holes": [{"circle": {"center": [0.0, 0.0],
+                                                "radius": 0.5}},
+                                    {"circle": {"center": [3.0, 0.0],
+                                                "radius": 0.5}}]},
+               "checks": ["moments"]}
+        cfg, _ = cli.build_config(raw)
+        row = cli.run_scenario(cfg).results[0]["values"]
+        verdict = moments.max_primitive_order(
+            cfg.function, cfg.domain, cfg.max_degree, cfg.quad_tol,
+            cfg.zero_tol)
+        assert [vec.curve_id for vec in verdict.moments] \
+            == [curve["curve_id"] for curve in row["curves"]] \
+            == ["hole-0", "hole-1"]
+
     def test_determinism_modulo_timings(self):
         raw = {"function": "1/z^2", "domain": ANNULUS,
                "checks": ["moments", "primitive_order"], "max_degree": 6}
@@ -582,6 +618,18 @@ class TestMain:
         for row in payload["results"]:
             assert row["status"] == "error"
             assert row["values"]["error_type"] == "PoleInDomainError"
+
+    def test_whole_plane_gives_error_rows(self, tmp_path, capsys):
+        # no boundary sizes a contour or bounds the probe box
+        scenario = write_scenario(tmp_path, {
+            "function": "z^2", "domain": {}, "points": [[0.5, 0.5]],
+            "checks": ["primitive_order", "extension", "cross_verify"]})
+        code = cli.main(["run", "--scenario", str(scenario)])
+        rows = json.loads(capsys.readouterr().out)["results"]
+        assert code == 1
+        assert rows[0]["status"] == "ok"
+        assert [row["values"].get("error_type") for row in rows[1:]] \
+            == ["GeometryError"] * 2
 
     @pytest.mark.parametrize("outer, inner, status", [
         (1e12, 5e11, "error"), (1e9, 5e8, "ok")])
