@@ -342,17 +342,12 @@ def _jsonable(value):
 def _run_moments(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
     degree = cfg.max_degree if cfg.max_degree is not None \
         else _mom.DEFAULT_DEGREE_CUTOFF
-    basis = _geom.homology_basis(cfg.domain)
-    rows = []
-    for j, curve in enumerate(basis):
-        vec = _mom.moment_vector(cfg.function, curve, degree, cfg.quad_tol,
-                                 curve_id=f"hole-{j}")
-        rows.append({
-            "curve_id": vec.curve_id,
-            "moments": list(vec.values),
-            "scale": vec.scale,
-            "first_nonzero": vec.first_nonzero(cfg.zero_tol),
-        })
+    rows = [{"curve_id": vec.curve_id,
+             "moments": list(vec.values),
+             "scale": vec.scale,
+             "first_nonzero": vec.first_nonzero(cfg.zero_tol)}
+            for vec in _mom._basis_moments(cfg.function, cfg.domain, degree,
+                                           cfg.quad_tol)]
     values = {"degree_cutoff": degree, "curves": rows}
     tol = {"abs": cfg.zero_tol.abs_tol, "rel": cfg.zero_tol.rel_tol}
     return values, tol, "ok"

@@ -262,7 +262,11 @@ def evaluate_extension_many(f, domain: DomainSpec, points,
                             which_contour: int = 0) -> list[complex]:
     """evaluate_extension at every point. Points in one hole share its
     contour, and each contour takes one stacked integral for all of its
-    points."""
+    points. which_contour picks the first (0) or the second (1) contour
+    of each hole and each point."""
+    if not isinstance(which_contour, (int, np.integer)) \
+            or which_contour not in (0, 1):
+        raise ValueError(f"which_contour must be 0 or 1, not {which_contour!r}")
     if verdict is None:
         verdict = _mom.max_primitive_order(f, domain, None, tol)
     if verdict.max_order is not None:

@@ -506,27 +506,30 @@ class DomainSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "holes", tuple(self.holes))
-        paths = list(self.holes)
+        if not all(p.closed for p in self.boundary_paths()):
+            raise GeometryError("domain boundaries must be closed paths")
+        # one winding pass per boundary: each hole at every hole witness
+        # (its own gives its orientation), the outer boundary at its
+        # interior point and at the witnesses; a witness on another
+        # boundary counts as outside or overlapping
+        wits = [interior_point(h) for h in self.holes]
+        winds = np.reshape([_winding_many(h, wits)[0] for h in self.holes],
+                           (len(wits), len(wits)))
+        turns, inside = list(np.diagonal(winds)), []
         if self.outer is not None:
-            paths.append(self.outer)
-        for p in paths:
-            if not p.closed:
-                raise GeometryError("domain boundaries must be closed paths")
-        for p in paths:
-            w = winding_number(p, interior_point(p))
+            turn, *inside = _winding_many(
+                self.outer, [interior_point(self.outer)] + wits)[0]
+            turns.append(turn)
+        for w in turns:
             if w != 1:
                 raise GeometryError(
                     "boundary paths must be positively oriented (winding +1 "
                     f"around their interior, found {w})")
-        # a witness on another boundary counts as outside or overlapping
-        wits = np.array([interior_point(h) for h in self.holes], dtype=complex)
-        if self.outer is not None:
-            for j in np.flatnonzero(_winding_many(self.outer, wits)[0] != 1):
-                raise GeometryError(f"hole {j} is not inside the outer boundary")
-        for i, hole in enumerate(self.holes):
-            for j in np.flatnonzero(_winding_many(hole, wits)[0] != 0):
-                if i != j:
-                    raise GeometryError(f"holes {i} and {j} overlap")
+        for j in np.flatnonzero(np.array(inside) != 1):
+            raise GeometryError(f"hole {j} is not inside the outer boundary")
+        # every hole winds once around its own witness by now
+        for i, j in np.argwhere(winds != np.eye(len(wits))):
+            raise GeometryError(f"holes {i} and {j} overlap")
         _check_clearance(self.outer, self.holes)
 
     @property
@@ -542,12 +545,6 @@ class DomainSpec:
     def contains_many(self, points: np.ndarray) -> np.ndarray:
         """Which points lie in the domain; points on a boundary do not."""
         return classify(self, points).inside
-
-    def boundary_distance(self, point):
-        """Distance from a point, or from each point of an array, to the
-        nearest boundary component."""
-        dists = [p.distance(point) for p in self.boundary_paths()]
-        return np.minimum.reduce(dists) if np.ndim(point) else min(dists)
 
 
 class Classification(NamedTuple):
@@ -621,57 +618,70 @@ def interior_point(path: Path) -> complex:
 # ---------------------------------------------------------------------------
 # homology basis
 
+# Each hole's contours follow one rule, decided once: circles about its
+# sample centroid at these fractions of (lo, hi) when all three pass the
+# basis check, else dilations of its boundary at 0.5 and 0.3 of its gap to
+# the other boundaries. Both rules give the basis curve at 0.5.
+_CIRCLE_FRACTIONS = (0.35, 0.5, 0.7)
+
+
 @functools.lru_cache(maxsize=128)
-def _hole_enclosure(domain: DomainSpec, j: int) -> tuple[complex, float, float]:
-    """(center, lo, hi): circles about `center` with radius in (lo, hi)
-    enclose hole j and avoid every other boundary component. hi <= lo means
-    no such circle exists."""
+def _hole_rule(domain: DomainSpec, j: int) -> tuple[tuple[Path, ...], float]:
+    """(circles, gap) of hole j: the circles at _CIRCLE_FRACTIONS when they
+    all pass (radii in (lo, hi) enclose the hole and avoid every other
+    boundary), else no circles and the least distance between 256 samples
+    of the hole and of each other boundary."""
     hole = domain.holes[j]
-    center = complex(np.mean(hole.sample(256)))
-    lo = hole.max_distance(center)
-    hi = min((p.distance(center) for p in _other_boundaries(domain, j)),
-             default=math.inf)
-    return center, lo, hi
-
-
-def _other_boundaries(domain: DomainSpec, j: int) -> tuple[Path, ...]:
-    """Every boundary component of the domain but hole j."""
-    outer = (domain.outer,) if domain.outer is not None else ()
-    return outer + domain.holes[:j] + domain.holes[j + 1:]
-
-
-def _separating_circle(domain: DomainSpec, j: int, frac: float) -> Path | None:
-    center, lo, hi = _hole_enclosure(domain, j)
-    if not hi > lo * (1.0 + 1e-9):
-        return None
-    if math.isinf(hi):
-        hi = 2.0 * lo if lo > 0 else 1.0
-    radius = lo + frac * (hi - lo)
-    return circle(center, radius)
-
-
-def _dilated_hole(domain: DomainSpec, j: int, frac: float) -> Path:
-    """Fallback basis curve: the hole boundary pushed outward by the
-    fraction frac of the minimal gap to any other boundary component."""
-    hole = domain.holes[j]
+    others = ((domain.outer,) if domain.outer is not None else ()) \
+        + domain.holes[:j] + domain.holes[j + 1:]
     mine = hole.sample(256)
+    center = complex(np.mean(mine))
+    lo = hole.max_distance(center)
+    hi = min((p.distance(center) for p in others), default=math.inf)
+    if hi > lo * (1.0 + 1e-9):
+        if math.isinf(hi):
+            hi = 2.0 * lo if lo > 0 else 1.0
+        circles = tuple(circle(center, lo + frac * (hi - lo))
+                        for frac in _CIRCLE_FRACTIONS)
+        if _basis_curves_pass(domain, j, circles):
+            return circles, math.nan
     gap = min((np.abs(mine[:, None] - p.sample(256)[None, :]).min()
-               for p in _other_boundaries(domain, j)), default=math.inf)
-    if not math.isfinite(gap):
-        gap = 0.5 * hole.length / math.pi
-    d = frac * gap
+               for p in others), default=math.inf)
+    return (), gap if math.isfinite(gap) else 0.5 * hole.length / math.pi
+
+
+@functools.lru_cache(maxsize=512)
+def _contour(domain: DomainSpec, j: int, frac: float) -> Path:
+    """Hole j's contour at the fraction frac of its rule. A dilation is
+    built and checked on first use; one that fails is an error."""
+    circles, gap = _hole_rule(domain, j)
+    if circles:
+        return circles[_CIRCLE_FRACTIONS.index(frac)]
+    curve = _dilated_hole(domain.holes[j], frac * gap)
+    if not _basis_curves_pass(domain, j, (curve,)):
+        raise GeometryError("could not construct a separating basis curve "
+                            f"for hole {j} (dilation by {frac} of the gap)")
+    return curve
+
+
+def _dilated_hole(hole: Path, d: float) -> Path:
+    """The hole boundary pushed outward by d along 512 sampled normals."""
     n = 512
     z, v = hole.arrays.nodes(*hole.locate(np.arange(n) / n))
     return polygon(z + d * (-1j * v / np.abs(v)))
 
 
-def _verify_basis_curve(domain: DomainSpec, j: int, curve: Path) -> bool:
-    """Does the curve wind once around hole j, zero times around the other
-    holes, and lie in the domain?"""
+def _basis_curves_pass(domain: DomainSpec, j: int,
+                       curves: tuple[Path, ...]) -> bool:
+    """Does every curve wind once around hole j, zero times around the
+    other holes, and lie in the domain (64 samples each, classified
+    together)?"""
     wits = [hole_witness(domain, i) for i in range(len(domain.holes))]
-    return np.array_equal(_winding_many(curve, wits)[0],
-                          np.arange(len(wits)) == j) \
-        and bool(domain.contains_many(curve.sample(64)).all())
+    want = np.arange(len(wits)) == j
+    return all(np.array_equal(_winding_many(c, wits)[0], want)
+               for c in curves) \
+        and bool(domain.contains_many(
+            np.concatenate([c.sample(64) for c in curves])).all())
 
 
 def hole_witness(domain: DomainSpec, j: int) -> complex:
@@ -679,52 +689,25 @@ def hole_witness(domain: DomainSpec, j: int) -> complex:
     return interior_point(domain.holes[j])
 
 
-@functools.lru_cache(maxsize=128)
-def _homology_basis_cached(domain: DomainSpec) -> tuple[Path, ...]:
-    out = []
-    for j in range(len(domain.holes)):
-        curve = _separating_circle(domain, j, 0.5)
-        if curve is None or not _verify_basis_curve(domain, j, curve):
-            curve = _dilated_hole(domain, j, 0.5)
-            if not _verify_basis_curve(domain, j, curve):
-                raise GeometryError(
-                    f"could not construct a separating basis curve for hole {j}")
-        out.append(curve)
-    return tuple(out)
-
-
 def homology_basis(domain: DomainSpec) -> list[Path]:
     """One positively oriented closed curve per hole, each winding once
     around its own hole, zero around the others, and lying in the domain.
 
-    Concentric circles are used whenever the hole admits a separating
-    annulus about its sample centroid; otherwise the hole boundary is
-    dilated outward by half the minimal gap. Simply connected domains get
-    an empty basis.
+    A concentric circle is used when the hole admits a separating annulus
+    about its sample centroid; otherwise the hole boundary is dilated
+    outward by half the minimal gap. Simply connected domains get an empty
+    basis.
     """
-    return list(_homology_basis_cached(domain))
+    return [_contour(domain, j, 0.5) for j in range(len(domain.holes))]
 
 
-@functools.lru_cache(maxsize=128)
 def basis_curve_variants(domain: DomainSpec, j: int) -> tuple[Path, Path]:
     """Two homologous but distinct admissible curves around hole j, for
-    contour-independence cross-checks. A hole without a separating circle
-    gets its homology basis curve and a narrower dilation of the hole."""
-    variants = []
-    for frac in (0.35, 0.7):
-        c = _separating_circle(domain, j, frac)
-        if c is not None and _verify_basis_curve(domain, j, c):
-            variants.append(c)
-    if len(variants) < 2:
-        base = _homology_basis_cached(domain)[j]
-        variants = [base]
-        # not the half gap of the base curve, so the two contours differ
-        alt = _dilated_hole(domain, j, 0.3)
-        if _verify_basis_curve(domain, j, alt):
-            variants.append(alt)
-        else:  # pragma: no cover - last resort, reuse the base curve
-            variants.append(base)
-    return variants[0], variants[1]
+    contour-independence cross-checks: circles at 0.35 and 0.7 of the
+    separating annulus, or, for a hole without separating circles, its
+    homology basis curve and a narrower dilation of the hole."""
+    first, second = (0.35, 0.7) if _hole_rule(domain, j)[0] else (0.5, 0.3)
+    return _contour(domain, j, first), _contour(domain, j, second)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ class ZeroTolerance:
     rel_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.abs_tol < 0.0 or self.rel_tol < 0.0:
-            raise ValueError("tolerances must be nonnegative")
+        if not all(0.0 <= t < math.inf for t in (self.abs_tol, self.rel_tol)):
+            raise ValueError("tolerances must be finite and nonnegative")
 
     def bound(self, scale: float) -> float:
         return self.abs_tol + self.rel_tol * scale
@@ -187,6 +187,25 @@ def _hole_poles(f: _expr.Expr, domain: DomainSpec
                  for j in range(len(domain.holes)))
 
 
+@functools.lru_cache(maxsize=128)
+def _cached_basis_moments(f, domain: DomainSpec, degree: int, tol: float
+                          ) -> tuple[MomentVector, ...]:
+    fn = as_function(f)
+    return tuple(moment_vector(fn, curve, degree, tol, f"hole-{j}")
+                 for j, curve in enumerate(_geom.homology_basis(domain)))
+
+
+def _basis_moments(f, domain: DomainSpec, degree: int, tol: float
+                   ) -> tuple[MomentVector, ...]:
+    """The moment vector of degree 0 .. degree of f on each homology basis
+    curve (ids hole-j), checking no pole. Cached for an Expr, keyed as
+    _hole_poles is, so a scenario's verdict and moments check integrate
+    each curve once; any other callable is integrated on every call."""
+    scan = _cached_basis_moments if isinstance(f, _expr.Expr) \
+        else _cached_basis_moments.__wrapped__
+    return scan(f, domain, degree, tol)
+
+
 def inside_pole_budget(f, domain: DomainSpec) -> list[int] | None:
     """Total pole order inside each hole, or None when the pole set is
     unknown. Raises PoleInDomainError (a ValueError) if a pole lies in the
@@ -219,9 +238,7 @@ def max_primitive_order(f, domain: DomainSpec,
     if degree_cutoff is None:
         degree_cutoff = DEFAULT_DEGREE_CUTOFF if budget is None \
             else max(8, max(budget))
-    fn = as_function(f)
-    vectors = [moment_vector(fn, curve, degree_cutoff, tol, f"hole-{j}")
-               for j, curve in enumerate(_geom.homology_basis(domain))]
+    vectors = _basis_moments(f, domain, degree_cutoff, tol)
     firsts = [vec.first_nonzero(zero_tol) for vec in vectors]
     hits = [k for k in firsts if k is not None]
     certified = budget is not None and degree_cutoff >= max(budget)

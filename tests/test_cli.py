@@ -20,6 +20,13 @@ ANNULUS = {
 }
 
 
+TWO_HOLES = {
+    "outer": {"circle": {"center": [1.5, 0.0], "radius": 4.0}},
+    "holes": [{"circle": {"center": [0.0, 0.0], "radius": 0.5}},
+              {"circle": {"center": [3.0, 0.0], "radius": 0.5}}],
+}
+
+
 def circle_csv(intervals=128, data="conj"):
     t = np.linspace(0.0, 1.0, intervals + 1)
     z = np.exp(2j * math.pi * t)
@@ -414,6 +421,44 @@ class TestRunScenario:
         rep = cli.run_scenario(cfg)
         assert [r["status"] for r in rep.results] == ["ok"] * 4
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("checks", [["moments", "primitive_order"],
+                                        ["primitive_order", "moments"]])
+    def test_moments_row_reads_the_verdict_integrals(self, monkeypatch,
+                                                     checks):
+        calls = []
+        vector = moments.moment_vector
+
+        def counted(f, path, *args, **kwargs):
+            calls.append(path)
+            return vector(f, path, *args, **kwargs)
+
+        monkeypatch.setattr(moments, "moment_vector", counted)
+        moments._cached_basis_moments.cache_clear()  # as in a real run
+        raw = {"function": "1/z^2 + 1/(z-3)^3", "max_degree": 4,
+               "domain": TWO_HOLES, "checks": checks}
+        cfg, _ = cli.build_config(raw)
+        rep = cli.run_scenario(cfg)
+        assert [r["status"] for r in rep.results] == ["ok", "ok"]
+        # one integral per basis curve, shared by both rows
+        assert len(calls) == 2 and calls[0] is not calls[1]
+
+    @pytest.mark.parametrize("checks", [
+        ["moments", "primitive_order", "extension"],
+        ["primitive_order", "extension", "moments"]])
+    def test_pole_in_domain_leaves_the_moments_row_ok(self, checks):
+        # the moments are well defined; only the verdict needs f
+        # holomorphic on the domain. The basis circle (radius 1.25) winds
+        # around the pole, so the degree-0 moment is 2 pi i.
+        raw = {"function": "1/(z-1)", "domain": ANNULUS, "max_degree": 3,
+               "checks": checks}
+        cfg, _ = cli.build_config(raw)
+        rows = {r["check"]: r for r in cli.run_scenario(cfg).results}
+        assert rows["moments"]["status"] == "ok"
+        assert rows["moments"]["values"]["curves"][0]["first_nonzero"] == 0
+        for check in ("primitive_order", "extension"):
+            assert rows[check]["status"] == "error"
+            assert rows[check]["values"]["error_type"] == "PoleInDomainError"
 
     def test_verdict_names_curves_as_the_moments_row(self):
         raw = {"function": "1/z^2 + 1/(z-3)^3", "max_degree": 4,

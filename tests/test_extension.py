@@ -228,6 +228,18 @@ class TestEvaluateExtension:
                                    which_contour=1)
         assert abs(a - b) < 2e-9
 
+    @pytest.mark.parametrize("which", [2, -1, 0.5, "1", None])
+    @pytest.mark.parametrize("w", [0.1 + 0.1j, 1.2 + 0.4j])
+    def test_which_contour_is_0_or_1(self, annulus, which, w):
+        # w in the hole, then in the domain proper
+        verdict = mom.max_primitive_order(expr.parse("z"), annulus)
+        with pytest.raises(ValueError, match="which_contour"):
+            ext.evaluate_extension(expr.parse("z"), annulus, w,
+                                   verdict=verdict, which_contour=which)
+        with pytest.raises(ValueError, match="which_contour"):
+            ext.evaluate_extension_many(expr.parse("z"), annulus, [w],
+                                        verdict=verdict, which_contour=which)
+
     def test_contour_variants_agree_on_dilated_hole(self, slab):
         f = expr.parse("1/(z-5) + z^2")
         verdict = mom.max_primitive_order(f, slab)

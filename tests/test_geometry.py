@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from envelope import extension as ext
@@ -365,6 +365,46 @@ class TestDomainSpec:
         with pytest.raises(GeometryError):
             geom.DomainSpec(geom.circle(0j, 1.0, ccw=False), ())
 
+    @pytest.mark.parametrize("outer, holes, message", [
+        # a clockwise hole that also overlaps another hole, either way round
+        (geom.circle(0j, 4.0), (geom.circle(0j, 1.0),
+                                geom.circle(1 + 0j, 0.5, ccw=False)),
+         "positively oriented .* found -1"),
+        (geom.circle(0j, 4.0), (geom.circle(1 + 0j, 0.5, ccw=False),
+                                geom.circle(0j, 1.0)),
+         "positively oriented .* found -1"),
+        # a clockwise outer boundary around a hole outside another
+        (geom.circle(0j, 1.0, ccw=False), (geom.circle(5 + 0j, 0.5),),
+         "positively oriented .* found -1"),
+        (geom.circle(0j, 1.0), (geom.circle(0.2 + 0j, 0.1),
+                                geom.circle(5 + 0j, 0.5),
+                                geom.circle(5.2 + 0j, 0.5)),
+         "hole 1 is not inside the outer boundary"),
+        (geom.circle(0j, 4.0), (geom.circle(-2j, 0.5),
+                                geom.circle(0j, 1.0),
+                                geom.circle(1 + 0j, 0.5)),
+         "holes 1 and 2 overlap"),
+    ])
+    def test_errors_come_in_order(self, outer, holes, message):
+        # orientation, then containment, then overlap
+        with pytest.raises(GeometryError, match=message):
+            geom.DomainSpec(outer, holes)
+
+    def test_one_winding_pass_per_boundary(self, two_hole, monkeypatch):
+        calls = []
+        kernel = geom._winding_many
+
+        def spy(path, points):
+            calls.append(path)
+            return kernel(path, points)
+
+        for path in two_hole.boundary_paths():
+            geom.interior_point(path)  # cached per path, as in a real run
+        monkeypatch.setattr(geom, "_winding_many", spy)
+        geom.DomainSpec(two_hole.outer, two_hole.holes)
+        assert sorted(map(id, calls)) \
+            == sorted(map(id, two_hole.boundary_paths()))
+
     def test_unbounded_domain(self):
         d = geom.DomainSpec(None, (geom.circle(0j, 1.0),))
         assert not d.bounded
@@ -555,7 +595,192 @@ def test_only_geometry_names_the_winding_kernel():
     assert offenders == []
 
 
+# ---------------------------------------------------------------------------
+# the contour selection that one rule per hole replaced, kept as its
+# reference: the basis curve is the circle at 0.5 of (lo, hi) if it passes
+# the check, else the dilation at 0.5 of the gap; the variants are the
+# circles at 0.35 and 0.7 if both pass, else the basis curve and the
+# dilation at 0.3 (or the basis curve again). Each curve is checked on its
+# own.
+
+def _reference_others(domain, j):
+    outer = (domain.outer,) if domain.outer is not None else ()
+    return outer + domain.holes[:j] + domain.holes[j + 1:]
+
+
+def _reference_circle(domain, j, frac):
+    hole = domain.holes[j]
+    center = complex(np.mean(hole.sample(256)))
+    lo = hole.max_distance(center)
+    hi = min((p.distance(center) for p in _reference_others(domain, j)),
+             default=math.inf)
+    if not hi > lo * (1.0 + 1e-9):
+        return None
+    if math.isinf(hi):
+        hi = 2.0 * lo if lo > 0 else 1.0
+    return geom.circle(center, lo + frac * (hi - lo))
+
+
+def _reference_dilation(domain, j, frac):
+    hole = domain.holes[j]
+    mine = hole.sample(256)
+    gap = min((np.abs(mine[:, None] - p.sample(256)[None, :]).min()
+               for p in _reference_others(domain, j)), default=math.inf)
+    if not math.isfinite(gap):
+        gap = 0.5 * hole.length / math.pi
+    d = frac * gap
+    n = 512
+    z, v = hole.arrays.nodes(*hole.locate(np.arange(n) / n))
+    return geom.polygon(z + d * (-1j * v / np.abs(v)))
+
+
+def _reference_passes(domain, j, curve):
+    wits = [geom.hole_witness(domain, i) for i in range(len(domain.holes))]
+    return np.array_equal(geom._winding_many(curve, wits)[0],
+                          np.arange(len(wits)) == j) \
+        and bool(domain.contains_many(curve.sample(64)).all())
+
+
+def reference_basis(domain):
+    out = []
+    for j in range(len(domain.holes)):
+        curve = _reference_circle(domain, j, 0.5)
+        if curve is None or not _reference_passes(domain, j, curve):
+            curve = _reference_dilation(domain, j, 0.5)
+            if not _reference_passes(domain, j, curve):
+                raise GeometryError(
+                    f"could not construct a separating basis curve for hole {j}")
+        out.append(curve)
+    return out
+
+
+def reference_variants(domain, j):
+    variants = []
+    for frac in (0.35, 0.7):
+        c = _reference_circle(domain, j, frac)
+        if c is not None and _reference_passes(domain, j, c):
+            variants.append(c)
+    if len(variants) < 2:
+        base = reference_basis(domain)[j]
+        alt = _reference_dilation(domain, j, 0.3)
+        variants = [base, alt if _reference_passes(domain, j, alt) else base]
+    return tuple(variants)
+
+
+_BASIS_KINDS = ("annulus", "eccentric", "two-hole", "slab-pair",
+                "polygon-hole")
+
+
+@st.composite
+def _basis_domains(draw, kind):
+    """An annulus, an eccentric hole, two circular holes, a slab with a
+    circle or a second slab beside it, or a rectangle with a rotated
+    regular polygon hole."""
+    c = complex(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
+    size = draw(st.floats(1.0, 4.0))
+    turn = cmath.exp(2j * math.pi * draw(_unit))
+    if kind in ("annulus", "eccentric"):
+        r = (0.1 + 0.5 * draw(_unit)) * size
+        shift = 0.0 if kind == "annulus" \
+            else (0.1 + 0.8 * draw(_unit)) * (0.9 * size - r) * turn
+        return geom.DomainSpec(geom.circle(c, size),
+                               (geom.circle(c + shift, r),))
+    if kind == "two-hole":
+        radii = [(0.1 + 0.25 * draw(_unit)) * size for _ in range(2)]
+        return geom.DomainSpec(geom.circle(c, size), (
+            geom.circle(c - 0.5 * size * turn, radii[0]),
+            geom.circle(c + 0.5 * size * turn, radii[1])))
+    if kind == "slab-pair":
+        # a long thin slab and, a short gap to its side, a small circle
+        # (which has separating circles) or a parallel slab (which has not)
+        length, width = 2.4 + 0.6 * draw(_unit), 0.16 + 0.12 * draw(_unit)
+        gap = 0.26 + 0.08 * draw(_unit)
+        normal = 1j * turn
+
+        def slab(mid):
+            return geom.polygon([mid + turn * complex(x * length, y * width) / 2
+                                 for x, y in ((-1, -1), (1, -1), (1, 1),
+                                              (-1, 1))])
+
+        if draw(st.booleans()):
+            radius = 0.15 + 0.05 * draw(_unit)
+            other = geom.circle(c + (width / 2 + gap + radius) * normal,
+                                radius)
+        else:
+            other = slab(c + (width + gap) * normal)
+        return geom.DomainSpec(geom.circle(c, 3.0), (slab(c), other))
+    half = complex(size, (0.5 + draw(_unit)) * size)
+    sides = draw(st.integers(3, 8))
+    rho = (0.1 + 0.35 * draw(_unit)) * size
+    hole = geom.polygon([c + rho * turn * cmath.exp(2j * math.pi * k / sides)
+                         for k in range(sides)])
+    return geom.DomainSpec(geom.rectangle(c.real - half.real,
+                                          c.real + half.real,
+                                          c.imag - half.imag,
+                                          c.imag + half.imag), (hole,))
+
+
+@pytest.fixture
+def fresh_contours():
+    """Empty contour caches before and after a test that patches the
+    basis check, so no other test reads a contour it chose."""
+    for cache in (geom._hole_rule, geom._contour):
+        cache.cache_clear()
+    yield
+    for cache in (geom._hole_rule, geom._contour):
+        cache.cache_clear()
+
+
 class TestHomologyBasis:
+    @pytest.mark.parametrize("kind", _BASIS_KINDS)
+    @settings(max_examples=8)
+    @given(data=st.data())
+    def test_matches_the_reference_selection(self, kind, data):
+        domain = data.draw(_basis_domains(kind))
+        basis = geom.homology_basis(domain)
+        assert [c.segments for c in basis] \
+            == [c.segments for c in reference_basis(domain)]
+        for j, curve in enumerate(basis):
+            variants = geom.basis_curve_variants(domain, j)
+            assert [c.segments for c in variants] \
+                == [c.segments for c in reference_variants(domain, j)]
+            # the variants differ, and a dilated hole's first one is its
+            # basis curve itself
+            assert variants[0].segments != variants[1].segments
+            if len(curve.segments) == 512:
+                assert variants[0] is curve
+            assert geom.basis_curve_variants(domain, j)[1] is variants[1]
+
+    def test_circles_that_fail_the_check_give_dilations(self, monkeypatch,
+                                                        fresh_contours):
+        # one verdict for the three circles: when they fail together, both
+        # the basis curve and the variants are dilations
+        domain = geom.DomainSpec(geom.circle(0.25j, 2.5),
+                                 (geom.circle(0.25j, 0.75),))
+        check = geom._basis_curves_pass
+        monkeypatch.setattr(geom, "_basis_curves_pass",
+                            lambda d, j, curves: len(curves) == 1
+                            and check(d, j, curves))
+        basis = geom.homology_basis(domain)
+        variants = geom.basis_curve_variants(domain, 0)
+        assert [len(c.segments) for c in basis + list(variants)] \
+            == [512] * 3
+        assert variants[0] is basis[0]
+
+    def test_failing_narrow_dilation_is_an_error(self, monkeypatch,
+                                                 fresh_contours):
+        # the narrower contour is never replaced by the basis curve, which
+        # would make the contour-independence check compare a curve with
+        # itself
+        domain = geom.DomainSpec(geom.circle(0.125j, 3.0), (
+            geom.polygon([-1.25 - 0.125j, 1.25 - 0.125j, 1.25 + 0.125j,
+                          -1.25 + 0.125j]),
+            geom.circle(0.625j, 0.1875)))
+        assert len(geom.homology_basis(domain)[0].segments) == 512
+        monkeypatch.setattr(geom, "_basis_curves_pass", lambda *args: False)
+        with pytest.raises(GeometryError, match="for hole 0"):
+            geom.basis_curve_variants(domain, 0)
+
     def test_annulus_basis_separates(self, annulus):
         basis = geom.homology_basis(annulus)
         assert len(basis) == 1

@@ -78,6 +78,13 @@ class TestZeroTolerance:
         with pytest.raises(ValueError):
             mom.ZeroTolerance(abs_tol=-1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+    def test_non_finite_tolerances_are_refused(self, field, bad):
+        # a NaN bound would call every value zero
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            mom.ZeroTolerance(**{field: bad})
+
     def test_first_nonzero_scans_against_each_scale(self):
         tol = mom.ZeroTolerance(abs_tol=1.0, rel_tol=0.5)
         assert tol.bound(4.0) == 3.0
@@ -200,6 +207,23 @@ class TestMaxPrimitiveOrder:
         verdict = mom.max_primitive_order(f, two_hole)
         assert verdict.per_curve_first_nonzero == (1, 0)
         assert verdict.max_order == 0
+
+    def test_callables_bypass_the_moment_cache(self, annulus):
+        # a callable need not be hashable, and its values may change
+        class Unhashable:
+            __hash__ = None
+
+            def __call__(self, z):
+                return 1 / z ** 2
+
+        verdict = mom.max_primitive_order(Unhashable(), annulus, 3)
+        assert verdict.max_order == 1
+
+    def test_expressions_share_the_moment_vectors(self, annulus):
+        f = expr.parse("1/z^3")
+        first = mom.max_primitive_order(f, annulus, 4).moments
+        again = mom.max_primitive_order(expr.parse("1/z^3"), annulus, 4)
+        assert again.moments is first
 
     def test_explicit_cutoff_restricts_scan(self, annulus):
         verdict = mom.max_primitive_order(expr.parse("1/z^5"), annulus,
