@@ -373,7 +373,7 @@ class TestDomainSpec:
         (geom.circle(0j, 4.0), (geom.circle(1 + 0j, 0.5, ccw=False),
                                 geom.circle(0j, 1.0)),
          "positively oriented .* found -1"),
-        # a clockwise outer boundary around a hole outside another
+        # a clockwise outer boundary and a hole outside it
         (geom.circle(0j, 1.0, ccw=False), (geom.circle(5 + 0j, 0.5),),
          "positively oriented .* found -1"),
         (geom.circle(0j, 1.0), (geom.circle(0.2 + 0j, 0.1),
@@ -398,8 +398,9 @@ class TestDomainSpec:
             calls.append(path)
             return kernel(path, points)
 
+        # interior points are cached per path: count the checks alone
         for path in two_hole.boundary_paths():
-            geom.interior_point(path)  # cached per path, as in a real run
+            geom.interior_point(path)
         monkeypatch.setattr(geom, "_winding_many", spy)
         geom.DomainSpec(two_hole.outer, two_hole.holes)
         assert sorted(map(id, calls)) \
