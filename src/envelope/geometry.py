@@ -581,15 +581,28 @@ def classify(domain: DomainSpec, points) -> Classification:
 
 
 def _check_clearance(outer: Path | None, holes: tuple[Path, ...]) -> None:
-    """Reject boundaries that touch or nearly touch (sampled distances)."""
+    """Reject boundaries that touch or nearly touch. Samples 1/128 of a
+    path's length apart bound its gaps from below, so a pair is measured
+    (_gap) only when that bound cannot clear it."""
     paths = list(holes) + ([outer] if outer else [])
     samples = [p.sample(128) for p in paths]
     for i in range(len(paths)):
         for j in range(i + 1, len(paths)):
             d = np.abs(samples[i][:, None] - samples[j][None, :]).min()
-            if d <= 1e-9:
-                raise GeometryError(
-                    f"boundary components {i} and {j} touch (gap {d:.3g})")
+            if d - (paths[i].length + paths[j].length) / 256 <= 1e-9:
+                d = _gap(paths[i], paths[j])
+                if d <= 1e-9:
+                    raise GeometryError(f"boundary components {i} and {j} "
+                                        f"touch (gap {d:.3g})")
+
+
+def _gap(a: Path, b: Path) -> float:
+    """Least distance from the segment starts and 256 samples of either
+    path to the other: exact for polygons, whose closest pair always
+    includes a vertex."""
+    return min(float(np.min(p.distance(np.append(
+        q.sample(256), [s.start for s in q.segments])))) for p, q in
+        ((a, b), (b, a)))
 
 
 @functools.lru_cache(maxsize=256)
@@ -600,13 +613,16 @@ def interior_point(path: Path) -> complex:
     """
     if not path.closed:
         raise GeometryError("interior point needs a closed path")
-    x0, x1, y0, y1 = path.bbox()
-    candidates = [np.array([np.mean(path.sample(64))])]
-    for n in (8, 16, 32, 64):
-        xs = np.linspace(x0, x1, n + 2)[1:-1]
-        ys = np.linspace(y0, y1, n + 2)[1:-1]
-        candidates.append((xs[None, :] + 1j * ys[:, None]).ravel())
-    for points in candidates:  # the grids row by row, lowest y first
+
+    def candidates():  # each grid built only when the points before fail
+        yield np.array([np.mean(path.sample(64))])
+        x0, x1, y0, y1 = path.bbox()
+        for n in (8, 16, 32, 64):
+            xs = np.linspace(x0, x1, n + 2)[1:-1]
+            ys = np.linspace(y0, y1, n + 2)[1:-1]
+            yield (xs[None, :] + 1j * ys[:, None]).ravel()
+
+    for points in candidates():  # the grids row by row, lowest y first
         wind, dist = _winding_many(path, points)
         hits = np.flatnonzero((wind != 0) & (wind != _ON_PATH)
                               & (dist > 1e-6 * path.length))
@@ -629,13 +645,12 @@ _CIRCLE_FRACTIONS = (0.35, 0.5, 0.7)
 def _hole_rule(domain: DomainSpec, j: int) -> tuple[tuple[Path, ...], float]:
     """(circles, gap) of hole j: the circles at _CIRCLE_FRACTIONS when they
     all pass (radii in (lo, hi) enclose the hole and avoid every other
-    boundary), else no circles and the least distance between 256 samples
-    of the hole and of each other boundary."""
+    boundary), else no circles and the least _gap between the hole and
+    another boundary."""
     hole = domain.holes[j]
     others = ((domain.outer,) if domain.outer is not None else ()) \
         + domain.holes[:j] + domain.holes[j + 1:]
-    mine = hole.sample(256)
-    center = complex(np.mean(mine))
+    center = complex(np.mean(hole.sample(256)))
     lo = hole.max_distance(center)
     hi = min((p.distance(center) for p in others), default=math.inf)
     if hi > lo * (1.0 + 1e-9):
@@ -645,8 +660,7 @@ def _hole_rule(domain: DomainSpec, j: int) -> tuple[tuple[Path, ...], float]:
                         for frac in _CIRCLE_FRACTIONS)
         if _basis_curves_pass(domain, j, circles):
             return circles, math.nan
-    gap = min((np.abs(mine[:, None] - p.sample(256)[None, :]).min()
-               for p in others), default=math.inf)
+    gap = min((_gap(hole, p) for p in others), default=math.inf)
     return (), gap if math.isfinite(gap) else 0.5 * hole.length / math.pi
 
 
@@ -657,7 +671,11 @@ def _contour(domain: DomainSpec, j: int, frac: float) -> Path:
     circles, gap = _hole_rule(domain, j)
     if circles:
         return circles[_CIRCLE_FRACTIONS.index(frac)]
-    curve = _dilated_hole(domain.holes[j], frac * gap)
+    try:
+        curve = _dilated_hole(domain.holes[j], frac * gap)
+    except GeometryError as exc:
+        raise GeometryError(f"hole {j} has no dilation by {frac} of the "
+                            f"gap: {exc}") from None
     if not _basis_curves_pass(domain, j, (curve,)):
         raise GeometryError("could not construct a separating basis curve "
                             f"for hole {j} (dilation by {frac} of the gap)")
@@ -665,10 +683,72 @@ def _contour(domain: DomainSpec, j: int, frac: float) -> Path:
 
 
 def _dilated_hole(hole: Path, d: float) -> Path:
-    """The hole boundary pushed outward by d along 512 sampled normals."""
-    n = 512
-    z, v = hole.arrays.nodes(*hole.locate(np.arange(n) / n))
-    return polygon(z + d * (-1j * v / np.abs(v)))
+    """The exact outward offset by d of a positively oriented hole: lines
+    moved by d along their outward normal, arcs about their centres at
+    radius r + d (counterclockwise) or r - d (clockwise), an arc of radius
+    d about each convex corner; concave corners cut where offsets cross."""
+    segs, pieces = hole.segments, []
+    for s in segs:
+        if isinstance(s, Line):
+            shift = -1j * d * (s.b - s.a) / s.length
+            pieces.append(Line(s.a + shift, s.b + shift))
+        else:  # a clockwise arc of radius r <= d has none: Arc refuses it
+            pieces.append(Arc(s.center, s.radius + (d if s.ccw else -d),
+                              s.t0, s.t0 + s.sweep, s.ccw))
+    # the parameters kept of each piece, and the arc after it if convex
+    kept, corners = [[0.0, 1.0] for _ in segs], [[] for _ in segs]
+    for k, s in enumerate(segs):
+        nxt = (k + 1) % len(segs)
+        nu, nw = (-1j * v / abs(v) for v in (s.velocity(1.0),
+                                             segs[nxt].velocity(0.0)))
+        turn = cmath.phase(nw / nu)  # within 1e-13 of 0: a smooth joint
+        if turn > 1e-13:
+            corners[k] = [Arc(s.end, d, cmath.phase(nu),
+                              cmath.phase(nu) + turn)]
+        elif turn < -1e-13:
+            x = _crossing(pieces[k], pieces[nxt], s.end, s.end + d * (nu + nw)
+                          / (1.0 + (nu * nw.conjugate()).real))
+            kept[k][1] = _parameter(pieces[k], x, 1.0)
+            kept[nxt][0] = _parameter(pieces[nxt], x, 0.0)
+    out = []
+    for p, (t0, t1), corner in zip(pieces, kept, corners):
+        if not t1 > t0:
+            raise GeometryError("the offset cuts a segment away")
+        out += [Line(p.point(t0), p.point(t1)) if isinstance(p, Line) else
+                Arc(p.center, p.radius, p.angle(t0), p.angle(t1), p.ccw),
+                *corner]
+    return Path(tuple(out), closed=True)
+
+
+def _crossing(p: Segment, q: Segment, vertex: complex,
+              miter: complex) -> complex:
+    """The crossing nearest vertex of the lines or circles carrying offset
+    pieces p and q; two lines cross at the miter point, d from both."""
+    if isinstance(p, Line) and isinstance(q, Line):
+        return miter
+    line, arc = (p, q) if isinstance(p, Line) else (q, p)
+    if isinstance(line, Arc):  # two circles cross on their radical line
+        gap, span = q.center - p.center, abs(q.center - p.center) or math.nan
+        point = p.center + gap * (span ** 2 + p.radius ** 2 - q.radius ** 2) \
+            / (2.0 * span ** 2)
+        along = 1j * gap / span
+    else:
+        point, along = line.a, (line.b - line.a) / line.length
+    b = ((point - arc.center) * along.conjugate()).real  # foot at point - b
+    h2 = b * b - abs(point - arc.center) ** 2 + arc.radius ** 2
+    if not h2 >= -1e-12 * arc.radius ** 2:
+        raise GeometryError("the offsets at a concave corner do not cross")
+    base, h = point - b * along, math.sqrt(max(h2, 0.0))
+    return min((base + h * along, base - h * along),
+               key=lambda x: abs(x - vertex))
+
+
+def _parameter(piece: Segment, x: complex, near: float) -> float:
+    """The parameter of x on piece's line or circle (nearest near)."""
+    if isinstance(piece, Line):
+        return ((x - piece.a) / (piece.b - piece.a)).real
+    return near + math.remainder(cmath.phase(x - piece.center)
+                                 - piece.angle(near), _TWO_PI) / piece.sweep
 
 
 def _basis_curves_pass(domain: DomainSpec, j: int,

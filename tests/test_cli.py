@@ -443,6 +443,30 @@ class TestRunScenario:
         # one integral per basis curve, shared by both rows
         assert len(calls) == 2 and calls[0] is not calls[1]
 
+    @pytest.mark.parametrize("half_width", [0.1, 0.4])
+    def test_inlet_narrower_than_twice_the_dilation(self, half_width):
+        # a 3 x 2 block with an inlet 1.5 deep cut into its top, 0.6 inside
+        # a rectangle: no circle separates it, so its basis curve is its
+        # dilation by 0.3. An inlet narrower than 0.6 leaves the bottom of
+        # the inlet no offset: error rows, where a wider one passes.
+        x0, x1 = 1.5 - half_width, 1.5 + half_width
+        hole = [[0, 0], [3, 0], [3, 2], [x1, 2], [x1, 0.5], [x0, 0.5],
+                [x0, 2], [0, 2]]
+        raw = {"function": "1/(z-(0.5+1i))^2", "max_degree": 3,
+               "checks": ["moments", "primitive_order"],
+               "domain": {"outer": {"polygon": {"vertices": [
+                   [-0.6, -0.6], [3.6, -0.6], [3.6, 2.6], [-0.6, 2.6]]}},
+                   "holes": [{"polygon": {"vertices": hole}}]}}
+        cfg, _ = cli.build_config(raw)
+        rows = cli.run_scenario(cfg).results
+        if half_width < 0.3:
+            assert [r["values"]["error"] for r in rows] == [
+                "hole 0 has no dilation by 0.5 of the gap: the offset cuts "
+                "a segment away"] * 2
+        else:
+            assert [r["status"] for r in rows] == ["ok", "ok"]
+            assert rows[1]["values"]["max_order"] == 1
+
     @pytest.mark.parametrize("checks", [
         ["moments", "primitive_order", "extension"],
         ["primitive_order", "extension", "moments"]])

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from envelope import expr
 from envelope import extension as ext
 from envelope import geometry as geom
 from envelope import moments as mom
@@ -70,13 +71,20 @@ def reference_winding(path, p):
     return int(k) if abs(turns - k) < geom.WINDING_RESIDUAL_LIMIT else None
 
 
+def sampled_dilation(hole, d, n=512):
+    """The hole boundary pushed outward by d along n sampled normals: an
+    n-gon, as basis curves of holes without separating circles once were."""
+    z, v = hole.arrays.nodes(*hole.locate(np.arange(n) / n))
+    return geom.polygon(z + d * (-1j * v / np.abs(v)))
+
+
 @functools.lru_cache(maxsize=1)
 def _dilated_curve():
-    """The 512-segment basis curve of the slab fixture's slab hole."""
-    slab = geom.DomainSpec(geom.circle(0j, 3.0), (
+    """A 512-gon about the slab fixture's slab hole, half its gap of 0.3
+    out: a path of many chords."""
+    return sampled_dilation(
         geom.polygon([-1.3 - 0.1j, 1.3 - 0.1j, 1.3 + 0.1j, -1.3 + 0.1j]),
-        geom.circle(0.57j, 0.17)))
-    return geom.homology_basis(slab)[0]
+        0.15)
 
 
 def _closed_ring_route(base, target, center):
@@ -406,6 +414,39 @@ class TestDomainSpec:
         assert sorted(map(id, calls)) \
             == sorted(map(id, two_hole.boundary_paths()))
 
+    def test_touching_holes_are_rejected(self):
+        # the triangle's lowest vertex lies on the square's top edge; 128
+        # samples of each put them 0.0056 apart
+        with pytest.raises(GeometryError, match=r"boundary components 0 "
+                                                r"and 1 touch \(gap 0\)"):
+            geom.DomainSpec(geom.circle(0.5 + 1j, 5.0), (
+                geom.rectangle(0, 1, 0, 1),
+                geom.polygon([0.51 + 1j, 1.5 + 2j, -0.5 + 2j])))
+        # lifted by 1e-6, the two are measured apart and pass
+        geom.DomainSpec(geom.circle(0.5 + 1j, 5.0), (
+            geom.rectangle(0, 1, 0, 1),
+            geom.polygon([0.51 + 1.000001j, 1.5 + 2j, -0.5 + 2j])))
+
+    def test_interior_point_builds_no_grid_for_a_centroid_hit(
+            self, monkeypatch):
+        calls = []
+        kernel, bbox = geom._winding_many, geom.Path.bbox
+        monkeypatch.setattr(geom, "_winding_many",
+                            lambda *args: calls.append("wind")
+                            or kernel(*args))
+        monkeypatch.setattr(geom.Path, "bbox",
+                            lambda self: calls.append("bbox") or bbox(self))
+        square = geom.rectangle(0, 1, 0, 1)
+        assert geom.interior_point.__wrapped__(square) == 0.5 + 0.5j
+        assert calls == ["wind"]
+        # an L-shaped path whose sample centroid lies outside it falls back
+        # to the first grid, 8 x 8 over its bbox, lowest row first
+        calls.clear()
+        ell = geom.polygon([0, 2, 2 + 0.5j, 0.5 + 0.5j, 0.5 + 2j, 2j])
+        first = np.linspace(0.0, 2.0, 10)[1]
+        assert geom.interior_point.__wrapped__(ell) == complex(first, first)
+        assert calls == ["wind", "bbox", "wind"]
+
     def test_unbounded_domain(self):
         d = geom.DomainSpec(None, (geom.circle(0j, 1.0),))
         assert not d.bounded
@@ -622,17 +663,45 @@ def _reference_circle(domain, j, frac):
     return geom.circle(center, lo + frac * (hi - lo))
 
 
-def _reference_dilation(domain, j, frac):
+def reference_gap(domain, j):
+    """Hole j's gap: the least distance from the segment starts and 256
+    samples of the hole or of another boundary to the other one."""
+    def probes(path):
+        return np.append(path.sample(256), [s.start for s in path.segments])
+
     hole = domain.holes[j]
-    mine = hole.sample(256)
-    gap = min((np.abs(mine[:, None] - p.sample(256)[None, :]).min()
+    gap = min((min(p.distance(probes(hole)).min(),
+                   hole.distance(probes(p)).min())
                for p in _reference_others(domain, j)), default=math.inf)
-    if not math.isfinite(gap):
-        gap = 0.5 * hole.length / math.pi
-    d = frac * gap
-    n = 512
-    z, v = hole.arrays.nodes(*hole.locate(np.arange(n) / n))
-    return geom.polygon(z + d * (-1j * v / np.abs(v)))
+    return gap if math.isfinite(gap) else 0.5 * hole.length / math.pi
+
+
+def _reference_dilation(domain, j, frac):
+    """A 512-gon at frac of the gap: the reference checks it as it checks a
+    circle, and a dilation is compared with it by its windings."""
+    return sampled_dilation(domain.holes[j], frac * reference_gap(domain, j))
+
+
+def dilation_error(curve, hole, d):
+    """Largest deviation of 256 samples of curve from the distance d to
+    hole, over the scale max(1, |samples|)."""
+    points = curve.sample(256)
+    return np.max(np.abs(hole.distance(points) - d)) \
+        / max(1.0, np.max(np.abs(points)))
+
+
+def _assert_same_contour(domain, j, got, want, frac):
+    """A circle of the reference is matched segment for segment; for one of
+    its dilations, got lies at frac of the gap from hole j and has the same
+    windings around every hole."""
+    if len(want.segments) != 512:
+        assert got.segments == want.segments
+        return
+    assert dilation_error(got, domain.holes[j],
+                          frac * reference_gap(domain, j)) <= 1e-12
+    wits = [geom.hole_witness(domain, i) for i in range(len(domain.holes))]
+    assert np.array_equal(geom._winding_many(got, wits)[0],
+                          geom._winding_many(want, wits)[0])
 
 
 def _reference_passes(domain, j, curve):
@@ -739,16 +808,19 @@ class TestHomologyBasis:
     def test_matches_the_reference_selection(self, kind, data):
         domain = data.draw(_basis_domains(kind))
         basis = geom.homology_basis(domain)
-        assert [c.segments for c in basis] \
-            == [c.segments for c in reference_basis(domain)]
+        want = reference_basis(domain)
+        assert len(basis) == len(want)
         for j, curve in enumerate(basis):
+            _assert_same_contour(domain, j, curve, want[j], 0.5)
             variants = geom.basis_curve_variants(domain, j)
-            assert [c.segments for c in variants] \
-                == [c.segments for c in reference_variants(domain, j)]
+            wanted = reference_variants(domain, j)
+            assert len(variants) == len(wanted)
+            for got, ref, frac in zip(variants, wanted, (0.5, 0.3)):
+                _assert_same_contour(domain, j, got, ref, frac)
             # the variants differ, and a dilated hole's first one is its
             # basis curve itself
             assert variants[0].segments != variants[1].segments
-            if len(curve.segments) == 512:
+            if len(want[j].segments) == 512:
                 assert variants[0] is curve
             assert geom.basis_curve_variants(domain, j)[1] is variants[1]
 
@@ -764,8 +836,11 @@ class TestHomologyBasis:
                             and check(d, j, curves))
         basis = geom.homology_basis(domain)
         variants = geom.basis_curve_variants(domain, 0)
-        assert [len(c.segments) for c in basis + list(variants)] \
-            == [512] * 3
+        gap = geom._hole_rule(domain, 0)[1]
+        assert gap == pytest.approx(1.75, abs=1e-12)
+        assert [dilation_error(c, domain.holes[0], frac * gap) <= 1e-12
+                for c, frac in zip(basis + list(variants), (0.5, 0.5, 0.3))] \
+            == [True] * 3
         assert variants[0] is basis[0]
 
     def test_failing_narrow_dilation_is_an_error(self, monkeypatch,
@@ -777,7 +852,9 @@ class TestHomologyBasis:
             geom.polygon([-1.25 - 0.125j, 1.25 - 0.125j, 1.25 + 0.125j,
                           -1.25 + 0.125j]),
             geom.circle(0.625j, 0.1875)))
-        assert len(geom.homology_basis(domain)[0].segments) == 512
+        gap = geom._hole_rule(domain, 0)[1]
+        assert dilation_error(geom.homology_basis(domain)[0],
+                              domain.holes[0], 0.5 * gap) <= 1e-12
         monkeypatch.setattr(geom, "_basis_curves_pass", lambda *args: False)
         with pytest.raises(GeometryError, match="for hole 0"):
             geom.basis_curve_variants(domain, 0)
@@ -826,6 +903,140 @@ class TestHomologyBasis:
         for j, hole in enumerate(two_hole.holes):
             w = geom.hole_witness(two_hole, j)
             assert geom.winding_number(hole, w) == 1
+
+
+_OFFSET_KINDS = ("slab", "L-shape", "regular", "circle")
+
+
+@st.composite
+def _offset_domains(draw, kind):
+    """(domain, c, turn, slab): hole 0 of the kind about a centre c, turned
+    by turn unless it is a circle (slab is the slab's (length, width), else
+    None); hole 1 an axis-parallel square a short gap to its right; an
+    axis-parallel rectangle around both. Every
+    boundary but hole 0 is a polygon, so the measured gap is exact; a
+    circle's nearest points to them lie at its sampled angles 0, pi/2, pi
+    and 3 pi/2."""
+    c = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+    turn = cmath.exp(2j * math.pi * draw(_unit))
+    slab = None
+    if kind == "slab":
+        slab = (2.4 + 0.6 * draw(_unit), 0.16 + 0.12 * draw(_unit))
+        shape = [complex(x * slab[0], y * slab[1]) / 2
+                 for x, y in ((-1, -1), (1, -1), (1, 1), (-1, 1))]
+    elif kind == "L-shape":
+        # arms of length a and width w; the corner w + w i is concave
+        a, w = 1.0 + draw(_unit), 0.2 + 0.3 * draw(_unit)
+        shape = [v - 0.5 * a * (1 + 1j) for v in
+                 (0, a, a + w * 1j, w + w * 1j, w + a * 1j, a * 1j)]
+    elif kind == "regular":
+        sides, rho = draw(st.integers(3, 8)), 0.4 + 0.6 * draw(_unit)
+        shape = [rho * cmath.exp(2j * math.pi * k / sides)
+                 for k in range(sides)]
+    hole = geom.circle(c, 0.3 + 0.7 * draw(_unit)) if kind == "circle" \
+        else geom.polygon([c + turn * v for v in shape])
+    x0, x1, y0, y1 = hole.bbox()
+    side, gap = 0.2 + 0.4 * draw(_unit), 0.1 + 0.4 * draw(_unit)
+    margin = 0.3 + draw(_unit)
+    square = geom.rectangle(x1 + gap, x1 + gap + side, c.imag - side / 2,
+                            c.imag + side / 2)
+    outer = geom.rectangle(x0 - margin, x1 + gap + side + margin,
+                           y0 - margin, y1 + margin)
+    return geom.DomainSpec(outer, (hole, square)), c, turn, slab
+
+
+class TestDilation:
+    @pytest.mark.parametrize("kind", _OFFSET_KINDS)
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_offsets_are_exact(self, kind, data):
+        domain, c, turn, slab = data.draw(_offset_domains(kind))
+        hole = domain.holes[0]
+        gap = reference_gap(domain, 0)
+        d = data.draw(st.sampled_from((0.3, 0.5))) * gap
+        curve = geom._dilated_hole(hole, d)
+        wits = [geom.hole_witness(domain, i) for i in range(2)]
+        assert geom._winding_many(curve, wits)[0].tolist() == [1, 0]
+        points = curve.sample(512)
+        scale = max(1.0, np.max(np.abs(points)))
+        dist = hole.distance(points)
+        assert dist.min() >= d * (1.0 - 1e-12)
+        # no piece is cut so far that another part of the hole comes
+        # nearer than d: every point lies at d exactly
+        assert np.max(np.abs(dist - d)) <= 1e-12 * scale
+        for other in (domain.outer, domain.holes[1]):
+            assert other.distance(points).min() >= gap - d - 1e-12 * scale
+        if slab is None:
+            return
+        # a pole of order k inside the slab: the moments of degree n are
+        # 2 pi i C(n, k - 1) a^(n - k + 1), zero below k - 1
+        k = data.draw(st.integers(1, 4))
+        a = c + turn * complex(0.8 * slab[0] * (data.draw(_unit) - 0.5),
+                               0.8 * slab[1] * (data.draw(_unit) - 0.5))
+        a = complex(round(a.real, 4), round(a.imag, 4))
+        f = expr.parse(f"1/(z-({a.real:.4f}{a.imag:+.4f}i))^{k}")
+        vec = mom.moment_vector(f, curve, k + 2)
+        want = [2j * math.pi * math.comb(n, k - 1) * a ** (n - k + 1)
+                if n >= k - 1 else 0j for n in range(k + 3)]
+        zero = mom.ZeroTolerance()
+        assert all(abs(v - w) <= zero.bound(s)
+                   for v, w, s in zip(vec.values, want, vec.scales()))
+        assert vec.first_nonzero(zero) == k - 1
+        verdict = mom.max_primitive_order(f, domain)
+        assert (verdict.max_order, verdict.definitive) == (k - 1, True)
+
+    @pytest.mark.parametrize("hole, segments", [
+        (geom.rectangle(-1.3, 1.3, -0.1, 0.1), 8),
+        (geom.polygon([0, 2, 2 + 0.5j, 0.5 + 0.5j, 0.5 + 2j, 2j]), 11),
+        (geom.circle(1 + 1j, 0.5), 1),
+        # a square with a half-disc bitten out of its top edge
+        (geom.Path((geom.Line(0j, 2 + 0j), geom.Line(2 + 0j, 2 + 2j),
+                    geom.Line(2 + 2j, 1.5 + 2j),
+                    geom.Arc(1 + 2j, 0.5, 0.0, math.pi, ccw=False),
+                    geom.Line(0.5 + 2j, 2j), geom.Line(2j, 0j))), 12),
+        # a stadium: lines tangent to its arcs, so no corner arcs
+        (geom.Path((geom.Line(0j, 2 + 0j),
+                    geom.Arc(2 + 1j, 1.0, -math.pi / 2, math.pi / 2),
+                    geom.Line(2 + 2j, 2j),
+                    geom.Arc(1j, 1.0, math.pi / 2, 3 * math.pi / 2))), 4),
+        # a mushroom: a stem meets its cap at two concave corners, cut
+        # where the stem's offset lines cross the cap's offset circle
+        (geom.Path((geom.Line(-0.3 - 2j, 0.3 - 2j),
+                    geom.Line(0.3 - 2j, 0.3 - math.sqrt(0.91) * 1j),
+                    geom.Arc(0j, 1.0, math.atan2(-math.sqrt(0.91), 0.3),
+                             math.atan2(-math.sqrt(0.91), -0.3)),
+                    geom.Line(-0.3 - math.sqrt(0.91) * 1j, -0.3 - 2j))), 6),
+        # two overlapping discs, cut where their offset circles cross
+        (geom.Path((geom.Arc(0.8 + 0j, 1.0, -math.atan2(0.6, -0.8),
+                             math.atan2(0.6, -0.8)),
+                    geom.Arc(-0.8 + 0j, 1.0, math.atan2(0.6, 0.8),
+                             -math.atan2(0.6, 0.8)))), 2),
+    ])
+    def test_at_most_two_segments_per_hole_segment(self, hole, segments):
+        # a line or an arc per segment and an arc per convex corner; a
+        # curve sampled from the hole would have hundreds
+        curve = geom._dilated_hole(hole, 0.2)
+        assert len(curve.segments) == segments <= 2 * len(hole.segments)
+        assert dilation_error(curve, hole, 0.2) <= 1e-12
+
+    def test_clockwise_arc_within_d_names_the_hole(self, monkeypatch,
+                                                   fresh_contours):
+        bitten = geom.Path((
+            geom.Line(0j, 2 + 0j), geom.Line(2 + 0j, 2 + 2j),
+            geom.Line(2 + 2j, 1.2 + 2j),
+            geom.Arc(1 + 2j, 0.2, 0.0, math.pi, ccw=False),
+            geom.Line(0.8 + 2j, 2j), geom.Line(2j, 0j)))
+        domain = geom.DomainSpec(geom.rectangle(-1, 3, -1, 3), (bitten,))
+        # circles fail the check, so the hole's contours are dilations by
+        # 0.5 and 0.3 of its gap of 1: the bite of radius 0.2 has none
+        check = geom._basis_curves_pass
+        monkeypatch.setattr(geom, "_basis_curves_pass",
+                            lambda d, j, curves: len(curves) == 1
+                            and check(d, j, curves))
+        with pytest.raises(GeometryError,
+                           match="hole 0 has no dilation by 0.5 of the gap: "
+                                 "arc radius must be positive"):
+            geom.homology_basis(domain)
 
 
 class TestRaster:

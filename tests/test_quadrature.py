@@ -318,9 +318,12 @@ class TestLevelEngine:
 
     def test_dilated_curve_takes_few_integrand_calls(self, slab,
                                                      monkeypatch):
-        # a 512-segment basis curve: three panels per segment, evaluated
-        # level by level in a handful of capped calls, not one per panel
-        curve = geom.homology_basis(slab)[0]
+        # a 512-gon about the slab hole, half its gap of 0.3 out, as basis
+        # curves once were: three panels per segment, evaluated level by
+        # level in a handful of capped calls, not one per panel
+        hole = slab.holes[0]
+        z, v = hole.arrays.nodes(*hole.locate(np.arange(512) / 512))
+        curve = geom.polygon(z + 0.15 * (-1j * v / np.abs(v)))
         assert len(curve.segments) == 512
         calls = []
 
