@@ -530,7 +530,13 @@ class DomainSpec:
         # every hole winds once around its own witness by now
         for i, j in np.argwhere(winds != np.eye(len(wits))):
             raise GeometryError(f"holes {i} and {j} overlap")
-        _check_clearance(self.outer, self.holes)
+        paths = self.holes + ((self.outer,) if self.outer else ())
+        for i in range(len(paths)):
+            for j in range(i + 1, len(paths)):
+                d = _gap(paths[i], paths[j])
+                if d <= 1e-9:
+                    raise GeometryError(f"boundary components {i} and {j} "
+                                        f"touch (gap {d:.3g})")
 
     @property
     def bounded(self) -> bool:
@@ -580,29 +586,11 @@ def classify(domain: DomainSpec, points) -> Classification:
                             (hole, inside, on_boundary, distance)))
 
 
-def _check_clearance(outer: Path | None, holes: tuple[Path, ...]) -> None:
-    """Reject boundaries that touch or nearly touch. Samples 1/128 of a
-    path's length apart bound its gaps from below, so a pair is measured
-    (_gap) only when that bound cannot clear it."""
-    paths = list(holes) + ([outer] if outer else [])
-    samples = [p.sample(128) for p in paths]
-    for i in range(len(paths)):
-        for j in range(i + 1, len(paths)):
-            d = np.abs(samples[i][:, None] - samples[j][None, :]).min()
-            if d - (paths[i].length + paths[j].length) / 256 <= 1e-9:
-                d = _gap(paths[i], paths[j])
-                if d <= 1e-9:
-                    raise GeometryError(f"boundary components {i} and {j} "
-                                        f"touch (gap {d:.3g})")
-
-
 def _gap(a: Path, b: Path) -> float:
     """Least distance from the segment starts and 256 samples of either
-    path to the other: exact for polygons, whose closest pair always
-    includes a vertex."""
-    return min(float(np.min(p.distance(np.append(
-        q.sample(256), [s.start for s in q.segments])))) for p, q in
-        ((a, b), (b, a)))
+    path to the other; exact for polygons (a closest pair has a vertex)."""
+    return min(float(np.min(p.distance(np.append(q.sample(256), [
+        s.start for s in q.segments])))) for p, q in ((a, b), (b, a)))
 
 
 @functools.lru_cache(maxsize=256)
@@ -621,7 +609,6 @@ def interior_point(path: Path) -> complex:
             xs = np.linspace(x0, x1, n + 2)[1:-1]
             ys = np.linspace(y0, y1, n + 2)[1:-1]
             yield (xs[None, :] + 1j * ys[:, None]).ravel()
-
     for points in candidates():  # the grids row by row, lowest y first
         wind, dist = _winding_many(path, points)
         hits = np.flatnonzero((wind != 0) & (wind != _ON_PATH)
@@ -683,18 +670,14 @@ def _contour(domain: DomainSpec, j: int, frac: float) -> Path:
 
 
 def _dilated_hole(hole: Path, d: float) -> Path:
-    """The exact outward offset by d of a positively oriented hole: lines
-    moved by d along their outward normal, arcs about their centres at
-    radius r + d (counterclockwise) or r - d (clockwise), an arc of radius
-    d about each convex corner; concave corners cut where offsets cross."""
-    segs, pieces = hole.segments, []
-    for s in segs:
-        if isinstance(s, Line):
-            shift = -1j * d * (s.b - s.a) / s.length
-            pieces.append(Line(s.a + shift, s.b + shift))
-        else:  # a clockwise arc of radius r <= d has none: Arc refuses it
-            pieces.append(Arc(s.center, s.radius + (d if s.ccw else -d),
-                              s.t0, s.t0 + s.sweep, s.ccw))
+    """The exact outward offset by d of a positively oriented hole: each
+    line or arc moved d along its outward normal, an arc of radius d about
+    each convex corner, and each concave corner cut where offsets cross."""
+    segs = hole.segments
+    pieces = [Line(*(z - 1j * d * (s.b - s.a) / s.length for z in (s.a, s.b)))
+              if isinstance(s, Line) else  # Arc refuses clockwise r <= d
+              Arc(s.center, s.radius + (d if s.ccw else -d), s.t0, s.t1, s.ccw)
+              for s in segs]
     # the parameters kept of each piece, and the arc after it if convex
     kept, corners = [[0.0, 1.0] for _ in segs], [[] for _ in segs]
     for k, s in enumerate(segs):
@@ -703,44 +686,41 @@ def _dilated_hole(hole: Path, d: float) -> Path:
                                              segs[nxt].velocity(0.0)))
         turn = cmath.phase(nw / nu)  # within 1e-13 of 0: a smooth joint
         if turn > 1e-13:
-            corners[k] = [Arc(s.end, d, cmath.phase(nu),
-                              cmath.phase(nu) + turn)]
+            corners[k] = [Arc(s.end, d, cmath.phase(nu), cmath.phase(nw))]
         elif turn < -1e-13:
-            x = _crossing(pieces[k], pieces[nxt], s.end, s.end + d * (nu + nw)
-                          / (1.0 + (nu * nw.conjugate()).real))
-            kept[k][1] = _parameter(pieces[k], x, 1.0)
-            kept[nxt][0] = _parameter(pieces[nxt], x, 0.0)
-    out = []
+            x = _crossing(pieces[k], pieces[nxt], s.end)
+            kept[k][1], kept[nxt][0] = (_parameter(pieces[k], x, 1.0),
+                                        _parameter(pieces[nxt], x, 0.0))
+    out = []  # where two cuts cross, the piece backtracks between them
     for p, (t0, t1), corner in zip(pieces, kept, corners):
-        if not t1 > t0:
-            raise GeometryError("the offset cuts a segment away")
-        out += [Line(p.point(t0), p.point(t1)) if isinstance(p, Line) else
-                Arc(p.center, p.radius, p.angle(t0), p.angle(t1), p.ccw),
-                *corner]
+        if abs(t1 - t0) * p.length > ENDPOINT_TOL * max(1.0, abs(p.start)):
+            out.append(p if (t0, t1) == (0.0, 1.0) else
+                       Line(p.point(t0), p.point(t1)) if isinstance(p, Line)
+                       else Arc(p.center, p.radius, p.angle(t0),
+                                p.angle(t1), p.ccw == (t1 > t0)))
+        out += corner
     return Path(tuple(out), closed=True)
 
 
-def _crossing(p: Segment, q: Segment, vertex: complex,
-              miter: complex) -> complex:
-    """The crossing nearest vertex of the lines or circles carrying offset
-    pieces p and q; two lines cross at the miter point, d from both."""
+def _crossing(p: Segment, q: Segment, vertex: complex) -> complex:
+    """The crossing nearest vertex of the lines or circles carrying p, q."""
     if isinstance(p, Line) and isinstance(q, Line):
-        return miter
+        u, w = p.b - p.a, q.b - q.a
+        return p.a + u * (_cross(q.a - p.a, w) / _cross(u, w))
     line, arc = (p, q) if isinstance(p, Line) else (q, p)
     if isinstance(line, Arc):  # two circles cross on their radical line
         gap, span = q.center - p.center, abs(q.center - p.center) or math.nan
         point = p.center + gap * (span ** 2 + p.radius ** 2 - q.radius ** 2) \
             / (2.0 * span ** 2)
-        along = 1j * gap / span
-    else:
-        point, along = line.a, (line.b - line.a) / line.length
-    b = ((point - arc.center) * along.conjugate()).real  # foot at point - b
+        u = 1j * gap / span
+    else:  # a point and unit direction u of the line
+        point, u = line.a, (line.b - line.a) / line.length
+    b = ((point - arc.center) * u.conjugate()).real  # foot at point - b u
     h2 = b * b - abs(point - arc.center) ** 2 + arc.radius ** 2
     if not h2 >= -1e-12 * arc.radius ** 2:
         raise GeometryError("the offsets at a concave corner do not cross")
-    base, h = point - b * along, math.sqrt(max(h2, 0.0))
-    return min((base + h * along, base - h * along),
-               key=lambda x: abs(x - vertex))
+    base, h = point - b * u, math.sqrt(max(h2, 0.0))
+    return min((base + h * u, base - h * u), key=lambda x: abs(x - vertex))
 
 
 def _parameter(piece: Segment, x: complex, near: float) -> float:

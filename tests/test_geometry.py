@@ -1019,6 +1019,15 @@ class TestDilation:
         assert len(curve.segments) == segments <= 2 * len(hole.segments)
         assert dilation_error(curve, hole, 0.2) <= 1e-12
 
+    @pytest.mark.parametrize("t0", [0.3, 1.72, 1.8])
+    def test_full_circle_stays_one_full_arc(self, t0):
+        # a full circle's end angle t0 + 2 pi can round a hair past a full
+        # turn, so an arc rebuilt from its end angles may cover almost none
+        hole = geom.Path((geom.Arc(1 + 2j, 1.0, t0, t0),))
+        (arc,) = geom._dilated_hole(hole, 0.5).segments
+        assert arc.length == pytest.approx(3.0 * math.pi, rel=1e-15)
+        assert arc.start == pytest.approx(hole.start + 0.5 * cmath.exp(1j * t0))
+
     def test_clockwise_arc_within_d_names_the_hole(self, monkeypatch,
                                                    fresh_contours):
         bitten = geom.Path((
