@@ -428,10 +428,9 @@ def _run_boundary_tower(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
 
 
 def _run_cauchy(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
-    vals = []
-    for w in cfg.points:
-        vals.append(_bd.cauchy_transform(cfg.curve, w, cfg.quad_tol))
-    values = {"points": list(cfg.points), "values": vals}
+    points = np.array(cfg.points, dtype=complex)
+    vals = _bd.cauchy_transform(cfg.curve, points, cfg.quad_tol)
+    values = {"points": list(cfg.points), "values": list(map(complex, vals))}
     return values, {"quadrature": cfg.quad_tol}, "ok"
 
 

@@ -533,7 +533,8 @@ class DomainSpec:
         paths = self.holes + ((self.outer,) if self.outer else ())
         for i in range(len(paths)):
             for j in range(i + 1, len(paths)):
-                d = _gap(paths[i], paths[j])
+                d = 0.0 if _paths_cross(paths[i], paths[j]) \
+                    else _gap(paths[i], paths[j])
                 if d <= 1e-9:
                     raise GeometryError(f"boundary components {i} and {j} "
                                         f"touch (gap {d:.3g})")
@@ -704,9 +705,19 @@ def _dilated_hole(hole: Path, d: float) -> Path:
 
 def _crossing(p: Segment, q: Segment, vertex: complex) -> complex:
     """The crossing nearest vertex of the lines or circles carrying p, q."""
+    points = _crossings(p, q)
+    if not points:
+        raise GeometryError("the offsets at a concave corner do not cross")
+    return min(points, key=lambda x: abs(x - vertex))
+
+
+def _crossings(p: Segment, q: Segment) -> tuple[complex, ...]:
+    """Where the lines or circles carrying p and q cross or touch: none
+    (parallel lines, concentric or apart circles), one or two points."""
     if isinstance(p, Line) and isinstance(q, Line):
         u, w = p.b - p.a, q.b - q.a
-        return p.a + u * (_cross(q.a - p.a, w) / _cross(u, w))
+        turn = _cross(u, w)
+        return (p.a + u * (_cross(q.a - p.a, w) / turn),) if turn else ()
     line, arc = (p, q) if isinstance(p, Line) else (q, p)
     if isinstance(line, Arc):  # two circles cross on their radical line
         gap, span = q.center - p.center, abs(q.center - p.center) or math.nan
@@ -718,9 +729,24 @@ def _crossing(p: Segment, q: Segment, vertex: complex) -> complex:
     b = ((point - arc.center) * u.conjugate()).real  # foot at point - b u
     h2 = b * b - abs(point - arc.center) ** 2 + arc.radius ** 2
     if not h2 >= -1e-12 * arc.radius ** 2:
-        raise GeometryError("the offsets at a concave corner do not cross")
+        return ()
     base, h = point - b * u, math.sqrt(max(h2, 0.0))
-    return min((base + h * u, base - h * u), key=lambda x: abs(x - vertex))
+    return base + h * u, base - h * u
+
+
+def _paths_cross(a: Path, b: Path) -> bool:
+    """Whether a segment of a meets a segment of b: a crossing of their
+    lines or circles within 1e-9 of both, for each pair of segments whose
+    bounding boxes meet."""
+    boxes = [(q, q.bbox()) for q in b.segments]
+    for p in a.segments:
+        x0, x1, y0, y1 = p.bbox()
+        for q, (u0, u1, v0, v1) in boxes:
+            if u0 <= x1 and x0 <= u1 and v0 <= y1 and y0 <= v1 \
+                    and any(max(p.distance(x), q.distance(x)) <= 1e-9
+                            for x in _crossings(p, q)):
+                return True
+    return False
 
 
 def _parameter(piece: Segment, x: complex, near: float) -> float:

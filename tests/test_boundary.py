@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from envelope import boundary as bd
 from envelope import geometry as geom
 from envelope import moments as mom
+from envelope import quadrature as quad
 from envelope.errors import CurveDataError, GeometryError
 
 
@@ -322,6 +323,175 @@ class TestCauchyTransform:
         assert abs(bd.cauchy_transform(c, w) - w ** 3) < 1e-12
 
 
+    @pytest.mark.parametrize("path, w", [
+        (geom.circle(0j, 1.0), np.exp(0.3j)),
+        (geom.rectangle(-1, 1, -1, 1), 0.3 + 1j),
+        (geom.rectangle(-1, 1, -1, 1), 1 + 0j),
+    ])
+    def test_points_on_the_path_are_refused(self, path, w):
+        c = bd.sample_path(path, lambda z: z ** 2, 64)
+        with pytest.raises(GeometryError, match="enclosed"):
+            bd.cauchy_transform(c, w)
+
+    @pytest.mark.parametrize("route", [lambda c: c, polyline_only])
+    def test_non_finite_points_are_refused(self, route):
+        c = route(circle_curve(lambda z: z, 64))
+        with pytest.raises(GeometryError, match=r"\(nan\+0j\) is not finite"):
+            bd.cauchy_transform(c, complex("nan"))
+        with pytest.raises(GeometryError, match=r"\(inf\+0j\) is not finite"):
+            bd.cauchy_transform(c, np.array([0.1, complex("inf")]))
+
+
+def stadium(half: float, radius: float) -> geom.Path:
+    """Two lines joined by two half circles: a smooth, ellipse-like curve
+    about 0, reaching half + radius from it."""
+    top, bottom = radius * 1j, -radius * 1j
+    return geom.Path((
+        geom.Line(bottom - half, bottom + half),
+        geom.Arc(complex(half), radius, -math.pi / 2, math.pi / 2),
+        geom.Line(top + half, top - half),
+        geom.Arc(complex(-half), radius, math.pi / 2, 3 * math.pi / 2)),
+        closed=True)
+
+
+# (path, center, reach, inner): a circle or a stadium about center, whose
+# points lie between inner and reach from it
+CURVES = st.one_of(
+    st.builds(lambda x, y, r: (geom.circle(complex(x, y), r), complex(x, y),
+                               r, r),
+              st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(0.5, 2)),
+    st.builds(lambda h, r: (stadium(h, r), 0j, h + r, r),
+              st.floats(0.2, 1.0), st.floats(0.5, 1.0)))
+
+
+def outside_poles(center, reach, poles, degree):
+    """A polynomial of the given degree plus simple and double poles at
+    (distance, angle, order, coefficient phase) with distance in units of
+    reach from center, all at least 2 reach away."""
+    def fn(z):
+        out = z ** degree
+        for dist, angle, order, phase in poles:
+            q = center + dist * reach * np.exp(1j * angle)
+            out = out + np.exp(1j * phase) * reach ** order / (z - q) ** order
+        return out
+    return fn
+
+
+def approach(path: geom.Path, fraction: float, dist: float) -> complex:
+    """The point dist along the inward normal of the path at an arclength
+    fraction."""
+    z, v = path.arrays.nodes(*path.locate(np.array([fraction])))
+    return complex(z[0] + dist * 1j * v[0] / abs(v[0]))
+
+
+def plain_transform(fn, path: geom.Path, w: complex) -> complex:
+    """(1/2 pi i) of the adaptive integral of fn(z)/(z - w) dz."""
+    value = quad.integrate(lambda z: fn(z) / (z - w), path).value
+    return value / (2j * math.pi)
+
+
+POLES = st.lists(st.tuples(st.floats(2.0, 3.0), st.floats(0.0, 2 * math.pi),
+                           st.integers(1, 2), st.floats(0.0, 2 * math.pi)),
+                 max_size=2)
+
+
+class TestSubtractedTransform:
+    @given(curve=CURVES, poles=POLES, degree=st.integers(0, 3),
+           fraction=st.floats(0.0, 1.0), exponent=st.floats(-8.0, -1.0))
+    @example(curve=(geom.circle(0j, 1.0), 0j, 1.0, 1.0),
+             poles=[(2.0, 0.0, 2, 0.0)], degree=3, fraction=0.0,
+             exponent=-8.0)
+    def test_reproduces_holomorphic_data_near_the_curve(
+            self, curve, poles, degree, fraction, exponent):
+        # g holomorphic inside and near the curve: the transform is g(w) at
+        # distances 1e-8 to 1e-1 along the inward normal, where the plain
+        # kernel runs out of panels by 1e-8
+        path, center, reach, _ = curve
+        fn = outside_poles(center, reach, poles, degree)
+        w = approach(path, fraction, 10.0 ** exponent * reach)
+        got = bd.cauchy_transform(bd.sample_path(path, fn, 64), w)
+        assert abs(got - fn(w)) <= 1e-11
+
+    @given(curve=CURVES, poles=POLES, degree=st.integers(0, 3),
+           spots=st.lists(st.tuples(st.floats(0.0, 1.0),
+                                    st.floats(-8.0, -0.5)),
+                          min_size=2, max_size=5))
+    def test_one_stacked_call_equals_one_point_calls(self, curve, poles,
+                                                     degree, spots):
+        path, center, reach, _ = curve
+        c = bd.sample_path(path, outside_poles(center, reach, poles, degree),
+                           64)
+        points = np.array([approach(path, f, 10.0 ** e * reach)
+                           for f, e in spots])
+        stacked = bd.cauchy_transform(c, points)
+        assert stacked.shape == points.shape
+        for w, v in zip(points, stacked):
+            assert abs(v - bd.cauchy_transform(c, w)) <= 1e-12
+        discrete = polyline_only(bd.sample_path(path, np.exp, 1024))
+        middle = np.array([center, center + 0.1 * reach])
+        for w, v in zip(middle, bd.cauchy_transform(discrete, middle)):
+            assert abs(v - bd.cauchy_transform(discrete, w)) <= 1e-12
+
+    @given(curve=CURVES, angle=st.floats(0.0, 2 * math.pi),
+           depth=st.floats(0.3, 0.9), phase=st.floats(0.0, 2 * math.pi))
+    def test_far_points_keep_the_plain_kernel(self, curve, angle, depth,
+                                              phase):
+        # farther from the path than 2% of its length: the same float as
+        # the plain integral
+        path, center, reach, inner = curve
+        fn = outside_poles(center, reach, [(2.5, angle, 2, phase)], 2)
+        w = center + depth * 0.3 * inner * np.exp(1j * phase)
+        assert path.distance(w) > bd.SUBTRACT_REACH * path.length
+        c = bd.sample_path(path, fn, 64)
+        assert bd.cauchy_transform(c, w) == plain_transform(fn, path, w)
+
+    @given(angle=st.floats(0.0, 2 * math.pi), turn=st.floats(0.0, 2 * math.pi),
+           coef=st.floats(0.5, 1.5))
+    def test_large_data_near_the_curve_keeps_the_plain_kernel(
+            self, angle, turn, coef):
+        # 1e-3 from a pole of order 3 at 0.9 on the unit circle: w is near
+        # the curve, but eps |g(w)| ~ 2e-7 exceeds the tolerance, and the
+        # transform is the same float as the plain integral
+        p = 0.9 * np.exp(1j * angle)
+        w = p + 1e-3 * np.exp(1j * turn)
+
+        def fn(z):
+            return coef / (z - p) ** 3
+
+        c = circle_curve(fn, 64)
+        assert c.path.distance(w) <= bd.SUBTRACT_REACH * c.path.length
+        assert bd.cauchy_transform(c, w) == plain_transform(fn, c.path, w)
+
+    def test_nontangential_evaluations_stay_bounded(self):
+        # every point of g the check evaluates, moments included, against
+        # one plain adaptive integral of g(z)/(z - w) per radius
+        def g(z):
+            return 1 / (z - (1.6 + 0.3j)) ** 2 + z ** 3
+
+        seen = []
+        curve = circle_curve(lambda z: seen.append(np.size(z)) or g(z), 256)
+        seen.clear()
+        rep = bd.nontangential_check(curve)
+        assert rep.expected_match
+        assert sum(seen) <= 1500
+        plain = sum(quad.integrate(lambda z, w=w: g(z) / (z - w),
+                                   curve.path).evaluations
+                    for w in rep.approach_points)
+        assert plain > 6000
+
+    @pytest.mark.parametrize("fn", [np.conj, lambda z: z ** 2])
+    def test_expected_match_ignores_the_transform(self, fn, monkeypatch):
+        # a transform that returns the boundary value everywhere moves the
+        # measured outcome, never the expected one
+        c = circle_curve(fn, 256)
+        expected = bd.nontangential_check(c).expected_match
+        monkeypatch.setattr(bd, "cauchy_transform", lambda curve, w, tol: (
+            np.full(np.shape(w), curve.values[0])))
+        rep = bd.nontangential_check(c)
+        assert rep.matches_boundary
+        assert rep.expected_match == expected
+
+
 class TestNontangential:
     def test_polynomial_data_matches_boundary(self):
         c = circle_curve(lambda z: z ** 2, 512)
@@ -373,6 +543,13 @@ class TestNontangential:
         c = circle_curve(lambda z: z, 256)
         with pytest.raises(ValueError, match="radius"):
             bd.nontangential_check(c, radii=())
+
+    @pytest.mark.parametrize("radii", [(math.nan,), (0.1, 0.0),
+                                       (0.1, -1e-3), (math.inf, 0.1)])
+    def test_radii_must_be_finite_and_positive(self, radii):
+        c = circle_curve(lambda z: z, 128)
+        with pytest.raises(ValueError, match="finite and positive"):
+            bd.nontangential_check(c, radii=radii)
 
     def test_radii_must_decrease(self):
         c = circle_curve(lambda z: z, 128)

@@ -427,6 +427,34 @@ class TestDomainSpec:
             geom.rectangle(0, 1, 0, 1),
             geom.polygon([0.51 + 1.000001j, 1.5 + 2j, -0.5 + 2j])))
 
+    @pytest.mark.parametrize("holes", [
+        # line-line: a cross of two slabs, no vertex of either on the other
+        (geom.rectangle(0, 4, 0, 0.1), geom.rectangle(3, 3.1, -2.5, 1.5)),
+        # line-arc: a slab through the unit circle, 0.001 from its samples
+        (geom.circle(0j, 1.0), geom.rectangle(0.5, 3, -0.001, 0.001)),
+        # arc-arc: two circles whose lens holds neither witness
+        (geom.circle(0j, 1.0), geom.circle(1.9 + 0j, 1.0)),
+    ])
+    def test_crossing_holes_are_rejected(self, holes):
+        with pytest.raises(GeometryError, match=r"boundary components 0 "
+                                                r"and 1 touch \(gap 0\)"):
+            geom.DomainSpec(geom.circle(0.5 + 1j, 5.0), holes)
+
+    def test_holes_apart_are_accepted_without_a_crossing_test(
+            self, monkeypatch):
+        # the vertical slab stops 0.1 above the horizontal one, so no two
+        # of their segments have meeting boxes; the outer circle's box
+        # meets every segment, and each such pair is tested
+        calls = []
+        crossings = geom._crossings
+        monkeypatch.setattr(geom, "_crossings", lambda p, q: calls.append(
+            (p, q)) or crossings(p, q))
+        holes = (geom.rectangle(0, 4, 0, 0.1), geom.rectangle(3, 3.1, 0.2, 1.5))
+        geom.DomainSpec(None, holes)
+        assert calls == []
+        geom.DomainSpec(geom.circle(0.5 + 1j, 5.0), holes)
+        assert len(calls) == 8
+
     def test_interior_point_builds_no_grid_for_a_centroid_hit(
             self, monkeypatch):
         calls = []
