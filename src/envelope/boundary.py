@@ -31,6 +31,8 @@ _CLOSURE_RTOL = 1e-9
 CORNER_LIMIT_DEG = 30.0
 MATCH_TOL = 1e-4
 NONTANGENTIAL_MOMENT_DEGREE = 8
+# Default approach radii of nontangential_check, largest first.
+NONTANGENTIAL_RADII = (1e-1, 1e-2, 1e-3, 5e-5)
 SUBTRACT_REACH = 0.02  # of the path length; see cauchy_transform
 _EPS = float(np.finfo(float).eps)
 
@@ -404,7 +406,7 @@ def _corner_angle_deg(curve: SampledCurve, j: int) -> float:
 
 
 def nontangential_check(curve: SampledCurve, node_index: int = 0,
-                        radii: tuple[float, ...] = (1e-1, 1e-2, 1e-3, 5e-5),
+                        radii: tuple[float, ...] = NONTANGENTIAL_RADII,
                         tol: float = _quad.DEFAULT_TOL,
                         zero_tol: _mom.ZeroTolerance = _mom.ZeroTolerance()
                         ) -> NontangentialReport:

@@ -272,7 +272,7 @@ def build_config(raw: dict, base_dir: FsPath | None = None,
     if node_index is None or node_index < 0:
         diags.append("node_index: must be >= 0")
         node_index = 0
-    radii_raw = merged.get("radii", [1e-1, 1e-2, 1e-3, 5e-5])
+    radii_raw = merged.get("radii", list(_bd.NONTANGENTIAL_RADII))
     radii = tuple(_json_number(r) for r in radii_raw) \
         if isinstance(radii_raw, list) else ()
     if not radii or None in radii or min(radii) <= 0:

@@ -503,6 +503,11 @@ class DomainSpec:
 
     outer: Path | None
     holes: tuple[Path, ...] = ()
+    # derived from outer and holes: a point strictly inside each hole, and
+    # each hole's least _gap to another boundary (inf when it has none)
+    witnesses: tuple[complex, ...] = field(init=False, repr=False,
+                                           compare=False)
+    gaps: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "holes", tuple(self.holes))
@@ -513,6 +518,7 @@ class DomainSpec:
         # interior point and at the witnesses; a witness on another
         # boundary counts as outside or overlapping
         wits = [interior_point(h) for h in self.holes]
+        object.__setattr__(self, "witnesses", tuple(wits))
         winds = np.reshape([_winding_many(h, wits)[0] for h in self.holes],
                            (len(wits), len(wits)))
         turns, inside = list(np.diagonal(winds)), []
@@ -531,6 +537,7 @@ class DomainSpec:
         for i, j in np.argwhere(winds != np.eye(len(wits))):
             raise GeometryError(f"holes {i} and {j} overlap")
         paths = self.holes + ((self.outer,) if self.outer else ())
+        gaps = [math.inf] * len(paths)
         for i in range(len(paths)):
             for j in range(i + 1, len(paths)):
                 d = 0.0 if _paths_cross(paths[i], paths[j]) \
@@ -538,6 +545,8 @@ class DomainSpec:
                 if d <= 1e-9:
                     raise GeometryError(f"boundary components {i} and {j} "
                                         f"touch (gap {d:.3g})")
+                gaps[i], gaps[j] = min(gaps[i], d), min(gaps[j], d)
+        object.__setattr__(self, "gaps", tuple(gaps[:len(self.holes)]))
 
     @property
     def bounded(self) -> bool:
@@ -594,7 +603,6 @@ def _gap(a: Path, b: Path) -> float:
         s.start for s in q.segments])))) for p, q in ((a, b), (b, a)))
 
 
-@functools.lru_cache(maxsize=256)
 def interior_point(path: Path) -> complex:
     """A point strictly inside a closed path (winding +-1).
 
@@ -623,44 +631,44 @@ def interior_point(path: Path) -> complex:
 # homology basis
 
 # Each hole's contours follow one rule, decided once: circles about its
-# sample centroid at these fractions of (lo, hi) when all three pass the
-# basis check, else dilations of its boundary at 0.5 and 0.3 of its gap to
-# the other boundaries. Both rules give the basis curve at 0.5.
+# sample centroid at these fractions of (lo, hi) when lo < hi, else
+# dilations of its boundary at 0.5 and 0.3 of its gap to the other
+# boundaries. Both rules give the basis curve at 0.5.
 _CIRCLE_FRACTIONS = (0.35, 0.5, 0.7)
 
 
 @functools.lru_cache(maxsize=128)
-def _hole_rule(domain: DomainSpec, j: int) -> tuple[tuple[Path, ...], float]:
-    """(circles, gap) of hole j: the circles at _CIRCLE_FRACTIONS when they
-    all pass (radii in (lo, hi) enclose the hole and avoid every other
-    boundary), else no circles and the least _gap between the hole and
-    another boundary."""
+def _hole_rule(domain: DomainSpec, j: int) -> tuple[Path, ...]:
+    """The circles of hole j at _CIRCLE_FRACTIONS of (lo, hi), or () when
+    lo < hi fails: lo is the hole's reach from its sample centroid, hi the
+    distance from there to the nearest other boundary. A radius in (lo, hi)
+    meets no boundary and encloses the hole, and no other hole nor the
+    outside, since their boundaries lie at least hi away and DomainSpec
+    refuses nested holes; so the circles need no check."""
     hole = domain.holes[j]
     others = ((domain.outer,) if domain.outer is not None else ()) \
         + domain.holes[:j] + domain.holes[j + 1:]
     center = complex(np.mean(hole.sample(256)))
     lo = hole.max_distance(center)
     hi = min((p.distance(center) for p in others), default=math.inf)
-    if hi > lo * (1.0 + 1e-9):
-        if math.isinf(hi):
-            hi = 2.0 * lo if lo > 0 else 1.0
-        circles = tuple(circle(center, lo + frac * (hi - lo))
-                        for frac in _CIRCLE_FRACTIONS)
-        if _basis_curves_pass(domain, j, circles):
-            return circles, math.nan
-    gap = min((_gap(hole, p) for p in others), default=math.inf)
-    return (), gap if math.isfinite(gap) else 0.5 * hole.length / math.pi
+    if not hi > lo * (1.0 + 1e-9):
+        return ()
+    if math.isinf(hi):
+        hi = 2.0 * lo
+    return tuple(circle(center, lo + frac * (hi - lo))
+                 for frac in _CIRCLE_FRACTIONS)
 
 
 @functools.lru_cache(maxsize=512)
 def _contour(domain: DomainSpec, j: int, frac: float) -> Path:
-    """Hole j's contour at the fraction frac of its rule. A dilation is
-    built and checked on first use; one that fails is an error."""
-    circles, gap = _hole_rule(domain, j)
+    """Hole j's contour at the fraction frac of its rule. A dilation, whose
+    cut offsets can backtrack, is built and checked on first use; one that
+    fails is an error."""
+    circles = _hole_rule(domain, j)
     if circles:
         return circles[_CIRCLE_FRACTIONS.index(frac)]
     try:
-        curve = _dilated_hole(domain.holes[j], frac * gap)
+        curve = _dilated_hole(domain.holes[j], frac * domain.gaps[j])
     except GeometryError as exc:
         raise GeometryError(f"hole {j} has no dilation by {frac} of the "
                             f"gap: {exc}") from None
@@ -762,9 +770,8 @@ def _basis_curves_pass(domain: DomainSpec, j: int,
     """Does every curve wind once around hole j, zero times around the
     other holes, and lie in the domain (64 samples each, classified
     together)?"""
-    wits = [hole_witness(domain, i) for i in range(len(domain.holes))]
-    want = np.arange(len(wits)) == j
-    return all(np.array_equal(_winding_many(c, wits)[0], want)
+    want = np.arange(len(domain.holes)) == j
+    return all(np.array_equal(_winding_many(c, domain.witnesses)[0], want)
                for c in curves) \
         and bool(domain.contains_many(
             np.concatenate([c.sample(64) for c in curves])).all())
@@ -772,7 +779,7 @@ def _basis_curves_pass(domain: DomainSpec, j: int,
 
 def hole_witness(domain: DomainSpec, j: int) -> complex:
     """A point strictly inside hole j."""
-    return interior_point(domain.holes[j])
+    return domain.witnesses[j]
 
 
 def homology_basis(domain: DomainSpec) -> list[Path]:
@@ -792,7 +799,7 @@ def basis_curve_variants(domain: DomainSpec, j: int) -> tuple[Path, Path]:
     contour-independence cross-checks: circles at 0.35 and 0.7 of the
     separating annulus, or, for a hole without separating circles, its
     homology basis curve and a narrower dilation of the hole."""
-    first, second = (0.35, 0.7) if _hole_rule(domain, j)[0] else (0.5, 0.3)
+    first, second = (0.35, 0.7) if _hole_rule(domain, j) else (0.5, 0.3)
     return _contour(domain, j, first), _contour(domain, j, second)
 
 
@@ -816,18 +823,6 @@ class GridDomain:
         x0, x1, y0, y1 = self.bounds
         if not (x1 > x0 and y1 > y0):
             raise GeometryError("empty bounding box")
-
-    def same_grid(self, other: "GridDomain") -> bool:
-        return (self.nx, self.ny) == (other.nx, other.ny) \
-            and np.allclose(self.bounds, other.bounds)
-
-    def __eq__(self, other):
-        if not isinstance(other, GridDomain):
-            return NotImplemented
-        return self.same_grid(other) and bool(np.array_equal(self.mask, other.mask))
-
-    def __hash__(self):  # consistent with eq=False usage in sets not needed
-        return id(self)
 
 
 def rasterize(domain: DomainSpec, resolution: int | tuple[int, int],

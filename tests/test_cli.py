@@ -1,8 +1,10 @@
 """Scenario parsing, report rendering and the command line entry point."""
 
 import copy
+import dataclasses
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from envelope import cli, expr, moments
+from envelope import boundary, cli, expr, moments
+from envelope import extension as ext
 from envelope import geometry as geom
 
 
@@ -322,6 +325,7 @@ class TestBuildConfig:
         assert cfg.zero_tol.abs_tol == 1e-9
         assert cfg.zero_tol.rel_tol == 1e-10
         assert cfg.quad_tol == cli.DEFAULT_QUAD_TOL
+        assert cfg.radii == boundary.NONTANGENTIAL_RADII
         assert cfg.fmt == "json"
 
 
@@ -503,6 +507,59 @@ class TestRunScenario:
         assert [vec.curve_id for vec in verdict.moments] \
             == [curve["curve_id"] for curve in row["curves"]] \
             == ["hole-0", "hole-1"]
+
+    @pytest.mark.parametrize("function, patch, finding", [
+        # a_-2 of 1/z^2 moved off the centered degree-1 moment
+        ("1/z^2", ("tail", 1, 0.5), r"hole 0: coefficient a_-2 disagrees "
+                                    r"with the centered degree-1 moment by 0\.5"),
+        # a tail for z, whose moments all vanish
+        ("z", ("tail", 0, 1.0), r"hole 0: moments all vanish but a_-1 is 1"),
+        # a_-1 of 1/z^3 made nonzero, below its a_-3
+        ("1/z^3", ("tail", 0, 1.0), r"hole 0: first nonzero moment degree 2 "
+                                    r"does not match first nonzero "
+                                    r"coefficient index 1"),
+        # the extension moved on the second contour alone, then on both
+        ("1/(z-5)", ("extension", 0.0, 1e-6), r"extension values from "
+                                              r"homologous contours differ "
+                                              r"by 1e-06"),
+        ("1/(z-5)", ("extension", 1e-6, 1e-6), r"extension disagrees with "
+                                               r"the truncated-tail route by "
+                                               r"relative \S+"),
+    ])
+    def test_cross_verify_findings_are_inconsistent_rows(
+            self, monkeypatch, function, patch, finding):
+        kind, *args = patch
+        if kind == "tail":
+            index, delta = args
+            decompose = ext.decompose
+
+            def moved(*call, **kwargs):
+                out = decompose(*call, **kwargs)
+                comp = out.components[0]
+                coefficients = list(comp.coefficients)
+                coefficients[index] += delta
+                comp = dataclasses.replace(comp,
+                                           coefficients=tuple(coefficients))
+                return dataclasses.replace(
+                    out, components=(comp,) + out.components[1:])
+
+            monkeypatch.setattr(ext, "decompose", moved)
+        else:
+            evaluate = ext.evaluate_extension_many
+            monkeypatch.setattr(
+                ext, "evaluate_extension_many",
+                lambda fn, domain, points, tol, verdict, which: [
+                    v + args[which] for v in evaluate(fn, domain, points, tol,
+                                                      verdict, which)])
+        raw = {"function": function, "domain": ANNULUS,
+               "checks": ["cross_verify"]}
+        cfg, _ = cli.build_config(raw)
+        rep = cli.run_scenario(cfg)
+        (row,) = rep.results
+        assert row["status"] == "inconsistent" and rep.exit_code == 2
+        assert any(re.fullmatch(finding, text)
+                   for text in row["values"]["findings"]), \
+            row["values"]["findings"]
 
     def test_determinism_modulo_timings(self):
         raw = {"function": "1/z^2", "domain": ANNULUS,

@@ -12,7 +12,7 @@ from envelope import geometry as geom
 from envelope import moments as mom
 from envelope import quadrature as quad
 from envelope.errors import (ExtensionPreconditionError, GeometryError,
-                             PointOnPathError)
+                             PointOnPathError, PoleProximityError)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +321,25 @@ class TestCrossVerify:
         rep = ext.cross_verify(lambda z: z ** 3 - 1, annulus)
         assert rep.consistent
         assert rep.verdict.all_orders
+
+    def test_reference_route_skips_points_it_cannot_evaluate(self, two_hole):
+        # in hole 0 the black box raises, as a parsed quotient does at a
+        # removable singularity, and in hole 1 it gives NaN: those probes
+        # get no reference value and raise no finding
+        def f(z):
+            if np.ndim(z) == 0 and abs(z - 3) < 0.5:
+                return complex(math.nan, math.nan)
+            if np.ndim(z) == 0 and abs(z) < 0.5:
+                raise PoleProximityError("z lies at a removable singularity")
+            return z + 1
+
+        rep = ext.cross_verify(f, two_hole)
+        assert rep.consistent and rep.verdict.all_orders
+        hole = geom.classify(two_hole, rep.extension.points).hole
+        assert set(hole.tolist()) == {-1, 0, 1}
+        assert [v is None for v in rep.extension.reference_values] \
+            == (hole >= 0).tolist()
+        assert rep.extension.max_reference_residual < 1e-8
 
 
 class TestProbeSampler:

@@ -406,9 +406,11 @@ class TestDomainSpec:
             calls.append(path)
             return kernel(path, points)
 
-        # interior points are cached per path: count the checks alone
-        for path in two_hole.boundary_paths():
-            geom.interior_point(path)
+        # interior points found beforehand: count the checks alone
+        points = {id(path): geom.interior_point(path)
+                  for path in two_hole.boundary_paths()}
+        monkeypatch.setattr(geom, "interior_point",
+                            lambda path: points[id(path)])
         monkeypatch.setattr(geom, "_winding_many", spy)
         geom.DomainSpec(two_hole.outer, two_hole.holes)
         assert sorted(map(id, calls)) \
@@ -465,14 +467,14 @@ class TestDomainSpec:
         monkeypatch.setattr(geom.Path, "bbox",
                             lambda self: calls.append("bbox") or bbox(self))
         square = geom.rectangle(0, 1, 0, 1)
-        assert geom.interior_point.__wrapped__(square) == 0.5 + 0.5j
+        assert geom.interior_point(square) == 0.5 + 0.5j
         assert calls == ["wind"]
         # an L-shaped path whose sample centroid lies outside it falls back
         # to the first grid, 8 x 8 over its bbox, lowest row first
         calls.clear()
         ell = geom.polygon([0, 2, 2 + 0.5j, 0.5 + 0.5j, 0.5 + 2j, 2j])
         first = np.linspace(0.0, 2.0, 10)[1]
-        assert geom.interior_point.__wrapped__(ell) == complex(first, first)
+        assert geom.interior_point(ell) == complex(first, first)
         assert calls == ["wind", "bbox", "wind"]
 
     def test_unbounded_domain(self):
@@ -820,8 +822,9 @@ def _basis_domains(draw, kind):
 
 @pytest.fixture
 def fresh_contours():
-    """Empty contour caches before and after a test that patches the
-    basis check, so no other test reads a contour it chose."""
+    """Empty contour caches before and after a test that patches or
+    counts the contour work, so that it sees the work done and no other
+    test reads a contour it chose."""
     for cache in (geom._hole_rule, geom._contour):
         cache.cache_clear()
     yield
@@ -852,24 +855,54 @@ class TestHomologyBasis:
                 assert variants[0] is curve
             assert geom.basis_curve_variants(domain, j)[1] is variants[1]
 
-    def test_circles_that_fail_the_check_give_dilations(self, monkeypatch,
-                                                        fresh_contours):
-        # one verdict for the three circles: when they fail together, both
-        # the basis curve and the variants are dilations
-        domain = geom.DomainSpec(geom.circle(0.25j, 2.5),
-                                 (geom.circle(0.25j, 0.75),))
-        check = geom._basis_curves_pass
-        monkeypatch.setattr(geom, "_basis_curves_pass",
-                            lambda d, j, curves: len(curves) == 1
-                            and check(d, j, curves))
-        basis = geom.homology_basis(domain)
-        variants = geom.basis_curve_variants(domain, 0)
-        gap = geom._hole_rule(domain, 0)[1]
-        assert gap == pytest.approx(1.75, abs=1e-12)
-        assert [dilation_error(c, domain.holes[0], frac * gap) <= 1e-12
-                for c, frac in zip(basis + list(variants), (0.5, 0.5, 0.3))] \
-            == [True] * 3
+    def test_holes_without_circles_give_dilations(self, slab):
+        # the slab's annulus is empty: both the basis curve and the
+        # variants are dilations, by 0.5, 0.5 and 0.3 of the gap DomainSpec
+        # measured
+        assert geom._hole_rule(slab, 0) == ()
+        basis = geom.homology_basis(slab)
+        variants = geom.basis_curve_variants(slab, 0)
+        gap = slab.gaps[0]
+        assert gap == pytest.approx(0.3, abs=1e-12)
+        assert [dilation_error(c, slab.holes[0], frac * gap) <= 1e-12
+                for c, frac in zip(basis[:1] + list(variants),
+                                   (0.5, 0.5, 0.3))] == [True] * 3
         assert variants[0] is basis[0]
+
+    @pytest.mark.parametrize("kind", _BASIS_KINDS)
+    @given(data=st.data())
+    def test_admitted_circles_pass_the_basis_check(self, kind, data):
+        # the annulus bound proves the circles admissible, so _hole_rule
+        # runs no check of its own; the gaps are the reference's
+        domain = data.draw(_basis_domains(kind))
+        for j in range(len(domain.holes)):
+            circles = geom._hole_rule(domain, j)
+            assert not circles or geom._basis_curves_pass(domain, j, circles)
+            assert domain.gaps[j] == reference_gap(domain, j)
+
+    @pytest.mark.parametrize("name, dilations", [
+        ("annulus", 0), ("two_hole", 0), ("shape_hole", 0), ("slab", 2)])
+    def test_contours_reuse_what_the_domain_measured(
+            self, request, name, dilations, monkeypatch, fresh_contours):
+        # only a dilation is checked, once as it is built, and no gap is
+        # measured again; the shape hole is an arrowhead, concave at -0.1i
+        domain = geom.DomainSpec(geom.circle(0j, 3.0), (geom.polygon(
+            [-0.5 - 0.5j, -0.1j, 0.5 - 0.5j, 0.5j]),)) \
+            if name == "shape_hole" else request.getfixturevalue(name)
+        calls = []
+        for spied in ("_basis_curves_pass", "_gap"):
+            real = getattr(geom, spied)
+            monkeypatch.setattr(geom, spied, lambda *args, name=spied,
+                                real=real: calls.append(name) or real(*args))
+        geom.homology_basis(domain)
+        for j in range(len(domain.holes)):
+            geom.basis_curve_variants(domain, j)
+        assert calls == ["_basis_curves_pass"] * dilations
+
+    def test_witnesses_come_from_the_domain(self, two_hole, monkeypatch):
+        monkeypatch.setattr(geom, "interior_point", None)
+        assert [geom.hole_witness(two_hole, j) for j in range(2)] \
+            == list(two_hole.witnesses)
 
     def test_failing_narrow_dilation_is_an_error(self, monkeypatch,
                                                  fresh_contours):
@@ -880,7 +913,7 @@ class TestHomologyBasis:
             geom.polygon([-1.25 - 0.125j, 1.25 - 0.125j, 1.25 + 0.125j,
                           -1.25 + 0.125j]),
             geom.circle(0.625j, 0.1875)))
-        gap = geom._hole_rule(domain, 0)[1]
+        gap = domain.gaps[0]
         assert dilation_error(geom.homology_basis(domain)[0],
                               domain.holes[0], 0.5 * gap) <= 1e-12
         monkeypatch.setattr(geom, "_basis_curves_pass", lambda *args: False)
@@ -1056,20 +1089,19 @@ class TestDilation:
         assert arc.length == pytest.approx(3.0 * math.pi, rel=1e-15)
         assert arc.start == pytest.approx(hole.start + 0.5 * cmath.exp(1j * t0))
 
-    def test_clockwise_arc_within_d_names_the_hole(self, monkeypatch,
-                                                   fresh_contours):
+    def test_clockwise_arc_within_d_names_the_hole(self):
+        # a 4 x 1 slab 0.5 inside its outer rectangle has no separating
+        # circle, so its contours are dilations by 0.5 and 0.3 of its gap
+        # of 0.5: the bite of radius 0.2 has none
         bitten = geom.Path((
-            geom.Line(0j, 2 + 0j), geom.Line(2 + 0j, 2 + 2j),
-            geom.Line(2 + 2j, 1.2 + 2j),
-            geom.Arc(1 + 2j, 0.2, 0.0, math.pi, ccw=False),
-            geom.Line(0.8 + 2j, 2j), geom.Line(2j, 0j)))
-        domain = geom.DomainSpec(geom.rectangle(-1, 3, -1, 3), (bitten,))
-        # circles fail the check, so the hole's contours are dilations by
-        # 0.5 and 0.3 of its gap of 1: the bite of radius 0.2 has none
-        check = geom._basis_curves_pass
-        monkeypatch.setattr(geom, "_basis_curves_pass",
-                            lambda d, j, curves: len(curves) == 1
-                            and check(d, j, curves))
+            geom.Line(0j, 4 + 0j), geom.Line(4 + 0j, 4 + 1j),
+            geom.Line(4 + 1j, 2.2 + 1j),
+            geom.Arc(2 + 1j, 0.2, 0.0, math.pi, ccw=False),
+            geom.Line(1.8 + 1j, 1j), geom.Line(1j, 0j)))
+        domain = geom.DomainSpec(geom.rectangle(-0.5, 4.5, -0.5, 1.5),
+                                 (bitten,))
+        assert geom._hole_rule(domain, 0) == ()
+        assert domain.gaps[0] == 0.5
         with pytest.raises(GeometryError,
                            match="hole 0 has no dilation by 0.5 of the gap: "
                                  "arc radius must be positive"):
@@ -1097,6 +1129,14 @@ class TestRaster:
             h2 = geom.simply_connected_hull(h1)
             assert np.all(h1.mask >= mask)
             assert np.array_equal(h1.mask, h2.mask)
+
+    def test_equal_grids_hash_alike(self, annulus):
+        # objects that compare equal must hash equal; a grid is compared,
+        # and hashed, by its identity
+        a, b = geom.rasterize(annulus, 16), geom.rasterize(annulus, 16)
+        assert np.array_equal(a.mask, b.mask)
+        assert a != b or hash(a) == hash(b)
+        assert len({a, b, a}) == 2
 
     def test_empty_mask_rejected(self):
         grid = geom.GridDomain((-1, 1, -1, 1), 16, 16,
