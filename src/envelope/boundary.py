@@ -309,15 +309,6 @@ def boundary_duality(curve: SampledCurve, levels: int = 4,
 # ---------------------------------------------------------------------------
 # Cauchy transform of the sampled measure
 
-def _winding(chords: _geom.Chords, w: np.ndarray) -> np.ndarray:
-    """Winding numbers of a closed chain of chords around each point of w,
-    from one pass; NaN where the sum misses an integer."""
-    total = chords.turns(w)
-    nearest = np.rint(total)
-    return np.where(np.abs(total - nearest) <= _geom.WINDING_RESIDUAL_LIMIT,
-                    nearest, np.nan)
-
-
 def cauchy_transform(curve: SampledCurve, w, tol: float = _quad.DEFAULT_TOL):
     """(1/2 pi i) circuit of g(z)/(z - w) dz at one point w inside the
     curve, or at each point of an array (the result has its shape): by
@@ -333,26 +324,23 @@ def cauchy_transform(curve: SampledCurve, w, tol: float = _quad.DEFAULT_TOL):
     is as cheap and loses no digits to cancellation.
 
     Non-finite points are refused, and so are points that the path (or, for
-    a curve without one, the polyline) does not enclose once. The discrete
-    route also refuses points closer to the polyline nodes than five local
-    spacings, where the trapezoid kernel loses accuracy.
+    a curve without one, the polyline) does not enclose once by the verdict
+    of Chords.windings, which puts a point within its band on it. The
+    discrete route also refuses points closer to the polyline nodes than
+    five local spacings, where the trapezoid kernel loses accuracy.
     """
     shape = np.shape(w)
     w = np.asarray(w, dtype=complex).reshape(-1)
     for p in w[~np.isfinite(w)]:
         raise GeometryError(f"point {p} is not finite")
-    if curve.analytic:  # points within 1e-9 of its length lie on the path
-        path = curve.path
-        dist = path.distance(w)
-        wind = np.where(dist > _geom._ON_PATH_BAND * path.length,
-                        _winding(path.arrays.chords, w), np.nan)
-    else:
-        wind = _winding(_geom.Chords(curve.points[:-1], curve.points[1:]), w)
+    chords = curve.path.arrays.chords if curve.analytic \
+        else _geom.Chords(curve.points[:-1], curve.points[1:])
+    wind, dist = chords.windings(w)
     for p in w[wind != 1]:
         raise GeometryError(f"{p:.6g} is not enclosed once by the curve")
     s = np.zeros(w.shape, dtype=complex)
     if curve.analytic:
-        fn = _mom.as_function(curve.data_fn)
+        path, fn = curve.path, _mom.as_function(curve.data_fn)
         near = dist <= SUBTRACT_REACH * path.length
         if near.any():
             g_at = _quad._eval_batch(fn, w[near])

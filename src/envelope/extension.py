@@ -149,7 +149,7 @@ def _domain_box(domain: DomainSpec, pad: float
 def _probe_margin(domain: DomainSpec) -> float:
     """Least distance of a probe point from a boundary or basis curve."""
     x0, x1, y0, y1 = _domain_box(domain, 0.0)
-    return max(1e-3, 1e-3 * math.hypot(x1 - x0, y1 - y0))
+    return 1e-3 * math.hypot(x1 - x0, y1 - y0)
 
 
 def _sample(box: tuple[float, float, float, float], count: int,
@@ -296,15 +296,11 @@ def evaluate_extension_many(f, domain: DomainSpec, points,
         elif math.isinf(radii[k]):
             raise GeometryError("the whole plane has no boundary to size a "
                                 f"contour around {pts[k]:.6g} by")
-        elif radii[k] > 0.0:
+        else:  # the point lies beyond the band of every boundary
             contour = _geom.circle(complex(pts[k]), float(radii[k]))
-        else:
-            raise GeometryError(f"no room for a contour around {pts[k]:.6g}")
         ws = pts[members]
-        near = contour.distance(ws) <= _expr.DEFAULT_POLE_EXCLUSION
-        if near.any():
-            raise GeometryError(
-                f"{ws[np.argmax(near)]:.6g} is too close to the contour")
+        for w in ws[contour.distance(ws) <= contour.arrays.chords.band]:
+            raise GeometryError(f"{w:.6g} is too close to the contour")
         # (1/2 pi i) ∮ f(z) / (z - w) dz for every w, one stacked integral
         stack = _quad.integrate(lambda z: fn(z) / (z - ws[:, None]), contour,
                                 tol).value

@@ -180,6 +180,12 @@ class Arc:
 Segment = Line | Arc
 
 
+def _reach(segments) -> float:
+    """Largest modulus of a line end or an arc's centre plus its radius."""
+    return max(abs(s.center) + s.radius if isinstance(s, Arc)
+               else max(abs(s.a), abs(s.b)) for s in segments)
+
+
 # ---------------------------------------------------------------------------
 # paths
 
@@ -193,9 +199,7 @@ class Path:
         if not segs:
             raise GeometryError("a path needs at least one segment")
         object.__setattr__(self, "segments", segs)
-        scale = max(1.0, max(abs(s.start) for s in segs),
-                    max(abs(s.end) for s in segs))
-        tol = ENDPOINT_TOL * scale
+        tol = ENDPOINT_TOL * _reach(segs)
         for prev, cur in zip(segs, segs[1:]):
             if abs(prev.end - cur.start) > tol:
                 raise GeometryError(
@@ -368,7 +372,8 @@ def rectangle(x0: float, x1: float, y0: float, y1: float) -> Path:
 # ---------------------------------------------------------------------------
 # winding numbers and distances
 
-# Points closer to a path than this fraction of its length lie on it.
+# Points closer to a path than this fraction of its length, its band, lie
+# on it; every test of a distance against zero reads the curves' bands.
 _ON_PATH_BAND = 1e-9
 # Point-chord pairs per block of the kernel, so its temporaries stay near
 # 1 MB each whatever the number of points and chords.
@@ -381,15 +386,24 @@ class Chords:
     winding numbers and distances of arrays of points. The last
     len(center) chords are arc pieces of at most pi/2 on the circles
     (center, radius), turning counterclockwise where turn is +1 and
-    clockwise where it is -1."""
+    clockwise where it is -1. Points within band of the chain lie on it."""
 
     def __init__(self, a, b, center=(), radius=(), turn=()):
         self.a = np.asarray(a, dtype=complex)
         self.b = np.asarray(b, dtype=complex)
-        self.lines = len(self.a) - len(center)
+        self.lines = n = len(self.a) - len(center)
         self.center = np.asarray(center, dtype=complex)
         self.radius = np.asarray(radius, dtype=float)
         self.turn = np.asarray(turn, dtype=float)
+        # what distances reads of each chord; a line of length 0, as
+        # repeated polyline nodes give, is its point a
+        self.direction = self.b[:n] - self.a[:n]
+        lengths = _modulus(self.direction)
+        self.norm2 = np.maximum(lengths ** 2, np.finfo(float).tiny)
+        self.start_ray = self.a[n:] - self.center
+        self.end_ray = self.b[n:] - self.center
+        arcs = self.radius * np.abs(np.angle(self.end_ray / self.start_ray))
+        self.band = _ON_PATH_BAND * float(np.sum(lengths) + np.sum(arcs))
 
     def _blocks(self, points: np.ndarray):
         """(slice, points as a column, a - p, b - p) per block of points."""
@@ -398,14 +412,44 @@ class Chords:
             p = points[s:s + step, None]
             yield slice(s, s + step), p, self.a - p, self.b - p
 
-    def turns(self, points: np.ndarray) -> np.ndarray:
-        """Argument increment of the chain around each point, in turns.
-        Each chord adds its angle arg((b - p) / (a - p)) in (-pi, pi]. For p
-        inside its circle an arc piece sweeps (0, 2 pi) in its own
-        direction, so a chord angle of the other sign gains a full turn:
-        p lies between piece and chord, or on the chord, where rounding
-        picks the sign of +-pi."""
+    def distances(self, points: np.ndarray) -> np.ndarray:
+        """Distance from each point to the chain: to the nearest point of a
+        line; to an arc piece radially inside its wedge, else to its nearer
+        end, but never below the radial distance (a lower bound that
+        rounding in the end distances would undercut)."""
         out = np.empty(len(points))
+        n, direction = self.lines, self.direction
+        for block, p, rel_a, rel_b in self._blocks(points):
+            d = np.empty(rel_a.shape)
+            if n:
+                # Line.distance, with p - a = -(a - p)
+                t = -(rel_a[:, :n].real * direction.real
+                      + rel_a[:, :n].imag * direction.imag) / self.norm2
+                t = np.clip(t, 0.0, 1.0)
+                d[:, :n] = _modulus(self.a[:n] + t * direction - p)
+            if n < len(self.a):
+                v = p - self.center
+                r = _modulus(v)
+                wedge = ((r > 0.0)
+                         & (self.turn * _cross(self.start_ray, v) >= 0.0)
+                         & (self.turn * _cross(v, self.end_ray) >= 0.0))
+                ends = np.minimum(_modulus(rel_a[:, n:]),
+                                  _modulus(rel_b[:, n:]))
+                d[:, n:] = np.maximum(np.abs(r - self.radius),
+                                      np.where(wedge, 0.0, ends))
+            out[block] = d.min(axis=1)
+        return out
+
+    def windings(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Winding number of the closed chain around each point, or _ON_PATH
+        for a point within the band or whose total misses an integer; and
+        each point's distance to the chain. The total is the argument
+        increment of the chain around the point: each chord adds its angle
+        arg((b - p) / (a - p)) in (-pi, pi]. For p inside its circle an arc
+        piece sweeps (0, 2 pi) in its own direction, so a chord angle of the
+        other sign gains a full turn: p lies between piece and chord, or on
+        the chord, where rounding picks the sign of +-pi."""
+        turns = np.empty(len(points))
         n = self.lines
         with np.errstate(all="ignore"):
             for block, p, rel_a, rel_b in self._blocks(points):
@@ -417,40 +461,13 @@ class Chords:
                     angle[:, n:] = np.where(
                         wrapped, chord_angle + self.turn * _TWO_PI,
                         chord_angle)
-                out[block] = angle.sum(axis=1)
-        return out / _TWO_PI
-
-    def distances(self, points: np.ndarray) -> np.ndarray:
-        """Distance from each point to the chain: to the nearest point of a
-        line; to an arc piece radially inside its wedge, else to its nearer
-        end, but never below the radial distance (a lower bound that
-        rounding in the end distances would undercut)."""
-        out = np.empty(len(points))
-        n = self.lines
-        direction = self.b[:n] - self.a[:n]
-        norm2 = _modulus(direction) ** 2
-        start_ray = self.a[n:] - self.center
-        end_ray = self.b[n:] - self.center
-        for block, p, rel_a, rel_b in self._blocks(points):
-            d = np.empty(rel_a.shape)
-            if n:
-                # Line.distance, with p - a = -(a - p)
-                t = -(rel_a[:, :n].real * direction.real
-                      + rel_a[:, :n].imag * direction.imag) / norm2
-                t = np.clip(t, 0.0, 1.0)
-                d[:, :n] = _modulus(self.a[:n] + t * direction - p)
-            if n < len(self.a):
-                v = p - self.center
-                r = _modulus(v)
-                wedge = ((r > 0.0)
-                         & (self.turn * _cross(start_ray, v) >= 0.0)
-                         & (self.turn * _cross(v, end_ray) >= 0.0))
-                ends = np.minimum(_modulus(rel_a[:, n:]),
-                                  _modulus(rel_b[:, n:]))
-                d[:, n:] = np.maximum(np.abs(r - self.radius),
-                                      np.where(wedge, 0.0, ends))
-            out[block] = d.min(axis=1)
-        return out
+                turns[block] = angle.sum(axis=1)
+        turns /= _TWO_PI
+        dist = self.distances(points)
+        out = np.rint(np.where(np.isfinite(turns), turns, 0.0)).astype(int)
+        out[~(np.abs(turns - out) < WINDING_RESIDUAL_LIMIT)
+            | (dist <= self.band)] = _ON_PATH
+        return out, dist
 
 
 def _cross(u, v):
@@ -466,30 +483,24 @@ def winding_number(path: Path, point: complex) -> int:
     """Winding number of a closed path around a point off the path.
 
     The one-point case of _winding_many. Raises PointOnPathError when the
-    point is within 1e-9 * length of the path and WindingResidualError if
-    the total fails to land near an integer multiple of 2*pi.
+    point is within the path's band, 1e-9 * length, and WindingResidualError
+    if the total fails to land near an integer multiple of 2*pi.
     """
     if not path.closed:
         raise GeometryError("winding number needs a closed path")
     wind, dist = _winding_many(path, np.array([point], dtype=complex))
     if wind[0] != _ON_PATH:
         return int(wind[0])
-    if dist[0] <= _ON_PATH_BAND * path.length:
+    if dist[0] <= path.arrays.chords.band:
         raise PointOnPathError(f"point {point:.6g} lies on the path")
     raise WindingResidualError("winding total is not near an integer")
 
 
 def _winding_many(path: Path, points) -> tuple[np.ndarray, np.ndarray]:
-    """Winding numbers of a closed path around an array of points, and the
-    distance of each point to the path. Points within 1e-9 * length of the
-    path, or whose total misses an integer, get the _ON_PATH sentinel."""
-    pts = np.asarray(points, dtype=complex).reshape(-1)
-    turns = path.arrays.chords.turns(pts)
-    dist = path.distance(pts)
-    out = np.rint(np.where(np.isfinite(turns), turns, 0.0)).astype(int)
-    out[~(np.abs(turns - out) < WINDING_RESIDUAL_LIMIT)
-        | (dist <= _ON_PATH_BAND * path.length)] = _ON_PATH
-    return out.reshape(np.shape(points)), dist.reshape(np.shape(points))
+    """Chords.windings of a closed path, for points of any shape."""
+    wind, dist = path.arrays.chords.windings(
+        np.asarray(points, dtype=complex).reshape(-1))
+    return wind.reshape(np.shape(points)), dist.reshape(np.shape(points))
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +547,16 @@ class DomainSpec:
         # every hole winds once around its own witness by now
         for i, j in np.argwhere(winds != np.eye(len(wits))):
             raise GeometryError(f"holes {i} and {j} overlap")
+        # two boundaries touch when their gap lies within their two bands
         paths = self.holes + ((self.outer,) if self.outer else ())
+        bands = [p.arrays.chords.band for p in paths]
         gaps = [math.inf] * len(paths)
         for i in range(len(paths)):
             for j in range(i + 1, len(paths)):
-                d = 0.0 if _paths_cross(paths[i], paths[j]) \
+                touch = bands[i] + bands[j]
+                d = 0.0 if _paths_cross(paths[i], paths[j], touch) \
                     else _gap(paths[i], paths[j])
-                if d <= 1e-9:
+                if d <= touch:
                     raise GeometryError(f"boundary components {i} and {j} "
                                         f"touch (gap {d:.3g})")
                 gaps[i], gaps[j] = min(gaps[i], d), min(gaps[j], d)
@@ -631,32 +645,33 @@ def interior_point(path: Path) -> complex:
 # homology basis
 
 # Each hole's contours follow one rule, decided once: circles about its
-# sample centroid at these fractions of (lo, hi) when lo < hi, else
-# dilations of its boundary at 0.5 and 0.3 of its gap to the other
-# boundaries. Both rules give the basis curve at 0.5.
+# sample centroid at these fractions of (lo, hi) when they keep clear of
+# every band, else dilations of its boundary at 0.5 and 0.3 of its gap to
+# the other boundaries. Both rules give the basis curve at 0.5.
 _CIRCLE_FRACTIONS = (0.35, 0.5, 0.7)
 
 
 @functools.lru_cache(maxsize=128)
 def _hole_rule(domain: DomainSpec, j: int) -> tuple[Path, ...]:
-    """The circles of hole j at _CIRCLE_FRACTIONS of (lo, hi), or () when
-    lo < hi fails: lo is the hole's reach from its sample centroid, hi the
-    distance from there to the nearest other boundary. A radius in (lo, hi)
-    meets no boundary and encloses the hole, and no other hole nor the
-    outside, since their boundaries lie at least hi away and DomainSpec
-    refuses nested holes; so the circles need no check."""
+    """The circles of hole j at _CIRCLE_FRACTIONS of (lo, hi), or () unless
+    each keeps farther than its band plus the widest boundary band from lo
+    and hi: lo is the hole's reach from its sample centroid, hi the distance
+    from there to the nearest other boundary (2 lo if none). Such a circle
+    meets no band and encloses the hole, and no other hole nor the outside,
+    since their boundaries lie at least hi away and DomainSpec refuses
+    nested holes; so the circles need no check."""
     hole = domain.holes[j]
     others = ((domain.outer,) if domain.outer is not None else ()) \
         + domain.holes[:j] + domain.holes[j + 1:]
     center = complex(np.mean(hole.sample(256)))
     lo = hole.max_distance(center)
-    hi = min((p.distance(center) for p in others), default=math.inf)
-    if not hi > lo * (1.0 + 1e-9):
-        return ()
-    if math.isinf(hi):
-        hi = 2.0 * lo
-    return tuple(circle(center, lo + frac * (hi - lo))
-                 for frac in _CIRCLE_FRACTIONS)
+    hi = min((p.distance(center) for p in others), default=2.0 * lo)
+    band = max(p.arrays.chords.band for p in domain.boundary_paths())
+    radii = [lo + frac * (hi - lo) for frac in _CIRCLE_FRACTIONS]
+    if all(min(r - lo, hi - r) > _ON_PATH_BAND * _TWO_PI * r + band
+           for r in radii):
+        return tuple(circle(center, r) for r in radii)
+    return ()
 
 
 @functools.lru_cache(maxsize=512)
@@ -701,8 +716,9 @@ def _dilated_hole(hole: Path, d: float) -> Path:
             kept[k][1], kept[nxt][0] = (_parameter(pieces[k], x, 1.0),
                                         _parameter(pieces[nxt], x, 0.0))
     out = []  # where two cuts cross, the piece backtracks between them
+    tol = ENDPOINT_TOL * _reach(pieces)
     for p, (t0, t1), corner in zip(pieces, kept, corners):
-        if abs(t1 - t0) * p.length > ENDPOINT_TOL * max(1.0, abs(p.start)):
+        if abs(t1 - t0) * p.length > tol:
             out.append(p if (t0, t1) == (0.0, 1.0) else
                        Line(p.point(t0), p.point(t1)) if isinstance(p, Line)
                        else Arc(p.center, p.radius, p.angle(t0),
@@ -742,16 +758,16 @@ def _crossings(p: Segment, q: Segment) -> tuple[complex, ...]:
     return base + h * u, base - h * u
 
 
-def _paths_cross(a: Path, b: Path) -> bool:
+def _paths_cross(a: Path, b: Path, touch: float) -> bool:
     """Whether a segment of a meets a segment of b: a crossing of their
-    lines or circles within 1e-9 of both, for each pair of segments whose
+    lines or circles within touch of both, for each pair of segments whose
     bounding boxes meet."""
     boxes = [(q, q.bbox()) for q in b.segments]
     for p in a.segments:
         x0, x1, y0, y1 = p.bbox()
         for q, (u0, u1, v0, v1) in boxes:
             if u0 <= x1 and x0 <= u1 and v0 <= y1 and y0 <= v1 \
-                    and any(max(p.distance(x), q.distance(x)) <= 1e-9
+                    and any(max(p.distance(x), q.distance(x)) <= touch
                             for x in _crossings(p, q)):
                 return True
     return False

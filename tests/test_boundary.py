@@ -334,6 +334,25 @@ class TestCauchyTransform:
             bd.cauchy_transform(c, w)
 
     @pytest.mark.parametrize("route", [lambda c: c, polyline_only])
+    def test_points_within_the_band_are_refused(self, route):
+        # 1e-10 inside the node at 1, within the band (6.3e-9) of both the
+        # circle and its polyline, so on the curve either way; the discrete
+        # route refuses it before its node-spacing test
+        c = route(circle_curve(lambda z: z, 256))
+        with pytest.raises(GeometryError, match="not enclosed once"):
+            bd.cauchy_transform(c, 1 - 1e-10 + 0j)
+
+    def test_a_repeated_node_is_a_chord_of_length_zero(self):
+        # its distance is to the node, with no 0/0 (which the suite would
+        # raise as an error)
+        c = circle_curve(lambda z: z ** 2, 256)
+        points = c.points.copy()
+        points[10] = points[9]
+        c = bd.SampledCurve(c.params, points, c.values)
+        w = 0.1 + 0.2j
+        assert abs(bd.cauchy_transform(c, w) - w ** 2) < 1e-3
+
+    @pytest.mark.parametrize("route", [lambda c: c, polyline_only])
     def test_non_finite_points_are_refused(self, route):
         c = route(circle_curve(lambda z: z, 64))
         with pytest.raises(GeometryError, match=r"\(nan\+0j\) is not finite"):

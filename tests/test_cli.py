@@ -747,6 +747,17 @@ class TestMain:
             assert row["status"] == "error"
             assert row["values"]["error_type"] == "PoleInDomainError"
 
+    def test_unbounded_domain_runs_every_domain_check(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, {
+            "function": "z^3 - 2*z", "domain": {"holes": TWO_HOLES["holes"]},
+            "points": [[0.1, 0.1], [5.0, 1.0]],
+            "checks": list(cli.DOMAIN_CHECKS)})
+        code = cli.main(["run", "--scenario", str(scenario)])
+        rows = json.loads(capsys.readouterr().out)["results"]
+        assert code == 0
+        assert [(row["check"], row["status"]) for row in rows] \
+            == [(check, "ok") for check in cli.DOMAIN_CHECKS]
+
     def test_whole_plane_gives_error_rows(self, tmp_path, capsys):
         # no boundary sizes a contour or bounds the probe box
         scenario = write_scenario(tmp_path, {

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,17 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             expr.parse("1/(z-")
         assert err.value.position == 5
+
+    @pytest.mark.parametrize("text, message, position", [
+        ("z $ 1", "unexpected character '$'", 2),
+        ("exp z", "expected '('", 4),
+        ("z^", "expected an integer exponent", 2),
+        ("z^x", "expected an integer exponent", 2),
+    ])
+    def test_error_names_what_was_expected(self, text, message, position):
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            expr.parse(text)
+        assert err.value.position == position
 
     def test_unknown_function_rejected(self):
         with pytest.raises(ParseError):
@@ -171,6 +184,15 @@ class TestPoleSet:
     def test_pure_power_pole_at_origin(self):
         records = expr.pole_set(expr.parse("1/z^5"))
         assert [(r.location, r.order) for r in records] == [(0j, 5)]
+
+    @pytest.mark.parametrize("text, location, order", [
+        ("z^-2", 0j, 2),
+        ("(z-2)^-1*(z-2)^-2", 2 + 0j, 3),
+    ])
+    def test_negative_exponents_are_denominator_powers(self, text, location,
+                                                       order):
+        records = expr.pole_set(expr.parse(text))
+        assert [(r.location, r.order) for r in records] == [(location, order)]
 
     def test_property_random_rationals_agree_with_roots(self, rng):
         for _ in range(10):

@@ -285,6 +285,18 @@ class TestEvaluateExtension:
         with pytest.raises(GeometryError):
             ext.evaluate_extension(f, annulus, 0.5 + 0j, verdict=verdict)
 
+    def test_refuses_a_point_within_the_contour_band(self, annulus,
+                                                     monkeypatch):
+        # a contour 2e-9 beyond a point of the hole: within its band of
+        # 2.8e-9, though farther than the pole-exclusion radius 1e-9
+        f = expr.parse("1/(z-5)")
+        verdict = mom.max_primitive_order(f, annulus)
+        contour = geom.circle(0j, 0.45 + 2e-9)
+        monkeypatch.setattr(geom, "basis_curve_variants",
+                            lambda domain, j: (contour, contour))
+        with pytest.raises(GeometryError, match="too close to the contour"):
+            ext.evaluate_extension(f, annulus, 0.45 + 0j, verdict=verdict)
+
 
 class TestCrossVerify:
     def test_consistent_yes(self, annulus):
@@ -316,6 +328,32 @@ class TestCrossVerify:
         assert rep.consistent
         assert rep.verdict.certificate == "heuristic-cutoff"
         assert rep.extension is not None
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-4])
+    def test_small_domains_place_their_probes(self, scale):
+        # the probe margin is a fraction of the domain's box, with no floor
+        domain = geom.DomainSpec(geom.circle(0j, 2.0 * scale),
+                                 (geom.circle(0j, 0.5 * scale),))
+        rep = ext.cross_verify(expr.parse(f"1/(z-{4 * scale!r}) + z^2"),
+                               domain)
+        assert rep.verdict.certificate == "pole-certified"
+        assert rep.consistent and rep.extension is not None
+
+    @pytest.mark.parametrize("holes, text, max_order", [
+        ((geom.circle(0j, 1.0),), "z^3 - 2*z", None),
+        ((geom.circle(0j, 1.0),), "z^3 - 2*z + 1/(z-0.3)^2", 1),
+        ((geom.circle(0j, 1.0), geom.circle(3 + 0j, 0.5)), "(z-1)^4 - 3*z",
+         None),
+    ])
+    def test_unbounded_domains(self, holes, text, max_order):
+        # the circles of a hole with no other boundary reach 2 lo, and the
+        # probes lie in the holes' box grown by 1
+        rep = ext.cross_verify(expr.parse(text), geom.DomainSpec(None, holes))
+        assert rep.consistent
+        assert rep.verdict.max_order == max_order
+        assert rep.verdict.certificate == (
+            "pole-certified" if max_order is None else "failure-witnessed")
+        assert (rep.extension is not None) == (max_order is None)
 
     def test_black_box_callable(self, annulus):
         rep = ext.cross_verify(lambda z: z ** 3 - 1, annulus)

@@ -248,6 +248,13 @@ class TestPath:
         p = geom.Path((geom.Line(0j, 1 + 1j),))
         assert p.reversed().start == 1 + 1j
 
+    @pytest.mark.parametrize("radius", [1e4, 1e6])
+    def test_circle_through_the_origin_closes(self, radius):
+        # it closes within radius * 2.4e-16 of 0, so the end tolerance
+        # scales with the centre and radius, not with the endpoints
+        c = geom.circle(-radius, radius)
+        assert c.closed and c.start == 0
+
     def test_sample_excludes_closure_by_default(self):
         c = geom.circle(0j, 1.0)
         pts = c.sample(8)
@@ -428,6 +435,18 @@ class TestDomainSpec:
         geom.DomainSpec(geom.circle(0.5 + 1j, 5.0), (
             geom.rectangle(0, 1, 0, 1),
             geom.polygon([0.51 + 1.000001j, 1.5 + 2j, -0.5 + 2j])))
+
+    def test_touch_is_relative_to_the_bands(self):
+        # a gap of 2e-6 lies within the two bands of 6.3e-6, where classify
+        # puts every point of the gap on a boundary
+        with pytest.raises(GeometryError, match=r"boundary components 0 "
+                                                r"and 1 touch \(gap 2e-06\)"):
+            geom.DomainSpec(geom.circle(0j, 1000 + 2e-6),
+                            (geom.circle(0j, 1000.0),))
+        # an annulus 1e-10 across is as far from touching as one 1 across
+        tiny = geom.DomainSpec(geom.circle(0j, 2e-10),
+                               (geom.circle(0j, 0.5e-10),))
+        assert tiny.gaps[0] == pytest.approx(1.5e-10, rel=1e-12)
 
     @pytest.mark.parametrize("holes", [
         # line-line: a cross of two slabs, no vertex of either on the other
@@ -654,10 +673,13 @@ class TestClassification:
 
 
 def test_only_geometry_names_the_winding_kernel():
-    # the sentinel and the kernel stay behind geometry.classify and
-    # geometry.winding_number; tests may still use both as references
+    # the sentinel and the kernel stay behind geometry.classify,
+    # geometry.winding_number and Chords.windings, and the tolerances of
+    # the distance decisions behind the curves' bands; tests may still use
+    # them as references
     source = Path(geom.__file__).parent
-    names = re.compile(r"\b(_ON_PATH|_winding_many)\b")
+    names = re.compile(r"\b(_ON_PATH|_winding_many|_ON_PATH_BAND|"
+                       r"WINDING_RESIDUAL_LIMIT|ENDPOINT_TOL)\b")
     offenders = [f"{module.name}:{number}"
                  for module in sorted(source.glob("*.py"))
                  if module.name != "geometry.py"
@@ -820,6 +842,23 @@ def _basis_domains(draw, kind):
                                           c.imag + half.imag), (hole,))
 
 
+def _regular_polygons(c):
+    """Rotated regular polygons of 3 to 8 sides about c."""
+    return st.builds(
+        lambda sides, rho, t: geom.polygon([
+            c + rho * cmath.exp(2j * math.pi * (t + k / sides))
+            for k in range(sides)]),
+        st.integers(3, 8), st.floats(0.1, 2.0), _unit)
+
+
+def _scaled(path, s):
+    """path with every point multiplied by s."""
+    return geom.Path(tuple(
+        geom.Line(g.a * s, g.b * s) if isinstance(g, geom.Line)
+        else geom.Arc(g.center * s, g.radius * s, g.t0, g.t1, g.ccw)
+        for g in path.segments), path.closed)
+
+
 @pytest.fixture
 def fresh_contours():
     """Empty contour caches before and after a test that patches or
@@ -869,6 +908,23 @@ class TestHomologyBasis:
                                    (0.5, 0.5, 0.3))] == [True] * 3
         assert variants[0] is basis[0]
 
+    def test_circles_within_a_band_give_dilations(self, fresh_contours):
+        # the circle hole lies 3e-9 beyond the slab's reach lo = |1 + 0.05i|
+        # from its centroid, so the circles would lie 0.9e-9 to 2.1e-9 from
+        # the slab's corners or the circle, within their bands (6.3e-9 for
+        # the circles); the slab is 0.95 from the circle hole
+        lo = abs(1 + 0.05j)
+        domain = geom.DomainSpec(geom.circle(0j, 3.0), (
+            geom.rectangle(-1.0, 1.0, -0.05, 0.05),
+            geom.circle((lo + 3e-9 + 0.2) * 1j, 0.2)))
+        assert geom._hole_rule(domain, 0) == ()
+        curves = (geom.homology_basis(domain)[0],
+                  *geom.basis_curve_variants(domain, 0))
+        assert [dilation_error(c, domain.holes[0], frac * domain.gaps[0])
+                <= 1e-12 for c, frac in zip(curves, (0.5, 0.5, 0.3))] \
+            == [True] * 3
+        assert geom._basis_curves_pass(domain, 0, curves)
+
     @pytest.mark.parametrize("kind", _BASIS_KINDS)
     @given(data=st.data())
     def test_admitted_circles_pass_the_basis_check(self, kind, data):
@@ -879,6 +935,41 @@ class TestHomologyBasis:
             circles = geom._hole_rule(domain, j)
             assert not circles or geom._basis_curves_pass(domain, j, circles)
             assert domain.gaps[j] == reference_gap(domain, j)
+
+    @pytest.mark.parametrize("kind", _BASIS_KINDS + ("unbounded",))
+    @settings(max_examples=10)
+    @given(data=st.data(), k=st.integers(-60, 60))
+    def test_power_of_two_scaling_is_exact(self, kind, data, k):
+        # every tolerance is relative to the curves compared, so scaling
+        # the plane by 2^k, which rounds nothing, changes no decision
+        if kind == "unbounded":
+            c = complex(data.draw(_COORD), data.draw(_COORD))
+            domain = geom.DomainSpec(None, (data.draw(st.one_of(
+                _regular_polygons(c), st.just(geom.circle(c, 0.7)))),))
+        else:
+            domain = data.draw(_basis_domains(kind))
+        s = 2.0 ** k
+        scaled = geom.DomainSpec(
+            None if domain.outer is None else _scaled(domain.outer, s),
+            tuple(_scaled(h, s) for h in domain.holes))
+        x0, x1, y0, y1 = (domain.outer or domain.holes[0]).bbox()
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        drawn = rng.uniform((2 * x0 - x1, 2 * y0 - y1), (2 * x1 - x0,
+                            2 * y1 - y0), size=(64, 2)).view(complex)[:, 0]
+        on = [path.points_at(np.linspace(0.0, 1.0, 9))
+              for path in domain.boundary_paths()]
+        points = np.concatenate([drawn, *on, domain.witnesses])
+        want, got = (geom.classify(d, points * f)
+                     for d, f in ((domain, 1.0), (scaled, s)))
+        for name in ("hole", "inside", "on_boundary"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert np.array_equal(got.distance, want.distance * s)
+        assert np.array_equal(scaled.gaps, np.multiply(domain.gaps, s))
+        for j in range(len(domain.holes)):
+            want, got = (np.array([c.sample(64) * f for c in (
+                geom.homology_basis(d)[j], *geom.basis_curve_variants(d, j))])
+                for d, f in ((domain, s), (scaled, 1.0)))
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("name, dilations", [
         ("annulus", 0), ("two_hole", 0), ("shape_hole", 0), ("slab", 2)])
