@@ -24,8 +24,7 @@ from .expr import (Expr, PoleRecord, as_callable, differentiate, evaluate,
                    format_expr, parse, pole_set)
 from .extension import (CrossVerifyReport, Decomposition, LaurentComponent,
                         cross_verify, decompose, evaluate_extension,
-                        evaluate_extension_many, laurent_coefficient,
-                        laurent_coefficients)
+                        laurent_coefficient, laurent_coefficients)
 from .geometry import (Arc, DomainSpec, GridDomain, Line, Path, circle,
                        homology_basis, hole_witness, interior_point,
                        path_from_json, path_to_json, polygon, rasterize,
@@ -49,8 +48,7 @@ __all__ = [
     "cauchy_transform", "chord_arc_constant", "circle",
     "construct_primitive", "cross_verify", "curve_from_csv", "decompose",
     "derivative_check", "differentiate", "difference_quotient_check",
-    "boundary_duality", "evaluate", "evaluate_extension",
-    "evaluate_extension_many", "format_expr",
+    "boundary_duality", "evaluate", "evaluate_extension", "format_expr",
     "hole_witness", "homology_basis", "ibp_residual", "integrate",
     "interior_point", "laurent_coefficient", "laurent_coefficients",
     "max_primitive_order", "moment", "moment_vector", "nontangential_check",

@@ -34,6 +34,8 @@ NONTANGENTIAL_MOMENT_DEGREE = 8
 # Default approach radii of nontangential_check, largest first.
 NONTANGENTIAL_RADII = (1e-1, 1e-2, 1e-3, 5e-5)
 SUBTRACT_REACH = 0.02  # of the path length; see cauchy_transform
+# Default depth of the primitive tower.
+TOWER_LEVELS = 4
 _EPS = float(np.finfo(float).eps)
 
 
@@ -197,7 +199,7 @@ def _moment_scales(curve: SampledCurve, count: int) -> list[float]:
     return [base * reach ** k for k in range(count)]
 
 
-def primitive_tower(curve: SampledCurve, levels: int = 4,
+def primitive_tower(curve: SampledCurve, levels: int = TOWER_LEVELS,
                     zero_tol: _mom.ZeroTolerance = _mom.ZeroTolerance()
                     ) -> PrimitiveTowerResult:
     """Repeatedly integrate the sampled measure along the curve and test
@@ -293,7 +295,7 @@ class BoundaryDualityReport:
         return self.tower.duality_consistent
 
 
-def boundary_duality(curve: SampledCurve, levels: int = 4,
+def boundary_duality(curve: SampledCurve, levels: int = TOWER_LEVELS,
                     zero_tol: _mom.ZeroTolerance = _mom.ZeroTolerance(),
                     tol: float = _quad.DEFAULT_TOL) -> BoundaryDualityReport:
     """Tower depth versus leading zero moments, plus the discrete and

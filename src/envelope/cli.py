@@ -256,7 +256,8 @@ def build_config(raw: dict, base_dir: FsPath | None = None,
     # Laurent term), so both are capped
     laurent_terms = _integer(merged, "laurent_terms", None, 1, cap + 1,
                              diags)
-    tower_levels = _integer(merged, "tower_levels", 4, 1, cap, diags)
+    tower_levels = _integer(merged, "tower_levels", _bd.TOWER_LEVELS, 1,
+                            cap, diags)
 
     points = None
     if merged.get("points") is not None:
@@ -281,7 +282,9 @@ def build_config(raw: dict, base_dir: FsPath | None = None,
         diags.append("radii: must decrease")
 
     tols = _object(merged.get("tolerances", {}), "tolerances", diags) or {}
-    defaults = {"abs": 1e-9, "rel": 1e-10, "quadrature": DEFAULT_QUAD_TOL}
+    defaults = {"abs": _mom.ZeroTolerance.abs_tol,
+                "rel": _mom.ZeroTolerance.rel_tol,
+                "quadrature": DEFAULT_QUAD_TOL}
     tol_values = {}
     for name, default in defaults.items():
         tol_values[name] = _json_number(tols.get(name, default))
@@ -378,10 +381,10 @@ def _run_extension(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
     if points is None:
         points = tuple(_geom.hole_witness(cfg.domain, j)
                        for j in range(len(cfg.domain.holes)))
-    vals = _ext.evaluate_extension_many(cfg.function, cfg.domain, points,
-                                        cfg.quad_tol, verdict, 0)
-    alts = _ext.evaluate_extension_many(cfg.function, cfg.domain, points,
-                                        cfg.quad_tol, verdict, 1)
+    vals = _ext.evaluate_extension(cfg.function, cfg.domain, points,
+                                   cfg.quad_tol, verdict, 0).tolist()
+    alts = _ext.evaluate_extension(cfg.function, cfg.domain, points,
+                                   cfg.quad_tol, verdict, 1).tolist()
     worst = max((abs(v0 - v1) for v0, v1 in zip(vals, alts)), default=0.0)
     status = "ok" if worst <= _ext.CONTOUR_TOL else "inconsistent"
     values = {"extends": True, "points": list(points), "values": vals,

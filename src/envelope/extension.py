@@ -239,31 +239,23 @@ def decompose(f, domain: DomainSpec, terms: int | None = None,
 # ---------------------------------------------------------------------------
 # envelope evaluation
 
-def evaluate_extension(f, domain: DomainSpec, w: complex,
+def evaluate_extension(f, domain: DomainSpec, w,
                        tol: float = _quad.DEFAULT_TOL,
                        verdict: _mom.PrimitiveOrderVerdict | None = None,
-                       which_contour: int = 0) -> complex:
-    """Value at w of the holomorphic extension of f to the envelope.
+                       which_contour: int = 0):
+    """Value at w of the holomorphic extension of f to the envelope: a
+    complex for one point, an array of w's shape for an array of points.
 
     Requires the moment verdict to report one-valued primitives of all
     tested orders (supply a precomputed verdict to skip the rescan);
     otherwise ExtensionPreconditionError is raised, since a nonzero moment
     certifies that no extension exists. The value is the Cauchy integral
     over a contour that winds once around w and zero times around every
-    hole other than the one containing it.
-    """
-    return evaluate_extension_many(f, domain, [w], tol, verdict,
-                                   which_contour)[0]
-
-
-def evaluate_extension_many(f, domain: DomainSpec, points,
-                            tol: float = _quad.DEFAULT_TOL,
-                            verdict: _mom.PrimitiveOrderVerdict | None = None,
-                            which_contour: int = 0) -> list[complex]:
-    """evaluate_extension at every point. Points in one hole share its
+    hole other than the one containing it. Points in one hole share its
     contour, and each contour takes one stacked integral for all of its
     points. which_contour picks the first (0) or the second (1) contour
-    of each hole and each point."""
+    of each hole and each point.
+    """
     if not isinstance(which_contour, (int, np.integer)) \
             or which_contour not in (0, 1):
         raise ValueError(f"which_contour must be 0 or 1, not {which_contour!r}")
@@ -273,7 +265,8 @@ def evaluate_extension_many(f, domain: DomainSpec, points,
         raise ExtensionPreconditionError(
             f"a degree-{verdict.max_order} moment is nonzero; f does not "
             "extend to the envelope")
-    pts = np.array(points, dtype=complex).reshape(-1)
+    shape = np.shape(w)
+    pts = np.array(w, dtype=complex).reshape(-1)
     where = _geom.classify(domain, pts)
     for i in np.flatnonzero(where.on_boundary
                             | ((where.hole < 0) & ~where.inside)):
@@ -289,7 +282,7 @@ def evaluate_extension_many(f, domain: DomainSpec, points,
     # distance to the boundary
     radii = (0.4 if which_contour == 0 else 0.7) * where.distance
     fn = _mom.as_function(f)
-    values: list[complex] = [0j] * len(pts)
+    values = np.zeros(pts.shape, dtype=complex)
     for (kind, k), members in shared.items():
         if kind == "hole":
             contour = _geom.basis_curve_variants(domain, k)[which_contour]
@@ -299,14 +292,13 @@ def evaluate_extension_many(f, domain: DomainSpec, points,
         else:  # the point lies beyond the band of every boundary
             contour = _geom.circle(complex(pts[k]), float(radii[k]))
         ws = pts[members]
-        for w in ws[contour.distance(ws) <= contour.arrays.chords.band]:
-            raise GeometryError(f"{w:.6g} is too close to the contour")
+        for near in ws[contour.distance(ws) <= contour.arrays.chords.band]:
+            raise GeometryError(f"{near:.6g} is too close to the contour")
         # (1/2 pi i) ∮ f(z) / (z - w) dz for every w, one stacked integral
         stack = _quad.integrate(lambda z: fn(z) / (z - ws[:, None]), contour,
                                 tol).value
-        for i, v in zip(members, stack / _TWO_PI_I):
-            values[i] = complex(v)
-    return values
+        values[members] = stack / _TWO_PI_I
+    return complex(values[0]) if shape == () else values.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +418,10 @@ def cross_verify(f, domain: DomainSpec, degree_cutoff: int | None = None,
                                   lambda c, j=j: in_hole(c, j), rng))
         if domain.outer is not None or domain.holes:
             points.extend(_domain_probes(domain, DOMAIN_PROBES, rng))
-        values = evaluate_extension_many(fn, domain, points, tol, verdict, 0)
-        alts = evaluate_extension_many(fn, domain, points, tol, verdict, 1)
+        values = tuple(map(complex, evaluate_extension(fn, domain, points,
+                                                        tol, verdict, 0)))
+        alts = tuple(map(complex, evaluate_extension(fn, domain, points, tol,
+                                                      verdict, 1)))
         refs = []
         worst_pair = 0.0
         worst_ref = 0.0

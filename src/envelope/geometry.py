@@ -865,26 +865,38 @@ def rasterize(domain: DomainSpec, resolution: int | tuple[int, int],
     return GridDomain((x0, x1, y0, y1), nx, ny, domain.contains_many(centers))
 
 
-_FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-
-
 def simply_connected_hull(grid: GridDomain) -> GridDomain:
     """Fill every cell not 4-connected to the grid border through outside
     cells: the complement of the component of infinity.
 
-    Idempotent, and the result always contains the input mask.
+    The outside cells are labelled by row runs and union-find (Hoshen and
+    Kopelman, Phys. Rev. B 14, 1976): node 0 is the border, node k the
+    k-th run in row-major order. Idempotent, and the result always
+    contains the input mask.
     """
-    from scipy import ndimage  # slow to import, and only the hull uses it
-
     if not grid.mask.any():
         raise GeometryError("hull of an empty mask is undefined")
     outside = ~grid.mask
-    labels, _ = ndimage.label(outside, structure=_FOUR_CONN)
-    border = np.unique(np.concatenate([
-        labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]]))
-    border = border[border != 0]
-    escape = np.isin(labels, border)
-    return GridDomain(grid.bounds, grid.nx, grid.ny, ~escape)
+    starts = outside.copy()
+    starts[:, 1:] &= grid.mask[:, :-1]
+    run = np.cumsum(starts).reshape(outside.shape) * outside
+    # a run meets each run of the next row it overlaps once, at the
+    # overlap's first column, where one of the two runs starts
+    meet = outside[:-1] & outside[1:] & (starts[:-1] | starts[1:])
+    border = np.concatenate([run[0], run[-1], run[:, 0], run[:, -1]])
+    a = np.concatenate([run[:-1][meet], np.zeros_like(border)])
+    b = np.concatenate([run[1:][meet], border])
+    # hook each root to the least root it meets, then jump pointers until
+    # every node points at its root; the roots only ever decrease
+    parent = np.arange(int(run.max()) + 1)
+    while not np.array_equal(root_a := parent[a], root_b := parent[b]):
+        low = np.minimum(root_a, root_b)
+        np.minimum.at(parent, root_a, low)
+        np.minimum.at(parent, root_b, low)
+        while not np.array_equal(parent, jumped := parent[parent]):
+            parent = jumped
+    return GridDomain(grid.bounds, grid.nx, grid.ny,
+                      grid.mask | (parent[run] != 0))
 
 
 # ---------------------------------------------------------------------------

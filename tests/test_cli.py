@@ -545,9 +545,9 @@ class TestRunScenario:
 
             monkeypatch.setattr(ext, "decompose", moved)
         else:
-            evaluate = ext.evaluate_extension_many
+            evaluate = ext.evaluate_extension
             monkeypatch.setattr(
-                ext, "evaluate_extension_many",
+                ext, "evaluate_extension",
                 lambda fn, domain, points, tol, verdict, which: [
                     v + args[which] for v in evaluate(fn, domain, points, tol,
                                                       verdict, which)])
@@ -746,6 +746,22 @@ class TestMain:
         for row in payload["results"]:
             assert row["status"] == "error"
             assert row["values"]["error_type"] == "PoleInDomainError"
+
+    def test_pole_census_degree_cap_gives_error_rows(self, tmp_path, capsys):
+        # the moment scan needs no poles; the checks that place them refuse
+        # a denominator expanded past the cap
+        scenario = write_scenario(tmp_path, {
+            "function": "1/(z-0.1)^65", "domain": ANNULUS,
+            "checks": list(cli.DOMAIN_CHECKS)})
+        code = cli.main(["run", "--scenario", str(scenario)])
+        rows = json.loads(capsys.readouterr().out)["results"]
+        assert code == 1
+        assert rows[0]["check"] == "moments" and rows[0]["status"] == "ok"
+        for row in rows[1:]:
+            assert row["status"] == "error"
+            assert row["values"] == {
+                "error": "expanded degree 65 exceeds cap 64",
+                "error_type": "PoleFindingError"}
 
     def test_unbounded_domain_runs_every_domain_check(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, {

@@ -228,6 +228,20 @@ class TestEvaluateExtension:
                                    which_contour=1)
         assert abs(a - b) < 2e-9
 
+    def test_shape_follows_the_points(self, annulus):
+        # a complex for one point, an array of the input's shape for many
+        f = expr.parse("z^2")
+        verdict = mom.max_primitive_order(f, annulus)
+        one = ext.evaluate_extension(f, annulus, 0.1 + 0.1j, verdict=verdict)
+        assert type(one) is complex
+        grid = np.array([[0.1 + 0.1j, 1.2 + 0.4j], [-0.2j, -1.5 + 0j]])
+        got = ext.evaluate_extension(f, annulus, grid, verdict=verdict)
+        assert got.shape == (2, 2)
+        assert np.allclose(got, grid ** 2, rtol=0, atol=1e-10)
+        assert got[0, 0] == pytest.approx(one, abs=1e-12)
+        empty = ext.evaluate_extension(f, annulus, [], verdict=verdict)
+        assert empty.shape == (0,)
+
     @pytest.mark.parametrize("which", [2, -1, 0.5, "1", None])
     @pytest.mark.parametrize("w", [0.1 + 0.1j, 1.2 + 0.4j])
     def test_which_contour_is_0_or_1(self, annulus, which, w):
@@ -237,8 +251,8 @@ class TestEvaluateExtension:
             ext.evaluate_extension(expr.parse("z"), annulus, w,
                                    verdict=verdict, which_contour=which)
         with pytest.raises(ValueError, match="which_contour"):
-            ext.evaluate_extension_many(expr.parse("z"), annulus, [w],
-                                        verdict=verdict, which_contour=which)
+            ext.evaluate_extension(expr.parse("z"), annulus, [w],
+                                   verdict=verdict, which_contour=which)
 
     def test_contour_variants_agree_on_dilated_hole(self, slab):
         f = expr.parse("1/(z-5) + z^2")
@@ -263,7 +277,7 @@ class TestEvaluateExtension:
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(quad, "integrate", spy)
-        got = ext.evaluate_extension_many(f, annulus, points, verdict=verdict)
+        got = ext.evaluate_extension(f, annulus, points, verdict=verdict)
         assert len(calls) == 3  # the hole's contour, two domain circles
         for a, b, w in zip(got, one_by_one, points):
             assert a == pytest.approx(b, abs=1e-12)
@@ -564,10 +578,10 @@ class TestExtensionAcrossContours:
         f = expr.parse(text)
         verdict = mom.max_primitive_order(f, domain)
         assert verdict.all_orders
-        values = ext.evaluate_extension_many(f, domain, points,
-                                             verdict=verdict, which_contour=0)
-        alts = ext.evaluate_extension_many(f, domain, points,
-                                           verdict=verdict, which_contour=1)
+        values = ext.evaluate_extension(f, domain, points,
+                                        verdict=verdict, which_contour=0)
+        alts = ext.evaluate_extension(f, domain, points,
+                                      verdict=verdict, which_contour=1)
         for w, v0, v1 in zip(points, values, alts):
             direct = sum(a / (w - p) ** m for p, m, a in poles)
             assert abs(v0 - v1) <= ext.CONTOUR_TOL

@@ -3,12 +3,13 @@ import functools
 import math
 import re
 import tracemalloc
+from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from envelope import expr
@@ -650,8 +651,8 @@ class TestClassification:
         with pytest.raises(GeometryError) as want:
             reference_locate(domain, points)
         with pytest.raises(GeometryError) as got:
-            ext.evaluate_extension_many(lambda z: z, domain, points,
-                                        verdict=verdict)
+            ext.evaluate_extension(lambda z: z, domain, points,
+                                   verdict=verdict)
         assert str(got.value) == str(want.value)
 
     def test_shapes_follow_the_points(self, two_hole):
@@ -1199,6 +1200,48 @@ class TestDilation:
             geom.homology_basis(domain)
 
 
+# ---------------------------------------------------------------------------
+# the hull by breadth-first search, kept as its reference: the outside cells
+# that a path of 4-neighbours joins to an outside cell of the border escape
+
+def _reference_hull(mask):
+    ny, nx = mask.shape
+    escape = np.zeros(mask.shape, dtype=bool)
+    queue = deque((r, c) for r in range(ny) for c in range(nx)
+                  if (r in (0, ny - 1) or c in (0, nx - 1)) and not mask[r, c])
+    for r, c in queue:
+        escape[r, c] = True
+    while queue:
+        r, c = queue.popleft()
+        for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if 0 <= rr < ny and 0 <= cc < nx and not mask[rr, cc] \
+                    and not escape[rr, cc]:
+                escape[rr, cc] = True
+                queue.append((rr, cc))
+    return ~escape
+
+
+def _spiral(n):
+    """An n x n mask whose outside cells are one corridor, from the corner
+    (0, 0) along the border and then inward to the centre."""
+    mask = np.ones((n, n), dtype=bool)
+    r = c = 0
+    mask[0, 0] = False
+    steps = [n - 1] + [k for k in range(n - 1, 0, -2) for _ in (0, 1)]
+    for i, step in enumerate(steps):
+        dr, dc = ((0, 1), (1, 0), (0, -1), (-1, 0))[i % 4]
+        k = np.arange(1, step + 1)
+        mask[r + dr * k, c + dc * k] = False
+        r, c = r + dr * step, c + dc * step
+    return mask
+
+
+def _hull_mask(mask):
+    ny, nx = mask.shape
+    return geom.simply_connected_hull(
+        geom.GridDomain((0, 1, 0, 1), nx, ny, mask)).mask
+
+
 class TestRaster:
     def test_rasterize_annulus_counts(self, annulus):
         grid = geom.rasterize(annulus, 64)
@@ -1220,6 +1263,46 @@ class TestRaster:
             h2 = geom.simply_connected_hull(h1)
             assert np.all(h1.mask >= mask)
             assert np.array_equal(h1.mask, h2.mask)
+
+    @settings(max_examples=100)
+    @given(ny=st.integers(8, 64), nx=st.integers(8, 64),
+           density=st.floats(0.2, 0.8), seed=st.integers(0, 2 ** 32 - 1))
+    def test_hull_matches_breadth_first_search(self, ny, nx, density, seed):
+        # density is the share of outside cells
+        mask = np.random.default_rng(seed).random((ny, nx)) >= density
+        assume(mask.any())
+        hull = _hull_mask(mask)
+        assert np.array_equal(hull, _reference_hull(mask))
+        assert np.array_equal(_hull_mask(hull), hull)
+
+    def test_hull_follows_a_spiral_corridor(self):
+        # the whole corridor escapes; closed just after it leaves the
+        # border, everything past the wall is filled
+        mask = _spiral(255)
+        assert np.array_equal(_hull_mask(mask), _reference_hull(mask))
+        assert _hull_mask(mask).sum() == mask.sum()
+        mask[2, 1] = True
+        hull = _hull_mask(mask)
+        assert np.array_equal(hull, _reference_hull(mask))
+        # the border ring escapes, less its wall cell (1, 0)
+        assert hull.sum() == mask.size - (4 * 254 - 1)
+
+    def test_grid_refusals(self):
+        mask = np.ones((8, 8), dtype=bool)
+        with pytest.raises(GeometryError,
+                           match="grid resolution must be at least 8"):
+            geom.GridDomain((0, 1, 0, 1), 7, 8, mask[:, :7])
+        with pytest.raises(GeometryError,
+                           match="mask shape does not match resolution"):
+            geom.GridDomain((0, 1, 0, 1), 8, 8, np.ones((8, 9), dtype=bool))
+        with pytest.raises(GeometryError, match="empty bounding box"):
+            geom.GridDomain((1, 1, 0, 1), 8, 8, mask)
+
+    def test_rasterize_takes_columns_then_rows(self):
+        grid = geom.rasterize(geom.DomainSpec(geom.circle(0j, 1.0), ()),
+                              (16, 8))
+        assert (grid.nx, grid.ny) == (16, 8)
+        assert grid.mask.shape == (8, 16)
 
     def test_equal_grids_hash_alike(self, annulus):
         # objects that compare equal must hash equal; a grid is compared,

@@ -125,6 +125,14 @@ class TestIntegrate:
         assert max(abs(v) for v in vec.values[1:]) < 1e-12
         assert mom.moment(scalar_fn, c, 0) == vec.values[0]
 
+    def test_constant_integrand(self):
+        # a 0-d answer for the whole batch is the constant at every node
+        closed = quad.integrate(lambda z: 1.0, geom.circle(0j, 1.0))
+        assert closed.value == pytest.approx(0j, abs=1e-12)
+        segment = quad.integrate(lambda z: 1.0,
+                                 geom.Path((geom.Line(0j, 2 + 0j),)))
+        assert segment.value == pytest.approx(2 + 0j, abs=1e-12)
+
     def test_tol_must_be_positive(self):
         c = geom.circle(0j, 1.0)
         with pytest.raises(ValueError):
