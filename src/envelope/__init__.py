@@ -20,11 +20,10 @@ from .errors import (CurveDataError, EnvelopeError,
                      PoleFindingError, PoleInDomainError, PointOnPathError,
                      PoleProximityError, QuadratureBudgetError,
                      WindingResidualError)
-from .expr import (Expr, PoleRecord, as_callable, differentiate, evaluate,
-                   format_expr, parse, pole_set)
+from .expr import Expr, PoleRecord, evaluate, format_expr, parse, pole_set
 from .extension import (CrossVerifyReport, Decomposition, LaurentComponent,
                         cross_verify, decompose, evaluate_extension,
-                        laurent_coefficient, laurent_coefficients)
+                        laurent_coefficients)
 from .geometry import (Arc, DomainSpec, GridDomain, Line, Path, circle,
                        homology_basis, hole_witness, interior_point,
                        path_from_json, path_to_json, polygon, rasterize,
@@ -44,13 +43,13 @@ __all__ = [
     "PoleInDomainError", "PointOnPathError", "PoleProximityError", "PoleRecord",
     "PrimitiveOrderVerdict", "QuadratureBudgetError", "QuadratureResult",
     "SampledCurve", "WindingResidualError", "ZeroTolerance",
-    "analytic_ibp_residual", "as_callable", "boundary_moment",
+    "analytic_ibp_residual", "boundary_moment",
     "cauchy_transform", "chord_arc_constant", "circle",
     "construct_primitive", "cross_verify", "curve_from_csv", "decompose",
-    "derivative_check", "differentiate", "difference_quotient_check",
+    "derivative_check", "difference_quotient_check",
     "boundary_duality", "evaluate", "evaluate_extension", "format_expr",
     "hole_witness", "homology_basis", "ibp_residual", "integrate",
-    "interior_point", "laurent_coefficient", "laurent_coefficients",
+    "interior_point", "laurent_coefficients",
     "max_primitive_order", "moment", "moment_vector", "nontangential_check",
     "odd_warp", "parse", "path_from_json", "path_independence_check",
     "path_to_json", "pole_set", "polygon", "primitive_tower", "rasterize",

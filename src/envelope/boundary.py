@@ -36,6 +36,10 @@ NONTANGENTIAL_RADII = (1e-1, 1e-2, 1e-3, 5e-5)
 SUBTRACT_REACH = 0.02  # of the path length; see cauchy_transform
 # Default depth of the primitive tower.
 TOWER_LEVELS = 4
+# A difference-quotient residual r passes its bound b when
+# r <= b * (1 + BOUND_RELATIVE_SLACK) + BOUND_ABSOLUTE_SLACK.
+BOUND_RELATIVE_SLACK = 1e-9
+BOUND_ABSOLUTE_SLACK = 1e-15
 _EPS = float(np.finfo(float).eps)
 
 
@@ -183,7 +187,6 @@ class PrimitiveTowerResult:
     pass_depth: int
     moments: tuple[complex, ...]
     leading_zero_count: int
-    zero_tolerance: _mom.ZeroTolerance
     functions: tuple[np.ndarray, ...]  # G^0 = data, G^1 .. G^levels
 
     @property
@@ -225,7 +228,7 @@ def primitive_tower(curve: SampledCurve, levels: int = TOWER_LEVELS,
     return PrimitiveTowerResult(level_rows,
                                 levels if depth is None else depth, moms,
                                 levels if zeros is None else zeros,
-                                zero_tol, tuple(functions))
+                                tuple(functions))
 
 
 def tower_functions(curve: SampledCurve, levels: int) -> list[np.ndarray]:
@@ -376,7 +379,6 @@ class NontangentialReport:
     boundary_point: complex
     boundary_value: complex
     approach_points: tuple[complex, ...]
-    transform_values: tuple[complex, ...]
     residuals: tuple[float, ...]
     matches_boundary: bool
     expected_match: bool
@@ -449,7 +451,6 @@ def nontangential_check(curve: SampledCurve, node_index: int = 0,
 
     return NontangentialReport(node_index, complex(z0), boundary_value,
                                tuple(map(complex, approach)),
-                               tuple(map(complex, values)),
                                tuple(residuals), matches, expected)
 
 
@@ -592,15 +593,14 @@ def chord_arc_constant(curve: SampledCurve) -> float:
 class DifferenceQuotientReport:
     start_index: int
     offsets: tuple[int, ...]
-    chord_lengths: tuple[float, ...]
-    arc_lengths: tuple[float, ...]
     residuals: tuple[float, ...]
     bounds: tuple[float, ...]
     constant: float
 
     @property
     def bound_satisfied(self) -> bool:
-        return all(r <= b * (1.0 + 1e-9) + 1e-15
+        return all(r <= b * (1.0 + BOUND_RELATIVE_SLACK)
+                   + BOUND_ABSOLUTE_SLACK
                    for r, b in zip(self.residuals, self.bounds))
 
 
@@ -624,29 +624,22 @@ def difference_quotient_check(curve: SampledCurve, start_index: int = 0,
     tower = tower_functions(curve, 2)
     big_g, big_f = tower[1], tower[2]
     pts = curve.points
-    gaps = np.abs(curve.chords())
 
     offsets = []
     d = 1
     while d <= m // 2 and start_index + d <= m:
         offsets.append(d)
         d *= 2
-    chords = []
-    arcs = []
     residuals = []
     bounds = []
     a = start_index
     for d in offsets:
         b = a + d
-        chord = abs(pts[b] - pts[a])
-        arc = float(np.sum(gaps[a:b]))
-        increment = big_f[b] - big_f[a] - big_g[a] * (pts[b] - pts[a])
+        step = pts[b] - pts[a]
+        increment = big_f[b] - big_f[a] - big_g[a] * step
         sup = float(np.max(np.abs(big_g[a:b + 1] - big_g[a])))
-        chords.append(chord)
-        arcs.append(arc)
         residuals.append(abs(increment))
-        bounds.append(constant * chord * sup)
+        bounds.append(constant * abs(step) * sup)
     return DifferenceQuotientReport(start_index, tuple(offsets),
-                                    tuple(chords), tuple(arcs),
                                     tuple(residuals), tuple(bounds),
                                     float(constant))

@@ -35,7 +35,6 @@ DOMAIN_CHECKS = ("moments", "primitive_order", "extension", "cross_verify")
 CURVE_CHECKS = ("boundary_tower", "cauchy", "nontangential", "chord_arc")
 ALL_CHECKS = DOMAIN_CHECKS + CURVE_CHECKS
 
-DEFAULT_QUAD_TOL = _quad.DEFAULT_TOL
 # every tower level keeps one array per sample, so the sample count is
 # capped like the level count
 MAX_SAMPLES = 2 ** 16
@@ -284,7 +283,7 @@ def build_config(raw: dict, base_dir: FsPath | None = None,
     tols = _object(merged.get("tolerances", {}), "tolerances", diags) or {}
     defaults = {"abs": _mom.ZeroTolerance.abs_tol,
                 "rel": _mom.ZeroTolerance.rel_tol,
-                "quadrature": DEFAULT_QUAD_TOL}
+                "quadrature": _quad.DEFAULT_TOL}
     tol_values = {}
     for name, default in defaults.items():
         tol_values[name] = _json_number(tols.get(name, default))
@@ -464,7 +463,8 @@ def _run_chord_arc(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
         "bound_satisfied": report.bound_satisfied,
     }
     status = "ok" if report.bound_satisfied else "inconsistent"
-    return values, {"relative_slack": 1e-9}, status
+    return values, {"relative_slack": _bd.BOUND_RELATIVE_SLACK,
+                    "absolute_slack": _bd.BOUND_ABSOLUTE_SLACK}, status
 
 
 _RUNNERS = {

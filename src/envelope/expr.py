@@ -43,8 +43,8 @@ class Expr:
     def __str__(self) -> str:
         return format_expr(self)
 
-    def __call__(self, z, exclusion: float = DEFAULT_POLE_EXCLUSION):
-        return evaluate(self, z, exclusion)
+    def __call__(self, z):
+        return evaluate(self, z)
 
 
 @dataclass(frozen=True)
@@ -289,146 +289,52 @@ def parse(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def evaluate(node: Expr, z, exclusion: float = DEFAULT_POLE_EXCLUSION):
+def evaluate(node: Expr, z):
     """Evaluate an AST at z, which may be a complex scalar or ndarray.
 
     Raises PoleProximityError whenever a divisor magnitude (or the base of a
-    negative power) falls below `exclusion`; for a linear denominator z - a
-    that is exactly the distance to the pole.
+    negative power) falls below DEFAULT_POLE_EXCLUSION; for a linear
+    denominator z - a that is exactly the distance to the pole.
     """
-    out = _eval(node, z, exclusion)
+    out = _eval(node, z)
     if isinstance(z, np.ndarray):
         return np.broadcast_to(np.asarray(out, dtype=complex), z.shape).copy() \
             if np.ndim(out) == 0 else out
     return complex(out)
 
 
-def _too_small(values, exclusion: float) -> bool:
-    return bool(np.min(np.abs(values)) < exclusion)
+def _too_small(values) -> bool:
+    return bool(np.min(np.abs(values)) < DEFAULT_POLE_EXCLUSION)
 
 
-def _eval(node: Expr, z, exclusion: float):
+def _eval(node: Expr, z):
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
         return z
     if isinstance(node, Add):
-        return _eval(node.left, z, exclusion) + _eval(node.right, z, exclusion)
+        return _eval(node.left, z) + _eval(node.right, z)
     if isinstance(node, Sub):
-        return _eval(node.left, z, exclusion) - _eval(node.right, z, exclusion)
+        return _eval(node.left, z) - _eval(node.right, z)
     if isinstance(node, Mul):
-        return _eval(node.left, z, exclusion) * _eval(node.right, z, exclusion)
+        return _eval(node.left, z) * _eval(node.right, z)
     if isinstance(node, Div):
-        den = _eval(node.right, z, exclusion)
-        if _too_small(den, exclusion):
-            raise PoleProximityError(
-                f"divisor magnitude below exclusion radius {exclusion:g}")
-        return _eval(node.left, z, exclusion) / den
+        den = _eval(node.right, z)
+        if _too_small(den):
+            raise PoleProximityError("divisor magnitude below exclusion "
+                                     f"radius {DEFAULT_POLE_EXCLUSION:g}")
+        return _eval(node.left, z) / den
     if isinstance(node, Pow):
-        base = _eval(node.base, z, exclusion)
-        if node.exponent < 0 and _too_small(base, exclusion):
-            raise PoleProximityError(
-                f"negative power base below exclusion radius {exclusion:g}")
+        base = _eval(node.base, z)
+        if node.exponent < 0 and _too_small(base):
+            raise PoleProximityError("negative power base below exclusion "
+                                     f"radius {DEFAULT_POLE_EXCLUSION:g}")
         if isinstance(base, np.ndarray):
             return base ** node.exponent
         return complex(base) ** node.exponent
     if isinstance(node, Exp):
-        return np.exp(_eval(node.arg, z, exclusion))
+        return np.exp(_eval(node.arg, z))
     raise TypeError(f"not an Expr node: {node!r}")
-
-
-def as_callable(node: Expr, exclusion: float = DEFAULT_POLE_EXCLUSION):
-    """Wrap an AST as a plain vectorized callable z -> f(z)."""
-    return lambda z: evaluate(node, z, exclusion)
-
-
-# ---------------------------------------------------------------------------
-# differentiation
-
-def _c(value) -> Const:
-    return Const(complex(value))
-
-
-_ZERO = _c(0)
-_ONE = _c(1)
-
-
-def _is_const(node: Expr, value: complex | None = None) -> bool:
-    return isinstance(node, Const) and (value is None or node.value == value)
-
-
-def _add(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0):
-        return b
-    if _is_const(b, 0):
-        return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
-    return Add(a, b)
-
-
-def _sub(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 0):
-        return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
-    return Sub(a, b)
-
-
-def _mul(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0) or _is_const(b, 0):
-        return _ZERO
-    if _is_const(a, 1):
-        return b
-    if _is_const(b, 1):
-        return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
-    return Mul(a, b)
-
-
-def _div(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0):
-        return _ZERO
-    if _is_const(b, 1):
-        return a
-    return Div(a, b)
-
-
-def differentiate(node: Expr) -> Expr:
-    """Exact symbolic derivative with light constant folding."""
-    if isinstance(node, Const):
-        return _ZERO
-    if isinstance(node, Var):
-        return _ONE
-    if isinstance(node, Add):
-        return _add(differentiate(node.left), differentiate(node.right))
-    if isinstance(node, Sub):
-        return _sub(differentiate(node.left), differentiate(node.right))
-    if isinstance(node, Mul):
-        return _add(_mul(differentiate(node.left), node.right),
-                    _mul(node.left, differentiate(node.right)))
-    if isinstance(node, Div):
-        num = _sub(_mul(differentiate(node.left), node.right),
-                   _mul(node.left, differentiate(node.right)))
-        return _div(num, _pow_node(node.right, 2))
-    if isinstance(node, Pow):
-        if node.exponent == 0:
-            return _ZERO
-        inner = differentiate(node.base)
-        scaled = _mul(_c(node.exponent), _pow_node(node.base, node.exponent - 1))
-        return _mul(scaled, inner)
-    if isinstance(node, Exp):
-        return _mul(node, differentiate(node.arg))
-    raise TypeError(f"not an Expr node: {node!r}")
-
-
-def _pow_node(base: Expr, exponent: int) -> Expr:
-    if exponent == 0:
-        return _ONE
-    if exponent == 1:
-        return base
-    return Pow(base, exponent)
 
 
 # ---------------------------------------------------------------------------

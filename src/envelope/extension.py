@@ -43,26 +43,16 @@ def _check_tail(basis_curve: Path, center: complex, n: int) -> None:
         raise GeometryError("basis curve must wind once around the center")
 
 
-def laurent_coefficient(f, basis_curve: Path, center: complex, n: int,
-                        tol: float = _quad.DEFAULT_TOL) -> complex:
-    """Tail coefficient a_{-n} of the component attached to the hole the
-    basis curve surrounds:
+def laurent_coefficients(f, basis_curve: Path, center: complex, terms: int,
+                         tol: float = _quad.DEFAULT_TOL
+                         ) -> tuple[complex, ...]:
+    """Tail coefficients a_{-1} .. a_{-terms} of the component attached to
+    the hole the basis curve surrounds, from one stacked integral:
 
         a_{-n} = (1/2 pi i) ∮ (z - center)^(n-1) f(z) dz,  n >= 1.
 
     The curve must wind once around the center.
     """
-    _check_tail(basis_curve, center, n)
-    fn = _mom.as_function(f)
-    stack = _mom._moments(fn, basis_curve, np.array([n - 1]), tol, center)
-    return complex((stack / _TWO_PI_I)[0])
-
-
-def laurent_coefficients(f, basis_curve: Path, center: complex, terms: int,
-                         tol: float = _quad.DEFAULT_TOL
-                         ) -> tuple[complex, ...]:
-    """a_{-1} .. a_{-terms} as laurent_coefficient gives them, from one
-    stacked integral over the basis curve."""
     _check_tail(basis_curve, center, terms)
     fn = _mom.as_function(f)
     stack = _mom._moments(fn, basis_curve, np.arange(terms), tol, center)

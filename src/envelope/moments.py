@@ -55,9 +55,8 @@ class ZeroTolerance:
 
 
 def as_function(f):
-    """Accept either a parsed expression or any vectorized callable."""
-    if isinstance(f, _expr.Expr):
-        return _expr.as_callable(f)
+    """Accept either a parsed expression or any vectorized callable; an
+    Expr already is one."""
     if callable(f):
         return f
     raise TypeError(f"expected an Expr or a callable, got {type(f).__name__}")

@@ -537,6 +537,15 @@ class TestNontangential:
         assert rep.expected_match
         assert rep.consistent
 
+    def test_repeated_node_has_no_tangent(self):
+        c = circle_curve(lambda z: z ** 2, 32)
+        points = c.points.copy()
+        points[4] = points[3]
+        c = bd.SampledCurve(c.params, points, c.values)
+        with pytest.raises(CurveDataError,
+                           match="degenerate chord at the requested node"):
+            bd.nontangential_check(c, node_index=4)
+
     def test_zero_tolerance_decides_expected_match(self):
         # moments of 1/(z - 0.2) are 2 pi i 0.2^k, zero only at abs_tol 100
         c = circle_curve(lambda z: 1 / (z - 0.2), 256)
@@ -781,6 +790,20 @@ class TestDifferenceQuotient:
         c = circle_curve(lambda z: z, 128)
         with pytest.raises(CurveDataError, match="range"):
             bd.difference_quotient_check(c, start_index=128)
+
+    def test_bound_allows_both_slacks(self):
+        b = 1e-6
+        relative = b * (1.0 + bd.BOUND_RELATIVE_SLACK)
+        assert relative < relative + 0.5 * bd.BOUND_ABSOLUTE_SLACK \
+            < relative + 2 * bd.BOUND_ABSOLUTE_SLACK
+
+        def report(residual):
+            return bd.DifferenceQuotientReport(0, (1,), (residual,), (b,),
+                                               1.0)
+        assert report(relative + 0.5 * bd.BOUND_ABSOLUTE_SLACK) \
+            .bound_satisfied
+        assert not report(relative + 2 * bd.BOUND_ABSOLUTE_SLACK) \
+            .bound_satisfied
 
     def test_offsets_are_dyadic(self):
         c = circle_curve(lambda z: z, 128)

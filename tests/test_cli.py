@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from envelope import boundary, cli, expr, moments
+from envelope import boundary, cli, expr, moments, quadrature
 from envelope import extension as ext
 from envelope import geometry as geom
 
@@ -324,7 +324,7 @@ class TestBuildConfig:
         cfg, _ = cli.build_config(raw)
         assert cfg.zero_tol.abs_tol == 1e-9
         assert cfg.zero_tol.rel_tol == 1e-10
-        assert cfg.quad_tol == cli.DEFAULT_QUAD_TOL
+        assert cfg.quad_tol == quadrature.DEFAULT_TOL
         assert cfg.radii == boundary.NONTANGENTIAL_RADII
         assert cfg.fmt == "json"
 
@@ -639,6 +639,50 @@ class TestMain:
         assert tower["depth_matches"] is True
         arc = payload["results"][1]["values"]
         assert arc["constant"] == pytest.approx(math.pi / 2, rel=0.05)
+
+    def test_chord_arc_row_names_both_slacks(self, tmp_path, capsys):
+        (tmp_path / "curve.csv").write_text(circle_csv(128, data="conj"))
+        scenario = write_scenario(tmp_path, {
+            "checks": ["chord_arc"], "curve": {"csv": "curve.csv"}})
+        assert cli.main(["run", "--scenario", str(scenario)]) == 0
+        row = json.loads(capsys.readouterr().out)["results"][0]
+        assert row["tolerance_used"] == {
+            "relative_slack": boundary.BOUND_RELATIVE_SLACK,
+            "absolute_slack": boundary.BOUND_ABSOLUTE_SLACK}
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"function": "1/z", "checks": ["moments"],
+          "domain": {"outer": {"ellipse": 1}, "holes": []}},
+         "domain.outer: expected one of circle, polygon, segments"),
+        ({"function": "z", "checks": ["boundary_tower"],
+          "curve": {"path": {"ellipse": 1}, "samples": 64}},
+         "curve.path: expected one of circle, polygon, segments"),
+        ({"function": "1/z", "checks": ["moments"], "domain": [1]},
+         "domain: expected an object"),
+        ({"function": "1/z", "checks": ["moments"], "domain": {
+            "outer": {"circle": {"center": [0, 0], "radius": 3}},
+            "holes": [{"circle": {"center": [0, 0], "radius": 0.5}},
+                      {"circle": {"center": [0.3, 0], "radius": 0.5}}]}},
+         "domain: holes 0 and 1 overlap"),
+        ({"function": "z", "checks": ["cauchy"], "points": "x",
+          "curve": {"path": {"circle": {"center": [0, 0], "radius": 1}},
+                    "samples": 64}},
+         "points: expected a list of [re, im] pairs"),
+        ({"function": "1/z", "checks": ["moments"], "domain": ANNULUS,
+          "format": "xml"},
+         "format: json or text"),
+        # an integer too large for a float takes the OverflowError branch
+        ({"function": "1/z", "checks": ["moments"], "domain": {
+            "outer": {"circle": {"center": [0, 0], "radius": 10 ** 400}},
+            "holes": ANNULUS["holes"]}},
+         "domain.outer.circle.radius: positive number of at most 1e+150 "
+         "required"),
+    ])
+    def test_scenario_diagnostics_exit_one(self, tmp_path, capsys, raw,
+                                           message):
+        scenario = write_scenario(tmp_path, raw)
+        assert cli.main(["run", "--scenario", str(scenario)]) == 1
+        assert message in capsys.readouterr().err.splitlines()
 
     def test_sampled_path_scenario_with_points(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, {

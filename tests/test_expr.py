@@ -99,41 +99,6 @@ class TestEvaluation:
         with pytest.raises(PoleProximityError):
             ev("z^-1", 0j)
 
-    def test_exclusion_override(self):
-        node = expr.parse("1/z")
-        assert expr.evaluate(node, 1e-12 + 0j, exclusion=1e-15) \
-            == pytest.approx(1e12)
-
-    def test_as_callable_vectorized(self):
-        fn = expr.as_callable(expr.parse("exp(z)"))
-        zs = np.linspace(0, 1, 5).astype(complex)
-        np.testing.assert_allclose(fn(zs), np.exp(zs))
-
-
-class TestDifferentiation:
-    def test_quotient_string_oracle(self):
-        out = expr.differentiate(expr.parse("1/z"))
-        assert expr.format_expr(out) == "(-1 / z^2)"
-
-    @pytest.mark.parametrize("text", [
-        "z^3", "1/z", "exp(z)", "(z^2+1)/(z-3)", "exp(1/z)",
-        "(2+1i)z^4 - z", "1/(z-1)^2",
-    ])
-    def test_matches_central_difference(self, text, rng):
-        node = expr.parse(text)
-        deriv = expr.differentiate(node)
-        h = 1e-5
-        for _ in range(6):
-            z = complex(rng.uniform(0.4, 1.6), rng.uniform(0.4, 1.6))
-            fd = (expr.evaluate(node, z + h) - expr.evaluate(node, z - h)) \
-                / (2 * h)
-            assert expr.evaluate(deriv, z) == pytest.approx(fd, rel=1e-6,
-                                                            abs=1e-8)
-
-    def test_constant_derivative_is_zero(self):
-        out = expr.differentiate(expr.parse("(3+4i)"))
-        assert expr.evaluate(out, 2 + 1j) == 0
-
 
 class TestPoleSet:
     def test_double_pole_from_product(self):

@@ -204,6 +204,27 @@ class TestPath:
         with pytest.raises(GeometryError):
             geom.polygon([0j, 0j, 1 + 0j])
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: geom.Line(1 + 1j, 1 + 1j), "endpoints coincide"),
+        (lambda: geom.Path(()), "at least one segment"),
+        (lambda: geom.Path((geom.Line(0, 1), geom.Line(1, 1j)), closed=True),
+         "endpoints do not meet"),
+        (lambda: geom.polygon([0, 1]), "at least three vertices"),
+        (lambda: geom.DomainSpec(
+            geom.Path((geom.Line(0, 1), geom.Line(1, 1j)))),
+         "must be closed paths"),
+        (lambda: geom.interior_point(
+            geom.Path((geom.Line(0, 1), geom.Line(1, 1j)))),
+         "needs a closed path"),
+    ])
+    def test_malformed_geometry_is_refused(self, build, message):
+        with pytest.raises(GeometryError, match=message):
+            build()
+
+    def test_points_at_refuses_fractions_outside_the_path(self):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            geom.circle(0, 1).points_at([1.5])
+
     def test_open_chain_detected(self):
         p = geom.Path((geom.Line(0j, 1 + 0j), geom.Line(1 + 0j, 1 + 1j)))
         assert not p.closed

@@ -282,6 +282,14 @@ class TestRingRoute:
         with pytest.raises(GeometryError):
             mom.ring_route(0j, 1 + 0j)
 
+    def test_coincident_endpoints_rejected(self):
+        with pytest.raises(GeometryError, match="endpoints coincide"):
+            mom.ring_route(1, 1)
+
+    def test_as_function_refuses_what_cannot_be_called(self):
+        with pytest.raises(TypeError, match="got int"):
+            mom.as_function(3)
+
 
 class TestConstructPrimitive:
     def test_first_primitive_of_inverse_square(self):
@@ -306,6 +314,18 @@ class TestConstructPrimitive:
         half = geom.Path((geom.Arc(0j, 1.0, 0.0, math.pi),))
         with pytest.raises(GeometryError):
             mom.construct_primitive(expr.parse("z"), 1, 1 + 0j, 5 + 0j, half)
+
+    def test_order_must_be_positive(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            mom.construct_primitive(expr.parse("1/z"), 0, 1, -1,
+                                    geom.Path((geom.Line(1, -1),)))
+
+    def test_path_through_the_hole_is_refused(self, annulus):
+        with pytest.raises(GeometryError,
+                           match=r"leaves the domain near 0\.5\+0j"):
+            mom.construct_primitive(expr.parse("1/z"), 1, 1, -1,
+                                    geom.Path((geom.Line(1, -1),)),
+                                    domain=annulus)
 
     def test_warns_when_moments_block_the_order(self, annulus):
         half = geom.Path((geom.Arc(0j, 1.0, 0.0, math.pi),))
