@@ -268,12 +268,9 @@ class Path:
         u = (target - arrays.starts[index]) / arrays.lengths[index]
         return index, np.clip(u, 0.0, 1.0)
 
-    def sample(self, n: int, include_end: bool = False) -> np.ndarray:
-        """n points equally spaced in arclength (n+1 with the endpoint)."""
-        fr = np.linspace(0.0, 1.0, n, endpoint=False)
-        if include_end:
-            fr = np.concatenate([fr, [1.0]])
-        return self.points_at(fr)
+    def sample(self, n: int) -> np.ndarray:
+        """n points equally spaced in arclength, from the start."""
+        return self.points_at(np.linspace(0.0, 1.0, n, endpoint=False))
 
 
 class SegmentArrays:
@@ -510,7 +507,7 @@ def _winding_many(path: Path, points) -> tuple[np.ndarray, np.ndarray]:
 class DomainSpec:
     """Multiply connected region: interior of `outer` (or the whole plane
     when outer is None) minus the closed holes. All boundary paths must be
-    closed, positively oriented and pairwise disjoint."""
+    closed, positively oriented and farther apart than their two bands."""
 
     outer: Path | None
     holes: tuple[Path, ...] = ()
@@ -547,16 +544,12 @@ class DomainSpec:
         # every hole winds once around its own witness by now
         for i, j in np.argwhere(winds != np.eye(len(wits))):
             raise GeometryError(f"holes {i} and {j} overlap")
-        # two boundaries touch when their gap lies within their two bands
         paths = self.holes + ((self.outer,) if self.outer else ())
-        bands = [p.arrays.chords.band for p in paths]
         gaps = [math.inf] * len(paths)
         for i in range(len(paths)):
             for j in range(i + 1, len(paths)):
-                touch = bands[i] + bands[j]
-                d = 0.0 if _paths_cross(paths[i], paths[j], touch) \
-                    else _gap(paths[i], paths[j])
-                if d <= touch:
+                d = _gap(paths[i], paths[j])
+                if d <= _bands(paths[i], paths[j]):
                     raise GeometryError(f"boundary components {i} and {j} "
                                         f"touch (gap {d:.3g})")
                 gaps[i], gaps[j] = min(gaps[i], d), min(gaps[j], d)
@@ -575,6 +568,12 @@ class DomainSpec:
     def contains_many(self, points: np.ndarray) -> np.ndarray:
         """Which points lie in the domain; points on a boundary do not."""
         return classify(self, points).inside
+
+    def contains_path(self, path: Path) -> bool:
+        """Whether a path lies in the domain: its start does, and its gap
+        to every boundary exceeds their two bands."""
+        return self.contains(path.start) and all(
+            _gap(path, b) > _bands(path, b) for b in self.boundary_paths())
 
 
 class Classification(NamedTuple):
@@ -611,10 +610,37 @@ def classify(domain: DomainSpec, points) -> Classification:
 
 
 def _gap(a: Path, b: Path) -> float:
-    """Least distance from the segment starts and 256 samples of either
-    path to the other; exact for polygons (a closest pair has a vertex)."""
-    return min(float(np.min(p.distance(np.append(q.sample(256), [
-        s.start for s in q.segments])))) for p, q in ((a, b), (b, a)))
+    """The least distance between two paths: the least |x - a| + |x - b|
+    over the segment ends, the crossings of the lines or circles carrying
+    two segments whose boxes meet, and _normal_points. These hold a point
+    of a closest pair of every two segments (Schneider and Eberly, Geometric
+    Tools for Computer Graphics, 2003, ch. 6) and every sum is at least the
+    gap, so the least is the gap; paths that cross read about 0."""
+    points = [a.end, b.end] + [s.start for s in a.segments + b.segments]
+    boxes = [(q, q.bbox()) for q in b.segments]
+    for p in a.segments:
+        x0, x1, y0, y1 = p.bbox()
+        for q, (u0, u1, v0, v1) in boxes:
+            if u0 <= x1 and x0 <= u1 and v0 <= y1 and y0 <= v1:
+                points += _crossings(p, q)
+            points += _normal_points(p, q) + _normal_points(q, p)
+    x = np.array(points)
+    return float(np.nanmin(a.distance(x) + b.distance(x)))
+
+
+def _normal_points(s: Segment, t: Segment) -> tuple[complex, ...]:
+    """The points of an arc s's circle on the normal through its centre to
+    t's line, or on the line of centres of an arc t (nan if concentric)."""
+    if isinstance(s, Line):
+        return ()
+    u = 1j * (t.b - t.a) if isinstance(t, Line) else t.center - s.center
+    u *= s.radius / (abs(u) or math.nan)
+    return s.center + u, s.center - u
+
+
+def _bands(a: Path, b: Path) -> float:
+    """Two paths touch when their gap lies within the sum of their bands."""
+    return a.arrays.chords.band + b.arrays.chords.band
 
 
 def interior_point(path: Path) -> complex:
@@ -677,8 +703,8 @@ def _hole_rule(domain: DomainSpec, j: int) -> tuple[Path, ...]:
 @functools.lru_cache(maxsize=512)
 def _contour(domain: DomainSpec, j: int, frac: float) -> Path:
     """Hole j's contour at the fraction frac of its rule. A dilation, whose
-    cut offsets can backtrack, is built and checked on first use; one that
-    fails is an error."""
+    cut offsets can backtrack, is built on first use and must pass
+    _basis_curves_pass, by windings and exact gaps, or be an error."""
     circles = _hole_rule(domain, j)
     if circles:
         return circles[_CIRCLE_FRACTIONS.index(frac)]
@@ -745,32 +771,17 @@ def _crossings(p: Segment, q: Segment) -> tuple[complex, ...]:
     line, arc = (p, q) if isinstance(p, Line) else (q, p)
     if isinstance(line, Arc):  # two circles cross on their radical line
         gap, span = q.center - p.center, abs(q.center - p.center) or math.nan
-        point = p.center + gap * (span ** 2 + p.radius ** 2 - q.radius ** 2) \
-            / (2.0 * span ** 2)
+        point = p.center + gap / span * (
+            0.5 * span + (p.radius ** 2 - q.radius ** 2) / (2.0 * span))
         u = 1j * gap / span
     else:  # a point and unit direction u of the line
         point, u = line.a, (line.b - line.a) / line.length
-    b = ((point - arc.center) * u.conjugate()).real  # foot at point - b u
-    h2 = b * b - abs(point - arc.center) ** 2 + arc.radius ** 2
+    rel = (point - arc.center) * u.conjugate()  # foot at point - rel.real u
+    h2 = arc.radius ** 2 - rel.imag * rel.imag
     if not h2 >= -1e-12 * arc.radius ** 2:
         return ()
-    base, h = point - b * u, math.sqrt(max(h2, 0.0))
+    base, h = point - rel.real * u, math.sqrt(max(h2, 0.0))
     return base + h * u, base - h * u
-
-
-def _paths_cross(a: Path, b: Path, touch: float) -> bool:
-    """Whether a segment of a meets a segment of b: a crossing of their
-    lines or circles within touch of both, for each pair of segments whose
-    bounding boxes meet."""
-    boxes = [(q, q.bbox()) for q in b.segments]
-    for p in a.segments:
-        x0, x1, y0, y1 = p.bbox()
-        for q, (u0, u1, v0, v1) in boxes:
-            if u0 <= x1 and x0 <= u1 and v0 <= y1 and y0 <= v1 \
-                    and any(max(p.distance(x), q.distance(x)) <= touch
-                            for x in _crossings(p, q)):
-                return True
-    return False
 
 
 def _parameter(piece: Segment, x: complex, near: float) -> float:
@@ -784,13 +795,10 @@ def _parameter(piece: Segment, x: complex, near: float) -> float:
 def _basis_curves_pass(domain: DomainSpec, j: int,
                        curves: tuple[Path, ...]) -> bool:
     """Does every curve wind once around hole j, zero times around the
-    other holes, and lie in the domain (64 samples each, classified
-    together)?"""
+    other holes, and lie in the domain (DomainSpec.contains_path)?"""
     want = np.arange(len(domain.holes)) == j
     return all(np.array_equal(_winding_many(c, domain.witnesses)[0], want)
-               for c in curves) \
-        and bool(domain.contains_many(
-            np.concatenate([c.sample(64) for c in curves])).all())
+               and domain.contains_path(c) for c in curves)
 
 
 def hole_witness(domain: DomainSpec, j: int) -> complex:

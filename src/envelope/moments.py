@@ -276,20 +276,11 @@ def ring_route(base: complex, target: complex, center: complex = 0j) -> Path:
     if abs(sweep) > 1e-12:
         segs.append(Arc(center, r0, th0, th0 + sweep, ccw=sweep > 0))
     corner = center + r0 * complex(math.cos(th1), math.sin(th1))
-    if abs(corner - target) > 1e-12 * max(1.0, abs(target)):
+    if abs(corner - target) > 1e-12 * max(r0, r1):
         segs.append(Line(corner, target))
     if not segs:
         raise GeometryError("ring route endpoints coincide")
     return Path(tuple(segs), closed=False)
-
-
-def _check_path_in_domain(path: Path, domain: DomainSpec) -> None:
-    probes = path.sample(64, include_end=True)
-    inside = domain.contains_many(probes)
-    if not bool(inside.all()):
-        bad = probes[~inside][0]
-        raise GeometryError(
-            f"integration path leaves the domain near {bad:.6g}")
 
 
 def construct_primitive(f, n: int, base: complex, target: complex,
@@ -301,19 +292,20 @@ def construct_primitive(f, n: int, base: complex, target: complex,
         (1/(n-1)!) ∮_path (target - w)^(n-1) f(w) dw
 
     The path must run from base to target. When a domain is supplied the
-    path is winding-checked against its holes, and a warning (not an error)
-    is emitted if moments of degree <= n-1 fail to vanish, since then the
-    value depends on the chosen path.
+    path must lie in it (DomainSpec.contains_path), and a warning (not an
+    error) is emitted if moments of degree <= n-1 fail to vanish, since
+    then the value depends on the chosen path.
     """
     if n < 1:
         raise ValueError("primitive order must be at least 1")
-    scale = max(1.0, abs(base), abs(target))
+    scale = max(abs(base), abs(target), path.length)
     if abs(path.start - base) > 1e-9 * scale \
             or abs(path.end - target) > 1e-9 * scale:
         raise GeometryError("path endpoints do not match base and target")
     fn = as_function(f)
     if domain is not None:
-        _check_path_in_domain(path, domain)
+        if not domain.contains_path(path):
+            raise GeometryError("integration path leaves the domain")
         if warn_on_nonvanishing and domain.holes:
             verdict = max_primitive_order(f, domain, max(0, n - 1), tol)
             if verdict.max_order is not None and verdict.max_order < n:

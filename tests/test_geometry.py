@@ -479,9 +479,35 @@ class TestDomainSpec:
         (geom.circle(0j, 1.0), geom.circle(1.9 + 0j, 1.0)),
     ])
     def test_crossing_holes_are_rejected(self, holes):
+        # a crossing reads as a gap at rounding level (4.4e-16 for the
+        # two circles)
         with pytest.raises(GeometryError, match=r"boundary components 0 "
-                                                r"and 1 touch \(gap 0\)"):
+                                                r"and 1 touch") as info:
             geom.DomainSpec(geom.circle(0.5 + 1j, 5.0), holes)
+        gap = float(re.search(r"\(gap (\S+)\)", str(info.value))[1])
+        reach = max(geom._reach(h.segments) for h in holes)
+        assert gap <= 4 * math.ulp(reach)
+
+    @pytest.mark.parametrize("shift", [1e-263j, 1e-320j])
+    def test_nearly_concentric_circles_cross_nowhere(self, shift):
+        # the radical line of two circles whose centres lie 1e-263 or
+        # 1e-320 apart is beyond the float range: they do not cross, and
+        # the gap is the difference of the radii
+        domain = geom.DomainSpec(geom.circle(shift, 1.0),
+                                 (geom.circle(0j, 0.5),))
+        assert domain.gaps == (0.5,)
+        assert geom._crossings(*domain.outer.segments,
+                               *domain.holes[0].segments) == ()
+
+    @pytest.mark.parametrize("angle", [math.pi / 256, 0.3])
+    def test_circles_1e10_apart_touch(self, angle):
+        # a sampled gap put the nearest samples of the two unit circles
+        # 1e-4 apart; their gap of 1e-10 lies within their bands
+        u = cmath.exp(1j * angle)
+        with pytest.raises(GeometryError, match=r"boundary components 0 "
+                                                r"and 1 touch \(gap 1e-10\)"):
+            geom.DomainSpec(geom.circle(0j, 5.0), (
+                geom.circle(0j, 1.0), geom.circle((2 + 1e-10) * u, 1.0)))
 
     def test_holes_apart_are_accepted_without_a_crossing_test(
             self, monkeypatch):
@@ -517,6 +543,21 @@ class TestDomainSpec:
         first = np.linspace(0.0, 2.0, 10)[1]
         assert geom.interior_point(ell) == complex(first, first)
         assert calls == ["wind", "bbox", "wind"]
+
+    def test_path_between_samples_leaves_the_domain(self):
+        # the line 0.005 from the centre crosses the hole of radius 0.01
+        # between two of any 64 samples of it, 0.031 apart
+        d = geom.DomainSpec(geom.circle(0j, 3.0),
+                            (geom.circle(1.5 + 0.015j, 0.01),))
+        samples = geom.Path((geom.Line(1.505 - 1j, 1.505 + 1j),)).sample(64)
+        assert d.contains_many(samples).all()
+        for x, inside in ((1.505, False), (1.4995, False), (1.5101, True)):
+            assert d.contains_path(geom.Path((
+                geom.Line(x - 1j, x + 1j),))) is inside
+        # a closed path is judged alike; one out of the domain is not in it
+        assert d.contains_path(geom.circle(1.5 + 0.015j, 0.02))
+        assert not d.contains_path(geom.circle(1.5 + 0.015j, 3.5))
+        assert not d.contains_path(geom.circle(1.5 + 0.015j, 0.005))
 
     def test_unbounded_domain(self):
         d = geom.DomainSpec(None, (geom.circle(0j, 1.0),))
@@ -579,6 +620,50 @@ def reference_locate(domain, points):
                     f"{w:.6g} lies outside the simply connected envelope")
             out.append(None)
     return out
+
+
+@st.composite
+def _segment(draw, kind, through=None):
+    """A line of length 0.2 to 3 or an arc of radius 0.1 to 3 and extent
+    0.05 to 2 pi, through a given point or a drawn one."""
+    x = through if through is not None \
+        else complex(draw(_COORD), draw(_COORD))
+    turn, where = cmath.exp(2j * math.pi * draw(_unit)), draw(_unit)
+    if kind == "line":
+        step = draw(st.floats(0.2, 3.0)) * turn
+        return geom.Line(x - where * step, x + (1.0 - where) * step)
+    radius = draw(st.floats(0.1, 3.0))
+    extent = draw(st.floats(0.05, 2 * math.pi))
+    sweep = extent if draw(st.booleans()) else -extent
+    t0 = cmath.phase(turn) - where * sweep
+    return geom.Arc(x - radius * turn, radius, t0, t0 + sweep, sweep > 0)
+
+
+class TestGap:
+    @pytest.mark.parametrize("kinds", [("line", "line"), ("line", "arc"),
+                                       ("arc", "arc")])
+    @pytest.mark.parametrize("crossing", [False, True])
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_gap_is_the_least_distance(self, kinds, crossing, data):
+        # against 4097 points of each path at a spacing h: the gap is never
+        # above their least distance to the other path but by rounding,
+        # and below it by at most h / 2, where the nearest sample to a
+        # closest point lies; paths that cross read a gap below 1e-12 of
+        # their reach, far inside their bands of 1e-9 of their lengths
+        p = data.draw(_segment(kinds[0]))
+        q = data.draw(_segment(kinds[1], p.point(data.draw(_unit))
+                               if crossing else None))
+        a, b = geom.Path((p,)), geom.Path((q,))
+        gap = geom._gap(a, b)
+        grid = np.linspace(0.0, 1.0, 4097)
+        dense = min(a.distance(b.points_at(grid)).min(),
+                    b.distance(a.points_at(grid)).min())
+        reach = geom._reach((p, q))
+        h = min(a.length, b.length) / 4096
+        assert dense - 0.5 * h <= gap <= dense + 8 * math.ulp(reach)
+        if crossing:
+            assert gap <= 1e-12 * reach
 
 
 def _located(where, i):
@@ -694,21 +779,31 @@ class TestClassification:
         assert np.all(where.hole == -1) and np.all(where.distance == math.inf)
 
 
+def _named_outside_geometry(pattern):
+    """module:line of each package line outside geometry.py that matches."""
+    source = Path(geom.__file__).parent
+    names = re.compile(pattern)
+    return [f"{module.name}:{number}"
+            for module in sorted(source.glob("*.py"))
+            if module.name != "geometry.py"
+            for number, line in enumerate(module.read_text().splitlines(), 1)
+            if names.search(line)]
+
+
 def test_only_geometry_names_the_winding_kernel():
     # the sentinel and the kernel stay behind geometry.classify,
     # geometry.winding_number and Chords.windings, and the tolerances of
     # the distance decisions behind the curves' bands; tests may still use
     # them as references
-    source = Path(geom.__file__).parent
-    names = re.compile(r"\b(_ON_PATH|_winding_many|_ON_PATH_BAND|"
-                       r"WINDING_RESIDUAL_LIMIT|ENDPOINT_TOL)\b")
-    offenders = [f"{module.name}:{number}"
-                 for module in sorted(source.glob("*.py"))
-                 if module.name != "geometry.py"
-                 for number, line in enumerate(
-                     module.read_text().splitlines(), 1)
-                 if names.search(line)]
-    assert offenders == []
+    assert _named_outside_geometry(
+        r"\b(_ON_PATH|_winding_many|_ON_PATH_BAND|WINDING_RESIDUAL_LIMIT|"
+        r"ENDPOINT_TOL)\b") == []
+
+
+def test_only_geometry_measures_paths_against_boundaries():
+    # whether a path lies in a domain is asked of DomainSpec.contains_path
+    # alone: no other module measures a gap or samples the path
+    assert _named_outside_geometry(r"\b_gap\b|\bcontains_many\(") == []
 
 
 # ---------------------------------------------------------------------------
@@ -737,17 +832,42 @@ def _reference_circle(domain, j, frac):
     return geom.circle(center, lo + frac * (hi - lo))
 
 
-def reference_gap(domain, j):
-    """Hole j's gap: the least distance from the segment starts and 256
-    samples of the hole or of another boundary to the other one."""
-    def probes(path):
-        return np.append(path.sample(256), [s.start for s in path.segments])
+def closed_form_gap(p, q):
+    """The gap of two boundaries, each a full circle or a polygon. Two
+    polygons have a vertex in a closest pair. A point x lies
+    ||x - c| - r| from a circle, and on a line |x - c| takes every value
+    from its distance to c to its larger end distance. Two circles lie
+    |c - e| - r - s apart, or r - s - |c - e| when one holds the other."""
+    def circle(path):
+        arc = path.segments[0]
+        return (arc.center, arc.radius) if isinstance(arc, geom.Arc) \
+            else None
 
+    if circle(p) and circle(q):
+        (c, r), (e, s) = circle(p), circle(q)
+        return max(abs(c - e) - r - s, abs(r - s) - abs(c - e))
+    if circle(p) or circle(q):
+        (c, r), polygon = (circle(p), q) if circle(p) else (circle(q), p)
+        return min(max(g.distance(c) - r, r - g.max_distance(c), 0.0)
+                   for g in polygon.segments)
+    return min(min(reference_distance(p, g.a) for g in q.segments),
+               min(reference_distance(q, g.a) for g in p.segments))
+
+
+def reference_gap(domain, j):
+    """Hole j's least closed_form_gap to another boundary."""
     hole = domain.holes[j]
-    gap = min((min(p.distance(probes(hole)).min(),
-                   hole.distance(probes(p)).min())
-               for p in _reference_others(domain, j)), default=math.inf)
+    gap = min((closed_form_gap(hole, p) for p in _reference_others(domain, j)),
+              default=math.inf)
     return gap if math.isfinite(gap) else 0.5 * hole.length / math.pi
+
+
+def assert_gap(domain, j):
+    """DomainSpec.gaps[j] lies within 8 ulps of the domain's reach of
+    reference_gap, the closed form."""
+    reach = max(geom._reach(p.segments) for p in domain.boundary_paths())
+    assert domain.gaps[j] == pytest.approx(reference_gap(domain, j),
+                                           rel=0.0, abs=8 * math.ulp(reach))
 
 
 def _reference_dilation(domain, j, frac):
@@ -903,6 +1023,7 @@ class TestHomologyBasis:
         want = reference_basis(domain)
         assert len(basis) == len(want)
         for j, curve in enumerate(basis):
+            assert_gap(domain, j)
             _assert_same_contour(domain, j, curve, want[j], 0.5)
             variants = geom.basis_curve_variants(domain, j)
             wanted = reference_variants(domain, j)
@@ -956,7 +1077,7 @@ class TestHomologyBasis:
         for j in range(len(domain.holes)):
             circles = geom._hole_rule(domain, j)
             assert not circles or geom._basis_curves_pass(domain, j, circles)
-            assert domain.gaps[j] == reference_gap(domain, j)
+            assert_gap(domain, j)
 
     @pytest.mark.parametrize("kind", _BASIS_KINDS + ("unbounded",))
     @settings(max_examples=10)
@@ -1003,10 +1124,18 @@ class TestHomologyBasis:
             [-0.5 - 0.5j, -0.1j, 0.5 - 0.5j, 0.5j]),)) \
             if name == "shape_hole" else request.getfixturevalue(name)
         calls = []
-        for spied in ("_basis_curves_pass", "_gap"):
-            real = getattr(geom, spied)
-            monkeypatch.setattr(geom, spied, lambda *args, name=spied,
-                                real=real: calls.append(name) or real(*args))
+        real_pass, real_gap = geom._basis_curves_pass, geom._gap
+        boundaries = set(map(id, domain.boundary_paths()))
+
+        def gap(a, b):  # a dilation's check measures it against them
+            if {id(a), id(b)} <= boundaries:
+                calls.append("_gap")
+            return real_gap(a, b)
+
+        monkeypatch.setattr(geom, "_basis_curves_pass", lambda *args:
+                            calls.append("_basis_curves_pass")
+                            or real_pass(*args))
+        monkeypatch.setattr(geom, "_gap", gap)
         geom.homology_basis(domain)
         for j in range(len(domain.holes)):
             geom.basis_curve_variants(domain, j)
@@ -1087,10 +1216,8 @@ def _offset_domains(draw, kind):
     """(domain, c, turn, slab): hole 0 of the kind about a centre c, turned
     by turn unless it is a circle (slab is the slab's (length, width), else
     None); hole 1 an axis-parallel square a short gap to its right; an
-    axis-parallel rectangle around both. Every
-    boundary but hole 0 is a polygon, so the measured gap is exact; a
-    circle's nearest points to them lie at its sampled angles 0, pi/2, pi
-    and 3 pi/2."""
+    axis-parallel rectangle around both. Every boundary is a polygon or a
+    circle, so closed_form_gap gives the gap."""
     c = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
     turn = cmath.exp(2j * math.pi * draw(_unit))
     slab = None

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -282,6 +283,30 @@ class TestRingRoute:
         with pytest.raises(GeometryError):
             mom.ring_route(0j, 1 + 0j)
 
+    @given(r0=st.floats(0.1, 10.0), t0=st.floats(-3.0, 3.0),
+           r1=st.floats(0.1, 10.0), t1=st.floats(-3.0, 3.0),
+           center=st.complex_numbers(max_magnitude=10.0),
+           k=st.integers(-60, 60))
+    def test_scaling_by_a_power_of_two_is_exact(self, r0, t0, r1, t1,
+                                                center, k):
+        # every test of the route is relative, and scaling by 2^k rounds
+        # nothing, so the scaled route has the scaled segments, or is
+        # refused with the route
+        base, target = (center + r * cmath.exp(1j * t)
+                        for r, t in ((r0, t0), (r1, t1)))
+        s = 2.0 ** k
+        try:
+            route = mom.ring_route(base, target, center)
+        except GeometryError:
+            with pytest.raises(GeometryError, match="coincide"):
+                mom.ring_route(base * s, target * s, center * s)
+            return
+        scaled = mom.ring_route(base * s, target * s, center * s)
+        assert scaled.segments == tuple(
+            geom.Line(g.a * s, g.b * s) if isinstance(g, geom.Line)
+            else geom.Arc(g.center * s, g.radius * s, g.t0, g.t1, g.ccw)
+            for g in route.segments)
+
     def test_coincident_endpoints_rejected(self):
         with pytest.raises(GeometryError, match="endpoints coincide"):
             mom.ring_route(1, 1)
@@ -322,10 +347,35 @@ class TestConstructPrimitive:
 
     def test_path_through_the_hole_is_refused(self, annulus):
         with pytest.raises(GeometryError,
-                           match=r"leaves the domain near 0\.5\+0j"):
+                           match=r"^integration path leaves the domain$"):
             mom.construct_primitive(expr.parse("1/z"), 1, 1, -1,
                                     geom.Path((geom.Line(1, -1),)),
                                     domain=annulus)
+
+    def test_path_between_samples_is_refused(self):
+        # the line passes 0.005 from the pole, across the hole of radius
+        # 0.01, between two of any 64 samples of it
+        domain = geom.DomainSpec(geom.circle(0j, 3.0),
+                                 (geom.circle(1.5 + 0.015j, 0.01),))
+        with pytest.raises(GeometryError, match="leaves the domain"):
+            mom.construct_primitive(
+                expr.parse("1/(z-(1.5+0.015i))^2"), 2, 1.505 - 1j,
+                1.505 + 1j, geom.Path((geom.Line(1.505 - 1j, 1.505 + 1j),)),
+                domain=domain)
+
+    @pytest.mark.parametrize("s", [1.0, 1e-6, 1e-13])
+    def test_endpoints_are_judged_at_the_path_scale(self, s):
+        # the route's radial line is kept however small the scale, and
+        # the value is (target^3 - base^3) / 3
+        base, target = s, 2j * s
+        sample = mom.construct_primitive(expr.parse("z^2"), 1, base, target,
+                                         mom.ring_route(base, target))
+        assert sample.value == pytest.approx((target ** 3 - base ** 3) / 3,
+                                             rel=1e-12)
+        # a route that ends at half the target is refused at every scale
+        with pytest.raises(GeometryError, match="endpoints do not match"):
+            mom.construct_primitive(expr.parse("z^2"), 1, base, target,
+                                    mom.ring_route(base, 1j * s))
 
     def test_warns_when_moments_block_the_order(self, annulus):
         half = geom.Path((geom.Arc(0j, 1.0, 0.0, math.pi),))
