@@ -335,9 +335,7 @@ def cauchy_transform(curve: SampledCurve, w, tol: float = _quad.DEFAULT_TOL):
     five local spacings, where the trapezoid kernel loses accuracy.
     """
     shape = np.shape(w)
-    w = np.asarray(w, dtype=complex).reshape(-1)
-    for p in w[~np.isfinite(w)]:
-        raise GeometryError(f"point {p} is not finite")
+    w = _geom._finite_points(w)
     chords = curve.path.arrays.chords if curve.analytic \
         else _geom.Chords(curve.points[:-1], curve.points[1:])
     wind, dist = chords.windings(w)

@@ -198,23 +198,17 @@ def _build_curve(node, where: str, base_dir: FsPath, fn,
     return None
 
 
-def build_config(raw: dict, base_dir: FsPath | None = None,
-                 overrides: dict | None = None
+def build_config(raw: dict, base_dir: FsPath | None = None
                  ) -> tuple[ScenarioConfig | None, list[str]]:
     """Normalize and validate a scenario tree; diagnostics carry field
     paths so a batch harness can pinpoint the offending key."""
     diags: list[str] = []
     base_dir = base_dir or FsPath.cwd()
-    overrides = overrides or {}
     if not isinstance(raw, dict):
         return None, ["scenario: expected a JSON object"]
-    merged = dict(raw)
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
 
     fn = None
-    fn_text = merged.get("function")
+    fn_text = raw.get("function")
     if fn_text is not None:
         if not isinstance(fn_text, str):
             diags.append("function: expected an expression string")
@@ -224,7 +218,7 @@ def build_config(raw: dict, base_dir: FsPath | None = None,
             except ParseError as exc:
                 diags.append(f"function: {exc}")
 
-    checks = merged.get("checks", [])
+    checks = raw.get("checks", [])
     if not isinstance(checks, list) or not checks:
         diags.append("checks: non-empty list required")
         checks = []
@@ -234,11 +228,11 @@ def build_config(raw: dict, base_dir: FsPath | None = None,
                          f"{', '.join(ALL_CHECKS)})")
 
     domain = None
-    if merged.get("domain") is not None:
-        domain = _build_domain(merged["domain"], "domain", diags)
+    if raw.get("domain") is not None:
+        domain = _build_domain(raw["domain"], "domain", diags)
     curve = None
-    if merged.get("curve") is not None:
-        curve = _build_curve(merged["curve"], "curve", base_dir, fn, diags)
+    if raw.get("curve") is not None:
+        curve = _build_curve(raw["curve"], "curve", base_dir, fn, diags)
 
     for c in checks:
         if c in DOMAIN_CHECKS:
@@ -250,29 +244,29 @@ def build_config(raw: dict, base_dir: FsPath | None = None,
             diags.append(f"checks: '{c}' needs a curve")
 
     cap = _mom.MAX_MOMENT_DEGREE
-    max_degree = _integer(merged, "max_degree", None, 0, cap, diags)
+    max_degree = _integer(raw, "max_degree", None, 0, cap, diags)
     # both size arrays (one per tower level, one stack component per
     # Laurent term), so both are capped
-    laurent_terms = _integer(merged, "laurent_terms", None, 1, cap + 1,
+    laurent_terms = _integer(raw, "laurent_terms", None, 1, cap + 1,
                              diags)
-    tower_levels = _integer(merged, "tower_levels", _bd.TOWER_LEVELS, 1,
+    tower_levels = _integer(raw, "tower_levels", _bd.TOWER_LEVELS, 1,
                             cap, diags)
 
     points = None
-    if merged.get("points") is not None:
-        if not isinstance(merged["points"], list):
+    if raw.get("points") is not None:
+        if not isinstance(raw["points"], list):
             diags.append("points: expected a list of [re, im] pairs")
         else:
             pts = [_as_complex(p, f"points[{i}]", diags)
-                   for i, p in enumerate(merged["points"])]
+                   for i, p in enumerate(raw["points"])]
             if all(p is not None for p in pts):
                 points = tuple(pts)
 
-    node_index = _json_number(merged.get("node_index", 0), integer=True)
+    node_index = _json_number(raw.get("node_index", 0), integer=True)
     if node_index is None or node_index < 0:
         diags.append("node_index: must be >= 0")
         node_index = 0
-    radii_raw = merged.get("radii", list(_bd.NONTANGENTIAL_RADII))
+    radii_raw = raw.get("radii", list(_bd.NONTANGENTIAL_RADII))
     radii = tuple(_json_number(r) for r in radii_raw) \
         if isinstance(radii_raw, list) else ()
     if not radii or None in radii or min(radii) <= 0:
@@ -280,7 +274,7 @@ def build_config(raw: dict, base_dir: FsPath | None = None,
     elif sorted(radii, reverse=True) != list(radii):
         diags.append("radii: must decrease")
 
-    tols = _object(merged.get("tolerances", {}), "tolerances", diags) or {}
+    tols = _object(raw.get("tolerances", {}), "tolerances", diags) or {}
     defaults = {"abs": _mom.ZeroTolerance.abs_tol,
                 "rel": _mom.ZeroTolerance.rel_tol,
                 "quadrature": _quad.DEFAULT_TOL}
@@ -289,7 +283,7 @@ def build_config(raw: dict, base_dir: FsPath | None = None,
         tol_values[name] = _json_number(tols.get(name, default))
         if tol_values[name] is None or tol_values[name] <= 0:
             diags.append(f"tolerances.{name}: positive number required")
-    fmt = merged.get("format", "json")
+    fmt = raw.get("format", "json")
     if fmt not in ("json", "text"):
         diags.append("format: json or text")
         fmt = "json"
@@ -300,7 +294,7 @@ def build_config(raw: dict, base_dir: FsPath | None = None,
     if diags:
         return None, diags
     config = ScenarioConfig(
-        raw=merged, function=fn, domain=domain,
+        raw=raw, function=fn, domain=domain,
         curve=curve, checks=tuple(checks), max_degree=max_degree,
         laurent_terms=laurent_terms, tower_levels=tower_levels,
         points=points, node_index=node_index, radii=radii,
@@ -600,24 +594,22 @@ def main(argv=None) -> int:
         print("scenario is runnable")
         return 0
 
-    overrides: dict = {}
-    tols = raw.get("tolerances", {}) if isinstance(raw, dict) else {}
-    # a tolerances field that is not an object is left for build_config
-    # to diagnose
-    if isinstance(tols, dict) \
-            and (args.tol_abs is not None or args.tol_rel is not None):
-        tols = dict(tols)
-        if args.tol_abs is not None:
-            tols["abs"] = args.tol_abs
-        if args.tol_rel is not None:
-            tols["rel"] = args.tol_rel
-        overrides["tolerances"] = tols
-    if args.max_degree is not None:
-        overrides["max_degree"] = args.max_degree
-    if args.format is not None:
-        overrides["format"] = args.format
+    if isinstance(raw, dict):
+        # the flags given replace their fields in a copy of the scenario; a
+        # tolerances field that is not an object is left for build_config
+        # to diagnose
+        raw = dict(raw)
+        tols = raw.get("tolerances", {})
+        flags = {key: value for key, value in (("abs", args.tol_abs),
+                                               ("rel", args.tol_rel))
+                 if value is not None}
+        if flags and isinstance(tols, dict):
+            raw["tolerances"] = {**tols, **flags}
+        for key in ("max_degree", "format"):
+            if getattr(args, key) is not None:
+                raw[key] = getattr(args, key)
 
-    config, diags = build_config(raw, scenario_path.parent, overrides)
+    config, diags = build_config(raw, scenario_path.parent)
     if config is None:
         for d in diags:
             print(d, file=sys.stderr)

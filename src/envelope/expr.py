@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as _npoly
 
 from .errors import ParseError, PoleFindingError, PoleProximityError
 
@@ -240,41 +241,30 @@ class _Parser:
             pos,
         )
 
+    def _accept(self, kind: str, values: tuple[str, ...] = ()) -> str | None:
+        """The next token's text, consumed, when it has this kind (and one
+        of these values); None otherwise."""
+        tok_kind, val, _ = self.peek()
+        if tok_kind != kind or (values and val not in values):
+            return None
+        self.next()
+        return val
+
     def _complex_literal(self) -> Const | None:
-        """Try '(' [-] real (+|-) real 'i' ')' starting just after '('."""
+        """Try '(' [-] real (+|-) real 'i' ')' starting just after '('.
+        Once its 'i' is read the text can only be a literal, so a missing
+        ')' is an error rather than a reason to backtrack."""
         mark = self.i
-        sign_re = 1.0
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            sign_re = -1.0
-            kind, val, _ = self.peek()
-        if kind != "num":
+        minus = self._accept("op", ("-",))
+        re_part = self._accept("num")
+        sign = re_part and self._accept("op", ("+", "-"))
+        im_part = sign and self._accept("num")
+        if not (im_part and self._accept("ident", ("i",))):
             self.i = mark
             return None
-        re_part = sign_re * float(self.next()[1])
-        kind, val, _ = self.peek()
-        if kind != "op" or val not in "+-":
-            self.i = mark
-            return None
-        sign_im = 1.0 if val == "+" else -1.0
-        self.next()
-        kind, val, _ = self.peek()
-        if kind != "num":
-            self.i = mark
-            return None
-        im_part = sign_im * float(self.next()[1])
-        kind, val, _ = self.peek()
-        if kind != "ident" or val != "i":
-            self.i = mark
-            return None
-        self.next()
-        kind, val, _ = self.peek()
-        if kind != "op" or val != ")":
-            self.i = mark
-            return None
-        self.next()
-        return Const(complex(re_part, im_part))
+        self.expect_op(")")
+        x, y = float(re_part), float(im_part)
+        return Const(complex(-x if minus else x, y if sign == "+" else -y))
 
 
 def parse(text: str) -> Expr:
@@ -346,6 +336,9 @@ def _fmt_real(x: float) -> str:
     return repr(x)
 
 
+_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
+
 def format_expr(node: Expr) -> str:
     """Render an AST as grammar-conformant text.
 
@@ -360,14 +353,9 @@ def format_expr(node: Expr) -> str:
         return f"({_fmt_real(re_part)}{sign}{_fmt_real(abs(im_part))}i)"
     if isinstance(node, Var):
         return "z"
-    if isinstance(node, Add):
-        return f"({format_expr(node.left)} + {format_expr(node.right)})"
-    if isinstance(node, Sub):
-        return f"({format_expr(node.left)} - {format_expr(node.right)})"
-    if isinstance(node, Mul):
-        return f"({format_expr(node.left)} * {format_expr(node.right)})"
-    if isinstance(node, Div):
-        return f"({format_expr(node.left)} / {format_expr(node.right)})"
+    op = _BINARY.get(type(node))
+    if op is not None:
+        return f"({format_expr(node.left)} {op} {format_expr(node.right)})"
     if isinstance(node, Pow):
         base = format_expr(node.base)
         simple = isinstance(node.base, Var) or (
@@ -426,26 +414,6 @@ def _as_rational(node: Expr) -> tuple[np.ndarray, np.ndarray] | None:
         return np.array([0, 1], dtype=complex), np.ones(1, dtype=complex)
     if isinstance(node, Exp):
         return None
-    if isinstance(node, (Add, Sub)):
-        a = _as_rational(node.left)
-        b = _as_rational(node.right)
-        if a is None or b is None:
-            return None
-        sign = 1.0 if isinstance(node, Add) else -1.0
-        num = _poly_add(_poly_mul(a[0], b[1]), _poly_mul(b[0], a[1]), sign)
-        return num, _poly_mul(a[1], b[1])
-    if isinstance(node, Mul):
-        a = _as_rational(node.left)
-        b = _as_rational(node.right)
-        if a is None or b is None:
-            return None
-        return _poly_mul(a[0], b[0]), _poly_mul(a[1], b[1])
-    if isinstance(node, Div):
-        a = _as_rational(node.left)
-        b = _as_rational(node.right)
-        if a is None or b is None:
-            return None
-        return _poly_mul(a[0], b[1]), _poly_mul(a[1], b[0])
     if isinstance(node, Pow):
         a = _as_rational(node.base)
         if a is None:
@@ -454,7 +422,18 @@ def _as_rational(node: Expr) -> tuple[np.ndarray, np.ndarray] | None:
         if n >= 0:
             return _poly_pow(a[0], n), _poly_pow(a[1], n)
         return _poly_pow(a[1], -n), _poly_pow(a[0], -n)
-    raise TypeError(f"not an Expr node: {node!r}")
+    if type(node) not in _BINARY:
+        raise TypeError(f"not an Expr node: {node!r}")
+    a, b = _as_rational(node.left), _as_rational(node.right)
+    if a is None or b is None:
+        return None
+    if isinstance(node, Mul):
+        return _poly_mul(a[0], b[0]), _poly_mul(a[1], b[1])
+    if isinstance(node, Div):
+        return _poly_mul(a[0], b[1]), _poly_mul(a[1], b[0])
+    sign = 1.0 if isinstance(node, Add) else -1.0
+    num = _poly_add(_poly_mul(a[0], b[1]), _poly_mul(b[0], a[1]), sign)
+    return num, _poly_mul(a[1], b[1])
 
 
 def _poly_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -479,32 +458,17 @@ def _cluster(roots: np.ndarray) -> list[tuple[complex, int]]:
     return [(sum(m) / len(m), len(m)) for m in clusters]
 
 
-def _poly_derive(c: np.ndarray) -> np.ndarray:
-    if c.size <= 1:
-        return np.zeros(1, dtype=complex)
-    return c[1:] * np.arange(1, c.size)
-
-
-def _poly_eval(c: np.ndarray, z: complex) -> complex:
-    out = 0j
-    for coef in c[::-1]:
-        out = out * z + coef
-    return out
-
-
 def _polish(center: complex, mult: int, den: np.ndarray) -> complex:
     """Newton iterations on the (mult-1)st derivative, where the root is
     simple, to undo the eigenvalue scatter of repeated roots."""
-    d = den
-    for _ in range(mult - 1):
-        d = _poly_derive(d)
-    dp = _poly_derive(d)
+    d = _npoly.polyder(den, mult - 1)
+    dp = _npoly.polyder(d)
     w = center
     for _ in range(4):
-        denom = _poly_eval(dp, w)
+        denom = _npoly.polyval(w, dp)
         if abs(denom) == 0:
             break
-        w = w - _poly_eval(d, w) / denom
+        w = w - _npoly.polyval(w, d) / denom
     if abs(w - center) > 10 * ROOT_CLUSTER_RADIUS * max(1.0, abs(center)):
         return center
     return w

@@ -92,7 +92,6 @@ class LaurentComponent:
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    domain: DomainSpec
     components: tuple[LaurentComponent, ...]
     probe_points: tuple[complex, ...]
     reconstruction_residuals: tuple[float, ...]
@@ -222,8 +221,7 @@ def decompose(f, domain: DomainSpec, terms: int | None = None,
             gap += _exact_components(fn, curve, points, f_at, tol) \
                 - components[j](points)
     residuals = tuple(float(r) for r in np.hypot(gap.real, gap.imag))
-    return Decomposition(domain, tuple(components), tuple(probes),
-                         residuals, f0)
+    return Decomposition(tuple(components), tuple(probes), residuals, f0)
 
 
 # ---------------------------------------------------------------------------

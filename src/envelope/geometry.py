@@ -476,16 +476,26 @@ def _modulus(z):
     return np.hypot(z.real, z.imag)
 
 
+def _finite_points(points) -> np.ndarray:
+    """points as a flat complex array; a GeometryError names the first
+    point that is not finite."""
+    flat = np.asarray(points, dtype=complex).reshape(-1)
+    for p in flat[~np.isfinite(flat)]:
+        raise GeometryError(f"point {p} is not finite")
+    return flat
+
+
 def winding_number(path: Path, point: complex) -> int:
     """Winding number of a closed path around a point off the path.
 
-    The one-point case of _winding_many. Raises PointOnPathError when the
-    point is within the path's band, 1e-9 * length, and WindingResidualError
-    if the total fails to land near an integer multiple of 2*pi.
+    The one-point case of _winding_many. Raises GeometryError for a point
+    that is not finite, PointOnPathError when the point is within the
+    path's band, 1e-9 * length, and WindingResidualError if the total fails
+    to land near an integer multiple of 2*pi.
     """
     if not path.closed:
         raise GeometryError("winding number needs a closed path")
-    wind, dist = _winding_many(path, np.array([point], dtype=complex))
+    wind, dist = _winding_many(path, _finite_points(point))
     if wind[0] != _ON_PATH:
         return int(wind[0])
     if dist[0] <= path.arrays.chords.band:
@@ -588,9 +598,9 @@ def classify(domain: DomainSpec, points) -> Classification:
     from one winding-and-distance pass per boundary component. A winding
     total that misses an integer counts as on the boundary; a point that
     rounding puts on two holes goes to the first. Distances on the whole
-    plane are inf."""
+    plane are inf; a point that is not finite raises GeometryError."""
     pts = np.asarray(points, dtype=complex)
-    flat = pts.reshape(-1)
+    flat = _finite_points(pts)
     hole = np.full(flat.shape, -1)
     inside = np.ones(flat.shape, dtype=bool)
     on_boundary = np.zeros(flat.shape, dtype=bool)
@@ -963,9 +973,7 @@ def segment_from_json(obj: dict) -> Segment:
         t0, t1 = (_json_number(obj.get(key)) for key in ("t0", "t1"))
         ccw = obj.get("ccw")
         if None not in (center, r, t0, t1) and isinstance(ccw, bool):
-            sweep = ((t1 - t0) % _TWO_PI) if ccw else -((t0 - t1) % _TWO_PI)
-            if sweep == 0.0:
-                sweep = _TWO_PI if ccw else -_TWO_PI
+            sweep = Arc(center, r, t0, t1, ccw).sweep
             return Arc(center, r, t0, t0 + sweep, ccw)
     else:
         raise GeometryError(f"unknown segment kind {kind!r}")

@@ -160,7 +160,6 @@ class PrimitiveOrderVerdict:
     certificate: str
     per_curve_first_nonzero: tuple[int | None, ...]
     moments: tuple[MomentVector, ...]
-    zero_tolerance: ZeroTolerance
 
     @property
     def all_orders(self) -> bool:
@@ -197,7 +196,7 @@ def _cached_basis_moments(f, domain: DomainSpec, degree: int, tol: float
 def _basis_moments(f, domain: DomainSpec, degree: int, tol: float
                    ) -> tuple[MomentVector, ...]:
     """The moment vector of degree 0 .. degree of f on each homology basis
-    curve (ids hole-j), checking no pole. Cached for an Expr, keyed as
+    curve (ids hole-j). It runs no pole check. Cached for an Expr, keyed as
     _hole_poles is, so a scenario's verdict and moments check integrate
     each curve once; any other callable is integrated on every call."""
     scan = _cached_basis_moments if isinstance(f, _expr.Expr) \
@@ -232,7 +231,7 @@ def max_primitive_order(f, domain: DomainSpec,
     if not domain.holes:
         k = degree_cutoff if degree_cutoff is not None else 0
         return PrimitiveOrderVerdict(None, k, True, "simply-connected",
-                                     (), (), zero_tol)
+                                     (), ())
     budget = inside_pole_budget(f, domain)
     if degree_cutoff is None:
         degree_cutoff = DEFAULT_DEGREE_CUTOFF if budget is None \
@@ -245,7 +244,7 @@ def max_primitive_order(f, domain: DomainSpec,
         else "pole-certified" if certified else "heuristic-cutoff"
     return PrimitiveOrderVerdict(min(hits, default=None), degree_cutoff,
                                  bool(hits) or certified, certificate,
-                                 tuple(firsts), tuple(vectors), zero_tol)
+                                 tuple(firsts), tuple(vectors))
 
 
 # ---------------------------------------------------------------------------

@@ -116,8 +116,6 @@ class _Panels:
         self.count += seg.size
         half = 0.5 * (b - a)
         mid = 0.5 * (a + b)
-        if seg.size <= self._chunk():
-            return self._sums(seg, mid, half)
         value = mass = None
         lo = 0
         while lo < seg.size:
@@ -138,7 +136,7 @@ class _Panels:
     def _sums(self, seg, mid, half):
         ts = mid[:, None] + half[:, None] * _NODES
         z, dz = self.arrays.nodes(seg, ts)
-        vals = self.values_at(seg, ts, z)
+        vals = self.values_at(z.ravel())
         if self.height is None:
             self.stacked = vals.ndim == 2
             self.height = vals.shape[0] if self.stacked else 1
@@ -176,9 +174,9 @@ def _refine_step(halves, mass, coarse, node_tol, prev_est):
 
 def _integrate(values_at, path: Path, tol: float, max_panels: int
                ) -> tuple[QuadratureResult, list]:
-    """The adaptive engine. values_at(seg, ts, z) returns the integrand at
-    the local parameters ts (shape (P, 16)) of the segments seg (shape (P,)),
-    whose points are z, flattened to shape (16 P,) or (m, 16 P).
+    """The adaptive engine. values_at(z) returns the integrand at the Gauss
+    nodes z of P panels, a flat array of 16 P points, with shape (16 P,) or
+    (m, 16 P).
 
     Every segment starts from one coarse panel, and every refinement step
     compares a panel with its two halves, as a depth-first recursion would;
@@ -254,8 +252,7 @@ def integrate(fn, path: Path, tol: float = DEFAULT_TOL,
     Raises QuadratureBudgetError after `max_panels` panels, which signals a
     non-integrable singularity on or too near the path.
     """
-    return _integrate(lambda seg, ts, z: _eval_batch(fn, z.ravel()),
-                      path, tol, max_panels)[0]
+    return _integrate(lambda z: _eval_batch(fn, z), path, tol, max_panels)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,8 +276,7 @@ def _running_primitive(fn, path: Path, tol: float = DEFAULT_TOL
     panel rule on [a, b]. Every such rule is exact for polynomials of degree
     31, so G is as accurate as the panel sums; the rules of all panels go to
     fn together, in capped batches."""
-    def stack_at(seg, ts, z):
-        z = z.ravel()
+    def stack_at(z):
         f = _eval_batch(fn, z)
         return np.stack((f, z * f))
 
@@ -293,7 +289,7 @@ def _running_primitive(fn, path: Path, tol: float = DEFAULT_TOL
     seg, a, b = seg[order], a[order], b[order]
     ts = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _NODES
     z, dz = path.arrays.nodes(seg, ts)
-    rules = _Panels(lambda s, t, w: _eval_batch(fn, w.ravel()), path,
+    rules = _Panels(lambda z: _eval_batch(fn, z), path,
                     (GAUSS_ORDER + 1) * DEFAULT_MAX_PANELS)
     ends = np.column_stack((ts, b))  # one rule from a to each node and to b
     inner = rules(np.repeat(seg, GAUSS_ORDER + 1),

@@ -306,19 +306,6 @@ def test_any_json_in_any_field_gives_diagnostics(csv_dir, data, value):
 
 
 class TestBuildConfig:
-    def test_overrides_merge(self):
-        raw = {"function": "1/z", "domain": ANNULUS, "checks": ["moments"],
-               "max_degree": 4}
-        cfg, diags = cli.build_config(raw, overrides={"max_degree": 9})
-        assert diags == []
-        assert cfg.max_degree == 9
-
-    def test_none_overrides_are_ignored(self):
-        raw = {"function": "1/z", "domain": ANNULUS, "checks": ["moments"],
-               "max_degree": 4}
-        cfg, _ = cli.build_config(raw, overrides={"max_degree": None})
-        assert cfg.max_degree == 4
-
     def test_defaults(self):
         raw = {"function": "z", "domain": ANNULUS, "checks": ["moments"]}
         cfg, _ = cli.build_config(raw)
@@ -779,6 +766,36 @@ class TestMain:
         code = cli.main(["run", "--scenario", str(p)])
         assert code == 1
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_thin_ring_gets_no_probe_points(self, tmp_path, capsys):
+        # the 100 probes of the decomposition are drawn from the whole
+        # 2000 x 2000 box, of which the ring covers about 1.6e-4, and must
+        # keep the probe margin (2.8) from the boundaries, while the ring
+        # is 0.1 wide: 20,000 draws place none
+        scenario = write_scenario(tmp_path, {
+            "function": "1/z^2",
+            "domain": {"outer": {"circle": {"radius": 1000.0}},
+                       "holes": [{"circle": {"radius": 999.9}}]},
+            "checks": list(cli.DOMAIN_CHECKS)})
+        code = cli.main(["run", "--scenario", str(scenario)])
+        rows = json.loads(capsys.readouterr().out)["results"]
+        assert code == 1
+        assert [row["status"] for row in rows] == ["ok", "ok", "ok", "error"]
+        assert rows[3]["check"] == "cross_verify"
+        assert rows[3]["values"] == {
+            "error": "could not place probe points in the domain",
+            "error_type": "GeometryError"}
+
+    def test_unset_flags_leave_the_scenario_as_written(self, tmp_path,
+                                                       capsys):
+        raw = {"function": "1/z^2", "domain": ANNULUS,
+               "checks": ["primitive_order"], "max_degree": 8}
+        code = cli.main(["run", "--scenario",
+                         str(write_scenario(tmp_path, raw))])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["scenario"] == raw
+        assert payload["results"][0]["values"]["tested_through"] == 8
 
     def test_pole_in_domain_gives_error_rows(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, {

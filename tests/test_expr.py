@@ -27,6 +27,10 @@ class TestParsing:
         ("exp(0)", 5j, 1 + 0j),
         ("z/z/z", 4 + 0j, 0.25 + 0j),
         ("1 - 2 - 3", 0j, -4 + 0j),
+        # parenthesised sums that leave the complex literal rule after
+        # their real part and after their second number
+        ("1/(2+z)", 2 + 0j, 0.25 + 0j),
+        ("(1+2)*z", 2 + 0j, 6 + 0j),
     ])
     def test_evaluation_oracles(self, text, z, expected):
         assert ev(text, z) == pytest.approx(expected)
@@ -49,6 +53,8 @@ class TestParsing:
         ("exp z", "expected '('", 4),
         ("z^", "expected an integer exponent", 2),
         ("z^x", "expected an integer exponent", 2),
+        # a complex literal missing its ')', not an identifier 'i'
+        ("(1+2i", "expected ')'", 5),
     ])
     def test_error_names_what_was_expected(self, text, message, position):
         with pytest.raises(ParseError, match=re.escape(message)) as err:

@@ -216,6 +216,15 @@ class TestEvaluateExtension:
         got = ext.evaluate_extension(f, annulus, w, verdict=verdict)
         assert got == pytest.approx(np.exp(w), rel=1e-10)
 
+    def test_point_that_is_not_finite_is_refused(self, annulus):
+        # not as a point on a hole boundary, where NaN windings land
+        f = expr.parse("z^2")
+        verdict = mom.max_primitive_order(f, annulus)
+        with pytest.raises(GeometryError, match=r"point \(nan\+0j\) is "
+                                                "not finite"):
+            ext.evaluate_extension(f, annulus, complex("nan"),
+                                   verdict=verdict)
+
     def test_contour_variants_agree(self, annulus):
         f = expr.parse("1/(z-4)^2")
         verdict = mom.max_primitive_order(f, annulus)

@@ -313,6 +313,12 @@ class TestWinding:
         with pytest.raises(GeometryError):
             geom.winding_number(p, 0.5 + 0.5j)
 
+    @pytest.mark.parametrize("point", [complex("nan"), complex("inf"),
+                                       complex(0, -math.inf)])
+    def test_point_that_is_not_finite_is_refused(self, point):
+        with pytest.raises(GeometryError, match="is not finite"):
+            geom.winding_number(geom.circle(0j, 1.0), point)
+
 
 class TestChordKernel:
     @given(case=_path_and_points())
@@ -565,6 +571,12 @@ class TestDomainSpec:
         assert d.contains(5 + 0j)
         assert not d.contains(0j)
 
+    def test_contains_refuses_a_point_that_is_not_finite(self, annulus):
+        # before the winding kernel warns of an invalid value
+        with pytest.raises(GeometryError, match=r"point \(inf\+0j\) is "
+                                                "not finite"):
+            annulus.contains(complex("inf"))
+
     def test_contains_many_matches_scalar(self, two_hole, rng):
         pts = rng.uniform(-3, 6, 100) + 1j * rng.uniform(-5, 5, 100)
         flags = two_hole.contains_many(pts)
@@ -753,7 +765,7 @@ class TestClassification:
         # the envelope evaluation refuses the first point off the envelope
         # with the message of the reference locator
         verdict = mom.PrimitiveOrderVerdict(None, 0, True, "pole-certified",
-                                            (), (), mom.ZeroTolerance())
+                                            (), ())
         with pytest.raises(GeometryError) as want:
             reference_locate(domain, points)
         with pytest.raises(GeometryError) as got:
@@ -772,6 +784,13 @@ class TestClassification:
         assert where.distance[0, 0] == 0.5
         scalar = geom.classify(two_hole, 1 + 0.5j)
         assert scalar.hole.shape == () and bool(scalar.inside)
+
+    def test_point_that_is_not_finite_is_refused(self, annulus):
+        # a NaN winding would put the point on hole 0's boundary; the
+        # whole plane, with no boundary to wind, refuses it too
+        for domain in (annulus, geom.DomainSpec(None, ())):
+            with pytest.raises(GeometryError, match="is not finite"):
+                geom.classify(domain, [0.1 + 0j, complex("nan")])
 
     def test_whole_plane_has_no_boundary(self):
         where = geom.classify(geom.DomainSpec(None, ()), np.array([0j, 5j]))
