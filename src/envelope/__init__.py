@@ -25,7 +25,7 @@ from .extension import (CrossVerifyReport, Decomposition, LaurentComponent,
                         cross_verify, decompose, evaluate_extension,
                         laurent_coefficients)
 from .geometry import (Arc, DomainSpec, GridDomain, Line, Path, circle,
-                       homology_basis, hole_witness, interior_point,
+                       homology_basis, interior_point,
                        path_from_json, path_to_json, polygon, rasterize,
                        rectangle, simply_connected_hull, winding_number)
 from .moments import (MomentVector, PrimitiveOrderVerdict, ZeroTolerance,
@@ -48,7 +48,7 @@ __all__ = [
     "construct_primitive", "cross_verify", "curve_from_csv", "decompose",
     "derivative_check", "difference_quotient_check",
     "boundary_duality", "evaluate", "evaluate_extension", "format_expr",
-    "hole_witness", "homology_basis", "ibp_residual", "integrate",
+    "homology_basis", "ibp_residual", "integrate",
     "interior_point", "laurent_coefficients",
     "max_primitive_order", "moment", "moment_vector", "nontangential_check",
     "odd_warp", "parse", "path_from_json", "path_independence_check",

@@ -285,18 +285,6 @@ class BoundaryDualityReport:
     ibp_residuals: tuple[float, ...]
     analytic_ibp: float | None
 
-    @property
-    def pass_depth(self) -> int:
-        return self.tower.pass_depth
-
-    @property
-    def leading_zero_count(self) -> int:
-        return self.tower.leading_zero_count
-
-    @property
-    def depth_matches(self) -> bool:
-        return self.tower.duality_consistent
-
 
 def boundary_duality(curve: SampledCurve, levels: int = TOWER_LEVELS,
                     zero_tol: _mom.ZeroTolerance = _mom.ZeroTolerance(),

@@ -226,6 +226,10 @@ def build_config(raw: dict, base_dir: FsPath | None = None
         if c not in ALL_CHECKS:
             diags.append(f"checks: unknown check '{c}' (choose from "
                          f"{', '.join(ALL_CHECKS)})")
+    for c in ALL_CHECKS:
+        if checks.count(c) > 1:
+            diags.append(f"checks: '{c}' listed {checks.count(c)} times "
+                         "(each check runs once)")
 
     domain = None
     if raw.get("domain") is not None:
@@ -370,10 +374,7 @@ def _run_extension(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
         values = {"extends": False, "blocking_degree": verdict.max_order,
                   "certificate": verdict.certificate}
         return values, tol, "ok"
-    points = cfg.points
-    if points is None:
-        points = tuple(_geom.hole_witness(cfg.domain, j)
-                       for j in range(len(cfg.domain.holes)))
+    points = cfg.domain.witnesses if cfg.points is None else cfg.points
     vals = _ext.evaluate_extension(cfg.function, cfg.domain, points,
                                    cfg.quad_tol, verdict, 0).tolist()
     alts = _ext.evaluate_extension(cfg.function, cfg.domain, points,
@@ -410,17 +411,18 @@ def _run_cross_verify(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
 def _run_boundary_tower(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
     report = _bd.boundary_duality(cfg.curve, cfg.tower_levels, cfg.zero_tol,
                                  cfg.quad_tol)
+    tower = report.tower
     values = {
-        "pass_depth": report.pass_depth,
-        "leading_zero_count": report.leading_zero_count,
-        "depth_matches": report.depth_matches,
-        "closing_defects": [lv.closing_defect for lv in report.tower.levels],
-        "moments": list(report.tower.moments),
+        "pass_depth": tower.pass_depth,
+        "leading_zero_count": tower.leading_zero_count,
+        "depth_matches": tower.duality_consistent,
+        "closing_defects": [lv.closing_defect for lv in tower.levels],
+        "moments": list(tower.moments),
         "ibp_residuals": list(report.ibp_residuals),
         "analytic_ibp": report.analytic_ibp,
     }
     tol = {"abs": cfg.zero_tol.abs_tol, "rel": cfg.zero_tol.rel_tol}
-    return values, tol, ("ok" if report.depth_matches else "inconsistent")
+    return values, tol, ("ok" if tower.duality_consistent else "inconsistent")
 
 
 def _run_cauchy(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
@@ -617,7 +619,11 @@ def main(argv=None) -> int:
     report = run_scenario(config)
     rendered = report.to_json() if config.fmt == "json" else report.to_text()
     if args.out:
-        FsPath(args.out).write_text(rendered + "\n")
+        try:
+            FsPath(args.out).write_text(rendered + "\n")
+        except OSError as exc:
+            print(f"cannot write the report: {exc}", file=sys.stderr)
+            return 1
     else:
         print(rendered)
     return report.exit_code

@@ -29,6 +29,15 @@ DEFAULT_POLE_EXCLUSION = 1e-9
 # Rational analysis gives up beyond this expanded polynomial degree.
 POLY_DEGREE_CAP = 64
 
+# The deepest expression parse accepts: a tree at most this many nodes
+# deep, with at most this many parentheses, exp( and unary minuses open at
+# once. Parsing takes at most five Python frames an open level and every
+# walk of the tree (evaluating, expanding, printing, hashing, comparing)
+# at most three a node, so all stay well inside Python's default
+# recursion limit of 1000; and the text format_expr gives for a parsed
+# tree parses.
+MAX_DEPTH = 100
+
 # Companion-matrix eigenvalues of an m-fold root scatter by roughly
 # eps**(1/m) (about 6e-6 for m=3), so clustering must be much wider than
 # machine precision. Distinct poles closer than this merge; that is out of
@@ -139,6 +148,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.level = 0  # parentheses, exp( and unary minuses open
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -154,54 +164,74 @@ class _Parser:
             raise ParseError(f"expected {op!r}, found {val or 'end of input'!r}", pos)
 
     def parse(self) -> Expr:
-        node = self.expr()
+        node, _ = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {val!r}", pos)
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
+    # Each rule returns its node and the node's height in tree levels.
+
+    def _within(self, levels: int, pos: int) -> int:
+        """levels, of the node built or of the groups open at pos; refused
+        past MAX_DEPTH."""
+        if levels > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} "
+                             "levels", pos)
+        return levels
+
+    def _nested(self, rule, pos: int) -> tuple[Expr, int]:
+        """rule() read inside the parentheses, exp( or unary minus at
+        pos."""
+        self.level = self._within(self.level + 1, pos)
+        out = rule()
+        self.level -= 1
+        return out
+
+    def expr(self) -> tuple[Expr, int]:
+        node, height = self.term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
-                rhs = self.term()
+                rhs, h = self.term()
                 node = Add(node, rhs) if val == "+" else Sub(node, rhs)
+                height = self._within(1 + max(height, h), pos)
             else:
-                return node
+                return node, height
 
     def _starts_base(self) -> bool:
         kind, val, _ = self.peek()
         return kind in ("num", "ident") or (kind == "op" and val == "(")
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def term(self) -> tuple[Expr, int]:
+        node, height = self.factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "*/":
                 self.next()
-                rhs = self.factor()
-                node = Mul(node, rhs) if val == "*" else Div(node, rhs)
-            elif self._starts_base():
-                node = Mul(node, self.factor())
-            else:
-                return node
+            elif not self._starts_base():
+                return node, height
+            # else val starts a factor that multiplies implicitly
+            rhs, h = self.factor()
+            node = Div(node, rhs) if val == "/" else Mul(node, rhs)
+            height = self._within(1 + max(height, h), pos)
 
-    def factor(self) -> Expr:
-        kind, val, _ = self.peek()
+    def factor(self) -> tuple[Expr, int]:
+        kind, val, pos = self.peek()
         if kind == "op" and val == "-":
             self.next()
-            inner = self.factor()
+            inner, height = self._nested(self.factor, pos)
             if isinstance(inner, Const):
-                return Const(-inner.value)
-            return Mul(Const(-1 + 0j), inner)
-        node = self.base()
-        kind, val, _ = self.peek()
+                return Const(-inner.value), height
+            return Mul(Const(-1 + 0j), inner), self._within(height + 1, pos)
+        node, height = self.base()
+        kind, val, pos = self.peek()
         if kind == "op" and val == "^":
             self.next()
             node = Pow(node, self.signed_int())
-        return node
+            height = self._within(height + 1, pos)
+        return node, height
 
     def signed_int(self) -> int:
         sign = 1
@@ -216,24 +246,24 @@ class _Parser:
             raise ParseError("exponent must be an integer", pos)
         return sign * int(val)
 
-    def base(self) -> Expr:
+    def base(self) -> tuple[Expr, int]:
         kind, val, pos = self.next()
         if kind == "num":
-            return Const(complex(float(val), 0.0))
+            return Const(complex(float(val), 0.0)), 1
         if kind == "ident":
             if val == "z":
-                return Z
+                return Z, 1
             if val == "exp":
                 self.expect_op("(")
-                arg = self.expr()
+                arg, height = self._nested(self.expr, pos)
                 self.expect_op(")")
-                return Exp(arg)
+                return Exp(arg), self._within(height + 1, pos)
             raise ParseError(f"unknown identifier {val!r}", pos)
         if kind == "op" and val == "(":
             lit = self._complex_literal()
             if lit is not None:
-                return lit
-            node = self.expr()
+                return lit, 1
+            node = self._nested(self.expr, pos)
             self.expect_op(")")
             return node
         raise ParseError(
@@ -321,10 +351,20 @@ def _eval(node: Expr, z):
                                      f"radius {DEFAULT_POLE_EXCLUSION:g}")
         if isinstance(base, np.ndarray):
             return base ** node.exponent
-        return complex(base) ** node.exponent
+        return _power(base, node.exponent)
     if isinstance(node, Exp):
         return np.exp(_eval(node.arg, z))
     raise TypeError(f"not an Expr node: {node!r}")
+
+
+def _power(base: complex, n: int) -> complex:
+    """base ** n for a scalar; inf past the float range, as the array power
+    gives, where Python's complex power raises OverflowError."""
+    try:
+        return complex(base) ** n
+    except OverflowError:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return complex(np.complex128(base) ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +422,15 @@ def _poly_trim(c: np.ndarray) -> np.ndarray:
     return c[: last + 1]
 
 
+def _check_degree(degree: int) -> None:
+    if degree > POLY_DEGREE_CAP:
+        raise PoleFindingError(
+            f"expanded degree {degree} exceeds cap {POLY_DEGREE_CAP}")
+
+
 def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = _poly_trim(np.convolve(a, b))
-    if out.size - 1 > POLY_DEGREE_CAP:
-        raise PoleFindingError(
-            f"expanded degree {out.size - 1} exceeds cap {POLY_DEGREE_CAP}")
+    _check_degree(out.size - 1)
     return out
 
 
@@ -399,6 +443,11 @@ def _poly_add(a: np.ndarray, b: np.ndarray, sign: float = 1.0) -> np.ndarray:
 
 
 def _poly_pow(a: np.ndarray, n: int) -> np.ndarray:
+    # the degree before trimming bounds the products: trimmed products can
+    # stay short, and a constant's never grow
+    _check_degree(n * (a.size - 1))
+    if n > POLY_DEGREE_CAP:  # a constant
+        return _poly_trim(np.array([_power(a[0], n)]))
     out = np.ones(1, dtype=complex)
     for _ in range(n):
         out = _poly_mul(out, a)

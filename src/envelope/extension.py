@@ -104,7 +104,7 @@ class Decomposition:
 def _component_centers(f, domain: DomainSpec) -> list[complex]:
     """Per hole: its witness, or the pole itself when exactly one pole
     cluster sits inside the hole (making truncation at its order exact)."""
-    centers = [_geom.hole_witness(domain, j) for j in range(len(domain.holes))]
+    centers = list(domain.witnesses)
     if isinstance(f, _expr.Expr):
         for j, poles in enumerate(_mom._hole_poles(f, domain) or ()):
             if len(poles) == 1:
@@ -401,7 +401,7 @@ def cross_verify(f, domain: DomainSpec, degree_cutoff: int | None = None,
 
         for j, hole in enumerate(domain.holes):
             # the witness, then up to PROBES_PER_HOLE - 1 drawn points
-            points.append(_geom.hole_witness(domain, j))
+            points.append(domain.witnesses[j])
             points.extend(_sample(hole.bbox(), PROBES_PER_HOLE - 1, 5000,
                                   lambda c, j=j: in_hole(c, j), rng))
         if domain.outer is not None or domain.holes:

@@ -247,13 +247,11 @@ class Path:
     def max_distance(self, p: complex) -> float:
         return max(s.max_distance(p) for s in self.segments)
 
-    def point_at(self, fraction: float) -> complex:
-        """Point at the given arclength fraction in [0, 1]."""
-        return complex(self.points_at(np.array([fraction]))[0])
-
-    def points_at(self, fractions) -> np.ndarray:
-        """Points at an array of arclength fractions in [0, 1]."""
-        return self.arrays.nodes(*self.locate(fractions))[0]
+    def points_at(self, fractions):
+        """Point at one arclength fraction in [0, 1], or the points at an
+        array of them."""
+        z = self.arrays.nodes(*self.locate(fractions))[0]
+        return complex(z) if np.ndim(z) == 0 else z
 
     def locate(self, fractions) -> tuple[np.ndarray, np.ndarray]:
         """(segment index, local parameter) of each arclength fraction in
@@ -565,10 +563,6 @@ class DomainSpec:
                 gaps[i], gaps[j] = min(gaps[i], d), min(gaps[j], d)
         object.__setattr__(self, "gaps", tuple(gaps[:len(self.holes)]))
 
-    @property
-    def bounded(self) -> bool:
-        return self.outer is not None
-
     def boundary_paths(self) -> tuple[Path, ...]:
         return ((self.outer,) if self.outer else ()) + self.holes
 
@@ -809,11 +803,6 @@ def _basis_curves_pass(domain: DomainSpec, j: int,
     want = np.arange(len(domain.holes)) == j
     return all(np.array_equal(_winding_many(c, domain.witnesses)[0], want)
                and domain.contains_path(c) for c in curves)
-
-
-def hole_witness(domain: DomainSpec, j: int) -> complex:
-    """A point strictly inside hole j."""
-    return domain.witnesses[j]
 
 
 def homology_basis(domain: DomainSpec) -> list[Path]:

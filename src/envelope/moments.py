@@ -312,12 +312,9 @@ def construct_primitive(f, n: int, base: complex, target: complex,
                     f"moments of degree <= {n - 1} do not all vanish; the "
                     "order-%d primitive is path dependent" % n,
                     stacklevel=2)
-    if n == 1:
-        value = _quad.integrate(fn, path, tol).value
-    else:
-        coeff = 1.0 / math.factorial(n - 1)
-        value = coeff * _quad.integrate(
-            lambda w: (target - w) ** (n - 1) * fn(w), path, tol).value
+    coeff = 1.0 / math.factorial(n - 1)
+    value = coeff * _quad.integrate(
+        lambda w: (target - w) ** (n - 1) * fn(w), path, tol).value
     return PrimitiveSample(n, base, target, value, path)
 
 

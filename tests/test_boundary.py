@@ -267,9 +267,9 @@ class TestIntegrationByParts:
 
     def test_equivalence_report_bundles_everything(self):
         rep = bd.boundary_duality(circle_curve(np.reciprocal, 128))
-        assert rep.pass_depth == 0
-        assert rep.leading_zero_count == 0
-        assert rep.depth_matches
+        assert rep.tower.pass_depth == 0
+        assert rep.tower.leading_zero_count == 0
+        assert rep.tower.duality_consistent
         assert len(rep.ibp_residuals) == 4
         assert rep.analytic_ibp is not None and rep.analytic_ibp < 1e-9
 

@@ -4,8 +4,12 @@ import copy
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +71,13 @@ class TestValidate:
         raw = {"function": "z", "domain": ANNULUS, "checks": ["sorcery"]}
         diags = cli.validate(raw)
         assert any("unknown check 'sorcery'" in d for d in diags)
+
+    def test_repeated_check_is_reported(self):
+        # a second run would overwrite the first one's timing
+        raw = {"function": "z", "domain": ANNULUS,
+               "checks": ["moments", "cauchy", "moments", "moments"]}
+        assert [d for d in cli.validate(raw) if "times" in d] == [
+            "checks: 'moments' listed 3 times (each check runs once)"]
 
     def test_bad_max_degree(self):
         raw = {"function": "1/z", "domain": ANNULUS,
@@ -592,6 +603,18 @@ class TestMain:
         assert capsys.readouterr().out == ""
         assert json.loads(target.read_text())["results"]
 
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_out_exits_one(self, tmp_path, capsys, target):
+        scenario = write_scenario(tmp_path, {
+            "function": "z", "domain": ANNULUS, "checks": ["moments"]})
+        code = cli.main(["run", "--scenario", str(scenario),
+                         "--out", str(tmp_path / target)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("cannot write the report: ")
+
     def test_max_degree_flag_overrides(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, {
             "function": "z", "domain": ANNULUS,
@@ -905,3 +928,64 @@ class TestMain:
         code = cli.main(["run", "--scenario", str(scenario)])
         assert code == 1
         assert "needs a" in capsys.readouterr().err
+
+
+_UNIT_CIRCLE_TOWER = {
+    "curve": {"path": {"circle": {"center": [0, 0], "radius": 1}},
+              "samples": 16},
+    "checks": ["boundary_tower"]}
+
+
+class TestProcess:
+    """`python -m envelope.cli run` as its own process, on inputs that
+    once ended in a traceback or did not end: each now exits 1 within the
+    timeout and says what went wrong."""
+
+    @pytest.mark.parametrize("raw, out, named", [
+        pytest.param({"function": "(" * 400 + "z" + ")" * 400}, None,
+                     "function: expression nested deeper than 100 levels",
+                     id="deep-parentheses"),
+        pytest.param({"function": "+".join(["z"] * 3000)}, None,
+                     "function: expression nested deeper than 100 levels",
+                     id="long-sum"),
+        pytest.param({"function": "z^-1000000"}, None,
+                     "expanded degree 1000000 exceeds cap 64",
+                     id="power-of-z"),
+        pytest.param({"function": "(1+0.00000001z)^-100000"}, None,
+                     "expanded degree 100000 exceeds cap 64",
+                     id="power-of-a-short-product"),
+        pytest.param({"function": "z^-99999999999999999999"}, None,
+                     "expanded degree 99999999999999999999 exceeds cap 64",
+                     id="power-past-int64"),
+        # inf, as numpy's power gives, which no sampled curve takes
+        pytest.param({"function": "3^700*z", **_UNIT_CIRCLE_TOWER}, None,
+                     "curve: params, points and values must be finite",
+                     id="constant-power-overflow"),
+        pytest.param({"function": "2^99999999999999999999",
+                      **_UNIT_CIRCLE_TOWER}, None,
+                     "curve: params, points and values must be finite",
+                     id="constant-power-past-int64"),
+        pytest.param({}, "missing/report.json", "cannot write the report",
+                     id="out-in-a-missing-directory"),
+        pytest.param({}, ".", "cannot write the report",
+                     id="out-is-a-directory"),
+        pytest.param({"checks": ["primitive_order", "primitive_order"]}, None,
+                     "checks: 'primitive_order' listed 2 times",
+                     id="repeated-check"),
+    ])
+    def test_exits_one_without_a_traceback(self, tmp_path, raw, out, named):
+        scenario = write_scenario(tmp_path, {
+            "function": "z", "domain": ANNULUS,
+            "checks": ["primitive_order"], **raw})
+        argv = [sys.executable, "-m", "envelope.cli", "run",
+                "--scenario", str(scenario)]
+        if out is not None:
+            argv += ["--out", str(tmp_path / out)]
+        source = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [source, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(argv, capture_output=True, text=True,
+                              timeout=60, env=env)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert named in done.stdout + done.stderr

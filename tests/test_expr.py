@@ -11,6 +11,17 @@ def ev(text, z):
     return expr.evaluate(expr.parse(text), z)
 
 
+_DEEPEST = expr.MAX_DEPTH
+
+
+def _nest(levels):
+    return "(" * levels + "z" + ")" * levels
+
+
+def _sum(terms):
+    return "+".join(["z"] * terms)
+
+
 class TestParsing:
     @pytest.mark.parametrize("text,z,expected", [
         ("1+2*3", 0j, 7 + 0j),
@@ -61,6 +72,26 @@ class TestParsing:
             expr.parse(text)
         assert err.value.position == position
 
+    @pytest.mark.parametrize("deepest, past, position", [
+        # parentheses open at once, then a tree this many nodes deep
+        pytest.param(_nest(_DEEPEST), _nest(_DEEPEST + 1), _DEEPEST,
+                     id="parentheses"),
+        pytest.param(_sum(_DEEPEST), _sum(_DEEPEST + 1), 2 * _DEEPEST - 1,
+                     id="sum"),
+    ])
+    def test_depth_limit(self, deepest, past, position):
+        # every walk of the deepest tree stays inside the recursion limit
+        node = expr.parse(deepest)
+        assert expr.parse(expr.format_expr(node)) == node
+        assert hash(node) == hash(expr.parse(deepest))
+        assert expr.pole_set(node) == []
+        value = ev(deepest, 0.5 + 0j)
+        assert value == ev(deepest, np.array([0.5 + 0j]))[0] != 0
+        with pytest.raises(ParseError, match="nested deeper than 100 levels"
+                           ) as err:
+            expr.parse(past)
+        assert err.value.position == position
+
     def test_unknown_function_rejected(self):
         with pytest.raises(ParseError):
             expr.parse("sin(z)")
@@ -104,6 +135,14 @@ class TestEvaluation:
     def test_pole_guard_negative_power(self):
         with pytest.raises(PoleProximityError):
             ev("z^-1", 0j)
+
+    @pytest.mark.parametrize("base, n", [
+        (3, 700), (-3, 701), (3 + 1j, 700), (2, 99999999999999999999)])
+    def test_scalar_power_past_the_float_range_is_the_array_power(self, base,
+                                                                   n):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = (np.array([complex(base)]) ** n)[0]
+        assert expr.evaluate(expr.Pow(expr.Z, n), complex(base)) == want
 
 
 class TestPoleSet:
@@ -164,6 +203,31 @@ class TestPoleSet:
                                                        order):
         records = expr.pole_set(expr.parse(text))
         assert [(r.location, r.order) for r in records] == [(location, order)]
+
+    @pytest.mark.parametrize("text, error", [
+        ("z^-1000000", "expanded degree 1000000 exceeds cap 64"),
+        ("(1+0.00000001z)^-100000", "expanded degree 100000 exceeds cap 64"),
+        ("z^-99999999999999999999",
+         "expanded degree 99999999999999999999 exceeds cap 64"),
+        ("2^99999999999999999999", None),
+        ("3^700*z", None),
+    ])
+    def test_huge_powers_take_few_products(self, monkeypatch, text, error):
+        # a constant's products never grow and trimmed ones can stay short,
+        # so only the degree before trimming bounds the count
+        multiply, products = expr._poly_mul, []
+
+        def counted(a, b):
+            products.append(None)
+            assert len(products) <= expr.POLY_DEGREE_CAP + 1
+            return multiply(a, b)
+
+        monkeypatch.setattr(expr, "_poly_mul", counted)
+        if error is None:
+            assert expr.pole_set(expr.parse(text)) == []
+        else:
+            with pytest.raises(PoleFindingError, match=re.escape(error)):
+                expr.pole_set(expr.parse(text))
 
     def test_property_random_rationals_agree_with_roots(self, rng):
         for _ in range(10):

@@ -54,7 +54,7 @@ def reference_domain_probes(domain, count, margin, keep_off, rng):
 def reference_hole_probes(domain, j, count, margin, rng):
     hole = domain.holes[j]
     x0, x1, y0, y1 = hole.bbox()
-    out = [geom.hole_witness(domain, j)]
+    out = [domain.witnesses[j]]
     attempts = 0
     while len(out) < count and attempts < 5000:
         attempts += 1

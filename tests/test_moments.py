@@ -277,7 +277,7 @@ class TestRingRoute:
             p = mom.ring_route(base, target)
             low = min(abs(base), abs(target))
             for t in np.linspace(0, 1, 50):
-                assert abs(p.point_at(float(t))) > 0.5 * low
+                assert abs(p.points_at(float(t))) > 0.5 * low
 
     def test_degenerate_rejected(self):
         with pytest.raises(GeometryError):
