@@ -11,7 +11,6 @@ inconsistency, 1 operational failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -516,13 +515,23 @@ def run_scenario(config: ScenarioConfig) -> Report:
     An exception inside one check becomes a structured error row; the
     remaining checks still run, so a batch never loses results to one bad
     entry. The moment verdict is computed at most once and shared by the
-    checks that need it; a verdict that raises is not kept, so every such
-    check reports the error.
+    checks that need it; a scan that raises is kept as its error, which
+    every such check re-raises.
     """
-    # functools.cache keeps results, never exceptions
-    scan = functools.cache(lambda: _mom.max_primitive_order(
-        config.function, config.domain, config.max_degree, config.quad_tol,
-        config.zero_tol))
+    outcome = []  # the verdict or the error of the one scan
+
+    def scan():
+        if not outcome:
+            try:
+                outcome.append(_mom.max_primitive_order(
+                    config.function, config.domain, config.max_degree,
+                    config.quad_tol, config.zero_tol))
+            except EnvelopeError as exc:
+                outcome.append(exc)
+        if isinstance(outcome[0], EnvelopeError):
+            raise outcome[0]
+        return outcome[0]
+
     results = []
     timings = {}
     start_all = time.perf_counter()

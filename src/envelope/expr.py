@@ -16,6 +16,7 @@ Whitespace is insignificant and '^' binds tighter than unary minus, so
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -249,7 +250,7 @@ class _Parser:
     def base(self) -> tuple[Expr, int]:
         kind, val, pos = self.next()
         if kind == "num":
-            return Const(complex(float(val), 0.0)), 1
+            return Const(complex(self._real(val, pos), 0.0)), 1
         if kind == "ident":
             if val == "z":
                 return Z, 1
@@ -286,15 +287,25 @@ class _Parser:
         ')' is an error rather than a reason to backtrack."""
         mark = self.i
         minus = self._accept("op", ("-",))
+        re_tok = self.peek()
         re_part = self._accept("num")
         sign = re_part and self._accept("op", ("+", "-"))
+        im_tok = self.peek()
         im_part = sign and self._accept("num")
         if not (im_part and self._accept("ident", ("i",))):
             self.i = mark
             return None
         self.expect_op(")")
-        x, y = float(re_part), float(im_part)
+        x, y = (self._real(val, pos) for _, val, pos in (re_tok, im_tok))
         return Const(complex(-x if minus else x, y if sign == "+" else -y))
+
+    @staticmethod
+    def _real(text: str, pos: int) -> float:
+        """A real literal's float; one past the float range is refused."""
+        x = float(text)
+        if math.isinf(x):
+            raise ParseError(f"number {text} lies past the float range", pos)
+        return x
 
 
 def parse(text: str) -> Expr:

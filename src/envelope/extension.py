@@ -28,12 +28,12 @@ from .geometry import DomainSpec, Path
 
 _TWO_PI_I = 2j * math.pi
 _TWO_PI = 2.0 * math.pi
-_PROBE_SEED = 20260815
-# cross_verify: contour and reference tolerances, probe points per region
+# cross_verify: contour and reference tolerances
 CONTOUR_TOL = 2e-9
 REFERENCE_RTOL = 1e-8
-PROBES_PER_HOLE = 4
-DOMAIN_PROBES = 4
+# probe points on each probe contour, and toward each hole's boundary
+_PROBES_PER_CURVE = 8
+_UNIT_CIRCLE = _geom.circle(0j, 1.0)
 
 
 def _check_tail(basis_curve: Path, center: complex, n: int) -> None:
@@ -116,78 +116,70 @@ def _exact_components(fn, curve: Path, points: np.ndarray,
                       f_at: np.ndarray, tol: float) -> np.ndarray:
     """Hole component -(1/2 pi i) ∮ (f(z) - f(w)) / (z - w) dz at every
     point w, on either side of the basis curve; f_at holds f at the points.
-    Precondition: every w lies farther than _probe_margin from the curve."""
+    Precondition: no w lies on the curve."""
     stack = _quad.integrate(
         lambda z: (fn(z) - f_at[:, None]) / (z - points[:, None]), curve, tol)
     return -stack.value / _TWO_PI_I
 
 
-def _domain_box(domain: DomainSpec, pad: float
-                ) -> tuple[float, float, float, float]:
-    """Bounding box of the outer boundary, or of the holes grown by pad on
-    every side when the domain is unbounded."""
-    if domain.outer is not None:
-        return domain.outer.bbox()
-    if not domain.holes:
-        raise GeometryError("the whole plane has no box to place probes in")
-    boxes = [h.bbox() for h in domain.holes]
-    return (min(b[0] for b in boxes) - pad, max(b[1] for b in boxes) + pad,
-            min(b[2] for b in boxes) - pad, max(b[3] for b in boxes) + pad)
+def _contour_points(domain: DomainSpec, j: int, frac: float) -> np.ndarray:
+    """Points equally spaced in arclength on hole j's contour at frac. Where
+    a dilation refuses frac (a circle rule never does), the basis curve's
+    points moved by (frac - 0.5) of the gap along its outward normal."""
+    fractions = np.arange(_PROBES_PER_CURVE) / _PROBES_PER_CURVE
+    try:
+        return _geom._contour(domain, j, frac).points_at(fractions)
+    except GeometryError:
+        curve = _geom._contour(domain, j, 0.5)
+        z, v = curve.arrays.nodes(*curve.locate(fractions))
+        return z - 1j * (frac - 0.5) * domain.gaps[j] * v / np.abs(v)
 
 
-def _probe_margin(domain: DomainSpec) -> float:
-    """Least distance of a probe point from a boundary or basis curve."""
-    x0, x1, y0, y1 = _domain_box(domain, 0.0)
-    return 1e-3 * math.hypot(x1 - x0, y1 - y0)
-
-
-def _sample(box: tuple[float, float, float, float], count: int,
-            attempts: int, accept, rng: np.random.Generator) -> list[complex]:
-    """Up to count points drawn uniformly from box = (x0, x1, y0, y1) that
-    pass accept (a mask over an array of candidates), in at most attempts
-    draws. Each round draws the candidates still missing in one call, as
-    the (x, y) pairs a draw of x then y per point gives, so the points and
-    the state of rng are those of a one-point-at-a-time loop."""
-    x0, x1, y0, y1 = box
-    out: list[complex] = []
-    while len(out) < count and attempts > 0:
-        need = min(count - len(out), attempts)
-        attempts -= need
-        xy = rng.uniform((x0, y0), (x1, y1), size=(need, 2))
-        candidates = xy.view(complex)[:, 0]
-        out.extend(complex(p) for p in candidates[accept(candidates)])
-    return out
-
-
-def _domain_probes(domain: DomainSpec, count: int,
-                   rng: np.random.Generator) -> list[complex]:
-    """count points in the domain, farther than the probe margin from its
-    boundary and from its basis curves."""
-    margin = _probe_margin(domain)
-
-    def accept(points):
-        where = _geom.classify(domain, points)
-        ok = where.inside & (where.distance > margin)
-        for curve in _geom.homology_basis(domain):
-            ok &= curve.distance(points) > margin
-        return ok
-
-    out = _sample(_domain_box(domain, 1.0), count, 20000, accept, rng)
-    if len(out) < count:
-        raise GeometryError("could not place probe points in the domain")
-    return out
+def _probes(domain: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(domain probes, hole probes), placed by rule and kept by one classify
+    pass. Hole j's domain probes lie on its contours inside (0.35 circle or
+    0.3 dilation) and outside (0.7) its basis curve, and are kept in the
+    domain where no basis curve is nearer than hole j's, so each keeps a
+    fraction of its hole's gap from every curve; with no holes they are the
+    midpoints from an interior point of the outer boundary toward it. Hole
+    probes are the witnesses and the midpoints from each toward its hole's
+    boundary, kept strictly inside that hole."""
+    n, holes = _PROBES_PER_CURVE, domain.holes
+    if holes:
+        inside = [0.35 if _geom._hole_rule(domain, j) else 0.3
+                  for j in range(len(holes))]
+        near = np.array([np.append(_contour_points(domain, j, frac),
+                                   _contour_points(domain, j, 0.7))
+                         for j, frac in enumerate(inside)])
+    elif domain.outer is not None:
+        near = 0.5 * (_geom.interior_point(domain.outer)
+                      + domain.outer.sample(n))[None]
+    else:
+        raise GeometryError("the whole plane has no boundary to place "
+                            "probes by")
+    wits = np.array(domain.witnesses, dtype=complex)[:, None]
+    inner = 0.5 * (wits + np.hstack((wits, np.reshape(
+        [h.sample(n) for h in holes], (-1, n)))))
+    where = _geom.classify(domain, np.append(near, inner))
+    keep = where.inside[:near.size].reshape(near.shape)
+    if holes:  # dist[k, j, i]: from point i of hole j to basis curve k
+        dist = np.array([c.distance(near)
+                         for c in _geom.homology_basis(domain)])
+        keep &= np.diagonal(dist).T <= dist.min(axis=0)
+    mine = ~where.on_boundary[near.size:] \
+        & (where.hole[near.size:] == np.repeat(range(len(holes)), n + 1))
+    return near[keep], inner.ravel()[mine]
 
 
 def decompose(f, domain: DomainSpec, terms: int | None = None,
-              tol: float = _quad.DEFAULT_TOL,
-              probe_count: int = 100) -> Decomposition:
+              tol: float = _quad.DEFAULT_TOL) -> Decomposition:
     """Split f into per-hole truncated Laurent tails plus a rest term.
 
     terms defaults to the inside-pole budget when the pole set is known
     (then the truncation is exact for a snapped center) and to the
     heuristic degree cutoff plus one otherwise. The reconstruction residual
-    at each probe w compares every truncated tail with the exact component,
-    the integral of (f(z) - f(w)) / (z - w) over the same basis curve: an
+    at each domain probe w compares every truncated tail with the exact
+    component, the integral of (f(z) - f(w)) / (z - w) over the same basis curve: an
     independent route that does not assume the defining identity.
     """
     basis = _geom.homology_basis(domain)
@@ -204,8 +196,7 @@ def decompose(f, domain: DomainSpec, terms: int | None = None,
         components.append(LaurentComponent(j, center, coeffs,
                                            curve.length * max_f))
 
-    rng = np.random.default_rng(_PROBE_SEED)
-    probes = _domain_probes(domain, probe_count, rng)
+    points = _probes(domain)[0]
 
     def f0(z):
         base = fn(z)
@@ -213,15 +204,15 @@ def decompose(f, domain: DomainSpec, terms: int | None = None,
             base = base - comp(z)
         return base
 
-    points = np.array(probes, dtype=complex)
     gap = np.zeros(points.shape, dtype=complex)
-    if probes:
+    if points.size:
         f_at = _quad._eval_batch(fn, points)
         for j, curve in enumerate(basis):
             gap += _exact_components(fn, curve, points, f_at, tol) \
                 - components[j](points)
     residuals = tuple(float(r) for r in np.hypot(gap.real, gap.imag))
-    return Decomposition(tuple(components), tuple(probes), residuals, f0)
+    return Decomposition(tuple(components), tuple(map(complex, points)),
+                         residuals, f0)
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +231,9 @@ def evaluate_extension(f, domain: DomainSpec, w,
     certifies that no extension exists. The value is the Cauchy integral
     over a contour that winds once around w and zero times around every
     hole other than the one containing it. Points in one hole share its
-    contour, and each contour takes one stacked integral for all of its
-    points. which_contour picks the first (0) or the second (1) contour
-    of each hole and each point.
+    contour, and all points of the domain proper share one integral over
+    the unit circle; each takes one stacked integral. which_contour picks
+    the first (0) or the second (1) contour of each hole and each point.
     """
     if not isinstance(which_contour, (int, np.integer)) \
             or which_contour not in (0, 1):
@@ -262,23 +253,11 @@ def evaluate_extension(f, domain: DomainSpec, w,
             f"{pts[i]:.6g} lies on a hole boundary; no exclusion-radius "
             "evaluation there" if where.hole[i] >= 0 else
             f"{pts[i]:.6g} lies outside the simply connected envelope")
-    shared: dict[tuple[str, int], list[int]] = {}
-    for i, j in enumerate(where.hole.tolist()):
-        key = ("point", i) if j < 0 else ("hole", j)
-        shared.setdefault(key, []).append(i)
-    # a point of the domain proper gets its own circle, a fraction of its
-    # distance to the boundary
-    radii = (0.4 if which_contour == 0 else 0.7) * where.distance
     fn = _mom.as_function(f)
     values = np.zeros(pts.shape, dtype=complex)
-    for (kind, k), members in shared.items():
-        if kind == "hole":
-            contour = _geom.basis_curve_variants(domain, k)[which_contour]
-        elif math.isinf(radii[k]):
-            raise GeometryError("the whole plane has no boundary to size a "
-                                f"contour around {pts[k]:.6g} by")
-        else:  # the point lies beyond the band of every boundary
-            contour = _geom.circle(complex(pts[k]), float(radii[k]))
+    for j in np.unique(where.hole[where.hole >= 0]):
+        members = np.flatnonzero(where.hole == j)
+        contour = _geom.basis_curve_variants(domain, j)[which_contour]
         ws = pts[members]
         for near in ws[contour.distance(ws) <= contour.arrays.chords.band]:
             raise GeometryError(f"{near:.6g} is too close to the contour")
@@ -286,6 +265,20 @@ def evaluate_extension(f, domain: DomainSpec, w,
         stack = _quad.integrate(lambda z: fn(z) / (z - ws[:, None]), contour,
                                 tol).value
         values[members] = stack / _TWO_PI_I
+    free = np.flatnonzero(where.hole < 0)
+    radii = (0.4 if which_contour == 0 else 0.7) * where.distance[free, None]
+    for w in pts[free[np.isinf(radii[:, 0])]]:
+        raise GeometryError("the whole plane has no boundary to size a "
+                            f"contour around {w:.6g} by")
+    if free.size:
+        # the circle |z - w| = r of a point of the domain proper, r a
+        # fraction of its distance to the boundary, is z = w + r u on the
+        # unit circle: (1/2 pi i) ∮ f(w + r u) / u du, one stacked integral
+        ws = pts[free, None]
+        stack = _quad.integrate(lambda u: _quad._eval_batch(
+            fn, (ws + radii * u).ravel()).reshape(free.size, -1) / u,
+            _UNIT_CIRCLE, tol).value
+        values[free] = stack / _TWO_PI_I
     return complex(values[0]) if shape == () else values.reshape(shape)
 
 
@@ -390,22 +383,8 @@ def cross_verify(f, domain: DomainSpec, degree_cutoff: int | None = None,
 
     extension_report = None
     if verdict.all_orders:
-        rng = np.random.default_rng(_PROBE_SEED + 1)
-        margin = _probe_margin(domain)
-        points: list[complex] = []
-
-        def in_hole(candidates, j):
-            # the boundary nearest to a point in a hole is the hole's own
-            where = _geom.classify(domain, candidates)
-            return (where.hole == j) & (where.distance > margin)
-
-        for j, hole in enumerate(domain.holes):
-            # the witness, then up to PROBES_PER_HOLE - 1 drawn points
-            points.append(domain.witnesses[j])
-            points.extend(_sample(hole.bbox(), PROBES_PER_HOLE - 1, 5000,
-                                  lambda c, j=j: in_hole(c, j), rng))
-        if domain.outer is not None or domain.holes:
-            points.extend(_domain_probes(domain, DOMAIN_PROBES, rng))
+        # the hole probes, then the domain probes of the decomposition
+        points = [*map(complex, _probes(domain)[1]), *decomp.probe_points]
         values = tuple(map(complex, evaluate_extension(fn, domain, points,
                                                         tol, verdict, 0)))
         alts = tuple(map(complex, evaluate_extension(fn, domain, points, tol,

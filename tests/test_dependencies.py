@@ -1,4 +1,5 @@
-"""numpy is the only runtime dependency."""
+"""numpy is the only runtime dependency, and no module draws random
+numbers."""
 
 import re
 from pathlib import Path
@@ -8,14 +9,23 @@ import envelope
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_no_module_names_scipy():
+def _lines_matching(pattern):
     source = Path(envelope.__file__).parent
-    offenders = [f"{module.name}:{number}"
-                 for module in sorted(source.glob("*.py"))
-                 for number, line in enumerate(
-                     module.read_text().splitlines(), 1)
-                 if re.search(r"\bscipy\b", line)]
-    assert offenders == []
+    return [f"{module.name}:{number}"
+            for module in sorted(source.glob("*.py"))
+            for number, line in enumerate(module.read_text().splitlines(), 1)
+            if re.search(pattern, line)]
+
+
+def test_no_module_names_scipy():
+    assert _lines_matching(r"\bscipy\b") == []
+
+
+def test_no_module_draws_random_numbers():
+    # every probe is placed by rule, so a scenario's report is the same on
+    # every run
+    assert _lines_matching(
+        r"\bnp\.random\b|\bdefault_rng\b|^\s*(import|from) random\b") == []
 
 
 def test_numpy_is_the_only_dependency():

@@ -72,6 +72,26 @@ class TestParsing:
             expr.parse(text)
         assert err.value.position == position
 
+    @pytest.mark.parametrize("text, number, position", [
+        ("1e999*z", "1e999", 0),
+        ("z + 2.5e400", "2.5e400", 4),
+        ("(1e999+2i)*z", "1e999", 1),
+        ("(1+1e999i)", "1e999", 3),
+        ("(-1e400-1i)/z", "1e400", 2),
+    ])
+    def test_literal_past_the_float_range_is_refused(self, text, number,
+                                                     position):
+        with pytest.raises(ParseError, match=re.escape(
+                f"number {number} lies past the float range")) as err:
+            expr.parse(text)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("text", ["1e308*z", "(1e-999+1e308i)", "3^700*z"])
+    def test_literal_within_the_float_range_is_kept(self, text):
+        # a power past the range is computed, not read: it stays inf
+        node = expr.parse(text)
+        assert expr.parse(expr.format_expr(node)) == node
+
     @pytest.mark.parametrize("deepest, past, position", [
         # parentheses open at once, then a tree this many nodes deep
         pytest.param(_nest(_DEEPEST), _nest(_DEEPEST + 1), _DEEPEST,

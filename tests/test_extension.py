@@ -12,62 +12,7 @@ from envelope import geometry as geom
 from envelope import moments as mom
 from envelope import quadrature as quad
 from envelope.errors import (ExtensionPreconditionError, GeometryError,
-                             PointOnPathError, PoleProximityError)
-
-
-# ---------------------------------------------------------------------------
-# the one-point-at-a-time probe loops the batched sampler replaced, kept as
-# its reference: one (x, y) draw, one membership test and one distance per
-# segment at a time
-
-def _distance(path, p):
-    return min(seg.distance(p) for seg in path.segments)
-
-
-def _scalar_contains(domain, p):
-    try:
-        if domain.outer is not None \
-                and geom.winding_number(domain.outer, p) != 1:
-            return False
-        return all(geom.winding_number(h, p) == 0 for h in domain.holes)
-    except PointOnPathError:
-        return False
-
-
-def reference_domain_probes(domain, count, margin, keep_off, rng):
-    x0, x1, y0, y1 = domain.outer.bbox()
-    out = []
-    attempts = 0
-    while len(out) < count and attempts < 20000:
-        attempts += 1
-        p = complex(rng.uniform(x0, x1), rng.uniform(y0, y1))
-        if not _scalar_contains(domain, p):
-            continue
-        if min(_distance(b, p) for b in domain.boundary_paths()) <= margin:
-            continue
-        if any(_distance(c, p) <= margin for c in keep_off):
-            continue
-        out.append(p)
-    return out
-
-
-def reference_hole_probes(domain, j, count, margin, rng):
-    hole = domain.holes[j]
-    x0, x1, y0, y1 = hole.bbox()
-    out = [domain.witnesses[j]]
-    attempts = 0
-    while len(out) < count and attempts < 5000:
-        attempts += 1
-        p = complex(rng.uniform(x0, x1), rng.uniform(y0, y1))
-        try:
-            if geom.winding_number(hole, p) != 1:
-                continue
-        except PointOnPathError:
-            continue
-        if _distance(hole, p) <= margin:
-            continue
-        out.append(p)
-    return out
+                             PoleProximityError)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +75,7 @@ class TestLaurentCoefficient:
 class TestDecompose:
     def test_tail_recovery_two_holes(self, two_hole):
         f = expr.parse("1/z^2 + 1/(z-3) + z")
-        d = ext.decompose(f, two_hole, probe_count=25)
+        d = ext.decompose(f, two_hole)
         c0, c1 = d.components
         assert c0.center == pytest.approx(0j, abs=1e-10)
         assert c1.center == pytest.approx(3 + 0j, abs=1e-10)
@@ -149,8 +94,7 @@ class TestDecompose:
             return integrate(fn, path, *args, **kwargs)
 
         monkeypatch.setattr(quad, "integrate", spy)
-        d = ext.decompose(expr.parse("1/z^2 + 1/(z-3) + z"), two_hole,
-                          probe_count=25)
+        d = ext.decompose(expr.parse("1/z^2 + 1/(z-3) + z"), two_hole)
         assert len(calls) == 2 * len(two_hole.holes)
         assert d.max_residual() < 1e-9
 
@@ -159,14 +103,14 @@ class TestDecompose:
             if isinstance(z, np.ndarray):
                 raise TypeError("scalars only")
             return 1 / z ** 2 + z
-        d = ext.decompose(f, annulus, terms=3, probe_count=10)
+        d = ext.decompose(f, annulus, terms=3)
         assert d.components[0].coefficients[1] == pytest.approx(1 + 0j,
                                                                 abs=1e-10)
         assert d.max_residual() < 1e-9
 
     def test_f0_reproduces_entire_part(self, two_hole):
         f = expr.parse("1/z + z^2 - 3")
-        d = ext.decompose(f, two_hole, probe_count=20)
+        d = ext.decompose(f, two_hole)
         for w in d.probe_points[:5]:
             assert d.f0(w) == pytest.approx(w ** 2 - 3, rel=1e-9, abs=1e-9)
 
@@ -174,29 +118,29 @@ class TestDecompose:
         for _ in range(3):
             p = complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
             f = expr.parse(f"1/(z-({p.real:.4f}{p.imag:+.4f}i))^2 + z")
-            d = ext.decompose(f, annulus, probe_count=20)
+            d = ext.decompose(f, annulus)
             assert d.max_residual() < 1e-9
 
     def test_unsnapped_truncation_residual_decays_with_terms(self, annulus):
         # exp defeats pole detection, so the center stays at the witness
         # and the tail is a genuine truncation; more terms must help
         f = expr.parse("1/(z-0.28)^2 + exp(0)z")
-        coarse = ext.decompose(f, annulus, terms=8, probe_count=15)
-        fine = ext.decompose(f, annulus, terms=16, probe_count=15)
+        coarse = ext.decompose(f, annulus, terms=8)
+        fine = ext.decompose(f, annulus, terms=16)
         # decay stops at the coefficient-noise floor, not at machine zero
         assert fine.max_residual() < 1e-3
         assert fine.max_residual() < 0.01 * coarse.max_residual()
 
     def test_pole_snap_makes_truncation_exact(self, annulus):
         f = expr.parse("1/(z-0.15)^3")
-        d = ext.decompose(f, annulus, probe_count=20)
+        d = ext.decompose(f, annulus)
         comp = d.components[0]
         assert comp.center == pytest.approx(0.15 + 0j, abs=1e-8)
         assert comp.terms == 3
         assert comp.coefficients[2] == pytest.approx(1 + 0j, abs=1e-10)
 
     def test_default_terms_without_pole_data(self, annulus):
-        d = ext.decompose(np.reciprocal, annulus, probe_count=16)
+        d = ext.decompose(np.reciprocal, annulus)
         assert d.components[0].terms == mom.DEFAULT_DEGREE_CUTOFF + 1
 
 
@@ -285,7 +229,11 @@ class TestEvaluateExtension:
 
         monkeypatch.setattr(quad, "integrate", spy)
         got = ext.evaluate_extension(f, annulus, points, verdict=verdict)
-        assert len(calls) == 3  # the hole's contour, two domain circles
+        # the hole's contour, and one unit-circle stack for both points of
+        # the domain proper
+        assert len(calls) == 2
+        assert calls[0] == geom.basis_curve_variants(annulus, 0)[0]
+        assert calls[1] == geom.circle(0j, 1.0)
         for a, b, w in zip(got, one_by_one, points):
             assert a == pytest.approx(b, abs=1e-12)
             assert a == pytest.approx(1 / (w - 5) + w ** 2, abs=1e-10)
@@ -352,7 +300,7 @@ class TestCrossVerify:
 
     @pytest.mark.parametrize("scale", [1e-3, 1e-4])
     def test_small_domains_place_their_probes(self, scale):
-        # the probe margin is a fraction of the domain's box, with no floor
+        # the probes sit at fractions of each hole's gap, with no floor
         domain = geom.DomainSpec(geom.circle(0j, 2.0 * scale),
                                  (geom.circle(0j, 0.5 * scale),))
         rep = ext.cross_verify(expr.parse(f"1/(z-{4 * scale!r}) + z^2"),
@@ -368,7 +316,7 @@ class TestCrossVerify:
     ])
     def test_unbounded_domains(self, holes, text, max_order):
         # the circles of a hole with no other boundary reach 2 lo, and the
-        # probes lie in the holes' box grown by 1
+        # probes lie on them
         rep = ext.cross_verify(expr.parse(text), geom.DomainSpec(None, holes))
         assert rep.consistent
         assert rep.verdict.max_order == max_order
@@ -402,28 +350,6 @@ class TestCrossVerify:
 
 
 class TestProbeSampler:
-    @pytest.mark.parametrize("name", ["annulus", "two_hole"])
-    def test_probes_match_the_scalar_sampler(self, name, request):
-        domain = request.getfixturevalue(name)
-        basis = geom.homology_basis(domain)
-        x0, x1, y0, y1 = domain.outer.bbox()
-        margin = max(1e-3, 1e-3 * math.hypot(x1 - x0, y1 - y0))
-        f = expr.parse("1/(z-9) + z")
-        d = ext.decompose(f, domain)
-        rng = np.random.default_rng(ext._PROBE_SEED)
-        assert list(d.probe_points) == reference_domain_probes(
-            domain, 100, margin, basis, rng)
-        rep = ext.cross_verify(f, domain)
-        # hole probes, then domain probes, from one generator
-        rng = np.random.default_rng(ext._PROBE_SEED + 1)
-        want = []
-        for j in range(len(domain.holes)):
-            want += reference_hole_probes(domain, j, ext.PROBES_PER_HOLE,
-                                          margin, rng)
-        want += reference_domain_probes(domain, ext.DOMAIN_PROBES, margin,
-                                        basis, rng)
-        assert list(rep.extension.points) == want
-
     def test_sampler_makes_no_scalar_winding_call(self, two_hole,
                                                   monkeypatch):
         callers = []
@@ -434,12 +360,111 @@ class TestProbeSampler:
             return winding_number(path, point)
 
         monkeypatch.setattr(geom, "winding_number", spy)
-        probes = ext._domain_probes(two_hole, 100, np.random.default_rng(5))
-        assert len(probes) == 100
+        near, inner = ext._probes(two_hole)
+        assert len(near) == 32 and len(inner) == 18
         assert callers == []
         ext.cross_verify(expr.parse("1/(z-9) + z"), two_hole)
         # the only one-point calls left check each Laurent tail's center
         assert set(callers) == {"_check_tail"}
+
+
+def _u_hole(center, half, slot):
+    """A U-shaped hole open upward, reaching half from its center on every
+    side, its slot slot wide and reaching down to center."""
+    wall = half - 0.5 * slot
+    return geom.polygon([center + complex(x, y) for x, y in (
+        (-half, -half), (half, -half), (half, half), (half - wall, half),
+        (half - wall, 0.0), (wall - half, 0.0), (wall - half, half),
+        (-half, half))])
+
+
+@st.composite
+def _probe_domains(draw):
+    """1-3 holes, each filling a unit cell but for a relative width: a
+    circle, a thin slab or (once) a U-shaped polygon; a lone circle sits in
+    a circle, a ring. The pole of f lies outside the domain."""
+    width = 10.0 ** draw(st.floats(-5.0, math.log10(0.5)))
+    shapes = draw(st.lists(st.sampled_from(["circle", "slab"]), min_size=1,
+                           max_size=3))
+    concave = draw(st.integers(-1, len(shapes) - 1))
+    if concave >= 0:
+        shapes[concave] = "U"
+    half = 0.5 * (1.0 - width)
+    holes = tuple(geom.circle(c, half) if shape == "circle"
+                  else _u_hole(c, half, 0.6 * half) if shape == "U"
+                  else geom.rectangle(c - half, c + half, -0.1 * half,
+                                      0.1 * half)
+                  for c, shape in zip(np.arange(len(shapes)) + 0.5, shapes))
+    outer = geom.circle(0.5 + 0j, 0.5) if shapes == ["circle"] \
+        else geom.rectangle(0.0, len(shapes), -0.5, 0.5)
+    return outer, holes, f"1/(z-({len(shapes) / 2}+2i))^2 + z^3"
+
+
+def _assert_probes_placed(domain):
+    """Probes on both sides of every basis curve, and in every hole. (A
+    dilation whose offsets cross in a narrow slot winds twice around part
+    of it.)"""
+    near, inner = ext._probes(domain)
+    assert np.all(geom.classify(domain, near).inside)
+    for curve in geom.homology_basis(domain):
+        assert {0, 1} <= set(geom._winding_many(curve, near)[0].tolist())
+    where = geom.classify(domain, inner)
+    assert not where.on_boundary.any()
+    assert set(where.hole.tolist()) == set(range(len(domain.holes)))
+
+
+class TestProbePlacement:
+    @pytest.mark.parametrize("inner", [0.99, 0.999, 0.99999])
+    def test_thin_rings_are_verified(self, inner):
+        domain = geom.DomainSpec(geom.circle(0j, 1.0),
+                                 (geom.circle(0j, inner),))
+        _assert_probes_placed(domain)
+        rep = ext.cross_verify(expr.parse("1/(z-3) + z^2"), domain)
+        assert rep.consistent and rep.extension is not None
+
+    @pytest.mark.parametrize("slot, fallback", [(0.3, False), (0.12, True)])
+    def test_a_refused_dilation_moves_the_basis_curve(self, slot, fallback):
+        # a U beside a circle has no separating circles, and a slot
+        # narrower than 1.4 gaps refuses the 0.7 dilation: its probes are
+        # the basis curve's points moved 0.2 gaps outward
+        domain = geom.DomainSpec(geom.circle(0j, 2.0), (
+            _u_hole(-0.5 + 0j, 0.5, slot), geom.circle(0.5 + 0j, 0.3)))
+        assert not geom._hole_rule(domain, 0)
+        if fallback:
+            with pytest.raises(GeometryError, match="dilation by 0.7"):
+                geom._contour(domain, 0, 0.7)
+        else:
+            geom._contour(domain, 0, 0.7)
+        _assert_probes_placed(domain)
+        rep = ext.cross_verify(expr.parse("1/(z-5) + z^2"), domain)
+        assert rep.consistent and rep.extension is not None
+
+    def test_the_whole_plane_has_no_probes(self):
+        with pytest.raises(GeometryError, match="whole plane"):
+            ext._probes(geom.DomainSpec(None))
+
+    def test_a_domain_without_holes_probes_its_inside(self):
+        domain = geom.DomainSpec(geom.circle(1j, 2.0))
+        near, inner = ext._probes(domain)
+        assert len(near) == 8 and len(inner) == 0
+        assert np.all(geom.classify(domain, near).inside)
+        rep = ext.cross_verify(expr.parse("exp(z)"), domain)
+        assert rep.consistent
+        assert list(rep.extension.points) == list(near)
+
+    @given(case=_probe_domains())
+    def test_probes_are_placed_and_verify(self, case):
+        outer, holes, text = case
+        try:
+            domain = geom.DomainSpec(outer, holes)
+            for j in range(len(holes)):
+                geom.basis_curve_variants(domain, j)
+        except GeometryError:
+            assume(False)
+        _assert_probes_placed(domain)
+        rep = ext.cross_verify(expr.parse(text), domain)
+        assert rep.verdict.all_orders
+        assert rep.consistent, rep.findings
 
 
 # the pole a / (z - p)^2 of the kernel tests, inside both basis curves
@@ -475,8 +500,7 @@ class TestSubtractedKernel:
         # poles in the holes only
         domain = request.getfixturevalue(name)
         fn = mom.as_function(expr.parse(text))
-        points = np.array(ext._domain_probes(
-            domain, 100, np.random.default_rng(ext._PROBE_SEED)))
+        points = ext._probes(domain)[0]
         f_at = quad._eval_batch(fn, points)
         sides = set()
         for curve in geom.homology_basis(domain):
