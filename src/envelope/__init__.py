@@ -16,10 +16,10 @@ from .boundary import (SampledCurve, analytic_ibp_residual, boundary_moment,
                        ibp_residual, nontangential_check, odd_warp,
                        primitive_tower, sample_path, unit_circle_samples)
 from .errors import (CurveDataError, EnvelopeError,
-                     ExtensionPreconditionError, GeometryError, ParseError,
-                     PoleFindingError, PoleInDomainError, PointOnPathError,
-                     PoleProximityError, QuadratureBudgetError,
-                     WindingResidualError)
+                     ExtensionPreconditionError, GeometryError,
+                     NonFiniteIntegrandError, ParseError, PoleFindingError,
+                     PoleInDomainError, PointOnPathError, PoleProximityError,
+                     QuadratureBudgetError, WindingResidualError)
 from .expr import Expr, PoleRecord, evaluate, format_expr, parse, pole_set
 from .extension import (CrossVerifyReport, Decomposition, LaurentComponent,
                         cross_verify, decompose, evaluate_extension,
@@ -39,7 +39,8 @@ __all__ = [
     "Arc", "CrossVerifyReport", "CurveDataError", "Decomposition",
     "DomainSpec", "EnvelopeError", "Expr", "ExtensionPreconditionError",
     "GeometryError", "GridDomain", "LaurentComponent", "Line",
-    "MomentVector", "ParseError", "Path", "PoleFindingError",
+    "MomentVector", "NonFiniteIntegrandError", "ParseError", "Path",
+    "PoleFindingError",
     "PoleInDomainError", "PointOnPathError", "PoleProximityError", "PoleRecord",
     "PrimitiveOrderVerdict", "QuadratureBudgetError", "QuadratureResult",
     "SampledCurve", "WindingResidualError", "ZeroTolerance",

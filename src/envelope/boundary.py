@@ -463,6 +463,149 @@ def _pair_ratios(pts: np.ndarray, s: np.ndarray, total: float, floor: float,
     return np.minimum(ds, total - ds) / chord, chord
 
 
+@dataclass(frozen=True, eq=False)
+class _ChordArcPrefixes:
+    """The O(M) arrays that bound the pairs of chord-arc tiles. Edge n runs
+    from node n to node n + 1 mod M. The running sums are indexed by node
+    or edge up to 2M, so the (i + k)-ranges of the tiles never wrap."""
+    pts: np.ndarray        # nodes 0 .. M-1
+    s: np.ndarray          # arclength from node 0 to node n < M
+    s2: np.ndarray         # arclength from node 0 to node n < 2M
+    gaps: np.ndarray       # length of edge n < M, as s counts it
+    angles: np.ndarray     # direction of edge n < M; 0 for a length of 0
+    turning: np.ndarray    # absolute turning from edge 0 to edge n < 2M
+    variation: np.ndarray  # sum of |gaps[e + 1] - gaps[e]| over e < n < 2M
+    total: float
+    floor: float           # a shorter chord is refused
+    slack: float           # rounding of arclength, and the closure gap
+    gap_min: float         # at most the shortest edge
+    turn_slack: float      # rounding of a difference of turning
+    vary_slack: float      # rounding of a difference of variation
+
+
+def _cyclic_sums(x: np.ndarray) -> np.ndarray:
+    """Sum of x[e mod M] over e < n, for n = 0 .. 2M-1."""
+    return np.cumsum(np.concatenate(([0.0], x, x[:-1])))
+
+
+def _chord_arc_prefixes(curve: SampledCurve) -> _ChordArcPrefixes:
+    pts = curve.points[:-1]
+    m = len(pts)
+    edges = curve.chords()
+    gaps = np.abs(edges)
+    s = np.concatenate(([0.0], np.cumsum(gaps[:-1])))
+    total = float(np.sum(gaps))
+    # s runs along the samples, whose last edge ends at the closure node, up
+    # to _CLOSURE_RTOL away from node 0; the chords close the polygon
+    closure = abs(complex(curve.points[-1] - curve.points[0]))
+    edges[-1] = pts[0] - pts[-1]
+    angles = np.angle(edges)
+    # the turn from edge n to edge n + 1, at most pi, and the change of
+    # length; an edge of length 0 takes the direction 0, and the turns on
+    # both sides of it cover the turn between its neighbours
+    turn = np.abs(np.concatenate((angles[1:], angles[:1])) - angles)
+    turning = _cyclic_sums(np.minimum(turn, 2.0 * math.pi - turn))
+    variation = _cyclic_sums(
+        np.abs(np.concatenate((gaps[1:], gaps[:1])) - gaps))
+    return _ChordArcPrefixes(
+        pts, s, np.concatenate((s, s + total)), gaps, angles, turning,
+        variation, total, 1e-12 * (float(np.abs(pts).max()) or 1.0),
+        _CHORD_ARC_MARGIN * total + 2.0 * closure,
+        float(gaps.min()) - closure,
+        64.0 * _EPS * m * (1.0 + float(turning[-1])),
+        16.0 * _EPS * m * (float(gaps.max()) + float(variation[-1])))
+
+
+def _tile_bounds(pre: _ChordArcPrefixes, tiles: np.ndarray,
+                 chord: np.ndarray, worst: float | None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bounds over the pairs (i, i + k), i0 <= i <= i1 and k0 <= k <= k1, of
+    each tile (i0, i1, k0, k1) whose centre pair has the chord `chord`:
+    every chord is at least chord_lo, every shorter arc at most
+    arc_hi + pre.slack, and every ratio at most ratio_hi (inf where the
+    turning bound does not apply). See chord_arc_constant for the argument
+    of each bound.
+
+    The cheap chord and arc bounds are computed for every tile, the
+    turning bound for the tiles larger than a leaf that they keep against
+    worst, and the directional chord and coupled arc bounds for the tiles
+    that the turning bound keeps too. worst = None computes every bound
+    for every tile."""
+    i0, i1, k0, k1 = tiles
+    ic, kc = (i0 + i1) // 2, (k0 + k1) // 2
+    j0, jc, j1 = i0 + k0, ic + kc, i1 + k1
+    s2, total, floor, slack = pre.s2, pre.total, pre.floor, pre.slack
+    at_i0, at_ic, at_i1 = s2[i0], s2[ic], s2[i1]
+    at_j0, at_jc, at_j1 = s2[j0], s2[jc], s2[j1]
+    reach_i = np.maximum(at_ic - at_i0, at_i1 - at_ic)
+    reach_j = np.maximum(at_jc - at_j0, at_j1 - at_jc)
+    chord_lo = chord * (1.0 - _CHORD_ARC_MARGIN) - reach_i - reach_j - slack
+    arc_hi = np.minimum(at_j1 - at_i0,
+                        total - np.maximum(at_j0 - at_i1, 0.0))
+    ratio_hi = np.full(len(chord), np.inf)
+    if worst is None:
+        live = np.arange(len(chord))
+    else:
+        # the other bounds cost a fixed price per call, which leaves,
+        # evaluated pair by pair for less, do not repay
+        live = np.flatnonzero(((chord_lo <= 2.0 * floor)
+                               | (arc_hi + slack > worst * chord_lo))
+                              & ((i1 - i0 >= _LEAF_EDGE)
+                                 | (k1 - k0 >= _LEAF_EDGE)))
+        if not live.size:
+            return chord_lo, arc_hi, ratio_hi
+
+    # turning bound: the edges i0 .. i1 + k1 - 1 of every forward arc
+    turning, turn_slack = pre.turning, pre.turn_slack
+    i0, i1, k0, k1 = tiles.take(live, axis=1)
+    bend = turning[i1 + k1 - 1] - turning[i0] + turn_slack
+    arc_lo = k0 * pre.gap_min
+    chord_min = arc_lo * np.cos(0.5 * bend)
+    sure = (bend < math.pi) & (chord_min > 2.0 * floor)
+    ratio_hi[live] = np.divide(
+        arc_lo + slack, chord_min * (1.0 - _CHORD_ARC_MARGIN),
+        out=np.full(live.size, np.inf), where=sure)
+    if worst is not None:
+        live = live[ratio_hi[live] > worst]
+        if not live.size:
+            return chord_lo, arc_hi, ratio_hi
+
+    # the edges i0 .. ei of the i-range and j0 .. ej of the (i + k)-range,
+    # and their turning; an empty range has reach 0, so its bend does not
+    # matter
+    i0, i1, k0, k1 = tiles.take(live, axis=1)
+    ic = (i0 + i1) // 2
+    j0, jc = i0 + k0, (ic + (k0 + k1) // 2) % len(pre.pts)
+    ei, ej = i1 - 1, i1 + k1 - 1
+    bend_i = turning[ei] - turning[i0] + turn_slack
+    bend_j = turning[ej] - turning[j0] + turn_slack
+    # directional chord bound: each reach weighted by the largest |cos|
+    # between the centre chord and the edge directions of its range, which
+    # lie within its bend of the direction of its centre edge
+    off = np.abs(pre.angles[np.array((ic, jc))]
+                 - np.angle(pre.pts[jc] - pre.pts[ic])) % math.pi
+    off = np.minimum(off, math.pi - off)  # from the chord's line
+    steep = np.cos(np.maximum(off - np.array((bend_i, bend_j)), 0.0))
+    chord_lo[live] = chord[live] * (1.0 - _CHORD_ARC_MARGIN) - slack \
+        - reach_i[live] * steep[0] - reach_j[live] * steep[1]
+    # coupled arc bound: one step of i moves the forward arc by
+    # gaps[i + k] - gaps[i]
+    gaps, variation = pre.gaps, pre.variation
+    drift = np.maximum(ic - i0, i1 - ic) * (
+        np.abs(gaps[jc] - gaps[ic]) + variation[ei] - variation[i0]
+        + variation[ej] - variation[j0] + pre.vary_slack)
+    at_ic = s2[ic]
+    arc_hi[live] = np.minimum(arc_hi[live], np.minimum(
+        s2[ic + k1] - at_ic + drift, total - (s2[ic + k0] - at_ic - drift)))
+    return chord_lo, arc_hi, ratio_hi
+
+
+# rows of (i0, imid, k0, kmid, imid + 1, i1, kmid + 1, k1) that make the
+# i0, i1, k0 and k1 rows of the four children of a tile
+_CHILD_ROWS = np.array([[0, 0, 4, 4], [1, 1, 5, 5], [2, 6, 2, 6],
+                        [3, 7, 3, 7]])
+
+
 def chord_arc_constant(curve: SampledCurve) -> float:
     """max over node pairs of (shorter arc length) / (chord length).
 
@@ -470,59 +613,84 @@ def chord_arc_constant(curve: SampledCurve) -> float:
     k = 1 .. M/2: every unordered pair, never a node with itself. An exact
     branch-and-bound searches them in tiles i in [i0, i1], k in [k0, k1],
     starting from square tiles whose edge is the smallest power-of-two
-    multiple of 4 that makes at most one batch of them:
+    multiple of 4 that makes at most one batch of them. The centre pair
+    (ic, kc) of every tile is evaluated exactly; its ratio is a lower bound
+    on the maximum. r_i and r_j are the largest arclengths from node ic to
+    the tile's i-range and from node ic + kc to its (i + k)-range. Edge n
+    runs from node n to node n + 1. The bounds of _tile_bounds:
 
-    - The centre pair (ic, kc) of every tile is evaluated exactly; its ratio
-      is a lower bound on the maximum.
-    - A chord is 1-Lipschitz in arclength along the polyline, so every pair
-      of the tile has chord >= chord(ic, kc) - r_i - r_j, where r_i and r_j
-      are the largest arclengths from node ic to the tile's i-range and from
-      node ic + kc to its (i + k)-range.
-    - Its forward arc lies between a = max(0, s(i0 + k0) - s(i1)) and
-      b = s(i1 + k1) - s(i0), so its shorter arc is at most
-      min(b, total - a).
-    - A tile whose arc bound over chord bound cannot beat the running
-      maximum is dropped; the others are halved in i and in k. A kept tile
-      of at most 4 x 4 pairs is evaluated pair by pair with the exact
-      formula of _pair_ratios, so the maximum is the same float as over
-      all pairs.
+    - Cheap chord bound: a chord is 1-Lipschitz in arclength along the
+      polyline, so every chord of the tile is at least
+      chord(ic, kc) - r_i - r_j.
+    - Cheap arc bound: every forward arc lies between
+      a = max(0, s(i0 + k0) - s(i1)) and b = s(i1 + k1) - s(i0), so every
+      shorter arc is at most min(b, total - a).
+    - Turning bound: every forward arc runs along edges i0 .. i1 + k1 - 1.
+      If T, their absolute turning, is below pi, their directions lie
+      within T/2 of one direction, so chord >= cos(T/2) arc and every ratio
+      is at most sec(T/2). T comes from a running sum of the turns between
+      consecutive edges.
+    - Directional chord bound: moving node i along an edge of direction t
+      changes the component of z_j - z_i along the centre chord at rate
+      |cos| of the angle between t and the chord. The edge directions of a
+      range lie within its turning of the direction of its centre edge, so
+      each reach is weighted by the largest such |cos| over them.
+    - Coupled arc bound: one step of i moves the forward arc of (i, i + k)
+      by gaps[i + k] - gaps[i], which differs from the centre's
+      gaps[ic + kc] - gaps[ic] by at most the variation of edge length
+      over the two ranges, read from a running sum of
+      |gaps[e + 1] - gaps[e]|. So every forward arc is within that many
+      steps times that much of s(ic + k) - s(ic), k in [k0, k1].
 
-    Floating point: both bounds are loosened by the relative margin 1e-9,
-    the arc bound by 1e-9 total and the chord bound by 1e-9 of the centre
-    chord and 1e-9 total. The arc bound and the exact formula read the same
-    running sums s, so they differ by a few rounding errors of total. The
-    chord bound compares computed arclengths with the polyline's: s is a
-    running sum, off by at most about M eps total, and each chord is within
-    a few eps of itself relatively. So the margin covers the rounding for
-    M up to about 10^6 nodes, and no pair that would raise the maximum is
-    dropped.
+    A tile is dropped when its arc bound over its chord bound, or its
+    turning bound, cannot beat the running maximum; the others are halved
+    in i and in k. A kept tile of at most 4 x 4 pairs is evaluated pair by
+    pair with the exact formula of _pair_ratios, so the maximum is the same
+    float as over all pairs. The cheap bounds are computed for every tile.
+    Each further bound costs a fixed price in numpy calls, which leaves,
+    evaluated pair by pair for less, do not repay: the turning bound is
+    computed for the tiles larger than a leaf that the cheap bounds keep,
+    and the directional and coupled bounds for those that it keeps too.
+
+    Floating point: every bound is loosened. The chord bounds lose 1e-9 of
+    the centre chord and the slack 1e-9 total plus twice the closure gap,
+    and the arc bounds gain the slack. The arc bounds and the exact
+    formula read the same running sums s, so they differ by a few rounding
+    errors of total. The chord bounds compare computed arclengths with the
+    polyline's: s is a running sum, off by at most about M eps total, each
+    chord is within a few eps of itself relatively, and s runs to the
+    closure node, which may miss node 0 by the closure gap. The turning is
+    raised by 64 eps M (1 + the total turning): each turn is within a few
+    eps, and its running sum within M eps of the total. The variation is
+    raised by 16 eps M (the longest edge plus the total variation) for the
+    same reasons, and the turning bound divides by 1 - 1e-9 and adds the
+    slack over the shortest forward arc, k0 times the shortest edge. So the
+    margins cover the rounding for M up to about 10^6 nodes, and no pair
+    that would raise the maximum is dropped.
 
     Coincident nodes: a tile whose chord bound is at most twice the floor
-    1e-12 max|z| is never dropped, so every pair with a chord below the
-    floor reaches _pair_ratios and is refused, adjacent duplicates
-    (k = 1) included.
+    1e-12 max|z| is never dropped by the chord bounds. The turning bound
+    drops a tile only when every chord in it provably clears the floor,
+    k0 min(gaps) cos(T/2) > 2 floor: an edge of length 0 has the direction
+    0, so where the tangent is +x a duplicated node adds no turning. So
+    every pair with a chord below the floor reaches _pair_ratios and is
+    refused, adjacent duplicates (k = 1) included.
 
     Memory: tiles come off a depth-first work stack in batches of
     max(M/4, 1024), and the kept leaves of a batch, at most 16 pairs each,
-    are evaluated at once, so memory stays O(M): about 1.2 MB at
+    are evaluated at once, so memory stays O(M): about 1.5 MB at
     M = 4096. Time: the most tiles survive where the ratio nearly ties
-    along a wide band of pairs, as on a uniform circle along its diameters:
-    there 2.5% of the M^2/2 pairs are evaluated at M = 4096. The worst
-    case is still O(M^2).
+    along a wide band of pairs, as on a uniform circle along its
+    diameters: there 0.45% of the M^2/2 pairs are evaluated at M = 4096.
+    The worst case is still O(M^2).
     """
     if curve.intervals < MIN_CHORD_ARC_NODES:
         raise CurveDataError(f"chord-arc estimate needs at least "
                              f"{MIN_CHORD_ARC_NODES} intervals")
-    pts = curve.points[:-1]
-    gaps = np.abs(curve.chords())
-    s = np.concatenate(([0.0], np.cumsum(gaps[:-1])))
-    total = float(np.sum(gaps))
-    floor = 1e-12 * (float(np.max(np.abs(pts))) or 1.0)
+    pre = _chord_arc_prefixes(curve)
+    pts, s, total, floor, slack = pre.pts, pre.s, pre.total, pre.floor, \
+        pre.slack
     m = len(pts)
-    # arclength from node 0 to node n, for n < 2M: the (i + k)-ranges of
-    # the tiles run past node M - 1 without wrapping
-    s2 = np.concatenate((s, s + total))
-    slack = _CHORD_ARC_MARGIN * total
     batch = max(m // 4, 1024)
     # the top tiles: at most one batch of squares with an edge of 4 * 2^p
     edge = _LEAF_EDGE
@@ -541,37 +709,30 @@ def chord_arc_constant(curve: SampledCurve) -> float:
             tiles = tiles[:, -batch:]
         i0, i1, k0, k1 = tiles
         ic, kc = (i0 + i1) // 2, (k0 + k1) // 2
-        jc = ic + kc
-        ratio, chord = _pair_ratios(pts, s, total, floor, ic, jc % m)
-        worst = max(worst, float(np.max(ratio)))
-        spread = (np.maximum(s2[ic] - s2[i0], s2[i1] - s2[ic])
-                  + np.maximum(s2[jc] - s2[i0 + k0], s2[i1 + k1] - s2[jc]))
-        chord_lo = chord * (1.0 - _CHORD_ARC_MARGIN) - spread - slack
-        arc_hi = np.minimum(s2[i1 + k1] - s2[i0],
-                            total - np.maximum(s2[i0 + k0] - s2[i1], 0.0))
-        keep = (chord_lo <= 2.0 * floor) | (arc_hi + slack > worst * chord_lo)
+        ratio, chord = _pair_ratios(pts, s, total, floor, ic, (ic + kc) % m)
+        worst = max(worst, float(ratio.max()))
+        chord_lo, arc_hi, ratio_hi = _tile_bounds(pre, tiles, chord, worst)
+        keep = ((chord_lo <= 2.0 * floor)
+                | (arc_hi + slack > worst * chord_lo)) & (ratio_hi > worst)
         split_i, split_k = i1 - i0 >= _LEAF_EDGE, k1 - k0 >= _LEAF_EDGE
         leaf = keep & ~split_i & ~split_k
         if leaf.any():
-            i = i0[leaf, None] + _LEAF_I
-            k = k0[leaf, None] + _LEAF_K
-            inside = (i <= i1[leaf, None]) & (k <= k1[leaf, None])
+            l0, l1, lk0, lk1 = tiles.compress(leaf, axis=1)[:, :, None]
+            i, k = l0 + _LEAF_I, lk0 + _LEAF_K
+            inside = (i <= l1) & (k <= lk1)
             i = i[inside]
             ratio, _ = _pair_ratios(pts, s, total, floor, i,
                                     (i + k[inside]) % m)
-            worst = max(worst, float(np.max(ratio)))
+            worst = max(worst, float(ratio.max()))
         grow = keep & ~leaf
         if grow.any():
-            i0, i1, k0, k1 = tiles[:, grow]
-            imid = np.where(split_i[grow], ic[grow], i1)
-            kmid = np.where(split_k[grow], kc[grow], k1)
-            children = np.concatenate(
-                (np.stack((i0, imid, k0, kmid)),
-                 np.stack((i0, imid, kmid + 1, k1)),
-                 np.stack((imid + 1, i1, k0, kmid)),
-                 np.stack((imid + 1, i1, kmid + 1, k1))), axis=1)
-            stack.append(children[:, (children[0] <= children[1])
-                                  & (children[2] <= children[3])])
+            imid = np.where(split_i, ic, i1)
+            kmid = np.where(split_k, kc, k1)
+            children = np.array((i0, imid, k0, kmid, imid + 1, i1, kmid + 1,
+                                 k1)).compress(grow, axis=1)[_CHILD_ROWS]
+            i0, i1, k0, k1 = children
+            stack.append(children.reshape(4, -1).compress(
+                ((i0 <= i1) & (k0 <= k1)).ravel(), axis=1))
     return worst
 
 

@@ -41,6 +41,11 @@ class QuadratureBudgetError(EnvelopeError):
     effectively non-integrable at the requested tolerance."""
 
 
+class NonFiniteIntegrandError(EnvelopeError):
+    """An integrand is infinite or NaN on the first panels of a path, or its
+    values there overflow the float range, so no refinement can converge."""
+
+
 class ExtensionPreconditionError(EnvelopeError):
     """Extension evaluation refused: some basis moment is nonzero, so no
     holomorphic extension to the envelope exists."""

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnvelopeError, QuadratureBudgetError
+from .errors import (EnvelopeError, NonFiniteIntegrandError,
+                     QuadratureBudgetError)
 from .geometry import Path
 
 GAUSS_ORDER = 16
@@ -172,6 +173,17 @@ def _refine_step(halves, mass, coarse, node_tol, prev_est):
     return passed.all(axis=0), fine, est
 
 
+def _worst_node(values_at, path: Path, seg: int, a: float, b: float
+                ) -> complex:
+    """The Gauss node of the panel [a, b] of segment seg where the
+    integrand is largest, a non-finite value counting as infinite."""
+    ts = 0.5 * (a + b) + 0.5 * (b - a) * _NODES
+    z = path.arrays.nodes(np.array([seg]), ts[None, :])[0].ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = np.abs(values_at(z)).reshape(-1, z.size).max(axis=0)
+    return complex(z[np.argmax(np.where(np.isnan(size), np.inf, size))])
+
+
 def _integrate(values_at, path: Path, tol: float, max_panels: int
                ) -> tuple[QuadratureResult, list]:
     """The adaptive engine. values_at(z) returns the integrand at the Gauss
@@ -198,7 +210,17 @@ def _integrate(values_at, path: Path, tol: float, max_panels: int
     a[count + 1::2] = 0.5
     b = np.ones(3 * count)
     b[count::2] = 0.5
-    sums, mass = panels(np.concatenate((seg, np.repeat(seg, 2))), a, b)
+    seg_all = np.concatenate((seg, np.repeat(seg, 2)))
+    # the root level is tested once: an integrand that is not finite there
+    # is refused by name and point, where refining it would only exhaust
+    # the panel budget; its values raise no numpy warning on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums, mass = panels(seg_all, a, b)
+    if not np.isfinite(mass.sum()):
+        n = int(np.argmax(~np.isfinite(mass).all(axis=0)))
+        raise NonFiniteIntegrandError(
+            "integrand is not finite, or overflows the float range, at "
+            f"z = {_worst_node(values_at, path, seg_all[n], a[n], b[n]):.6g}")
     a, b = a[:count], b[:count]
     mid = np.full(count, 0.5)
     coarse, halves, mass = sums[:, :count], sums[:, count:], mass[:, count:]
@@ -250,7 +272,9 @@ def integrate(fn, path: Path, tol: float = DEFAULT_TOL,
     actually achieved.
 
     Raises QuadratureBudgetError after `max_panels` panels, which signals a
-    non-integrable singularity on or too near the path.
+    non-integrable singularity on or too near the path, and
+    NonFiniteIntegrandError, naming a point, when fn is infinite or NaN on
+    the first panels of a segment.
     """
     return _integrate(lambda z: _eval_batch(fn, z), path, tol, max_panels)[0]
 

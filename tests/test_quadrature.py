@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from envelope import geometry as geom
 from envelope import moments as mom
 from envelope import quadrature as quad
-from envelope.errors import QuadratureBudgetError
+from envelope.errors import NonFiniteIntegrandError, QuadratureBudgetError
 
 
 def reference_integrate(fn, path, tol=quad.DEFAULT_TOL,
@@ -145,6 +145,22 @@ class TestIntegrate:
         with pytest.raises(QuadratureBudgetError):
             quad.integrate(lambda z: 1 / (z - (1 + 1e-13)), c,
                            tol=1e-13, max_panels=64)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e308])
+    def test_non_finite_integrand_is_refused_at_the_root(self, bad):
+        # one integrand call for the root panels and one to name the point;
+        # 1e308 times the circle's dz overflows the panel sums
+        calls = []
+
+        def f(z):
+            calls.append(z.size)
+            return np.where(np.abs(z - 1.0) < 0.3, bad, z)
+
+        with pytest.raises(NonFiniteIntegrandError) as info:
+            quad.integrate(f, geom.circle(0j, 1.0))
+        point = complex(str(info.value).rsplit("z = ", 1)[1])
+        assert abs(point - 1.0) < 0.3
+        assert len(calls) == 2
 
     def test_steep_but_integrable_peak(self):
         c = geom.circle(0j, 1.0)
