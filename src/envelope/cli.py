@@ -554,20 +554,17 @@ def run_scenario(config: ScenarioConfig) -> Report:
 # ---------------------------------------------------------------------------
 # entry point
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--scenario", required=True,
-                        help="path to the scenario JSON file")
-
-
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="envelope",
         description="cross-checked verification of one-valued primitives, "
                     "holomorphic extension and boundary measures")
     sub = parser.add_subparsers(dest="command", required=True)
-
     run_p = sub.add_parser("run", help="run the checks in a scenario file")
-    _add_common(run_p)
+    val_p = sub.add_parser("validate", help="check a scenario file")
+    for command in (run_p, val_p):
+        command.add_argument("--scenario", required=True,
+                             help="path to the scenario JSON file")
     run_p.add_argument("--tol-abs", type=float, default=None,
                        help="absolute zero-test tolerance")
     run_p.add_argument("--tol-rel", type=float, default=None,
@@ -577,11 +574,15 @@ def main(argv=None) -> int:
     run_p.add_argument("--format", choices=("json", "text"), default=None)
     run_p.add_argument("--out", default=None,
                        help="write the report here instead of stdout")
+    return parser
 
-    val_p = sub.add_parser("validate", help="check a scenario file")
-    _add_common(val_p)
 
-    args = parser.parse_args(argv)
+# built once: main parses with it on every call
+_PARSER = _parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     scenario_path = FsPath(args.scenario)
     try:
         with open(scenario_path, encoding="utf-8") as handle:

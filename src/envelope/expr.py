@@ -325,9 +325,12 @@ def evaluate(node: Expr, z):
 
     Raises PoleProximityError whenever a divisor magnitude (or the base of a
     negative power) falls below DEFAULT_POLE_EXCLUSION; for a linear
-    denominator z - a that is exactly the distance to the pole.
+    denominator z - a that is exactly the distance to the pole. A value
+    past the float range is inf or nan, with no numpy warning; the callers
+    test values for finiteness.
     """
-    out = _eval(node, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _eval(node, z)
     if isinstance(z, np.ndarray):
         return np.broadcast_to(np.asarray(out, dtype=complex), z.shape).copy() \
             if np.ndim(out) == 0 else out

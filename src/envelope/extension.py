@@ -13,6 +13,7 @@ reported as a finding rather than hidden.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -135,19 +136,20 @@ def _contour_points(domain: DomainSpec, j: int, frac: float) -> np.ndarray:
         return z - 1j * (frac - 0.5) * domain.gaps[j] * v / np.abs(v)
 
 
+@functools.lru_cache(maxsize=128)
 def _probes(domain: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(domain probes, hole probes), placed by rule and kept by one classify
-    pass. Hole j's domain probes lie on its contours inside (0.35 circle or
-    0.3 dilation) and outside (0.7) its basis curve, and are kept in the
-    domain where no basis curve is nearer than hole j's, so each keeps a
-    fraction of its hole's gap from every curve; with no holes they are the
-    midpoints from an interior point of the outer boundary toward it. Hole
-    probes are the witnesses and the midpoints from each toward its hole's
-    boundary, kept strictly inside that hole."""
+    """(domain probes, hole probes), read-only, placed once per domain by
+    rule and kept by one classify pass. Hole j's domain probes lie on its
+    contours inside (0.35 circle or 0.3 dilation) and outside (0.7) its
+    basis curve, and are kept in the domain where no basis curve is nearer
+    than hole j's, so each keeps a fraction of its hole's gap from every
+    curve; with no holes they are the midpoints from an interior point of
+    the outer boundary toward it. Hole probes are the witnesses and the
+    midpoints from each toward its hole's boundary, kept strictly inside
+    that hole."""
     n, holes = _PROBES_PER_CURVE, domain.holes
     if holes:
-        inside = [0.35 if _geom._hole_rule(domain, j) else 0.3
-                  for j in range(len(holes))]
+        inside = [0.35 if rule else 0.3 for rule in _geom._hole_rules(domain)]
         near = np.array([np.append(_contour_points(domain, j, frac),
                                    _contour_points(domain, j, 0.7))
                          for j, frac in enumerate(inside)])
@@ -162,13 +164,18 @@ def _probes(domain: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
         [h.sample(n) for h in holes], (-1, n)))))
     where = _geom.classify(domain, np.append(near, inner))
     keep = where.inside[:near.size].reshape(near.shape)
-    if holes:  # dist[k, j, i]: from point i of hole j to basis curve k
-        dist = np.array([c.distance(near)
-                         for c in _geom.homology_basis(domain)])
-        keep &= np.diagonal(dist).T <= dist.min(axis=0)
+    if holes:  # dist[j, i, k]: from point i of hole j to basis curve k
+        basis = _geom.Chords.join([c.arrays.chords
+                                   for c in _geom.homology_basis(domain)])
+        dist = basis.distances(near.ravel()).reshape(near.shape + (-1,))
+        own = np.arange(len(holes))
+        keep &= dist[own, :, own] <= dist.min(axis=2)
     mine = ~where.on_boundary[near.size:] \
         & (where.hole[near.size:] == np.repeat(range(len(holes)), n + 1))
-    return near[keep], inner.ravel()[mine]
+    probes = near[keep], inner.ravel()[mine]
+    for array in probes:
+        array.flags.writeable = False
+    return probes
 
 
 def decompose(f, domain: DomainSpec, terms: int | None = None,
@@ -259,7 +266,7 @@ def evaluate_extension(f, domain: DomainSpec, w,
         members = np.flatnonzero(where.hole == j)
         contour = _geom.basis_curve_variants(domain, j)[which_contour]
         ws = pts[members]
-        for near in ws[contour.distance(ws) <= contour.arrays.chords.band]:
+        for near in ws[contour.distance(ws) <= contour.band]:
             raise GeometryError(f"{near:.6g} is too close to the contour")
         # (1/2 pi i) ∮ f(z) / (z - w) dz for every w, one stacked integral
         stack = _quad.integrate(lambda z: fn(z) / (z - ws[:, None]), contour,

@@ -8,15 +8,18 @@ of at most pi/2), evaluated for arrays of points at once. The argument
 increment of an arc piece is its chord angle, plus a full turn in the
 piece's direction when the point is inside its circle and the chord angle
 turns the other way, so winding numbers are exact for every point off the
-path. classify places points against a domain with one kernel pass per
-boundary component. The simply connected hull of a rasterized domain is
-the complement of the grid component of infinity.
+path. The chords of a domain's boundary components form one kernel with a
+column per component, so classify, the domain's set-up checks and gaps,
+and DomainSpec.contains_path each take one kernel pass. The simply
+connected hull of a rasterized domain is the complement of the grid
+component of infinity.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -99,7 +102,7 @@ class Arc:
         if not self.radius > 0.0:
             raise GeometryError("arc radius must be positive")
 
-    @property
+    @functools.cached_property
     def extent(self) -> float:
         """Unsigned angular extent in (0, 2*pi]; equal angles mean a full
         circle."""
@@ -117,11 +120,11 @@ class Arc:
         return self.t0 + np.asarray(t) * self.sweep \
             if isinstance(t, np.ndarray) else self.t0 + t * self.sweep
 
-    @property
+    @functools.cached_property
     def start(self) -> complex:
         return self.center + self.radius * cmath.exp(1j * self.t0)
 
-    @property
+    @functools.cached_property
     def end(self) -> complex:
         return self.center + self.radius * cmath.exp(1j * (self.t0 + self.sweep))
 
@@ -228,20 +231,25 @@ class Path:
         """The segment parameters as arrays, built on first use."""
         return SegmentArrays(self.segments)
 
+    @property
+    def band(self) -> float:
+        """Points this close to the path lie on it (Chords.band)."""
+        return float(self.arrays.chords.band[0])
+
     def reversed(self) -> "Path":
         return Path(tuple(s.reversed() for s in reversed(self.segments)),
                     self.closed)
 
     def bbox(self) -> tuple[float, float, float, float]:
-        boxes = [s.bbox() for s in self.segments]
-        return (min(b[0] for b in boxes), max(b[1] for b in boxes),
-                min(b[2] for b in boxes), max(b[3] for b in boxes))
+        x0, x1, y0, y1 = self.arrays.table[7:].real
+        return (float(x0.min()), float(x1.max()), float(y0.min()),
+                float(y1.max()))
 
     def distance(self, p):
         """Distance from a point, or from each point of an array, to the
         path."""
         pts = np.asarray(p, dtype=complex)
-        d = self.arrays.chords.distances(pts.reshape(-1))
+        d = self.arrays.chords.distances(pts.reshape(-1))[:, 0]
         return float(d[0]) if pts.ndim == 0 else d.reshape(pts.shape)
 
     def max_distance(self, p: complex) -> float:
@@ -257,7 +265,7 @@ class Path:
         """(segment index, local parameter) of each arclength fraction in
         [0, 1]; a fraction on a junction belongs to the earlier segment."""
         fr = np.asarray(fractions, dtype=float)
-        if not np.all((fr >= 0.0) & (fr <= 1.0)):
+        if not ((fr >= 0.0) & (fr <= 1.0)).all():
             raise ValueError("arclength fraction must lie in [0, 1]")
         arrays = self.arrays
         target = fr * self.length
@@ -267,8 +275,9 @@ class Path:
         return index, np.clip(u, 0.0, 1.0)
 
     def sample(self, n: int) -> np.ndarray:
-        """n points equally spaced in arclength, from the start."""
-        return self.points_at(np.linspace(0.0, 1.0, n, endpoint=False))
+        """n points equally spaced in arclength, from the start: the
+        fractions of np.linspace(0, 1, n, endpoint=False)."""
+        return self.points_at(np.arange(n) * (1.0 / n))
 
 
 class SegmentArrays:
@@ -281,15 +290,22 @@ class SegmentArrays:
         arc = [isinstance(s, Arc) for s in segments]
         self.has_arcs = any(arc)
         self.has_lines = not all(arc)
-        # one row per segment; the arc velocity factor is the scalar
-        # expression of Arc.velocity, so both round alike
-        rows = [(s.center, 0j, 1j * s.sweep * s.radius, s.radius, s.t0,
-                 s.sweep, s.length) if a
-                else (s.a, s.b - s.a, 0j, 0.0, 0.0, 0.0, s.length)
-                for s, a in zip(segments, arc)]
-        cols = np.array(rows, dtype=complex).T
-        self.origin, self.direction, self.arc_velocity = cols[:3]
-        self.radius, self.t0, self.sweep, self.lengths = cols[3:].real
+        # one column per segment; the arc velocity factor is the scalar
+        # expression of Arc.velocity, so both round alike. table's rows are
+        # what the gap rule reads: whether it is an arc, origin, direction,
+        # a line's unit direction, radius, radius ** 2, length and bbox x0,
+        # x1, y0, y1, each number as Python rounds it
+        cols = np.array([
+            (1.0, s.center, 0j, 0j, s.radius, s.radius ** 2, s.length,
+             *s.bbox(), 1j * s.sweep * s.radius, s.t0, s.sweep) if a
+            else (0.0, s.a, s.b - s.a, (s.b - s.a) / s.length, 0.0, 0.0,
+                  s.length, *s.bbox(), 0j, 0.0, 0.0)
+            for s, a in zip(segments, arc)], dtype=complex).T
+        self.table = cols[:11]
+        self.origin, self.direction = cols[1:3]
+        self.radius, self.lengths = cols[[4, 6]].real
+        self.arc_velocity = cols[11]
+        self.t0, self.sweep = cols[12:].real
         self.is_arc = np.array(arc)
 
     @functools.cached_property
@@ -371,17 +387,22 @@ def rectangle(x0: float, x1: float, y0: float, y1: float) -> Path:
 # on it; every test of a distance against zero reads the curves' bands.
 _ON_PATH_BAND = 1e-9
 # Point-chord pairs per block of the kernel, so its temporaries stay near
-# 1 MB each whatever the number of points and chords.
+# 1 MB each whatever the number of points and chords; segment pairs per
+# block of gap points, for the same reason.
 _BLOCK_PAIRS = 2 ** 16
+_GAP_PAIRS = 2 ** 12
 _ON_PATH = -(10 ** 9)  # sentinel for points that land on a contour
 
 
 class Chords:
-    """Chords a -> b of a chain of lines and arc pieces, the kernel behind
-    winding numbers and distances of arrays of points. The last
-    len(center) chords are arc pieces of at most pi/2 on the circles
+    """Chords a -> b of one or more chains of lines and arc pieces, the
+    kernel behind winding numbers and distances of arrays of points. The
+    last len(center) chords are arc pieces of at most pi/2 on the circles
     (center, radius), turning counterclockwise where turn is +1 and
-    clockwise where it is -1. Points within band of the chain lie on it."""
+    clockwise where it is -1. Chords(a, b, ...) is one chain, Chords.join
+    several; windings and distances give one column per chain, chain[i]
+    being the chain of chord i. Points within band[k] of chain k lie on
+    it."""
 
     def __init__(self, a, b, center=(), radius=(), turn=()):
         self.a = np.asarray(a, dtype=complex)
@@ -395,10 +416,43 @@ class Chords:
         self.direction = self.b[:n] - self.a[:n]
         lengths = _modulus(self.direction)
         self.norm2 = np.maximum(lengths ** 2, np.finfo(float).tiny)
-        self.start_ray = self.a[n:] - self.center
-        self.end_ray = self.b[n:] - self.center
-        arcs = self.radius * np.abs(np.angle(self.end_ray / self.start_ray))
-        self.band = _ON_PATH_BAND * float(np.sum(lengths) + np.sum(arcs))
+        start_ray, end_ray = self.a[n:] - self.center, self.b[n:] - self.center
+        arcs = self.radius * np.abs(np.angle(end_ray / start_ray))
+        # the rays to each arc piece's ends, turned by its sense: a point
+        # lies in the piece's wedge where both cross products are >= 0
+        self.start_ray, self.end_ray = self.turn * start_ray, \
+            self.turn * end_ray
+        self.band = np.array([_ON_PATH_BAND
+                              * float(np.sum(lengths) + np.sum(arcs))])
+        self.chain = np.zeros(len(self.a), dtype=np.intp)
+        self.order, self.starts = None, np.zeros(1, dtype=np.intp)
+
+    @classmethod
+    def join(cls, parts: Sequence["Chords"]) -> "Chords":
+        """The chains of every part in one kernel, in order: every line,
+        then every arc piece."""
+        joined = cls.__new__(cls)
+        offsets = [0]
+        for c in parts:
+            offsets.append(offsets[-1] + len(c.band))
+        chains = [c.chain + k for c, k in zip(parts, offsets)]
+        for name, arrays in (("a", [c.a for c in parts]),
+                             ("b", [c.b for c in parts]), ("chain", chains)):
+            setattr(joined, name, np.concatenate(
+                [v[:c.lines] for v, c in zip(arrays, parts)]
+                + [v[c.lines:] for v, c in zip(arrays, parts)]))
+        for name in ("center", "radius", "turn", "direction", "norm2",
+                     "start_ray", "end_ray", "band"):
+            setattr(joined, name, np.concatenate([getattr(c, name)
+                                                  for c in parts]))
+        joined.lines = sum(c.lines for c in parts)
+        # chain k is the chords order[starts[k]:starts[k + 1]], or those
+        # chords as they stand where order is None
+        order = np.argsort(joined.chain, kind="stable")
+        joined.order = None if (order[1:] > order[:-1]).all() else order
+        sizes = np.bincount(joined.chain)
+        joined.starts = np.cumsum(sizes) - sizes
+        return joined
 
     def _blocks(self, points: np.ndarray):
         """(slice, points as a column, a - p, b - p) per block of points."""
@@ -407,61 +461,77 @@ class Chords:
             p = points[s:s + step, None]
             yield slice(s, s + step), p, self.a - p, self.b - p
 
-    def distances(self, points: np.ndarray) -> np.ndarray:
-        """Distance from each point to the chain: to the nearest point of a
-        line; to an arc piece radially inside its wedge, else to its nearer
-        end, but never below the radial distance (a lower bound that
-        rounding in the end distances would undercut)."""
-        out = np.empty(len(points))
-        n, direction = self.lines, self.direction
-        for block, p, rel_a, rel_b in self._blocks(points):
-            d = np.empty(rel_a.shape)
-            if n:
-                # Line.distance, with p - a = -(a - p)
-                t = -(rel_a[:, :n].real * direction.real
-                      + rel_a[:, :n].imag * direction.imag) / self.norm2
-                t = np.clip(t, 0.0, 1.0)
-                d[:, :n] = _modulus(self.a[:n] + t * direction - p)
-            if n < len(self.a):
-                v = p - self.center
-                r = _modulus(v)
-                wedge = ((r > 0.0)
-                         & (self.turn * _cross(self.start_ray, v) >= 0.0)
-                         & (self.turn * _cross(v, self.end_ray) >= 0.0))
-                ends = np.minimum(_modulus(rel_a[:, n:]),
-                                  _modulus(rel_b[:, n:]))
-                d[:, n:] = np.maximum(np.abs(r - self.radius),
-                                      np.where(wedge, 0.0, ends))
-            out[block] = d.min(axis=1)
-        return out
+    def _per_chain(self, ufunc, values: np.ndarray) -> np.ndarray:
+        """ufunc reduced over the chords of each chain, a column each."""
+        if self.order is not None:
+            values = values[:, self.order]
+        return ufunc.reduceat(values, self.starts, axis=1)
 
-    def windings(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Winding number of the closed chain around each point, or _ON_PATH
-        for a point within the band or whose total misses an integer; and
-        each point's distance to the chain. The total is the argument
-        increment of the chain around the point: each chord adds its angle
+    def _pass(self, points: np.ndarray, wound: int):
+        """Each point's distance to each chain, and each chain's argument
+        increment in turns around each of the first `wound` points.
+
+        Distance: to the nearest point of a line; to an arc piece radially
+        inside its wedge, else to its nearer end, but never below the
+        radial distance (a lower bound that rounding in the end distances
+        would undercut). Increment: each chord adds its angle
         arg((b - p) / (a - p)) in (-pi, pi]. For p inside its circle an arc
         piece sweeps (0, 2 pi) in its own direction, so a chord angle of the
         other sign gains a full turn: p lies between piece and chord, or on
         the chord, where rounding picks the sign of +-pi."""
-        turns = np.empty(len(points))
-        n = self.lines
+        dist = np.empty((len(points), len(self.starts)))
+        turns = np.empty((wound, len(self.starts)))
+        n, direction = self.lines, self.direction
         with np.errstate(all="ignore"):
             for block, p, rel_a, rel_b in self._blocks(points):
-                angle = np.angle(rel_b / rel_a)
+                w = max(0, min(wound, block.stop) - block.start)
+                d = np.empty(rel_a.shape)
+                if n:
+                    # Line.distance, with p - a = -(a - p)
+                    t = -(rel_a[:, :n].real * direction.real
+                          + rel_a[:, :n].imag * direction.imag) / self.norm2
+                    t = np.minimum(np.maximum(t, 0.0), 1.0)
+                    d[:, :n] = _modulus(self.a[:n] + t * direction - p)
+                if n < len(self.a):
+                    v = p - self.center
+                    r = _modulus(v)
+                    wedge = ((r > 0.0) & (_cross(self.start_ray, v) >= 0.0)
+                             & (_cross(v, self.end_ray) >= 0.0))
+                    ends = np.minimum(_modulus(rel_a[:, n:]),
+                                      _modulus(rel_b[:, n:]))
+                    d[:, n:] = np.maximum(np.abs(r - self.radius),
+                                          np.where(wedge, 0.0, ends))
+                dist[block] = self._per_chain(np.minimum, d)
+                if not w:
+                    continue
+                quotient = rel_b[:w] / rel_a[:w]
+                angle = np.arctan2(quotient.imag, quotient.real)
                 if n < len(self.a):
                     chord_angle = angle[:, n:]
-                    wrapped = ((_modulus(p - self.center) <= self.radius)
-                               & (self.turn * chord_angle < 0.0))
+                    wrapped = (r[:w] <= self.radius) \
+                        & (self.turn * chord_angle < 0.0)
                     angle[:, n:] = np.where(
                         wrapped, chord_angle + self.turn * _TWO_PI,
                         chord_angle)
-                turns[block] = angle.sum(axis=1)
-        turns /= _TWO_PI
-        dist = self.distances(points)
+                turns[block.start:block.start + w] = \
+                    self._per_chain(np.add, angle) / _TWO_PI
+        return dist, turns
+
+    def distances(self, points: np.ndarray) -> np.ndarray:
+        """Distance from each point to each chain."""
+        return self._pass(points, 0)[0]
+
+    def windings(self, points: np.ndarray, wound: int | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """Winding number of each closed chain around each of the first
+        `wound` points (all by default), or _ON_PATH for a point within the
+        chain's band or whose total misses an integer; and each point's
+        distance to each chain."""
+        dist, turns = self._pass(points, len(points) if wound is None
+                                 else wound)
         out = np.rint(np.where(np.isfinite(turns), turns, 0.0)).astype(int)
         out[~(np.abs(turns - out) < WINDING_RESIDUAL_LIMIT)
-            | (dist <= self.band)] = _ON_PATH
+            | (dist[:len(out)] <= self.band)] = _ON_PATH
         return out, dist
 
 
@@ -496,7 +566,7 @@ def winding_number(path: Path, point: complex) -> int:
     wind, dist = _winding_many(path, _finite_points(point))
     if wind[0] != _ON_PATH:
         return int(wind[0])
-    if dist[0] <= path.arrays.chords.band:
+    if dist[0] <= path.band:
         raise PointOnPathError(f"point {point:.6g} lies on the path")
     raise WindingResidualError("winding total is not near an integer")
 
@@ -505,7 +575,8 @@ def _winding_many(path: Path, points) -> tuple[np.ndarray, np.ndarray]:
     """Chords.windings of a closed path, for points of any shape."""
     wind, dist = path.arrays.chords.windings(
         np.asarray(points, dtype=complex).reshape(-1))
-    return wind.reshape(np.shape(points)), dist.reshape(np.shape(points))
+    return (wind[:, 0].reshape(np.shape(points)),
+            dist[:, 0].reshape(np.shape(points)))
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +586,9 @@ def _winding_many(path: Path, points) -> tuple[np.ndarray, np.ndarray]:
 class DomainSpec:
     """Multiply connected region: interior of `outer` (or the whole plane
     when outer is None) minus the closed holes. All boundary paths must be
-    closed, positively oriented and farther apart than their two bands."""
+    closed, positively oriented and farther apart than their two bands.
+    Its components are the holes, then the outer boundary: chain k of
+    chords, and component k of a refusal, is boundary_paths()[k]."""
 
     outer: Path | None
     holes: tuple[Path, ...] = ()
@@ -527,44 +600,63 @@ class DomainSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "holes", tuple(self.holes))
-        if not all(p.closed for p in self.boundary_paths()):
+        paths, count = self.boundary_paths(), len(self.holes)
+        if not all(p.closed for p in paths):
             raise GeometryError("domain boundaries must be closed paths")
-        # one winding pass per boundary: each hole at every hole witness
-        # (its own gives its orientation), the outer boundary at its
-        # interior point and at the witnesses; a witness on another
-        # boundary counts as outside or overlapping
-        wits = [interior_point(h) for h in self.holes]
-        object.__setattr__(self, "witnesses", tuple(wits))
-        winds = np.reshape([_winding_many(h, wits)[0] for h in self.holes],
-                           (len(wits), len(wits)))
-        turns, inside = list(np.diagonal(winds)), []
-        if self.outer is not None:
-            turn, *inside = _winding_many(
-                self.outer, [interior_point(self.outer)] + wits)[0]
-            turns.append(turn)
-        for w in turns:
+        object.__setattr__(self, "witnesses", ())
+        object.__setattr__(self, "gaps", ())
+        if not paths:
+            return
+        # one kernel pass (_measured): every component winds around the
+        # sample centroid of each (or its interior_point where the centroid
+        # misses it), and measures the gap points of every two components;
+        # a witness on another boundary counts as outside or overlapping
+        points = np.array([np.mean(p.sample(64)) for p in paths])
+        first, second = np.triu_indices(len(paths), 1)
+        wind, d, gap = _measured(self.chords, points, _gap_points(
+            self._segments, self._segments, first, second), first, second)
+        own = np.arange(len(paths))
+        for k in np.flatnonzero(~_strictly_inside(
+                paths, wind[own, own], d[own, own])):
+            points[k] = interior_point(paths[k])
+            wind = self.chords.windings(points)[0]
+        object.__setattr__(self, "witnesses", tuple(map(complex,
+                                                        points[:count])))
+        for w in np.diagonal(wind):
             if w != 1:
                 raise GeometryError(
                     "boundary paths must be positively oriented (winding +1 "
                     f"around their interior, found {w})")
-        for j in np.flatnonzero(np.array(inside) != 1):
-            raise GeometryError(f"hole {j} is not inside the outer boundary")
-        # every hole winds once around its own witness by now
-        for i, j in np.argwhere(winds != np.eye(len(wits))):
+        if self.outer is not None:
+            for j in np.flatnonzero(wind[:count, count] != 1):
+                raise GeometryError(f"hole {j} is not inside the outer "
+                                    "boundary")
+        # hole i at witness j; every hole winds once around its own by now
+        for i, j in np.argwhere(wind[:count, :count].T != np.eye(count)):
             raise GeometryError(f"holes {i} and {j} overlap")
-        paths = self.holes + ((self.outer,) if self.outer else ())
-        gaps = [math.inf] * len(paths)
-        for i in range(len(paths)):
-            for j in range(i + 1, len(paths)):
-                d = _gap(paths[i], paths[j])
-                if d <= _bands(paths[i], paths[j]):
-                    raise GeometryError(f"boundary components {i} and {j} "
-                                        f"touch (gap {d:.3g})")
-                gaps[i], gaps[j] = min(gaps[i], d), min(gaps[j], d)
-        object.__setattr__(self, "gaps", tuple(gaps[:len(self.holes)]))
+        band = self.chords.band
+        for k in np.flatnonzero(gap <= band[first] + band[second]):
+            raise GeometryError(f"boundary components {first[k]} and "
+                                f"{second[k]} touch (gap {gap[k]:.3g})")
+        least = np.full(len(paths), math.inf)
+        for ends in (first, second):
+            np.minimum.at(least, ends, gap)
+        object.__setattr__(self, "gaps", tuple(least[:count].tolist()))
+
+    @functools.cached_property
+    def chords(self) -> Chords | None:
+        """One kernel over every component, None for the whole plane."""
+        paths = self.boundary_paths()
+        return Chords.join([p.arrays.chords for p in paths]) if paths \
+            else None
+
+    @functools.cached_property
+    def _segments(self) -> "_Segments":
+        return _Segments(self.boundary_paths())
 
     def boundary_paths(self) -> tuple[Path, ...]:
-        return ((self.outer,) if self.outer else ()) + self.holes
+        """The components: the holes, then the outer boundary."""
+        return self.holes + ((self.outer,) if self.outer else ())
 
     def contains(self, point: complex) -> bool:
         return bool(classify(self, point).inside)
@@ -576,8 +668,26 @@ class DomainSpec:
     def contains_path(self, path: Path) -> bool:
         """Whether a path lies in the domain: its start does, and its gap
         to every boundary exceeds their two bands."""
-        return self.contains(path.start) and all(
-            _gap(path, b) > _bands(path, b) for b in self.boundary_paths())
+        return self._path_check(path, ())[0]
+
+    def _path_check(self, path: Path, points) -> tuple[bool, np.ndarray]:
+        """contains_path(path), and the windings of the closed path around
+        points, from one kernel pass of the domain's chords and the path's
+        (_measured): around points and the path's start, and at the gap
+        points."""
+        paths, m = self.boundary_paths(), len(points)
+        if not paths:
+            return True, path.arrays.chords.windings(np.array(points))[0][:, 0]
+        own, others = np.zeros(len(paths), dtype=np.intp), \
+            np.arange(len(paths))
+        wind, _, gap = _measured(
+            Chords.join((self.chords, path.arrays.chords)),
+            np.append(points, path.start),
+            _gap_points(_Segments((path,)), self._segments, own, others),
+            own + len(paths), others)
+        return bool(_inside(self, wind[m:])[0]
+                    and np.all(gap > path.band + self.chords.band)), \
+            wind[:m, -1]
 
 
 class Classification(NamedTuple):
@@ -589,62 +699,204 @@ class Classification(NamedTuple):
 
 def classify(domain: DomainSpec, points) -> Classification:
     """Where each point lies against a domain (arrays of the points' shape),
-    from one winding-and-distance pass per boundary component. A winding
+    from one winding-and-distance pass of the domain's chords. A winding
     total that misses an integer counts as on the boundary; a point that
     rounding puts on two holes goes to the first. Distances on the whole
     plane are inf; a point that is not finite raises GeometryError."""
     pts = np.asarray(points, dtype=complex)
     flat = _finite_points(pts)
-    hole = np.full(flat.shape, -1)
-    inside = np.ones(flat.shape, dtype=bool)
-    on_boundary = np.zeros(flat.shape, dtype=bool)
-    distance = np.full(flat.shape, math.inf)
-    if domain.outer is not None:
-        wind, distance = _winding_many(domain.outer, flat)
-        inside = wind == 1
-    for j in reversed(range(len(domain.holes))):
-        wind, dist = _winding_many(domain.holes[j], flat)
-        inside &= wind == 0
-        mine = (wind == 1) | (wind == _ON_PATH)
-        hole[mine] = j
-        on_boundary[mine] = wind[mine] == _ON_PATH
-        distance = np.minimum(distance, dist)
+    if domain.chords is None:
+        wind = np.empty((len(flat), 0), dtype=int)
+        dist = np.full((len(flat), 1), math.inf)
+    else:
+        wind, dist = domain.chords.windings(flat)
     return Classification(*(array.reshape(pts.shape) for array in
-                            (hole, inside, on_boundary, distance)))
+                            _classified(domain, wind, dist)))
+
+
+def _classified(domain: DomainSpec, wind: np.ndarray, dist: np.ndarray
+                ) -> Classification:
+    """classify's fields, flat, from the domain's windings and distances."""
+    count = len(domain.holes)
+    holes = wind[:, :count]
+    inside = _inside(domain, wind)
+    hole = np.full(len(wind), -1)
+    on_boundary = np.zeros(len(wind), dtype=bool)
+    if count:
+        mine = (holes == 1) | (holes == _ON_PATH)
+        first = np.argmax(mine, axis=1)
+        hit = mine[np.arange(len(wind)), first]
+        hole[hit] = first[hit]
+        on_boundary = hit & (holes[np.arange(len(wind)), first] == _ON_PATH)
+    return Classification(hole, inside, on_boundary, dist.min(axis=1))
+
+
+def _inside(domain: DomainSpec, wind: np.ndarray) -> np.ndarray:
+    """Which points the domain's windings put in the domain proper."""
+    count = len(domain.holes)
+    inside = ~np.any(wind[:, :count] != 0, axis=1)
+    if domain.outer is not None:
+        inside &= wind[:, count] == 1
+    return inside
+
+
+def _strictly_inside(paths, wind: np.ndarray, dist: np.ndarray
+                     ) -> np.ndarray:
+    """Which points wind around the path of the same index, 1e-6 of its
+    length clear of it."""
+    return (wind != 0) & (wind != _ON_PATH) \
+        & (dist > 1e-6 * np.array([p.length for p in paths]))
+
+
+# ---------------------------------------------------------------------------
+# gaps: the least distance between paths, exact for lines and arcs
+
+class _Segments:
+    """The segments of some paths: their SegmentArrays.table columns side
+    by side, and the path of each in path; own holds every path's segment
+    starts and end, which each of its gaps tests, and own_path their
+    path."""
+
+    def __init__(self, paths: Sequence[Path]):
+        self.table = np.hstack([p.arrays.table for p in paths])
+        self.path = np.repeat(np.arange(len(paths)),
+                              [len(p.segments) for p in paths])
+        self.paths = len(paths)
+        self.own = np.array([s.start for p in paths for s in p.segments]
+                            + [p.end for p in paths])
+        self.own_path = np.append(self.path, np.arange(len(paths)))
+
+
+def _measured(chords: Chords, lead: np.ndarray, blocks, first, second
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The windings of chords around the points lead and their distances,
+    and for each k the least |x - p| + |x - q| over the gap points of
+    blocks (from _gap_points), p and q the chains first[k] and second[k]:
+    the lead and the first block in one pass, each other block in one."""
+    x, at, pair = next(blocks)
+    wind, d = chords.windings(np.append(lead, x), len(lead))
+    gap = np.full(len(first), math.nan)
+    for dist, at, pair in itertools.chain(
+            [(d[len(lead):], at, pair)],
+            ((chords.distances(x), at, pair) for x, at, pair in blocks)):
+        np.fmin.at(gap, pair, dist[at, first[pair]] + dist[at, second[pair]])
+    return wind, d[:len(lead)], gap
 
 
 def _gap(a: Path, b: Path) -> float:
-    """The least distance between two paths: the least |x - a| + |x - b|
-    over the segment ends, the crossings of the lines or circles carrying
-    two segments whose boxes meet, and _normal_points. These hold a point
-    of a closest pair of every two segments (Schneider and Eberly, Geometric
+    """The least distance between two paths, the least |x - a| + |x - b|
+    over the points of _gap_points; paths that cross read about 0."""
+    return float(min(np.nanmin(a.distance(x) + b.distance(x)) for x, _, _
+                     in _gap_points(_Segments((a,)), _Segments((b,)), [0],
+                                    [0])))
+
+
+def _gap_points(a: _Segments, b: _Segments, first, second):
+    """The points whose least |x - p| + |x - q| is the gap of path p =
+    first[k] of a and path q = second[k] of b, for every k: per block of
+    at most _GAP_PAIRS segment pairs (one block for most domains), the
+    distinct points of the block, and for each (point, k) the point's
+    index and the k. Those of k are the segment starts and ends of p and q
+    (in the first block), the crossings of the lines or circles carrying a
+    segment of p and one of q whose boxes meet, and the _normal_points of
+    every segment of p with every segment of q. These hold a point of a
+    closest pair of every two segments (Schneider and Eberly, Geometric
     Tools for Computer Graphics, 2003, ch. 6) and every sum is at least the
-    gap, so the least is the gap; paths that cross read about 0."""
-    points = [a.end, b.end] + [s.start for s in a.segments + b.segments]
-    boxes = [(q, q.bbox()) for q in b.segments]
-    for p in a.segments:
-        x0, x1, y0, y1 = p.bbox()
-        for q, (u0, u1, v0, v1) in boxes:
-            if u0 <= x1 and x0 <= u1 and v0 <= y1 and y0 <= v1:
-                points += _crossings(p, q)
-            points += _normal_points(p, q) + _normal_points(q, p)
-    x = np.array(points)
-    return float(np.nanmin(a.distance(x) + b.distance(x)))
+    gap, so the least sum is the gap; a point that does not exist is nan."""
+    pair = np.full((a.paths, b.paths), -1)
+    pair[first, second] = np.arange(len(first))
+    own_a = np.nonzero(a.own_path[:, None] == first)
+    own_b = np.nonzero(b.own_path[:, None] == second)
+    own = (a.own[own_a[0]], b.own[own_b[0]]), (own_a[1], own_b[1])
+    step = max(1, _GAP_PAIRS // len(b.path))
+    for start in range(0, len(a.path), step):
+        yield _block_points(a, b, pair, start, start + step, *own)
+        own = (), ()
 
 
-def _normal_points(s: Segment, t: Segment) -> tuple[complex, ...]:
-    """The points of an arc s's circle on the normal through its centre to
-    t's line, or on the line of centres of an arc t (nan if concentric)."""
-    if isinstance(s, Line):
-        return ()
-    u = 1j * (t.b - t.a) if isinstance(t, Line) else t.center - s.center
-    u *= s.radius / (abs(u) or math.nan)
-    return s.center + u, s.center - u
+def _block_points(a: _Segments, b: _Segments, pair: np.ndarray, start: int,
+                  stop: int, own: tuple, own_pairs: tuple
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_gap_points' block of the segments start:stop of a."""
+    s, t = np.nonzero(pair[a.path[start:stop, None], b.path] >= 0)
+    s += start
+    k = pair[a.path[s], b.path[t]]
+    p, q = a.table[:, s], b.table[:, t]
+    box, other = p[7:].real, q[7:].real
+    meet = (other[0] <= box[1]) & (box[0] <= other[1]) \
+        & (other[2] <= box[3]) & (box[2] <= other[3])
+    crossings, real = _crossing_points(p[:, meet], q[:, meet])
+    # the normal points of each arc of either side against the other
+    arcs, others = np.concatenate((p, q), axis=1), \
+        np.concatenate((q, p), axis=1)
+    arc = arcs[0].real > 0.0
+    k_arc, k_meet = np.concatenate((k, k))[arc], k[meet]
+    points, at = np.unique(np.concatenate((
+        *own, crossings[real],
+        _normal_points(arcs[:, arc], others[:, arc]).ravel())),
+        return_inverse=True)
+    return points, at, np.concatenate((
+        *own_pairs, np.concatenate((k_meet, k_meet))[real.ravel()],
+        k_arc, k_arc))
 
 
-def _bands(a: Path, b: Path) -> float:
-    """Two paths touch when their gap lies within the sum of their bands."""
-    return a.arrays.chords.band + b.arrays.chords.band
+def _over(z: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """z / f for real f, rounded as Python's complex / float: numpy's
+    complex division rounds differently, its products by a real do not."""
+    ratio = 0.0 / f
+    out = np.empty(z.shape, dtype=complex)
+    out.real = (z.real + z.imag * ratio) / f
+    out.imag = (z.imag - z.real * ratio) / f
+    return out
+
+
+def _normal_points(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """For SegmentArrays.table columns s of arcs and t: the points of each
+    arc's circle on the normal through its centre to t's line, or on the
+    line of centres of an arc t (nan if concentric), a row for each sign."""
+    u = np.where(t[0].real > 0.0, t[1] - s[1], 1j * t[2])
+    span = np.hypot(u.real, u.imag)
+    with np.errstate(all="ignore"):
+        u = u * (s[4].real / np.where(span == 0.0, math.nan, span))
+    return np.array([s[1] + u, s[1] - u])
+
+
+def _crossing_points(p: np.ndarray, q: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Where the lines or circles carrying two segments cross or touch,
+    for SegmentArrays.table columns p and q: two rows of points, and which
+    exist (none for parallel lines, concentric or apart circles; the first
+    alone for two lines). Each point is the number Python's complex
+    arithmetic gives: numpy's complex products and quotients may round
+    otherwise, so those are taken apart into real operations (_cross,
+    _over); its products of a complex and a real round alike."""
+    p_arc, q_arc = p[0].real > 0.0, q[0].real > 0.0
+    lines, circles = ~(p_arc | q_arc), p_arc & q_arc
+    rel = q[1] - p[1]
+    with np.errstate(all="ignore"):
+        # two lines: p.a + u cross(q.a - p.a, w) / cross(u, w)
+        turn = _cross(p[2], q[2])
+        crossing = p[1] + p[2] * (_cross(rel, q[2]) / turn)
+        # a line and a circle: a point and the unit direction of the line
+        point, u = np.where(p_arc, q[1:4:2], p[1:4:2])
+        # two circles cross on their radical line
+        span = np.hypot(rel.real, rel.imag)
+        span[span == 0.0] = math.nan
+        toward, u_circles = _over(np.array((rel, 1j * rel)), span)
+        point = np.where(circles, p[1] + toward * (
+            0.5 * span + (p[5].real - q[5].real) / (2.0 * span)), point)
+        u = np.where(circles, u_circles, u)
+        # the foot of the arc's centre on that line, and the half chord
+        center, r2 = np.where(p_arc, p[1:6:4], q[1:6:4])
+        e, r2 = point - center, r2.real
+        along = e.real * u.real - e.imag * -u.imag
+        across = e.real * -u.imag + e.imag * u.real
+        h2 = r2 - across * across
+        base = point - along * u
+        h = np.sqrt(np.where(0.0 > h2, 0.0, h2)) * u
+        meet = h2 >= -1e-12 * r2
+    return (np.array([np.where(lines, crossing, base + h), base - h]),
+            np.array([np.where(lines, turn != 0.0, meet), ~lines & meet]))
 
 
 def interior_point(path: Path) -> complex:
@@ -663,9 +915,8 @@ def interior_point(path: Path) -> complex:
             ys = np.linspace(y0, y1, n + 2)[1:-1]
             yield (xs[None, :] + 1j * ys[:, None]).ravel()
     for points in candidates():  # the grids row by row, lowest y first
-        wind, dist = _winding_many(path, points)
-        hits = np.flatnonzero((wind != 0) & (wind != _ON_PATH)
-                              & (dist > 1e-6 * path.length))
+        hits = np.flatnonzero(_strictly_inside(
+            (path,), *_winding_many(path, points)))
         if hits.size:
             return complex(points[hits[0]])
     raise GeometryError("could not locate a point inside the path")
@@ -682,26 +933,30 @@ _CIRCLE_FRACTIONS = (0.35, 0.5, 0.7)
 
 
 @functools.lru_cache(maxsize=128)
-def _hole_rule(domain: DomainSpec, j: int) -> tuple[Path, ...]:
-    """The circles of hole j at _CIRCLE_FRACTIONS of (lo, hi), or () unless
+def _hole_rules(domain: DomainSpec) -> tuple[tuple[Path, ...], ...]:
+    """Per hole: its circles at _CIRCLE_FRACTIONS of (lo, hi), or () unless
     each keeps farther than its band plus the widest boundary band from lo
     and hi: lo is the hole's reach from its sample centroid, hi the distance
-    from there to the nearest other boundary (2 lo if none). Such a circle
-    meets no band and encloses the hole, and no other hole nor the outside,
-    since their boundaries lie at least hi away and DomainSpec refuses
-    nested holes; so the circles need no check."""
-    hole = domain.holes[j]
-    others = ((domain.outer,) if domain.outer is not None else ()) \
-        + domain.holes[:j] + domain.holes[j + 1:]
-    center = complex(np.mean(hole.sample(256)))
-    lo = hole.max_distance(center)
-    hi = min((p.distance(center) for p in others), default=2.0 * lo)
-    band = max(p.arrays.chords.band for p in domain.boundary_paths())
-    radii = [lo + frac * (hi - lo) for frac in _CIRCLE_FRACTIONS]
-    if all(min(r - lo, hi - r) > _ON_PATH_BAND * _TWO_PI * r + band
-           for r in radii):
-        return tuple(circle(center, r) for r in radii)
-    return ()
+    from there to the nearest other boundary (2 lo if none), from one
+    distance pass for every hole. Such a circle meets no band and encloses
+    the hole, and no other hole nor the outside, since their boundaries lie
+    at least hi away and DomainSpec refuses nested holes; so the circles
+    need no check."""
+    if not domain.holes:
+        return ()
+    centers = [complex(np.mean(hole.sample(256))) for hole in domain.holes]
+    dist = domain.chords.distances(np.array(centers))
+    band = float(domain.chords.band.max())
+    rules = []
+    for j, (hole, center) in enumerate(zip(domain.holes, centers)):
+        lo = hole.max_distance(center)
+        others = np.delete(dist[j], j)
+        hi = float(others.min()) if others.size else 2.0 * lo
+        radii = [lo + frac * (hi - lo) for frac in _CIRCLE_FRACTIONS]
+        rules.append(tuple(circle(center, r) for r in radii) if all(
+            min(r - lo, hi - r) > _ON_PATH_BAND * _TWO_PI * r + band
+            for r in radii) else ())
+    return tuple(rules)
 
 
 @functools.lru_cache(maxsize=512)
@@ -709,7 +964,7 @@ def _contour(domain: DomainSpec, j: int, frac: float) -> Path:
     """Hole j's contour at the fraction frac of its rule. A dilation, whose
     cut offsets can backtrack, is built on first use and must pass
     _basis_curves_pass, by windings and exact gaps, or be an error."""
-    circles = _hole_rule(domain, j)
+    circles = _hole_rules(domain)[j]
     if circles:
         return circles[_CIRCLE_FRACTIONS.index(frac)]
     try:
@@ -768,24 +1023,9 @@ def _crossing(p: Segment, q: Segment, vertex: complex) -> complex:
 def _crossings(p: Segment, q: Segment) -> tuple[complex, ...]:
     """Where the lines or circles carrying p and q cross or touch: none
     (parallel lines, concentric or apart circles), one or two points."""
-    if isinstance(p, Line) and isinstance(q, Line):
-        u, w = p.b - p.a, q.b - q.a
-        turn = _cross(u, w)
-        return (p.a + u * (_cross(q.a - p.a, w) / turn),) if turn else ()
-    line, arc = (p, q) if isinstance(p, Line) else (q, p)
-    if isinstance(line, Arc):  # two circles cross on their radical line
-        gap, span = q.center - p.center, abs(q.center - p.center) or math.nan
-        point = p.center + gap / span * (
-            0.5 * span + (p.radius ** 2 - q.radius ** 2) / (2.0 * span))
-        u = 1j * gap / span
-    else:  # a point and unit direction u of the line
-        point, u = line.a, (line.b - line.a) / line.length
-    rel = (point - arc.center) * u.conjugate()  # foot at point - rel.real u
-    h2 = arc.radius ** 2 - rel.imag * rel.imag
-    if not h2 >= -1e-12 * arc.radius ** 2:
-        return ()
-    base, h = point - rel.real * u, math.sqrt(max(h2, 0.0))
-    return base + h * u, base - h * u
+    points, real = _crossing_points(SegmentArrays((p,)).table,
+                                    SegmentArrays((q,)).table)
+    return tuple(map(complex, points[real]))
 
 
 def _parameter(piece: Segment, x: complex, near: float) -> float:
@@ -799,10 +1039,15 @@ def _parameter(piece: Segment, x: complex, near: float) -> float:
 def _basis_curves_pass(domain: DomainSpec, j: int,
                        curves: tuple[Path, ...]) -> bool:
     """Does every curve wind once around hole j, zero times around the
-    other holes, and lie in the domain (DomainSpec.contains_path)?"""
+    other holes, and lie in the domain (DomainSpec.contains_path)? The
+    windings at the witnesses come from contains_path's pass of the
+    curve's chords."""
     want = np.arange(len(domain.holes)) == j
-    return all(np.array_equal(_winding_many(c, domain.witnesses)[0], want)
-               and domain.contains_path(c) for c in curves)
+    for curve in curves:
+        inside, wind = domain._path_check(curve, domain.witnesses)
+        if not (inside and np.array_equal(wind, want)):
+            return False
+    return True
 
 
 def homology_basis(domain: DomainSpec) -> list[Path]:
@@ -812,7 +1057,10 @@ def homology_basis(domain: DomainSpec) -> list[Path]:
     A concentric circle is used when the hole admits a separating annulus
     about its sample centroid; otherwise the hole boundary is dilated
     outward by half the minimal gap. Simply connected domains get an empty
-    basis.
+    basis. A dilation of a hole with an inlet narrower than the offset
+    winds twice around part of the inlet, where the offsets of its walls
+    cross; it still winds once around the hole and lies in the domain, so
+    integrals of holomorphic functions over it are unaffected.
     """
     return [_contour(domain, j, 0.5) for j in range(len(domain.holes))]
 
@@ -822,7 +1070,7 @@ def basis_curve_variants(domain: DomainSpec, j: int) -> tuple[Path, Path]:
     contour-independence cross-checks: circles at 0.35 and 0.7 of the
     separating annulus, or, for a hole without separating circles, its
     homology basis curve and a narrower dilation of the hole."""
-    first, second = (0.35, 0.7) if _hole_rule(domain, j) else (0.5, 0.3)
+    first, second = (0.35, 0.7) if _hole_rules(domain)[j] else (0.5, 0.3)
     return _contour(domain, j, first), _contour(domain, j, second)
 
 

@@ -99,6 +99,7 @@ class _Panels:
 
     def __init__(self, values_at, path: Path, max_panels: int):
         self.values_at = values_at
+        self.path = path
         self.arrays = path.arrays
         self.max_panels = max_panels
         self.count = 0
@@ -201,7 +202,28 @@ def _integrate(values_at, path: Path, tol: float, max_panels: int
     the done nodes are the panels whose sums make up the value."""
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
-    panels = _Panels(values_at, path, max_panels)
+    # values past the float range raise no numpy warning on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _refine(_Panels(values_at, path, max_panels), path, tol)
+
+
+def _level(panels: "_Panels", seg, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The sums and masses of the panels [a, b] of the segments seg. An
+    integrand that is not finite on them, or whose masses overflow, is
+    refused by name and point, where refining it would only exhaust the
+    panel budget."""
+    sums, mass = panels(seg, a, b)
+    if not np.isfinite(mass.sum()):
+        n = int(np.argmax(~np.isfinite(mass).all(axis=0)))
+        z = _worst_node(panels.values_at, panels.path, seg[n], a[n], b[n])
+        raise NonFiniteIntegrandError("integrand is not finite, or overflows "
+                                      f"the float range, at z = {z:.6g}")
+    return sums, mass
+
+
+def _refine(panels: "_Panels", path: Path, tol: float
+            ) -> tuple[QuadratureResult, list]:
+    """_integrate's panel tree, a level at a time."""
     count = len(path.segments)
     # every coarse panel is halved at least once, so the first batch holds
     # the coarse panels [0, 1] and then their halves [0, 1/2], [1/2, 1]
@@ -210,17 +232,8 @@ def _integrate(values_at, path: Path, tol: float, max_panels: int
     a[count + 1::2] = 0.5
     b = np.ones(3 * count)
     b[count::2] = 0.5
-    seg_all = np.concatenate((seg, np.repeat(seg, 2)))
-    # the root level is tested once: an integrand that is not finite there
-    # is refused by name and point, where refining it would only exhaust
-    # the panel budget; its values raise no numpy warning on the way
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums, mass = panels(seg_all, a, b)
-    if not np.isfinite(mass.sum()):
-        n = int(np.argmax(~np.isfinite(mass).all(axis=0)))
-        raise NonFiniteIntegrandError(
-            "integrand is not finite, or overflows the float range, at "
-            f"z = {_worst_node(values_at, path, seg_all[n], a[n], b[n]):.6g}")
+    sums, mass = _level(panels, np.concatenate((seg, np.repeat(seg, 2))),
+                        a, b)
     a, b = a[:count], b[:count]
     mid = np.full(count, 0.5)
     coarse, halves, mass = sums[:, :count], sums[:, count:], mass[:, count:]
@@ -244,7 +257,7 @@ def _integrate(values_at, path: Path, tol: float, max_panels: int
         node_tol = np.repeat(0.5 * node_tol[split], 2)
         prev_est = np.repeat(est[:, split], 2, axis=1)
         del fine, est, halves, mass  # free them before the next level
-        halves, mass = panels(np.repeat(seg, 2), *_halves(a, mid, b))
+        halves, mass = _level(panels, np.repeat(seg, 2), *_halves(a, mid, b))
     below = levels[-1][1]
     for done, fine, *_ in reversed(levels[:-1]):
         sums = np.empty((height, done.size), dtype=complex)

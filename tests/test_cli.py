@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from envelope import boundary, cli, expr, moments, quadrature
+from envelope import boundary, cli, errors, expr, moments, quadrature
 from envelope import extension as ext
 from envelope import geometry as geom
 
@@ -996,3 +997,76 @@ class TestProcess:
         assert "Traceback" not in done.stderr
         assert "Warning" not in done.stderr
         assert named in done.stdout + done.stderr
+
+
+# ---------------------------------------------------------------------------
+# a grammar fuzzer: expressions drawn from expr's grammar run through every
+# domain check on the conftest domains
+
+# the wall-clock cap of one scenario; every drawn one takes well under 1 s
+FUZZ_CAP_S = 10.0
+_FUZZ_LEAVES = st.one_of(
+    st.just("z"), st.integers(0, 12).map(str),
+    st.sampled_from(["0.5", ".25", "2.5e3", "1e-3", "1e308", "(1+2i)",
+                     "(-0.5-1.5i)", "(0+1e-9i)"]))
+
+
+def _fuzz_compound(parts):
+    return st.one_of(
+        st.tuples(parts, st.sampled_from("+-*/"), parts).map(
+            lambda t: f"({t[0]}{t[1]}{t[2]})"),
+        st.tuples(parts, parts).map(lambda t: f"{t[0]} {t[1]}"),
+        st.tuples(parts, st.integers(-6, 6)).map(
+            lambda t: f"({t[0]})^{t[1]}"),
+        parts.map(lambda p: f"exp({p})"),
+        parts.map(lambda p: f"-{p}"))
+
+
+_FUZZ_EXPRESSIONS = st.recursive(_FUZZ_LEAVES, _fuzz_compound, max_leaves=8)
+
+
+class _OverCap(BaseException):
+    """A scenario ran past FUZZ_CAP_S."""
+
+
+def _domain_node(domain):
+    return {"outer": {"segments": geom.path_to_json(domain.outer)},
+            "holes": [{"segments": geom.path_to_json(h)}
+                      for h in domain.holes]}
+
+
+class TestGrammarFuzz:
+    @pytest.mark.parametrize("name", ["annulus", "two_hole", "slab"])
+    @given(text=_FUZZ_EXPRESSIONS)
+    def test_no_exception_escapes_and_errors_are_named(
+            self, name, text, annulus, two_hole, slab):
+        # a drawn function is refused with a function: diagnostic, or every
+        # check ends in a row, an error row naming an EnvelopeError, within
+        # the cap; both renderings of the report succeed
+        domain = {"annulus": annulus, "two_hole": two_hole,
+                  "slab": slab}[name]
+        cfg, diags = cli.build_config({
+            "function": text, "domain": _domain_node(domain),
+            "checks": list(cli.DOMAIN_CHECKS)})
+        if cfg is None:
+            assert diags and all(d.startswith("function:") for d in diags)
+            return
+
+        def over(signum, frame):
+            raise _OverCap(f"{text} ran past {FUZZ_CAP_S} s on {name}")
+
+        previous = signal.signal(signal.SIGALRM, over)
+        signal.setitimer(signal.ITIMER_REAL, FUZZ_CAP_S)
+        try:
+            report = cli.run_scenario(cfg)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert [row["check"] for row in report.results] \
+            == list(cli.DOMAIN_CHECKS)
+        for row in report.results:
+            if row["status"] == "error":
+                assert issubclass(getattr(errors, row["values"]["error_type"]),
+                                  errors.EnvelopeError)
+        json.loads(report.to_json())
+        report.to_text()

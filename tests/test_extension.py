@@ -429,7 +429,7 @@ class TestProbePlacement:
         # the basis curve's points moved 0.2 gaps outward
         domain = geom.DomainSpec(geom.circle(0j, 2.0), (
             _u_hole(-0.5 + 0j, 0.5, slot), geom.circle(0.5 + 0j, 0.3)))
-        assert not geom._hole_rule(domain, 0)
+        assert not geom._hole_rules(domain)[0]
         if fallback:
             with pytest.raises(GeometryError, match="dilation by 0.7"):
                 geom._contour(domain, 0, 0.7)

@@ -88,6 +88,20 @@ def _dilated_curve():
         0.15)
 
 
+@pytest.fixture
+def kernel_passes(monkeypatch):
+    """(chords, chains, points wound) of every pass of the chord kernel."""
+    passes = []
+    kernel = geom.Chords._pass
+
+    def spy(chords, points, wound):
+        passes.append((chords, len(chords.starts), wound))
+        return kernel(chords, points, wound)
+
+    monkeypatch.setattr(geom.Chords, "_pass", spy)
+    return passes
+
+
 def _closed_ring_route(base, target, center):
     route = mom.ring_route(base, target, center)
     return geom.Path(route.segments + (geom.Line(target, base),))
@@ -436,23 +450,14 @@ class TestDomainSpec:
         with pytest.raises(GeometryError, match=message):
             geom.DomainSpec(outer, holes)
 
-    def test_one_winding_pass_per_boundary(self, two_hole, monkeypatch):
-        calls = []
-        kernel = geom._winding_many
-
-        def spy(path, points):
-            calls.append(path)
-            return kernel(path, points)
-
-        # interior points found beforehand: count the checks alone
-        points = {id(path): geom.interior_point(path)
-                  for path in two_hole.boundary_paths()}
-        monkeypatch.setattr(geom, "interior_point",
-                            lambda path: points[id(path)])
-        monkeypatch.setattr(geom, "_winding_many", spy)
-        geom.DomainSpec(two_hole.outer, two_hole.holes)
-        assert sorted(map(id, calls)) \
-            == sorted(map(id, two_hole.boundary_paths()))
+    def test_one_winding_pass_per_domain(self, two_hole, kernel_passes):
+        # the sample centroids of the three components hit: one pass of
+        # the domain's chords winds every component around all three and
+        # measures the gaps of every two components
+        domain = geom.DomainSpec(two_hole.outer, two_hole.holes)
+        assert kernel_passes == [(domain.chords, 3, 3)]
+        assert domain.witnesses == two_hole.witnesses
+        assert domain.gaps == two_hole.gaps
 
     def test_touching_holes_are_rejected(self):
         # the triangle's lowest vertex lies on the square's top edge; 128
@@ -524,14 +529,14 @@ class TestDomainSpec:
         # of their segments have meeting boxes; the outer circle's box
         # meets every segment, and each such pair is tested
         calls = []
-        crossings = geom._crossings
-        monkeypatch.setattr(geom, "_crossings", lambda p, q: calls.append(
-            (p, q)) or crossings(p, q))
+        crossings = geom._crossing_points
+        monkeypatch.setattr(geom, "_crossing_points", lambda p, q: (
+            calls.append(p.shape[1]) or crossings(p, q)))
         holes = (geom.rectangle(0, 4, 0, 0.1), geom.rectangle(3, 3.1, 0.2, 1.5))
         geom.DomainSpec(None, holes)
-        assert calls == []
+        assert sum(calls) == 0
         geom.DomainSpec(geom.circle(0.5 + 1j, 5.0), holes)
-        assert len(calls) == 8
+        assert sum(calls) == 8
 
     def test_interior_point_builds_no_grid_for_a_centroid_hit(
             self, monkeypatch):
@@ -654,7 +659,90 @@ def _segment(draw, kind, through=None):
     return geom.Arc(x - radius * turn, radius, t0, t0 + sweep, sweep > 0)
 
 
+# ---------------------------------------------------------------------------
+# the scalar gap rule the segment arrays replaced, kept as its reference: a
+# Python loop over the segment pairs of two paths, complex scalars throughout
+
+def _reference_crossings(p, q):
+    if isinstance(p, geom.Line) and isinstance(q, geom.Line):
+        u, w = p.b - p.a, q.b - q.a
+        turn = geom._cross(u, w)
+        return (p.a + u * (geom._cross(q.a - p.a, w) / turn),) if turn else ()
+    line, arc = (p, q) if isinstance(p, geom.Line) else (q, p)
+    if isinstance(line, geom.Arc):
+        gap, span = q.center - p.center, abs(q.center - p.center) or math.nan
+        point = p.center + gap / span * (
+            0.5 * span + (p.radius ** 2 - q.radius ** 2) / (2.0 * span))
+        u = 1j * gap / span
+    else:
+        point, u = line.a, (line.b - line.a) / line.length
+    rel = (point - arc.center) * u.conjugate()
+    h2 = arc.radius ** 2 - rel.imag * rel.imag
+    if not h2 >= -1e-12 * arc.radius ** 2:
+        return ()
+    base, h = point - rel.real * u, math.sqrt(max(h2, 0.0))
+    return base + h * u, base - h * u
+
+
+def _reference_normal_points(s, t):
+    if isinstance(s, geom.Line):
+        return ()
+    u = 1j * (t.b - t.a) if isinstance(t, geom.Line) else t.center - s.center
+    u *= s.radius / (abs(u) or math.nan)
+    return s.center + u, s.center - u
+
+
+def reference_gap_points(a, b):
+    points = [a.end, b.end] + [s.start for s in a.segments + b.segments]
+    boxes = [(q, q.bbox()) for q in b.segments]
+    for p in a.segments:
+        x0, x1, y0, y1 = p.bbox()
+        for q, (u0, u1, v0, v1) in boxes:
+            if u0 <= x1 and x0 <= u1 and v0 <= y1 and y0 <= v1:
+                points += _reference_crossings(p, q)
+            points += _reference_normal_points(p, q) \
+                + _reference_normal_points(q, p)
+    return np.array(points, dtype=complex)
+
+
+def _bits(points):
+    """The (real, imaginary) bit patterns of the points in sorted order,
+    every nan point as one: equal for equal multisets of equal bits."""
+    z = np.asarray(points, dtype=complex).reshape(-1)
+    z = np.where(np.isnan(z), complex(math.nan, math.nan), z)
+    bits = z.view(np.int64).reshape(-1, 2)
+    return bits[np.lexsort((bits[:, 1], bits[:, 0]))]
+
+
+_GAP_PATHS = st.one_of(_CIRCLES, _POLYGONS, _RING_ROUTES,
+                       st.builds(lambda p: geom.Path((p,)),
+                                 st.sampled_from(["line", "arc"]).flatmap(
+                                     _segment)))
+
+
 class TestGap:
+    @given(a=_GAP_PATHS, b=_GAP_PATHS)
+    @example(a=geom.circle(1e-300j, 1.0), b=geom.circle(0j, 0.5))
+    @example(a=geom.circle(0j, 1.0), b=geom.circle(0j, 2.0, ccw=False))
+    @example(a=geom.rectangle(-1, 1, -1, 1), b=geom.circle(0j, 1.0))
+    def test_points_are_the_scalar_rule_bit_for_bit(self, a, b):
+        # every candidate point, and so the gap, is the number the loop
+        # over segment pairs gives (a zero's sign aside, which np.unique
+        # does not keep and no distance reads); every crossing, whose
+        # phase a dilation reads, with its zeros' signs
+        (x, at, pair), = geom._gap_points(geom._Segments((a,)),
+                                          geom._Segments((b,)), [0], [0])
+        assert np.all(pair == 0)
+        assert np.array_equal(_bits(x[at] + 0.0),
+                              _bits(reference_gap_points(a, b) + 0.0))
+        want = reference_gap_points(a, b)
+        assert geom._gap(a, b) == np.nanmin(a.distance(want)
+                                            + b.distance(want))
+        for p in a.segments:
+            for q in b.segments:
+                assert np.array_equal(_bits(geom._crossings(p, q)),
+                                      _bits(_reference_crossings(p, q)))
+
     @pytest.mark.parametrize("kinds", [("line", "line"), ("line", "arc"),
                                        ("arc", "arc")])
     @pytest.mark.parametrize("crossing", [False, True])
@@ -756,10 +844,10 @@ class TestClassification:
             assert _located(where, i) == _reference_located(domain, p)
         # a point on a hole boundary counts for that hole, on its boundary;
         # a point on the outer boundary is not in the domain
-        for j, hole_points in enumerate(on[1:]):
+        for j, hole_points in enumerate(on[:-1]):
             assert np.all(geom.classify(domain, hole_points).hole == j)
             assert np.all(geom.classify(domain, hole_points).on_boundary)
-        assert not geom.classify(domain, on[0]).inside.any()
+        assert not geom.classify(domain, on[-1]).inside.any()
         assert list(geom.classify(domain, domain.witnesses).hole) \
             == list(range(len(domain.holes)))
 
@@ -797,6 +885,114 @@ class TestClassification:
         where = geom.classify(geom.DomainSpec(None, ()), np.array([0j, 5j]))
         assert where.inside.all() and not where.on_boundary.any()
         assert np.all(where.hole == -1) and np.all(where.distance == math.inf)
+
+
+def _u_hole(center, half, slot):
+    """A U-shaped hole open upward, reaching half from its center on every
+    side, its slot slot wide and reaching down to center."""
+    wall = half - 0.5 * slot
+    return geom.polygon([center + complex(x, y) for x, y in (
+        (-half, -half), (half, -half), (half, half), (half - wall, half),
+        (half - wall, 0.0), (wall - half, 0.0), (wall - half, half),
+        (-half, half))])
+
+
+@st.composite
+def _banded_domains(draw):
+    """(domain, points): 1-3 holes, each filling a unit cell but for a
+    relative width, a circle, a thin slab, a slab with rounded corners
+    (lines and arcs in one path) or a U-shaped polygon, in a circle (for a
+    lone circle) or a rectangle; the points lie over the domain's box and
+    on the normals of every component at 0, 0.5, 1, 2 and 1000 bands to
+    either side."""
+    width = 10.0 ** draw(st.floats(-5.0, math.log10(0.5)))
+    shapes = draw(st.lists(st.sampled_from(["circle", "slab", "rounded",
+                                            "U"]), min_size=1, max_size=3))
+    half = 0.5 * (1.0 - width)
+
+    def hole(c, shape):
+        if shape == "circle":
+            return geom.circle(c, half)
+        if shape == "U":
+            return _u_hole(c, half, 0.6 * half)
+        if shape == "slab":
+            return geom.rectangle(c - half, c + half, -0.1 * half, 0.1 * half)
+        return geom._dilated_hole(geom.rectangle(
+            c - 0.9 * half, c + 0.9 * half, -0.05 * half, 0.05 * half),
+            0.05 * half)
+
+    holes = tuple(hole(c, shape)
+                  for c, shape in zip(np.arange(len(shapes)) + 0.5, shapes))
+    outer = geom.circle(0.5 + 0j, 0.5) if shapes == ["circle"] \
+        else geom.rectangle(0.0, len(shapes), -0.5, 0.5)
+    domain = geom.DomainSpec(outer, holes)
+    fractions = np.array(draw(st.lists(_unit, min_size=1, max_size=6))
+                         + [0.0, 0.5])
+    offsets = np.array([0.0, 0.5, 1.0, 2.0, 1e3])
+    offsets = np.concatenate([offsets, -offsets[1:]])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    points = [rng.uniform((-0.1, -0.6), (len(shapes) + 0.1, 0.6),
+                          size=(32, 2)).view(complex)[:, 0]]
+    for path in domain.boundary_paths():
+        z, v = path.arrays.nodes(*path.locate(fractions))
+        normal = -1j * v / np.abs(v)
+        points.append((z[:, None] + path.band * offsets * normal[:, None])
+                      .ravel())
+    return domain, np.concatenate(points)
+
+
+class TestOneKernelPass:
+    @given(case=_banded_domains())
+    def test_matches_the_per_path_references(self, case):
+        # the domain's one chord set places points as the per-path
+        # windings do, at every band edge too, and its gaps are the
+        # per-pair _gap bit for bit
+        domain, points = case
+        where = geom.classify(domain, points)
+        assert np.array_equal(where.inside, reference_contains(domain, points))
+        assert np.array_equal(where.hole,
+                              reference_pole_hole_indices(domain, points))
+        assert np.array_equal(where.distance, np.minimum.reduce(
+            [path.distance(points) for path in domain.boundary_paths()]))
+        for i, p in enumerate(points):
+            assert _located(where, i) == _reference_located(domain, p)
+        for j, hole in enumerate(domain.holes):
+            others = [p for p in domain.boundary_paths() if p is not hole]
+            assert domain.gaps[j] == min(geom._gap(hole, p) for p in others)
+
+    @pytest.mark.parametrize("pairs", [1, 3, 16])
+    def test_blocks_of_gap_points_give_the_same_answers(self, slab, pairs,
+                                                        monkeypatch):
+        # gap points come in blocks of at most _GAP_PAIRS segment pairs,
+        # which bound their memory for long paths; any block size gives
+        # the same gaps, refusals and basis checks
+        hole, circle = slab.holes
+        curve = geom._dilated_hole(hole, 0.5 * slab.gaps[0])
+        gap = geom._gap(hole, circle)
+        monkeypatch.setattr(geom, "_GAP_PAIRS", pairs)
+        domain = geom.DomainSpec(slab.outer, slab.holes)
+        assert domain.gaps == slab.gaps
+        assert geom._gap(hole, circle) == gap
+        assert domain.contains_path(curve)
+        assert not domain.contains_path(geom._dilated_hole(hole, 0.4))
+        with pytest.raises(GeometryError, match=r"components 0 and 1 touch"):
+            geom.DomainSpec(slab.outer, (hole, geom.circle(0.37j, 0.27)))
+
+    @pytest.mark.parametrize("holes", [1, 2, 3])
+    def test_classify_and_contains_path_pass_once_or_twice(
+            self, holes, kernel_passes):
+        # one pass of the domain's chords places the points whatever the
+        # number of components; a path takes one pass of the domain's
+        # chords and its own, winding them around its start alone
+        domain = geom.DomainSpec(geom.rectangle(0, holes, -0.5, 0.5), tuple(
+            geom.circle(k + 0.5, 0.25) for k in range(holes)))
+        kernel_passes.clear()
+        geom.classify(domain, np.linspace(0, holes, 50) + 0.1j)
+        assert kernel_passes == [(domain.chords, holes + 1, 50)]
+        kernel_passes.clear()
+        assert domain.contains_path(geom.circle(0.5 + 0j, 0.375))
+        assert [(chains, wound) for _, chains, wound in kernel_passes] \
+            == [(holes + 2, 1)]
 
 
 def _named_outside_geometry(pattern):
@@ -1026,10 +1222,10 @@ def fresh_contours():
     """Empty contour caches before and after a test that patches or
     counts the contour work, so that it sees the work done and no other
     test reads a contour it chose."""
-    for cache in (geom._hole_rule, geom._contour):
+    for cache in (geom._hole_rules, geom._contour):
         cache.cache_clear()
     yield
-    for cache in (geom._hole_rule, geom._contour):
+    for cache in (geom._hole_rules, geom._contour):
         cache.cache_clear()
 
 
@@ -1061,7 +1257,7 @@ class TestHomologyBasis:
         # the slab's annulus is empty: both the basis curve and the
         # variants are dilations, by 0.5, 0.5 and 0.3 of the gap DomainSpec
         # measured
-        assert geom._hole_rule(slab, 0) == ()
+        assert geom._hole_rules(slab)[0] == ()
         basis = geom.homology_basis(slab)
         variants = geom.basis_curve_variants(slab, 0)
         gap = slab.gaps[0]
@@ -1080,7 +1276,7 @@ class TestHomologyBasis:
         domain = geom.DomainSpec(geom.circle(0j, 3.0), (
             geom.rectangle(-1.0, 1.0, -0.05, 0.05),
             geom.circle((lo + 3e-9 + 0.2) * 1j, 0.2)))
-        assert geom._hole_rule(domain, 0) == ()
+        assert geom._hole_rules(domain)[0] == ()
         curves = (geom.homology_basis(domain)[0],
                   *geom.basis_curve_variants(domain, 0))
         assert [dilation_error(c, domain.holes[0], frac * domain.gaps[0])
@@ -1091,11 +1287,11 @@ class TestHomologyBasis:
     @pytest.mark.parametrize("kind", _BASIS_KINDS)
     @given(data=st.data())
     def test_admitted_circles_pass_the_basis_check(self, kind, data):
-        # the annulus bound proves the circles admissible, so _hole_rule
+        # the annulus bound proves the circles admissible, so _hole_rules
         # runs no check of its own; the gaps are the reference's
         domain = data.draw(_basis_domains(kind))
         for j in range(len(domain.holes)):
-            circles = geom._hole_rule(domain, j)
+            circles = geom._hole_rules(domain)[j]
             assert not circles or geom._basis_curves_pass(domain, j, circles)
             assert_gap(domain, j)
 
@@ -1362,7 +1558,7 @@ class TestDilation:
             geom.Line(1.8 + 1j, 1j), geom.Line(1j, 0j)))
         domain = geom.DomainSpec(geom.rectangle(-0.5, 4.5, -0.5, 1.5),
                                  (bitten,))
-        assert geom._hole_rule(domain, 0) == ()
+        assert geom._hole_rules(domain)[0] == ()
         assert domain.gaps[0] == 0.5
         with pytest.raises(GeometryError,
                            match="hole 0 has no dilation by 0.5 of the gap: "
