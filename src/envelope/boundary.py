@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,9 @@ from .errors import CurveDataError, GeometryError
 from .geometry import Path
 
 MIN_NODES = 16
+# every tower level keeps one array per node, so a curve, sampled from a
+# path or read from a CSV, has at most this many intervals
+MAX_NODES = 2 ** 16
 MIN_CHORD_ARC_NODES = 64
 _CLOSURE_RTOL = 1e-9
 CORNER_LIMIT_DEG = 30.0
@@ -75,6 +79,9 @@ class SampledCurve:
         if len(params) < MIN_NODES + 1:
             raise CurveDataError(f"need at least {MIN_NODES} intervals, got "
                                  f"{len(params) - 1}")
+        if len(params) > MAX_NODES + 1:
+            raise CurveDataError(f"need at most {MAX_NODES} intervals, got "
+                                 "more")
         if not np.all(np.diff(params) > 0.0):
             raise CurveDataError("params must increase strictly")
         if abs(params[0]) > 1e-12 or abs(params[-1] - 1.0) > 1e-12:
@@ -145,12 +152,21 @@ def unit_circle_samples(data_fn, intervals: int,
 
 
 def curve_from_csv(source) -> SampledCurve:
-    """Rows t, re(z), im(z), re(g), im(g); comma separated, '#' comments."""
+    """Rows t, re(z), im(z), re(g), im(g); comma separated, '#' comments.
+    At most MAX_NODES + 2 rows are read: a file too long for a curve is
+    refused without being loaded."""
     if isinstance(source, str) and "\n" in source:
         handle = io.StringIO(source)
     else:
         handle = source
-    data = np.loadtxt(handle, delimiter=",", comments="#", ndmin=2)
+    # loadtxt warns of a file without data rows, and of comment lines not
+    # counted towards max_rows; the first is refused below
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(handle, delimiter=",", comments="#", ndmin=2,
+                          max_rows=MAX_NODES + 2)
+    if not data.size:
+        raise CurveDataError("curve csv has no data rows")
     if data.shape[1] != 5:
         raise CurveDataError("curve csv needs 5 columns: "
                              "t, re(z), im(z), re(g), im(g)")
@@ -547,7 +563,8 @@ def _tile_bounds(pre: _ChordArcPrefixes, tiles: np.ndarray,
         live = np.arange(len(chord))
     else:
         # the other bounds cost a fixed price per call, which leaves,
-        # evaluated pair by pair for less, do not repay
+        # evaluated pair by pair for less, do not repay: every bound on
+        # every tile is 1.2-1.45x slower on pulled and rippled curves
         live = np.flatnonzero(((chord_lo <= 2.0 * floor)
                                | (arc_hi + slack > worst * chord_lo))
                               & ((i1 - i0 >= _LEAF_EDGE)

@@ -34,10 +34,6 @@ DOMAIN_CHECKS = ("moments", "primitive_order", "extension", "cross_verify")
 CURVE_CHECKS = ("boundary_tower", "cauchy", "nontangential", "chord_arc")
 ALL_CHECKS = DOMAIN_CHECKS + CURVE_CHECKS
 
-# every tower level keeps one array per sample, so the sample count is
-# capped like the level count
-MAX_SAMPLES = 2 ** 16
-
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
@@ -178,8 +174,8 @@ def _build_curve(node, where: str, base_dir: FsPath, fn,
         path = _path_from_node(node["path"], f"{where}.path", diags)
         if path is None:
             return None
-        samples = _integer(node, "samples", 256, _bd.MIN_NODES, MAX_SAMPLES,
-                           diags, f"{where}.samples")
+        samples = _integer(node, "samples", 256, _bd.MIN_NODES,
+                           _bd.MAX_NODES, diags, f"{where}.samples")
         if fn is None:
             diags.append(f"{where}: sampling a path needs a function")
             return None

@@ -10,9 +10,12 @@ piece's direction when the point is inside its circle and the chord angle
 turns the other way, so winding numbers are exact for every point off the
 path. The chords of a domain's boundary components form one kernel with a
 column per component, so classify, the domain's set-up checks and gaps,
-and DomainSpec.contains_path each take one kernel pass. The simply
-connected hull of a rasterized domain is the complement of the grid
-component of infinity.
+and DomainSpec.contains_path each take one kernel pass; a pass measures
+the distance of every point and winds around all of them or none. Every
+point of a segment, arc ends and chord ends included, comes from one
+formula for a number or an array of parameters. The simply connected
+hull of a rasterized domain is the complement of the grid component of
+infinity.
 """
 
 from __future__ import annotations
@@ -64,14 +67,11 @@ class Line:
         return abs(self.b - self.a)
 
     def point(self, t):
-        return self.a + np.asarray(t) * (self.b - self.a) \
-            if isinstance(t, np.ndarray) else self.a + t * (self.b - self.a)
+        return self.a + t * (self.b - self.a)
 
     def velocity(self, t):
-        v = self.b - self.a
-        if isinstance(t, np.ndarray):
-            return np.full(t.shape, v, dtype=complex)
-        return v
+        """The constant b - a, which broadcasts against t."""
+        return self.b - self.a
 
     def reversed(self) -> "Line":
         return Line(self.b, self.a)
@@ -117,32 +117,25 @@ class Arc:
         return self.extent if self.ccw else -self.extent
 
     def angle(self, t):
-        return self.t0 + np.asarray(t) * self.sweep \
-            if isinstance(t, np.ndarray) else self.t0 + t * self.sweep
+        return self.t0 + t * self.sweep
 
     @functools.cached_property
     def start(self) -> complex:
-        return self.center + self.radius * cmath.exp(1j * self.t0)
+        return self.point(0.0)
 
     @functools.cached_property
     def end(self) -> complex:
-        return self.center + self.radius * cmath.exp(1j * (self.t0 + self.sweep))
+        return self.point(1.0)
 
     @property
     def length(self) -> float:
         return self.radius * self.extent
 
     def point(self, t):
-        th = self.angle(t)
-        return self.center + self.radius * np.exp(1j * th) \
-            if isinstance(t, np.ndarray) else \
-            self.center + self.radius * cmath.exp(1j * th)
+        return self.center + self.radius * np.exp(1j * self.angle(t))
 
     def velocity(self, t):
-        th = self.angle(t)
-        if isinstance(t, np.ndarray):
-            return 1j * self.sweep * self.radius * np.exp(1j * th)
-        return 1j * self.sweep * self.radius * cmath.exp(1j * th)
+        return 1j * self.sweep * self.radius * np.exp(1j * self.angle(t))
 
     def reversed(self) -> "Arc":
         end_angle = self.t0 + self.sweep
@@ -340,7 +333,7 @@ class SegmentArrays:
         the numbers Segment.point and Segment.velocity give. On a path of
         lines only, the velocities broadcast against the points."""
         if self.lengths.size == 1:
-            i = 0  # scalar parameters compute the same numbers, faster
+            i = 0  # the same numbers without the gathers
         else:
             i = index.reshape(index.shape + (1,) * (t.ndim - index.ndim))
         if self.has_lines:
@@ -447,7 +440,8 @@ class Chords:
                                                   for c in parts]))
         joined.lines = sum(c.lines for c in parts)
         # chain k is the chords order[starts[k]:starts[k + 1]], or those
-        # chords as they stand where order is None
+        # chords as they stand where order is None: permuting chords already
+        # in order costs about 9% of a pass over a path of thousands
         order = np.argsort(joined.chain, kind="stable")
         joined.order = None if (order[1:] > order[:-1]).all() else order
         sizes = np.bincount(joined.chain)
@@ -467,9 +461,9 @@ class Chords:
             values = values[:, self.order]
         return ufunc.reduceat(values, self.starts, axis=1)
 
-    def _pass(self, points: np.ndarray, wound: int):
-        """Each point's distance to each chain, and each chain's argument
-        increment in turns around each of the first `wound` points.
+    def _pass(self, points: np.ndarray, wind: bool):
+        """Each point's distance to each chain, and, if wind is set, each
+        chain's argument increment in turns around each point (else None).
 
         Distance: to the nearest point of a line; to an arc piece radially
         inside its wedge, else to its nearer end, but never below the
@@ -480,11 +474,10 @@ class Chords:
         other sign gains a full turn: p lies between piece and chord, or on
         the chord, where rounding picks the sign of +-pi."""
         dist = np.empty((len(points), len(self.starts)))
-        turns = np.empty((wound, len(self.starts)))
+        turns = np.empty((len(points), len(self.starts))) if wind else None
         n, direction = self.lines, self.direction
         with np.errstate(all="ignore"):
             for block, p, rel_a, rel_b in self._blocks(points):
-                w = max(0, min(wound, block.stop) - block.start)
                 d = np.empty(rel_a.shape)
                 if n:
                     # Line.distance, with p - a = -(a - p)
@@ -502,36 +495,32 @@ class Chords:
                     d[:, n:] = np.maximum(np.abs(r - self.radius),
                                           np.where(wedge, 0.0, ends))
                 dist[block] = self._per_chain(np.minimum, d)
-                if not w:
+                if not wind:
                     continue
-                quotient = rel_b[:w] / rel_a[:w]
+                quotient = rel_b / rel_a
                 angle = np.arctan2(quotient.imag, quotient.real)
                 if n < len(self.a):
                     chord_angle = angle[:, n:]
-                    wrapped = (r[:w] <= self.radius) \
+                    wrapped = (r <= self.radius) \
                         & (self.turn * chord_angle < 0.0)
                     angle[:, n:] = np.where(
                         wrapped, chord_angle + self.turn * _TWO_PI,
                         chord_angle)
-                turns[block.start:block.start + w] = \
-                    self._per_chain(np.add, angle) / _TWO_PI
+                turns[block] = self._per_chain(np.add, angle) / _TWO_PI
         return dist, turns
 
     def distances(self, points: np.ndarray) -> np.ndarray:
         """Distance from each point to each chain."""
-        return self._pass(points, 0)[0]
+        return self._pass(points, False)[0]
 
-    def windings(self, points: np.ndarray, wound: int | None = None
-                 ) -> tuple[np.ndarray, np.ndarray]:
-        """Winding number of each closed chain around each of the first
-        `wound` points (all by default), or _ON_PATH for a point within the
-        chain's band or whose total misses an integer; and each point's
-        distance to each chain."""
-        dist, turns = self._pass(points, len(points) if wound is None
-                                 else wound)
+    def windings(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Winding number of each closed chain around each point, or
+        _ON_PATH for a point within the chain's band or whose total misses
+        an integer; and each point's distance to each chain."""
+        dist, turns = self._pass(points, True)
         out = np.rint(np.where(np.isfinite(turns), turns, 0.0)).astype(int)
         out[~(np.abs(turns - out) < WINDING_RESIDUAL_LIMIT)
-            | (dist[:len(out)] <= self.band)] = _ON_PATH
+            | (dist <= self.band)] = _ON_PATH
         return out, dist
 
 
@@ -774,13 +763,15 @@ def _measured(chords: Chords, lead: np.ndarray, blocks, first, second
     blocks (from _gap_points), p and q the chains first[k] and second[k]:
     the lead and the first block in one pass, each other block in one."""
     x, at, pair = next(blocks)
-    wind, d = chords.windings(np.append(lead, x), len(lead))
+    # one pass for both: a pass of its own for the lead costs about 2% of
+    # a domain-dilated scenario
+    wind, d = chords.windings(np.append(lead, x))
     gap = np.full(len(first), math.nan)
     for dist, at, pair in itertools.chain(
             [(d[len(lead):], at, pair)],
             ((chords.distances(x), at, pair) for x, at, pair in blocks)):
         np.fmin.at(gap, pair, dist[at, first[pair]] + dist[at, second[pair]])
-    return wind, d[:len(lead)], gap
+    return wind[:len(lead)], d[:len(lead)], gap
 
 
 def _gap(a: Path, b: Path) -> float:
@@ -831,6 +822,8 @@ def _block_points(a: _Segments, b: _Segments, pair: np.ndarray, start: int,
         np.concatenate((q, p), axis=1)
     arc = arcs[0].real > 0.0
     k_arc, k_meet = np.concatenate((k, k))[arc], k[meet]
+    # the distinct points only: a kernel row for each repeated junction
+    # and normal point costs about 4% of the set-up of two 120-gon holes
     points, at = np.unique(np.concatenate((
         *own, crossings[real],
         _normal_points(arcs[:, arc], others[:, arc]).ravel())),
@@ -972,7 +965,7 @@ def _contour(domain: DomainSpec, j: int, frac: float) -> Path:
     except GeometryError as exc:
         raise GeometryError(f"hole {j} has no dilation by {frac} of the "
                             f"gap: {exc}") from None
-    if not _basis_curves_pass(domain, j, (curve,)):
+    if not _basis_curves_pass(domain, j, curve):
         raise GeometryError("could not construct a separating basis curve "
                             f"for hole {j} (dilation by {frac} of the gap)")
     return curve
@@ -1036,18 +1029,13 @@ def _parameter(piece: Segment, x: complex, near: float) -> float:
                                  - piece.angle(near), _TWO_PI) / piece.sweep
 
 
-def _basis_curves_pass(domain: DomainSpec, j: int,
-                       curves: tuple[Path, ...]) -> bool:
-    """Does every curve wind once around hole j, zero times around the
-    other holes, and lie in the domain (DomainSpec.contains_path)? The
-    windings at the witnesses come from contains_path's pass of the
-    curve's chords."""
-    want = np.arange(len(domain.holes)) == j
-    for curve in curves:
-        inside, wind = domain._path_check(curve, domain.witnesses)
-        if not (inside and np.array_equal(wind, want)):
-            return False
-    return True
+def _basis_curves_pass(domain: DomainSpec, j: int, curve: Path) -> bool:
+    """Does the curve wind once around hole j, zero times around the other
+    holes, and lie in the domain (DomainSpec.contains_path)? The windings
+    at the witnesses come from contains_path's pass of the curve's
+    chords."""
+    inside, wind = domain._path_check(curve, domain.witnesses)
+    return inside and np.array_equal(wind, np.arange(len(domain.holes)) == j)
 
 
 def homology_basis(domain: DomainSpec) -> list[Path]:

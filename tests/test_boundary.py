@@ -138,6 +138,17 @@ class TestSampling:
         with pytest.raises(CurveDataError, match="finite"):
             bd.curve_from_csv("\n".join(rows) + "\n")
 
+    def test_intervals_are_capped(self, monkeypatch):
+        monkeypatch.setattr(bd, "MAX_NODES", 32)
+        assert bd.curve_from_csv(csv_text(32)).intervals == 32
+        with pytest.raises(CurveDataError, match="at most 32 intervals"):
+            bd.curve_from_csv(csv_text(33))
+        t = np.linspace(0.0, 1.0, 34)
+        z = np.exp(2j * math.pi * t)
+        z[-1] = z[0]
+        with pytest.raises(CurveDataError, match="at most 32 intervals"):
+            bd.SampledCurve(t, z, z)
+
     def test_csv_wrong_width_rejected(self):
         with pytest.raises(CurveDataError, match="5 columns"):
             bd.curve_from_csv(io.StringIO("0,1\n0.5,2\n1,1\n"))

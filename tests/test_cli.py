@@ -659,6 +659,36 @@ class TestMain:
         arc = payload["results"][1]["values"]
         assert arc["constant"] == pytest.approx(math.pi / 2, rel=0.05)
 
+    def test_csv_over_the_sample_cap_gets_one_diagnostic(
+            self, tmp_path, capsys, monkeypatch):
+        # a CSV curve is capped like a sampled path, and reading stops at
+        # the cap: the row past it, which does not parse, is never read
+        monkeypatch.setattr(boundary, "MAX_NODES", 64)
+        scenario = write_scenario(tmp_path, {
+            "checks": ["chord_arc"], "curve": {"csv": "curve.csv"}})
+        (tmp_path / "curve.csv").write_text(circle_csv(64))
+        assert cli.main(["run", "--scenario", str(scenario)]) == 0
+        (tmp_path / "curve.csv").write_text(circle_csv(66) + "not a row\n")
+        assert cli.main(["run", "--scenario", str(scenario)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("curve.csv:")] \
+            == ["curve.csv: need at most 64 intervals, got more"]
+
+    @pytest.mark.parametrize("text", ["", "# t, re(z), im(z), re(g), im(g)\n"],
+                             ids=["empty", "comment-only"])
+    def test_csv_without_data_rows_gets_one_diagnostic(self, tmp_path,
+                                                       capsys, text):
+        # numpy's warning of the empty input once reached stderr, and the
+        # diagnostic blamed the column count
+        (tmp_path / "curve.csv").write_text(text)
+        scenario = write_scenario(tmp_path, {
+            "checks": ["chord_arc"], "curve": {"csv": "curve.csv"}})
+        assert cli.main(["run", "--scenario", str(scenario)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("curve.csv:")] \
+            == ["curve.csv: curve csv has no data rows"]
+        assert not [line for line in err if "Warning" in line]
+
     def test_chord_arc_row_names_both_slacks(self, tmp_path, capsys):
         (tmp_path / "curve.csv").write_text(circle_csv(128, data="conj"))
         scenario = write_scenario(tmp_path, {

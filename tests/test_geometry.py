@@ -90,13 +90,14 @@ def _dilated_curve():
 
 @pytest.fixture
 def kernel_passes(monkeypatch):
-    """(chords, chains, points wound) of every pass of the chord kernel."""
+    """(chords, chains, whether it winds) of every pass of the chord
+    kernel."""
     passes = []
     kernel = geom.Chords._pass
 
-    def spy(chords, points, wound):
-        passes.append((chords, len(chords.starts), wound))
-        return kernel(chords, points, wound)
+    def spy(chords, points, wind):
+        passes.append((chords, len(chords.starts), wind))
+        return kernel(chords, points, wind)
 
     monkeypatch.setattr(geom.Chords, "_pass", spy)
     return passes
@@ -162,6 +163,20 @@ def _path_and_points(draw):
     return path, np.array(points + list(z + offsets * normal))
 
 
+_coordinates = st.floats(-10.0, 10.0)
+_points = st.builds(complex, _coordinates, _coordinates)
+_lines = st.builds(lambda a, d: geom.Line(a, a + d), _points,
+                   _points.filter(lambda d: abs(d) > 1e-3))
+# both senses, sweeps up to a full turn
+_arcs = st.builds(
+    lambda c, r, t0, sweep, ccw: geom.Arc(
+        c, r, t0, t0 + (sweep if ccw else -sweep), ccw),
+    _points, st.floats(1e-3, 10.0), _coordinates,
+    st.floats(1e-6, 2.0 * math.pi), st.booleans())
+# a segment, and one of the other kind
+_segment_pairs = st.one_of(st.tuples(_lines, _arcs), st.tuples(_arcs, _lines))
+
+
 class TestSegments:
     def test_line_basics(self):
         seg = geom.Line(0j, 3 + 4j)
@@ -201,6 +216,31 @@ class TestSegments:
         arc = geom.Arc(0j, 1.0, 0.0, math.pi / 2)
         assert arc.distance(0.5 * np.exp(0.3j)) == pytest.approx(0.5)
         assert arc.distance(0 - 1j) == pytest.approx(math.sqrt(2))
+
+    @given(pair=_segment_pairs, t=st.floats(0.0, 1.0))
+    def test_one_formula_for_numbers_and_arrays(self, pair, t):
+        # every segment quantity is one expression: a float and a
+        # one-element array give the same bits, arc ends are the arc's
+        # points at 0 and 1, and SegmentArrays.nodes gives those numbers,
+        # alone or beside a segment of the other kind
+        seg, other = pair
+
+        def bits(z):
+            return np.broadcast_to(np.asarray(z, dtype=complex),
+                                   (1,)).tobytes()
+
+        array = np.array([t])
+        arc = isinstance(seg, geom.Arc)
+        for name in ("point", "velocity") + ("angle",) * arc:
+            method = getattr(seg, name)
+            assert bits(method(t)) == bits(method(array))
+        assert bits(seg.start) == bits(seg.point(0.0))
+        assert bits(seg.end) == bits(seg.point(1.0))
+        for arrays, index in ((geom.SegmentArrays((seg,)), 0),
+                              (geom.SegmentArrays((other, seg)), 1)):
+            z, v = arrays.nodes(np.array([index]), array)
+            assert (bits(z), bits(v)) \
+                == (bits(seg.point(t)), bits(seg.velocity(t)))
 
 
 class TestPath:
@@ -455,7 +495,7 @@ class TestDomainSpec:
         # the domain's chords winds every component around all three and
         # measures the gaps of every two components
         domain = geom.DomainSpec(two_hole.outer, two_hole.holes)
-        assert kernel_passes == [(domain.chords, 3, 3)]
+        assert kernel_passes == [(domain.chords, 3, True)]
         assert domain.witnesses == two_hole.witnesses
         assert domain.gaps == two_hole.gaps
 
@@ -983,16 +1023,17 @@ class TestOneKernelPass:
             self, holes, kernel_passes):
         # one pass of the domain's chords places the points whatever the
         # number of components; a path takes one pass of the domain's
-        # chords and its own, winding them around its start alone
+        # chords and its own, winding them around its start and its gap
+        # points
         domain = geom.DomainSpec(geom.rectangle(0, holes, -0.5, 0.5), tuple(
             geom.circle(k + 0.5, 0.25) for k in range(holes)))
         kernel_passes.clear()
         geom.classify(domain, np.linspace(0, holes, 50) + 0.1j)
-        assert kernel_passes == [(domain.chords, holes + 1, 50)]
+        assert kernel_passes == [(domain.chords, holes + 1, True)]
         kernel_passes.clear()
         assert domain.contains_path(geom.circle(0.5 + 0j, 0.375))
-        assert [(chains, wound) for _, chains, wound in kernel_passes] \
-            == [(holes + 2, 1)]
+        assert [(chains, wind) for _, chains, wind in kernel_passes] \
+            == [(holes + 2, True)]
 
 
 def _named_outside_geometry(pattern):
@@ -1282,7 +1323,7 @@ class TestHomologyBasis:
         assert [dilation_error(c, domain.holes[0], frac * domain.gaps[0])
                 <= 1e-12 for c, frac in zip(curves, (0.5, 0.5, 0.3))] \
             == [True] * 3
-        assert geom._basis_curves_pass(domain, 0, curves)
+        assert all(geom._basis_curves_pass(domain, 0, c) for c in curves)
 
     @pytest.mark.parametrize("kind", _BASIS_KINDS)
     @given(data=st.data())
@@ -1292,7 +1333,8 @@ class TestHomologyBasis:
         domain = data.draw(_basis_domains(kind))
         for j in range(len(domain.holes)):
             circles = geom._hole_rules(domain)[j]
-            assert not circles or geom._basis_curves_pass(domain, j, circles)
+            assert all(geom._basis_curves_pass(domain, j, c)
+                       for c in circles)
             assert_gap(domain, j)
 
     @pytest.mark.parametrize("kind", _BASIS_KINDS + ("unbounded",))
