@@ -151,6 +151,18 @@ def unit_circle_samples(data_fn, intervals: int,
     return sample_path(_geom.circle(0.0, 1.0), data_fn, intervals, warp)
 
 
+def _rows_within(handle, cap: int) -> bool:
+    """Can the seekable text handle hold no more than cap rows of five
+    numbers from where it stands? A row takes at least ten characters
+    ("0,0,0,0,0" and its line end), so fewer than 10 cap characters left,
+    measured by seeking to the end, cannot hold more. A position that
+    carries decoder state reads as no. The handle is rewound."""
+    start = handle.tell()
+    left = handle.seek(0, io.SEEK_END) - start
+    handle.seek(start)
+    return 0 <= left < 10 * cap
+
+
 def curve_from_csv(source) -> SampledCurve:
     """Rows t, re(z), im(z), re(g), im(g); comma separated, '#' comments.
     At most MAX_NODES + 2 rows are read: a file too long for a curve is
@@ -159,12 +171,17 @@ def curve_from_csv(source) -> SampledCurve:
         handle = io.StringIO(source)
     else:
         handle = source
+    # loadtxt's max_rows allocates every row it allows in advance (2.5 MB),
+    # so a text handle too short to pass the cap is read without it
+    cap = MAX_NODES + 2
+    short = isinstance(handle, io.TextIOBase) and handle.seekable() \
+        and _rows_within(handle, cap)
     # loadtxt warns of a file without data rows, and of comment lines not
     # counted towards max_rows; the first is refused below
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         data = np.loadtxt(handle, delimiter=",", comments="#", ndmin=2,
-                          max_rows=MAX_NODES + 2)
+                          max_rows=None if short else cap)
     if not data.size:
         raise CurveDataError("curve csv has no data rows")
     if data.shape[1] != 5:

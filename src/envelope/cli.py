@@ -334,9 +334,33 @@ def _jsonable(value):
 # Every runner takes the config and `scan`, a callable returning the
 # scenario's moment verdict (computed on first call, then shared).
 
-def _run_moments(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
-    degree = cfg.max_degree if cfg.max_degree is not None \
+def _moments_degree(cfg: ScenarioConfig) -> int:
+    return cfg.max_degree if cfg.max_degree is not None \
         else _mom.DEFAULT_DEGREE_CUTOFF
+
+
+def _first_table(cfg: ScenarioConfig) -> None:
+    """Integrate the moment table of the largest degree that the listed
+    checks read on the basis curves: the moments check's, and the
+    verdict's for the checks that scan. Each of them then reads a prefix of
+    it (moments._basis_moments), so a scenario integrates each curve once,
+    whatever the order of its checks. An error is left for the checks to
+    meet and report."""
+    degrees = []
+    if "moments" in cfg.checks:
+        degrees.append(_moments_degree(cfg))
+    try:
+        if {"primitive_order", "extension", "cross_verify"} & set(cfg.checks):
+            degrees.append(_mom._scan_degree(cfg.function, cfg.domain,
+                                             cfg.max_degree))
+        _mom._basis_moments(cfg.function, cfg.domain, max(degrees),
+                            cfg.quad_tol)
+    except EnvelopeError:
+        pass
+
+
+def _run_moments(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
+    degree = _moments_degree(cfg)
     rows = [{"curve_id": vec.curve_id,
              "moments": list(vec.values),
              "scale": vec.scale,
@@ -370,10 +394,9 @@ def _run_extension(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
                   "certificate": verdict.certificate}
         return values, tol, "ok"
     points = cfg.domain.witnesses if cfg.points is None else cfg.points
-    vals = _ext.evaluate_extension(cfg.function, cfg.domain, points,
-                                   cfg.quad_tol, verdict, 0).tolist()
-    alts = _ext.evaluate_extension(cfg.function, cfg.domain, points,
-                                   cfg.quad_tol, verdict, 1).tolist()
+    vals, alts = _ext._on_contours(cfg.function, cfg.domain,
+                                   np.array(points, dtype=complex),
+                                   cfg.quad_tol, verdict, (0, 1)).tolist()
     worst = max((abs(v0 - v1) for v0, v1 in zip(vals, alts)), default=0.0)
     status = "ok" if worst <= _ext.CONTOUR_TOL else "inconsistent"
     values = {"extends": True, "points": list(points), "values": vals,
@@ -512,7 +535,9 @@ def run_scenario(config: ScenarioConfig) -> Report:
     remaining checks still run, so a batch never loses results to one bad
     entry. The moment verdict is computed at most once and shared by the
     checks that need it; a scan that raises is kept as its error, which
-    every such check re-raises.
+    every such check re-raises. Before the first domain check, the moment
+    table of the largest degree that the checks read is integrated, once
+    per basis curve (_first_table).
     """
     outcome = []  # the verdict or the error of the one scan
 
@@ -531,9 +556,13 @@ def run_scenario(config: ScenarioConfig) -> Report:
     results = []
     timings = {}
     start_all = time.perf_counter()
+    tabled = False
     for check in config.checks:
         runner = _RUNNERS[check]
         started = time.perf_counter()
+        if check in DOMAIN_CHECKS and not tabled:
+            _first_table(config)
+            tabled = True
         try:
             values, tol, status = runner(config, scan)
         except EnvelopeError as exc:

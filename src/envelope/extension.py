@@ -13,6 +13,7 @@ reported as a finding rather than hidden.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -199,7 +200,7 @@ def decompose(f, domain: DomainSpec, terms: int | None = None,
     for j, (curve, center) in enumerate(zip(basis,
                                             _component_centers(f, domain))):
         coeffs = laurent_coefficients(fn, curve, center, terms, tol)
-        max_f, _ = _quad.max_magnitude_on(fn, curve)
+        max_f, _ = _mom._magnitude_on(fn, curve)
         components.append(LaurentComponent(j, center, coeffs,
                                            curve.length * max_f))
 
@@ -245,14 +246,25 @@ def evaluate_extension(f, domain: DomainSpec, w,
     if not isinstance(which_contour, (int, np.integer)) \
             or which_contour not in (0, 1):
         raise ValueError(f"which_contour must be 0 or 1, not {which_contour!r}")
+    shape = np.shape(w)
+    values = _on_contours(f, domain, np.array(w, dtype=complex).reshape(-1),
+                          tol, verdict, (which_contour,))[0]
+    return complex(values[0]) if shape == () else values.reshape(shape)
+
+
+def _on_contours(f, domain: DomainSpec, pts: np.ndarray, tol: float,
+                 verdict: _mom.PrimitiveOrderVerdict | None,
+                 contours: tuple[int, ...]) -> np.ndarray:
+    """evaluate_extension at the points pts (a flat array) on each of the
+    contours, one row each: one classify pass for all of them, then each
+    contour's integrals and refusals in turn, as separate calls would meet
+    them."""
     if verdict is None:
         verdict = _mom.max_primitive_order(f, domain, None, tol)
     if verdict.max_order is not None:
         raise ExtensionPreconditionError(
             f"a degree-{verdict.max_order} moment is nonzero; f does not "
             "extend to the envelope")
-    shape = np.shape(w)
-    pts = np.array(w, dtype=complex).reshape(-1)
     where = _geom.classify(domain, pts)
     for i in np.flatnonzero(where.on_boundary
                             | ((where.hole < 0) & ~where.inside)):
@@ -261,32 +273,36 @@ def evaluate_extension(f, domain: DomainSpec, w,
             "evaluation there" if where.hole[i] >= 0 else
             f"{pts[i]:.6g} lies outside the simply connected envelope")
     fn = _mom.as_function(f)
-    values = np.zeros(pts.shape, dtype=complex)
-    for j in np.unique(where.hole[where.hole >= 0]):
-        members = np.flatnonzero(where.hole == j)
-        contour = _geom.basis_curve_variants(domain, j)[which_contour]
-        ws = pts[members]
-        for near in ws[contour.distance(ws) <= contour.band]:
-            raise GeometryError(f"{near:.6g} is too close to the contour")
-        # (1/2 pi i) ∮ f(z) / (z - w) dz for every w, one stacked integral
-        stack = _quad.integrate(lambda z: fn(z) / (z - ws[:, None]), contour,
-                                tol).value
-        values[members] = stack / _TWO_PI_I
+    holes = [(j, np.flatnonzero(where.hole == j))
+             for j in np.unique(where.hole[where.hole >= 0])]
     free = np.flatnonzero(where.hole < 0)
-    radii = (0.4 if which_contour == 0 else 0.7) * where.distance[free, None]
-    for w in pts[free[np.isinf(radii[:, 0])]]:
-        raise GeometryError("the whole plane has no boundary to size a "
-                            f"contour around {w:.6g} by")
-    if free.size:
-        # the circle |z - w| = r of a point of the domain proper, r a
-        # fraction of its distance to the boundary, is z = w + r u on the
-        # unit circle: (1/2 pi i) ∮ f(w + r u) / u du, one stacked integral
-        ws = pts[free, None]
-        stack = _quad.integrate(lambda u: _quad._eval_batch(
-            fn, (ws + radii * u).ravel()).reshape(free.size, -1) / u,
-            _UNIT_CIRCLE, tol).value
-        values[free] = stack / _TWO_PI_I
-    return complex(values[0]) if shape == () else values.reshape(shape)
+    values = np.zeros((len(contours), pts.size), dtype=complex)
+    for out, which in zip(values, contours):
+        for j, members in holes:
+            contour = _geom.basis_curve_variants(domain, j)[which]
+            ws = pts[members]
+            for near in ws[contour.distance(ws) <= contour.band]:
+                raise GeometryError(f"{near:.6g} is too close to the contour")
+            # (1/2 pi i) ∮ f(z) / (z - w) dz for every w, one stacked
+            # integral
+            stack = _quad.integrate(lambda z: fn(z) / (z - ws[:, None]),
+                                    contour, tol).value
+            out[members] = stack / _TWO_PI_I
+        radii = (0.4 if which == 0 else 0.7) * where.distance[free, None]
+        for w in pts[free[np.isinf(radii[:, 0])]]:
+            raise GeometryError("the whole plane has no boundary to size a "
+                                f"contour around {w:.6g} by")
+        if free.size:
+            # the circle |z - w| = r of a point of the domain proper, r a
+            # fraction of its distance to the boundary, is z = w + r u on
+            # the unit circle: (1/2 pi i) ∮ f(w + r u) / u du, one stacked
+            # integral
+            ws = pts[free, None]
+            stack = _quad.integrate(lambda u: _quad._eval_batch(
+                fn, (ws + radii * u).ravel()).reshape(free.size, -1) / u,
+                _UNIT_CIRCLE, tol).value
+            out[free] = stack / _TWO_PI_I
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +341,32 @@ def _centered_moments(vec: _mom.MomentVector, center: complex,
             total += math.comb(k, i) * (-center) ** (k - i) * vec.values[i]
         out.append(total)
     return out
+
+
+def _tail_reference(fn, live: list[LaurentComponent], points: np.ndarray
+                    ) -> list[complex | None]:
+    """f minus the live truncated tails at each point, None where f cannot
+    be evaluated (too near a pole, or past the float range) or the
+    difference is not finite. An Expr is evaluated at all the points in one
+    array call, unless that raises; any other callable point by point, as
+    its array answers need not agree with its scalar ones."""
+    direct = None
+    if isinstance(fn, _expr.Expr):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                direct = (fn(points)
+                          - sum((c(points) for c in live), 0j)).tolist()
+        except (PoleProximityError, OverflowError):
+            pass
+    if direct is None:
+        direct = []
+        for w in points.tolist():
+            try:
+                direct.append(complex(fn(w)) - sum((c(w) for c in live), 0j))
+            except (PoleProximityError, OverflowError):
+                direct.append(None)
+    return [None if v is None or not cmath.isfinite(v) else v
+            for v in direct]
 
 
 def cross_verify(f, domain: DomainSpec, degree_cutoff: int | None = None,
@@ -391,26 +433,16 @@ def cross_verify(f, domain: DomainSpec, degree_cutoff: int | None = None,
     extension_report = None
     if verdict.all_orders:
         # the hole probes, then the domain probes of the decomposition
-        points = [*map(complex, _probes(domain)[1]), *decomp.probe_points]
-        values = tuple(map(complex, evaluate_extension(fn, domain, points,
-                                                        tol, verdict, 0)))
-        alts = tuple(map(complex, evaluate_extension(fn, domain, points, tol,
-                                                      verdict, 1)))
-        refs = []
-        worst_pair = 0.0
-        worst_ref = 0.0
-        for w, v0, v1 in zip(points, values, alts):
-            worst_pair = max(worst_pair, abs(v0 - v1))
-            try:
-                direct = complex(fn(w)) - sum((c(w) for c in live), 0j)
-            except (PoleProximityError, OverflowError):
-                refs.append(None)
-                continue
-            if not (math.isfinite(direct.real) and math.isfinite(direct.imag)):
-                refs.append(None)
-                continue
-            refs.append(direct)
-            worst_ref = max(worst_ref, abs(v0 - direct) / (1.0 + abs(direct)))
+        pts = np.append(_probes(domain)[1], decomp.probe_points)
+        points = pts.tolist()
+        values, alts = (tuple(row.tolist()) for row in _on_contours(
+            fn, domain, pts, tol, verdict, (0, 1)))
+        refs = _tail_reference(fn, live, pts)
+        worst_pair = max((abs(v0 - v1) for v0, v1 in zip(values, alts)),
+                         default=0.0)
+        worst_ref = max((abs(v0 - ref) / (1.0 + abs(ref))
+                         for v0, ref in zip(values, refs) if ref is not None),
+                        default=0.0)
         if worst_pair > CONTOUR_TOL:
             findings.append(
                 f"extension values from homologous contours differ by "

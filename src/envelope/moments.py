@@ -10,6 +10,7 @@ from the path and the derivative ladder can be verified numerically.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import warnings
@@ -89,27 +90,48 @@ def _check_moment_degree(path: Path, k: int) -> None:
         raise ValueError(f"moment degree must lie in [0, {MAX_MOMENT_DEGREE}]")
 
 
+def _powers(w, top: int) -> np.ndarray:
+    """w^0 .. w^top, shape (top + 1,) + w's shape, by a product ladder:
+    w^(h + j) = w^j w^h for j = 1 .. h, with h the highest power of two
+    so far, one array product per doubling."""
+    w = np.asarray(w, dtype=complex)
+    out = np.empty((top + 1,) + w.shape, dtype=complex)
+    out[0] = 1.0
+    if top:
+        out[1] = w
+    h = 1
+    while h < top:
+        n = min(h, top - h)
+        np.multiply(out[1:n + 1], out[h], out=out[h + 1:h + n + 1])
+        h *= 2
+    return out
+
+
 def _moments(fn, path: Path, degrees: np.ndarray, tol: float,
              center: complex = 0j) -> np.ndarray:
     """∮ (z - center)^k f(z) dz for every k in degrees, as one stacked
-    integral: each to the tolerance tol, on one panel tree.
+    integral: each to the tolerance tol, on one panel tree. The powers come
+    from one product ladder up to the largest degree (_powers).
 
     An integrand value that overflows the float range, where f itself is
     finite, is refused with a GeometryError naming the first degree that
     overflows: the engine would otherwise refine inf and NaN values until
     its panel budget runs out. The overflow is caught by numpy's floating
     point flags, so values that stay in range pay no extra pass."""
-    column = degrees[:, None]
+    top = int(degrees.max())
+    # a copy of the rows only when not all of them are asked for
+    rows = slice(None) if np.array_equal(degrees, np.arange(top + 1)) \
+        else degrees
 
     def integrand(z):
         values = fn(z)
         try:
-            with np.errstate(over="raise"):
-                return (z - center) ** column * values
+            with np.errstate(over="raise", invalid="ignore"):
+                return _powers(z - center, top)[rows] * values
         except FloatingPointError:
             pass
         with np.errstate(over="ignore", invalid="ignore"):
-            stack = (z - center) ** column * values
+            stack = _powers(z - center, top)[rows] * values
         finite = np.isfinite(stack).all(axis=-1)
         if finite.all():
             return stack
@@ -137,9 +159,24 @@ def moment_vector(f, path: Path, degree_cutoff: int,
     _check_moment_degree(path, degree_cutoff)
     fn = as_function(f)
     stack = _moments(fn, path, np.arange(degree_cutoff + 1), tol)
-    max_f, max_z = _quad.max_magnitude_on(fn, path)
+    max_f, max_z = _magnitude_on(fn, path)
     return MomentVector(curve_id, tuple(complex(v) for v in stack),
                         path.length * max_f, max_z)
+
+
+@functools.lru_cache(maxsize=128)
+def _cached_magnitude(f: _expr.Expr, path: Path) -> tuple[float, float]:
+    return _quad.max_magnitude_on(f, path)
+
+
+def _magnitude_on(f, path: Path) -> tuple[float, float]:
+    """quadrature.max_magnitude_on, cached for an Expr, so the moment
+    vectors and the Laurent components of a scenario sample f on each
+    basis curve once; any other callable need not be pure, and is sampled
+    on every call."""
+    if isinstance(f, _expr.Expr):
+        return _cached_magnitude(f, path)
+    return _quad.max_magnitude_on(f, path)
 
 
 @dataclass(frozen=True)
@@ -186,8 +223,16 @@ def _hole_poles(f: _expr.Expr, domain: DomainSpec
 
 
 @functools.lru_cache(maxsize=128)
-def _cached_basis_moments(f, domain: DomainSpec, degree: int, tol: float
-                          ) -> tuple[MomentVector, ...]:
+def _cached_basis_moments(f: _expr.Expr, domain: DomainSpec, tol: float
+                          ) -> dict[int, tuple[MomentVector, ...]]:
+    """The moment tables of f on the basis curves of the domain that
+    _basis_moments has integrated, by degree; cached, keyed as _hole_poles
+    is, so they live for a scenario."""
+    return {}
+
+
+def _moment_table(f, domain: DomainSpec, degree: int, tol: float
+                  ) -> tuple[MomentVector, ...]:
     fn = as_function(f)
     return tuple(moment_vector(fn, curve, degree, tol, f"hole-{j}")
                  for j, curve in enumerate(_geom.homology_basis(domain)))
@@ -196,12 +241,22 @@ def _cached_basis_moments(f, domain: DomainSpec, degree: int, tol: float
 def _basis_moments(f, domain: DomainSpec, degree: int, tol: float
                    ) -> tuple[MomentVector, ...]:
     """The moment vector of degree 0 .. degree of f on each homology basis
-    curve (ids hole-j). It runs no pole check. Cached for an Expr, keyed as
-    _hole_poles is, so a scenario's verdict and moments check integrate
-    each curve once; any other callable is integrated on every call."""
-    scan = _cached_basis_moments if isinstance(f, _expr.Expr) \
-        else _cached_basis_moments.__wrapped__
-    return scan(f, domain, degree, tol)
+    curve (ids hole-j). It runs no pole check.
+
+    For an Expr the tables are cached, and a table of higher degree serves
+    a lower degree by its prefix, with the same scale and reach. A scenario
+    whose checks read different degrees asks for the largest first
+    (cli.run_scenario does), so its verdict and its moments check
+    integrate each curve once, whatever the order of the checks. Any other
+    callable is integrated on every call."""
+    if not isinstance(f, _expr.Expr):
+        return _moment_table(f, domain, degree, tol)
+    tables = _cached_basis_moments(f, domain, tol)
+    top = min((k for k in tables if k >= degree), default=degree)
+    if top not in tables:
+        tables[top] = _moment_table(f, domain, top, tol)
+    return tuple(dataclasses.replace(vec, values=vec.values[:degree + 1])
+                 for vec in tables[top]) if top > degree else tables[top]
 
 
 def inside_pole_budget(f, domain: DomainSpec) -> list[int] | None:
@@ -211,6 +266,18 @@ def inside_pole_budget(f, domain: DomainSpec) -> list[int] | None:
     by_hole = _hole_poles(f, domain) if isinstance(f, _expr.Expr) else None
     return None if by_hole is None \
         else [sum(rec.order for rec in poles) for poles in by_hole]
+
+
+def _scan_degree(f, domain: DomainSpec, degree_cutoff: int | None) -> int:
+    """The degree through which max_primitive_order tests: degree_cutoff
+    when given, else the largest inside-pole budget (at least 8), or
+    DEFAULT_DEGREE_CUTOFF when the pole set is unknown. Raises as
+    inside_pole_budget does."""
+    if degree_cutoff is not None:
+        return degree_cutoff
+    budget = inside_pole_budget(f, domain)
+    return DEFAULT_DEGREE_CUTOFF if budget is None \
+        else max(8, max(budget, default=0))
 
 
 def max_primitive_order(f, domain: DomainSpec,
@@ -233,9 +300,7 @@ def max_primitive_order(f, domain: DomainSpec,
         return PrimitiveOrderVerdict(None, k, True, "simply-connected",
                                      (), ())
     budget = inside_pole_budget(f, domain)
-    if degree_cutoff is None:
-        degree_cutoff = DEFAULT_DEGREE_CUTOFF if budget is None \
-            else max(8, max(budget))
+    degree_cutoff = _scan_degree(f, domain, degree_cutoff)
     vectors = _basis_moments(f, domain, degree_cutoff, tol)
     firsts = [vec.first_nonzero(zero_tol) for vec in vectors]
     hits = [k for k in firsts if k is not None]

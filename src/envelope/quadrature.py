@@ -136,6 +136,8 @@ class _Panels:
         return max(1, MAX_CALL_VALUES // (GAUSS_ORDER * max(1, self.height)))
 
     def _sums(self, seg, mid, half):
+        """The Gauss sums and masses of one batch of panels, each a
+        matrix-vector product of the node contributions with the weights."""
         ts = mid[:, None] + half[:, None] * _NODES
         z, dz = self.arrays.nodes(seg, ts)
         vals = self.values_at(z.ravel())
@@ -143,9 +145,8 @@ class _Panels:
             self.stacked = vals.ndim == 2
             self.height = vals.shape[0] if self.stacked else 1
         contrib = vals.reshape(self.height, seg.size, GAUSS_ORDER) * dz
-        value = half * np.add.reduce(_WEIGHTS * contrib, axis=-1)
-        mass = half * np.add.reduce(_WEIGHTS * np.abs(contrib), axis=-1)
-        return value, mass
+        return half * (contrib @ _WEIGHTS), \
+            half * (np.abs(contrib) @ _WEIGHTS)
 
 
 def _halves(a: np.ndarray, mid: np.ndarray, b: np.ndarray

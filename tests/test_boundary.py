@@ -127,6 +127,21 @@ class TestSampling:
             c = bd.curve_from_csv(handle)
         assert c.intervals == 32
 
+    def test_csv_under_the_cap_allocates_its_rows_only(self, tmp_path):
+        # loadtxt's max_rows would allocate all MAX_NODES + 2 rows up front
+        # (2.5 MB); a file too short to pass the cap is read without it
+        p = tmp_path / "curve.csv"
+        p.write_text(csv_text(256))
+        with open(p) as handle:
+            tracemalloc.start()
+            try:
+                c = bd.curve_from_csv(handle)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert c.intervals == 256
+        assert peak < 0.5e6
+
     @pytest.mark.parametrize("column", [1, 3], ids=["node", "data"])
     def test_csv_nan_rejected(self, column):
         # a NaN node once escaped as a ValueError from an integer

@@ -445,14 +445,70 @@ class TestRunScenario:
             return vector(f, path, *args, **kwargs)
 
         monkeypatch.setattr(moments, "moment_vector", counted)
-        moments._cached_basis_moments.cache_clear()  # as in a real run
-        raw = {"function": "1/z^2 + 1/(z-3)^3", "max_degree": 4,
-               "domain": TWO_HOLES, "checks": checks}
+        # without max_degree the moments row reads degree 32 and the
+        # verdict degree 8, both from one table of degree 32
+        for max_degree in (4, None):
+            calls.clear()
+            moments._cached_basis_moments.cache_clear()  # as in a real run
+            raw = {"function": "1/z^2 + 1/(z-3)^3", "max_degree": max_degree,
+                   "domain": TWO_HOLES, "checks": checks}
+            cfg, _ = cli.build_config(raw)
+            rep = cli.run_scenario(cfg)
+            assert [r["status"] for r in rep.results] == ["ok", "ok"]
+            # one integral per basis curve, shared by both rows
+            assert len(calls) == 2 and calls[0] is not calls[1]
+            rows = {r["check"]: r["values"] for r in rep.results}
+            assert rows["moments"]["degree_cutoff"] == \
+                (max_degree or moments.DEFAULT_DEGREE_CUTOFF)
+            assert rows["primitive_order"]["tested_through"] == \
+                (max_degree or 8)
+            moments._cached_basis_moments.cache_clear()
+            alone = moments.max_primitive_order(cfg.function, cfg.domain,
+                                                max_degree)
+            assert rows["primitive_order"]["per_curve_first_nonzero"] == \
+                list(alone.per_curve_first_nonzero)
+
+    def test_checks_sample_each_magnitude_once(self, monkeypatch):
+        # the moment vectors and the Laurent components of a scenario share
+        # one magnitude scan per (f, basis curve)
+        calls = []
+        scan = quadrature.max_magnitude_on
+
+        def counted(fn, path):
+            calls.append((fn, path))
+            return scan(fn, path)
+
+        monkeypatch.setattr(quadrature, "max_magnitude_on", counted)
+        moments._cached_magnitude.cache_clear()  # as in a real run
+        raw = {"function": "1/z^2 + 1/(z-3)^3", "domain": TWO_HOLES,
+               "checks": ["moments", "primitive_order", "extension",
+                          "cross_verify"]}
         cfg, _ = cli.build_config(raw)
         rep = cli.run_scenario(cfg)
-        assert [r["status"] for r in rep.results] == ["ok", "ok"]
-        # one integral per basis curve, shared by both rows
-        assert len(calls) == 2 and calls[0] is not calls[1]
+        assert [r["status"] for r in rep.results] == ["ok"] * 4
+        assert len(calls) == 2 and calls[0][1] != calls[1][1]
+
+    def test_extension_checks_classify_each_point_set_once(self,
+                                                           monkeypatch):
+        # both contours of the extension check, and of cross_verify's
+        # extension route, come from one classify pass over their points
+        calls = []
+        classify = geom.classify
+
+        def counted(domain, points):
+            calls.append(tuple(np.ravel(points).tolist()))
+            return classify(domain, points)
+
+        monkeypatch.setattr(geom, "classify", counted)
+        raw = {"function": "1/(z-9) + z^2", "domain": TWO_HOLES,
+               "points": [[1.5, 0.0], [0.1, 0.1], [3.0, 0.2]],
+               "checks": ["extension", "cross_verify"]}
+        cfg, _ = cli.build_config(raw)
+        rep = cli.run_scenario(cfg)
+        assert [r["status"] for r in rep.results] == ["ok"] * 2
+        extension_points = (1.5, 0.1 + 0.1j, 3.0 + 0.2j)
+        assert calls.count(extension_points) == 1
+        assert max(calls.count(points) for points in calls) == 1
 
     @pytest.mark.parametrize("half_width", [0.1, 0.2, 0.4])
     def test_inlet_narrower_than_twice_the_dilation(self, half_width):
@@ -552,12 +608,11 @@ class TestRunScenario:
 
             monkeypatch.setattr(ext, "decompose", moved)
         else:
-            evaluate = ext.evaluate_extension
+            # cross_verify evaluates both contours in one pass
+            on_contours = ext._on_contours
             monkeypatch.setattr(
-                ext, "evaluate_extension",
-                lambda fn, domain, points, tol, verdict, which: [
-                    v + args[which] for v in evaluate(fn, domain, points, tol,
-                                                      verdict, which)])
+                ext, "_on_contours",
+                lambda *call: on_contours(*call) + np.array(args)[:, None])
         raw = {"function": function, "domain": ANNULUS,
                "checks": ["cross_verify"]}
         cfg, _ = cli.build_config(raw)

@@ -52,6 +52,25 @@ class TestMoment:
         with pytest.raises(GeometryError, match="degree 15 overflows"):
             mom.moment_vector(lambda z: z ** 20, geom.circle(0j, 1e9), 32)
 
+    @given(st.integers(0, 64),
+           st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-math.pi,
+                                                              math.pi)),
+                    min_size=1, max_size=5),
+           st.booleans())
+    def test_power_ladder_matches_the_integer_power(self, top, polar,
+                                                    scalar):
+        # |w| in [1e-3, 1e3]: the ladder's powers agree with numpy's
+        # integer power within a few eps per degree
+        w = np.array([10.0 ** r * cmath.exp(1j * a) for r, a in polar])
+        if scalar:
+            w = w[0]
+        got = mom._powers(w, top)
+        assert got.shape == (top + 1,) + np.shape(w)
+        for k in range(top + 1):
+            want = w ** k
+            bound = 4 * (k + 1) * np.finfo(float).eps * np.abs(w) ** k
+            assert np.all(np.abs(got[k] - want) <= bound), k
+
     def test_degree_bounds(self):
         c = geom.circle(0j, 1.0)
         with pytest.raises(ValueError):
