@@ -344,8 +344,9 @@ def _first_table(cfg: ScenarioConfig) -> None:
     checks read on the basis curves: the moments check's, and the
     verdict's for the checks that scan. Each of them then reads a prefix of
     it (moments._basis_moments), so a scenario integrates each curve once,
-    whatever the order of its checks. An error is left for the checks to
-    meet and report."""
+    whatever the order of its checks. An error is kept in place of the
+    table, and each check that reads the table reports it, with no second
+    integration."""
     degrees = []
     if "moments" in cfg.checks:
         degrees.append(_moments_degree(cfg))

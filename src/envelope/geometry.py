@@ -10,8 +10,11 @@ piece's direction when the point is inside its circle and the chord angle
 turns the other way, so winding numbers are exact for every point off the
 path. The chords of a domain's boundary components form one kernel with a
 column per component, so classify, the domain's set-up checks and gaps,
-and DomainSpec.contains_path each take one kernel pass; a pass measures
-the distance of every point and winds around all of them or none. Every
+and DomainSpec.contains_path each take one kernel pass (contains_path a
+second one where its sampled lower bound of the gaps leaves the exact
+gaps to decide); a pass measures the distance of every point and winds
+around all of them or none. A domain samples each boundary once, and
+keeps what it derives, the hole rules and contours included. Every
 point of a segment, arc ends and chord ends included, comes from one
 formula for a number or an array of parameters. The simply connected
 hull of a rasterized domain is the complement of the grid component of
@@ -319,7 +322,8 @@ class SegmentArrays:
         for s in self.segments:
             if isinstance(s, Arc):
                 pieces = max(1, math.ceil(s.extent / (0.5 * math.pi)))
-                ends = [s.point(i / pieces) for i in range(pieces + 1)]
+                ends = [s.start, *(s.point(i / pieces)
+                                   for i in range(1, pieces)), s.end]
                 a += ends[:-1]
                 b += ends[1:]
                 circles += [(s.center, s.radius, 1.0 if s.ccw else -1.0)] \
@@ -385,6 +389,11 @@ _ON_PATH_BAND = 1e-9
 _BLOCK_PAIRS = 2 ** 16
 _GAP_PAIRS = 2 ** 12
 _ON_PATH = -(10 ** 9)  # sentinel for points that land on a contour
+# DomainSpec.contains_path bounds a path's gaps from this many samples; the
+# bound allows for rounding of this fraction of the numbers it is made of
+# (DomainSpec._scale), thousands of times the few ulps a distance rounds by
+_PATH_SAMPLES = 64
+_BOUND_MARGIN = 1e-12
 
 
 class Chords:
@@ -586,6 +595,13 @@ class DomainSpec:
     witnesses: tuple[complex, ...] = field(init=False, repr=False,
                                            compare=False)
     gaps: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    # each hole's centroid of 256 samples, and its distance to every
+    # component, which _hole_rules reads
+    _centroids: tuple[np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False)
+    # what _kept_on_domain functions return for this domain, by call
+    _memo: dict = field(init=False, repr=False, compare=False,
+                        default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "holes", tuple(self.holes))
@@ -596,14 +612,25 @@ class DomainSpec:
         object.__setattr__(self, "gaps", ())
         if not paths:
             return
-        # one kernel pass (_measured): every component winds around the
-        # sample centroid of each (or its interior_point where the centroid
-        # misses it), and measures the gap points of every two components;
-        # a witness on another boundary counts as outside or overlapping
-        points = np.array([np.mean(p.sample(64)) for p in paths])
-        first, second = np.triu_indices(len(paths), 1)
-        wind, d, gap = _measured(self.chords, points, _gap_points(
-            self._segments, self._segments, first, second), first, second)
+        # one sampling of each component: a hole's sample(256) centres its
+        # circles, and every 4th of those points is its sample(64), as the
+        # outer boundary's is; the centroid of sample(64) is a component's
+        # witness (or its interior_point where the centroid misses it).
+        # One kernel pass (_measured) winds every component around the
+        # witnesses, measures the centroids and the gap points of every two
+        # components; a witness on another boundary counts as outside or
+        # overlapping
+        samples = [hole.sample(256) for hole in self.holes]
+        points = np.array([np.mean(s[::4].copy()) for s in samples]
+                          + [np.mean(p.sample(64)) for p in paths[count:]])
+        centers = np.array([np.mean(s) for s in samples])
+        first, second = np.array(list(itertools.combinations(
+            range(len(paths)), 2)), dtype=np.intp).reshape(-1, 2).T
+        wind, d, gap = _measured(
+            self.chords, np.append(points, centers), _gap_points(
+                self._segments, self._segments, first, second), first, second)
+        object.__setattr__(self, "_centroids", (centers, d[len(paths):]))
+        wind, d = wind[:len(paths)], d[:len(paths)]
         own = np.arange(len(paths))
         for k in np.flatnonzero(~_strictly_inside(
                 paths, wind[own, own], d[own, own])):
@@ -661,22 +688,54 @@ class DomainSpec:
 
     def _path_check(self, path: Path, points) -> tuple[bool, np.ndarray]:
         """contains_path(path), and the windings of the closed path around
-        points, from one kernel pass of the domain's chords and the path's
-        (_measured): around points and the path's start, and at the gap
-        points."""
+        points, from one kernel pass of the domain's chords and the path's:
+        around points and the path's start, and at _PATH_SAMPLES points of
+        the path, which bound its gaps from below. Every point of the path
+        lies within h = length / (2 _PATH_SAMPLES) of one of them, at the
+        midpoints of equal arclength pieces, and distance is 1-Lipschitz
+        (Shubert, SIAM J. Numer. Anal. 9, 1972): the gap to component k is
+        at least the samples' least distance to it less h. Where that bound,
+        less the rounding of _BOUND_MARGIN, clears the two bands of every
+        component, the exact gaps would too; otherwise they decide, from the
+        gap points (_measured)."""
         paths, m = self.boundary_paths(), len(points)
         if not paths:
             return True, path.arrays.chords.windings(np.array(points))[0][:, 0]
-        own, others = np.zeros(len(paths), dtype=np.intp), \
-            np.arange(len(paths))
-        wind, _, gap = _measured(
-            Chords.join((self.chords, path.arrays.chords)),
-            np.append(points, path.start),
-            _gap_points(_Segments((path,)), self._segments, own, others),
-            own + len(paths), others)
-        return bool(_inside(self, wind[m:])[0]
-                    and np.all(gap > path.band + self.chords.band)), \
-            wind[:m, -1]
+        chords = Chords.join((self.chords, path.arrays.chords))
+        samples = path.points_at((np.arange(_PATH_SAMPLES) + 0.5)
+                                 / _PATH_SAMPLES)
+        wind, dist = chords.windings(np.concatenate(
+            (points, [path.start], samples)))
+        inside = bool(_inside(self, wind[m:m + 1])[0])
+        bands = path.band + self.chords.band
+        bound = dist[m + 1:, :len(paths)].min(axis=0) \
+            - 0.5 / _PATH_SAMPLES * path.length
+        if inside and not np.all(
+                bound - _BOUND_MARGIN * self._scale(path) > bands):
+            own, others = np.zeros(len(paths), dtype=np.intp), \
+                np.arange(len(paths))
+            gap = _measured(chords, np.empty(0, dtype=complex), _gap_points(
+                _Segments((path,)), self._segments, own, others),
+                own + len(paths), others)[2]
+            inside = bool(np.all(gap > bands))
+        return inside, wind[:m, -1]
+
+    def _scale(self, path: Path) -> float:
+        """What rounds the sampled bound of a path's gaps: the largest
+        coordinate of the path and the boundaries (_reach), the path's
+        length, which its arclength fractions are parts of, and the largest
+        arc angle in radians times its radius, whose rounding moves
+        the samples along their circles."""
+        arrays = path.arrays
+        turned = arrays.radius * (np.abs(arrays.t0) + np.abs(arrays.sweep))
+        return max(self._boundary_reach, _reach(path.segments), path.length,
+                   float(turned.max()))
+
+    @functools.cached_property
+    def _boundary_reach(self) -> float:
+        """_reach of every boundary segment."""
+        return _reach(itertools.chain.from_iterable(
+            p.segments for p in self.boundary_paths()))
 
 
 class Classification(NamedTuple):
@@ -925,23 +984,35 @@ def interior_point(path: Path) -> complex:
 _CIRCLE_FRACTIONS = (0.35, 0.5, 0.7)
 
 
-@functools.lru_cache(maxsize=128)
+def _kept_on_domain(fn):
+    """fn(domain, *args) memoized in the domain's _memo, so that a result
+    lives as long as its domain and no longer; an exception is not kept."""
+    @functools.wraps(fn)
+    def kept(domain: DomainSpec, *args):
+        key = (fn.__name__, *args)
+        if key not in domain._memo:
+            domain._memo[key] = fn(domain, *args)
+        return domain._memo[key]
+    return kept
+
+
+@_kept_on_domain
 def _hole_rules(domain: DomainSpec) -> tuple[tuple[Path, ...], ...]:
     """Per hole: its circles at _CIRCLE_FRACTIONS of (lo, hi), or () unless
     each keeps farther than its band plus the widest boundary band from lo
     and hi: lo is the hole's reach from its sample centroid, hi the distance
-    from there to the nearest other boundary (2 lo if none), from one
-    distance pass for every hole. Such a circle meets no band and encloses
+    from there to the nearest other boundary (2 lo if none), both measured
+    by the domain's set-up pass. Such a circle meets no band and encloses
     the hole, and no other hole nor the outside, since their boundaries lie
     at least hi away and DomainSpec refuses nested holes; so the circles
     need no check."""
     if not domain.holes:
         return ()
-    centers = [complex(np.mean(hole.sample(256))) for hole in domain.holes]
-    dist = domain.chords.distances(np.array(centers))
+    centers, dist = domain._centroids
     band = float(domain.chords.band.max())
     rules = []
-    for j, (hole, center) in enumerate(zip(domain.holes, centers)):
+    for j, (hole, center) in enumerate(zip(domain.holes, map(complex,
+                                                             centers))):
         lo = hole.max_distance(center)
         others = np.delete(dist[j], j)
         hi = float(others.min()) if others.size else 2.0 * lo
@@ -952,7 +1023,7 @@ def _hole_rules(domain: DomainSpec) -> tuple[tuple[Path, ...], ...]:
     return tuple(rules)
 
 
-@functools.lru_cache(maxsize=512)
+@_kept_on_domain
 def _contour(domain: DomainSpec, j: int, frac: float) -> Path:
     """Hole j's contour at the fraction frac of its rule. A dilation, whose
     cut offsets can backtrack, is built on first use and must pass

@@ -21,7 +21,7 @@ import numpy as np
 from . import expr as _expr
 from . import geometry as _geom
 from . import quadrature as _quad
-from .errors import GeometryError, PoleInDomainError
+from .errors import EnvelopeError, GeometryError, PoleInDomainError
 from .geometry import Arc, DomainSpec, Line, Path
 
 MAX_MOMENT_DEGREE = 64
@@ -224,10 +224,12 @@ def _hole_poles(f: _expr.Expr, domain: DomainSpec
 
 @functools.lru_cache(maxsize=128)
 def _cached_basis_moments(f: _expr.Expr, domain: DomainSpec, tol: float
-                          ) -> dict[int, tuple[MomentVector, ...]]:
+                          ) -> dict[int, tuple[MomentVector, ...]
+                                    | EnvelopeError]:
     """The moment tables of f on the basis curves of the domain that
-    _basis_moments has integrated, by degree; cached, keyed as _hole_poles
-    is, so they live for a scenario."""
+    _basis_moments has integrated, or the error that integrating one
+    raised, by degree; cached, keyed as _hole_poles is, so they live for a
+    scenario."""
     return {}
 
 
@@ -248,13 +250,23 @@ def _basis_moments(f, domain: DomainSpec, degree: int, tol: float
     whose checks read different degrees asks for the largest first
     (cli.run_scenario does), so its verdict and its moments check
     integrate each curve once, whatever the order of the checks. Any other
-    callable is integrated on every call."""
+    callable is integrated on every call.
+
+    A table that raised is kept as its error, which every later request
+    of its degree raises again without integrating; a lower degree that no
+    table serves is integrated, as its powers may not overflow."""
     if not isinstance(f, _expr.Expr):
         return _moment_table(f, domain, degree, tol)
     tables = _cached_basis_moments(f, domain, tol)
-    top = min((k for k in tables if k >= degree), default=degree)
+    top = min((k for k, table in tables.items() if k >= degree
+               and not isinstance(table, EnvelopeError)), default=degree)
     if top not in tables:
-        tables[top] = _moment_table(f, domain, top, tol)
+        try:
+            tables[top] = _moment_table(f, domain, top, tol)
+        except EnvelopeError as exc:
+            tables[top] = exc
+    if isinstance(tables[top], EnvelopeError):
+        raise tables[top]
     return tuple(dataclasses.replace(vec, values=vec.values[:degree + 1])
                  for vec in tables[top]) if top > degree else tables[top]
 

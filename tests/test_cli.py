@@ -468,6 +468,43 @@ class TestRunScenario:
             assert rows["primitive_order"]["per_curve_first_nonzero"] == \
                 list(alone.per_curve_first_nonzero)
 
+    def test_a_failed_table_is_integrated_once(self, monkeypatch):
+        # at radius 1.6e10 from the basis circle's centre the degree-31
+        # power overflows: the table of degree 32 fails once, and both
+        # rows report that one error; a lower degree still integrates
+        degrees = []
+        vector = moments.moment_vector
+
+        def counted(f, path, degree, *args, **kwargs):
+            degrees.append(degree)
+            return vector(f, path, degree, *args, **kwargs)
+
+        monkeypatch.setattr(moments, "moment_vector", counted)
+        moments._cached_basis_moments.cache_clear()  # as in a real run
+        raw = {"function": "1/(z-1e10)^2", "max_degree": 32,
+               "domain": {"outer": {"circle": {"center": [0, 0],
+                                               "radius": 2e10}},
+                          "holes": [{"circle": {"center": [0, 0],
+                                                "radius": 1.2e10}}]},
+               "checks": ["moments", "primitive_order"]}
+        cfg, _ = cli.build_config(raw)
+        rows = cli.run_scenario(cfg).results
+        assert degrees == [32]
+        assert [r["status"] for r in rows] == ["error", "error"]
+        assert rows[0]["values"] == rows[1]["values"] == {
+            "error": "moment degree 31 overflows: (z - center)^31 f(z) "
+                     "leaves the float range where the path reaches "
+                     "max|z - center| = 1.6e+10",
+            "error_type": "GeometryError"}
+        low = moments._basis_moments(cfg.function, cfg.domain, 8,
+                                     cfg.quad_tol)
+        assert degrees == [32, 8] and len(low[0].values) == 9
+        with pytest.raises(errors.GeometryError,
+                           match="degree 31 overflows"):
+            moments._basis_moments(cfg.function, cfg.domain, 32,
+                                   cfg.quad_tol)
+        assert degrees == [32, 8]
+
     def test_checks_sample_each_magnitude_once(self, monkeypatch):
         # the moment vectors and the Laurent components of a scenario share
         # one magnitude scan per (f, basis curve)

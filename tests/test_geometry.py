@@ -1,8 +1,10 @@
 import cmath
 import functools
+import gc
 import math
 import re
 import tracemalloc
+import weakref
 from collections import deque
 from fractions import Fraction
 from pathlib import Path
@@ -1258,16 +1260,120 @@ def _scaled(path, s):
         for g in path.segments), path.closed)
 
 
+def exact_contains(domain, path):
+    """contains_path's rule from the exact gaps alone: the path's start
+    lies in the domain, and its _gap to every boundary exceeds their two
+    bands."""
+    return bool(geom.classify(domain, path.start).inside) and all(
+        geom._gap(path, b) > path.band + b.band
+        for b in domain.boundary_paths())
+
+
 @pytest.fixture
-def fresh_contours():
-    """Empty contour caches before and after a test that patches or
-    counts the contour work, so that it sees the work done and no other
-    test reads a contour it chose."""
-    for cache in (geom._hole_rules, geom._contour):
-        cache.cache_clear()
-    yield
-    for cache in (geom._hole_rules, geom._contour):
-        cache.cache_clear()
+def gap_point_calls(monkeypatch):
+    """The _gap_points calls made since the fixture was set, one entry
+    each."""
+    calls = []
+    gap_points = geom._gap_points
+
+    def counted(*args):
+        calls.append(args)
+        return gap_points(*args)
+
+    monkeypatch.setattr(geom, "_gap_points", counted)
+    return calls
+
+
+@st.composite
+def _paths_near_holes(draw):
+    """A basis domain and a circle about a hole's witness, or a dilation
+    of a hole by a fraction of its gap up to 1.05, some of them within a
+    few bands of touching another boundary."""
+    domain = draw(_basis_domains(draw(st.sampled_from(_BASIS_KINDS))))
+    j = draw(st.integers(0, len(domain.holes) - 1))
+    gap = domain.gaps[j]
+    frac = draw(st.one_of(
+        st.floats(0.05, 1.05),
+        st.floats(4.0, 11.0).map(lambda u: 1.0 - 10.0 ** -u)))
+    if draw(st.booleans()):
+        hole = domain.holes[j]
+        lo = hole.max_distance(domain.witnesses[j])
+        return domain, geom.circle(domain.witnesses[j], lo + frac * gap)
+    try:
+        return domain, geom._dilated_hole(domain.holes[j], frac * gap)
+    except GeometryError:
+        assume(False)
+
+
+class TestSampledBound:
+    @given(case=_paths_near_holes())
+    def test_contains_path_is_the_exact_rule(self, case):
+        # the sampled bound only ever spares the exact gaps where they
+        # would pass too
+        domain, path = case
+        assert domain.contains_path(path) == exact_contains(domain, path)
+
+    @pytest.mark.parametrize("frac, inside, exact", [
+        (0.5, True, False), (0.3, True, False), (1.0 - 1e-3, True, True),
+        (1.0 - 1e-7, True, True), (1.0 - 1e-8, False, True),
+        (1.01, False, True)])
+    def test_the_exact_gaps_decide_near_a_band(self, slab, frac, inside,
+                                               exact, gap_point_calls):
+        # the slab lies 0.3 from the circle hole; a dilation by frac of
+        # that gap keeps 0.3 (1 - frac) from it, against bands of about
+        # 8.6e-9, and its samples lie up to 0.058 from its points, so only
+        # the dilations at 0.5 and 0.3 of the gap clear the bound
+        domain = geom.DomainSpec(slab.outer, slab.holes)
+        curve = geom._dilated_hole(slab.holes[0], frac * domain.gaps[0])
+        gap_point_calls.clear()
+        assert domain.contains_path(curve) is inside
+        assert len(gap_point_calls) == int(exact)
+        assert exact_contains(domain, curve) is inside
+
+    def test_corpus_like_slab_checks_measure_no_gap_points(
+            self, slab, gap_point_calls):
+        # a slab beside a circle hole, as the domain-dilated corpus builds
+        # them: both dilations pass their check on the bound alone
+        domain = geom.DomainSpec(slab.outer, slab.holes)
+        gap_point_calls.clear()
+        curves = [geom.homology_basis(domain)[0],
+                  *geom.basis_curve_variants(domain, 0)]
+        assert all(len(c.segments) > 1 for c in curves)
+        assert gap_point_calls == []
+
+    @pytest.mark.parametrize("name", ["annulus", "two_hole", "slab"])
+    def test_witnesses_and_centroids_are_the_sample_means(self, request,
+                                                           name):
+        assert_sample_means(request.getfixturevalue(name))
+
+    @given(domain=_basis_domains("slab-pair"))
+    def test_rotated_slabs_keep_the_sample_means(self, domain):
+        assert_sample_means(domain)
+
+    def test_contours_live_with_their_domain(self, slab):
+        # a contour is kept on its domain, not shared with an equal one,
+        # and goes when the domain does
+        domain = geom.DomainSpec(slab.outer, slab.holes)
+        curve = geom.homology_basis(domain)[0]
+        assert geom.homology_basis(domain)[0] is curve
+        twin = geom.DomainSpec(slab.outer, slab.holes)
+        assert twin == domain
+        assert geom.homology_basis(twin)[0] is not curve
+        kept = weakref.ref(curve)
+        del domain, curve
+        gc.collect()
+        assert kept() is None
+
+
+def assert_sample_means(domain):
+    """Each hole's witness is the mean of its sample(64), and the centre
+    of its circles the mean of its sample(256), bit for bit."""
+    for hole, witness, center, circles in zip(
+            domain.holes, domain.witnesses, domain._centroids[0],
+            geom._hole_rules(domain)):
+        assert witness == complex(np.mean(hole.sample(64)))
+        assert complex(center) == complex(np.mean(hole.sample(256)))
+        assert all(c.segments[0].center == center for c in circles)
 
 
 class TestHomologyBasis:
@@ -1308,7 +1414,7 @@ class TestHomologyBasis:
                                    (0.5, 0.5, 0.3))] == [True] * 3
         assert variants[0] is basis[0]
 
-    def test_circles_within_a_band_give_dilations(self, fresh_contours):
+    def test_circles_within_a_band_give_dilations(self):
         # the circle hole lies 3e-9 beyond the slab's reach lo = |1 + 0.05i|
         # from its centroid, so the circles would lie 0.9e-9 to 2.1e-9 from
         # the slab's corners or the circle, within their bands (6.3e-9 for
@@ -1375,12 +1481,16 @@ class TestHomologyBasis:
     @pytest.mark.parametrize("name, dilations", [
         ("annulus", 0), ("two_hole", 0), ("shape_hole", 0), ("slab", 2)])
     def test_contours_reuse_what_the_domain_measured(
-            self, request, name, dilations, monkeypatch, fresh_contours):
+            self, request, name, dilations, monkeypatch):
         # only a dilation is checked, once as it is built, and no gap is
-        # measured again; the shape hole is an arrowhead, concave at -0.1i
+        # measured again; the shape hole is an arrowhead, concave at -0.1i.
+        # A fixture's paths make a new domain, which keeps no contour that
+        # another test built
         domain = geom.DomainSpec(geom.circle(0j, 3.0), (geom.polygon(
             [-0.5 - 0.5j, -0.1j, 0.5 - 0.5j, 0.5j]),)) \
-            if name == "shape_hole" else request.getfixturevalue(name)
+            if name == "shape_hole" else geom.DomainSpec(
+                request.getfixturevalue(name).outer,
+                request.getfixturevalue(name).holes)
         calls = []
         real_pass, real_gap = geom._basis_curves_pass, geom._gap
         boundaries = set(map(id, domain.boundary_paths()))
@@ -1406,8 +1516,7 @@ class TestHomologyBasis:
         assert ext._component_centers(np.reciprocal, two_hole) \
             == list(two_hole.witnesses)
 
-    def test_failing_narrow_dilation_is_an_error(self, monkeypatch,
-                                                 fresh_contours):
+    def test_failing_narrow_dilation_is_an_error(self, monkeypatch):
         # the narrower contour is never replaced by the basis curve, which
         # would make the contour-independence check compare a curve with
         # itself
