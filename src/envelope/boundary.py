@@ -118,14 +118,15 @@ class SampledCurve:
 def sample_path(path: Path, data_fn, intervals: int,
                 warp=None) -> SampledCurve:
     """Sample a closed path at arclength fractions j/intervals, optionally
-    rewarped by a monotone map fixing 0 and 1. Odd-frequency warps break
-    the aliasing that makes uniform circle sums exact, which matters when a
-    discretization error is itself the quantity under test.
+    rewarped by a monotone map fixing 0 and 1. The warp maps an array of
+    parameters to the array of their images, in one call. Odd-frequency
+    warps break the aliasing that makes uniform circle sums exact, which
+    matters when a discretization error is itself the quantity under test.
     """
     if not path.closed:
         raise CurveDataError("sampling requires a closed path")
     t = np.linspace(0.0, 1.0, intervals + 1)
-    u = t if warp is None else np.array([warp(v) for v in t], dtype=float)
+    u = t if warp is None else np.asarray(warp(t), dtype=float)
     if abs(u[0]) > 1e-12 or abs(u[-1] - 1.0) > 1e-12 \
             or not np.all(np.diff(u) > 0.0):
         raise CurveDataError("warp must map [0, 1] onto itself increasingly")
@@ -137,11 +138,12 @@ def sample_path(path: Path, data_fn, intervals: int,
 
 
 def odd_warp(amplitude: float = 0.3):
-    """u + amplitude sin(2 pi u) / (2 pi): strictly increasing for
-    amplitude < 1 and free of the even-frequency cancellations."""
+    """u + amplitude sin(2 pi u) / (2 pi), for a number or an array u:
+    strictly increasing for amplitude < 1 and free of the even-frequency
+    cancellations."""
     if not 0.0 <= amplitude < 1.0:
         raise ValueError("amplitude must lie in [0, 1)")
-    return lambda u: u + amplitude * math.sin(2.0 * math.pi * u) \
+    return lambda u: u + amplitude * np.sin(2.0 * math.pi * u) \
         / (2.0 * math.pi)
 
 

@@ -374,14 +374,16 @@ def cross_verify(f, domain: DomainSpec, degree_cutoff: int | None = None,
                  zero_tol: _mom.ZeroTolerance = _mom.ZeroTolerance(),
                  verdict: _mom.PrimitiveOrderVerdict | None = None
                  ) -> CrossVerifyReport:
-    """Run all three criteria and assert their agreement.
+    """Compare the moment verdict, the Laurent tails and (when permitted)
+    the envelope extension, and assert their agreement.
 
-    Moment verdict, Laurent tails and (when permitted) envelope evaluation
-    are computed by separate routes; any disagreement beyond tolerance
-    lands in findings, never in an exception, so a genuinely inconsistent
-    configuration is reported rather than masked. A precomputed verdict
-    (from max_primitive_order with the same f, domain, degree_cutoff, tol
-    and zero_tol) skips the rescan.
+    The three are computed by separate routes (primitive construction,
+    moments.construct_primitive and its checks, is not among them); any
+    disagreement beyond tolerance lands in findings, never in an
+    exception, so a genuinely inconsistent configuration is reported
+    rather than masked. A precomputed verdict (from max_primitive_order
+    with the same f, domain, degree_cutoff, tol and zero_tol) skips the
+    rescan.
     """
     findings: list[str] = []
     if verdict is None:

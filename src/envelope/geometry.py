@@ -52,6 +52,7 @@ WINDING_RESIDUAL_LIMIT = 0.01
 class Line:
     a: complex
     b: complex
+    pieces = 1  # see Arc.pieces
 
     def __post_init__(self):
         if abs(self.b - self.a) == 0.0:
@@ -114,6 +115,13 @@ class Arc:
         else:
             raw = (self.t0 - self.t1) % _TWO_PI
         return raw if raw > 0.0 else _TWO_PI
+
+    @functools.cached_property
+    def pieces(self) -> int:
+        """The count p of pieces [k/p, (k+1)/p] of the parameter, each at
+        most a quarter turn: the winding kernel's chords and the adaptive
+        quadrature's first panels."""
+        return max(1, math.ceil(self.extent / (0.5 * math.pi)))
 
     @property
     def sweep(self) -> float:
@@ -313,15 +321,20 @@ class SegmentArrays:
         return np.concatenate(([0.0], self.ends[:-1]))
 
     @functools.cached_property
+    def pieces(self) -> np.ndarray:
+        """Segment.pieces of every segment."""
+        return np.array([s.pieces for s in self.segments])
+
+    @functools.cached_property
     def chords(self) -> "Chords":
-        """The lines, then the arcs cut into pieces of at most pi/2; piece
-        ends are the numbers Arc.point gives."""
+        """The lines, then the arcs cut into their pieces (Arc.pieces);
+        piece ends are the numbers Arc.point gives."""
         lines = [s for s in self.segments if isinstance(s, Line)]
         a, b = [s.a for s in lines], [s.b for s in lines]
         circles = []  # (center, radius, turn) per arc piece
         for s in self.segments:
             if isinstance(s, Arc):
-                pieces = max(1, math.ceil(s.extent / (0.5 * math.pi)))
+                pieces = s.pieces
                 ends = [s.start, *(s.point(i / pieces)
                                    for i in range(1, pieces)), s.end]
                 a += ends[:-1]

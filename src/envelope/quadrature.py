@@ -4,11 +4,15 @@ Order-16 Gauss-Legendre panels are bisected until the discrepancy between a
 panel and its two children falls under the panel's share of the tolerance
 budget (split proportionally to arclength), with a machine-precision floor
 proportional to the panel's L1 mass so that large-magnitude integrands
-terminate. Refinement runs level by level: the active panels of every
-segment of the path are evaluated together, in one integrand call per tree
-level, split into calls of at most MAX_CALL_VALUES values. The engine
-also returns its panel tree, so a running primitive along the path is
-built on the accepted panels without a second adaptive pass.
+terminate. A line starts from one panel and an arc from its quarter-turn
+pieces (Segment.pieces, the pieces the winding kernel's chords are cut
+into), so a full circle starts from four panels: a polynomial rule over a
+whole or half turn gains nothing from periodicity and seldom passes.
+Refinement runs level by level: the active panels of every segment of the
+path are evaluated together, in one integrand call per tree level, split
+into calls of at most MAX_CALL_VALUES values. The engine also returns its
+panel tree, so a running primitive along the path is built on the
+accepted panels without a second adaptive pass.
 
 An integrand may return a stack of shape (m, nodes) instead of one value
 per node. The stack refines on one shared panel tree: a panel is accepted
@@ -85,11 +89,13 @@ def _eval_batch(fn, xs: np.ndarray) -> np.ndarray:
 
 def _eval_each(fn, xs: np.ndarray) -> np.ndarray:
     """fn point by point. A scalar answer gives shape (len(xs),); any other
-    answer is one stack column, so the result has shape (m, len(xs))."""
+    answer is one stack column, so the result has shape (m, len(xs)), laid
+    out in rows like a stack fn returns for a batch, so that the panel sums
+    of either come out the same."""
     vals = [np.asarray(fn(x), dtype=complex) for x in xs.tolist()]
     if not vals or vals[0].ndim == 0:
         return np.array(vals, dtype=complex)
-    return np.array([v.reshape(-1) for v in vals]).T
+    return np.ascontiguousarray(np.array([v.reshape(-1) for v in vals]).T)
 
 
 class _Panels:
@@ -192,8 +198,10 @@ def _integrate(values_at, path: Path, tol: float, max_panels: int
     nodes z of P panels, a flat array of 16 P points, with shape (16 P,) or
     (m, 16 P).
 
-    Every segment starts from one coarse panel, and every refinement step
-    compares a panel with its two halves, as a depth-first recursion would;
+    Every segment starts from its pieces (Segment.pieces: a line is one,
+    an arc one per quarter turn or part of one), each with its arclength
+    share of tol, and every refinement step compares a panel with its two
+    halves, as a depth-first recursion would;
     the tree is built a level at a time and summed bottom-up in the
     recursion's left/right order, so a scalar integrand gets the same panels
     and the same sums.
@@ -225,21 +233,23 @@ def _level(panels: "_Panels", seg, a, b) -> tuple[np.ndarray, np.ndarray]:
 def _refine(panels: "_Panels", path: Path, tol: float
             ) -> tuple[QuadratureResult, list]:
     """_integrate's panel tree, a level at a time."""
-    count = len(path.segments)
-    # every coarse panel is halved at least once, so the first batch holds
-    # the coarse panels [0, 1] and then their halves [0, 1/2], [1/2, 1]
-    seg = np.arange(count)
-    a = np.zeros(3 * count)
-    a[count + 1::2] = 0.5
-    b = np.ones(3 * count)
-    b[count::2] = 0.5
+    pieces = path.arrays.pieces
+    # the roots are the pieces [k/p, (k+1)/p] of every segment, in path
+    # order; each root is halved at least once, so the first batch holds
+    # the roots and then their halves
+    seg = np.repeat(np.arange(pieces.size), pieces)
+    k = np.arange(seg.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    p = pieces[seg]
+    a, b = k / p, (k + 1) / p
+    mid = 0.5 * (a + b)
+    lo, hi = _halves(a, mid, b)
     sums, mass = _level(panels, np.concatenate((seg, np.repeat(seg, 2))),
-                        a, b)
-    a, b = a[:count], b[:count]
-    mid = np.full(count, 0.5)
+                        np.concatenate((a, lo)), np.concatenate((b, hi)))
+    count = seg.size
     coarse, halves, mass = sums[:, :count], sums[:, count:], mass[:, count:]
+    node_tol = np.repeat(tol * path.arrays.lengths / path.length / pieces,
+                         pieces)
     height = panels.height
-    node_tol = tol * path.arrays.lengths / path.length
     prev_est = None
     err = np.zeros(height)
     levels = []

@@ -110,6 +110,18 @@ class TestSampling:
         u = np.linspace(0, 1, 100)
         assert np.all(np.diff([w(v) for v in u]) > 0)
 
+    def test_odd_warp_maps_arrays(self):
+        # sample_path warps its whole parameter array in one call; the
+        # array map is the scalar formula to within 2 ulps
+        u = np.linspace(0.0, 1.0, 4097)
+        for amplitude in (0.05, 0.3, 0.9):
+            want = np.array([v + amplitude * math.sin(2.0 * math.pi * v)
+                             / (2.0 * math.pi) for v in u])
+            got = bd.odd_warp(amplitude)(u)
+            assert got.shape == u.shape
+            assert np.all(np.abs(got - want)
+                          <= 2 * np.spacing(np.abs(want)))
+
     def test_odd_warp_amplitude_validated(self):
         with pytest.raises(ValueError):
             bd.odd_warp(1.5)

@@ -14,9 +14,10 @@ from envelope.errors import NonFiniteIntegrandError, QuadratureBudgetError
 
 def reference_integrate(fn, path, tol=quad.DEFAULT_TOL,
                         max_panels=quad.DEFAULT_MAX_PANELS):
-    """The depth-first engine the level-by-level one replaced: one segment
-    and one 16-node panel at a time. Returns (value, evaluations, mass),
-    mass being the L1 mass of the accepted panels."""
+    """The depth-first engine the level-by-level one replaced: one piece of
+    a segment (Segment.pieces) and one 16-node panel at a time. Returns
+    (value, evaluations, mass), mass being the L1 mass of the accepted
+    panels."""
     spent = [0]
 
     def panel(seg, a, b):
@@ -50,10 +51,14 @@ def reference_integrate(fn, path, tol=quad.DEFAULT_TOL,
     value = 0j
     mass = 0.0
     for seg in path.segments:
-        coarse, _ = panel(seg, 0.0, 1.0)
-        v, m = refine(seg, 0.0, 1.0, coarse, tol * seg.length / path.length)
-        value += v
-        mass += m
+        p = seg.pieces
+        for k in range(p):
+            a, b = k / p, (k + 1) / p
+            coarse, _ = panel(seg, a, b)
+            v, m = refine(seg, a, b, coarse,
+                          tol * seg.length / path.length / p)
+            value += v
+            mass += m
     return value, quad.GAUSS_ORDER * spent[0], mass
 
 
@@ -264,12 +269,22 @@ class TestAccuracyScaling:
         assert abs(out.value) < 1e2
 
 
+# arc extents at, just below and just above one, two and three quarter
+# turns, and just below a full turn (full turns are the circles), where an
+# arc's count of pieces steps
+_EXTENTS = [q * 0.5 * math.pi * f for q in (1, 2, 3)
+            for f in (1 - 1e-9, 1.0, 1 + 1e-9)] + [2 * math.pi * (1 - 1e-9)]
 # the three kinds of path the engine meets: one arc, a polygon, and the
-# arc-plus-line routes of construct_primitive
+# arc-plus-line routes of construct_primitive; the arcs are full circles
+# and partial arcs, either way round
 _PATHS = st.one_of(
     st.builds(geom.circle,
               st.complex_numbers(max_magnitude=0.5),
-              st.floats(0.8, 2.0)),
+              st.floats(0.8, 2.0), st.booleans()),
+    st.builds(lambda c, r, t0, extent, ccw: geom.Path((geom.Arc(
+        c, r, t0, t0 + extent if ccw else t0 - extent, ccw),)),
+        st.complex_numbers(max_magnitude=0.5), st.floats(0.8, 2.0),
+        st.floats(-3.0, 3.0), st.sampled_from(_EXTENTS), st.booleans()),
     st.builds(lambda n, r, twist: geom.polygon(
         [r * np.exp(1j * (2 * math.pi * k / n + twist)) for k in range(n)]),
         st.integers(3, 8), st.floats(0.8, 2.0), st.floats(0.0, 1.0)),
@@ -339,6 +354,30 @@ class TestLevelEngine:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
         assert np.max(np.abs(out.value / (2j * math.pi) - np.exp(ws))) < 1e-10
+
+    def test_circle_integrals_start_from_quarter_turns(self, annulus):
+        # a full circle starts from its four quarter-turn pieces and their
+        # halves, 12 panels in one call, so no level compares a panel of a
+        # half or a whole turn; starting from one panel per segment, the
+        # degree-32 table took calls of [48, 64, 128, 256, 512] values and
+        # the Cauchy integral [48, 64, 64]
+        curve = geom.homology_basis(annulus)[0]
+        assert [s.pieces for s in curve.segments] == [4]
+        calls = []
+
+        def f(z):
+            calls.append(z.size)
+            return 1 / (z - 0.2) + 1 / (z - (0.1 + 0.3j)) ** 2
+
+        mom.moment_vector(f, curve, 32)
+        # the last call is the magnitude scan
+        assert calls == [192, 256, 512, quad.MAGNITUDE_SAMPLES]
+        calls.clear()
+        w = annulus.witnesses[0]
+        out = quad.integrate(lambda z: f(z) / (z - w), curve)
+        assert calls == [192]
+        # f and the kernel have all their poles inside the curve
+        assert abs(out.value) < 1e-12
 
     def test_dilated_curve_takes_few_integrand_calls(self, slab,
                                                      monkeypatch):
