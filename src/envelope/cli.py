@@ -538,7 +538,8 @@ def run_scenario(config: ScenarioConfig) -> Report:
     checks that need it; a scan that raises is kept as its error, which
     every such check re-raises. Before the first domain check, the moment
     table of the largest degree that the checks read is integrated, once
-    per basis curve (_first_table).
+    per basis curve (_first_table). What the checks learn is kept on the
+    config's domain and basis curves (geometry._kept), and goes with them.
     """
     outcome = []  # the verdict or the error of the one scan
 

@@ -14,7 +14,6 @@ reported as a finding rather than hidden.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -107,10 +106,9 @@ def _component_centers(f, domain: DomainSpec) -> list[complex]:
     """Per hole: its witness, or the pole itself when exactly one pole
     cluster sits inside the hole (making truncation at its order exact)."""
     centers = list(domain.witnesses)
-    if isinstance(f, _expr.Expr):
-        for j, poles in enumerate(_mom._hole_poles(f, domain) or ()):
-            if len(poles) == 1:
-                centers[j] = poles[0].location
+    for j, poles in enumerate(_mom._hole_poles(domain, f=f) or ()):
+        if len(poles) == 1:
+            centers[j] = poles[0].location
     return centers
 
 
@@ -137,17 +135,17 @@ def _contour_points(domain: DomainSpec, j: int, frac: float) -> np.ndarray:
         return z - 1j * (frac - 0.5) * domain.gaps[j] * v / np.abs(v)
 
 
-@functools.lru_cache(maxsize=128)
+@_geom._kept
 def _probes(domain: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(domain probes, hole probes), read-only, placed once per domain by
-    rule and kept by one classify pass. Hole j's domain probes lie on its
-    contours inside (0.35 circle or 0.3 dilation) and outside (0.7) its
-    basis curve, and are kept in the domain where no basis curve is nearer
-    than hole j's, so each keeps a fraction of its hole's gap from every
-    curve; with no holes they are the midpoints from an interior point of
-    the outer boundary toward it. Hole probes are the witnesses and the
-    midpoints from each toward its hole's boundary, kept strictly inside
-    that hole."""
+    """(domain probes, hole probes), read-only, placed by rule, filtered by
+    one classify pass and kept on the domain. Hole j's domain probes lie
+    on its contours inside (0.35 circle or 0.3 dilation) and outside (0.7)
+    its basis curve, and are kept in the domain where no basis curve is
+    nearer than hole j's, so each keeps a fraction of its hole's gap from
+    every curve; with no holes they are the midpoints from an interior
+    point of the outer boundary toward it. Hole probes are the witnesses
+    and the midpoints from each toward its hole's boundary, kept strictly
+    inside that hole."""
     n, holes = _PROBES_PER_CURVE, domain.holes
     if holes:
         inside = [0.35 if rule else 0.3 for rule in _geom._hole_rules(domain)]
@@ -200,7 +198,7 @@ def decompose(f, domain: DomainSpec, terms: int | None = None,
     for j, (curve, center) in enumerate(zip(basis,
                                             _component_centers(f, domain))):
         coeffs = laurent_coefficients(fn, curve, center, terms, tol)
-        max_f, _ = _mom._magnitude_on(fn, curve)
+        max_f, _ = _mom._magnitude_on(curve, f=fn)
         components.append(LaurentComponent(j, center, coeffs,
                                            curve.length * max_f))
 

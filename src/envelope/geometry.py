@@ -33,7 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GeometryError, PointOnPathError, WindingResidualError
+from .errors import (EnvelopeError, GeometryError, PointOnPathError,
+                     WindingResidualError)
 
 _TWO_PI = 2.0 * math.pi
 ENDPOINT_TOL = 1e-12
@@ -612,9 +613,6 @@ class DomainSpec:
     # component, which _hole_rules reads
     _centroids: tuple[np.ndarray, np.ndarray] = field(
         init=False, repr=False, compare=False)
-    # what _kept_on_domain functions return for this domain, by call
-    _memo: dict = field(init=False, repr=False, compare=False,
-                        default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "holes", tuple(self.holes))
@@ -997,19 +995,29 @@ def interior_point(path: Path) -> complex:
 _CIRCLE_FRACTIONS = (0.35, 0.5, 0.7)
 
 
-def _kept_on_domain(fn):
-    """fn(domain, *args) memoized in the domain's _memo, so that a result
-    lives as long as its domain and no longer; an exception is not kept."""
+def _kept(fn):
+    """fn(owner, *args), kept in its owner's __dict__ (a DomainSpec or a
+    Path) for as long as the owner lives: what fn returns, or the
+    EnvelopeError it raises, which each later call raises again. A result
+    about a function, fn(owner, *args, f=f), is kept for the last f asked
+    about, compared by identity and never hashed."""
     @functools.wraps(fn)
-    def kept(domain: DomainSpec, *args):
-        key = (fn.__name__, *args)
-        if key not in domain._memo:
-            domain._memo[key] = fn(domain, *args)
-        return domain._memo[key]
+    def kept(owner, *args, f=None):
+        memo = vars(owner).setdefault("_memo", {})
+        key = (fn, *args)
+        if key not in memo or memo[key][0] is not f:
+            try:
+                memo[key] = f, (fn(owner, *args) if f is None
+                                else fn(owner, *args, f=f))
+            except EnvelopeError as exc:
+                memo[key] = f, exc
+        if isinstance(memo[key][1], EnvelopeError):
+            raise memo[key][1]
+        return memo[key][1]
     return kept
 
 
-@_kept_on_domain
+@_kept
 def _hole_rules(domain: DomainSpec) -> tuple[tuple[Path, ...], ...]:
     """Per hole: its circles at _CIRCLE_FRACTIONS of (lo, hi), or () unless
     each keeps farther than its band plus the widest boundary band from lo
@@ -1036,7 +1044,7 @@ def _hole_rules(domain: DomainSpec) -> tuple[tuple[Path, ...], ...]:
     return tuple(rules)
 
 
-@_kept_on_domain
+@_kept
 def _contour(domain: DomainSpec, j: int, frac: float) -> Path:
     """Hole j's contour at the fraction frac of its rule. A dilation, whose
     cut offsets can backtrack, is built on first use and must pass

@@ -11,7 +11,6 @@ from the path and the derivative ladder can be verified numerically.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -57,7 +56,10 @@ class ZeroTolerance:
 
 def as_function(f):
     """Accept either a parsed expression or any vectorized callable; an
-    Expr already is one."""
+    Expr already is one. f must be a pure function of z: what a scan learns
+    about f on a domain or a curve (geometry._kept) serves every later
+    call about the same f object for as long as the domain or curve
+    lives."""
     if callable(f):
         return f
     raise TypeError(f"expected an Expr or a callable, got {type(f).__name__}")
@@ -159,23 +161,16 @@ def moment_vector(f, path: Path, degree_cutoff: int,
     _check_moment_degree(path, degree_cutoff)
     fn = as_function(f)
     stack = _moments(fn, path, np.arange(degree_cutoff + 1), tol)
-    max_f, max_z = _magnitude_on(fn, path)
+    max_f, max_z = _magnitude_on(path, f=fn)
     return MomentVector(curve_id, tuple(complex(v) for v in stack),
                         path.length * max_f, max_z)
 
 
-@functools.lru_cache(maxsize=128)
-def _cached_magnitude(f: _expr.Expr, path: Path) -> tuple[float, float]:
-    return _quad.max_magnitude_on(f, path)
-
-
-def _magnitude_on(f, path: Path) -> tuple[float, float]:
-    """quadrature.max_magnitude_on, cached for an Expr, so the moment
-    vectors and the Laurent components of a scenario sample f on each
-    basis curve once; any other callable need not be pure, and is sampled
-    on every call."""
-    if isinstance(f, _expr.Expr):
-        return _cached_magnitude(f, path)
+@_geom._kept
+def _magnitude_on(path: Path, *, f) -> tuple[float, float]:
+    """quadrature.max_magnitude_on of f on the path, kept on the path for
+    the last f, so the moment vectors and the Laurent components of a
+    scenario sample f on each basis curve once."""
     return _quad.max_magnitude_on(f, path)
 
 
@@ -203,13 +198,14 @@ class PrimitiveOrderVerdict:
         return self.max_order is None
 
 
-@functools.lru_cache(maxsize=128)
-def _hole_poles(f: _expr.Expr, domain: DomainSpec
+@_geom._kept
+def _hole_poles(domain: DomainSpec, *, f
                 ) -> tuple[tuple[_expr.PoleRecord, ...], ...] | None:
     """The poles of f in each hole, a pole on a hole boundary counting for
-    that hole, or None when the pole set is unknown; cached, so a scenario
-    finds its poles once. Raises as inside_pole_budget does."""
-    poles = _expr.pole_set(f)
+    that hole, or None when the pole set is unknown (f is not an Expr, or
+    not rational); kept on the domain for the last f, so a scenario finds
+    its poles once. Raises as inside_pole_budget does."""
+    poles = _expr.pole_set(f) if isinstance(f, _expr.Expr) else None
     if poles is None:
         return None
     where = _geom.classify(domain, [rec.location for rec in poles])
@@ -222,14 +218,12 @@ def _hole_poles(f: _expr.Expr, domain: DomainSpec
                  for j in range(len(domain.holes)))
 
 
-@functools.lru_cache(maxsize=128)
-def _cached_basis_moments(f: _expr.Expr, domain: DomainSpec, tol: float
-                          ) -> dict[int, tuple[MomentVector, ...]
-                                    | EnvelopeError]:
-    """The moment tables of f on the basis curves of the domain that
-    _basis_moments has integrated, or the error that integrating one
-    raised, by degree; cached, keyed as _hole_poles is, so they live for a
-    scenario."""
+@_geom._kept
+def _basis_tables(domain: DomainSpec, tol: float, *, f
+                  ) -> dict[int, tuple[MomentVector, ...] | EnvelopeError]:
+    """The moment tables of f on the basis curves of the domain at the
+    tolerance tol that _basis_moments has integrated, or the error that
+    integrating one raised, by degree; kept on the domain for the last f."""
     return {}
 
 
@@ -245,19 +239,17 @@ def _basis_moments(f, domain: DomainSpec, degree: int, tol: float
     """The moment vector of degree 0 .. degree of f on each homology basis
     curve (ids hole-j). It runs no pole check.
 
-    For an Expr the tables are cached, and a table of higher degree serves
-    a lower degree by its prefix, with the same scale and reach. A scenario
-    whose checks read different degrees asks for the largest first
-    (cli.run_scenario does), so its verdict and its moments check
-    integrate each curve once, whatever the order of the checks. Any other
-    callable is integrated on every call.
+    The tables are kept on the domain for the last f asked about, by
+    tolerance and degree (_basis_tables), and a table of higher degree
+    serves a lower degree by its prefix, with the same scale and reach. A
+    scenario whose checks read different degrees asks for the largest
+    first (cli.run_scenario does), so its verdict and its moments check
+    integrate each curve once, whatever the order of the checks.
 
     A table that raised is kept as its error, which every later request
     of its degree raises again without integrating; a lower degree that no
     table serves is integrated, as its powers may not overflow."""
-    if not isinstance(f, _expr.Expr):
-        return _moment_table(f, domain, degree, tol)
-    tables = _cached_basis_moments(f, domain, tol)
+    tables = _basis_tables(domain, tol, f=f)
     top = min((k for k, table in tables.items() if k >= degree
                and not isinstance(table, EnvelopeError)), default=degree)
     if top not in tables:
@@ -275,7 +267,7 @@ def inside_pole_budget(f, domain: DomainSpec) -> list[int] | None:
     """Total pole order inside each hole, or None when the pole set is
     unknown. Raises PoleInDomainError (a ValueError) if a pole lies in the
     domain itself, where f was promised holomorphic."""
-    by_hole = _hole_poles(f, domain) if isinstance(f, _expr.Expr) else None
+    by_hole = _hole_poles(domain, f=f)
     return None if by_hole is None \
         else [sum(rec.order for rec in poles) for poles in by_hole]
 

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -424,7 +426,6 @@ class TestRunScenario:
             return pole_set(node)
 
         monkeypatch.setattr(expr, "pole_set", counted)
-        moments._hole_poles.cache_clear()  # as at the start of a real run
         raw = {"function": "1/(z-5) + 0.5/(z-0.1)^2", "domain": ANNULUS,
                "max_degree": 4, "checks": ["moments", "primitive_order",
                                            "extension", "cross_verify"]}
@@ -449,7 +450,6 @@ class TestRunScenario:
         # verdict degree 8, both from one table of degree 32
         for max_degree in (4, None):
             calls.clear()
-            moments._cached_basis_moments.cache_clear()  # as in a real run
             raw = {"function": "1/z^2 + 1/(z-3)^3", "max_degree": max_degree,
                    "domain": TWO_HOLES, "checks": checks}
             cfg, _ = cli.build_config(raw)
@@ -462,8 +462,8 @@ class TestRunScenario:
                 (max_degree or moments.DEFAULT_DEGREE_CUTOFF)
             assert rows["primitive_order"]["tested_through"] == \
                 (max_degree or 8)
-            moments._cached_basis_moments.cache_clear()
-            alone = moments.max_primitive_order(cfg.function, cfg.domain,
+            fresh, _ = cli.build_config(raw)
+            alone = moments.max_primitive_order(fresh.function, fresh.domain,
                                                 max_degree)
             assert rows["primitive_order"]["per_curve_first_nonzero"] == \
                 list(alone.per_curve_first_nonzero)
@@ -480,7 +480,6 @@ class TestRunScenario:
             return vector(f, path, degree, *args, **kwargs)
 
         monkeypatch.setattr(moments, "moment_vector", counted)
-        moments._cached_basis_moments.cache_clear()  # as in a real run
         raw = {"function": "1/(z-1e10)^2", "max_degree": 32,
                "domain": {"outer": {"circle": {"center": [0, 0],
                                                "radius": 2e10}},
@@ -516,7 +515,6 @@ class TestRunScenario:
             return scan(fn, path)
 
         monkeypatch.setattr(quadrature, "max_magnitude_on", counted)
-        moments._cached_magnitude.cache_clear()  # as in a real run
         raw = {"function": "1/z^2 + 1/(z-3)^3", "domain": TWO_HOLES,
                "checks": ["moments", "primitive_order", "extension",
                           "cross_verify"]}
@@ -524,6 +522,47 @@ class TestRunScenario:
         rep = cli.run_scenario(cfg)
         assert [r["status"] for r in rep.results] == ["ok"] * 4
         assert len(calls) == 2 and calls[0][1] != calls[1][1]
+
+    def test_a_scenario_keeps_nothing_alive(self):
+        # what the checks learn lives on the scenario's domain and curves,
+        # so the expression and the domain go with the config
+        raw = {"function": "1/z^2 + 1/(z-3)^3 + 0.25",
+               "domain": TWO_HOLES,
+               "checks": ["moments", "primitive_order", "extension",
+                          "cross_verify"]}
+        cfg, _ = cli.build_config(raw)
+        assert cli.run_scenario(cfg).exit_code == 0
+        kept = weakref.ref(cfg.function), weakref.ref(cfg.domain)
+        del cfg
+        gc.collect()
+        assert [ref() for ref in kept] == [None, None]
+
+    def test_a_failed_contour_is_built_once(self, monkeypatch):
+        # a hole 2e-5 inside the outer circle, at radius 1000: no circle
+        # clears the bands and the dilation fails its check; the error is
+        # kept on the domain, so every check reports it from one attempt
+        calls = []
+        dilated = geom._dilated_hole
+
+        def counted(hole, d):
+            calls.append(d)
+            return dilated(hole, d)
+
+        monkeypatch.setattr(geom, "_dilated_hole", counted)
+        raw = {"function": "1/z^2",
+               "domain": {"outer": {"circle": {"center": [0, 0],
+                                               "radius": 1000 + 2e-5}},
+                          "holes": [{"circle": {"center": [0, 0],
+                                                "radius": 1000}}]},
+               "checks": ["moments", "primitive_order", "extension",
+                          "cross_verify"]}
+        cfg, _ = cli.build_config(raw)
+        rows = cli.run_scenario(cfg).results
+        assert len(calls) == 1
+        assert [r["status"] for r in rows] == ["error"] * 4
+        assert all(r["values"]["error"].startswith(
+            "could not construct a separating basis curve for hole 0")
+            for r in rows)
 
     def test_extension_checks_classify_each_point_set_once(self,
                                                            monkeypatch):

@@ -329,6 +329,23 @@ class TestCrossVerify:
         assert rep.consistent
         assert rep.verdict.all_orders
 
+    def test_callables_sample_each_magnitude_once(self, two_hole,
+                                                  monkeypatch):
+        # a callable takes an expression's path: the moment vectors and the
+        # Laurent components share one magnitude scan per basis curve
+        calls = []
+        scan = quad.max_magnitude_on
+
+        def counted(fn, path):
+            calls.append(path)
+            return scan(fn, path)
+
+        monkeypatch.setattr(quad, "max_magnitude_on", counted)
+        rep = ext.cross_verify(lambda z: 1 / z ** 2 + 1 / (z - 3) ** 3,
+                               two_hole)
+        assert rep.consistent and rep.verdict.per_curve_first_nonzero == (1, 2)
+        assert calls == geom.homology_basis(two_hole)
+
     def test_reference_route_skips_points_it_cannot_evaluate(self, two_hole):
         # in hole 0 the black box raises, as a parsed quotient does at a
         # removable singularity, and in hole 1 it gives NaN: those probes

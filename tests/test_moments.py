@@ -1,5 +1,7 @@
 import cmath
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -228,22 +230,39 @@ class TestMaxPrimitiveOrder:
         assert verdict.per_curve_first_nonzero == (1, 0)
         assert verdict.max_order == 0
 
-    def test_callables_bypass_the_moment_cache(self, annulus):
-        # a callable need not be hashable, and its values may change
+    def test_unhashable_callables_are_kept_by_identity(self, annulus):
+        # a callable need not be hashable: what a scan keeps about it is
+        # matched by identity
         class Unhashable:
             __hash__ = None
 
             def __call__(self, z):
                 return 1 / z ** 2
 
-        verdict = mom.max_primitive_order(Unhashable(), annulus, 3)
+        f = Unhashable()
+        verdict = mom.max_primitive_order(f, annulus, 3)
         assert verdict.max_order == 1
+        assert mom.max_primitive_order(f, annulus, 3).moments \
+            is verdict.moments
 
     def test_expressions_share_the_moment_vectors(self, annulus):
+        # the same expression object reads the kept tables; an equal one
+        # parsed anew is integrated anew
         f = expr.parse("1/z^3")
         first = mom.max_primitive_order(f, annulus, 4).moments
+        assert mom.max_primitive_order(f, annulus, 4).moments is first
         again = mom.max_primitive_order(expr.parse("1/z^3"), annulus, 4)
-        assert again.moments is first
+        assert again.moments is not first and again.moments == first
+
+    def test_a_domain_keeps_only_the_last_function(self, annulus):
+        kept = []
+        for k in range(20):
+            f = expr.parse(f"1/z^3 + {k}")
+            mom.max_primitive_order(f, annulus)
+            kept.append(weakref.ref(f))
+        del f
+        gc.collect()
+        assert [ref() is not None for ref in kept] == [False] * 19 + [True]
 
     def test_explicit_cutoff_restricts_scan(self, annulus):
         verdict = mom.max_primitive_order(expr.parse("1/z^5"), annulus,

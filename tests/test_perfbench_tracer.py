@@ -34,8 +34,8 @@ def test_tracer_counts_every_layer(tmp_path):
         next(sc for sc in corpus.block("domain-circle", 3, 0)
              if sc.sid.endswith("annulus-regular")),
     ]
-    for cache in spans.package_caches():
-        cache.cache_clear()
+    # the package keeps no process-wide cache: a scenario starts afresh
+    assert spans.package_caches() == []
     tracer = spans.Tracer()
     reports = []
     tracer.install()
@@ -52,5 +52,7 @@ def test_tracer_counts_every_layer(tmp_path):
         tracer.uninstall()
     metrics = tracer.metrics(len(scenarios), reports)
     for name in ("quadrature.integrals", "moments.scans",
+                 "moments.moment_vectors", "extension.decompose_s",
+                 "expr.pole_set_s", "geometry.basis_s",
                  "extension.cross_verify_s", "boundary.chord_arc_s"):
         assert metrics[name][0] > 0, name
