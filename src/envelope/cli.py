@@ -330,9 +330,6 @@ def _jsonable(value):
 
 # ---------------------------------------------------------------------------
 # check runners
-#
-# Every runner takes the config and `scan`, a callable returning the
-# scenario's moment verdict (computed on first call, then shared).
 
 def _moments_degree(cfg: ScenarioConfig) -> int:
     return cfg.max_degree if cfg.max_degree is not None \
@@ -342,11 +339,11 @@ def _moments_degree(cfg: ScenarioConfig) -> int:
 def _first_table(cfg: ScenarioConfig) -> None:
     """Integrate the moment table of the largest degree that the listed
     checks read on the basis curves: the moments check's, and the
-    verdict's for the checks that scan. Each of them then reads a prefix of
-    it (moments._basis_moments), so a scenario integrates each curve once,
-    whatever the order of its checks. An error is kept in place of the
-    table, and each check that reads the table reports it, with no second
-    integration."""
+    verdict's for the checks that read it. Each of them then reads a
+    prefix of it (moments._basis_moments), so a scenario integrates each
+    curve once, whatever the order of its checks. An error is kept in
+    place of the table, and each check that reads the table reports it,
+    with no second integration."""
     degrees = []
     if "moments" in cfg.checks:
         degrees.append(_moments_degree(cfg))
@@ -360,7 +357,7 @@ def _first_table(cfg: ScenarioConfig) -> None:
         pass
 
 
-def _run_moments(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
+def _run_moments(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
     degree = _moments_degree(cfg)
     rows = [{"curve_id": vec.curve_id,
              "moments": list(vec.values),
@@ -373,8 +370,9 @@ def _run_moments(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
     return values, tol, "ok"
 
 
-def _run_primitive_order(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
-    verdict = scan()
+def _run_primitive_order(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
+    verdict = _mom._verdict(cfg.domain, cfg.max_degree, cfg.quad_tol,
+                            cfg.zero_tol, f=cfg.function)
     values = {
         "max_order": verdict.max_order,
         "all_orders": verdict.all_orders,
@@ -387,8 +385,9 @@ def _run_primitive_order(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
     return values, tol, "ok"
 
 
-def _run_extension(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
-    verdict = scan()
+def _run_extension(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
+    verdict = _mom._verdict(cfg.domain, cfg.max_degree, cfg.quad_tol,
+                            cfg.zero_tol, f=cfg.function)
     tol = {"contour": _ext.CONTOUR_TOL}
     if not verdict.all_orders:
         values = {"extends": False, "blocking_degree": verdict.max_order,
@@ -405,10 +404,9 @@ def _run_extension(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
     return values, tol, status
 
 
-def _run_cross_verify(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
+def _run_cross_verify(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
     report = _ext.cross_verify(cfg.function, cfg.domain, cfg.max_degree,
-                               cfg.laurent_terms, cfg.quad_tol, cfg.zero_tol,
-                               verdict=scan())
+                               cfg.laurent_terms, cfg.quad_tol, cfg.zero_tol)
     values = {
         "max_order": report.verdict.max_order,
         "all_orders": report.verdict.all_orders,
@@ -427,7 +425,7 @@ def _run_cross_verify(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
     return values, tol, ("ok" if report.consistent else "inconsistent")
 
 
-def _run_boundary_tower(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
+def _run_boundary_tower(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
     report = _bd.boundary_duality(cfg.curve, cfg.tower_levels, cfg.zero_tol,
                                  cfg.quad_tol)
     tower = report.tower
@@ -444,14 +442,14 @@ def _run_boundary_tower(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
     return values, tol, ("ok" if tower.duality_consistent else "inconsistent")
 
 
-def _run_cauchy(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
+def _run_cauchy(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
     points = np.array(cfg.points, dtype=complex)
     vals = _bd.cauchy_transform(cfg.curve, points, cfg.quad_tol)
     values = {"points": list(cfg.points), "values": list(map(complex, vals))}
     return values, {"quadrature": cfg.quad_tol}, "ok"
 
 
-def _run_nontangential(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
+def _run_nontangential(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
     report = _bd.nontangential_check(cfg.curve, cfg.node_index, cfg.radii,
                                      cfg.quad_tol, cfg.zero_tol)
     values = {
@@ -466,7 +464,7 @@ def _run_nontangential(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
     return values, {"match": _bd.MATCH_TOL}, status
 
 
-def _run_chord_arc(cfg: ScenarioConfig, scan) -> tuple[dict, dict, str]:
+def _run_chord_arc(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
     constant = _bd.chord_arc_constant(cfg.curve)
     report = _bd.difference_quotient_check(cfg.curve, cfg.node_index,
                                            constant)
@@ -534,27 +532,14 @@ def run_scenario(config: ScenarioConfig) -> Report:
 
     An exception inside one check becomes a structured error row; the
     remaining checks still run, so a batch never loses results to one bad
-    entry. The moment verdict is computed at most once and shared by the
-    checks that need it; a scan that raises is kept as its error, which
-    every such check re-raises. Before the first domain check, the moment
-    table of the largest degree that the checks read is integrated, once
-    per basis curve (_first_table). What the checks learn is kept on the
-    config's domain and basis curves (geometry._kept), and goes with them.
+    entry. Before the first domain check, the moment table of the largest
+    degree that the checks read is integrated, once per basis curve
+    (_first_table). run_scenario keeps no state of its own: what the
+    checks learn, the moment verdict and any error included, is kept on
+    the config's domain and basis curves (geometry._kept) and goes with
+    them, so every check that reads the verdict reports one verdict or
+    one error.
     """
-    outcome = []  # the verdict or the error of the one scan
-
-    def scan():
-        if not outcome:
-            try:
-                outcome.append(_mom.max_primitive_order(
-                    config.function, config.domain, config.max_degree,
-                    config.quad_tol, config.zero_tol))
-            except EnvelopeError as exc:
-                outcome.append(exc)
-        if isinstance(outcome[0], EnvelopeError):
-            raise outcome[0]
-        return outcome[0]
-
     results = []
     timings = {}
     start_all = time.perf_counter()
@@ -566,7 +551,7 @@ def run_scenario(config: ScenarioConfig) -> Report:
             _first_table(config)
             tabled = True
         try:
-            values, tol, status = runner(config, scan)
+            values, tol, status = runner(config)
         except EnvelopeError as exc:
             values = {"error": str(exc), "error_type": type(exc).__name__}
             tol = {}

@@ -232,9 +232,10 @@ def evaluate_extension(f, domain: DomainSpec, w,
     complex for one point, an array of w's shape for an array of points.
 
     Requires the moment verdict to report one-valued primitives of all
-    tested orders (supply a precomputed verdict to skip the rescan);
-    otherwise ExtensionPreconditionError is raised, since a nonzero moment
-    certifies that no extension exists. The value is the Cauchy integral
+    tested orders; otherwise ExtensionPreconditionError is raised, since a
+    nonzero moment certifies that no extension exists. Without a verdict it
+    reads the one kept on the domain for f (moments._verdict) at the
+    default degree cutoff and zero test. The value is the Cauchy integral
     over a contour that winds once around w and zero times around every
     hole other than the one containing it. Points in one hole share its
     contour, and all points of the domain proper share one integral over
@@ -258,7 +259,7 @@ def _on_contours(f, domain: DomainSpec, pts: np.ndarray, tol: float,
     contour's integrals and refusals in turn, as separate calls would meet
     them."""
     if verdict is None:
-        verdict = _mom.max_primitive_order(f, domain, None, tol)
+        verdict = _mom._verdict(domain, None, tol, _mom.ZeroTolerance(), f=f)
     if verdict.max_order is not None:
         raise ExtensionPreconditionError(
             f"a degree-{verdict.max_order} moment is nonzero; f does not "
@@ -369,8 +370,7 @@ def _tail_reference(fn, live: list[LaurentComponent], points: np.ndarray
 
 def cross_verify(f, domain: DomainSpec, degree_cutoff: int | None = None,
                  terms: int | None = None, tol: float = _quad.DEFAULT_TOL,
-                 zero_tol: _mom.ZeroTolerance = _mom.ZeroTolerance(),
-                 verdict: _mom.PrimitiveOrderVerdict | None = None
+                 zero_tol: _mom.ZeroTolerance = _mom.ZeroTolerance()
                  ) -> CrossVerifyReport:
     """Compare the moment verdict, the Laurent tails and (when permitted)
     the envelope extension, and assert their agreement.
@@ -379,14 +379,12 @@ def cross_verify(f, domain: DomainSpec, degree_cutoff: int | None = None,
     moments.construct_primitive and its checks, is not among them); any
     disagreement beyond tolerance lands in findings, never in an
     exception, so a genuinely inconsistent configuration is reported
-    rather than masked. A precomputed verdict (from max_primitive_order
-    with the same f, domain, degree_cutoff, tol and zero_tol) skips the
-    rescan.
+    rather than masked. The verdict is the one kept on the domain for f,
+    degree_cutoff, tol and zero_tol (moments._verdict), so the checks of a
+    scenario and repeated calls scan the moments once.
     """
     findings: list[str] = []
-    if verdict is None:
-        verdict = _mom.max_primitive_order(f, domain, degree_cutoff, tol,
-                                           zero_tol)
+    verdict = _mom._verdict(domain, degree_cutoff, tol, zero_tol, f=f)
     if terms is None:
         terms = verdict.tested_through + 1
     decomp = decompose(f, domain, terms, tol)

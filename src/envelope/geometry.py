@@ -998,9 +998,11 @@ _CIRCLE_FRACTIONS = (0.35, 0.5, 0.7)
 def _kept(fn):
     """fn(owner, *args), kept in its owner's __dict__ (a DomainSpec or a
     Path) for as long as the owner lives: what fn returns, or the
-    EnvelopeError it raises, which each later call raises again. A result
-    about a function, fn(owner, *args, f=f), is kept for the last f asked
-    about, compared by identity and never hashed."""
+    EnvelopeError it raises (the only error the package keeps), which each
+    later call raises again with a traceback that starts at that call, so
+    it does not grow. A result about a function, fn(owner, *args, f=f), is
+    kept for the last f asked about, compared by identity and never
+    hashed."""
     @functools.wraps(fn)
     def kept(owner, *args, f=None):
         memo = vars(owner).setdefault("_memo", {})
@@ -1011,8 +1013,9 @@ def _kept(fn):
                                 else fn(owner, *args, f=f))
             except EnvelopeError as exc:
                 memo[key] = f, exc
+                raise
         if isinstance(memo[key][1], EnvelopeError):
-            raise memo[key][1]
+            raise memo[key][1].with_traceback(None)
         return memo[key][1]
     return kept
 

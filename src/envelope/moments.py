@@ -20,7 +20,7 @@ import numpy as np
 from . import expr as _expr
 from . import geometry as _geom
 from . import quadrature as _quad
-from .errors import EnvelopeError, GeometryError, PoleInDomainError
+from .errors import GeometryError, PoleInDomainError
 from .geometry import Arc, DomainSpec, Line, Path
 
 MAX_MOMENT_DEGREE = 64
@@ -220,17 +220,19 @@ def _hole_poles(domain: DomainSpec, *, f
 
 @_geom._kept
 def _basis_tables(domain: DomainSpec, tol: float, *, f
-                  ) -> dict[int, tuple[MomentVector, ...] | EnvelopeError]:
+                  ) -> dict[int, tuple[MomentVector, ...]]:
     """The moment tables of f on the basis curves of the domain at the
-    tolerance tol that _basis_moments has integrated, or the error that
-    integrating one raised, by degree; kept on the domain for the last f."""
+    tolerance tol that _basis_moments has read from _moment_table, by
+    degree; kept on the domain for the last f."""
     return {}
 
 
-def _moment_table(f, domain: DomainSpec, degree: int, tol: float
+@_geom._kept
+def _moment_table(domain: DomainSpec, degree: int, tol: float, *, f
                   ) -> tuple[MomentVector, ...]:
-    fn = as_function(f)
-    return tuple(moment_vector(fn, curve, degree, tol, f"hole-{j}")
+    """The moments of degree 0 .. degree of f on each basis curve, kept on
+    the domain for the last f."""
+    return tuple(moment_vector(f, curve, degree, tol, f"hole-{j}")
                  for j, curve in enumerate(_geom.homology_basis(domain)))
 
 
@@ -239,28 +241,21 @@ def _basis_moments(f, domain: DomainSpec, degree: int, tol: float
     """The moment vector of degree 0 .. degree of f on each homology basis
     curve (ids hole-j). It runs no pole check.
 
-    The tables are kept on the domain for the last f asked about, by
-    tolerance and degree (_basis_tables), and a table of higher degree
-    serves a lower degree by its prefix, with the same scale and reach. A
-    scenario whose checks read different degrees asks for the largest
-    first (cli.run_scenario does), so its verdict and its moments check
-    integrate each curve once, whatever the order of the checks.
+    A table of higher degree read for f at the tolerance tol
+    (_basis_tables) serves a lower degree by its prefix, with the same
+    scale and reach. A scenario whose checks read different degrees asks
+    for the largest first (cli.run_scenario does), so its verdict and its
+    moments check integrate each curve once, whatever the order of the
+    checks.
 
-    A table that raised is kept as its error, which every later request
-    of its degree raises again without integrating; a lower degree that no
-    table serves is integrated, as its powers may not overflow."""
+    A table that raised is kept as its error (geometry._kept), raised
+    again for its degree without integrating; a lower degree that no table
+    serves is integrated, as its powers may not overflow."""
     tables = _basis_tables(domain, tol, f=f)
-    top = min((k for k, table in tables.items() if k >= degree
-               and not isinstance(table, EnvelopeError)), default=degree)
-    if top not in tables:
-        try:
-            tables[top] = _moment_table(f, domain, top, tol)
-        except EnvelopeError as exc:
-            tables[top] = exc
-    if isinstance(tables[top], EnvelopeError):
-        raise tables[top]
+    top = min((k for k in tables if k >= degree), default=degree)
+    tables[top] = table = _moment_table(domain, top, tol, f=f)
     return tuple(dataclasses.replace(vec, values=vec.values[:degree + 1])
-                 for vec in tables[top]) if top > degree else tables[top]
+                 for vec in table) if top > degree else table
 
 
 def inside_pole_budget(f, domain: DomainSpec) -> list[int] | None:
@@ -314,6 +309,15 @@ def max_primitive_order(f, domain: DomainSpec,
     return PrimitiveOrderVerdict(min(hits, default=None), degree_cutoff,
                                  bool(hits) or certified, certificate,
                                  tuple(firsts), tuple(vectors))
+
+
+@_geom._kept
+def _verdict(domain: DomainSpec, degree_cutoff: int | None, tol: float,
+             zero_tol: ZeroTolerance, *, f) -> PrimitiveOrderVerdict:
+    """max_primitive_order of f on the domain, kept on the domain for the
+    last f: the one moment verdict that the checks of a scenario, and the
+    library calls about the same f, domain, cutoff and tolerances, read."""
+    return max_primitive_order(f, domain, degree_cutoff, tol, zero_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +379,8 @@ def construct_primitive(f, n: int, base: complex, target: complex,
         if not domain.contains_path(path):
             raise GeometryError("integration path leaves the domain")
         if warn_on_nonvanishing and domain.holes:
-            verdict = max_primitive_order(f, domain, max(0, n - 1), tol)
+            verdict = _verdict(domain, max(0, n - 1), tol, ZeroTolerance(),
+                               f=f)
             if verdict.max_order is not None and verdict.max_order < n:
                 warnings.warn(
                     f"moments of degree <= {n - 1} do not all vanish; the "

@@ -564,6 +564,42 @@ class TestRunScenario:
             "could not construct a separating basis curve for hole 0")
             for r in rows)
 
+    def test_a_kept_error_has_a_bounded_traceback(self):
+        # every check raises the ring's kept contour error again; each
+        # raise starts a new traceback, so its frames do not pile up with
+        # the checks (12 after one check and 29 after four, had they)
+        def frames(checks):
+            raw = {"function": "1/z^2", "checks": checks,
+                   "domain": {"outer": {"circle": {"center": [0, 0],
+                                                   "radius": 1000 + 2e-5}},
+                              "holes": [{"circle": {"center": [0, 0],
+                                                    "radius": 1000}}]}}
+            cfg, _ = cli.build_config(raw)
+            assert cli.run_scenario(cfg).exit_code == 1
+            counts = []
+            for _, value in vars(cfg.domain)["_memo"].values():
+                if isinstance(value, errors.EnvelopeError):
+                    tb, count = value.__traceback__, 0
+                    while tb is not None:
+                        tb, count = tb.tb_next, count + 1
+                    counts.append(count)
+            assert counts
+            return max(counts)
+
+        assert frames(["moments"]) == frames(
+            ["moments", "primitive_order", "extension", "cross_verify"])
+
+    def test_the_first_raise_of_a_kept_error_reaches_its_source(self):
+        ring = geom.DomainSpec(geom.circle(0j, 1000 + 2e-5),
+                               (geom.circle(0j, 1000),))
+        with pytest.raises(errors.GeometryError) as first:
+            geom.homology_basis(ring)
+        with pytest.raises(errors.GeometryError) as again:
+            geom.homology_basis(ring)
+        assert again.value is first.value
+        assert "_contour" in [entry.name for entry in first.traceback]
+        assert "_contour" not in [entry.name for entry in again.traceback]
+
     def test_extension_checks_classify_each_point_set_once(self,
                                                            monkeypatch):
         # both contours of the extension check, and of cross_verify's

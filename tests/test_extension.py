@@ -346,6 +346,33 @@ class TestCrossVerify:
         assert rep.consistent and rep.verdict.per_curve_first_nonzero == (1, 2)
         assert calls == geom.homology_basis(two_hole)
 
+    def test_entry_points_share_one_verdict(self, monkeypatch):
+        # the verdict is kept on the domain for f, the cutoff and the
+        # tolerances (moments._verdict): two cross_verify and two
+        # evaluate_extension calls scan the moments once, and two
+        # construct_primitive calls, at their cutoff n - 1, once more
+        calls = []
+        scan = mom.max_primitive_order
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(mom, "max_primitive_order", counted)
+        annulus = geom.DomainSpec(geom.circle(0j, 2.0),
+                                  (geom.circle(0j, 0.5),))
+        f = expr.parse("1/(z-5) + z^2")
+        w = 0.1 + 0.2j
+        for _ in range(2):
+            assert ext.cross_verify(f, annulus).consistent
+            assert abs(ext.evaluate_extension(f, annulus, w) - f(w)) < 1e-9
+        assert len(calls) == 1
+        route = mom.ring_route(1.5 + 0j, -1.5j)
+        for _ in range(2):
+            mom.construct_primitive(f, 2, 1.5 + 0j, -1.5j, route,
+                                    domain=annulus)
+        assert len(calls) == 2
+
     def test_reference_route_skips_points_it_cannot_evaluate(self, two_hole):
         # in hole 0 the black box raises, as a parsed quotient does at a
         # removable singularity, and in hole 1 it gives NaN: those probes

@@ -264,6 +264,28 @@ class TestMaxPrimitiveOrder:
         gc.collect()
         assert [ref() is not None for ref in kept] == [False] * 19 + [True]
 
+    def test_a_kept_table_serves_lower_degrees_after_another_function(
+            self, monkeypatch):
+        # f's degree-32 table is still kept after h is asked about, and
+        # serves f's degree 8 by its prefix without a second integration
+        degrees = []
+        vector = mom.moment_vector
+
+        def counted(f, path, degree, *args, **kwargs):
+            degrees.append(degree)
+            return vector(f, path, degree, *args, **kwargs)
+
+        monkeypatch.setattr(mom, "moment_vector", counted)
+        annulus = geom.DomainSpec(geom.circle(0j, 2.0),
+                                  (geom.circle(0j, 0.5),))
+        f, h = expr.parse("1/z^2"), expr.parse("1/z^3")
+        top = mom._basis_moments(f, annulus, 32, 1e-12)
+        mom._basis_moments(h, annulus, 8, 1e-12)
+        assert mom._basis_moments(f, annulus, 32, 1e-12) is top
+        low = mom._basis_moments(f, annulus, 8, 1e-12)
+        assert degrees == [32, 8]
+        assert low[0].values == top[0].values[:9]
+
     def test_explicit_cutoff_restricts_scan(self, annulus):
         verdict = mom.max_primitive_order(expr.parse("1/z^5"), annulus,
                                           degree_cutoff=2)
