@@ -19,7 +19,8 @@ from .errors import (CurveDataError, EnvelopeError,
                      ExtensionPreconditionError, GeometryError,
                      NonFiniteIntegrandError, ParseError, PoleFindingError,
                      PoleInDomainError, PointOnPathError, PoleProximityError,
-                     QuadratureBudgetError, WindingResidualError)
+                     QuadratureBudgetError, ScaleOverflowError,
+                     WindingResidualError)
 from .expr import Expr, PoleRecord, evaluate, format_expr, parse, pole_set
 from .extension import (CrossVerifyReport, Decomposition, LaurentComponent,
                         cross_verify, decompose, evaluate_extension,
@@ -43,7 +44,8 @@ __all__ = [
     "PoleFindingError",
     "PoleInDomainError", "PointOnPathError", "PoleProximityError", "PoleRecord",
     "PrimitiveOrderVerdict", "QuadratureBudgetError", "QuadratureResult",
-    "SampledCurve", "WindingResidualError", "ZeroTolerance",
+    "SampledCurve", "ScaleOverflowError", "WindingResidualError",
+    "ZeroTolerance",
     "analytic_ibp_residual", "boundary_moment",
     "cauchy_transform", "chord_arc_constant", "circle",
     "construct_primitive", "cross_verify", "curve_from_csv", "decompose",

@@ -13,6 +13,7 @@ quantities are recomputed by adaptive quadrature for an independent route.
 
 from __future__ import annotations
 
+import cmath
 import io
 import math
 import warnings
@@ -23,7 +24,7 @@ import numpy as np
 from . import geometry as _geom
 from . import moments as _mom
 from . import quadrature as _quad
-from .errors import CurveDataError, GeometryError
+from .errors import CurveDataError, GeometryError, ScaleOverflowError
 from .geometry import Path
 
 MIN_NODES = 16
@@ -76,6 +77,10 @@ class SampledCurve:
                                  "length 1-d arrays")
         if not all(np.isfinite(a).all() for a in (params, points, values)):
             raise CurveDataError("params, points and values must be finite")
+        if not np.all(np.maximum(np.abs(points.real), np.abs(points.imag))
+                      <= _geom.MAX_COORDINATE):
+            raise CurveDataError("point coordinates may not exceed "
+                                 f"{_geom.MAX_COORDINATE:g} in magnitude")
         if len(params) < MIN_NODES + 1:
             raise CurveDataError(f"need at least {MIN_NODES} intervals, got "
                                  f"{len(params) - 1}")
@@ -196,16 +201,28 @@ def curve_from_csv(source) -> SampledCurve:
 # ---------------------------------------------------------------------------
 # trapezoid integrals and the primitive tower
 
+def _refuse_overflow(finite: bool, what: str) -> None:
+    """A CurveDataError naming what unless finite, the test that what
+    stayed inside the float range. Callers compute under np.errstate, so
+    that an overflow shows as inf or nan, never as a warning."""
+    if not finite:
+        raise CurveDataError(f"{what} leaves the float range")
+
+
 def _trapezoid_closed(nodes: np.ndarray, dz: np.ndarray) -> complex:
-    return complex(np.sum(0.5 * (nodes[:-1] + nodes[1:]) * dz))
+    total = complex(np.sum(0.5 * (nodes[:-1] + nodes[1:]) * dz))
+    _refuse_overflow(cmath.isfinite(total),
+                     "a trapezoid sum of the curve data")
+    return total
 
 
 def boundary_moment(curve: SampledCurve, k: int) -> complex:
     """Trapezoid value of the degree-k moment of the sampled measure."""
     if k < 0:
         raise ValueError("moment degree must be nonnegative")
-    w = curve.points ** k * curve.values
-    return _trapezoid_closed(w, curve.chords())
+    with np.errstate(all="ignore"):
+        return _trapezoid_closed(curve.points ** k * curve.values,
+                                 curve.chords())
 
 
 @dataclass(frozen=True)
@@ -232,9 +249,12 @@ class PrimitiveTowerResult:
 def _moment_scales(curve: SampledCurve, count: int) -> list[float]:
     """Zero-test scale of the moments of degree 0 .. count - 1:
     perimeter * max |g| * max(1, max |z|)^k."""
-    base = curve.perimeter() * float(np.max(np.abs(curve.values)))
-    reach = max(curve.max_reach(), 1.0)
-    return [base * reach ** k for k in range(count)]
+    with np.errstate(all="ignore"):
+        base = curve.perimeter() * float(np.max(np.abs(curve.values)))
+    try:
+        return _mom._degree_scales(base, max(curve.max_reach(), 1.0), count)
+    except ScaleOverflowError as exc:
+        raise CurveDataError(str(exc)) from exc
 
 
 def primitive_tower(curve: SampledCurve, levels: int = TOWER_LEVELS,
@@ -252,7 +272,9 @@ def primitive_tower(curve: SampledCurve, levels: int = TOWER_LEVELS,
     functions = tower_functions(curve, levels)
     perim = curve.perimeter()
     defects = [abs(complex(g[-1])) for g in functions[1:]]
-    scales = [perim * float(np.max(np.abs(g))) for g in functions[:-1]]
+    with np.errstate(all="ignore"):
+        scales = [perim * float(np.max(np.abs(g))) for g in functions[:-1]]
+    _refuse_overflow(all(map(math.isfinite, scales)), "a tower level's scale")
     level_rows = tuple(
         TowerLevel(order, defect, scale, defect <= zero_tol.bound(scale))
         for order, (defect, scale) in enumerate(zip(defects, scales), 1))
@@ -267,14 +289,17 @@ def primitive_tower(curve: SampledCurve, levels: int = TOWER_LEVELS,
 
 
 def tower_functions(curve: SampledCurve, levels: int) -> list[np.ndarray]:
-    """Node values of the running primitives G^1 .. G^levels (G^0 = data)."""
+    """Node values of the running primitives G^1 .. G^levels (G^0 = data);
+    a level past the float range is refused (CurveDataError)."""
     dz = curve.chords()
     out = [curve.values]
-    for _ in range(levels):
-        prev = out[-1]
-        nxt = np.zeros_like(prev)
-        np.cumsum(0.5 * (prev[:-1] + prev[1:]) * dz, out=nxt[1:])
-        out.append(nxt)
+    with np.errstate(all="ignore"):
+        for level in range(1, levels + 1):
+            prev = out[-1]
+            nxt = np.zeros_like(prev)
+            np.cumsum(0.5 * (prev[:-1] + prev[1:]) * dz, out=nxt[1:])
+            _refuse_overflow(np.isfinite(nxt).all(), f"tower level {level}")
+            out.append(nxt)
     return out
 
 
@@ -282,10 +307,11 @@ def _ibp_from_tower(curve: SampledCurve, functions, level: int) -> float:
     g = functions[level - 1]
     big_g = functions[level]
     dz = curve.chords()
-    m1 = _trapezoid_closed(curve.points * g, dz)
-    boundary_term = curve.points[0] * big_g[-1]
-    circuit = _trapezoid_closed(big_g, dz)
-    return abs(m1 - (boundary_term - circuit))
+    with np.errstate(all="ignore"):
+        m1 = _trapezoid_closed(curve.points * g, dz)
+        boundary_term = curve.points[0] * big_g[-1]
+        circuit = _trapezoid_closed(big_g, dz)
+        return abs(m1 - (boundary_term - circuit))
 
 
 def ibp_residual(curve: SampledCurve, level: int = 1) -> float:
@@ -360,7 +386,8 @@ def cauchy_transform(curve: SampledCurve, w, tol: float = _quad.DEFAULT_TOL):
     shape = np.shape(w)
     w = _geom._finite_points(w)
     chords = curve.path.arrays.chords if curve.analytic \
-        else _geom.Chords(curve.points[:-1], curve.points[1:])
+        else _geom.Chords([(curve.points[:-1], curve.points[1:], (), (),
+                            ())])
     wind, dist = (column[:, 0] for column in chords.windings(w))
     for p in w[wind != 1]:
         raise GeometryError(f"{p:.6g} is not enclosed once by the curve")
@@ -381,9 +408,11 @@ def cauchy_transform(curve: SampledCurve, w, tol: float = _quad.DEFAULT_TOL):
                 raise CurveDataError(
                     "point sits within five node spacings of the curve; the "
                     "discrete transform is unreliable there")
-        kernel = curve.values / (curve.points - w[:, None])
-        total = np.sum(0.5 * (kernel[:, :-1] + kernel[:, 1:])
-                       * curve.chords(), axis=1)
+        with np.errstate(all="ignore"):
+            kernel = curve.values / (curve.points - w[:, None])
+            total = np.sum(0.5 * (kernel[:, :-1] + kernel[:, 1:])
+                           * curve.chords(), axis=1)
+        _refuse_overflow(np.isfinite(total).all(), "the discrete Cauchy sum")
     # Python's complex division, since numpy's rounds some quotients
     # differently; s goes back where nonzero, as adding 0 turns -0.0 to 0.0
     out = np.array([complex(t) / (2j * math.pi) for t in total], dtype=complex)
@@ -816,13 +845,16 @@ def difference_quotient_check(curve: SampledCurve, start_index: int = 0,
     residuals = []
     bounds = []
     a = start_index
-    for d in offsets:
-        b = a + d
-        step = pts[b] - pts[a]
-        increment = big_f[b] - big_f[a] - big_g[a] * step
-        sup = float(np.max(np.abs(big_g[a:b + 1] - big_g[a])))
-        residuals.append(abs(increment))
-        bounds.append(constant * abs(step) * sup)
+    with np.errstate(all="ignore"):
+        for d in offsets:
+            b = a + d
+            step = pts[b] - pts[a]
+            increment = big_f[b] - big_f[a] - big_g[a] * step
+            sup = float(np.max(np.abs(big_g[a:b + 1] - big_g[a])))
+            residuals.append(abs(increment))
+            bounds.append(constant * abs(step) * sup)
+    _refuse_overflow(all(map(math.isfinite, residuals + bounds)),
+                     "a difference quotient")
     return DifferenceQuotientReport(start_index, tuple(offsets),
                                     tuple(residuals), tuple(bounds),
                                     float(constant))

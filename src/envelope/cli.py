@@ -11,6 +11,7 @@ inconsistency, 1 operational failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -311,14 +312,18 @@ def validate(raw: dict, base_dir: FsPath | None = None) -> list[str]:
 # value serialization
 
 def _jsonable(value):
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, (np.complexfloating,)):
-        return [float(value.real), float(value.imag)]
+    """value with plain JSON types only: a complex number as [re, im], a
+    numpy number as a float, and a float that is not finite as its repr
+    ("nan", "inf", "-inf"), so a report stays strict JSON."""
+    if isinstance(value, (complex, np.complexfloating)):
+        value = complex(value)
+        if cmath.isfinite(value):
+            return [value.real, value.imag]
+        return [_jsonable(value.real), _jsonable(value.imag)]
     if isinstance(value, (np.floating, np.integer)):
-        return float(value)
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)
+        value = float(value)
+    if isinstance(value, float):
+        return value if math.isfinite(value) else repr(value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):

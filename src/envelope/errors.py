@@ -46,6 +46,11 @@ class NonFiniteIntegrandError(EnvelopeError):
     values there overflow the float range, so no refinement can converge."""
 
 
+class ScaleOverflowError(EnvelopeError):
+    """The zero-test scale of some degree, base * reach^k, leaves the float
+    range, so no value of that degree could be told from zero."""
+
+
 class ExtensionPreconditionError(EnvelopeError):
     """Extension evaluation refused: some basis moment is nonzero, so no
     holomorphic extension to the envelope exists."""

@@ -87,8 +87,8 @@ class LaurentComponent:
         """Zero-test scale of each a_{-n}: scale * max(1, max_dist)^(n-1)
         / 2 pi, with max_dist the reach of the basis curve from the
         center."""
-        reach = max(1.0, max_dist)
-        return [self.scale * reach ** k / _TWO_PI for k in range(self.terms)]
+        return [scale / _TWO_PI for scale in _mom._degree_scales(
+            self.scale, max(1.0, max_dist), self.terms)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,8 +164,8 @@ def _probes(domain: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
     where = _geom.classify(domain, np.append(near, inner))
     keep = where.inside[:near.size].reshape(near.shape)
     if holes:  # dist[j, i, k]: from point i of hole j to basis curve k
-        basis = _geom.Chords.join([c.arrays.chords
-                                   for c in _geom.homology_basis(domain)])
+        basis = _geom.Chords([c.arrays.chain
+                              for c in _geom.homology_basis(domain)])
         dist = basis.distances(near.ravel()).reshape(near.shape + (-1,))
         own = np.arange(len(holes))
         keep &= dist[own, :, own] <= dist.min(axis=2)

@@ -302,15 +302,15 @@ class SegmentArrays:
         # x1, y0, y1, each number as Python rounds it
         cols = np.array([
             (1.0, s.center, 0j, 0j, s.radius, s.radius ** 2, s.length,
-             *s.bbox(), 1j * s.sweep * s.radius, s.t0, s.sweep) if a
+             *s.bbox(), 1j * s.sweep * s.radius, s.t0, s.sweep, 0j) if a
             else (0.0, s.a, s.b - s.a, (s.b - s.a) / s.length, 0.0, 0.0,
-                  s.length, *s.bbox(), 0j, 0.0, 0.0)
+                  s.length, *s.bbox(), 0j, 0.0, 0.0, s.b)
             for s, a in zip(segments, arc)], dtype=complex).T
         self.table = cols[:11]
         self.origin, self.direction = cols[1:3]
         self.radius, self.lengths = cols[[4, 6]].real
-        self.arc_velocity = cols[11]
-        self.t0, self.sweep = cols[12:].real
+        self.arc_velocity, self.line_end = cols[[11, 14]]
+        self.t0, self.sweep = cols[12:14].real
         self.is_arc = np.array(arc)
 
     @functools.cached_property
@@ -327,22 +327,28 @@ class SegmentArrays:
         return np.array([s.pieces for s in self.segments])
 
     @functools.cached_property
+    def chain(self) -> tuple[np.ndarray, ...]:
+        """The path as a chain of Chords: the chord ends a and b of its
+        lines, then of its arcs cut into their pieces (Arc.pieces), and each
+        piece's center, radius and turn. An arc of p pieces ends its
+        chords at the nodes of the fractions k / p, the numbers Arc.point
+        gives; a line's are its own ends."""
+        arcs = np.flatnonzero(self.is_arc)
+        p = self.pieces[arcs][:, None]
+        k = np.arange(p.max(initial=0) + 1)
+        # row i: arc i at the fractions k / p[i], unread past 1
+        ends = self.nodes(arcs[:, None], k / p)[0]
+        starts, lines = k[:-1] < p, ~self.is_arc
+        piece = np.repeat(arcs, p[:, 0])
+        return (np.concatenate((self.origin[lines], ends[:, :-1][starts])),
+                np.concatenate((self.line_end[lines], ends[:, 1:][starts])),
+                self.origin[piece], self.radius[piece],
+                np.sign(self.sweep[piece]))
+
+    @functools.cached_property
     def chords(self) -> "Chords":
-        """The lines, then the arcs cut into their pieces (Arc.pieces);
-        piece ends are the numbers Arc.point gives."""
-        lines = [s for s in self.segments if isinstance(s, Line)]
-        a, b = [s.a for s in lines], [s.b for s in lines]
-        circles = []  # (center, radius, turn) per arc piece
-        for s in self.segments:
-            if isinstance(s, Arc):
-                pieces = s.pieces
-                ends = [s.start, *(s.point(i / pieces)
-                                   for i in range(1, pieces)), s.end]
-                a += ends[:-1]
-                b += ends[1:]
-                circles += [(s.center, s.radius, 1.0 if s.ccw else -1.0)] \
-                    * pieces
-        return Chords(a, b, *zip(*circles))
+        """The kernel of the path's chain alone."""
+        return Chords((self.chain,))
 
     def nodes(self, index: np.ndarray, t: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
@@ -412,64 +418,57 @@ _BOUND_MARGIN = 1e-12
 
 class Chords:
     """Chords a -> b of one or more chains of lines and arc pieces, the
-    kernel behind winding numbers and distances of arrays of points. The
-    last len(center) chords are arc pieces of at most pi/2 on the circles
-    (center, radius), turning counterclockwise where turn is +1 and
-    clockwise where it is -1. Chords(a, b, ...) is one chain, Chords.join
-    several; windings and distances give one column per chain, chain[i]
-    being the chain of chord i. Points within band[k] of chain k lie on
-    it."""
+    kernel behind winding numbers and distances of arrays of points. A
+    chain is (a, b, center, radius, turn), as SegmentArrays.chain gives
+    it: its chords' ends, lines first, and for its last len(center)
+    chords, arc pieces of at most pi/2 on the circles (center, radius),
+    turning counterclockwise where turn is +1 and clockwise where it is
+    -1 (a polyline's last three are empty). The kernel holds every line,
+    then every arc piece; windings and distances give one column per
+    chain. Points within band[k] of chain k lie on it."""
 
-    def __init__(self, a, b, center=(), radius=(), turn=()):
-        self.a = np.asarray(a, dtype=complex)
-        self.b = np.asarray(b, dtype=complex)
-        self.lines = n = len(self.a) - len(center)
-        self.center = np.asarray(center, dtype=complex)
-        self.radius = np.asarray(radius, dtype=float)
-        self.turn = np.asarray(turn, dtype=float)
+    def __init__(self, chains):
+        chains = [[np.asarray(v, dtype=kind) for v, kind in
+                   zip(chain, (complex, complex, complex, float, float))]
+                  for chain in chains]
+        arcs = [len(chain[2]) for chain in chains]
+        lines = [len(chain[0]) - m for chain, m in zip(chains, arcs)]
+        self.a, self.b = (np.concatenate(
+            [c[i][:m] for c, m in zip(chains, lines)]
+            + [c[i][m:] for c, m in zip(chains, lines)]) for i in (0, 1))
+        self.center, self.radius, self.turn = (np.concatenate(
+            [c[i] for c in chains]) for i in (2, 3, 4))
+        self.lines = n = sum(lines)
         # what distances reads of each chord; a line of length 0, as
         # repeated polyline nodes give, is its point a
         self.direction = self.b[:n] - self.a[:n]
         lengths = _modulus(self.direction)
         self.norm2 = np.maximum(lengths ** 2, np.finfo(float).tiny)
         start_ray, end_ray = self.a[n:] - self.center, self.b[n:] - self.center
-        arcs = self.radius * np.abs(np.angle(end_ray / start_ray))
+        arc_lengths = self.radius * np.abs(np.angle(end_ray / start_ray))
         # the rays to each arc piece's ends, turned by its sense: a point
         # lies in the piece's wedge where both cross products are >= 0
         self.start_ray, self.end_ray = self.turn * start_ray, \
             self.turn * end_ray
-        self.band = np.array([_ON_PATH_BAND
-                              * float(np.sum(lengths) + np.sum(arcs))])
-        self.chain = np.zeros(len(self.a), dtype=np.intp)
-        self.order, self.starts = None, np.zeros(1, dtype=np.intp)
-
-    @classmethod
-    def join(cls, parts: Sequence["Chords"]) -> "Chords":
-        """The chains of every part in one kernel, in order: every line,
-        then every arc piece."""
-        joined = cls.__new__(cls)
-        offsets = [0]
-        for c in parts:
-            offsets.append(offsets[-1] + len(c.band))
-        chains = [c.chain + k for c, k in zip(parts, offsets)]
-        for name, arrays in (("a", [c.a for c in parts]),
-                             ("b", [c.b for c in parts]), ("chain", chains)):
-            setattr(joined, name, np.concatenate(
-                [v[:c.lines] for v, c in zip(arrays, parts)]
-                + [v[c.lines:] for v, c in zip(arrays, parts)]))
-        for name in ("center", "radius", "turn", "direction", "norm2",
-                     "start_ray", "end_ray", "band"):
-            setattr(joined, name, np.concatenate([getattr(c, name)
-                                                  for c in parts]))
-        joined.lines = sum(c.lines for c in parts)
+        # a chain's band sums its own slices, the floats of its kernel alone
+        at_line = [0, *itertools.accumulate(lines)]
+        at_arc = [0, *itertools.accumulate(arcs)]
+        ids = range(len(chains))
+        self.band = _ON_PATH_BAND * np.array([
+            float(lengths[at_line[k]:at_line[k + 1]].sum()
+                  + arc_lengths[at_arc[k]:at_arc[k + 1]].sum())
+            for k in ids])
         # chain k is the chords order[starts[k]:starts[k + 1]], or those
-        # chords as they stand where order is None: permuting chords already
+        # chords as they stand where order is None, as where no chain's
+        # lines follow another chain's arc pieces: permuting chords already
         # in order costs about 9% of a pass over a path of thousands
-        order = np.argsort(joined.chain, kind="stable")
-        joined.order = None if (order[1:] > order[:-1]).all() else order
-        sizes = np.bincount(joined.chain)
-        joined.starts = np.cumsum(sizes) - sizes
-        return joined
+        sizes = [m + a for m, a in zip(lines, arcs)]
+        self.starts = np.array([0, *itertools.accumulate(sizes)][:-1])
+        self.order = None
+        if max((k for k in ids if lines[k]), default=-1) \
+                > min((k for k in ids if arcs[k]), default=len(ids)):
+            self.order = np.argsort(np.repeat([*ids, *ids], lines + arcs),
+                                    kind="stable")
 
     def _blocks(self, points: np.ndarray):
         """(slice, points as a column, a - p, b - p) per block of points."""
@@ -674,8 +673,7 @@ class DomainSpec:
     def chords(self) -> Chords | None:
         """One kernel over every component, None for the whole plane."""
         paths = self.boundary_paths()
-        return Chords.join([p.arrays.chords for p in paths]) if paths \
-            else None
+        return Chords([p.arrays.chain for p in paths]) if paths else None
 
     @functools.cached_property
     def _segments(self) -> "_Segments":
@@ -712,13 +710,13 @@ class DomainSpec:
         paths, m = self.boundary_paths(), len(points)
         if not paths:
             return True, path.arrays.chords.windings(np.array(points))[0][:, 0]
-        chords = Chords.join((self.chords, path.arrays.chords))
+        chords = Chords([p.arrays.chain for p in paths + (path,)])
         samples = path.points_at((np.arange(_PATH_SAMPLES) + 0.5)
                                  / _PATH_SAMPLES)
         wind, dist = chords.windings(np.concatenate(
             (points, [path.start], samples)))
         inside = bool(_inside(self, wind[m:m + 1])[0])
-        bands = path.band + self.chords.band
+        bands = chords.band[-1] + chords.band[:-1]
         bound = dist[m + 1:, :len(paths)].min(axis=0) \
             - 0.5 / _PATH_SAMPLES * path.length
         if inside and not np.all(

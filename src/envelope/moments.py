@@ -20,7 +20,7 @@ import numpy as np
 from . import expr as _expr
 from . import geometry as _geom
 from . import quadrature as _quad
-from .errors import GeometryError, PoleInDomainError
+from .errors import GeometryError, PoleInDomainError, ScaleOverflowError
 from .geometry import Arc, DomainSpec, Line, Path
 
 MAX_MOMENT_DEGREE = 64
@@ -46,12 +46,30 @@ class ZeroTolerance:
         return self.abs_tol + self.rel_tol * scale
 
     def first_nonzero(self, values, scales) -> int | None:
-        """Index of the first value above the bound of its scale, None when
-        every value counts as zero."""
+        """Index of the first value not within the bound of its scale, None
+        when every value counts as zero; NaN never does."""
         for k, (v, scale) in enumerate(zip(values, scales)):
-            if abs(v) > self.bound(scale):
+            if not abs(v) <= self.bound(scale):
                 return k
         return None
+
+
+def _degree_scales(base: float, reach: float, count: int) -> list[float]:
+    """The zero-test scales base * reach^k of the degrees k = 0 .. count - 1.
+    A scale past the float range makes every bound vacuous, so it is
+    refused with a ScaleOverflowError naming its degree."""
+    scales = []
+    for k in range(count):
+        try:
+            scale = base * reach ** k
+        except OverflowError:
+            scale = math.inf
+        if not math.isfinite(scale):
+            raise ScaleOverflowError(
+                f"the zero-test scale of degree {k}, {base:.3g} * "
+                f"{reach:.3g}^{k}, leaves the float range")
+        scales.append(scale)
+    return scales
 
 
 def as_function(f):
@@ -78,8 +96,7 @@ class MomentVector:
 
     def scales(self) -> list[float]:
         """Zero-test scale of each degree k: scale * max|z|^k."""
-        return [self.scale * self.max_abs_z ** k
-                for k in range(len(self.values))]
+        return _degree_scales(self.scale, self.max_abs_z, len(self.values))
 
     def first_nonzero(self, tol: ZeroTolerance) -> int | None:
         return tol.first_nonzero(self.values, self.scales())

@@ -76,6 +76,20 @@ class TestSampledCurve:
         with pytest.raises(CurveDataError, match="finite"):
             bd.SampledCurve(**arrays)
 
+    @pytest.mark.parametrize("scale, refused", [
+        (geom.MAX_COORDINATE, False), (1.01 * geom.MAX_COORDINATE, True)])
+    def test_validation_bounds_the_coordinates(self, scale, refused):
+        # as for the coordinates of a scenario, so that squared distances
+        # of the polyline stay inside the float range
+        c = circle_curve(lambda z: z, 32)
+        points = c.points / np.abs(c.points).max() * scale
+        points[-1] = points[0]
+        if refused:
+            with pytest.raises(CurveDataError, match="may not exceed"):
+                bd.SampledCurve(c.params, points, c.values)
+        else:
+            bd.SampledCurve(c.params, points, c.values)
+
     def test_geometry_helpers(self):
         c = circle_curve(lambda z: z, 256)
         assert c.intervals == 256
@@ -246,6 +260,31 @@ class TestMomentsAndTower:
             lambda z: sum(t(z) for t in terms), 256))
         expected = inside_order - 1 if inside_order else 4
         assert res.pass_depth == res.leading_zero_count == expected
+
+    def test_overflowing_data_is_refused(self):
+        # every tower level, trapezoid sum and moment scale past the float
+        # range is refused: none of them may pass a zero test
+        big = bd.SampledCurve(*(getattr(circle_curve(np.conj, 64), name)
+                                for name in ("params", "points")),
+                              np.full(65, 1.5e308 + 0j))
+        with pytest.raises(CurveDataError, match="^tower level 1 leaves"):
+            bd.primitive_tower(big)
+        with pytest.raises(CurveDataError, match="^a trapezoid sum"):
+            bd.boundary_moment(big, 0)
+        with pytest.raises(CurveDataError, match="^the discrete Cauchy sum"):
+            bd.cauchy_transform(big, 0.1j)
+        with pytest.raises(CurveDataError, match="^tower level 1 leaves"):
+            bd.difference_quotient_check(big, 0, 1.0)
+        far = bd.sample_path(geom.circle(0j, 1e120), np.reciprocal, 64)
+        assert len(bd.tower_functions(far, 3)) == 4
+        with pytest.raises(CurveDataError, match="^tower level 4 leaves"):
+            bd.tower_functions(far, 4)
+        # the degree-8 moment, 1e307 at most, is finite; its scale
+        # 2 pi 10 * 1e299 * 10^8 is not
+        flat = bd.sample_path(geom.circle(0j, 10.0), np.ones_like, 64)
+        with pytest.raises(CurveDataError, match="scale of degree 8, "):
+            bd.nontangential_check(bd.SampledCurve(
+                flat.params, flat.points, 1e299 * flat.values), radii=(6.0,))
 
     def test_tower_functions_shape(self):
         c = circle_curve(lambda z: z, 64)

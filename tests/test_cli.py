@@ -48,6 +48,13 @@ def circle_csv(intervals=128, data="conj"):
     return "\n".join(lines) + "\n"
 
 
+def _strict_json(text):
+    """json.loads that refuses the NaN and Infinity constants."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def write_scenario(tmp_path, raw, name="scenario.json"):
     p = tmp_path / name
     p.write_text(json.dumps(raw))
@@ -355,6 +362,20 @@ class TestReport:
         assert vals["z"] == [1.0, 2.0]
         assert vals["arr"] == [1.0, 2.0]
         assert vals["bad"] == "inf"
+
+    def test_json_is_strict_for_numpy_and_complex_values(self):
+        # numpy floats and complex parts that are not finite render as
+        # Python floats do, so no bare NaN or Infinity reaches the text
+        rows = ({"check": "c", "status": "ok",
+                 "values": {"nan": np.float64("nan"),
+                            "z": complex("nan+1j"),
+                            "inf": np.float64("inf"),
+                            "w": np.complex128(complex(1.0, -math.inf))},
+                 "tolerance_used": {}},)
+        rep = cli.Report("0", {}, rows, {"total_s": 0.0})
+        vals = _strict_json(rep.to_json())["results"][0]["values"]
+        assert vals == {"nan": "nan", "z": ["nan", 1.0], "inf": "inf",
+                        "w": [1.0, "-inf"]}
 
     def test_text_format_lists_checks(self):
         rep = cli.Report("0", {}, self.rows("ok", "inconsistent"),
@@ -1099,6 +1120,65 @@ class TestMain:
                 assert "degree 26 overflows" in row["values"]["error"]
         else:
             assert code == 0
+
+    def _run_to_file(self, tmp_path, capsys, raw):
+        """Exit code and strictly parsed report of a run with --out; the
+        run prints nothing."""
+        out = tmp_path / "report.json"
+        code = cli.main(["run", "--scenario",
+                         str(write_scenario(tmp_path, raw)), "--out",
+                         str(out)])
+        assert capsys.readouterr() == ("", "")
+        return code, _strict_json(out.read_text())
+
+    def test_zero_test_scale_past_the_float_range_is_an_error_row(
+            self, tmp_path, capsys):
+        # the Laurent tail scales reach^k of the annulus far from 0 leave
+        # the float range at degree 58, inside the 65 terms allowed
+        code, payload = self._run_to_file(tmp_path, capsys, {
+            "function": "1/(z-100000)^2 + z",
+            "domain": {
+                "outer": {"circle": {"center": [1e5, 0], "radius": 2.0}},
+                "holes": [{"circle": {"center": [1e5, 0], "radius": 0.5}}]},
+            "checks": ["cross_verify"], "max_degree": 8,
+            "laurent_terms": 65})
+        assert code == 1
+        [row] = payload["results"]
+        assert row["status"] == "error"
+        assert row["values"]["error_type"] == "ScaleOverflowError"
+        assert "degree 58" in row["values"]["error"]
+
+    def test_overflowing_curve_data_gives_error_rows(self, tmp_path, capsys):
+        # g = 1.5e308 on the unit circle: its first running primitive
+        # overflows, which must not pass as a tower of zero defects
+        t = np.linspace(0.0, 1.0, 129)
+        z = np.exp(2j * math.pi * t)
+        z[-1] = z[0]
+        (tmp_path / "curve.csv").write_text("".join(
+            f"{a:.17g},{b.real:.17g},{b.imag:.17g},1.5e308,0\n"
+            for a, b in zip(t, z)))
+        code, payload = self._run_to_file(tmp_path, capsys, {
+            "curve": {"csv": "curve.csv"},
+            "checks": ["chord_arc", "boundary_tower"]})
+        assert code == 1
+        assert [(row["status"], row["values"]["error_type"])
+                for row in payload["results"]] \
+            == [("error", "CurveDataError")] * 2
+
+    def test_curve_far_from_the_origin_gives_error_rows(self, tmp_path,
+                                                         capsys):
+        # on the circle of radius 1e120 the fourth running primitive of 1/z
+        # leaves the float range
+        code, payload = self._run_to_file(tmp_path, capsys, {
+            "function": "1/z",
+            "curve": {"path": {"circle": {"center": [0, 0],
+                                          "radius": 1e120}},
+                      "samples": 256},
+            "checks": ["boundary_tower"]})
+        assert code == 1
+        assert [row["values"] for row in payload["results"]] == [
+            {"error": "tower level 4 leaves the float range",
+             "error_type": "CurveDataError"}]
 
     def test_max_degree_above_cap_is_diagnosed(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, {

@@ -401,6 +401,66 @@ class TestChordKernel:
             else:
                 assert geom.winding_number(path, p) == want
 
+    @given(segments=st.lists(st.one_of(_lines, _arcs), min_size=1,
+                             max_size=6))
+    def test_chain_is_the_per_arc_loop(self, segments):
+        # the loop the vectorized chain replaced: every line's ends, then
+        # each arc's Arc.point at i / pieces, bit for bit
+        lines = [s for s in segments if isinstance(s, geom.Line)]
+        a, b, circles = [s.a for s in lines], [s.b for s in lines], []
+        for s in segments:
+            if isinstance(s, geom.Arc):
+                ends = [s.start, *(s.point(i / s.pieces)
+                                   for i in range(1, s.pieces)), s.end]
+                a += ends[:-1]
+                b += ends[1:]
+                circles += [(s.center, s.radius, 1.0 if s.ccw else -1.0)] \
+                    * s.pieces
+        chain = geom.SegmentArrays(tuple(segments)).chain
+        want = (a, b, *(zip(*circles) if circles else ((), (), ())))
+        for got, expected in zip(chain, want):
+            assert got.tolist() == list(expected)
+
+    def test_chains_in_one_kernel_are_each_chain_alone(self, slab):
+        # one kernel over a closed polyline, a path of lines, a path of
+        # arcs turning both ways, a clockwise circle, and a domain's circle
+        # and slab dilation: every line comes before every arc piece, so
+        # the last chain's lines sit apart from its arcs and the chains
+        # are gathered by the order permutation. Each chain's windings,
+        # distances and band are those of its own kernel, bit for bit
+        t = np.linspace(0.0, 1.0, 41)
+        polyline = 3 + 1j + 0.5 * np.exp(2j * math.pi * t)
+        polyline[-1] = polyline[0]
+        tilt = math.atan(0.5)
+        crescent = geom.Path((
+            geom.Arc(-2.5j, 1.0, 0.0, math.pi),
+            geom.Arc(-3j, math.sqrt(1.25), math.pi - tilt, tilt, False)))
+        hole, circle = slab.holes
+        clockwise = geom.circle(-2 - 2j, 0.5, ccw=False)
+        paths = [geom.rectangle(-2.5, -1.5, 1.0, 2.0), crescent, clockwise,
+                 circle, geom._dilated_hole(hole, 0.5 * slab.gaps[0])]
+        chains = [(polyline[:-1], polyline[1:], (), (), ())] \
+            + [path.arrays.chain for path in paths]
+        kernel = geom.Chords(chains)
+        assert kernel.order is not None
+        assert np.any(crescent.arrays.chain[4] == -1.0)
+        x, y = np.meshgrid(np.linspace(-3.5, 4, 31), np.linspace(-4, 3, 29))
+        points = np.concatenate([(x + 1j * y).ravel(), polyline[::3]]
+                                + [path.sample(16) for path in paths])
+        wind, dist = kernel.windings(points)
+        for k, chain in enumerate(chains):
+            alone = geom.Chords([chain])
+            own_wind, own_dist = alone.windings(points)
+            assert np.array_equal(wind[:, k], own_wind[:, 0])
+            assert np.array_equal(dist[:, k], own_dist[:, 0])
+            assert kernel.band[k] == alone.band[0]
+            # the grid has points inside and outside every chain, and the
+            # samples lie on it
+            inside = -1 if chain is clockwise.arrays.chain else 1
+            assert set(own_wind[:, 0]) == {0, inside, geom._ON_PATH}
+        assert np.array_equal(geom.Chords(chains[1:]).distances(points),
+                              dist[:, 1:])
+
     def test_distance_of_one_point_and_of_an_array(self):
         c = geom.circle(1 + 1j, 2.0)
         assert isinstance(c.distance(4 + 1j), float)

@@ -13,7 +13,7 @@ from envelope import expr
 from envelope import extension as ext
 from envelope import geometry as geom
 from envelope import moments as mom
-from envelope.errors import GeometryError
+from envelope.errors import GeometryError, ScaleOverflowError
 
 
 TWO_PI_I = 2j * math.pi
@@ -113,6 +113,21 @@ class TestZeroTolerance:
         assert tol.first_nonzero([2.5, 2.5j, 2.5], [4.0, 4.0, 2.0]) == 2
         assert tol.first_nonzero([2.5, -3.0], [4.0, 4.0]) is None
         assert tol.first_nonzero([], []) is None
+
+    @pytest.mark.parametrize("nan", [math.nan, complex(math.nan, 0.0),
+                                     np.complex128(complex(0.0, math.nan))])
+    def test_nan_never_counts_as_zero(self, nan):
+        tol = mom.ZeroTolerance()
+        assert tol.first_nonzero([0.0, nan, 0.0], [1.0, 1.0, 1.0]) == 1
+
+    def test_degree_scales_are_refused_past_the_float_range(self):
+        assert mom._degree_scales(3.0, 1e100, 4) \
+            == [3.0 * 1e100 ** k for k in range(4)]
+        # reach^4 raises OverflowError; 1e200 * reach^2 is inf, raising
+        # nothing
+        for base, degree in ((3.0, 4), (1e200, 2)):
+            with pytest.raises(ScaleOverflowError, match=f"degree {degree}, "):
+                mom._degree_scales(base, 1e100, 5)
 
 
 class TestOneZeroTest:
