@@ -34,6 +34,8 @@ from .geometry import _json_coordinate, _json_number, _json_point
 DOMAIN_CHECKS = ("moments", "primitive_order", "extension", "cross_verify")
 CURVE_CHECKS = ("boundary_tower", "cauchy", "nontangential", "chord_arc")
 ALL_CHECKS = DOMAIN_CHECKS + CURVE_CHECKS
+FIELDS = ("function", "domain", "curve", "checks", "max_degree",
+          "tower_levels", "points", "node_index", "radii", "tolerances")
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,14 +46,12 @@ class ScenarioConfig:
     curve: _bd.SampledCurve | None
     checks: tuple[str, ...]
     max_degree: int | None
-    laurent_terms: int | None
     tower_levels: int
     points: tuple[complex, ...] | None
     node_index: int
     radii: tuple[float, ...]
     zero_tol: _mom.ZeroTolerance
     quad_tol: float
-    fmt: str
 
 
 def _object(node, where: str, diags: list[str]) -> dict | None:
@@ -202,6 +202,8 @@ def build_config(raw: dict, base_dir: FsPath | None = None
     base_dir = base_dir or FsPath.cwd()
     if not isinstance(raw, dict):
         return None, ["scenario: expected a JSON object"]
+    diags.extend(f"{key}: unknown field (choose from {', '.join(FIELDS)})"
+                 for key in raw if key not in FIELDS)
 
     fn = None
     fn_text = raw.get("function")
@@ -243,12 +245,10 @@ def build_config(raw: dict, base_dir: FsPath | None = None
         if c in CURVE_CHECKS and curve is None:
             diags.append(f"checks: '{c}' needs a curve")
 
+    # each degree, point or radius is one row of a stacked integral, and
+    # each tower level one array over the samples, so all four are capped
     cap = _mom.MAX_MOMENT_DEGREE
     max_degree = _integer(raw, "max_degree", None, 0, cap, diags)
-    # both size arrays (one per tower level, one stack component per
-    # Laurent term), so both are capped
-    laurent_terms = _integer(raw, "laurent_terms", None, 1, cap + 1,
-                             diags)
     tower_levels = _integer(raw, "tower_levels", _bd.TOWER_LEVELS, 1,
                             cap, diags)
 
@@ -256,6 +256,8 @@ def build_config(raw: dict, base_dir: FsPath | None = None
     if raw.get("points") is not None:
         if not isinstance(raw["points"], list):
             diags.append("points: expected a list of [re, im] pairs")
+        elif len(raw["points"]) > cap:
+            diags.append(f"points: at most {cap} pairs")
         else:
             pts = [_as_complex(p, f"points[{i}]", diags)
                    for i, p in enumerate(raw["points"])]
@@ -269,7 +271,9 @@ def build_config(raw: dict, base_dir: FsPath | None = None
     radii_raw = raw.get("radii", list(_bd.NONTANGENTIAL_RADII))
     radii = tuple(_json_number(r) for r in radii_raw) \
         if isinstance(radii_raw, list) else ()
-    if not radii or None in radii or min(radii) <= 0:
+    if len(radii) > cap:
+        diags.append(f"radii: at most {cap} numbers")
+    elif not radii or None in radii or min(radii) <= 0:
         diags.append("radii: list of positive numbers required")
     elif sorted(radii, reverse=True) != list(radii):
         diags.append("radii: must decrease")
@@ -283,10 +287,6 @@ def build_config(raw: dict, base_dir: FsPath | None = None
         tol_values[name] = _json_number(tols.get(name, default))
         if tol_values[name] is None or tol_values[name] <= 0:
             diags.append(f"tolerances.{name}: positive number required")
-    fmt = raw.get("format", "json")
-    if fmt not in ("json", "text"):
-        diags.append("format: json or text")
-        fmt = "json"
 
     if "cauchy" in checks and points is None:
         diags.append("points: required for the cauchy check")
@@ -296,10 +296,10 @@ def build_config(raw: dict, base_dir: FsPath | None = None
     config = ScenarioConfig(
         raw=raw, function=fn, domain=domain,
         curve=curve, checks=tuple(checks), max_degree=max_degree,
-        laurent_terms=laurent_terms, tower_levels=tower_levels,
-        points=points, node_index=node_index, radii=radii,
+        tower_levels=tower_levels, points=points, node_index=node_index,
+        radii=radii,
         zero_tol=_mom.ZeroTolerance(tol_values["abs"], tol_values["rel"]),
-        quad_tol=tol_values["quadrature"], fmt=fmt)
+        quad_tol=tol_values["quadrature"])
     return config, []
 
 
@@ -411,7 +411,7 @@ def _run_extension(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
 
 def _run_cross_verify(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
     report = _ext.cross_verify(cfg.function, cfg.domain, cfg.max_degree,
-                               cfg.laurent_terms, cfg.quad_tol, cfg.zero_tol)
+                               tol=cfg.quad_tol, zero_tol=cfg.zero_tol)
     values = {
         "max_order": report.verdict.max_order,
         "all_orders": report.verdict.all_orders,
@@ -582,13 +582,7 @@ def _parser() -> argparse.ArgumentParser:
     for command in (run_p, val_p):
         command.add_argument("--scenario", required=True,
                              help="path to the scenario JSON file")
-    run_p.add_argument("--tol-abs", type=float, default=None,
-                       help="absolute zero-test tolerance")
-    run_p.add_argument("--tol-rel", type=float, default=None,
-                       help="relative zero-test tolerance")
-    run_p.add_argument("--max-degree", type=int, default=None,
-                       help="moment degree cutoff")
-    run_p.add_argument("--format", choices=("json", "text"), default=None)
+    run_p.add_argument("--format", choices=("json", "text"), default="json")
     run_p.add_argument("--out", default=None,
                        help="write the report here instead of stdout")
     return parser
@@ -623,28 +617,13 @@ def main(argv=None) -> int:
         print("scenario is runnable")
         return 0
 
-    if isinstance(raw, dict):
-        # the flags given replace their fields in a copy of the scenario; a
-        # tolerances field that is not an object is left for build_config
-        # to diagnose
-        raw = dict(raw)
-        tols = raw.get("tolerances", {})
-        flags = {key: value for key, value in (("abs", args.tol_abs),
-                                               ("rel", args.tol_rel))
-                 if value is not None}
-        if flags and isinstance(tols, dict):
-            raw["tolerances"] = {**tols, **flags}
-        for key in ("max_degree", "format"):
-            if getattr(args, key) is not None:
-                raw[key] = getattr(args, key)
-
     config, diags = build_config(raw, scenario_path.parent)
     if config is None:
         for d in diags:
             print(d, file=sys.stderr)
         return 1
     report = run_scenario(config)
-    rendered = report.to_json() if config.fmt == "json" else report.to_text()
+    rendered = report.to_json() if args.format == "json" else report.to_text()
     if args.out:
         try:
             FsPath(args.out).write_text(rendered + "\n")

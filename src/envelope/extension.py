@@ -3,12 +3,15 @@ envelope.
 
 Every f holomorphic on a multiply connected domain splits as f0 + sum of
 per-hole components, each holomorphic off its hole and vanishing at
-infinity. Tail coefficients come from basis-curve integrals with kernel
-(z - c)^(n-1), the component at w from (f(z) - f(w)) / (z - w), smooth at
-w. When all tails vanish, f extends holomorphically to the envelope (the
-hull), computed by Cauchy integrals over separating contours; disagreement
-between two admissible contours, or with the truncated-tail route, is
-reported as a finding rather than hidden.
+infinity. Tail coefficients come from integrals with kernel (z - c)^(n-1)
+on each hole's second contour (geometry.basis_curve_variants), not on the
+basis curve that the moment table is integrated on, so the duality check
+compares two integrals; the component at w comes from (f(z) - f(w)) /
+(z - w) on the basis curve, smooth at w. When all tails vanish, f extends
+holomorphically to the envelope (the hull), computed by Cauchy integrals
+over separating contours; disagreement between two admissible contours,
+or with the truncated-tail route, is reported as a finding rather than
+hidden.
 """
 
 from __future__ import annotations
@@ -183,10 +186,14 @@ def decompose(f, domain: DomainSpec, terms: int | None = None,
 
     terms defaults to the inside-pole budget when the pole set is known
     (then the truncation is exact for a snapped center) and to the
-    heuristic degree cutoff plus one otherwise. The reconstruction residual
-    at each domain probe w compares every truncated tail with the exact
-    component, the integral of (f(z) - f(w)) / (z - w) over the same basis curve: an
-    independent route that does not assume the defining identity.
+    heuristic degree cutoff plus one otherwise. The tails are integrated on
+    each hole's second contour (geometry.basis_curve_variants), so that no
+    tail is the moment table's integral about the same center on the same
+    path; their zero-test scale is the basis curve's, since a_-n does not
+    depend on the contour. The reconstruction residual at each domain probe
+    w compares every truncated tail with the exact component, the integral
+    of (f(z) - f(w)) / (z - w) over the basis curve: an independent route
+    that does not assume the defining identity.
     """
     basis = _geom.homology_basis(domain)
     if terms is None:
@@ -197,7 +204,8 @@ def decompose(f, domain: DomainSpec, terms: int | None = None,
     components = []
     for j, (curve, center) in enumerate(zip(basis,
                                             _component_centers(f, domain))):
-        coeffs = laurent_coefficients(fn, curve, center, terms, tol)
+        second = _geom.basis_curve_variants(domain, j)[1]
+        coeffs = laurent_coefficients(fn, second, center, terms, tol)
         max_f, _ = _mom._magnitude_on(curve, f=fn)
         components.append(LaurentComponent(j, center, coeffs,
                                            curve.length * max_f))

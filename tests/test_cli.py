@@ -147,7 +147,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("change, field", [
         ({"max_degree": True}, "max_degree:"),
-        ({"laurent_terms": True}, "laurent_terms:"),
+        ({"max_degree": math.nan}, "max_degree:"),
         ({"tower_levels": True}, "tower_levels:"),
         ({"node_index": False}, "node_index:"),
         ({"tolerances": {"abs": True}}, "tolerances.abs:"),
@@ -285,11 +285,10 @@ def _valid_scenarios():
         "curve": {"path": {"segments": geom.path_to_json(
             geom.circle(0.1j, 1.0))}, "samples": 64, "warp": 0.3},
         "checks": ["moments", "cross_verify", "boundary_tower", "cauchy"],
-        "max_degree": 4, "laurent_terms": 5, "tower_levels": 3,
+        "max_degree": 4, "tower_levels": 3,
         "points": [[0.0, 0.1], [0.2, 0.0]], "node_index": 2,
         "radii": [0.1, 0.01], "tolerances": {"abs": 1e-9, "rel": 1e-10,
                                              "quadrature": 1e-12},
-        "format": "text",
     }
     csv = {"checks": ["chord_arc"], "curve": {"csv": "c.csv"}}
     return full, csv
@@ -334,7 +333,6 @@ class TestBuildConfig:
         assert cfg.zero_tol.rel_tol == 1e-10
         assert cfg.quad_tol == quadrature.DEFAULT_TOL
         assert cfg.radii == boundary.NONTANGENTIAL_RADII
-        assert cfg.fmt == "json"
 
 
 class TestReport:
@@ -812,22 +810,25 @@ class TestMain:
         [line] = captured.err.splitlines()
         assert line.startswith("cannot write the report: ")
 
-    def test_max_degree_flag_overrides(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel",
+                                      "--max-degree"])
+    def test_run_takes_no_setting_of_the_scenario(self, tmp_path, capsys,
+                                                 flag):
+        # what is computed comes from the scenario file alone
         scenario = write_scenario(tmp_path, {
-            "function": "z", "domain": ANNULUS,
-            "checks": ["moments"], "max_degree": 12})
-        code = cli.main(["run", "--scenario", str(scenario),
-                         "--max-degree", "5"])
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert payload["results"][0]["values"]["degree_cutoff"] == 5
+            "function": "z", "domain": ANNULUS, "checks": ["moments"]})
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", "--scenario", str(scenario), flag, "5"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" \
+            in capsys.readouterr().err
 
     def test_tolerance_flags_reach_report(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, {
             "function": "z", "domain": ANNULUS,
-            "checks": ["moments"], "max_degree": 4})
-        code = cli.main(["run", "--scenario", str(scenario),
-                         "--tol-abs", "1e-7", "--tol-rel", "1e-8"])
+            "checks": ["moments"], "max_degree": 4,
+            "tolerances": {"abs": 1e-7, "rel": 1e-8}})
+        code = cli.main(["run", "--scenario", str(scenario)])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["results"][0]["tolerance_used"]["abs"] == 1e-7
@@ -906,8 +907,8 @@ class TestMain:
                     "samples": 64}},
          "points: expected a list of [re, im] pairs"),
         ({"function": "1/z", "checks": ["moments"], "domain": ANNULUS,
-          "format": "xml"},
-         "format: json or text"),
+          "format": "text"},
+         f"format: unknown field (choose from {', '.join(cli.FIELDS)})"),
         # an integer too large for a float takes the OverflowError branch
         ({"function": "1/z", "checks": ["moments"], "domain": {
             "outer": {"circle": {"center": [0, 0], "radius": 10 ** 400}},
@@ -1005,8 +1006,7 @@ class TestMain:
         scenario = write_scenario(tmp_path, {
             "function": "1/z", "domain": ANNULUS, "checks": ["moments"],
             "tolerances": 5})
-        code = cli.main(["run", "--scenario", str(scenario),
-                         "--tol-abs", "1e-6"])
+        code = cli.main(["run", "--scenario", str(scenario)])
         assert code == 1
         assert "tolerances: expected an object" in capsys.readouterr().err
 
@@ -1131,23 +1131,6 @@ class TestMain:
         assert capsys.readouterr() == ("", "")
         return code, _strict_json(out.read_text())
 
-    def test_zero_test_scale_past_the_float_range_is_an_error_row(
-            self, tmp_path, capsys):
-        # the Laurent tail scales reach^k of the annulus far from 0 leave
-        # the float range at degree 58, inside the 65 terms allowed
-        code, payload = self._run_to_file(tmp_path, capsys, {
-            "function": "1/(z-100000)^2 + z",
-            "domain": {
-                "outer": {"circle": {"center": [1e5, 0], "radius": 2.0}},
-                "holes": [{"circle": {"center": [1e5, 0], "radius": 0.5}}]},
-            "checks": ["cross_verify"], "max_degree": 8,
-            "laurent_terms": 65})
-        assert code == 1
-        [row] = payload["results"]
-        assert row["status"] == "error"
-        assert row["values"]["error_type"] == "ScaleOverflowError"
-        assert "degree 58" in row["values"]["error"]
-
     def test_overflowing_curve_data_gives_error_rows(self, tmp_path, capsys):
         # g = 1.5e308 on the unit circle: its first running primitive
         # overflows, which must not pass as a tower of zero defects
@@ -1188,12 +1171,11 @@ class TestMain:
         assert code == 1
         assert "max_degree: must lie in [0, 64]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field, cap", [("tower_levels", 64),
-                                            ("laurent_terms", 65)])
+    @pytest.mark.parametrize("field, cap", [("tower_levels", 64)])
     def test_memory_fields_above_cap_are_diagnosed(self, tmp_path, capsys,
                                                    field, cap):
-        # tower levels and Laurent terms size arrays, so both are capped
-        # like max_degree; only the values just past the caps are run
+        # tower levels size arrays, so they are capped like max_degree;
+        # only the value just past the cap is run
         (tmp_path / "c.csv").write_text(circle_csv(64))
         raw = {"function": "1/z", "domain": ANNULUS,
                "curve": {"csv": "c.csv"},
@@ -1203,6 +1185,48 @@ class TestMain:
         code = cli.main(["run", "--scenario", str(scenario)])
         assert code == 1
         assert f"{field}: must lie in [1, {cap}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["points", "radii"])
+    def test_lists_above_cap_are_diagnosed(self, tmp_path, capsys, field):
+        # every point and every radius is one row of a stacked integral, so
+        # both lists are capped like max_degree; 64 entries run
+        count = moments.MAX_MOMENT_DEGREE
+        entries = {
+            "points": [[0.7 * math.cos(k), 0.7 * math.sin(k)]
+                       for k in range(count + 1)],
+            "radii": [*np.geomspace(0.1, 5e-5, count), 2.5e-5]}[field]
+        raw = {"function": "z^2", "domain": ANNULUS,
+               "curve": {"path": {"circle": {"radius": 1.0}},
+                         "samples": 256},
+               "checks": ["extension", "cauchy", "nontangential"],
+               "points": [[0.7, 0.0]]}
+        code, payload = self._run_to_file(
+            tmp_path, capsys, {**raw, field: entries[:count]})
+        assert code == 0
+        extension, cauchy, nontangential = (
+            row["values"] for row in payload["results"])
+        rows = [len(extension["points"]), len(cauchy["points"])] \
+            if field == "points" else [len(nontangential["residuals"])]
+        assert set(rows) == {count}
+        scenario = write_scenario(tmp_path, {**raw, field: entries})
+        assert cli.main(["run", "--scenario", str(scenario)]) == 1
+        unit = {"points": "pairs", "radii": "numbers"}[field]
+        assert capsys.readouterr().err.splitlines()[0] \
+            == f"{field}: at most {count} {unit}"
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_unknown_fields_are_diagnosed(self, tmp_path, capsys, command):
+        # a misspelt field is not read as its default
+        scenario = write_scenario(tmp_path, {
+            "function": "1/z", "domain": ANNULUS, "checks": ["moments"],
+            "max_degre": 4, "tolerence": {"abs": 1}})
+        assert cli.main([command, "--scenario", str(scenario)]) == 1
+        captured = capsys.readouterr()
+        lines = (captured.out if command == "validate"
+                 else captured.err).splitlines()
+        choices = ", ".join(cli.FIELDS)
+        assert lines == [f"max_degre: unknown field (choose from {choices})",
+                         f"tolerence: unknown field (choose from {choices})"]
 
     def test_unrunnable_scenario_exits_one(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, {"checks": ["moments"]})

@@ -12,7 +12,7 @@ from envelope import geometry as geom
 from envelope import moments as mom
 from envelope import quadrature as quad
 from envelope.errors import (ExtensionPreconditionError, GeometryError,
-                             PoleProximityError)
+                             PoleProximityError, ScaleOverflowError)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +372,54 @@ class TestCrossVerify:
             mom.construct_primitive(f, 2, 1.5 + 0j, -1.5j, route,
                                     domain=annulus)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("name, text", [
+        ("annulus", "1/z^2"),
+        ("two_hole", "1/z^2 + 1/(z-3)^3 + z"),
+        ("slab", "1/(z-0.2)^2 + 1/(z-(0+0.57i))")])
+    def test_no_tail_integral_repeats_the_moment_table(self, request,
+                                                       monkeypatch, name,
+                                                       text):
+        # the duality row compares the tails with the moment table, so no
+        # tail may be integrated on a path that the table is integrated on:
+        # with the tails centred on 0, that would be the same integral
+        domain = request.getfixturevalue(name)
+        calls, kind = [], ["table"]
+        moments, tails = mom._moments, ext.laurent_coefficients
+
+        def recorded(fn, path, degrees, tol, center=0j):
+            calls.append((kind[0], path, center, degrees.tolist()))
+            return moments(fn, path, degrees, tol, center)
+
+        def tail_integrals(*args, **kwargs):
+            kind[0] = "tail"
+            try:
+                return tails(*args, **kwargs)
+            finally:
+                kind[0] = "table"
+
+        monkeypatch.setattr(mom, "_moments", recorded)
+        monkeypatch.setattr(ext, "laurent_coefficients", tail_integrals)
+        rep = ext.cross_verify(expr.parse(text), domain)
+        assert rep.consistent
+        components = rep.decomposition.components
+        assert [(center, degrees) for k, _, center, degrees in calls
+                if k == "tail"] \
+            == [(c.center, list(range(c.terms))) for c in components]
+        tables = [path for k, path, center, _ in calls
+                  if k == "table" and center == 0]
+        assert len(tables) == len(domain.holes)
+        assert not any(path is table for k, path, _, _ in calls
+                       if k == "tail" for table in tables)
+
+    def test_zero_test_scale_past_the_float_range_is_refused(self):
+        # the Laurent tail scales reach^k of the annulus far from 0 leave
+        # the float range at degree 58, inside 65 terms
+        domain = geom.DomainSpec(geom.circle(1e5 + 0j, 2.0),
+                                 (geom.circle(1e5 + 0j, 0.5),))
+        with pytest.raises(ScaleOverflowError, match="degree 58"):
+            ext.cross_verify(expr.parse("1/(z-100000)^2 + z"), domain, 8,
+                             terms=65)
 
     def test_reference_route_skips_points_it_cannot_evaluate(self, two_hole):
         # in hole 0 the black box raises, as a parsed quotient does at a
