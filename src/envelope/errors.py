@@ -20,8 +20,8 @@ class PoleProximityError(EnvelopeError):
 
 
 class PoleFindingError(EnvelopeError):
-    """Denominator analysis failed: degree cap exceeded, identically zero
-    denominator, or the eigenvalue root finder did not converge."""
+    """The pole census refused: an order bound or divisor degree past its
+    cap, a zero divisor or one it cannot factor, or a hole past the cap."""
 
 
 class GeometryError(EnvelopeError):

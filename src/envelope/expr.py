@@ -21,28 +21,27 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as _npoly
 
-from .errors import ParseError, PoleFindingError, PoleProximityError
+from .errors import (ParseError, PoleFindingError, PoleProximityError,
+                     ScaleOverflowError)
 
 DEFAULT_POLE_EXCLUSION = 1e-9
 
-# Rational analysis gives up beyond this expanded polynomial degree.
+# The pole census refuses a divisor polynomial of higher degree, and an
+# order bound past it.
 POLY_DEGREE_CAP = 64
 
 # The deepest expression parse accepts: a tree at most this many nodes
 # deep, with at most this many parentheses, exp( and unary minuses open at
 # once. Parsing takes at most five Python frames an open level and every
-# walk of the tree (evaluating, expanding, printing, hashing, comparing)
+# walk of the tree (evaluating, pole finding, printing, hashing, comparing)
 # at most three a node, so all stay well inside Python's default
 # recursion limit of 1000; and the text format_expr gives for a parsed
 # tree parses.
 MAX_DEPTH = 100
 
-# Companion-matrix eigenvalues of an m-fold root scatter by roughly
-# eps**(1/m) (about 6e-6 for m=3), so clustering must be much wider than
-# machine precision. Distinct poles closer than this merge; that is out of
-# scope at desk scale.
+# np.roots scatters an m-fold root of a divisor polynomial of degree 2 or
+# more by about eps**(1/m), so its roots merge within this radius.
 ROOT_CLUSTER_RADIUS = 1e-4
 
 
@@ -425,148 +424,142 @@ def format_expr(node: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# pole analysis
-
-def _poly_trim(c: np.ndarray) -> np.ndarray:
-    scale = np.max(np.abs(c)) if c.size else 0.0
-    if scale == 0.0:
-        return np.zeros(1, dtype=complex)
-    keep = np.abs(c) > 1e-14 * scale
-    last = int(np.max(np.nonzero(keep)[0])) if keep.any() else 0
-    return c[: last + 1]
+# pole analysis: from the zeros of the factors of the divisors (right operands
+# of '/', bases of negative powers) and Laurent series there, in which a sum's
+# coefficient within this fraction of its operands' is rounding, so zero
+_CANCELLED = 64 * np.finfo(float).eps
 
 
-def _check_degree(degree: int) -> None:
-    if degree > POLY_DEGREE_CAP:
-        raise PoleFindingError(
-            f"expanded degree {degree} exceeds cap {POLY_DEGREE_CAP}")
+def _factors(node: Expr) -> list[tuple[Expr, int]]:
+    """node as a product of powers of its children; [] for a sum or leaf."""
+    return [(node.base, node.exponent)] if isinstance(node, Pow) else [
+        (node.left, 1), (node.right, -1 if isinstance(node, Div) else 1)] \
+        if isinstance(node, (Mul, Div)) else []
 
 
-def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = _poly_trim(np.convolve(a, b))
-    _check_degree(out.size - 1)
-    return out
-
-
-def _poly_add(a: np.ndarray, b: np.ndarray, sign: float = 1.0) -> np.ndarray:
-    n = max(a.size, b.size)
-    out = np.zeros(n, dtype=complex)
-    out[: a.size] += a
-    out[: b.size] += sign * b
-    return _poly_trim(out)
-
-
-def _poly_pow(a: np.ndarray, n: int) -> np.ndarray:
-    # the degree before trimming bounds the products: trimmed products can
-    # stay short, and a constant's never grow
-    _check_degree(n * (a.size - 1))
-    if n > POLY_DEGREE_CAP:  # a constant
-        return _poly_trim(np.array([_power(a[0], n)]))
-    out = np.ones(1, dtype=complex)
-    for _ in range(n):
-        out = _poly_mul(out, a)
-    return out
-
-
-def _as_rational(node: Expr) -> tuple[np.ndarray, np.ndarray] | None:
-    """Return (numerator, denominator) coefficient arrays (ascending powers),
-    or None when the expression is not rational."""
-    if isinstance(node, Const):
-        return np.array([node.value], dtype=complex), np.ones(1, dtype=complex)
-    if isinstance(node, Var):
-        return np.array([0, 1], dtype=complex), np.ones(1, dtype=complex)
-    if isinstance(node, Exp):
+def _degree(node: Expr) -> int | None:
+    """The degree of a tree without exp; None for one with divisors."""
+    kids = [_degree(x) for x in vars(node).values() if isinstance(x, Expr)]
+    if None in kids or any(e < 0 for _, e in _factors(node)):
         return None
-    if isinstance(node, Pow):
-        a = _as_rational(node.base)
-        if a is None:
-            return None
-        n = node.exponent
-        if n >= 0:
-            return _poly_pow(a[0], n), _poly_pow(a[1], n)
-        return _poly_pow(a[1], -n), _poly_pow(a[0], -n)
-    if type(node) not in _BINARY:
-        raise TypeError(f"not an Expr node: {node!r}")
-    a, b = _as_rational(node.left), _as_rational(node.right)
-    if a is None or b is None:
-        return None
-    if isinstance(node, Mul):
-        return _poly_mul(a[0], b[0]), _poly_mul(a[1], b[1])
-    if isinstance(node, Div):
-        return _poly_mul(a[0], b[1]), _poly_mul(a[1], b[0])
-    sign = 1.0 if isinstance(node, Add) else -1.0
-    num = _poly_add(_poly_mul(a[0], b[1]), _poly_mul(b[0], a[1]), sign)
-    return num, _poly_mul(a[1], b[1])
+    return kids[0] * node.exponent if isinstance(node, Pow) else sum(kids) \
+        if isinstance(node, Mul) else max(kids, default=int(node == Z))
 
 
-def _poly_roots(coeffs: np.ndarray) -> np.ndarray:
-    if coeffs.size <= 1:
-        return np.zeros(0, dtype=complex)
-    try:
-        return np.roots(coeffs[::-1])
+class _Local:
+    """Laurent series in u = (z - c) / s; orders: divisor factors' zeros."""
+
+    def __init__(self, c: complex, s: float, orders: dict[int, int]):
+        self.c, self.s, self.orders, self.bounds = c, s, orders, {}
+
+    def bound(self, node: Expr) -> int:
+        """The lowest power of u in node's series; exact for a divisor."""
+        if id(node) not in self.bounds:
+            if _factors(node):
+                v = sum(e * self.bound(x) for x, e in _factors(node))
+            else:  # a zero order, or a sum's lower bound
+                v = self.orders.get(id(node), min(
+                    self.bound(node.left), self.bound(node.right))
+                    if isinstance(node, (Add, Sub)) else 0)
+            if abs(v) > POLY_DEGREE_CAP:
+                raise PoleFindingError(f"order bound {abs(v)} at {self.c:.6g}"
+                                       f" exceeds cap {POLY_DEGREE_CAP}")
+            self.bounds[id(node)] = v
+        return self.bounds[id(node)]
+
+    def series(self, node: Expr, top: int) -> np.ndarray:
+        """node's coefficients of the powers bound(node) .. top of u."""
+        n = max(0, top - (low := self.bound(node)) + 1)
+        if not n or isinstance(node, (Const, Var)):
+            leaf = [node.value] if type(node) is Const else [self.c, self.s]
+            out = np.array((leaf + [0] * (low + n))[low:][:n], dtype=complex)
+        elif factors := _factors(node):  # each to top less cofactors' lows
+            lows = [e * self.bound(x) for x, e in factors]
+            parts = [self.power(x, e, top - sum(lows) + own)
+                     for (x, e), own in zip(factors, lows)]
+            out = parts[0] if len(parts) == 1 else np.convolve(*parts)[:n]
+        else:
+            a, b = (self.series(x, top) for x in (node.left, node.right))
+            a, b = (np.concatenate([np.zeros(max(a.size, b.size, n) - p.size),
+                                    p]) for p in (a, b))
+            out = a + b if isinstance(node, Add) else a - b
+            out[abs(out) <= _CANCELLED * np.maximum(abs(a), abs(b))] = 0
+            if out[:out.size - n].any():
+                raise PoleFindingError(f"{format_expr(node)} has no zero of "
+                                       f"order {low} at {self.c:.6g}")
+            out = out[out.size - n:]
+        if not np.isfinite(out).all():
+            raise ScaleOverflowError(f"the series at {self.c:.6g} overflows")
+        return out
+
+    def power(self, node: Expr, e: int, top: int) -> np.ndarray:
+        """series() of node^e, by a power of node's Toeplitz matrix."""
+        m, low = top - e * self.bound(node) + 1, self.bound(node)
+        a = np.append(self.series(node, top - (e - 1) * low) if e else 1,
+                      np.zeros(m))
+        if e < 0 and not a[0]:  # a divisor underflowed to 0
+            return np.full(m, np.inf)
+        return np.linalg.matrix_power(np.tril(a[np.subtract.outer(
+            range(m), range(m))]), e)[:, 0]
+
+
+def _divisor_zeros(node: Expr) -> list[tuple[complex, float, int, int]]:
+    """Each zero of a divisor's polynomial factors: where it is, within what
+    radius it merges, its order and the factor's id."""
+    if _factors(node):  # a divisor's poles are found as such
+        return [z for x, e in _factors(node) if e > 0
+                for z in _divisor_zeros(x)]
+    degree = _degree(node)
+    if degree is None or degree > POLY_DEGREE_CAP:
+        raise PoleFindingError(f"divisor {format_expr(node)}: no polynomial "
+                               f"of degree {POLY_DEGREE_CAP} or less")
+    coeffs = np.trim_zeros(_Local(0j, 1.0, {}).series(node, degree), "b")
+    if not coeffs.size:
+        raise PoleFindingError("denominator is identically zero")
+    try:  # exactly -b/a; real coefficients keep conjugate roots conjugate
+        roots = [-coeffs[0] / coeffs[1]] if coeffs.size == 2 else np.roots(
+            (coeffs if coeffs.imag.any() else coeffs.real)[::-1])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise PoleFindingError(f"root finding failed to converge: {exc}") from exc
+        raise PoleFindingError(f"root finding failed: {exc}") from exc
+    radius = _CANCELLED if coeffs.size == 2 else ROOT_CLUSTER_RADIUS
+    return [(complex(c) + 0j, radius * max(1.0, abs(c)), k, id(node))
+            for c, k in _cluster(roots)]
 
 
 def _cluster(roots: np.ndarray) -> list[tuple[complex, int]]:
     clusters: list[list[complex]] = []
     for r in sorted(roots, key=lambda w: (w.real, w.imag)):
-        for members in clusters:
-            center = sum(members) / len(members)
-            if abs(r - center) <= ROOT_CLUSTER_RADIUS * max(1.0, abs(center)):
-                members.append(r)
-                break
+        near = [m for m in clusters if abs(r - sum(m) / len(m))
+                <= ROOT_CLUSTER_RADIUS * max(1.0, abs(sum(m) / len(m)))]
+        if near:
+            near[0].append(r)
         else:
             clusters.append([r])
     return [(sum(m) / len(m), len(m)) for m in clusters]
 
 
-def _polish(center: complex, mult: int, den: np.ndarray) -> complex:
-    """Newton iterations on the (mult-1)st derivative, where the root is
-    simple, to undo the eigenvalue scatter of repeated roots."""
-    d = _npoly.polyder(den, mult - 1)
-    dp = _npoly.polyder(d)
-    w = center
-    for _ in range(4):
-        denom = _npoly.polyval(w, dp)
-        if abs(denom) == 0:
-            break
-        w = w - _npoly.polyval(w, d) / denom
-    if abs(w - center) > 10 * ROOT_CLUSTER_RADIUS * max(1.0, abs(center)):
-        return center
-    return w
-
-
 def pole_set(node: Expr) -> list[PoleRecord] | None:
-    """Locate poles of a rational expression.
-
-    Returns PoleRecords sorted by (re, im), or None when the expression is
-    not rational (contains exp) and the pole set is unknown. Numerator roots
-    cancel matching denominator roots, so removable factors do not report
-    spurious poles. Distinct poles closer than about 1e-4 are treated as one.
-    """
-    rat = _as_rational(node)
-    if rat is None:
+    """Locate poles of a rational expression: PoleRecords sorted by (re, im),
+    or None when it holds an exp. The zero of a linear factor is exact; the
+    roots of a higher degree factor merge within ROOT_CLUSTER_RADIUS."""
+    nodes = [node]
+    for x in nodes:  # grows as it is walked, to every node of the tree
+        nodes += [y for y in vars(x).values() if isinstance(y, Expr)]
+    if any(isinstance(x, Exp) for x in nodes):
         return None
-    num, den = rat
-    if den.size == 1 and den[0] == 0:
-        raise PoleFindingError("denominator is identically zero")
-    if np.all(np.abs(num) == 0):
-        return []
-    den_clusters = _cluster(_poly_roots(den))
-    if not den_clusters:
-        return []
-    num_clusters = _cluster(_poly_roots(num))
-    records = []
-    for center, mult in den_clusters:
-        center = _polish(center, mult, den)
-        cancel = 0
-        for ncenter, nmult in num_clusters:
-            if abs(ncenter - center) <= ROOT_CLUSTER_RADIUS * max(1.0, abs(center)):
-                cancel = nmult
-                break
-        order = mult - cancel
-        if order > 0:
-            records.append(PoleRecord(complex(center), order))
-    records.sort(key=lambda p: (p.location.real, p.location.imag))
-    return records
+    sites: dict[complex, dict[int, int]] = {}  # factor orders at each site
+    poles = []
+    with np.errstate(all="ignore"):
+        zeros = [zero for x in nodes for divisor, e in _factors(x) if e < 0
+                 for zero in _divisor_zeros(divisor)]
+        for z, radius, order, key in sorted(zeros, key=lambda zero: zero[1]):
+            sites.setdefault(next((w for w in sites if abs(z - w) <= radius),
+                                  z), {})[key] = order
+        for c, orders in sites.items():  # u = 1 at the nearest other site
+            local = _Local(c, min([1.0, *(abs(c - w) for w in sites
+                                          if w != c)]), orders)
+            nonzero = np.flatnonzero(local.series(node, -1))
+            if nonzero.size:
+                poles.append(PoleRecord(complex(c), int(-local.bound(node)
+                                                        - nonzero[0])))
+    return sorted(poles, key=lambda p: (p.location.real, p.location.imag))

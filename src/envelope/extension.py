@@ -107,7 +107,7 @@ class Decomposition:
 
 def _component_centers(f, domain: DomainSpec) -> list[complex]:
     """Per hole: its witness, or the pole itself when exactly one pole
-    cluster sits inside the hole (making truncation at its order exact)."""
+    sits inside the hole (making truncation at its order exact)."""
     centers = list(domain.witnesses)
     for j, poles in enumerate(_mom._hole_poles(domain, f=f) or ()):
         if len(poles) == 1:

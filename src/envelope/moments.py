@@ -20,7 +20,8 @@ import numpy as np
 from . import expr as _expr
 from . import geometry as _geom
 from . import quadrature as _quad
-from .errors import GeometryError, PoleInDomainError, ScaleOverflowError
+from .errors import (GeometryError, PoleFindingError, PoleInDomainError,
+                     ScaleOverflowError)
 from .geometry import Arc, DomainSpec, Line, Path
 
 MAX_MOMENT_DEGREE = 64
@@ -277,11 +278,16 @@ def _basis_moments(f, domain: DomainSpec, degree: int, tol: float
 
 def inside_pole_budget(f, domain: DomainSpec) -> list[int] | None:
     """Total pole order inside each hole, or None when the pole set is
-    unknown. Raises PoleInDomainError (a ValueError) if a pole lies in the
-    domain itself, where f was promised holomorphic."""
+    unknown. Raises PoleInDomainError (a ValueError) for a pole in the
+    domain, and PoleFindingError for a total past MAX_MOMENT_DEGREE."""
     by_hole = _hole_poles(domain, f=f)
-    return None if by_hole is None \
+    budget = None if by_hole is None \
         else [sum(rec.order for rec in poles) for poles in by_hole]
+    for j, total in enumerate(budget or ()):
+        if total > MAX_MOMENT_DEGREE:
+            raise PoleFindingError(f"the poles in hole {j} have total order "
+                                   f"{total}, past {MAX_MOMENT_DEGREE}")
+    return budget
 
 
 def _scan_degree(f, domain: DomainSpec, degree_cutoff: int | None) -> int:

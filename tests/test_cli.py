@@ -1055,7 +1055,7 @@ class TestMain:
 
     def test_pole_census_degree_cap_gives_error_rows(self, tmp_path, capsys):
         # the moment scan needs no poles; the checks that place them refuse
-        # a denominator expanded past the cap
+        # a pole order bound past the cap
         scenario = write_scenario(tmp_path, {
             "function": "1/(z-0.1)^65", "domain": ANNULUS,
             "checks": list(cli.DOMAIN_CHECKS)})
@@ -1066,8 +1066,53 @@ class TestMain:
         for row in rows[1:]:
             assert row["status"] == "error"
             assert row["values"] == {
-                "error": "expanded degree 65 exceeds cap 64",
+                "error": "order bound 65 at 0.1+0j exceeds cap 64",
                 "error_type": "PoleFindingError"}
+
+    def test_hole_budget_past_the_moment_cap_gives_error_rows(self, tmp_path,
+                                                             capsys):
+        # each pole is within the census cap, but no scan tests past degree
+        # 64 for their total of 80 in the hole
+        scenario = write_scenario(tmp_path, {
+            "function": "1/(z-0.1)^40 + 1/(z+0.1)^40", "domain": ANNULUS,
+            "checks": ["primitive_order", "extension", "cross_verify"]})
+        code = cli.main(["run", "--scenario", str(scenario)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        for row in json.loads(captured.out)["results"]:
+            assert row["status"] == "error"
+            assert row["values"] == {
+                "error": "the poles in hole 0 have total order 80, past 64",
+                "error_type": "PoleFindingError"}
+
+    def test_one_pole_of_order_p_in_the_hole_gives_p_minus_one(
+            self, tmp_path, capsys):
+        # one pole of order p at 0.1, in the hole: primitives of every order
+        # below p - 1 close and the order p - 1 does not
+        for p in range(16, 65):
+            scenario = write_scenario(tmp_path, {
+                "function": f"1/(z-0.1)^{p}", "domain": ANNULUS,
+                "checks": ["primitive_order"]})
+            assert cli.main(["run", "--scenario", str(scenario)]) == 0
+            values = json.loads(capsys.readouterr().out)["results"][0][
+                "values"]
+            assert (values["max_order"], values["certificate"]) \
+                == (p - 1, "failure-witnessed")
+
+    def test_poles_in_a_moved_annulus_are_in_the_domain(self, tmp_path,
+                                                        capsys):
+        # the annulus (2, 0.5) moved to 1000+2000i, with triple poles at its
+        # +-1.2: both lie in the domain
+        moved = {"outer": {"circle": {"center": [1000, 2000], "radius": 2}},
+                 "holes": [{"circle": {"center": [1000, 2000],
+                                       "radius": 0.5}}]}
+        scenario = write_scenario(tmp_path, {
+            "function": "1/(z-(998.8+2000i))^3 + 1/(z-(1001.2+2000i))^3",
+            "domain": moved, "checks": ["primitive_order"]})
+        assert cli.main(["run", "--scenario", str(scenario)]) == 1
+        row = json.loads(capsys.readouterr().out)["results"][0]
+        assert row["values"]["error_type"] == "PoleInDomainError"
 
     def test_unbounded_domain_runs_every_domain_check(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, {
@@ -1254,13 +1299,14 @@ class TestProcess:
                      "function: expression nested deeper than 100 levels",
                      id="long-sum"),
         pytest.param({"function": "z^-1000000"}, None,
-                     "expanded degree 1000000 exceeds cap 64",
+                     "order bound 1000000 at 0+0j exceeds cap 64",
                      id="power-of-z"),
         pytest.param({"function": "(1+0.00000001z)^-100000"}, None,
-                     "expanded degree 100000 exceeds cap 64",
+                     "order bound 100000 at -1e+08+0j exceeds cap 64",
                      id="power-of-a-short-product"),
         pytest.param({"function": "z^-99999999999999999999"}, None,
-                     "expanded degree 99999999999999999999 exceeds cap 64",
+                     "order bound 99999999999999999999 at 0+0j exceeds "
+                     "cap 64",
                      id="power-past-int64"),
         # inf, as numpy's power gives: refused on the first panels of the
         # moment scan, once for the four checks that share it
