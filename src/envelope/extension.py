@@ -37,7 +37,6 @@ CONTOUR_TOL = 2e-9
 REFERENCE_RTOL = 1e-8
 # probe points on each probe contour, and toward each hole's boundary
 _PROBES_PER_CURVE = 8
-_UNIT_CIRCLE = _geom.circle(0j, 1.0)
 
 
 def _check_tail(basis_curve: Path, center: complex, n: int) -> None:
@@ -115,13 +114,18 @@ def _component_centers(f, domain: DomainSpec) -> list[complex]:
     return centers
 
 
+def _exact_rows(fn, points: np.ndarray, f_at: np.ndarray):
+    """The integrand (f(z) - f(w)) / (z - w) for every point w, one row
+    each; f_at holds f at the points."""
+    return lambda z: (fn(z) - f_at[:, None]) / (z - points[:, None])
+
+
 def _exact_components(fn, curve: Path, points: np.ndarray,
                       f_at: np.ndarray, tol: float) -> np.ndarray:
     """Hole component -(1/2 pi i) ∮ (f(z) - f(w)) / (z - w) dz at every
-    point w, on either side of the basis curve; f_at holds f at the points.
-    Precondition: no w lies on the curve."""
-    stack = _quad.integrate(
-        lambda z: (fn(z) - f_at[:, None]) / (z - points[:, None]), curve, tol)
+    point w, on either side of the basis curve. Precondition: no w lies on
+    the curve."""
+    stack = _quad.integrate(_exact_rows(fn, points, f_at), curve, tol)
     return -stack.value / _TWO_PI_I
 
 
@@ -193,22 +197,31 @@ def decompose(f, domain: DomainSpec, terms: int | None = None,
     depend on the contour. The reconstruction residual at each domain probe
     w compares every truncated tail with the exact component, the integral
     of (f(z) - f(w)) / (z - w) over the basis curve: an independent route
-    that does not assume the defining identity.
+    that does not assume the defining identity. The tails of all holes go to
+    one quadrature.integrate_each call and the exact components to another,
+    so the circles among the contours of each kind share one integral.
     """
     basis = _geom.homology_basis(domain)
     if terms is None:
         budget = _mom.inside_pole_budget(f, domain)
         terms = _mom.DEFAULT_DEGREE_CUTOFF + 1 if budget is None \
             else max(1, max(budget, default=1))
+    if terms < 1:
+        raise ValueError("tail coefficients have index n >= 1")
     fn = _mom.as_function(f)
+    centers = _component_centers(f, domain)
+    # a second contour has passed geometry._basis_curves_pass, so it winds
+    # once around every point of its hole, the center among them
+    tails = _quad.integrate_each(
+        [(_mom._moment_rows(fn, np.arange(terms), center),
+          _geom.basis_curve_variants(domain, j)[1])
+         for j, center in enumerate(centers)], tol)
     components = []
-    for j, (curve, center) in enumerate(zip(basis,
-                                            _component_centers(f, domain))):
-        second = _geom.basis_curve_variants(domain, j)[1]
-        coeffs = laurent_coefficients(fn, second, center, terms, tol)
+    for j, (curve, center, stack) in enumerate(zip(basis, centers, tails)):
         max_f, _ = _mom._magnitude_on(curve, f=fn)
-        components.append(LaurentComponent(j, center, coeffs,
-                                           curve.length * max_f))
+        components.append(LaurentComponent(
+            j, center, tuple(complex(v) for v in stack / _TWO_PI_I),
+            curve.length * max_f))
 
     points = _probes(domain)[0]
 
@@ -221,9 +234,10 @@ def decompose(f, domain: DomainSpec, terms: int | None = None,
     gap = np.zeros(points.shape, dtype=complex)
     if points.size:
         f_at = _quad._eval_batch(fn, points)
-        for j, curve in enumerate(basis):
-            gap += _exact_components(fn, curve, points, f_at, tol) \
-                - components[j](points)
+        exact = _quad.integrate_each(
+            [(_exact_rows(fn, points, f_at), curve) for curve in basis], tol)
+        for stack, comp in zip(exact, components):
+            gap += -stack / _TWO_PI_I - comp(points)
     residuals = tuple(float(r) for r in np.hypot(gap.real, gap.imag))
     return Decomposition(tuple(components), tuple(map(complex, points)),
                          residuals, f0)
@@ -247,8 +261,10 @@ def evaluate_extension(f, domain: DomainSpec, w,
     over a contour that winds once around w and zero times around every
     hole other than the one containing it. Points in one hole share its
     contour, and all points of the domain proper share one integral over
-    the unit circle; each takes one stacked integral. which_contour picks
-    the first (0) or the second (1) contour of each hole and each point.
+    the unit circle; these integrals go to one quadrature.integrate_each
+    call, so where two or more of them are circles they are one stacked
+    integral. which_contour picks the first (0) or the second (1) contour
+    of each hole and each point.
     """
     if not isinstance(which_contour, (int, np.integer)) \
             or which_contour not in (0, 1):
@@ -263,9 +279,9 @@ def _on_contours(f, domain: DomainSpec, pts: np.ndarray, tol: float,
                  verdict: _mom.PrimitiveOrderVerdict | None,
                  contours: tuple[int, ...]) -> np.ndarray:
     """evaluate_extension at the points pts (a flat array) on each of the
-    contours, one row each: one classify pass for all of them, then each
-    contour's integrals and refusals in turn, as separate calls would meet
-    them."""
+    contours, one row each: one classify pass for all of them, every
+    refusal of each contour in turn, as separate calls would meet them,
+    and then every integral in one quadrature.integrate_each call."""
     if verdict is None:
         verdict = _mom._verdict(domain, None, tol, _mom.ZeroTolerance(), f=f)
     if verdict.max_order is not None:
@@ -284,32 +300,43 @@ def _on_contours(f, domain: DomainSpec, pts: np.ndarray, tol: float,
              for j in np.unique(where.hole[where.hole >= 0])]
     free = np.flatnonzero(where.hole < 0)
     values = np.zeros((len(contours), pts.size), dtype=complex)
+    jobs, targets = [], []  # each integral, and the entries it fills
     for out, which in zip(values, contours):
         for j, members in holes:
             contour = _geom.basis_curve_variants(domain, j)[which]
             ws = pts[members]
             for near in ws[contour.distance(ws) <= contour.band]:
                 raise GeometryError(f"{near:.6g} is too close to the contour")
-            # (1/2 pi i) ∮ f(z) / (z - w) dz for every w, one stacked
-            # integral
-            stack = _quad.integrate(lambda z: fn(z) / (z - ws[:, None]),
-                                    contour, tol).value
-            out[members] = stack / _TWO_PI_I
+            jobs.append((_cauchy_rows(fn, ws), contour))
+            targets.append((out, members))
         radii = (0.4 if which == 0 else 0.7) * where.distance[free, None]
         for w in pts[free[np.isinf(radii[:, 0])]]:
             raise GeometryError("the whole plane has no boundary to size a "
                                 f"contour around {w:.6g} by")
         if free.size:
-            # the circle |z - w| = r of a point of the domain proper, r a
-            # fraction of its distance to the boundary, is z = w + r u on
-            # the unit circle: (1/2 pi i) ∮ f(w + r u) / u du, one stacked
-            # integral
-            ws = pts[free, None]
-            stack = _quad.integrate(lambda u: _quad._eval_batch(
-                fn, (ws + radii * u).ravel()).reshape(free.size, -1) / u,
-                _UNIT_CIRCLE, tol).value
-            out[free] = stack / _TWO_PI_I
+            jobs.append((_shifted_rows(fn, pts[free, None], radii),
+                         _quad._UNIT_CIRCLE))
+            targets.append((out, free))
+    for (out, members), stack in zip(targets,
+                                     _quad.integrate_each(jobs, tol)):
+        out[members] = stack / _TWO_PI_I
     return values
+
+
+def _cauchy_rows(fn, ws: np.ndarray):
+    """The integrand f(z) / (z - w) for every w in ws, one row each: times
+    1/2 pi i, the extension at each w on a contour around it."""
+    return lambda z: fn(z) / (z - ws[:, None])
+
+
+def _shifted_rows(fn, ws: np.ndarray, radii: np.ndarray):
+    """The integrand f(w + r u) / u on the unit circle for every w in the
+    column ws and r in radii, one row each: the circle |z - w| = r of a
+    point of the domain proper, r a fraction of its distance to the
+    boundary, is z = w + r u. It divides by u, not by (w + r u) - w, which
+    loses the digits of r u where r is far below |w|."""
+    return lambda u: _quad._eval_batch(fn, (ws + radii * u).ravel()).reshape(
+        ws.size, -1) / u
 
 
 # ---------------------------------------------------------------------------

@@ -127,11 +127,10 @@ def _powers(w, top: int) -> np.ndarray:
     return out
 
 
-def _moments(fn, path: Path, degrees: np.ndarray, tol: float,
-             center: complex = 0j) -> np.ndarray:
-    """∮ (z - center)^k f(z) dz for every k in degrees, as one stacked
-    integral: each to the tolerance tol, on one panel tree. The powers come
-    from one product ladder up to the largest degree (_powers).
+def _moment_rows(fn, degrees: np.ndarray, center: complex = 0j):
+    """The integrand (z - center)^k f(z) for every k in degrees, one row
+    each. The powers come from one product ladder up to the largest degree
+    (_powers).
 
     An integrand value that overflows the float range, where f itself is
     finite, is refused with a GeometryError naming the first degree that
@@ -162,7 +161,15 @@ def _moments(fn, path: Path, degrees: np.ndarray, tol: float,
             f"leaves the float range where the path reaches "
             f"max|z - center| = {reach:.6g}")
 
-    return _quad.integrate(integrand, path, tol).value
+    return integrand
+
+
+def _moments(fn, path: Path, degrees: np.ndarray, tol: float,
+             center: complex = 0j) -> np.ndarray:
+    """∮ (z - center)^k f(z) dz for every k in degrees, as one stacked
+    integral: each to the tolerance tol, on one panel tree."""
+    return _quad.integrate(_moment_rows(fn, degrees, center), path,
+                           tol).value
 
 
 def moment(f, path: Path, k: int, tol: float = _quad.DEFAULT_TOL) -> complex:
@@ -178,7 +185,14 @@ def moment_vector(f, path: Path, degree_cutoff: int,
     from one stacked integral."""
     _check_moment_degree(path, degree_cutoff)
     fn = as_function(f)
-    stack = _moments(fn, path, np.arange(degree_cutoff + 1), tol)
+    return _vector(fn, path, _moments(fn, path, np.arange(degree_cutoff + 1),
+                                      tol), curve_id)
+
+
+def _vector(fn, path: Path, stack: np.ndarray, curve_id: str
+            ) -> MomentVector:
+    """The MomentVector of the moments stack of fn on the path, with its
+    magnitude scale."""
     max_f, max_z = _magnitude_on(path, f=fn)
     return MomentVector(curve_id, tuple(complex(v) for v in stack),
                         path.length * max_f, max_z)
@@ -249,9 +263,19 @@ def _basis_tables(domain: DomainSpec, tol: float, *, f
 def _moment_table(domain: DomainSpec, degree: int, tol: float, *, f
                   ) -> tuple[MomentVector, ...]:
     """The moments of degree 0 .. degree of f on each basis curve, kept on
-    the domain for the last f."""
-    return tuple(moment_vector(f, curve, degree, tol, f"hole-{j}")
-                 for j, curve in enumerate(_geom.homology_basis(domain)))
+    the domain for the last f. The integrals of several curves go to one
+    quadrature.integrate_each call, so the circles among them share one
+    stacked integral; one curve is moment_vector's own case."""
+    curves = _geom.homology_basis(domain)
+    if len(curves) == 1:
+        return (moment_vector(f, curves[0], degree, tol, "hole-0"),)
+    for curve in curves:
+        _check_moment_degree(curve, degree)
+    fn = as_function(f)
+    rows = _moment_rows(fn, np.arange(degree + 1))
+    stacks = _quad.integrate_each([(rows, curve) for curve in curves], tol)
+    return tuple(_vector(fn, curve, stack, f"hole-{j}")
+                 for j, (curve, stack) in enumerate(zip(curves, stacks)))
 
 
 def _basis_moments(f, domain: DomainSpec, degree: int, tol: float

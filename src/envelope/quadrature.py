@@ -18,17 +18,20 @@ An integrand may return a stack of shape (m, nodes) instead of one value
 per node. The stack refines on one shared panel tree: a panel is accepted
 only when every component passes the test above against its own tolerance
 and its own mass, and the result holds one value per component.
+integrate_each stacks in the same way the integrands of several full
+circles, as rows of one integral over the unit circle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (EnvelopeError, NonFiniteIntegrandError,
                      QuadratureBudgetError)
-from .geometry import Path
+from .geometry import Arc, Path, circle
 
 GAUSS_ORDER = 16
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
@@ -36,6 +39,7 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_PANELS = 1 << 16
 MAGNITUDE_SAMPLES = 256
+_UNIT_CIRCLE = circle(0j, 1.0)
 
 # Each integrand call returns at most this many complex values (unless one
 # panel of the stack alone is larger), so no level, stack height or panel
@@ -112,23 +116,24 @@ class _Panels:
         self.height: int | None = None
         self.stacked = False
 
-    def __call__(self, seg: np.ndarray, a: np.ndarray, b: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, seg: np.ndarray, a: np.ndarray, mid: np.ndarray,
+                 b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Integral of values * z' over the local parameter intervals
-        [a, b] of the segments seg, and its L1 mass: two arrays of shape
-        (height, len(seg))."""
+        [a, b] of the segments seg, mid their midpoints 0.5 * (a + b), and
+        its L1 mass: two arrays of shape (height, len(seg))."""
         if self.count + seg.size > self.max_panels:
             raise QuadratureBudgetError(
                 f"panel budget {self.max_panels} exhausted; integrand looks "
                 "non-integrable at this tolerance")
         self.count += seg.size
         half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
         value = mass = None
         lo = 0
         while lo < seg.size:
             hi = lo + self._chunk()
             part = self._sums(seg[lo:hi], mid[lo:hi], half[lo:hi])
+            if lo == 0 and hi >= seg.size:
+                return part
             if value is None:
                 value = np.empty((self.height, seg.size), dtype=complex)
                 mass = np.empty((self.height, seg.size))
@@ -216,12 +221,13 @@ def _integrate(values_at, path: Path, tol: float, max_panels: int
         return _refine(_Panels(values_at, path, max_panels), path, tol)
 
 
-def _level(panels: "_Panels", seg, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """The sums and masses of the panels [a, b] of the segments seg. An
-    integrand that is not finite on them, or whose masses overflow, is
-    refused by name and point, where refining it would only exhaust the
-    panel budget."""
-    sums, mass = panels(seg, a, b)
+def _level(panels: "_Panels", seg, a, mid, b
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """The sums and masses of the panels [a, b] of the segments seg, mid
+    their midpoints. An integrand that is not finite on them, or whose
+    masses overflow, is refused by name and point, where refining it would
+    only exhaust the panel budget."""
+    sums, mass = panels(seg, a, mid, b)
     if not np.isfinite(mass.sum()):
         n = int(np.argmax(~np.isfinite(mass).all(axis=0)))
         z = _worst_node(panels.values_at, panels.path, seg[n], a[n], b[n])
@@ -232,7 +238,10 @@ def _level(panels: "_Panels", seg, a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def _refine(panels: "_Panels", path: Path, tol: float
             ) -> tuple[QuadratureResult, list]:
-    """_integrate's panel tree, a level at a time."""
+    """_integrate's panel tree, a level at a time. The halves evaluated at
+    one level, their ends lo and hi and midpoints 0.5 * (lo + hi), are the
+    nodes a, b and mid of the next, so each level halves its panels
+    once."""
     pieces = path.arrays.pieces
     # the roots are the pieces [k/p, (k+1)/p] of every segment, in path
     # order; each root is halved at least once, so the first batch holds
@@ -243,8 +252,10 @@ def _refine(panels: "_Panels", path: Path, tol: float
     a, b = k / p, (k + 1) / p
     mid = 0.5 * (a + b)
     lo, hi = _halves(a, mid, b)
+    centre = 0.5 * (lo + hi)
     sums, mass = _level(panels, np.concatenate((seg, np.repeat(seg, 2))),
-                        np.concatenate((a, lo)), np.concatenate((b, hi)))
+                        np.concatenate((a, lo)), np.concatenate((mid, centre)),
+                        np.concatenate((b, hi)))
     count = seg.size
     coarse, halves, mass = sums[:, :count], sums[:, count:], mass[:, count:]
     node_tol = np.repeat(tol * path.arrays.lengths / path.length / pieces,
@@ -261,14 +272,17 @@ def _refine(panels: "_Panels", path: Path, tol: float
         split = ~done
         if not split.any():
             break
+        kept = np.repeat(split, 2)
         seg = np.repeat(seg[split], 2)
-        a, b = _halves(a[split], mid[split], b[split])
-        mid = 0.5 * (a + b)
+        a, mid, b = lo[kept], centre[kept], hi[kept]
         coarse = halves.reshape(height, -1, 2)[:, split].reshape(height, -1)
         node_tol = np.repeat(0.5 * node_tol[split], 2)
         prev_est = np.repeat(est[:, split], 2, axis=1)
-        del fine, est, halves, mass  # free them before the next level
-        halves, mass = _level(panels, np.repeat(seg, 2), *_halves(a, mid, b))
+        # free the previous level before the next
+        del fine, est, halves, mass, lo, centre, hi
+        lo, hi = _halves(a, mid, b)
+        centre = 0.5 * (lo + hi)
+        halves, mass = _level(panels, np.repeat(seg, 2), lo, centre, hi)
     below = levels[-1][1]
     for done, fine, *_ in reversed(levels[:-1]):
         sums = np.empty((height, done.size), dtype=complex)
@@ -301,6 +315,66 @@ def integrate(fn, path: Path, tol: float = DEFAULT_TOL,
     the first panels of a segment.
     """
     return _integrate(lambda z: _eval_batch(fn, z), path, tol, max_panels)[0]
+
+
+def _full_turn(path: Path) -> Arc | None:
+    """The arc of a path that is one counterclockwise Arc from angle 0 over
+    a full turn, as geometry.circle builds it, else None."""
+    arc = path.segments[0]
+    if len(path.segments) == 1 and isinstance(arc, Arc) and arc.ccw \
+            and arc.t0 == 0.0 and arc.sweep == 2.0 * math.pi:
+        return arc
+    return None
+
+
+def _stacked(jobs, tol: float) -> list:
+    """The integrals of jobs on full circles C = circle(c, r), each
+    integrand a row, or a stack of rows, of one integral over the unit
+    circle:
+
+        ∮_C g dz = ∮_{|u|=1} g(c + r u) r du.
+
+    The points c + r u are the same floats as C's own Gauss nodes, since
+    the unit circle's nodes are e^{iθ}; only r du rounds differently from
+    C's velocity. Each row passes the tolerance against its own mass."""
+    arcs = [_full_turn(path) for _, path in jobs]
+    heights = []  # per job: its stack height, or None for one value
+
+    def rows(u):
+        out = [_eval_batch(fn, arc.center + arc.radius * u) * arc.radius
+               for (fn, _), arc in zip(jobs, arcs)]
+        if not heights:
+            heights.extend(v.shape[0] if v.ndim == 2 else None for v in out)
+        return np.concatenate([v.reshape(-1, u.size) for v in out])
+
+    value = integrate(rows, _UNIT_CIRCLE, tol).value
+    ends = np.cumsum([1 if m is None else m for m in heights])
+    return [complex(v[0]) if m is None else v
+            for v, m in zip(np.split(value, ends[:-1]), heights)]
+
+
+def integrate_each(jobs, tol: float = DEFAULT_TOL) -> list:
+    """The value of integrate(fn, path, tol) for every job (fn, path), in
+    job order.
+
+    Two or more jobs on full circles (one counterclockwise Arc from angle 0
+    over a full turn, as geometry.circle builds it) share one stacked
+    integral over the unit circle (_stacked); a lone circle, and every other
+    path, is integrated on its own path. Jobs are stacked only as the
+    caller groups them, so integrals of different kinds stay independent.
+    When the stacked integral is refused (an EnvelopeError), every job is
+    integrated on its own, in order, so that a refusal is the one separate
+    calls meet."""
+    circles = [i for i, (_, path) in enumerate(jobs) if _full_turn(path)]
+    values = {}
+    if len(circles) > 1:
+        try:
+            values = dict(zip(circles, _stacked([jobs[i] for i in circles],
+                                                 tol)))
+        except EnvelopeError:
+            pass  # the jobs below meet the refusal in order
+    return [values[i] if i in values else integrate(fn, path, tol).value
+            for i, (fn, path) in enumerate(jobs)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,8 +414,9 @@ def _running_primitive(fn, path: Path, tol: float = DEFAULT_TOL
     rules = _Panels(lambda z: _eval_batch(fn, z), path,
                     (GAUSS_ORDER + 1) * DEFAULT_MAX_PANELS)
     ends = np.column_stack((ts, b))  # one rule from a to each node and to b
-    inner = rules(np.repeat(seg, GAUSS_ORDER + 1),
-                  np.repeat(a, GAUSS_ORDER + 1), ends.ravel())[0]
+    lo, hi = np.repeat(a, GAUSS_ORDER + 1), ends.ravel()
+    inner = rules(np.repeat(seg, GAUSS_ORDER + 1), lo, 0.5 * (lo + hi),
+                  hi)[0]
     inner = inner.reshape(ends.shape)
     sums = inner[:, -1]
     g = np.concatenate(([0j], np.cumsum(sums[:-1])))[:, None] + inner[:, :-1]

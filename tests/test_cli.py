@@ -458,13 +458,13 @@ class TestRunScenario:
     def test_moments_row_reads_the_verdict_integrals(self, monkeypatch,
                                                      checks):
         calls = []
-        vector = moments.moment_vector
+        each = quadrature.integrate_each
 
-        def counted(f, path, *args, **kwargs):
-            calls.append(path)
-            return vector(f, path, *args, **kwargs)
+        def counted(jobs, *args, **kwargs):
+            calls.extend(path for _, path in jobs)
+            return each(jobs, *args, **kwargs)
 
-        monkeypatch.setattr(moments, "moment_vector", counted)
+        monkeypatch.setattr(quadrature, "integrate_each", counted)
         # without max_degree the moments row reads degree 32 and the
         # verdict degree 8, both from one table of degree 32
         for max_degree in (4, None):

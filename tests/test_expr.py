@@ -304,27 +304,37 @@ def _literal(c: complex) -> str:
 
 @st.composite
 def _rationals(draw):
-    """Sums over 1 to 4 sites, a centre p with |p| up to 1e4 and the others
+    """Sums over 1 to 5 sites, a centre p with |p| up to 1e4 and the others
     along a ray from it at steps of 1e-6 to 9 times max(1, |p|), of terms
     a/(z-p)^m (m up to 64), a/((z-p)^m (z-q)^k) and a (z-q)^k/(z-p)^m, some
-    added with their exact negation. Returns the text, the order of the
-    pole at each site, and log10 of the largest |a| s^-m of the first kind,
-    s the distance from p to the nearest other zero of a divisor, at most
-    1."""
+    added with their exact negation. One draw in four is crowded: its first
+    two terms are poles, of order 48 or more at p and at a site 1e-8 to
+    1e-5 from p, whose series mostly leave the float range. Returns the
+    text, the order of the pole at each site, and log10 of the largest
+    |a| s^-m of the first kind, s the distance from p to the nearest other
+    zero of a divisor, at most 1."""
     center = 10 ** draw(st.floats(-3, 4)) * cmath.exp(
         1j * draw(st.floats(0, 6.3)))
     ray = max(1.0, abs(center)) * cmath.exp(1j * draw(st.floats(0, 6.3)))
-    sites, step = [center], 0.0
+    sites, step, lowest = [center], 0.0, []
+    if draw(st.integers(0, 3)) == 0:
+        sites.append(center + 10 ** draw(st.floats(-8, -5)) * cmath.exp(
+            1j * draw(st.floats(0, 6.3))))
+        lowest = [48, 1]
     for _ in range(draw(st.integers(0, 3))):
         step += 10.0 ** draw(st.integers(-6, 0)) * draw(st.floats(1, 9))
         sites.append(center + step * ray)
     assume(len(set(sites)) == len(sites))
     texts, orders, zeros, poles = [], dict.fromkeys(sites, 0), set(), []
-    for _ in range(draw(st.integers(1, 5))):
-        kind = draw(st.sampled_from(["pole", "product", "quotient"]))
+    for i in range(draw(st.integers(max(1, len(lowest)), 5))):
+        kind = "pole" if i < len(lowest) else draw(
+            st.sampled_from(["pole", "product", "quotient"]))
         p, q = (draw(st.sampled_from(sites)) for _ in "pq")
+        if i < len(lowest):
+            p = sites[i]
         a = complex(draw(st.floats(0.5, 2)), draw(st.floats(-2, 2)))
-        m = draw(st.integers(1, 64 if kind == "pole" else 4))
+        m = draw(st.integers(lowest[i] if i < len(lowest) else 1,
+                             64 if kind == "pole" else 4))
         k = draw(st.integers(int(kind == "product"), 4))
         text, own = {
             "pole": (f"{_literal(a)}/(z-{_literal(p)})^{m}", {p: m}),

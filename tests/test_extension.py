@@ -85,17 +85,26 @@ class TestDecompose:
 
     def test_one_integral_per_curve_and_kernel(self, two_hole, monkeypatch):
         # per basis curve, one stacked integral gives every tail
-        # coefficient and one every probe's Cauchy value
-        integrate = quad.integrate
-        calls = []
+        # coefficient and one every probe's Cauchy value; each kind's
+        # circles share one integral over the unit circle
+        each, integrate = quad.integrate_each, quad.integrate
+        jobs, calls = [], []
+
+        def spy_each(batch, *args, **kwargs):
+            jobs.append([path for _, path in batch])
+            return each(batch, *args, **kwargs)
 
         def spy(fn, path, *args, **kwargs):
             calls.append(path)
             return integrate(fn, path, *args, **kwargs)
 
+        monkeypatch.setattr(quad, "integrate_each", spy_each)
         monkeypatch.setattr(quad, "integrate", spy)
         d = ext.decompose(expr.parse("1/z^2 + 1/(z-3) + z"), two_hole)
-        assert len(calls) == 2 * len(two_hole.holes)
+        holes = range(len(two_hole.holes))
+        assert jobs == [[geom.basis_curve_variants(two_hole, j)[1]
+                         for j in holes], geom.homology_basis(two_hole)]
+        assert calls == [geom.circle(0j, 1.0)] * 2
         assert d.max_residual() < 1e-9
 
     def test_scalar_only_callable(self, annulus):
@@ -220,23 +229,61 @@ class TestEvaluateExtension:
         points = [0j, 0.3 - 0.2j, -0.1 + 0.25j, 1.2 + 0.4j, -1.0 - 0.9j]
         one_by_one = [ext.evaluate_extension(f, annulus, w, verdict=verdict)
                       for w in points]
-        integrate = quad.integrate
-        calls = []
+        each, integrate = quad.integrate_each, quad.integrate
+        jobs, calls = [], []
+
+        def spy_each(batch, *args, **kwargs):
+            jobs.append([path for _, path in batch])
+            return each(batch, *args, **kwargs)
 
         def spy(*args, **kwargs):
             calls.append(args[1])
             return integrate(*args, **kwargs)
 
+        monkeypatch.setattr(quad, "integrate_each", spy_each)
         monkeypatch.setattr(quad, "integrate", spy)
         got = ext.evaluate_extension(f, annulus, points, verdict=verdict)
         # the hole's contour, and one unit-circle stack for both points of
-        # the domain proper
-        assert len(calls) == 2
-        assert calls[0] == geom.basis_curve_variants(annulus, 0)[0]
-        assert calls[1] == geom.circle(0j, 1.0)
+        # the domain proper, stacked in one integral over the unit circle
+        assert jobs == [[geom.basis_curve_variants(annulus, 0)[0],
+                         geom.circle(0j, 1.0)]]
+        assert calls == [geom.circle(0j, 1.0)]
         for a, b, w in zip(got, one_by_one, points):
             assert a == pytest.approx(b, abs=1e-12)
             assert a == pytest.approx(1 / (w - 5) + w ** 2, abs=1e-10)
+
+    def test_three_circle_holes_take_one_integral(self, monkeypatch):
+        # every contour of every hole and the unit circle of the domain
+        # proper share one stacked integral, in cross_verify as in
+        # evaluate_extension
+        domain = geom.DomainSpec(geom.circle(0j, 3.5), tuple(
+            geom.circle(c, 0.4) for c in (-1.5 + 0j, 1.5 + 0j, 1.5j)))
+        f = expr.parse("1/(z-5) + z^2")
+        integrate, on_contours = quad.integrate, ext._on_contours
+        counts, inside = [], [False]
+
+        def spy(*args, **kwargs):
+            if inside[0]:
+                counts[-1] += 1
+            return integrate(*args, **kwargs)
+
+        def counted(*args, **kwargs):
+            counts.append(0)
+            inside[0] = True
+            try:
+                return on_contours(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(quad, "integrate", spy)
+        monkeypatch.setattr(ext, "_on_contours", counted)
+        rep = ext.cross_verify(f, domain)
+        assert rep.consistent
+        points = [-1.5 + 0.1j, 1.5 - 0.1j, 1.6j, 0.5 - 1j, -2.5 + 0.5j]
+        got = ext.evaluate_extension(f, domain, points)
+        assert counts == [1, 1]
+        for value, w in zip(got, points):
+            assert value == pytest.approx(1 / (w - 5) + w ** 2, abs=1e-10)
 
     def test_refuses_on_nonzero_moment(self, annulus):
         with pytest.raises(ExtensionPreconditionError):
@@ -381,27 +428,52 @@ class TestCrossVerify:
                                                        monkeypatch, name,
                                                        text):
         # the duality row compares the tails with the moment table, so no
-        # tail may be integrated on a path that the table is integrated on:
-        # with the tails centred on 0, that would be the same integral
+        # tail may be integrated on a path that the table is integrated on,
+        # nor share a stacked integral with it: with the tails centred on 0,
+        # that would be the same integral
         domain = request.getfixturevalue(name)
-        calls, kind = [], ["table"]
-        moments, tails = mom._moments, ext.laurent_coefficients
+        made, groups, kind, inside = {}, [], ["table"], [False]
+        rows, each, integrate = mom._moment_rows, quad.integrate_each, \
+            quad.integrate
+        decompose = ext.decompose
 
-        def recorded(fn, path, degrees, tol, center=0j):
-            calls.append((kind[0], path, center, degrees.tolist()))
-            return moments(fn, path, degrees, tol, center)
+        def recorded_rows(fn, degrees, center=0j):
+            integrand = rows(fn, degrees, center)
+            made[integrand] = (kind[0], center, degrees.tolist())
+            return integrand
+
+        def entries(jobs):
+            return [(made[fn][0], path, *made[fn][1:]) for fn, path in jobs
+                    if fn in made]
+
+        def recorded_each(jobs, *args, **kwargs):
+            groups.append(entries(jobs))
+            inside[0] = True
+            try:
+                return each(jobs, *args, **kwargs)
+            finally:
+                inside[0] = False
+
+        def recorded_integrate(fn, path, *args, **kwargs):
+            if not inside[0]:
+                groups.append(entries([(fn, path)]))
+            return integrate(fn, path, *args, **kwargs)
 
         def tail_integrals(*args, **kwargs):
             kind[0] = "tail"
             try:
-                return tails(*args, **kwargs)
+                return decompose(*args, **kwargs)
             finally:
                 kind[0] = "table"
 
-        monkeypatch.setattr(mom, "_moments", recorded)
-        monkeypatch.setattr(ext, "laurent_coefficients", tail_integrals)
+        monkeypatch.setattr(mom, "_moment_rows", recorded_rows)
+        monkeypatch.setattr(quad, "integrate_each", recorded_each)
+        monkeypatch.setattr(quad, "integrate", recorded_integrate)
+        monkeypatch.setattr(ext, "decompose", tail_integrals)
         rep = ext.cross_verify(expr.parse(text), domain)
         assert rep.consistent
+        assert all(len({k for k, *_ in group}) <= 1 for group in groups)
+        calls = [entry for group in groups for entry in group]
         components = rep.decomposition.components
         assert [(center, degrees) for k, _, center, degrees in calls
                 if k == "tail"] \
@@ -456,8 +528,7 @@ class TestProbeSampler:
         assert len(near) == 32 and len(inner) == 18
         assert callers == []
         ext.cross_verify(expr.parse("1/(z-9) + z"), two_hole)
-        # the only one-point calls left check each Laurent tail's center
-        assert set(callers) == {"_check_tail"}
+        assert callers == []
 
 
 def _u_hole(center, half, slot):
