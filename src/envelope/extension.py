@@ -120,15 +120,6 @@ def _exact_rows(fn, points: np.ndarray, f_at: np.ndarray):
     return lambda z: (fn(z) - f_at[:, None]) / (z - points[:, None])
 
 
-def _exact_components(fn, curve: Path, points: np.ndarray,
-                      f_at: np.ndarray, tol: float) -> np.ndarray:
-    """Hole component -(1/2 pi i) ∮ (f(z) - f(w)) / (z - w) dz at every
-    point w, on either side of the basis curve. Precondition: no w lies on
-    the curve."""
-    stack = _quad.integrate(_exact_rows(fn, points, f_at), curve, tol)
-    return -stack.value / _TWO_PI_I
-
-
 def _contour_points(domain: DomainSpec, j: int, frac: float) -> np.ndarray:
     """Points equally spaced in arclength on hole j's contour at frac. Where
     a dilation refuses frac (a circle rule never does), the basis curve's

@@ -185,14 +185,7 @@ def moment_vector(f, path: Path, degree_cutoff: int,
     from one stacked integral."""
     _check_moment_degree(path, degree_cutoff)
     fn = as_function(f)
-    return _vector(fn, path, _moments(fn, path, np.arange(degree_cutoff + 1),
-                                      tol), curve_id)
-
-
-def _vector(fn, path: Path, stack: np.ndarray, curve_id: str
-            ) -> MomentVector:
-    """The MomentVector of the moments stack of fn on the path, with its
-    magnitude scale."""
+    stack = _moments(fn, path, np.arange(degree_cutoff + 1), tol)
     max_f, max_z = _magnitude_on(path, f=fn)
     return MomentVector(curve_id, tuple(complex(v) for v in stack),
                         path.length * max_f, max_z)
@@ -262,26 +255,17 @@ def _basis_tables(domain: DomainSpec, tol: float, *, f
 @_geom._kept
 def _moment_table(domain: DomainSpec, degree: int, tol: float, *, f
                   ) -> tuple[MomentVector, ...]:
-    """The moments of degree 0 .. degree of f on each basis curve, kept on
-    the domain for the last f. The integrals of several curves go to one
-    quadrature.integrate_each call, so the circles among them share one
-    stacked integral; one curve is moment_vector's own case."""
-    curves = _geom.homology_basis(domain)
-    if len(curves) == 1:
-        return (moment_vector(f, curves[0], degree, tol, "hole-0"),)
-    for curve in curves:
-        _check_moment_degree(curve, degree)
-    fn = as_function(f)
-    rows = _moment_rows(fn, np.arange(degree + 1))
-    stacks = _quad.integrate_each([(rows, curve) for curve in curves], tol)
-    return tuple(_vector(fn, curve, stack, f"hole-{j}")
-                 for j, (curve, stack) in enumerate(zip(curves, stacks)))
+    """The moments of degree 0 .. degree of f on each basis curve, one
+    moment_vector per curve, kept on the domain for the last f."""
+    return tuple(moment_vector(f, curve, degree, tol, f"hole-{j}")
+                 for j, curve in enumerate(_geom.homology_basis(domain)))
 
 
 def _basis_moments(f, domain: DomainSpec, degree: int, tol: float
                    ) -> tuple[MomentVector, ...]:
     """The moment vector of degree 0 .. degree of f on each homology basis
-    curve (ids hole-j). It runs no pole check.
+    curve (ids hole-j), as moment_vector gives it for that curve. It runs
+    no pole check.
 
     A table of higher degree read for f at the tolerance tol
     (_basis_tables) serves a lower degree by its prefix, with the same

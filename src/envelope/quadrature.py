@@ -41,8 +41,8 @@ DEFAULT_MAX_PANELS = 1 << 16
 MAGNITUDE_SAMPLES = 256
 _UNIT_CIRCLE = circle(0j, 1.0)
 
-# Each integrand call returns at most this many complex values (unless one
-# panel of the stack alone is larger), so no level, stack height or panel
+# Each integrand call returns at most this many complex values (unless three
+# panels of the stack alone are larger), so no level, stack height or panel
 # budget makes a call's memory grow without bound.
 MAX_CALL_VALUES = 1 << 15
 # The stack height is unknown until the integrand first answers, so the
@@ -131,6 +131,8 @@ class _Panels:
         lo = 0
         while lo < seg.size:
             hi = lo + self._chunk()
+            if hi == seg.size - 1:
+                hi -= 1  # the last call takes two panels, never one
             part = self._sums(seg[lo:hi], mid[lo:hi], half[lo:hi])
             if lo == 0 and hi >= seg.size:
                 return part
@@ -142,13 +144,19 @@ class _Panels:
         return value, mass
 
     def _chunk(self) -> int:
+        """Panels per call: at least three, as a level of three panels in
+        calls of two would leave one alone."""
         if self.height is None:
             return _FIRST_CALL_PANELS
-        return max(1, MAX_CALL_VALUES // (GAUSS_ORDER * max(1, self.height)))
+        return max(3, MAX_CALL_VALUES // (GAUSS_ORDER * max(1, self.height)))
 
     def _sums(self, seg, mid, half):
         """The Gauss sums and masses of one batch of panels, each a
-        matrix-vector product of the node contributions with the weights."""
+        matrix-vector product of the node contributions with the weights.
+        numpy takes a batch of one panel to a dot product, which rounds
+        otherwise, so a level of two or more panels never comes in a batch
+        of one, and a panel's sums do not depend on how its level is cut
+        into calls."""
         ts = mid[:, None] + half[:, None] * _NODES
         z, dz = self.arrays.nodes(seg, ts)
         vals = self.values_at(z.ravel())

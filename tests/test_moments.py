@@ -301,6 +301,25 @@ class TestMaxPrimitiveOrder:
         assert degrees == [32, 8]
         assert low[0].values == top[0].values[:9]
 
+    def test_each_basis_curve_table_is_its_own_moment_vector(self):
+        # three circle holes: each curve's table is moment_vector on that
+        # curve alone, bit for bit, so no curve's integral shares a panel
+        # tree or a stack with another's
+        holes3 = geom.DomainSpec(geom.circle(0j, 3.5), (
+            geom.circle(-1.5 + 0j, 0.4), geom.circle(1.5 + 0j, 0.4),
+            geom.circle(1.5j, 0.4)))
+        f = expr.parse("1/(z+1.5)^2 + 0.5/(z-1.6) + (1-2i)/(z-(0+1.4i))^3 "
+                       "+ 1/(z-5) + z^2")
+        table = mom._basis_moments(f, holes3, 32, 1e-12)
+        curves = geom.homology_basis(holes3)
+        assert len(table) == len(curves) == 3
+        for j, (vec, curve) in enumerate(zip(table, curves)):
+            alone = mom.moment_vector(f, curve, 32, 1e-12, f"hole-{j}")
+            assert np.array(vec.values).tobytes() == \
+                np.array(alone.values).tobytes()
+            assert (vec.curve_id, vec.scale, vec.max_abs_z) == \
+                (alone.curve_id, alone.scale, alone.max_abs_z)
+
     def test_explicit_cutoff_restricts_scan(self, annulus):
         verdict = mom.max_primitive_order(expr.parse("1/z^5"), annulus,
                                           degree_cutoff=2)

@@ -33,6 +33,8 @@ def test_tracer_counts_every_layer(tmp_path):
              if "path-pole-outside" in sc.sid),
         next(sc for sc in corpus.block("domain-circle", 3, 0)
              if sc.sid.endswith("annulus-regular")),
+        next(sc for sc in corpus.block("domain-circle", 3, 0)
+             if sc.sid.endswith("two-circles-poles")),
     ]
     # the package keeps no process-wide cache: a scenario starts afresh
     assert spans.package_caches() == []
@@ -56,3 +58,8 @@ def test_tracer_counts_every_layer(tmp_path):
                  "expr.pole_set_s", "geometry.basis_s",
                  "extension.cross_verify_s", "boundary.chord_arc_s"):
         assert metrics[name][0] > 0, name
+    # one moment table per basis curve, each a moment_vector call, shared
+    # by the checks of its scenario
+    holes = sum(len(sc.raw["domain"]["holes"]) for sc in scenarios
+                if "domain" in sc.raw)
+    assert metrics["moments.moment_vectors"][0] == holes == 3

@@ -345,6 +345,37 @@ class TestLevelEngine:
             for k, value in enumerate(vec.values):
                 assert abs(value - mom.moment(f, path, k, tol)) <= tol
 
+    def test_sums_do_not_depend_on_the_call_layout(self, monkeypatch):
+        # a degree-32 moment table (33 rows) on the unit circle, its levels
+        # of 12, 16, 32 and 8 panels cut into calls of 3 to 63 panels:
+        # calls of 3, 5, 7, 15 and 31 would each leave one panel over at
+        # some level, and numpy sums one panel by a dot product that rounds
+        # unlike the matrix-vector product of two or more
+        f = _rational([(1.02 + 0j, 2, 1 + 0.5j), (0.3j, 3, -0.7 + 0j)])
+        rows = mom._moment_rows(f, np.arange(33))
+        c = geom.circle(0j, 1.0)
+        want = quad.integrate(rows, c)
+        sums = quad._Panels._sums
+        batches = []
+
+        def recorded(self, seg, mid, half):
+            batches.append(seg.size)
+            return sums(self, seg, mid, half)
+
+        monkeypatch.setattr(quad._Panels, "_sums", recorded)
+        for per_call in (3, 5, 7, 15, 31, 63):
+            monkeypatch.setattr(quad, "MAX_CALL_VALUES",
+                                quad.GAUSS_ORDER * 33 * per_call)
+            batches.clear()
+            got = quad.integrate(rows, c)
+            # the first call, before the stack height is known, takes the
+            # first level's 12 panels
+            assert batches[0] == 12 and max(batches[1:]) <= per_call
+            assert min(batches) >= 2
+            assert got.value.tobytes() == want.value.tobytes()
+            assert got.error_estimate == want.error_estimate
+            assert got.evaluations == want.evaluations
+
     def test_stack_near_a_singularity_exhausts_the_budget(self):
         c = geom.circle(0j, 1.0)
         with pytest.raises(QuadratureBudgetError):
