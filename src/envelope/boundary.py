@@ -227,9 +227,7 @@ def boundary_moment(curve: SampledCurve, k: int) -> complex:
 
 @dataclass(frozen=True)
 class TowerLevel:
-    order: int
     closing_defect: float
-    scale: float
     passed: bool
 
 
@@ -275,9 +273,8 @@ def primitive_tower(curve: SampledCurve, levels: int = TOWER_LEVELS,
     with np.errstate(all="ignore"):
         scales = [perim * float(np.max(np.abs(g))) for g in functions[:-1]]
     _refuse_overflow(all(map(math.isfinite, scales)), "a tower level's scale")
-    level_rows = tuple(
-        TowerLevel(order, defect, scale, defect <= zero_tol.bound(scale))
-        for order, (defect, scale) in enumerate(zip(defects, scales), 1))
+    level_rows = tuple(TowerLevel(defect, defect <= zero_tol.bound(scale))
+                       for defect, scale in zip(defects, scales))
     depth = zero_tol.first_nonzero(defects, scales)
 
     moms = tuple(boundary_moment(curve, k) for k in range(levels))
@@ -803,7 +800,6 @@ def chord_arc_constant(curve: SampledCurve) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DifferenceQuotientReport:
-    start_index: int
     offsets: tuple[int, ...]
     residuals: tuple[float, ...]
     bounds: tuple[float, ...]
@@ -855,6 +851,5 @@ def difference_quotient_check(curve: SampledCurve, start_index: int = 0,
             bounds.append(constant * abs(step) * sup)
     _refuse_overflow(all(map(math.isfinite, residuals + bounds)),
                      "a difference quotient")
-    return DifferenceQuotientReport(start_index, tuple(offsets),
-                                    tuple(residuals), tuple(bounds),
-                                    float(constant))
+    return DifferenceQuotientReport(tuple(offsets), tuple(residuals),
+                                    tuple(bounds), float(constant))

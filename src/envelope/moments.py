@@ -354,15 +354,6 @@ def _verdict(domain: DomainSpec, degree_cutoff: int | None, tol: float,
 # ---------------------------------------------------------------------------
 # primitive construction
 
-@dataclass(frozen=True)
-class PrimitiveSample:
-    order: int
-    base_point: complex
-    target: complex
-    value: complex
-    path: Path
-
-
 def ring_route(base: complex, target: complex, center: complex = 0j) -> Path:
     """Path from base to target that keeps a fixed distance band around
     `center`: an arc at |base - center|, then a radial line. Handy on
@@ -389,8 +380,9 @@ def ring_route(base: complex, target: complex, center: complex = 0j) -> Path:
 def construct_primitive(f, n: int, base: complex, target: complex,
                         path: Path, tol: float = _quad.DEFAULT_TOL,
                         domain: DomainSpec | None = None,
-                        warn_on_nonvanishing: bool = True) -> PrimitiveSample:
-    """Order-n primitive candidate at `target`, anchored at `base`:
+                        warn_on_nonvanishing: bool = True) -> complex:
+    """The value at `target` of the order-n primitive candidate anchored at
+    `base`, a complex number:
 
         (1/(n-1)!) ∮_path (target - w)^(n-1) f(w) dw
 
@@ -418,9 +410,8 @@ def construct_primitive(f, n: int, base: complex, target: complex,
                     "order-%d primitive is path dependent" % n,
                     stacklevel=2)
     coeff = 1.0 / math.factorial(n - 1)
-    value = coeff * _quad.integrate(
+    return coeff * _quad.integrate(
         lambda w: (target - w) ** (n - 1) * fn(w), path, tol).value
-    return PrimitiveSample(n, base, target, value, path)
 
 
 def path_independence_check(f, n: int, base: complex, target: complex,
@@ -430,9 +421,9 @@ def path_independence_check(f, n: int, base: complex, target: complex,
     """|primitive along path_a - primitive along path_b|; near zero exactly
     when the relevant moments vanish."""
     va = construct_primitive(f, n, base, target, path_a, tol, domain,
-                             warn_on_nonvanishing=False).value
+                             warn_on_nonvanishing=False)
     vb = construct_primitive(f, n, base, target, path_b, tol, domain,
-                             warn_on_nonvanishing=False).value
+                             warn_on_nonvanishing=False)
     return abs(va - vb)
 
 
@@ -456,7 +447,7 @@ def derivative_check(f, n: int, points, h: float = 1e-4,
         if order == 0:
             return fn(w)
         return construct_primitive(fn, order, base, w, path_builder(base, w),
-                                   tol, warn_on_nonvanishing=False).value
+                                   tol, warn_on_nonvanishing=False)
 
     worst = 0.0
     for w in points:

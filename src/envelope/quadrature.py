@@ -205,7 +205,7 @@ def _worst_node(values_at, path: Path, seg: int, a: float, b: float
     return complex(z[np.argmax(np.where(np.isnan(size), np.inf, size))])
 
 
-def _integrate(values_at, path: Path, tol: float, max_panels: int
+def _integrate(values_at, path: Path, tol: float
                ) -> tuple[QuadratureResult, list]:
     """The adaptive engine. values_at(z) returns the integrand at the Gauss
     nodes z of P panels, a flat array of 16 P points, with shape (16 P,) or
@@ -226,7 +226,8 @@ def _integrate(values_at, path: Path, tol: float, max_panels: int
         raise ValueError("tolerance must be positive")
     # values past the float range raise no numpy warning on the way
     with np.errstate(over="ignore", invalid="ignore"):
-        return _refine(_Panels(values_at, path, max_panels), path, tol)
+        return _refine(_Panels(values_at, path, DEFAULT_MAX_PANELS), path,
+                       tol)
 
 
 def _level(panels: "_Panels", seg, a, mid, b
@@ -305,8 +306,7 @@ def _refine(panels: "_Panels", path: Path, tol: float
     return result, levels
 
 
-def integrate(fn, path: Path, tol: float = DEFAULT_TOL,
-              max_panels: int = DEFAULT_MAX_PANELS) -> QuadratureResult:
+def integrate(fn, path: Path, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Contour integral of fn along the path.
 
     fn receives complex points, in ndarray batches when it supports them
@@ -317,12 +317,12 @@ def integrate(fn, path: Path, tol: float = DEFAULT_TOL,
     QuadratureResult.error_estimate for the summed refinement discrepancies
     actually achieved.
 
-    Raises QuadratureBudgetError after `max_panels` panels, which signals a
-    non-integrable singularity on or too near the path, and
+    Raises QuadratureBudgetError after DEFAULT_MAX_PANELS panels, which
+    signals a non-integrable singularity on or too near the path, and
     NonFiniteIntegrandError, naming a point, when fn is infinite or NaN on
     the first panels of a segment.
     """
-    return _integrate(lambda z: _eval_batch(fn, z), path, tol, max_panels)[0]
+    return _integrate(lambda z: _eval_batch(fn, z), path, tol)[0]
 
 
 def _full_turn(path: Path) -> Arc | None:
@@ -410,7 +410,7 @@ def _running_primitive(fn, path: Path, tol: float = DEFAULT_TOL
         f = _eval_batch(fn, z)
         return np.stack((f, z * f))
 
-    stack, tree = _integrate(stack_at, path, tol, DEFAULT_MAX_PANELS)
+    stack, tree = _integrate(stack_at, path, tol)
     done, _, seg, a, mid, b = zip(*tree)
     done, seg, a, mid, b = map(np.concatenate, (done, seg, a, mid, b))
     seg = np.repeat(seg[done], 2)

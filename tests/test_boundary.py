@@ -10,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from envelope import boundary as bd
+from envelope import expr
 from envelope import geometry as geom
 from envelope import moments as mom
 from envelope import quadrature as quad
@@ -666,6 +667,16 @@ class TestNontangential:
         with pytest.raises(CurveDataError, match="range"):
             bd.nontangential_check(c, node_index=64)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 6 (discretization-aware zero "
+                       "tests): MATCH_TOL does not scale with the data")
+    def test_fifth_power_matches_boundary(self):
+        # the residual of holomorphic data at radius r is about r |g'|,
+        # 5 * 5e-5 = 2.5e-4 for z^5 at the smallest radius, past the fixed
+        # MATCH_TOL of 1e-4, though the data extend holomorphically
+        c = bd.sample_path(geom.circle(0j, 1.0), expr.parse("z^5"), 256)
+        assert bd.nontangential_check(c, 0).consistent
+
 
 def chord_arc_offsets_reference(curve):
     """The offset loop: node i meets node i + k mod M for k = 1 .. M/2, one
@@ -905,6 +916,20 @@ class TestChordArc:
             assert (ratio * pair_chord).max() <= arc_hi[n] + pre.slack
             assert ratio.max() <= ratio_hi[n]
 
+    @pytest.mark.xfail(strict=True,
+                       reason="ROADMAP item 18 (the Jordan premise): a "
+                       "polyline that crosses itself is not refused")
+    def test_figure_eight_is_refused(self):
+        # z = sin t + i sin t cos t crosses itself at 0, which falls
+        # between two nodes at half steps; node pairs alone read 124.2
+        theta = 2 * math.pi * (np.arange(257) + 0.5) / 256
+        pts = np.sin(theta) + 1j * np.sin(theta) * np.cos(theta)
+        pts[-1] = pts[0]
+        c = bd.SampledCurve(np.linspace(0.0, 1.0, 257), pts,
+                            np.ones_like(pts))
+        with pytest.raises(CurveDataError):
+            bd.chord_arc_constant(c)
+
     def test_memory_stays_linear_at_8192_samples(self):
         c = circle_curve(lambda z: z, 8192)
         tracemalloc.start()
@@ -943,8 +968,7 @@ class TestDifferenceQuotient:
             < relative + 2 * bd.BOUND_ABSOLUTE_SLACK
 
         def report(residual):
-            return bd.DifferenceQuotientReport(0, (1,), (residual,), (b,),
-                                               1.0)
+            return bd.DifferenceQuotientReport((1,), (residual,), (b,), 1.0)
         assert report(relative + 0.5 * bd.BOUND_ABSOLUTE_SLACK) \
             .bound_satisfied
         assert not report(relative + 2 * bd.BOUND_ABSOLUTE_SLACK) \

@@ -486,12 +486,12 @@ class TestCrossVerify:
 
     def test_zero_test_scale_past_the_float_range_is_refused(self):
         # the Laurent tail scales reach^k of the annulus far from 0 leave
-        # the float range at degree 58, inside 65 terms
+        # the float range at degree 58, the last of the 59 terms of cutoff
+        # 58
         domain = geom.DomainSpec(geom.circle(1e5 + 0j, 2.0),
                                  (geom.circle(1e5 + 0j, 0.5),))
         with pytest.raises(ScaleOverflowError, match="degree 58"):
-            ext.cross_verify(expr.parse("1/(z-100000)^2 + z"), domain, 8,
-                             terms=65)
+            ext.cross_verify(expr.parse("1/(z-100000)^2 + z"), domain, 58)
 
     def test_reference_route_skips_points_it_cannot_evaluate(self, two_hole):
         # in hole 0 the black box raises, as a parsed quotient does at a

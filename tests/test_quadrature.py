@@ -12,8 +12,7 @@ from envelope import quadrature as quad
 from envelope.errors import NonFiniteIntegrandError, QuadratureBudgetError
 
 
-def reference_integrate(fn, path, tol=quad.DEFAULT_TOL,
-                        max_panels=quad.DEFAULT_MAX_PANELS):
+def reference_integrate(fn, path, tol=quad.DEFAULT_TOL):
     """The depth-first engine the level-by-level one replaced: one piece of
     a segment (Segment.pieces) and one 16-node panel at a time, each panel
     summed in the engine's matrix-vector form, so that a panel's pass or
@@ -23,7 +22,7 @@ def reference_integrate(fn, path, tol=quad.DEFAULT_TOL,
 
     def panel(seg, a, b):
         spent[0] += 1
-        if spent[0] > max_panels:
+        if spent[0] > quad.DEFAULT_MAX_PANELS:
             raise QuadratureBudgetError("panel budget exhausted")
         half = 0.5 * (b - a)
         mid = 0.5 * (a + b)
@@ -148,13 +147,13 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             quad.integrate(lambda z: z, c, tol=0.0)
 
-    def test_budget_exhaustion_on_near_singularity(self):
+    def test_budget_exhaustion_on_near_singularity(self, monkeypatch):
         # pole a hair off the contour: refinement cannot converge within
         # the panel budget and must say so rather than return junk
+        monkeypatch.setattr(quad, "DEFAULT_MAX_PANELS", 64)
         c = geom.circle(0j, 1.0)
-        with pytest.raises(QuadratureBudgetError):
-            quad.integrate(lambda z: 1 / (z - (1 + 1e-13)), c,
-                           tol=1e-13, max_panels=64)
+        with pytest.raises(QuadratureBudgetError, match="budget 64 "):
+            quad.integrate(lambda z: 1 / (z - (1 + 1e-13)), c, tol=1e-13)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e308])
     def test_non_finite_integrand_is_refused_at_the_root(self, bad):
@@ -376,11 +375,13 @@ class TestLevelEngine:
             assert got.error_estimate == want.error_estimate
             assert got.evaluations == want.evaluations
 
-    def test_stack_near_a_singularity_exhausts_the_budget(self):
+    def test_stack_near_a_singularity_exhausts_the_budget(self,
+                                                          monkeypatch):
+        monkeypatch.setattr(quad, "DEFAULT_MAX_PANELS", 64)
         c = geom.circle(0j, 1.0)
-        with pytest.raises(QuadratureBudgetError):
+        with pytest.raises(QuadratureBudgetError, match="budget 64 "):
             quad.integrate(lambda z: np.stack((z, 1 / (z - (1 + 1e-13)))),
-                           c, tol=1e-13, max_panels=64)
+                           c, tol=1e-13)
 
     def test_probe_stack_memory_is_bounded(self):
         # 100 Cauchy kernels 1e-3 inside the unit circle share one tree of
