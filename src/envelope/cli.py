@@ -336,34 +336,9 @@ def _jsonable(value):
 # ---------------------------------------------------------------------------
 # check runners
 
-def _moments_degree(cfg: ScenarioConfig) -> int:
-    return cfg.max_degree if cfg.max_degree is not None \
-        else _mom.DEFAULT_DEGREE_CUTOFF
-
-
-def _first_table(cfg: ScenarioConfig) -> None:
-    """Integrate the moment table of the largest degree that the listed
-    checks read on the basis curves: the moments check's, and the
-    verdict's for the checks that read it. Each of them then reads a
-    prefix of it (moments._basis_moments), so a scenario integrates each
-    curve once, whatever the order of its checks. An error is kept in
-    place of the table, and each check that reads the table reports it,
-    with no second integration."""
-    degrees = []
-    if "moments" in cfg.checks:
-        degrees.append(_moments_degree(cfg))
-    try:
-        if {"primitive_order", "extension", "cross_verify"} & set(cfg.checks):
-            degrees.append(_mom._scan_degree(cfg.function, cfg.domain,
-                                             cfg.max_degree))
-        _mom._basis_moments(cfg.function, cfg.domain, max(degrees),
-                            cfg.quad_tol)
-    except EnvelopeError:
-        pass
-
-
 def _run_moments(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
-    degree = _moments_degree(cfg)
+    degree = _mom.DEFAULT_DEGREE_CUTOFF if cfg.max_degree is None \
+        else cfg.max_degree
     rows = [{"curve_id": vec.curve_id,
              "moments": list(vec.values),
              "scale": vec.scale,
@@ -533,39 +508,37 @@ class Report:
 
 
 def run_scenario(config: ScenarioConfig) -> Report:
-    """Execute the requested checks in declared order.
+    """Execute the requested checks in the fixed order of ALL_CHECKS and
+    report each row, and its timing, where the scenario lists the check.
 
     An exception inside one check becomes a structured error row; the
     remaining checks still run, so a batch never loses results to one bad
-    entry. Before the first domain check, the moment table of the largest
-    degree that the checks read is integrated, once per basis curve
-    (_first_table). run_scenario keeps no state of its own: what the
-    checks learn, the moment verdict and any error included, is kept on
-    the config's domain and basis curves (geometry._kept) and goes with
-    them, so every check that reads the verdict reports one verdict or
-    one error.
+    entry. run_scenario keeps no state of its own: what the checks learn,
+    the moment tables and verdict and any error included, is kept on the
+    config's domain and basis curves (geometry._kept) and goes with them,
+    so every check that reads the verdict reports one verdict or one
+    error. The fixed order runs the moments check before the checks that
+    read the verdict, so a report does not depend on the order in which
+    the checks are listed.
     """
-    results = []
-    timings = {}
+    rows = {}
+    spent = {}
     start_all = time.perf_counter()
-    tabled = False
-    for check in config.checks:
-        runner = _RUNNERS[check]
+    for check in sorted(config.checks, key=ALL_CHECKS.index):
         started = time.perf_counter()
-        if check in DOMAIN_CHECKS and not tabled:
-            _first_table(config)
-            tabled = True
         try:
-            values, tol, status = runner(config)
+            values, tol, status = _RUNNERS[check](config)
         except EnvelopeError as exc:
             values = {"error": str(exc), "error_type": type(exc).__name__}
             tol = {}
             status = "error"
-        timings[check] = round(time.perf_counter() - started, 6)
-        results.append({"check": check, "status": status,
-                        "values": values, "tolerance_used": tol})
+        spent[check] = round(time.perf_counter() - started, 6)
+        rows[check] = {"check": check, "status": status,
+                       "values": values, "tolerance_used": tol}
+    timings = {check: spent[check] for check in config.checks}
     timings["total_s"] = round(time.perf_counter() - start_all, 6)
-    return Report(__version__, config.raw, tuple(results), timings)
+    return Report(__version__, config.raw,
+                  tuple(rows[check] for check in config.checks), timings)
 
 
 # ---------------------------------------------------------------------------

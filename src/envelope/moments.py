@@ -269,10 +269,9 @@ def _basis_moments(f, domain: DomainSpec, degree: int, tol: float
 
     A table of higher degree read for f at the tolerance tol
     (_basis_tables) serves a lower degree by its prefix, with the same
-    scale and reach. A scenario whose checks read different degrees asks
-    for the largest first (cli.run_scenario does), so its verdict and its
-    moments check integrate each curve once, whatever the order of the
-    checks.
+    scale and reach. cli.run_scenario runs the moments check before the
+    verdict, so a verdict of degree at most the moments check's reads its
+    table, and each curve is integrated once.
 
     A table that raised is kept as its error (geometry._kept), raised
     again for its degree without integrating; a lower degree that no table
@@ -298,18 +297,6 @@ def inside_pole_budget(f, domain: DomainSpec) -> list[int] | None:
     return budget
 
 
-def _scan_degree(f, domain: DomainSpec, degree_cutoff: int | None) -> int:
-    """The degree through which max_primitive_order tests: degree_cutoff
-    when given, else the largest inside-pole budget (at least 8), or
-    DEFAULT_DEGREE_CUTOFF when the pole set is unknown. Raises as
-    inside_pole_budget does."""
-    if degree_cutoff is not None:
-        return degree_cutoff
-    budget = inside_pole_budget(f, domain)
-    return DEFAULT_DEGREE_CUTOFF if budget is None \
-        else max(8, max(budget, default=0))
-
-
 def max_primitive_order(f, domain: DomainSpec,
                         degree_cutoff: int | None = None,
                         tol: float = _quad.DEFAULT_TOL,
@@ -330,7 +317,9 @@ def max_primitive_order(f, domain: DomainSpec,
         return PrimitiveOrderVerdict(None, k, True, "simply-connected",
                                      (), ())
     budget = inside_pole_budget(f, domain)
-    degree_cutoff = _scan_degree(f, domain, degree_cutoff)
+    if degree_cutoff is None:
+        degree_cutoff = DEFAULT_DEGREE_CUTOFF if budget is None \
+            else max(8, *budget)
     vectors = _basis_moments(f, domain, degree_cutoff, tol)
     firsts = [vec.first_nonzero(zero_tol) for vec in vectors]
     hits = [k for k in firsts if k is not None]

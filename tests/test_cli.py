@@ -453,10 +453,22 @@ class TestRunScenario:
         assert [r["status"] for r in rep.results] == ["ok"] * 4
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("checks", [["moments", "primitive_order"],
-                                        ["primitive_order", "moments"]])
-    def test_moments_row_reads_the_verdict_integrals(self, monkeypatch,
-                                                     checks):
+    @pytest.mark.parametrize("function, domain, checks, through, integrals", [
+        # without max_degree the moments row reads degree 32 and the
+        # verdict degree 8, both from one table of degree 32 per curve
+        ("1/z^2 + 1/(z-3)^3", TWO_HOLES, list(cli.DOMAIN_CHECKS), 8, 2),
+        ("1/z^2 + 1/(z-3)^3", TWO_HOLES, list(reversed(cli.DOMAIN_CHECKS)),
+         8, 2),
+        ("1/z^2 + 1/(z-3)^3", TWO_HOLES,
+         ["cross_verify", "moments", "extension", "primitive_order"], 8, 2),
+        # a pole of order 40: the verdict scans through 40, past the
+        # moments row's 32. The moments check runs first, and its table
+        # cannot serve the verdict, so the one basis curve is integrated
+        # at 32 and at 40; one table would need the checks out of order
+        ("1/(z-0.1)^40", ANNULUS, ["primitive_order", "moments"], 40, 2),
+    ])
+    def test_moments_row_reads_the_verdict_integrals(
+            self, monkeypatch, function, domain, checks, through, integrals):
         calls = []
         vector = moments.moment_vector
 
@@ -464,23 +476,35 @@ class TestRunScenario:
             calls.append(path)
             return vector(f, path, *args, **kwargs)
 
+        def rows_by_check(raw):
+            cfg, _ = cli.build_config(raw)
+            rep = json.loads(cli.run_scenario(cfg).to_json())
+            assert [r["check"] for r in rep["results"]] == raw["checks"]
+            assert list(rep["timings"]) == raw["checks"] + ["total_s"]
+            return {r["check"]: r for r in rep["results"]}
+
         monkeypatch.setattr(moments, "moment_vector", counted)
-        # without max_degree the moments row reads degree 32 and the
-        # verdict degree 8, both from one table of degree 32
+        curves = len(domain["holes"])
         for max_degree in (4, None):
             calls.clear()
-            raw = {"function": "1/z^2 + 1/(z-3)^3", "max_degree": max_degree,
-                   "domain": TWO_HOLES, "checks": checks}
-            cfg, _ = cli.build_config(raw)
-            rep = cli.run_scenario(cfg)
-            assert [r["status"] for r in rep.results] == ["ok", "ok"]
-            # one integral per basis curve, shared by both rows
-            assert len(calls) == 2 and calls[0] is not calls[1]
-            rows = {r["check"]: r["values"] for r in rep.results}
+            raw = {"function": function, "max_degree": max_degree,
+                   "domain": domain, "checks": checks}
+            rows = rows_by_check(raw)
+            assert [r["status"] for r in rows.values()] == \
+                ["ok"] * len(checks)
+            # one integral per basis curve, shared by every row, unless the
+            # verdict reads past the moments row's degree
+            assert len({id(path) for path in calls}) == curves
+            assert len(calls) == (integrals if max_degree is None
+                                  else curves)
+            # every order of the checks gives the same rows
+            assert rows == rows_by_check(
+                {**raw, "checks": sorted(checks, key=cli.ALL_CHECKS.index)})
+            rows = {check: row["values"] for check, row in rows.items()}
             assert rows["moments"]["degree_cutoff"] == \
                 (max_degree or moments.DEFAULT_DEGREE_CUTOFF)
             assert rows["primitive_order"]["tested_through"] == \
-                (max_degree or 8)
+                (max_degree or through)
             fresh, _ = cli.build_config(raw)
             alone = moments.max_primitive_order(fresh.function, fresh.domain,
                                                 max_degree)
@@ -584,9 +608,11 @@ class TestRunScenario:
             for r in rows)
 
     def test_a_kept_error_has_a_bounded_traceback(self):
-        # every check raises the ring's kept contour error again; each
-        # raise starts a new traceback, so its frames do not pile up with
-        # the checks (12 after one check and 29 after four, had they)
+        # primitive_order raises the ring's contour error through the
+        # verdict, and every later check raises the kept error again; each
+        # such raise starts a new traceback, so its frames do not pile up
+        # with the checks: cross_verify leaves as many after two checks as
+        # after four
         def frames(checks):
             raw = {"function": "1/z^2", "checks": checks,
                    "domain": {"outer": {"circle": {"center": [0, 0],
@@ -605,7 +631,7 @@ class TestRunScenario:
             assert counts
             return max(counts)
 
-        assert frames(["moments"]) == frames(
+        assert frames(["primitive_order", "cross_verify"]) == frames(
             ["moments", "primitive_order", "extension", "cross_verify"])
 
     def test_the_first_raise_of_a_kept_error_reaches_its_source(self):

@@ -604,6 +604,17 @@ class TestDomainSpec:
         reach = max(geom._reach(h.segments) for h in holes)
         assert gap <= 4 * math.ulp(reach)
 
+    @pytest.mark.xfail(strict=True,
+                       reason="ROADMAP item 18 (the Jordan premise): a "
+                       "hole that crosses itself is not refused")
+    def test_bow_tie_hole_is_refused(self):
+        # the bow tie's +x lobe winds -1, so classify puts 0.5 in no hole
+        # and outside the domain, and evaluate_extension refuses 0.5 as
+        # outside the envelope, though the envelope is the whole disc
+        with pytest.raises(GeometryError):
+            geom.DomainSpec(geom.circle(0j, 3.0), (geom.polygon(
+                [-1 - 1j, 1 + 1j, 1 - 1j, -1 + 1j]),))
+
     @pytest.mark.parametrize("shift", [1e-263j, 1e-320j])
     def test_nearly_concentric_circles_cross_nowhere(self, shift):
         # the radical line of two circles whose centres lie 1e-263 or
