@@ -453,22 +453,30 @@ class TestRunScenario:
         assert [r["status"] for r in rep.results] == ["ok"] * 4
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("function, domain, checks, through, integrals", [
+    @pytest.mark.parametrize("checks", [
+        list(cli.DOMAIN_CHECKS), list(reversed(cli.DOMAIN_CHECKS)),
+        ["cross_verify", "moments", "extension", "primitive_order"]])
+    def test_moments_row_reads_the_verdict_integrals(self, monkeypatch,
+                                                     checks):
         # without max_degree the moments row reads degree 32 and the
         # verdict degree 8, both from one table of degree 32 per curve
-        ("1/z^2 + 1/(z-3)^3", TWO_HOLES, list(cli.DOMAIN_CHECKS), 8, 2),
-        ("1/z^2 + 1/(z-3)^3", TWO_HOLES, list(reversed(cli.DOMAIN_CHECKS)),
-         8, 2),
-        ("1/z^2 + 1/(z-3)^3", TWO_HOLES,
-         ["cross_verify", "moments", "extension", "primitive_order"], 8, 2),
+        self._rows_share_the_tables(monkeypatch, "1/z^2 + 1/(z-3)^3",
+                                    TWO_HOLES, checks, 8, 2)
+
+    @pytest.mark.parametrize("checks", [["primitive_order", "moments"],
+                                        ["moments", "primitive_order"]])
+    def test_a_verdict_past_the_moments_degree_has_its_own_table(
+            self, monkeypatch, checks):
         # a pole of order 40: the verdict scans through 40, past the
         # moments row's 32. The moments check runs first, and its table
         # cannot serve the verdict, so the one basis curve is integrated
         # at 32 and at 40; one table would need the checks out of order
-        ("1/(z-0.1)^40", ANNULUS, ["primitive_order", "moments"], 40, 2),
-    ])
-    def test_moments_row_reads_the_verdict_integrals(
-            self, monkeypatch, function, domain, checks, through, integrals):
+        self._rows_share_the_tables(monkeypatch, "1/(z-0.1)^40", ANNULUS,
+                                    checks, 40, 2)
+
+    @staticmethod
+    def _rows_share_the_tables(monkeypatch, function, domain, checks,
+                               through, integrals):
         calls = []
         vector = moments.moment_vector
 
