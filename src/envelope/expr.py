@@ -447,13 +447,20 @@ def _degree(node: Expr) -> int | None:
 
 
 class _Local:
-    """Laurent series in u = (z - c) / s; orders: divisor factors' zeros."""
+    """Laurent series in u = (z - c) / s; orders: divisor factors' zeros;
+    below: the divisor factors in each node's subtree, by id."""
 
-    def __init__(self, c: complex, s: float, orders: dict[int, int]):
+    def __init__(self, c: complex, s: float, orders: dict[int, int],
+                 below: dict[int, set[int]] | None = None):
         self.c, self.s, self.orders, self.bounds = c, s, orders, {}
+        self.below = below or {}
 
     def bound(self, node: Expr) -> int:
-        """The lowest power of u in node's series; exact for a divisor."""
+        """The lowest power of u in node's series; exact for a divisor. A
+        subtree that holds no divisor zero here has bound 0 without a walk:
+        only orders make a bound other than 0."""
+        if not self.holds(node):
+            return 0
         if id(node) not in self.bounds:
             if _factors(node):
                 v = sum(e * self.bound(x) for x, e in _factors(node))
@@ -466,6 +473,21 @@ class _Local:
                                        f" exceeds cap {POLY_DEGREE_CAP}")
             self.bounds[id(node)] = v
         return self.bounds[id(node)]
+
+    def holds(self, node: Expr) -> bool:
+        """Whether a divisor zero here lies in node's subtree."""
+        return not self.orders.keys().isdisjoint(self.below.get(id(node), ()))
+
+    def poles(self, node: Expr) -> Expr:
+        """The node whose series at negative powers is node's but for
+        signs: down through every sum with one operand that holds no
+        divisor zero here, whose series there is empty, into the other."""
+        while isinstance(node, (Add, Sub)) and id(node) not in self.orders:
+            held = [x for x in (node.left, node.right) if self.holds(x)]
+            if len(held) != 1:
+                break
+            node, = held
+        return node
 
     def series(self, node: Expr, top: int) -> np.ndarray:
         """node's coefficients of the powers bound(node) .. top of u."""
@@ -555,11 +577,17 @@ def pole_set(node: Expr) -> list[PoleRecord] | None:
         for z, radius, order, key in sorted(zeros, key=lambda zero: zero[1]):
             sites.setdefault(next((w for w in sites if abs(z - w) <= radius),
                                   z), {})[key] = order
+        keys = {zero[3] for zero in zeros}
+        below: dict[int, set[int]] = {}  # children before their parents
+        for x in reversed(nodes):
+            below[id(x)] = set({id(x)} & keys).union(*(
+                below[id(y)] for y in vars(x).values() if isinstance(y, Expr)))
         for c, orders in sites.items():  # u = 1 at the nearest other site
             local = _Local(c, min([1.0, *(abs(c - w) for w in sites
-                                          if w != c)]), orders)
-            nonzero = np.flatnonzero(local.series(node, -1))
+                                          if w != c)]), orders, below)
+            held = local.poles(node)
+            nonzero = np.flatnonzero(local.series(held, -1))
             if nonzero.size:
-                poles.append(PoleRecord(complex(c), int(-local.bound(node)
+                poles.append(PoleRecord(complex(c), int(-local.bound(held)
                                                         - nonzero[0])))
     return sorted(poles, key=lambda p: (p.location.real, p.location.imag))

@@ -9,12 +9,14 @@ increment of an arc piece is its chord angle, plus a full turn in the
 piece's direction when the point is inside its circle and the chord angle
 turns the other way, so winding numbers are exact for every point off the
 path. The chords of a domain's boundary components form one kernel with a
-column per component, so classify, the domain's set-up checks and gaps,
-and DomainSpec.contains_path each take one kernel pass (contains_path a
-second one where its sampled lower bound of the gaps leaves the exact
-gaps to decide); a pass measures the distance of every point and winds
-around all of them or none. A domain samples each boundary once, and
-keeps what it derives, the hole rules and contours included. Every
+column per component, built once from the columns of all their segments,
+so classify, the domain's set-up checks and gaps, and
+DomainSpec.contains_path each take one kernel pass (contains_path a
+second one, of a kernel joined with the path's, where its sampled lower
+bound of the gaps leaves the exact gaps to decide); a pass measures the
+distance of every point and winds around only the points whose windings
+are read. A domain samples each boundary once, and keeps what it
+derives, the hole rules and contours included. Every
 point of a segment, arc ends and chord ends included, comes from one
 formula for a number or an array of parameters. The simply connected
 hull of a rasterized domain is the complement of the grid component of
@@ -159,8 +161,9 @@ class Arc:
         return (self.t0 - theta) % _TWO_PI <= self.extent
 
     def bbox(self) -> tuple[float, float, float, float]:
-        xs = [self.start.real, self.end.real]
-        ys = [self.start.imag, self.end.imag]
+        # Python floats, which numpy reads faster than its own scalars
+        start, end = complex(self.start), complex(self.end)
+        xs, ys = [start.real, end.real], [start.imag, end.imag]
         for theta, dx, dy in ((0.0, self.radius, 0.0),
                               (math.pi / 2, 0.0, self.radius),
                               (math.pi, -self.radius, 0.0),
@@ -207,7 +210,7 @@ class Path:
         if not segs:
             raise GeometryError("a path needs at least one segment")
         object.__setattr__(self, "segments", segs)
-        tol = ENDPOINT_TOL * _reach(segs)
+        tol = ENDPOINT_TOL * self.reach
         for prev, cur in zip(segs, segs[1:]):
             if abs(prev.end - cur.start) > tol:
                 raise GeometryError(
@@ -230,6 +233,11 @@ class Path:
     @functools.cached_property
     def length(self) -> float:
         return sum(s.length for s in self.segments)
+
+    @functools.cached_property
+    def reach(self) -> float:
+        """_reach of the path's segments."""
+        return _reach(self.segments)
 
     @functools.cached_property
     def arrays(self) -> "SegmentArrays":
@@ -274,10 +282,14 @@ class Path:
             raise ValueError("arclength fraction must lie in [0, 1]")
         arrays = self.arrays
         target = fr * self.length
-        index = np.minimum(np.searchsorted(arrays.ends, target),
-                           len(self.segments) - 1)
-        u = (target - arrays.starts[index]) / arrays.lengths[index]
-        return index, np.clip(u, 0.0, 1.0)
+        if len(self.segments) == 1:  # the same numbers: the start is 0.0
+            index = np.zeros(fr.shape, dtype=np.intp)
+            u = target / arrays.lengths[0]
+        else:
+            index = np.minimum(arrays.ends.searchsorted(target),
+                               len(self.segments) - 1)
+            u = (target - arrays.starts[index]) / arrays.lengths[index]
+        return index, np.minimum(np.maximum(u, 0.0), 1.0)
 
     def sample(self, n: int) -> np.ndarray:
         """n points equally spaced in arclength, from the start: the
@@ -285,33 +297,53 @@ class Path:
         return self.points_at(np.arange(n) * (1.0 / n))
 
 
+def _column(s: Segment) -> tuple:
+    """SegmentArrays' column of one segment: Segment.length, Arc.sweep and
+    Segment.bbox each read once, as Python numbers."""
+    if isinstance(s, Arc):
+        r, extent = s.radius, s.extent
+        sweep = extent if s.ccw else -extent
+        return (1.0, s.center, 0j, 0j, r, r ** 2, r * extent, *s.bbox(),
+                1j * sweep * r, s.t0, sweep, 0j)
+    a, b = s.a, s.b
+    d = b - a
+    length = abs(d)
+    return (0.0, a, d, d / length, 0.0, 0.0, length, min(a.real, b.real),
+            max(a.real, b.real), min(a.imag, b.imag), max(a.imag, b.imag),
+            0j, 0.0, 0.0, b)
+
+
 class SegmentArrays:
     """The segments of a path as parameter arrays: a line is a + t d, an arc
     center + radius e^{i (t0 + t sweep)}; slots a kind does not use are
     zero. lengths, starts and ends are per-segment arclengths."""
 
-    def __init__(self, segments: tuple[Segment, ...]):
+    def __init__(self, segments: tuple[Segment, ...], columns=None):
         self.segments = segments
-        arc = [isinstance(s, Arc) for s in segments]
-        self.has_arcs = any(arc)
-        self.has_lines = not all(arc)
         # one column per segment; the arc velocity factor is the scalar
         # expression of Arc.velocity, so both round alike. table's rows are
         # what the gap rule reads: whether it is an arc, origin, direction,
         # a line's unit direction, radius, radius ** 2, length and bbox x0,
         # x1, y0, y1, each number as Python rounds it
-        cols = np.array([
-            (1.0, s.center, 0j, 0j, s.radius, s.radius ** 2, s.length,
-             *s.bbox(), 1j * s.sweep * s.radius, s.t0, s.sweep, 0j) if a
-            else (0.0, s.a, s.b - s.a, (s.b - s.a) / s.length, 0.0, 0.0,
-                  s.length, *s.bbox(), 0j, 0.0, 0.0, s.b)
-            for s, a in zip(segments, arc)], dtype=complex).T
-        self.table = cols[:11]
-        self.origin, self.direction = cols[1:3]
-        self.radius, self.lengths = cols[[4, 6]].real
-        self.arc_velocity, self.line_end = cols[[11, 14]]
-        self.t0, self.sweep = cols[12:14].real
-        self.is_arc = np.array(arc)
+        if columns is None:
+            columns = np.array([_column(s) for s in segments],
+                               dtype=complex).T
+        self.columns = columns
+        self.table = columns[:11]
+        self.origin, self.direction = columns[1:3]
+        self.radius, self.lengths = columns[4].real, columns[6].real
+        self.arc_velocity, self.line_end = columns[11], columns[14]
+        self.t0, self.sweep = columns[12].real, columns[13].real
+        self.is_arc = columns[0].real > 0.0
+        self.has_arcs = bool(self.is_arc.any())
+        self.has_lines = not self.is_arc.all()
+
+    @classmethod
+    def joined(cls, arrays: Sequence["SegmentArrays"]) -> "SegmentArrays":
+        """The segments of several as one, from their columns."""
+        return cls(tuple(itertools.chain.from_iterable(
+            a.segments for a in arrays)), np.hstack([a.columns
+                                                     for a in arrays]))
 
     @functools.cached_property
     def ends(self) -> np.ndarray:
@@ -333,46 +365,65 @@ class SegmentArrays:
         piece's center, radius and turn. An arc of p pieces ends its
         chords at the nodes of the fractions k / p, the numbers Arc.point
         gives; a line's are its own ends."""
+        if not self.has_arcs:
+            return self.origin, self.line_end, *_NO_ARCS
         arcs = np.flatnonzero(self.is_arc)
         p = self.pieces[arcs][:, None]
-        k = np.arange(p.max(initial=0) + 1)
+        k = np.arange(p.max() + 1)
         # row i: arc i at the fractions k / p[i], unread past 1
         ends = self.nodes(arcs[:, None], k / p)[0]
-        starts, lines = k[:-1] < p, ~self.is_arc
+        starts = k[:-1] < p
+        a, b = ends[:, :-1][starts], ends[:, 1:][starts]
+        if self.has_lines:
+            lines = ~self.is_arc
+            a = np.concatenate((self.origin[lines], a))
+            b = np.concatenate((self.line_end[lines], b))
         piece = np.repeat(arcs, p[:, 0])
-        return (np.concatenate((self.origin[lines], ends[:, :-1][starts])),
-                np.concatenate((self.line_end[lines], ends[:, 1:][starts])),
-                self.origin[piece], self.radius[piece],
+        return (a, b, self.origin[piece], self.radius[piece],
                 np.sign(self.sweep[piece]))
 
     @functools.cached_property
     def chords(self) -> "Chords":
         """The kernel of the path's chain alone."""
-        return Chords((self.chain,))
+        a, _, center, _, _ = chain = self.chain
+        return Chords.laid_out(chain, [len(a) - len(center)], [len(center)])
 
     def nodes(self, index: np.ndarray, t: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
         """Points and velocities at local parameters t of the segments
         index (broadcast against t along its leading axes); entry for entry
-        the numbers Segment.point and Segment.velocity give. On a path of
-        lines only, the velocities broadcast against the points."""
+        the numbers Segment.point and Segment.velocity give. Where every
+        indexed segment is a line, the velocities broadcast against the
+        points. A formula runs only where some indexed segment is of its
+        kind, and both, with a choice per node, only where both kinds are
+        indexed."""
+        lines, arcs = self.has_lines, self.has_arcs
         if self.lengths.size == 1:
             i = 0  # the same numbers without the gathers
         else:
             i = index.reshape(index.shape + (1,) * (t.ndim - index.ndim))
-        if self.has_lines:
+            if lines and arcs:
+                arc = self.is_arc[i]
+                if arc.all():
+                    lines = False
+                elif not arc.any():
+                    arcs = False
+        if lines:
             v = self.direction[i]
             z = self.origin[i] + t * v
-        if self.has_arcs:
+        if arcs:
             e = np.exp(1j * (self.t0[i] + t * self.sweep[i]))
             za = self.origin[i] + self.radius[i] * e
             va = self.arc_velocity[i] * e
-            if not self.has_lines:
+            if not lines:
                 return za, va
-            arc = self.is_arc[i]
             z = np.where(arc, za, z)
             v = np.where(arc, va, v)
         return z, v
+
+
+# the arc part of a chain of lines only: no centres, radii or turns
+_NO_ARCS = (np.empty(0, dtype=complex), np.empty(0), np.empty(0))
 
 
 def circle(center: complex, radius: float, ccw: bool = True) -> Path:
@@ -433,27 +484,45 @@ class Chords:
                   for chain in chains]
         arcs = [len(chain[2]) for chain in chains]
         lines = [len(chain[0]) - m for chain, m in zip(chains, arcs)]
-        self.a, self.b = (np.concatenate(
+        self._lay_out([np.concatenate(
             [c[i][:m] for c, m in zip(chains, lines)]
-            + [c[i][m:] for c, m in zip(chains, lines)]) for i in (0, 1))
-        self.center, self.radius, self.turn = (np.concatenate(
-            [c[i] for c in chains]) for i in (2, 3, 4))
+            + [c[i][m:] for c, m in zip(chains, lines)]) for i in (0, 1)]
+            + [np.concatenate([c[i] for c in chains]) for i in (2, 3, 4)],
+            lines, arcs)
+
+    @classmethod
+    def laid_out(cls, chain, lines: list[int], arcs: list[int]) -> "Chords":
+        """The kernel of chains given as one chain in the kernel's layout:
+        every chain's lines, then every chain's arc pieces, each in the
+        order of the chains, lines[k] and arcs[k] of them chain k's."""
+        chords = cls.__new__(cls)
+        chords._lay_out(chain, lines, arcs)
+        return chords
+
+    def _lay_out(self, chain, lines: list[int], arcs: list[int]) -> None:
+        """Derive what a pass reads from the chords in the kernel's layout;
+        lines and arcs count each chain's lines and arc pieces."""
+        self.a, self.b, self.center, self.radius, self.turn = chain
         self.lines = n = sum(lines)
         # what distances reads of each chord; a line of length 0, as
         # repeated polyline nodes give, is its point a
         self.direction = self.b[:n] - self.a[:n]
         lengths = _modulus(self.direction)
         self.norm2 = np.maximum(lengths ** 2, np.finfo(float).tiny)
+        self._neg_norm2 = -self.norm2
         start_ray, end_ray = self.a[n:] - self.center, self.b[n:] - self.center
         arc_lengths = self.radius * np.abs(np.angle(end_ray / start_ray))
-        # the rays to each arc piece's ends, turned by its sense: a point
-        # lies in the piece's wedge where both cross products are >= 0
-        self.start_ray, self.end_ray = self.turn * start_ray, \
-            self.turn * end_ray
+        # the rays to each arc piece's ends, turned by its sense, as one
+        # array: a point v lies in the piece's wedge where _cross(start, v)
+        # >= 0 and _cross(v, end) >= 0, that is _cross(end, v) <= 0, the
+        # same float negated
+        self.rays = np.array((self.turn * start_ray, self.turn * end_ray))
+        # the full turn an arc piece's chord angle gains (Chords._pass)
+        self._full_turn = self.turn * _TWO_PI
         # a chain's band sums its own slices, the floats of its kernel alone
         at_line = [0, *itertools.accumulate(lines)]
         at_arc = [0, *itertools.accumulate(arcs)]
-        ids = range(len(chains))
+        ids = range(len(lines))
         self.band = _ON_PATH_BAND * np.array([
             float(lengths[at_line[k]:at_line[k + 1]].sum()
                   + arc_lengths[at_arc[k]:at_arc[k + 1]].sum())
@@ -477,15 +546,15 @@ class Chords:
             p = points[s:s + step, None]
             yield slice(s, s + step), p, self.a - p, self.b - p
 
-    def _per_chain(self, ufunc, values: np.ndarray) -> np.ndarray:
+    def _per_chain(self, ufunc, values: np.ndarray, out=None) -> np.ndarray:
         """ufunc reduced over the chords of each chain, a column each."""
         if self.order is not None:
             values = values[:, self.order]
-        return ufunc.reduceat(values, self.starts, axis=1)
+        return ufunc.reduceat(values, self.starts, axis=1, out=out)
 
-    def _pass(self, points: np.ndarray, wind: bool):
-        """Each point's distance to each chain, and, if wind is set, each
-        chain's argument increment in turns around each point (else None).
+    def _pass(self, points: np.ndarray, wound: int):
+        """Each point's distance to each chain, and each chain's argument
+        increment in turns around each of the first wound points.
 
         Distance: to the nearest point of a line; to an arc piece radially
         inside its wedge, else to its nearer end, but never below the
@@ -496,53 +565,64 @@ class Chords:
         other sign gains a full turn: p lies between piece and chord, or on
         the chord, where rounding picks the sign of +-pi."""
         dist = np.empty((len(points), len(self.starts)))
-        turns = np.empty((len(points), len(self.starts))) if wind else None
+        turns = np.empty((wound, len(self.starts)))
         n, direction = self.lines, self.direction
         with np.errstate(all="ignore"):
             for block, p, rel_a, rel_b in self._blocks(points):
                 d = np.empty(rel_a.shape)
                 if n:
-                    # Line.distance, with p - a = -(a - p)
-                    t = -(rel_a[:, :n].real * direction.real
-                          + rel_a[:, :n].imag * direction.imag) / self.norm2
-                    t = np.minimum(np.maximum(t, 0.0), 1.0)
-                    d[:, :n] = _modulus(self.a[:n] + t * direction - p)
+                    # Line.distance, with p - a = -(a - p): t is
+                    # -(x + y) / norm2, which is (x + y) / -norm2 exactly
+                    t = rel_a[:, :n].real * direction.real
+                    t += rel_a[:, :n].imag * direction.imag
+                    t /= self._neg_norm2
+                    np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
+                    near = t * direction
+                    near += self.a[:n]
+                    near -= p
+                    np.hypot(near.real, near.imag, out=d[:, :n])
                 if n < len(self.a):
                     v = p - self.center
                     r = _modulus(v)
-                    wedge = ((r > 0.0) & (_cross(self.start_ray, v) >= 0.0)
-                             & (_cross(v, self.end_ray) >= 0.0))
+                    turned = _cross(self.rays[:, None], v)
+                    wedge = (r > 0.0) & (turned[0] >= 0.0) \
+                        & (turned[1] <= 0.0)
                     ends = np.minimum(_modulus(rel_a[:, n:]),
                                       _modulus(rel_b[:, n:]))
-                    d[:, n:] = np.maximum(np.abs(r - self.radius),
-                                          np.where(wedge, 0.0, ends))
-                dist[block] = self._per_chain(np.minimum, d)
-                if not wind:
+                    ends[wedge] = 0.0
+                    radial = np.abs(r - self.radius)
+                    np.maximum(radial, ends, out=d[:, n:])
+                self._per_chain(np.minimum, d, dist[block])
+                if block.start >= wound:
                     continue
-                quotient = rel_b / rel_a
+                rows = slice(0, wound - block.start)  # its points to wind
+                quotient = rel_b[rows] / rel_a[rows]
                 angle = np.arctan2(quotient.imag, quotient.real)
                 if n < len(self.a):
                     chord_angle = angle[:, n:]
-                    wrapped = (r <= self.radius) \
-                        & (self.turn * chord_angle < 0.0)
-                    angle[:, n:] = np.where(
-                        wrapped, chord_angle + self.turn * _TWO_PI,
-                        chord_angle)
-                turns[block] = self._per_chain(np.add, angle) / _TWO_PI
+                    np.add(chord_angle, self._full_turn, out=chord_angle,
+                           where=(r[rows] <= self.radius)
+                           & (self.turn * chord_angle < 0.0))
+                np.divide(self._per_chain(np.add, angle), _TWO_PI,
+                          out=turns[block])
         return dist, turns
 
     def distances(self, points: np.ndarray) -> np.ndarray:
         """Distance from each point to each chain."""
-        return self._pass(points, False)[0]
+        return self._pass(points, 0)[0]
 
-    def windings(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Winding number of each closed chain around each point, or
-        _ON_PATH for a point within the chain's band or whose total misses
-        an integer; and each point's distance to each chain."""
-        dist, turns = self._pass(points, True)
+    def windings(self, points: np.ndarray, wound: int | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """Winding number of each closed chain around each of the first
+        wound points (every point by default), or _ON_PATH for a point
+        within the chain's band or whose total misses an integer; and each
+        point's distance to each chain. A pass that winds fewer points
+        costs less: the distances are about three fifths of its work."""
+        dist, turns = self._pass(points, len(points) if wound is None
+                                 else wound)
         out = np.rint(np.where(np.isfinite(turns), turns, 0.0)).astype(int)
         out[~(np.abs(turns - out) < WINDING_RESIDUAL_LIMIT)
-            | (dist <= self.band)] = _ON_PATH
+            | (dist[:len(out)] <= self.band)] = _ON_PATH
         return out, dist
 
 
@@ -553,6 +633,12 @@ def _cross(u, v):
 def _modulus(z):
     """|z| rounded as abs(complex) rounds it, which np.abs may not."""
     return np.hypot(z.real, z.imag)
+
+
+def _mean(z: np.ndarray) -> complex:
+    """np.mean(z) of a flat array, without np.mean's wrapper: the same
+    numpy sum and quotient."""
+    return z.sum() / z.size
 
 
 def _finite_points(points) -> np.ndarray:
@@ -631,16 +717,16 @@ class DomainSpec:
         # components; a witness on another boundary counts as outside or
         # overlapping
         samples = [hole.sample(256) for hole in self.holes]
-        points = np.array([np.mean(s[::4].copy()) for s in samples]
-                          + [np.mean(p.sample(64)) for p in paths[count:]])
-        centers = np.array([np.mean(s) for s in samples])
+        points = np.array([_mean(s[::4].copy()) for s in samples]
+                          + [_mean(p.sample(64)) for p in paths[count:]])
+        centers = np.array([_mean(s) for s in samples])
         first, second = np.array(list(itertools.combinations(
             range(len(paths)), 2)), dtype=np.intp).reshape(-1, 2).T
         wind, d, gap = _measured(
-            self.chords, np.append(points, centers), _gap_points(
+            self.chords, np.append(points, centers), len(paths), _gap_points(
                 self._segments, self._segments, first, second), first, second)
         object.__setattr__(self, "_centroids", (centers, d[len(paths):]))
-        wind, d = wind[:len(paths)], d[:len(paths)]
+        d = d[:len(paths)]
         own = np.arange(len(paths))
         for k in np.flatnonzero(~_strictly_inside(
                 paths, wind[own, own], d[own, own])):
@@ -671,9 +757,18 @@ class DomainSpec:
 
     @functools.cached_property
     def chords(self) -> Chords | None:
-        """One kernel over every component, None for the whole plane."""
+        """One kernel over every component, None for the whole plane: the
+        chains of all components from one SegmentArrays of their segments,
+        in the kernel's layout as they come."""
         paths = self.boundary_paths()
-        return Chords([p.arrays.chain for p in paths]) if paths else None
+        if not paths:
+            return None
+        arrays = SegmentArrays.joined([p.arrays for p in paths])
+        return Chords.laid_out(
+            arrays.chain, [sum(isinstance(s, Line) for s in p.segments)
+                           for p in paths],
+            [sum(s.pieces for s in p.segments if isinstance(s, Arc))
+             for p in paths])
 
     @functools.cached_property
     def _segments(self) -> "_Segments":
@@ -692,42 +787,38 @@ class DomainSpec:
 
     def contains_path(self, path: Path) -> bool:
         """Whether a path lies in the domain: its start does, and its gap
-        to every boundary exceeds their two bands."""
-        return self._path_check(path, ())[0]
-
-    def _path_check(self, path: Path, points) -> tuple[bool, np.ndarray]:
-        """contains_path(path), and the windings of the closed path around
-        points, from one kernel pass of the domain's chords and the path's:
-        around points and the path's start, and at _PATH_SAMPLES points of
-        the path, which bound its gaps from below. Every point of the path
-        lies within h = length / (2 _PATH_SAMPLES) of one of them, at the
-        midpoints of equal arclength pieces, and distance is 1-Lipschitz
-        (Shubert, SIAM J. Numer. Anal. 9, 1972): the gap to component k is
-        at least the samples' least distance to it less h. Where that bound,
-        less the rounding of _BOUND_MARGIN, clears the two bands of every
-        component, the exact gaps would too; otherwise they decide, from the
-        gap points (_measured)."""
-        paths, m = self.boundary_paths(), len(points)
+        to every boundary exceeds their two bands. One pass of the domain's
+        chords winds it around the path's start and measures _PATH_SAMPLES
+        points of the path, which bound its gaps from below. Every point of
+        the path lies within h = length / (2 _PATH_SAMPLES) of one of them,
+        at the midpoints of equal arclength pieces, and distance is
+        1-Lipschitz (Shubert, SIAM J. Numer. Anal. 9, 1972): the gap to
+        component k is at least the samples' least distance to it less h.
+        Where that bound, less the rounding of _BOUND_MARGIN, clears the two
+        bands of every component, the exact gaps would too; otherwise they
+        decide, from the gap points (_measured) and a kernel of the domain's
+        chains and the path's."""
+        paths = self.boundary_paths()
         if not paths:
-            return True, path.arrays.chords.windings(np.array(points))[0][:, 0]
-        chords = Chords([p.arrays.chain for p in paths + (path,)])
+            return True
         samples = path.points_at((np.arange(_PATH_SAMPLES) + 0.5)
                                  / _PATH_SAMPLES)
-        wind, dist = chords.windings(np.concatenate(
-            (points, [path.start], samples)))
-        inside = bool(_inside(self, wind[m:m + 1])[0])
-        bands = chords.band[-1] + chords.band[:-1]
-        bound = dist[m + 1:, :len(paths)].min(axis=0) \
-            - 0.5 / _PATH_SAMPLES * path.length
-        if inside and not np.all(
-                bound - _BOUND_MARGIN * self._scale(path) > bands):
-            own, others = np.zeros(len(paths), dtype=np.intp), \
-                np.arange(len(paths))
-            gap = _measured(chords, np.empty(0, dtype=complex), _gap_points(
+        wind, dist = self.chords.windings(np.append(path.start, samples),
+                                          wound=1)
+        if not _inside(self, wind)[0]:
+            return False
+        bands = path.band + self.chords.band
+        bound = dist[1:].min(axis=0) - 0.5 / _PATH_SAMPLES * path.length
+        if np.all(bound - _BOUND_MARGIN * self._scale(path) > bands):
+            return True
+        own, others = np.zeros(len(paths), dtype=np.intp), \
+            np.arange(len(paths))
+        gap = _measured(
+            Chords([p.arrays.chain for p in paths + (path,)]),
+            np.empty(0, dtype=complex), 0, _gap_points(
                 _Segments((path,)), self._segments, own, others),
-                own + len(paths), others)[2]
-            inside = bool(np.all(gap > bands))
-        return inside, wind[:m, -1]
+            own + len(paths), others)[2]
+        return bool(np.all(gap > bands))
 
     def _scale(self, path: Path) -> float:
         """What rounds the sampled bound of a path's gaps: the largest
@@ -737,7 +828,7 @@ class DomainSpec:
         the samples along their circles."""
         arrays = path.arrays
         turned = arrays.radius * (np.abs(arrays.t0) + np.abs(arrays.sweep))
-        return max(self._boundary_reach, _reach(path.segments), path.length,
+        return max(self._boundary_reach, path.reach, path.length,
                    float(turned.max()))
 
     @functools.cached_property
@@ -824,22 +915,23 @@ class _Segments:
         self.own_path = np.append(self.path, np.arange(len(paths)))
 
 
-def _measured(chords: Chords, lead: np.ndarray, blocks, first, second
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The windings of chords around the points lead and their distances,
-    and for each k the least |x - p| + |x - q| over the gap points of
-    blocks (from _gap_points), p and q the chains first[k] and second[k]:
-    the lead and the first block in one pass, each other block in one."""
+def _measured(chords: Chords, lead: np.ndarray, wound: int, blocks, first,
+              second) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The windings of chords around the first wound points of lead and
+    the distances of lead, and for each k the least |x - p| + |x - q| over
+    the gap points of blocks (from _gap_points), p and q the chains
+    first[k] and second[k]: the lead and the first block in one pass, each
+    other block in one."""
     x, at, pair = next(blocks)
     # one pass for both: a pass of its own for the lead costs about 2% of
     # a domain-dilated scenario
-    wind, d = chords.windings(np.append(lead, x))
+    wind, d = chords.windings(np.append(lead, x), wound)
     gap = np.full(len(first), math.nan)
     for dist, at, pair in itertools.chain(
             [(d[len(lead):], at, pair)],
             ((chords.distances(x), at, pair) for x, at, pair in blocks)):
         np.fmin.at(gap, pair, dist[at, first[pair]] + dist[at, second[pair]])
-    return wind[:len(lead)], d[:len(lead)], gap
+    return wind, d[:len(lead)], gap
 
 
 def _gap(a: Path, b: Path) -> float:
@@ -969,7 +1061,7 @@ def interior_point(path: Path) -> complex:
         raise GeometryError("interior point needs a closed path")
 
     def candidates():  # each grid built only when the points before fail
-        yield np.array([np.mean(path.sample(64))])
+        yield np.array([_mean(path.sample(64))])
         x0, x1, y0, y1 = path.bbox()
         for n in (8, 16, 32, 64):
             xs = np.linspace(x0, x1, n + 2)[1:-1]
@@ -1123,12 +1215,12 @@ def _parameter(piece: Segment, x: complex, near: float) -> float:
 
 
 def _basis_curves_pass(domain: DomainSpec, j: int, curve: Path) -> bool:
-    """Does the curve wind once around hole j, zero times around the other
-    holes, and lie in the domain (DomainSpec.contains_path)? The windings
-    at the witnesses come from contains_path's pass of the curve's
-    chords."""
-    inside, wind = domain._path_check(curve, domain.witnesses)
-    return inside and np.array_equal(wind, np.arange(len(domain.holes)) == j)
+    """Does the curve wind once around hole j and zero times around the
+    other holes, by one pass of its own chords at the witnesses, and lie in
+    the domain (DomainSpec.contains_path)?"""
+    wind = curve.arrays.chords.windings(np.array(domain.witnesses))[0]
+    return np.array_equal(wind[:, 0], np.arange(len(domain.holes)) == j) \
+        and domain.contains_path(curve)
 
 
 def homology_basis(domain: DomainSpec) -> list[Path]:

@@ -376,3 +376,26 @@ class TestPoleCensus:
                                                         pole[0].imag))
         records = expr.pole_set(expr.parse(text))
         assert [(r.location, r.order) for r in records] == want
+
+
+def test_census_walks_each_site_past_the_other_terms(monkeypatch):
+    # the sum of 1/(z - k) for k = 1..n: each site's walk skips the
+    # subtrees that hold no divisor zero there, and the sums whose other
+    # operand holds none, so _Local.bound runs a fixed number of times per
+    # site, n times in all (where every site walked the whole tree, the
+    # count grew as n^2)
+    calls = []
+    bound = expr._Local.bound
+    monkeypatch.setattr(expr._Local, "bound", lambda local, node: calls.append(
+        node) or bound(local, node))
+
+    def census(n):
+        calls.clear()
+        node = expr.parse(" + ".join(f"1/(z-{k})" for k in range(1, n + 1)))
+        records = expr.pole_set(node)
+        assert [(r.location, r.order) for r in records] \
+            == [(complex(k), 1) for k in range(1, n + 1)]
+        return len(calls)
+
+    counts = [census(n) for n in (10, 20, 40)]
+    assert counts == [counts[0], 2 * counts[0], 4 * counts[0]]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from envelope import expr
+from envelope import cli, expr
 from envelope import extension as ext
 from envelope import geometry as geom
 from envelope import moments as mom
@@ -92,17 +92,31 @@ def _dilated_curve():
 
 @pytest.fixture
 def kernel_passes(monkeypatch):
-    """(chords, chains, whether it winds) of every pass of the chord
-    kernel."""
+    """(chords, chains, how many points it winds) of every pass of the
+    chord kernel."""
     passes = []
     kernel = geom.Chords._pass
 
-    def spy(chords, points, wind):
-        passes.append((chords, len(chords.starts), wind))
-        return kernel(chords, points, wind)
+    def spy(chords, points, wound):
+        passes.append((chords, len(chords.starts), wound))
+        return kernel(chords, points, wound)
 
     monkeypatch.setattr(geom.Chords, "_pass", spy)
     return passes
+
+
+@pytest.fixture
+def chord_builds(monkeypatch):
+    """The number of chains of every chord kernel built."""
+    builds = []
+    lay_out = geom.Chords._lay_out
+
+    def spy(chords, chain, lines, arcs):
+        builds.append(len(lines))
+        lay_out(chords, chain, lines, arcs)
+
+    monkeypatch.setattr(geom.Chords, "_lay_out", spy)
+    return builds
 
 
 def _closed_ring_route(base, target, center):
@@ -555,9 +569,10 @@ class TestDomainSpec:
     def test_one_winding_pass_per_domain(self, two_hole, kernel_passes):
         # the sample centroids of the three components hit: one pass of
         # the domain's chords winds every component around all three and
-        # measures the gaps of every two components
+        # measures the hole centroids and the gaps of every two components
+        # without winding them
         domain = geom.DomainSpec(two_hole.outer, two_hole.holes)
-        assert kernel_passes == [(domain.chords, 3, True)]
+        assert kernel_passes == [(domain.chords, 3, 3)]
         assert domain.witnesses == two_hole.witnesses
         assert domain.gaps == two_hole.gaps
 
@@ -1096,17 +1111,57 @@ class TestOneKernelPass:
             self, holes, kernel_passes):
         # one pass of the domain's chords places the points whatever the
         # number of components; a path takes one pass of the domain's
-        # chords and its own, winding them around its start and its gap
-        # points
+        # chords, which winds them around its start alone and measures its
+        # samples; a basis check adds one pass of the path's own chords,
+        # which winds it around the witnesses
         domain = geom.DomainSpec(geom.rectangle(0, holes, -0.5, 0.5), tuple(
             geom.circle(k + 0.5, 0.25) for k in range(holes)))
         kernel_passes.clear()
         geom.classify(domain, np.linspace(0, holes, 50) + 0.1j)
-        assert kernel_passes == [(domain.chords, holes + 1, True)]
+        assert kernel_passes == [(domain.chords, holes + 1, 50)]
         kernel_passes.clear()
-        assert domain.contains_path(geom.circle(0.5 + 0j, 0.375))
-        assert [(chains, wind) for _, chains, wind in kernel_passes] \
-            == [(holes + 2, True)]
+        path = geom.circle(0.5 + 0j, 0.375)
+        assert domain.contains_path(path)
+        assert kernel_passes == [(domain.chords, holes + 1, 1)]
+        kernel_passes.clear()
+        assert geom._basis_curves_pass(domain, 0, path)
+        assert kernel_passes == [(path.arrays.chords, 1, holes),
+                                 (domain.chords, holes + 1, 1)]
+
+
+def test_slab_scenario_builds_each_kernel_once(chord_builds, kernel_passes):
+    # a corpus-shaped domain-dilated scenario: a slab beside a circle hole,
+    # whose slab has no separating circle. Set-up builds the domain's one
+    # kernel and takes one pass, which winds the three components' sample
+    # centroids alone; the checks build the slab's dilation's own kernel,
+    # whose one pass winds it around the two witnesses, and measure its
+    # samples by one pass of the domain's kernel, which winds only its
+    # start; the pole's classification is one more pass
+    raw = {"function": "(-1.0613+1.0388i)/(z-(-0.3698-0.0651i))^2 + "
+                       "(-0.7683+0.5586i)/(z-(-4.8285+2.3363i))^1",
+           "domain": {"outer": {"circle": {"center": [0.0, 0.0],
+                                           "radius": 3.0}},
+                      "holes": [{"polygon": {"vertices": [
+                          [1.504828, -0.23234], [-1.147948, 0.137259],
+                          [-1.173628, -0.04706], [1.479148, -0.416659]]}},
+                          {"circle": {"center": [0.0791, -0.7604],
+                                      "radius": 0.194}}]},
+           "checks": ["primitive_order", "extension"], "max_degree": 2}
+    config, diags = cli.build_config(raw)
+    assert diags == []
+    domain = config.domain
+    assert chord_builds == [3]
+    assert kernel_passes == [(domain.chords, 3, 3)]
+    chord_builds.clear()
+    kernel_passes.clear()
+    report = cli.run_scenario(config)
+    assert [row["status"] for row in report.results] == ["ok", "ok"]
+    assert not geom._hole_rules(domain)[0] and geom._hole_rules(domain)[1]
+    dilation = geom.homology_basis(domain)[0]
+    assert chord_builds == [1]
+    assert kernel_passes == [(domain.chords, 3, 2),
+                             (dilation.arrays.chords, 1, 2),
+                             (domain.chords, 3, 1)]
 
 
 def _named_outside_geometry(pattern):
