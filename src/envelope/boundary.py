@@ -383,8 +383,8 @@ def cauchy_transform(curve: SampledCurve, w, tol: float = _quad.DEFAULT_TOL):
     shape = np.shape(w)
     w = _geom._finite_points(w)
     chords = curve.path.arrays.chords if curve.analytic \
-        else _geom.Chords([(curve.points[:-1], curve.points[1:], (), (),
-                            ())])
+        else _geom.Chords((curve.points[:-1], curve.points[1:],
+                           *_geom._NO_ARCS), [curve.intervals], [0])
     wind, dist = (column[:, 0] for column in chords.windings(w))
     for p in w[wind != 1]:
         raise GeometryError(f"{p:.6g} is not enclosed once by the curve")

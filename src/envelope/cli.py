@@ -61,6 +61,15 @@ def _object(node, where: str, diags: list[str]) -> dict | None:
     return None
 
 
+def _unknown(node: dict, prefix: str, known: tuple[str, ...],
+             diags: list[str]) -> None:
+    """A diagnostic for each field of node that is not one of known, named
+    by its path (prefix, then the field), so that a misspelt field is not
+    read as its default."""
+    diags.extend(f"{prefix}{key}: unknown field (choose from "
+                 f"{', '.join(known)})" for key in node if key not in known)
+
+
 def _integer(node: dict, key: str, default: int | None, lo: int, hi: int,
              diags: list[str], where: str | None = None) -> int | None:
     """node[key] as an integer in [lo, hi]; default when the field is absent
@@ -86,11 +95,20 @@ def _as_complex(node, where: str, diags: list[str]) -> complex | None:
 def _path_from_node(node, where: str, diags: list[str]) -> _geom.Path | None:
     if _object(node, where, diags) is None:
         return None
+    kinds = ("circle", "polygon", "segments")
+    _unknown(node, f"{where}.", kinds, diags)
+    held = [kind for kind in kinds if kind in node]
+    if len(held) > 1:
+        diags.append(f"{where}: expected one of {', '.join(kinds)}, not "
+                     f"{' and '.join(held)}")
+        return None
     try:
         if "circle" in node:
             spec = _object(node["circle"], f"{where}.circle", diags)
             if spec is None:
                 return None
+            _unknown(spec, f"{where}.circle.", ("center", "radius", "ccw"),
+                     diags)
             center = _as_complex(spec.get("center", [0.0, 0.0]),
                                  f"{where}.circle.center", diags)
             radius = _json_coordinate(spec.get("radius"))
@@ -107,6 +125,7 @@ def _path_from_node(node, where: str, diags: list[str]) -> _geom.Path | None:
             spec = _object(node["polygon"], f"{where}.polygon", diags)
             if spec is None:
                 return None
+            _unknown(spec, f"{where}.polygon.", ("vertices",), diags)
             verts = spec.get("vertices", [])
             if not isinstance(verts, list):
                 diags.append(f"{where}.polygon.vertices: expected a list")
@@ -122,7 +141,7 @@ def _path_from_node(node, where: str, diags: list[str]) -> _geom.Path | None:
     except (EnvelopeError, ValueError, KeyError, TypeError) as exc:
         diags.append(f"{where}: {exc}")
         return None
-    diags.append(f"{where}: expected one of circle, polygon, segments")
+    diags.append(f"{where}: expected one of {', '.join(kinds)}")
     return None
 
 
@@ -130,6 +149,7 @@ def _build_domain(node, where: str, diags: list[str]
                   ) -> _geom.DomainSpec | None:
     if _object(node, where, diags) is None:
         return None
+    _unknown(node, f"{where}.", ("outer", "holes"), diags)
     outer = None
     if node.get("outer") is not None:
         outer = _path_from_node(node["outer"], f"{where}.outer", diags)
@@ -155,6 +175,10 @@ def _build_domain(node, where: str, diags: list[str]
 def _build_curve(node, where: str, base_dir: FsPath, fn,
                  diags: list[str]) -> _bd.SampledCurve | None:
     if _object(node, where, diags) is None:
+        return None
+    _unknown(node, f"{where}.", ("csv", "path", "samples", "warp"), diags)
+    if "csv" in node and "path" in node:
+        diags.append(f"{where}: expected csv or path, not both")
         return None
     if "csv" in node:
         if not isinstance(node["csv"], str):
@@ -202,8 +226,7 @@ def build_config(raw: dict, base_dir: FsPath | None = None
     base_dir = base_dir or FsPath.cwd()
     if not isinstance(raw, dict):
         return None, ["scenario: expected a JSON object"]
-    diags.extend(f"{key}: unknown field (choose from {', '.join(FIELDS)})"
-                 for key in raw if key not in FIELDS)
+    _unknown(raw, "", FIELDS, diags)
 
     fn = None
     fn_text = raw.get("function")
@@ -282,6 +305,7 @@ def build_config(raw: dict, base_dir: FsPath | None = None
     defaults = {"abs": _mom.ZeroTolerance.abs_tol,
                 "rel": _mom.ZeroTolerance.rel_tol,
                 "quadrature": _quad.DEFAULT_TOL}
+    _unknown(tols, "tolerances.", tuple(defaults), diags)
     tol_values = {}
     for name, default in defaults.items():
         tol_values[name] = _json_number(tols.get(name, default))

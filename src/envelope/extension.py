@@ -161,8 +161,8 @@ def _probes(domain: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
     where = _geom.classify(domain, np.append(near, inner))
     keep = where.inside[:near.size].reshape(near.shape)
     if holes:  # dist[j, i, k]: from point i of hole j to basis curve k
-        basis = _geom.Chords([c.arrays.chain
-                              for c in _geom.homology_basis(domain)])
+        basis = _geom.SegmentArrays.joined(
+            [c.arrays for c in _geom.homology_basis(domain)]).chords
         dist = basis.distances(near.ravel()).reshape(near.shape + (-1,))
         own = np.arange(len(holes))
         keep &= dist[own, :, own] <= dist.min(axis=2)

@@ -8,14 +8,15 @@ of at most pi/2), evaluated for arrays of points at once. The argument
 increment of an arc piece is its chord angle, plus a full turn in the
 piece's direction when the point is inside its circle and the chord angle
 turns the other way, so winding numbers are exact for every point off the
-path. The chords of a domain's boundary components form one kernel with a
-column per component, built once from the columns of all their segments,
-so classify, the domain's set-up checks and gaps, and
+path. The segments of one path or of several are one SegmentArrays, and
+its kernel has a column per path. A domain joins the arrays of its
+boundary components once, and both its kernel and its exact gaps read
+them, so classify, the domain's set-up checks and gaps, and
 DomainSpec.contains_path each take one kernel pass (contains_path a
-second one, of a kernel joined with the path's, where its sampled lower
-bound of the gaps leaves the exact gaps to decide); a pass measures the
-distance of every point and winds around only the points whose windings
-are read. A domain samples each boundary once, and keeps what it
+second one, over the domain's segments and the path's, where its sampled
+lower bound of the gaps leaves the exact gaps to decide); a pass measures
+the distance of every point and winds around only the points whose
+windings are read. A domain samples each boundary once, and keeps what it
 derives, the hole rules and contours included. Every
 point of a segment, arc ends and chord ends included, comes from one
 formula for a number or an array of parameters. The simply connected
@@ -314,12 +315,15 @@ def _column(s: Segment) -> tuple:
 
 
 class SegmentArrays:
-    """The segments of a path as parameter arrays: a line is a + t d, an arc
-    center + radius e^{i (t0 + t sweep)}; slots a kind does not use are
-    zero. lengths, starts and ends are per-segment arclengths."""
+    """The segments of one or more paths as parameter arrays, counts[k] of
+    them path k's, in path order: a line is a + t d, an arc center + radius
+    e^{i (t0 + t sweep)}; slots a kind does not use are zero. lengths,
+    starts and ends are per-segment arclengths."""
 
-    def __init__(self, segments: tuple[Segment, ...], columns=None):
+    def __init__(self, segments: tuple[Segment, ...], columns=None,
+                 counts: tuple[int, ...] | None = None):
         self.segments = segments
+        self.counts = (len(segments),) if counts is None else counts
         # one column per segment; the arc velocity factor is the scalar
         # expression of Arc.velocity, so both round alike. table's rows are
         # what the gap rule reads: whether it is an arc, origin, direction,
@@ -340,10 +344,26 @@ class SegmentArrays:
 
     @classmethod
     def joined(cls, arrays: Sequence["SegmentArrays"]) -> "SegmentArrays":
-        """The segments of several as one, from their columns."""
+        """The segments of several as one, from their columns: the paths of
+        each, in order."""
         return cls(tuple(itertools.chain.from_iterable(
             a.segments for a in arrays)), np.hstack([a.columns
-                                                     for a in arrays]))
+                                                     for a in arrays]),
+            tuple(itertools.chain.from_iterable(a.counts for a in arrays)))
+
+    @functools.cached_property
+    def path(self) -> np.ndarray:
+        """The path of each segment."""
+        return np.repeat(np.arange(len(self.counts)), self.counts)
+
+    @functools.cached_property
+    def own(self) -> tuple[np.ndarray, np.ndarray]:
+        """The points of its own paths that each gap tests (_gap_points):
+        every segment's start, then every path's end; and their paths."""
+        last = np.cumsum(self.counts) - 1
+        return (np.array([s.start for s in self.segments]
+                         + [self.segments[k].end for k in last]),
+                np.append(self.path, np.arange(len(self.counts))))
 
     @functools.cached_property
     def ends(self) -> np.ndarray:
@@ -355,16 +375,17 @@ class SegmentArrays:
 
     @functools.cached_property
     def pieces(self) -> np.ndarray:
-        """Segment.pieces of every segment."""
-        return np.array([s.pieces for s in self.segments])
+        """Segment.pieces of every segment, a line's sweep 0 giving 1."""
+        return np.maximum(np.ceil(np.abs(self.sweep) / (0.5 * math.pi)),
+                          1.0).astype(int)
 
     @functools.cached_property
     def chain(self) -> tuple[np.ndarray, ...]:
-        """The path as a chain of Chords: the chord ends a and b of its
-        lines, then of its arcs cut into their pieces (Arc.pieces), and each
-        piece's center, radius and turn. An arc of p pieces ends its
-        chords at the nodes of the fractions k / p, the numbers Arc.point
-        gives; a line's are its own ends."""
+        """The paths as one chain in the layout of Chords: the chord ends a
+        and b of every line, then of every arc cut into its pieces
+        (Arc.pieces), and each piece's center, radius and turn. An arc of
+        p pieces ends its chords at the nodes of the fractions k / p, the
+        numbers Arc.point gives; a line's are its own ends."""
         if not self.has_arcs:
             return self.origin, self.line_end, *_NO_ARCS
         arcs = np.flatnonzero(self.is_arc)
@@ -384,9 +405,12 @@ class SegmentArrays:
 
     @functools.cached_property
     def chords(self) -> "Chords":
-        """The kernel of the path's chain alone."""
-        a, _, center, _, _ = chain = self.chain
-        return Chords.laid_out(chain, [len(a) - len(center)], [len(center)])
+        """The kernel of the paths' chain, a column per path: each path's
+        lines, and its arc pieces, the rest of its pieces."""
+        first = [0, *itertools.accumulate(self.counts)][:-1]
+        lines = np.add.reduceat(~self.is_arc, first, dtype=int)
+        pieces = np.add.reduceat(self.pieces, first)
+        return Chords(self.chain, lines.tolist(), (pieces - lines).tolist())
 
     def nodes(self, index: np.ndarray, t: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
@@ -469,39 +493,18 @@ _BOUND_MARGIN = 1e-12
 
 class Chords:
     """Chords a -> b of one or more chains of lines and arc pieces, the
-    kernel behind winding numbers and distances of arrays of points. A
-    chain is (a, b, center, radius, turn), as SegmentArrays.chain gives
-    it: its chords' ends, lines first, and for its last len(center)
-    chords, arc pieces of at most pi/2 on the circles (center, radius),
-    turning counterclockwise where turn is +1 and clockwise where it is
-    -1 (a polyline's last three are empty). The kernel holds every line,
-    then every arc piece; windings and distances give one column per
-    chain. Points within band[k] of chain k lie on it."""
+    kernel behind winding numbers and distances of arrays of points. The
+    chains come as one chain (a, b, center, radius, turn) in the kernel's
+    layout, as SegmentArrays.chain gives it for one path or several: every
+    chain's lines, then every chain's arc pieces, each in the order of the
+    chains, lines[k] and arcs[k] of them chain k's. a and b are the chords'
+    ends; the last len(center) chords are arc pieces of at most pi/2 on the
+    circles (center, radius), turning counterclockwise where turn is +1 and
+    clockwise where it is -1 (a polyline has none). Windings and distances
+    give one column per chain. Points within band[k] of chain k lie on
+    it."""
 
-    def __init__(self, chains):
-        chains = [[np.asarray(v, dtype=kind) for v, kind in
-                   zip(chain, (complex, complex, complex, float, float))]
-                  for chain in chains]
-        arcs = [len(chain[2]) for chain in chains]
-        lines = [len(chain[0]) - m for chain, m in zip(chains, arcs)]
-        self._lay_out([np.concatenate(
-            [c[i][:m] for c, m in zip(chains, lines)]
-            + [c[i][m:] for c, m in zip(chains, lines)]) for i in (0, 1)]
-            + [np.concatenate([c[i] for c in chains]) for i in (2, 3, 4)],
-            lines, arcs)
-
-    @classmethod
-    def laid_out(cls, chain, lines: list[int], arcs: list[int]) -> "Chords":
-        """The kernel of chains given as one chain in the kernel's layout:
-        every chain's lines, then every chain's arc pieces, each in the
-        order of the chains, lines[k] and arcs[k] of them chain k's."""
-        chords = cls.__new__(cls)
-        chords._lay_out(chain, lines, arcs)
-        return chords
-
-    def _lay_out(self, chain, lines: list[int], arcs: list[int]) -> None:
-        """Derive what a pass reads from the chords in the kernel's layout;
-        lines and arcs count each chain's lines and arc pieces."""
+    def __init__(self, chain, lines: list[int], arcs: list[int]):
         self.a, self.b, self.center, self.radius, self.turn = chain
         self.lines = n = sum(lines)
         # what distances reads of each chord; a line of length 0, as
@@ -724,7 +727,7 @@ class DomainSpec:
             range(len(paths)), 2)), dtype=np.intp).reshape(-1, 2).T
         wind, d, gap = _measured(
             self.chords, np.append(points, centers), len(paths), _gap_points(
-                self._segments, self._segments, first, second), first, second)
+                self.arrays, self.arrays, first, second), first, second)
         object.__setattr__(self, "_centroids", (centers, d[len(paths):]))
         d = d[:len(paths)]
         own = np.arange(len(paths))
@@ -756,23 +759,19 @@ class DomainSpec:
         object.__setattr__(self, "gaps", tuple(least[:count].tolist()))
 
     @functools.cached_property
-    def chords(self) -> Chords | None:
-        """One kernel over every component, None for the whole plane: the
-        chains of all components from one SegmentArrays of their segments,
-        in the kernel's layout as they come."""
+    def arrays(self) -> SegmentArrays | None:
+        """The segments of every component, joined from their columns; None
+        for the whole plane. Its kernel and the gaps of the components read
+        it."""
         paths = self.boundary_paths()
-        if not paths:
-            return None
-        arrays = SegmentArrays.joined([p.arrays for p in paths])
-        return Chords.laid_out(
-            arrays.chain, [sum(isinstance(s, Line) for s in p.segments)
-                           for p in paths],
-            [sum(s.pieces for s in p.segments if isinstance(s, Arc))
-             for p in paths])
+        return SegmentArrays.joined([p.arrays for p in paths]) if paths \
+            else None
 
-    @functools.cached_property
-    def _segments(self) -> "_Segments":
-        return _Segments(self.boundary_paths())
+    @property
+    def chords(self) -> Chords | None:
+        """One kernel over every component, a column each (arrays.chords);
+        None for the whole plane."""
+        return None if self.arrays is None else self.arrays.chords
 
     def boundary_paths(self) -> tuple[Path, ...]:
         """The components: the holes, then the outer boundary."""
@@ -796,8 +795,8 @@ class DomainSpec:
         component k is at least the samples' least distance to it less h.
         Where that bound, less the rounding of _BOUND_MARGIN, clears the two
         bands of every component, the exact gaps would too; otherwise they
-        decide, from the gap points (_measured) and a kernel of the domain's
-        chains and the path's."""
+        decide, from the gap points (_measured) and the kernel of the
+        domain's arrays joined with the path's."""
         paths = self.boundary_paths()
         if not paths:
             return True
@@ -814,9 +813,9 @@ class DomainSpec:
         own, others = np.zeros(len(paths), dtype=np.intp), \
             np.arange(len(paths))
         gap = _measured(
-            Chords([p.arrays.chain for p in paths + (path,)]),
+            SegmentArrays.joined([self.arrays, path.arrays]).chords,
             np.empty(0, dtype=complex), 0, _gap_points(
-                _Segments((path,)), self._segments, own, others),
+                path.arrays, self.arrays, own, others),
             own + len(paths), others)[2]
         return bool(np.all(gap > bands))
 
@@ -899,22 +898,6 @@ def _strictly_inside(paths, wind: np.ndarray, dist: np.ndarray
 # ---------------------------------------------------------------------------
 # gaps: the least distance between paths, exact for lines and arcs
 
-class _Segments:
-    """The segments of some paths: their SegmentArrays.table columns side
-    by side, and the path of each in path; own holds every path's segment
-    starts and end, which each of its gaps tests, and own_path their
-    path."""
-
-    def __init__(self, paths: Sequence[Path]):
-        self.table = np.hstack([p.arrays.table for p in paths])
-        self.path = np.repeat(np.arange(len(paths)),
-                              [len(p.segments) for p in paths])
-        self.paths = len(paths)
-        self.own = np.array([s.start for p in paths for s in p.segments]
-                            + [p.end for p in paths])
-        self.own_path = np.append(self.path, np.arange(len(paths)))
-
-
 def _measured(chords: Chords, lead: np.ndarray, wound: int, blocks, first,
               second) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The windings of chords around the first wound points of lead and
@@ -938,11 +921,10 @@ def _gap(a: Path, b: Path) -> float:
     """The least distance between two paths, the least |x - a| + |x - b|
     over the points of _gap_points; paths that cross read about 0."""
     return float(min(np.nanmin(a.distance(x) + b.distance(x)) for x, _, _
-                     in _gap_points(_Segments((a,)), _Segments((b,)), [0],
-                                    [0])))
+                     in _gap_points(a.arrays, b.arrays, [0], [0])))
 
 
-def _gap_points(a: _Segments, b: _Segments, first, second):
+def _gap_points(a: SegmentArrays, b: SegmentArrays, first, second):
     """The points whose least |x - p| + |x - q| is the gap of path p =
     first[k] of a and path q = second[k] of b, for every k: per block of
     at most _GAP_PAIRS segment pairs (one block for most domains), the
@@ -954,19 +936,20 @@ def _gap_points(a: _Segments, b: _Segments, first, second):
     closest pair of every two segments (Schneider and Eberly, Geometric
     Tools for Computer Graphics, 2003, ch. 6) and every sum is at least the
     gap, so the least sum is the gap; a point that does not exist is nan."""
-    pair = np.full((a.paths, b.paths), -1)
+    pair = np.full((len(a.counts), len(b.counts)), -1)
     pair[first, second] = np.arange(len(first))
-    own_a = np.nonzero(a.own_path[:, None] == first)
-    own_b = np.nonzero(b.own_path[:, None] == second)
-    own = (a.own[own_a[0]], b.own[own_b[0]]), (own_a[1], own_b[1])
+    (own_a, path_a), (own_b, path_b) = a.own, b.own
+    at_a = np.nonzero(path_a[:, None] == first)
+    at_b = np.nonzero(path_b[:, None] == second)
+    own = (own_a[at_a[0]], own_b[at_b[0]]), (at_a[1], at_b[1])
     step = max(1, _GAP_PAIRS // len(b.path))
     for start in range(0, len(a.path), step):
         yield _block_points(a, b, pair, start, start + step, *own)
         own = (), ()
 
 
-def _block_points(a: _Segments, b: _Segments, pair: np.ndarray, start: int,
-                  stop: int, own: tuple, own_pairs: tuple
+def _block_points(a: SegmentArrays, b: SegmentArrays, pair: np.ndarray,
+                  start: int, stop: int, own: tuple, own_pairs: tuple
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_gap_points' block of the segments start:stop of a."""
     s, t = np.nonzero(pair[a.path[start:stop, None], b.path] >= 0)

@@ -1307,6 +1307,46 @@ class TestMain:
         assert lines == [f"max_degre: unknown field (choose from {choices})",
                          f"tolerence: unknown field (choose from {choices})"]
 
+    @pytest.mark.parametrize("change, message", [
+        ({"tolerances": {"quad": 1e-6}},
+         "tolerances.quad: unknown field (choose from abs, rel, quadrature)"),
+        ({"curve": {"path": ANNULUS["outer"], "sample": 512}},
+         "curve.sample: unknown field (choose from csv, path, samples, "
+         "warp)"),
+        ({"curve": {"csv": "c.csv", "path": ANNULUS["outer"]}},
+         "curve: expected csv or path, not both"),
+        ({"domain": {"outr": ANNULUS["outer"], "holes": ANNULUS["holes"]}},
+         "domain.outr: unknown field (choose from outer, holes)"),
+        ({"domain": {**ANNULUS, "holes": [{
+            "circle": {"center": [0, 0], "radius": 0.5},
+            "polygon": {"vertices": [[0, 0], [1, 0], [0, 1]]}}]}},
+         "domain.holes[0]: expected one of circle, polygon, segments, not "
+         "circle and polygon"),
+        ({"domain": {**ANNULUS, "outer": {**ANNULUS["outer"], "ccw": True}}},
+         "domain.outer.ccw: unknown field (choose from circle, polygon, "
+         "segments)"),
+        ({"domain": {**ANNULUS, "outer": {"circle": {
+            "centre": [0, 0], "radius": 2.0}}}},
+         "domain.outer.circle.centre: unknown field (choose from center, "
+         "radius, ccw)"),
+        ({"domain": {**ANNULUS, "holes": [{"polygon": {
+            "vertices": [[-0.1, -0.1], [0.1, -0.1], [0, 0.1]],
+            "closed": True}}]}},
+         "domain.holes[0].polygon.closed: unknown field (choose from "
+         "vertices)"),
+    ], ids=["tolerances", "curve", "curve-kinds", "domain", "path-kinds",
+            "path-node", "circle", "polygon"])
+    def test_unknown_nested_fields_are_diagnosed(self, tmp_path, change,
+                                                 message):
+        # a misspelt nested field is not read as its default, nor does
+        # one kind of path or curve silently win over another
+        (tmp_path / "c.csv").write_text(circle_csv(64))
+        raw = {"function": "z^2", "domain": ANNULUS,
+               "curve": {"path": ANNULUS["outer"], "samples": 64},
+               "checks": ["moments", "chord_arc"]}
+        assert cli.validate(raw, tmp_path) == []
+        assert cli.validate({**raw, **change}, tmp_path)[:1] == [message]
+
     def test_unrunnable_scenario_exits_one(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, {"checks": ["moments"]})
         code = cli.main(["run", "--scenario", str(scenario)])

@@ -1,6 +1,7 @@
 import cmath
 import functools
 import gc
+import itertools
 import math
 import re
 import tracemalloc
@@ -109,13 +110,13 @@ def kernel_passes(monkeypatch):
 def chord_builds(monkeypatch):
     """The number of chains of every chord kernel built."""
     builds = []
-    lay_out = geom.Chords._lay_out
+    build = geom.Chords.__init__
 
     def spy(chords, chain, lines, arcs):
         builds.append(len(lines))
-        lay_out(chords, chain, lines, arcs)
+        build(chords, chain, lines, arcs)
 
-    monkeypatch.setattr(geom.Chords, "_lay_out", spy)
+    monkeypatch.setattr(geom.Chords, "__init__", spy)
     return builds
 
 
@@ -393,6 +394,30 @@ class TestWinding:
             geom.winding_number(geom.circle(0j, 1.0), point)
 
 
+def assert_columns_are_each_path_alone(paths, points):
+    """Column k of the kernel of the paths' joined SegmentArrays gives path
+    k's own windings, distances and band, bit for bit, and the gap of each
+    two paths from the joined arrays' gap points is their _gap. Returns the
+    kernel, its windings and its distances."""
+    arrays = geom.SegmentArrays.joined([p.arrays for p in paths])
+    kernel = arrays.chords
+    wind, dist = kernel.windings(points)
+    for k, path in enumerate(paths):
+        alone = path.arrays.chords
+        own_wind, own_dist = alone.windings(points)
+        assert np.array_equal(wind[:, k], own_wind[:, 0])
+        assert np.array_equal(dist[:, k], own_dist[:, 0])
+        assert kernel.band[k] == alone.band[0]
+    first, second = np.array(list(itertools.combinations(
+        range(len(paths)), 2))).T
+    gap = geom._measured(kernel, np.empty(0, dtype=complex), 0,
+                         geom._gap_points(arrays, arrays, first, second),
+                         first, second)[2]
+    assert gap.tolist() == [geom._gap(paths[i], paths[j])
+                            for i, j in zip(first, second)]
+    return kernel, wind, dist
+
+
 class TestChordKernel:
     @given(case=_path_and_points())
     @example(case=_half_disc_and_points())
@@ -442,38 +467,40 @@ class TestChordKernel:
         # the last chain's lines sit apart from its arcs and the chains
         # are gathered by the order permutation. Each chain's windings,
         # distances and band are those of its own kernel, bit for bit
-        t = np.linspace(0.0, 1.0, 41)
-        polyline = 3 + 1j + 0.5 * np.exp(2j * math.pi * t)
-        polyline[-1] = polyline[0]
+        nodes = 3 + 1j + 0.5 * np.exp(2j * math.pi * np.linspace(0, 1, 41))
         tilt = math.atan(0.5)
         crescent = geom.Path((
             geom.Arc(-2.5j, 1.0, 0.0, math.pi),
             geom.Arc(-3j, math.sqrt(1.25), math.pi - tilt, tilt, False)))
         hole, circle = slab.holes
         clockwise = geom.circle(-2 - 2j, 0.5, ccw=False)
-        paths = [geom.rectangle(-2.5, -1.5, 1.0, 2.0), crescent, clockwise,
+        paths = [geom.polygon(nodes[:-1]),
+                 geom.rectangle(-2.5, -1.5, 1.0, 2.0), crescent, clockwise,
                  circle, geom._dilated_hole(hole, 0.5 * slab.gaps[0])]
-        chains = [(polyline[:-1], polyline[1:], (), (), ())] \
-            + [path.arrays.chain for path in paths]
-        kernel = geom.Chords(chains)
+        x, y = np.meshgrid(np.linspace(-3.5, 4, 31), np.linspace(-4, 3, 29))
+        points = np.concatenate([(x + 1j * y).ravel(), nodes[::3]]
+                                + [path.sample(16) for path in paths])
+        kernel, wind, dist = assert_columns_are_each_path_alone(paths,
+                                                                points)
         assert kernel.order is not None
         assert np.any(crescent.arrays.chain[4] == -1.0)
-        x, y = np.meshgrid(np.linspace(-3.5, 4, 31), np.linspace(-4, 3, 29))
-        points = np.concatenate([(x + 1j * y).ravel(), polyline[::3]]
-                                + [path.sample(16) for path in paths])
-        wind, dist = kernel.windings(points)
-        for k, chain in enumerate(chains):
-            alone = geom.Chords([chain])
-            own_wind, own_dist = alone.windings(points)
-            assert np.array_equal(wind[:, k], own_wind[:, 0])
-            assert np.array_equal(dist[:, k], own_dist[:, 0])
-            assert kernel.band[k] == alone.band[0]
+        for k, path in enumerate(paths):
             # the grid has points inside and outside every chain, and the
             # samples lie on it
-            inside = -1 if chain is clockwise.arrays.chain else 1
-            assert set(own_wind[:, 0]) == {0, inside, geom._ON_PATH}
-        assert np.array_equal(geom.Chords(chains[1:]).distances(points),
+            inside = -1 if path is clockwise else 1
+            assert set(wind[:, k]) == {0, inside, geom._ON_PATH}
+        joined = geom.SegmentArrays.joined([p.arrays for p in paths[1:]])
+        assert np.array_equal(joined.chords.distances(points),
                               dist[:, 1:])
+
+    @given(paths=st.lists(st.one_of(_CIRCLES, _POLYGONS, _RING_ROUTES),
+                          min_size=2, max_size=4))
+    def test_joined_paths_are_each_path_alone(self, paths):
+        # circles of both senses, star polygons and ring routes, whose
+        # arcs and lines interleave, joined in any order
+        x, y = np.meshgrid(np.linspace(-6, 6, 13), np.linspace(-6, 6, 13))
+        assert_columns_are_each_path_alone(paths, np.concatenate(
+            [(x + 1j * y).ravel()] + [path.sample(8) for path in paths]))
 
     def test_distance_of_one_point_and_of_an_array(self):
         c = geom.circle(1 + 1j, 2.0)
@@ -858,8 +885,8 @@ class TestGap:
         # over segment pairs gives (a zero's sign aside, which np.unique
         # does not keep and no distance reads); every crossing, whose
         # phase a dilation reads, with its zeros' signs
-        (x, at, pair), = geom._gap_points(geom._Segments((a,)),
-                                          geom._Segments((b,)), [0], [0])
+        (x, at, pair), = geom._gap_points(a.arrays,
+                                          b.arrays, [0], [0])
         assert np.all(pair == 0)
         assert np.array_equal(_bits(x[at] + 0.0),
                               _bits(reference_gap_points(a, b) + 0.0))

@@ -372,6 +372,22 @@ class TestMaxPrimitiveOrder:
         assert verdict.max_order == 0
 
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 9 (a singularity census for exp "
+                       "of rationals): pole_set gives None for exp(1/(z-3)), "
+                       "so the scan ends at the heuristic cutoff")
+    def test_exp_of_a_pole_outside_reads_every_order(self):
+        # exp(1/(z - 3)) is holomorphic on the closed annulus of radii 0.5
+        # and 2, its one singularity at 3 outside it: every order, and
+        # the divisor z - 3 certifies it
+        domain = geom.DomainSpec(geom.circle(0j, 2.0),
+                                 (geom.circle(0j, 0.5),))
+        verdict = mom.max_primitive_order(expr.parse("exp(1/(z-3))"),
+                                          domain)
+        assert verdict.all_orders
+        assert verdict.definitive
+
+
 class TestRingRoute:
     def test_endpoints(self):
         p = mom.ring_route(1 + 0j, 0.3 + 0.9j)
