@@ -127,6 +127,9 @@ def sample_path(path: Path, data_fn, intervals: int,
     parameters to the array of their images, in one call. Odd-frequency
     warps break the aliasing that makes uniform circle sums exact, which
     matters when a discretization error is itself the quantity under test.
+    data_fn is read as the integrals read it (quadrature._eval_batch): a
+    constant answer fills every node, and a callable that refuses the node
+    array is called point by point.
     """
     if not path.closed:
         raise CurveDataError("sampling requires a closed path")
@@ -138,8 +141,8 @@ def sample_path(path: Path, data_fn, intervals: int,
     pts = path.points_at(u)
     pts[-1] = pts[0]
     fn = _mom.as_function(data_fn)
-    vals = np.asarray(fn(pts), dtype=complex)
-    return SampledCurve(t, pts, vals, path=path, data_fn=fn)
+    return SampledCurve(t, pts, _quad._eval_batch(fn, pts), path=path,
+                        data_fn=fn)
 
 
 def odd_warp(amplitude: float = 0.3):

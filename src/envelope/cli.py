@@ -181,6 +181,9 @@ def _build_curve(node, where: str, base_dir: FsPath, fn,
         diags.append(f"{where}: expected csv or path, not both")
         return None
     if "csv" in node:
+        diags.extend(f"{where}.{key}: a csv curve takes no {key} (its rows "
+                     "are its samples)" for key in ("samples", "warp")
+                     if key in node)
         if not isinstance(node["csv"], str):
             diags.append(f"{where}.csv: expected a file path")
             return None

@@ -35,7 +35,7 @@ _TWO_PI = 2.0 * math.pi
 # cross_verify: contour and reference tolerances
 CONTOUR_TOL = 2e-9
 REFERENCE_RTOL = 1e-8
-# probe points on each probe contour, and toward each hole's boundary
+# probe points on each probe ring, and toward each hole's boundary
 _PROBES_PER_CURVE = 8
 
 
@@ -119,36 +119,20 @@ def _exact_rows(fn, points: np.ndarray, f_at: np.ndarray):
     return lambda z: (fn(z) - f_at[:, None]) / (z - points[:, None])
 
 
-def _contour_points(domain: DomainSpec, j: int, frac: float) -> np.ndarray:
-    """Points equally spaced in arclength on hole j's contour at frac. Where
-    a dilation refuses frac (a circle rule never does), the basis curve's
-    points moved by (frac - 0.5) of the gap along its outward normal."""
-    fractions = np.arange(_PROBES_PER_CURVE) / _PROBES_PER_CURVE
-    try:
-        return _geom._contour(domain, j, frac).points_at(fractions)
-    except GeometryError:
-        curve = _geom._contour(domain, j, 0.5)
-        z, v = curve.arrays.nodes(*curve.locate(fractions))
-        return z - 1j * (frac - 0.5) * domain.gaps[j] * v / np.abs(v)
-
-
 @_geom._kept
 def _probes(domain: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
     """(domain probes, hole probes), read-only, placed by rule, filtered by
-    one classify pass and kept on the domain. Hole j's domain probes lie
-    on its contours inside (0.35 circle or 0.3 dilation) and outside (0.7)
-    its basis curve, and are kept in the domain where no basis curve is
-    nearer than hole j's, so each keeps a fraction of its hole's gap from
-    every curve; with no holes they are the midpoints from an interior
-    point of the outer boundary toward it. Hole probes are the witnesses
-    and the midpoints from each toward its hole's boundary, kept strictly
-    inside that hole."""
+    one classify pass and kept on the domain. Hole j's domain probes are
+    its two rings (geometry._rings), kept in the domain where no basis
+    curve is nearer than hole j's, so each keeps a fraction of its hole's
+    gap from every curve; with no holes they are the midpoints from an
+    interior point of the outer boundary toward it. Hole probes are the
+    witnesses and the midpoints from each toward its hole's boundary, kept
+    strictly inside that hole."""
     n, holes = _PROBES_PER_CURVE, domain.holes
     if holes:
-        inside = [0.35 if rule else 0.3 for rule in _geom._hole_rules(domain)]
-        near = np.array([np.append(_contour_points(domain, j, frac),
-                                   _contour_points(domain, j, 0.7))
-                         for j, frac in enumerate(inside)])
+        near = np.array([_geom._rings(domain, j, n)
+                         for j in range(len(holes))])
     elif domain.outer is not None:
         near = 0.5 * (_geom.interior_point(domain.outer)
                       + domain.outer.sample(n))[None]

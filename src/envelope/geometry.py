@@ -1139,6 +1139,21 @@ def _contour(domain: DomainSpec, j: int, frac: float) -> Path:
     return curve
 
 
+def _rings(domain: DomainSpec, j: int, n: int) -> np.ndarray:
+    """Hole j's probe rings at 0.35 and 0.7 of its rule, inside and outside
+    its basis curve, n points each equally spaced in arclength: its circles
+    there, or its basis curve's points moved (frac - 0.5) of the gap along
+    its outward normal, so that no ring builds a contour of its own."""
+    fractions, rings = np.arange(n) / n, _CIRCLE_FRACTIONS[::2]
+    if _hole_rules(domain)[j]:
+        return np.concatenate([_contour(domain, j, frac).points_at(fractions)
+                               for frac in rings])
+    curve = _contour(domain, j, 0.5)
+    z, v = curve.arrays.nodes(*curve.locate(fractions))
+    return np.concatenate([z - 1j * (frac - 0.5) * domain.gaps[j] * v
+                           / np.abs(v) for frac in rings])
+
+
 def _dilated_hole(hole: Path, d: float) -> Path:
     """The exact outward offset by d of a positively oriented hole: each
     line or arc moved d along its outward normal, an arc of radius d about
@@ -1356,11 +1371,19 @@ def segment_from_json(obj: dict) -> Segment:
     if not isinstance(obj, dict):
         raise GeometryError("a segment is an object")
     kind = obj.get("kind")
+    fields = ("kind", "a", "b") if kind == "line" else \
+        ("kind", "center", "r", "t0", "t1", "ccw") if kind == "arc" else None
+    if fields is None:
+        raise GeometryError(f"unknown segment kind {kind!r}")
+    for key in obj:
+        if key not in fields:
+            raise GeometryError(f"{kind} segment: unknown field {key!r} "
+                                f"(choose from {', '.join(fields)})")
     if kind == "line":
         ends = [_json_point(obj.get(key)) for key in ("a", "b")]
         if None not in ends:
             return Line(*ends)
-    elif kind == "arc":
+    else:
         center = _json_point(obj.get("center"))
         r = _json_coordinate(obj.get("r"))
         t0, t1 = (_json_number(obj.get(key)) for key in ("t0", "t1"))
@@ -1368,8 +1391,6 @@ def segment_from_json(obj: dict) -> Segment:
         if None not in (center, r, t0, t1) and isinstance(ccw, bool):
             sweep = Arc(center, r, t0, t1, ccw).sweep
             return Arc(center, r, t0, t0 + sweep, ccw)
-    else:
-        raise GeometryError(f"unknown segment kind {kind!r}")
     raise GeometryError(f"{kind} segment: points must be [re, im] pairs, "
                         "coordinates and radii numbers of magnitude at most "
                         f"{MAX_COORDINATE:g}, and an arc's ccw true or false")

@@ -1,5 +1,6 @@
 """Sampled-curve machinery: towers, transforms, chord-arc geometry."""
 
+import cmath
 import io
 import math
 import tracemalloc
@@ -105,6 +106,21 @@ class TestSampling:
         c = bd.sample_path(geom.circle(0j, 1.0), lambda z: z, 64)
         assert c.points[-1] == c.points[0]
         assert c.path is not None and c.data_fn is not None
+
+    @pytest.mark.parametrize("data_fn, vectorized", [
+        (lambda z: 1.0, np.ones_like), (cmath.exp, np.exp)],
+        ids=["constant", "scalar-only"])
+    def test_sample_path_reads_data_as_integrals_do(self, data_fn,
+                                                    vectorized):
+        # a constant answer fills every node, and a callable that refuses
+        # the node array is called point by point, as integrate reads them
+        path = geom.Path((geom.Arc(0.3j, 1.2, 0.0, math.pi),
+                          geom.Line(-1.2 + 0.3j, 1.2 + 0.3j)))
+        got, want = (bd.sample_path(path, fn, 64, bd.odd_warp(0.3))
+                     for fn in (data_fn, vectorized))
+        assert got.values.dtype == complex
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.points.tobytes() == want.points.tobytes()
 
     def test_sample_path_rejects_open_path(self):
         arc = geom.Path((geom.Arc(0j, 1.0, 0.0, math.pi),), closed=False)

@@ -1334,8 +1334,25 @@ class TestMain:
             "closed": True}}]}},
          "domain.holes[0].polygon.closed: unknown field (choose from "
          "vertices)"),
+        ({"curve": {"csv": "c.csv", "samples": 512}},
+         "curve.samples: a csv curve takes no samples (its rows are its "
+         "samples)"),
+        ({"curve": {"csv": "c.csv", "warp": 0.3}},
+         "curve.warp: a csv curve takes no warp (its rows are its samples)"),
+        ({"domain": {**ANNULUS, "holes": [{"segments": [{
+            "kind": "arc", "center": [0, 0], "r": 0.5, "t0": 0,
+            "t1": 6.283185307179586, "ccw": True, "radius": 9}]}]}},
+         "domain.holes[0]: arc segment: unknown field 'radius' (choose from "
+         "kind, center, r, t0, t1, ccw)"),
+        ({"domain": {**ANNULUS, "holes": [{"segments": [
+            {"kind": "line", "a": [0, -0.5], "b": [0.5, 0]},
+            {"kind": "line", "a": [0.5, 0], "b": [0, 0.5], "c": 5},
+            {"kind": "line", "a": [0, 0.5], "b": [0, -0.5]}]}]}},
+         "domain.holes[0]: line segment: unknown field 'c' (choose from "
+         "kind, a, b)"),
     ], ids=["tolerances", "curve", "curve-kinds", "domain", "path-kinds",
-            "path-node", "circle", "polygon"])
+            "path-node", "circle", "polygon", "csv-samples", "csv-warp",
+            "arc-segment", "line-segment"])
     def test_unknown_nested_fields_are_diagnosed(self, tmp_path, change,
                                                  message):
         # a misspelt nested field is not read as its default, nor does

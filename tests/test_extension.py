@@ -602,6 +602,40 @@ class TestProbePlacement:
         rep = ext.cross_verify(expr.parse("1/(z-5) + z^2"), domain)
         assert rep.consistent and rep.extension is not None
 
+    def test_a_dilation_hole_builds_only_the_contours_integrals_use(
+            self, slab, monkeypatch):
+        # a fresh domain of the slab's paths keeps no contour that another
+        # test built. The slab has no separating circles, and its rings
+        # come from its basis curve, so cross_verify dilates it at 0.5 and
+        # 0.3 of its gap only, the contours its integrals run on, and
+        # checks each dilation once
+        domain = geom.DomainSpec(slab.outer, slab.holes)
+        dilated, checked = [], []
+        dilate, check = geom._dilated_hole, geom._basis_curves_pass
+        monkeypatch.setattr(geom, "_dilated_hole", lambda hole, d:
+                            dilated.append(d) or dilate(hole, d))
+        monkeypatch.setattr(geom, "_basis_curves_pass", lambda *args:
+                            checked.append(args[1]) or check(*args))
+        rep = ext.cross_verify(expr.parse("1/(z-5) + z^2"), domain)
+        assert rep.consistent and rep.extension is not None
+        gap = domain.gaps[0]
+        assert sorted(dilated) == [0.3 * gap, 0.5 * gap]
+        assert checked == [0, 0]
+        # the slab is convex: its rings lie 0.35 and 0.7 of its gap from it
+        rings = geom._rings(domain, 0, ext._PROBES_PER_CURVE)
+        for ring, frac in zip(np.split(rings, 2), (0.35, 0.7)):
+            assert np.allclose(domain.holes[0].distance(ring), frac * gap,
+                               rtol=0.0, atol=1e-12)
+
+    def test_circle_rings_are_its_circles(self, two_hole):
+        n = ext._PROBES_PER_CURVE
+        for j in range(len(two_hole.holes)):
+            assert geom._hole_rules(two_hole)[j]
+            inner, outer = geom.basis_curve_variants(two_hole, j)
+            want = np.append(inner.points_at(np.arange(n) / n),
+                             outer.points_at(np.arange(n) / n))
+            assert geom._rings(two_hole, j, n).tobytes() == want.tobytes()
+
     def test_the_whole_plane_has_no_probes(self):
         with pytest.raises(GeometryError, match="whole plane"):
             ext._probes(geom.DomainSpec(None))

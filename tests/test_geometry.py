@@ -2016,3 +2016,22 @@ class TestSerialization:
     def test_bad_kind_rejected(self):
         with pytest.raises(GeometryError):
             geom.segment_from_json({"kind": "bezier"})
+
+    @pytest.mark.parametrize("segment, fields", [
+        ({"kind": "arc", "center": [0, 0], "r": 0.5, "t0": 0,
+          "t1": 6.283185307179586, "ccw": True, "radius": 9},
+         "kind, center, r, t0, t1, ccw"),
+        ({"kind": "line", "a": [0, 0], "b": [1, 0], "c": 5}, "kind, a, b"),
+    ], ids=["arc", "line"])
+    def test_unknown_segment_fields_rejected(self, segment, fields):
+        # a key that the segment's kind does not read is not ignored
+        kind, key = segment["kind"], list(segment)[-1]
+        message = f"{kind} segment: unknown field '{key}' (choose from " \
+            f"{fields})"
+        with pytest.raises(GeometryError) as caught:
+            geom.segment_from_json(segment)
+        assert str(caught.value) == message
+        known = {k: v for k, v in segment.items() if k != key}
+        geom.segment_from_json(known)
+        with pytest.raises(GeometryError, match=re.escape(message)):
+            geom.path_from_json([known, segment])
