@@ -290,10 +290,8 @@ def build_config(raw: dict, base_dir: FsPath | None = None
             if all(p is not None for p in pts):
                 points = tuple(pts)
 
-    node_index = _json_number(raw.get("node_index", 0), integer=True)
-    if node_index is None or node_index < 0:
-        diags.append("node_index: must be >= 0")
-        node_index = 0
+    node_index = _integer(raw, "node_index", 0, 0, (
+        _bd.MAX_NODES if curve is None else curve.intervals) - 1, diags)
     radii_raw = raw.get("radii", list(_bd.NONTANGENTIAL_RADII))
     radii = tuple(_json_number(r) for r in radii_raw) \
         if isinstance(radii_raw, list) else ()

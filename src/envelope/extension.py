@@ -31,7 +31,6 @@ from .errors import (ExtensionPreconditionError, GeometryError,
 from .geometry import DomainSpec, Path
 
 _TWO_PI_I = 2j * math.pi
-_TWO_PI = 2.0 * math.pi
 # cross_verify: contour and reference tolerances
 CONTOUR_TOL = 2e-9
 REFERENCE_RTOL = 1e-8
@@ -64,9 +63,12 @@ def laurent_coefficients(f, basis_curve: Path, center: complex, terms: int,
 
 @dataclass(frozen=True)
 class LaurentComponent:
+    """The truncated Laurent tail of one hole about its center; the
+    zero-test scales of its coefficients are its hole's moment vector's
+    (moments.MomentVector.tail_scales)."""
+
     center: complex
     coefficients: tuple[complex, ...]  # a_{-1} .. a_{-N}
-    scale: float  # magnitude reference for zero tests, per unit coefficient
 
     @property
     def terms(self) -> int:
@@ -83,13 +85,6 @@ class LaurentComponent:
                 out = out + a * power
                 power = power * inv
         return out if isinstance(z, np.ndarray) else complex(out)
-
-    def scales(self, max_dist: float) -> list[float]:
-        """Zero-test scale of each a_{-n}: scale * max(1, max_dist)^(n-1)
-        / 2 pi, with max_dist the reach of the basis curve from the
-        center."""
-        return [scale / _TWO_PI for scale in _mom._degree_scales(
-            self.scale, max(1.0, max_dist), self.terms)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,10 +162,11 @@ def decompose(f, domain: DomainSpec, terms: int | None = None,
     heuristic degree cutoff plus one otherwise. The tails are integrated on
     each hole's second contour (geometry.basis_curve_variants), so that no
     tail is the moment table's integral about the same center on the same
-    path; their zero-test scale is the basis curve's, since a_-n does not
-    depend on the contour. The reconstruction residual at each domain probe
-    w compares every truncated tail with the exact component, the integral
-    of (f(z) - f(w)) / (z - w) over the basis curve: an independent route
+    path; their zero-test scales are the moment verdict's
+    (moments.MomentVector.tail_scales), so decompose samples no magnitude.
+    The reconstruction residual at each domain probe w compares every
+    truncated tail with the exact component, the integral of
+    (f(z) - f(w)) / (z - w) over the basis curve: an independent route
     that does not assume the defining identity. The tails of all holes go to
     one quadrature.integrate_each call and the exact components to another,
     so the circles among the contours of each kind share one integral.
@@ -190,12 +186,9 @@ def decompose(f, domain: DomainSpec, terms: int | None = None,
         [(_mom._moment_rows(fn, np.arange(terms), center),
           _geom.basis_curve_variants(domain, j)[1])
          for j, center in enumerate(centers)], tol)
-    components = []
-    for j, (curve, center, stack) in enumerate(zip(basis, centers, tails)):
-        max_f, _ = _mom._magnitude_on(curve, f=fn)
-        components.append(LaurentComponent(
-            center, tuple(complex(v) for v in stack / _TWO_PI_I),
-            curve.length * max_f))
+    components = [LaurentComponent(center, tuple(
+        complex(v) for v in stack / _TWO_PI_I))
+        for center, stack in zip(centers, tails)]
 
     points = _probes(domain)[0]
 
@@ -350,26 +343,26 @@ def _centered_moments(vec: _mom.MomentVector, center: complex
     return out
 
 
-def _tail_reference(fn, live: list[LaurentComponent], points: np.ndarray
-                    ) -> list[complex | None]:
-    """f minus the live truncated tails at each point, None where f cannot
-    be evaluated (too near a pole, or past the float range) or the
-    difference is not finite. An Expr is evaluated at all the points in one
-    array call, unless that raises; any other callable point by point, as
-    its array answers need not agree with its scalar ones."""
+def _tail_reference(fn, points: np.ndarray) -> list[complex | None]:
+    """f at each point, None where f cannot be evaluated (too near a pole,
+    or past the float range) or its value is not finite. The extension
+    check runs only when every moment vanishes, where a tail that tests
+    nonzero is already a finding, so its truncated-tail reference f0 is f
+    itself and reads no decomposition. An Expr is evaluated at all the
+    points in one array call, unless that raises; any other callable point
+    by point, as its array answers need not agree with its scalar ones."""
     direct = None
     if isinstance(fn, _expr.Expr):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                direct = (fn(points)
-                          - sum((c(points) for c in live), 0j)).tolist()
+                direct = fn(points).tolist()
         except (PoleProximityError, OverflowError):
             pass
     if direct is None:
         direct = []
         for w in points.tolist():
             try:
-                direct.append(complex(fn(w)) - sum((c(w) for c in live), 0j))
+                direct.append(complex(fn(w)))
             except (PoleProximityError, OverflowError):
                 direct.append(None)
     return [None if v is None or not cmath.isfinite(v) else v
@@ -391,6 +384,9 @@ def cross_verify(f, domain: DomainSpec, degree_cutoff: int | None = None,
     degree_cutoff, tol and zero_tol (moments._verdict), so the checks of a
     scenario and repeated calls scan the moments once. The Laurent tails
     have one coefficient per tested moment degree (tested_through + 1).
+    The verdict owns every zero-test number of each hole: the first
+    nonzero moment (per_curve_first_nonzero) and the scales of the tail
+    coefficients (MomentVector.tail_scales).
     """
     findings: list[str] = []
     verdict = _mom._verdict(domain, degree_cutoff, tol, zero_tol, f=f)
@@ -398,13 +394,9 @@ def cross_verify(f, domain: DomainSpec, degree_cutoff: int | None = None,
     fn = _mom.as_function(f)
 
     duality_worst = 0.0
-    # components whose coefficients all test as zero contribute only
-    # amplified rounding noise near their center; the reference route of
-    # the extension check keeps the live ones
-    live = []
     for j, comp in enumerate(decomp.components):
         vec = verdict.moments[j]
-        scales = comp.scales(vec.max_abs_z + abs(comp.center))
+        scales = vec.tail_scales(comp.center, comp.terms)
         for k, moment in enumerate(_centered_moments(vec, comp.center)):
             residual = abs(comp.coefficients[k] - moment / _TWO_PI_I)
             duality_worst = max(duality_worst, residual)
@@ -413,11 +405,10 @@ def cross_verify(f, domain: DomainSpec, degree_cutoff: int | None = None,
                 findings.append(
                     f"hole {j}: coefficient a_-{k + 1} disagrees with the "
                     f"centered degree-{k} moment by {residual:.3g}")
-        first_moment = vec.first_nonzero(zero_tol)
+        first_moment = verdict.per_curve_first_nonzero[j]
         first_coeff = zero_tol.first_nonzero(comp.coefficients, scales)
         if first_coeff is not None:
             first_coeff += 1
-            live.append(comp)
         if first_moment is None and first_coeff is not None:
             findings.append(
                 f"hole {j}: moments all vanish but a_-{first_coeff} is "
@@ -439,7 +430,7 @@ def cross_verify(f, domain: DomainSpec, degree_cutoff: int | None = None,
         points = pts.tolist()
         values, alts = (tuple(row.tolist()) for row in _on_contours(
             fn, domain, pts, tol, verdict, (0, 1)))
-        refs = _tail_reference(fn, live, pts)
+        refs = _tail_reference(fn, pts)
         worst_pair = max((abs(v0 - v1) for v0, v1 in zip(values, alts)),
                          default=0.0)
         worst_ref = max((abs(v0 - ref) / (1.0 + abs(ref))

@@ -731,9 +731,11 @@ class DomainSpec:
         object.__setattr__(self, "_centroids", (centers, d[len(paths):]))
         d = d[:len(paths)]
         own = np.arange(len(paths))
-        for k in np.flatnonzero(~_strictly_inside(
-                paths, wind[own, own], d[own, own])):
+        misses = np.flatnonzero(~_strictly_inside(
+            paths, wind[own, own], d[own, own]))
+        for k in misses:
             points[k] = interior_point(paths[k])
+        if misses.size:
             wind = self.chords.windings(points)[0]
         object.__setattr__(self, "witnesses", tuple(map(complex,
                                                         points[:count])))

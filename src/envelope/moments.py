@@ -99,6 +99,14 @@ class MomentVector:
         """Zero-test scale of each degree k: scale * max|z|^k."""
         return _degree_scales(self.scale, self.max_abs_z, len(self.values))
 
+    def tail_scales(self, center: complex, terms: int) -> list[float]:
+        """Zero-test scale of each Laurent tail coefficient a_-n about the
+        center, n = 1 .. terms: scale * max(1, max|z| + |center|)^(n-1)
+        / 2 pi. a_-n does not depend on the contour it is integrated on,
+        so its scale is the basis curve's."""
+        return [scale / math.tau for scale in _degree_scales(
+            self.scale, max(1.0, self.max_abs_z + abs(center)), terms)]
+
     def first_nonzero(self, tol: ZeroTolerance) -> int | None:
         return tol.first_nonzero(self.values, self.scales())
 
@@ -186,17 +194,9 @@ def moment_vector(f, path: Path, degree_cutoff: int,
     _check_moment_degree(path, degree_cutoff)
     fn = as_function(f)
     stack = _moments(fn, path, np.arange(degree_cutoff + 1), tol)
-    max_f, max_z = _magnitude_on(path, f=fn)
+    max_f, max_z = _quad.max_magnitude_on(fn, path)
     return MomentVector(curve_id, tuple(complex(v) for v in stack),
                         path.length * max_f, max_z)
-
-
-@_geom._kept
-def _magnitude_on(path: Path, *, f) -> tuple[float, float]:
-    """quadrature.max_magnitude_on of f on the path, kept on the path for
-    the last f, so the moment vectors and the Laurent components of a
-    scenario sample f on each basis curve once."""
-    return _quad.max_magnitude_on(f, path)
 
 
 @dataclass(frozen=True)

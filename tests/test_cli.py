@@ -174,6 +174,8 @@ class TestValidate:
          "curve.samples:"),
         ({"curve": {"path": {"circle": {"radius": 1}}, "warp": math.nan}},
          "curve.warp:"),
+        # without a curve, a node index past any curve's nodes
+        ({"node_index": 2 ** 16}, "node_index:"),
     ])
     def test_numbers_that_are_not_numbers(self, change, field):
         # json reads true as 1 and reads NaN and Infinity; none is a number
@@ -181,6 +183,23 @@ class TestValidate:
                "checks": ["moments"], **change}
         diags = cli.validate(raw)
         assert any(d.startswith(field) for d in diags), diags
+
+    @pytest.mark.parametrize("node_index, diags", [
+        (500, ["node_index: must lie in [0, 63]"]), (63, []), (None, [])])
+    def test_node_index_is_a_node_of_the_curve(self, tmp_path, capsys,
+                                               node_index, diags):
+        # a node the curve does not have used to validate, and then give
+        # an error row in each of the two checks that read it
+        raw = {"function": "z^2",
+               "curve": {"path": {"circle": {"radius": 1}}, "samples": 64},
+               "checks": ["nontangential", "chord_arc"],
+               "node_index": node_index}
+        assert cli.validate(raw) == diags
+        scenario = write_scenario(tmp_path, raw)
+        assert cli.main(["validate", "--scenario", str(scenario)]) \
+            == (1 if diags else 0)
+        assert capsys.readouterr().out.splitlines() \
+            == (diags or ["scenario is runnable"])
 
     @pytest.mark.parametrize("ccw", ["no", [0], 1, 0, None])
     def test_circle_ccw_must_be_a_boolean(self, ccw):
@@ -556,8 +575,8 @@ class TestRunScenario:
         assert degrees == [32, 8]
 
     def test_checks_sample_each_magnitude_once(self, monkeypatch):
-        # the moment vectors and the Laurent components of a scenario share
-        # one magnitude scan per (f, basis curve)
+        # the moment vectors of a scenario, whose scales the Laurent tails
+        # read too, scan the magnitude once per (f, basis curve)
         calls = []
         scan = quadrature.max_magnitude_on
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -378,8 +379,9 @@ class TestCrossVerify:
 
     def test_callables_sample_each_magnitude_once(self, two_hole,
                                                   monkeypatch):
-        # a callable takes an expression's path: the moment vectors and the
-        # Laurent components share one magnitude scan per basis curve
+        # a callable takes an expression's path: the moment vectors, whose
+        # scales the Laurent tails read too, scan the magnitude once per
+        # basis curve
         calls = []
         scan = quad.max_magnitude_on
 
@@ -392,6 +394,57 @@ class TestCrossVerify:
                                two_hole)
         assert rep.consistent and rep.verdict.per_curve_first_nonzero == (1, 2)
         assert calls == geom.homology_basis(two_hole)
+
+    def test_only_the_moment_vectors_sample_the_magnitude(self, two_hole,
+                                                          monkeypatch):
+        calls = []
+        scan = quad.max_magnitude_on
+
+        def counted(fn, path):
+            calls.append(path)
+            return scan(fn, path)
+
+        monkeypatch.setattr(quad, "max_magnitude_on", counted)
+        domain = geom.DomainSpec(two_hole.outer, two_hole.holes)
+        f = expr.parse("1/z^2 + 1/(z-3)^3 + z")
+        ext.decompose(f, domain)
+        assert calls == []
+        ext.cross_verify(f, domain)
+        assert calls == geom.homology_basis(domain)
+
+    def test_tail_scales_are_the_basis_curves(self, two_hole):
+        # scale * max(1, max|z| + |c|)^(n-1) / 2 pi, from the basis curve's
+        # own length and magnitude scan, bit for bit
+        f = expr.parse("1/z^2 + 1/(z-3)^3 + z")
+        rep = ext.cross_verify(f, two_hole)
+        for vec, comp, curve in zip(rep.verdict.moments,
+                                    rep.decomposition.components,
+                                    geom.homology_basis(two_hole)):
+            max_f, max_z = quad.max_magnitude_on(f, curve)
+            reach = max(1.0, max_z + abs(comp.center))
+            assert vec.tail_scales(comp.center, comp.terms) == [
+                curve.length * max_f * reach ** k / (2.0 * math.pi)
+                for k in range(comp.terms)]
+
+    def test_the_extension_reference_is_f(self, annulus, monkeypatch):
+        # a tail moved off zero for z, whose moments all vanish, is a
+        # finding of its own; the extension's reference stays f itself
+        decompose = ext.decompose
+
+        def moved(*call, **kwargs):
+            out = decompose(*call, **kwargs)
+            comp = out.components[0]
+            comp = dataclasses.replace(comp, coefficients=(
+                comp.coefficients[0] + 1.0,) + comp.coefficients[1:])
+            return dataclasses.replace(
+                out, components=(comp,) + out.components[1:])
+
+        monkeypatch.setattr(ext, "decompose", moved)
+        f = expr.parse("z")
+        rep = ext.cross_verify(f, annulus)
+        assert "hole 0: moments all vanish but a_-1 is 1" in rep.findings
+        points = np.array(rep.extension.points)
+        assert rep.extension.reference_values == tuple(f(points).tolist())
 
     def test_entry_points_share_one_verdict(self, monkeypatch):
         # the verdict is kept on the domain for f, the cutoff and the

@@ -603,6 +603,20 @@ class TestDomainSpec:
         assert domain.witnesses == two_hole.witnesses
         assert domain.gaps == two_hole.gaps
 
+    def test_missed_centroids_are_rewound_once(self, kernel_passes):
+        # the sample centroid of a C-shaped hole lies in its notch, so both
+        # holes take their interior_point as witness; the domain kernel
+        # winds the witnesses once more for both, after its measuring pass
+        t = np.linspace(0.4, 2 * np.pi - 0.4, 24)
+        holes = tuple(geom.polygon(list(c + 0.8 * np.exp(1j * t))
+                                   + list(c + 0.64 * np.exp(1j * t[::-1])))
+                      for c in (-1.5, 1.5))
+        domain = geom.DomainSpec(geom.circle(0j, 4.0), holes)
+        assert [wound for chords, _, wound in kernel_passes
+                if chords is domain.chords].count(3) == 2
+        assert domain.witnesses == tuple(complex(geom.interior_point(h))
+                                         for h in holes)
+
     def test_touching_holes_are_rejected(self):
         # the triangle's lowest vertex lies on the square's top edge; 128
         # samples of each put them 0.0056 apart
