@@ -70,6 +70,13 @@ def _unknown(node: dict, prefix: str, known: tuple[str, ...],
                  f"{', '.join(known)})" for key in node if key not in known)
 
 
+def _field(node: dict, key: str, default):
+    """node[key], or default when the field is absent or null: a null field
+    reads as absent."""
+    value = node.get(key)
+    return default if value is None else value
+
+
 def _integer(node: dict, key: str, default: int | None, lo: int, hi: int,
              diags: list[str], where: str | None = None) -> int | None:
     """node[key] as an integer in [lo, hi]; default when the field is absent
@@ -109,12 +116,14 @@ def _path_from_node(node, where: str, diags: list[str]) -> _geom.Path | None:
                 return None
             _unknown(spec, f"{where}.circle.", ("center", "radius", "ccw"),
                      diags)
-            center = _as_complex(spec.get("center", [0.0, 0.0]),
+            center = _as_complex(_field(spec, "center", [0.0, 0.0]),
                                  f"{where}.circle.center", diags)
             radius = _json_coordinate(spec.get("radius"))
-            if center is None or radius is None or radius <= 0:
+            bad_radius = radius is None or radius <= 0
+            if bad_radius:
                 diags.append(f"{where}.circle.radius: positive number of at "
                              f"most {_geom.MAX_COORDINATE:g} required")
+            if center is None or bad_radius:
                 return None
             ccw = spec.get("ccw", True)
             if not isinstance(ccw, bool):
@@ -155,7 +164,7 @@ def _build_domain(node, where: str, diags: list[str]
         outer = _path_from_node(node["outer"], f"{where}.outer", diags)
         if outer is None:
             return None
-    holes_raw = node.get("holes", [])
+    holes_raw = _field(node, "holes", [])
     if not isinstance(holes_raw, list):
         diags.append(f"{where}.holes: expected a list")
         return None
@@ -207,7 +216,7 @@ def _build_curve(node, where: str, base_dir: FsPath, fn,
         if fn is None:
             diags.append(f"{where}: sampling a path needs a function")
             return None
-        warp_amp = _json_number(node.get("warp", 0.0))
+        warp_amp = _json_number(_field(node, "warp", 0.0))
         if warp_amp is None or not 0 <= warp_amp < 1:
             diags.append(f"{where}.warp: amplitude in [0, 1) required")
             return None
@@ -262,13 +271,14 @@ def build_config(raw: dict, base_dir: FsPath | None = None
     if raw.get("curve") is not None:
         curve = _build_curve(raw["curve"], "curve", base_dir, fn, diags)
 
+    # a field that is given but wrong has its own diagnostic already
     for c in checks:
         if c in DOMAIN_CHECKS:
-            if domain is None:
+            if raw.get("domain") is None:
                 diags.append(f"checks: '{c}' needs a domain")
-            if fn is None:
+            if fn_text is None:
                 diags.append(f"checks: '{c}' needs a function")
-        if c in CURVE_CHECKS and curve is None:
+        if c in CURVE_CHECKS and raw.get("curve") is None:
             diags.append(f"checks: '{c}' needs a curve")
 
     # each degree, point or radius is one row of a stacked integral, and
@@ -278,8 +288,11 @@ def build_config(raw: dict, base_dir: FsPath | None = None
     tower_levels = _integer(raw, "tower_levels", _bd.TOWER_LEVELS, 1,
                             cap, diags)
 
+    # an empty list of points reads as absent, like null: the extension
+    # check then takes the domain's witness points, and cauchy needs points
     points = None
-    if raw.get("points") is not None:
+    no_points = raw.get("points") in (None, [])
+    if not no_points:
         if not isinstance(raw["points"], list):
             diags.append("points: expected a list of [re, im] pairs")
         elif len(raw["points"]) > cap:
@@ -292,7 +305,7 @@ def build_config(raw: dict, base_dir: FsPath | None = None
 
     node_index = _integer(raw, "node_index", 0, 0, (
         _bd.MAX_NODES if curve is None else curve.intervals) - 1, diags)
-    radii_raw = raw.get("radii", list(_bd.NONTANGENTIAL_RADII))
+    radii_raw = _field(raw, "radii", list(_bd.NONTANGENTIAL_RADII))
     radii = tuple(_json_number(r) for r in radii_raw) \
         if isinstance(radii_raw, list) else ()
     if len(radii) > cap:
@@ -302,18 +315,18 @@ def build_config(raw: dict, base_dir: FsPath | None = None
     elif sorted(radii, reverse=True) != list(radii):
         diags.append("radii: must decrease")
 
-    tols = _object(raw.get("tolerances", {}), "tolerances", diags) or {}
+    tols = _object(_field(raw, "tolerances", {}), "tolerances", diags) or {}
     defaults = {"abs": _mom.ZeroTolerance.abs_tol,
                 "rel": _mom.ZeroTolerance.rel_tol,
                 "quadrature": _quad.DEFAULT_TOL}
     _unknown(tols, "tolerances.", tuple(defaults), diags)
     tol_values = {}
     for name, default in defaults.items():
-        tol_values[name] = _json_number(tols.get(name, default))
+        tol_values[name] = _json_number(_field(tols, name, default))
         if tol_values[name] is None or tol_values[name] <= 0:
             diags.append(f"tolerances.{name}: positive number required")
 
-    if "cauchy" in checks and points is None:
+    if "cauchy" in checks and no_points:
         diags.append("points: required for the cauchy check")
 
     if diags:

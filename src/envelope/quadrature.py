@@ -14,6 +14,10 @@ into calls of at most MAX_CALL_VALUES values. The engine also returns its
 panel tree, so a running primitive along the path is built on the
 accepted panels without a second adaptive pass.
 
+One evaluator, _Panels, reads the integrand on every batch of panels, the
+running primitive's node rules included. It owns the panel budget, the
+float guard and the refusal, naming a node, of a batch that is not finite.
+
 An integrand may return a stack of shape (m, nodes) instead of one value
 per node. The stack refines on one shared panel tree: a panel is accepted
 only when every component passes the test above against its own tolerance
@@ -103,13 +107,13 @@ def _eval_each(fn, xs: np.ndarray) -> np.ndarray:
 
 
 class _Panels:
-    """Gauss panels of one path, evaluated in capped batches. Counts the
-    panels against the budget and learns the stack height from the first
-    call."""
+    """Gauss panels of one path, the integrand fn read by _eval_batch in
+    capped batches. Counts the panels against the budget, learns the stack
+    height from the first call and refuses an integrand that is not
+    finite on a batch."""
 
-    def __init__(self, values_at, path: Path, max_panels: int):
-        self.values_at = values_at
-        self.path = path
+    def __init__(self, fn, path: Path, max_panels: int):
+        self.fn = fn
         self.arrays = path.arrays
         self.max_panels = max_panels
         self.count = 0
@@ -120,7 +124,10 @@ class _Panels:
                  b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Integral of values * z' over the local parameter intervals
         [a, b] of the segments seg, mid their midpoints 0.5 * (a + b), and
-        its L1 mass: two arrays of shape (height, len(seg))."""
+        its L1 mass: two arrays of shape (height, len(seg)). An integrand
+        that is not finite on them, or whose masses overflow, is refused by
+        name and point, where refining it would only exhaust the panel
+        budget."""
         if self.count + seg.size > self.max_panels:
             raise QuadratureBudgetError(
                 f"panel budget {self.max_panels} exhausted; integrand looks "
@@ -129,18 +136,27 @@ class _Panels:
         half = 0.5 * (b - a)
         value = mass = None
         lo = 0
-        while lo < seg.size:
-            hi = lo + self._chunk()
-            if hi == seg.size - 1:
-                hi -= 1  # the last call takes two panels, never one
-            part = self._sums(seg[lo:hi], mid[lo:hi], half[lo:hi])
-            if lo == 0 and hi >= seg.size:
-                return part
-            if value is None:
-                value = np.empty((self.height, seg.size), dtype=complex)
-                mass = np.empty((self.height, seg.size))
-            value[:, lo:hi], mass[:, lo:hi] = part
-            lo = hi
+        # values past the float range raise no numpy warning on the way
+        with np.errstate(over="ignore", invalid="ignore"):
+            while lo < seg.size:
+                hi = lo + self._chunk()
+                if hi == seg.size - 1:
+                    hi -= 1  # the last call takes two panels, never one
+                part = self._sums(seg[lo:hi], mid[lo:hi], half[lo:hi])
+                if lo == 0 and hi >= seg.size:
+                    value, mass = part
+                    break
+                if value is None:
+                    value = np.empty((self.height, seg.size), dtype=complex)
+                    mass = np.empty((self.height, seg.size))
+                value[:, lo:hi], mass[:, lo:hi] = part
+                lo = hi
+            if not np.isfinite(mass.sum()):
+                n = int(np.argmax(~np.isfinite(mass).all(axis=0)))
+                z = self._worst_node(seg[n], a[n], b[n])
+                raise NonFiniteIntegrandError(
+                    "integrand is not finite, or overflows the float range, "
+                    f"at z = {z:.6g}")
         return value, mass
 
     def _chunk(self) -> int:
@@ -159,13 +175,21 @@ class _Panels:
         into calls."""
         ts = mid[:, None] + half[:, None] * _NODES
         z, dz = self.arrays.nodes(seg, ts)
-        vals = self.values_at(z.ravel())
+        vals = _eval_batch(self.fn, z.ravel())
         if self.height is None:
             self.stacked = vals.ndim == 2
             self.height = vals.shape[0] if self.stacked else 1
         contrib = vals.reshape(self.height, seg.size, GAUSS_ORDER) * dz
         return half * (contrib @ _WEIGHTS), \
             half * (np.abs(contrib) @ _WEIGHTS)
+
+    def _worst_node(self, seg: int, a: float, b: float) -> complex:
+        """The Gauss node of the panel [a, b] of segment seg where the
+        integrand is largest, a non-finite value counting as infinite."""
+        ts = 0.5 * (a + b) + 0.5 * (b - a) * _NODES
+        z = self.arrays.nodes(np.array([seg]), ts[None, :])[0].ravel()
+        size = np.abs(_eval_batch(self.fn, z)).reshape(-1, z.size).max(axis=0)
+        return complex(z[np.argmax(np.where(np.isnan(size), np.inf, size))])
 
 
 def _halves(a: np.ndarray, mid: np.ndarray, b: np.ndarray
@@ -194,21 +218,10 @@ def _refine_step(halves, mass, coarse, node_tol, prev_est):
     return passed.all(axis=0), fine, est
 
 
-def _worst_node(values_at, path: Path, seg: int, a: float, b: float
-                ) -> complex:
-    """The Gauss node of the panel [a, b] of segment seg where the
-    integrand is largest, a non-finite value counting as infinite."""
-    ts = 0.5 * (a + b) + 0.5 * (b - a) * _NODES
-    z = path.arrays.nodes(np.array([seg]), ts[None, :])[0].ravel()
-    with np.errstate(over="ignore", invalid="ignore"):
-        size = np.abs(values_at(z)).reshape(-1, z.size).max(axis=0)
-    return complex(z[np.argmax(np.where(np.isnan(size), np.inf, size))])
-
-
-def _integrate(values_at, path: Path, tol: float
+def _integrate(fn, path: Path, tol: float
                ) -> tuple[QuadratureResult, list]:
-    """The adaptive engine. values_at(z) returns the integrand at the Gauss
-    nodes z of P panels, a flat array of 16 P points, with shape (16 P,) or
+    """The adaptive engine. fn is read at the Gauss nodes of P panels, a
+    flat array of 16 P points, and answers with shape (16 P,) or
     (m, 16 P).
 
     Every segment starts from its pieces (Segment.pieces: a line is one,
@@ -217,40 +230,16 @@ def _integrate(values_at, path: Path, tol: float
     halves, as a depth-first recursion would;
     the tree is built a level at a time and summed bottom-up in the
     recursion's left/right order, so a scalar integrand gets the same panels
-    and the same sums.
+    and the same sums. The halves evaluated at one level, their ends lo and
+    hi and midpoints 0.5 * (lo + hi), are the nodes a, b and mid of the
+    next, so each level halves its panels once.
 
     Returns the result and the tree: per level, the done mask, the sums of
     the done nodes and the seg, a, mid and b of every node. The halves of
     the done nodes are the panels whose sums make up the value."""
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
-    # values past the float range raise no numpy warning on the way
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _refine(_Panels(values_at, path, DEFAULT_MAX_PANELS), path,
-                       tol)
-
-
-def _level(panels: "_Panels", seg, a, mid, b
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """The sums and masses of the panels [a, b] of the segments seg, mid
-    their midpoints. An integrand that is not finite on them, or whose
-    masses overflow, is refused by name and point, where refining it would
-    only exhaust the panel budget."""
-    sums, mass = panels(seg, a, mid, b)
-    if not np.isfinite(mass.sum()):
-        n = int(np.argmax(~np.isfinite(mass).all(axis=0)))
-        z = _worst_node(panels.values_at, panels.path, seg[n], a[n], b[n])
-        raise NonFiniteIntegrandError("integrand is not finite, or overflows "
-                                      f"the float range, at z = {z:.6g}")
-    return sums, mass
-
-
-def _refine(panels: "_Panels", path: Path, tol: float
-            ) -> tuple[QuadratureResult, list]:
-    """_integrate's panel tree, a level at a time. The halves evaluated at
-    one level, their ends lo and hi and midpoints 0.5 * (lo + hi), are the
-    nodes a, b and mid of the next, so each level halves its panels
-    once."""
+    panels = _Panels(fn, path, DEFAULT_MAX_PANELS)
     pieces = path.arrays.pieces
     # the roots are the pieces [k/p, (k+1)/p] of every segment, in path
     # order; each root is halved at least once, so the first batch holds
@@ -262,7 +251,7 @@ def _refine(panels: "_Panels", path: Path, tol: float
     mid = 0.5 * (a + b)
     lo, hi = _halves(a, mid, b)
     centre = 0.5 * (lo + hi)
-    sums, mass = _level(panels, np.concatenate((seg, np.repeat(seg, 2))),
+    sums, mass = panels(np.concatenate((seg, np.repeat(seg, 2))),
                         np.concatenate((a, lo)), np.concatenate((mid, centre)),
                         np.concatenate((b, hi)))
     count = seg.size
@@ -273,32 +262,35 @@ def _refine(panels: "_Panels", path: Path, tol: float
     prev_est = None
     err = np.zeros(height)
     levels = []
-    while True:
-        done, fine, est = _refine_step(halves, mass, coarse, node_tol,
-                                       prev_est)
-        levels.append((done, fine[:, done], seg, a, mid, b))
-        err += est[:, done].sum(axis=1)
-        split = ~done
-        if not split.any():
-            break
-        kept = np.repeat(split, 2)
-        seg = np.repeat(seg[split], 2)
-        a, mid, b = lo[kept], centre[kept], hi[kept]
-        coarse = halves.reshape(height, -1, 2)[:, split].reshape(height, -1)
-        node_tol = np.repeat(0.5 * node_tol[split], 2)
-        prev_est = np.repeat(est[:, split], 2, axis=1)
-        # free the previous level before the next
-        del fine, est, halves, mass, lo, centre, hi
-        lo, hi = _halves(a, mid, b)
-        centre = 0.5 * (lo + hi)
-        halves, mass = _level(panels, np.repeat(seg, 2), lo, centre, hi)
-    below = levels[-1][1]
-    for done, fine, *_ in reversed(levels[:-1]):
-        sums = np.empty((height, done.size), dtype=complex)
-        sums[:, done] = fine
-        sums[:, ~done] = below[:, 0::2] + below[:, 1::2]
-        below = sums
-    value = np.cumsum(below, axis=1)[:, -1]
+    # sums and discrepancies past the float range raise no numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            done, fine, est = _refine_step(halves, mass, coarse, node_tol,
+                                           prev_est)
+            levels.append((done, fine[:, done], seg, a, mid, b))
+            err += est[:, done].sum(axis=1)
+            split = ~done
+            if not split.any():
+                break
+            kept = np.repeat(split, 2)
+            seg = np.repeat(seg[split], 2)
+            a, mid, b = lo[kept], centre[kept], hi[kept]
+            coarse = halves.reshape(height, -1, 2)[:, split].reshape(
+                height, -1)
+            node_tol = np.repeat(0.5 * node_tol[split], 2)
+            prev_est = np.repeat(est[:, split], 2, axis=1)
+            # free the previous level before the next
+            del fine, est, halves, mass, lo, centre, hi
+            lo, hi = _halves(a, mid, b)
+            centre = 0.5 * (lo + hi)
+            halves, mass = panels(np.repeat(seg, 2), lo, centre, hi)
+        below = levels[-1][1]
+        for done, fine, *_ in reversed(levels[:-1]):
+            sums = np.empty((height, done.size), dtype=complex)
+            sums[:, done] = fine
+            sums[:, ~done] = below[:, 0::2] + below[:, 1::2]
+            below = sums
+        value = np.cumsum(below, axis=1)[:, -1]
     if not panels.stacked:
         value = complex(value[0])
     result = QuadratureResult(value, float(err.max(initial=0.0)),
@@ -319,10 +311,10 @@ def integrate(fn, path: Path, tol: float = DEFAULT_TOL) -> QuadratureResult:
 
     Raises QuadratureBudgetError after DEFAULT_MAX_PANELS panels, which
     signals a non-integrable singularity on or too near the path, and
-    NonFiniteIntegrandError, naming a point, when fn is infinite or NaN on
-    the first panels of a segment.
+    NonFiniteIntegrandError, naming a point, when fn is infinite or NaN, or
+    its panel sums overflow, on the panels of any level of the refinement.
     """
-    return _integrate(lambda z: _eval_batch(fn, z), path, tol)[0]
+    return _integrate(fn, path, tol)[0]
 
 
 def _full_turn(path: Path) -> Arc | None:
@@ -405,8 +397,12 @@ def _running_primitive(fn, path: Path, tol: float = DEFAULT_TOL
     plus a 16-node Gauss rule on [a, t], and the panel's own integral is the
     panel rule on [a, b]. Every such rule is exact for polynomials of degree
     31, so G is as accurate as the panel sums; the rules of all panels go to
-    fn together, in capped batches."""
+    fn together, in capped batches, and are refused as the panels are when
+    fn is not finite at their nodes."""
     def stack_at(z):
+        # one point when the panels retry point by point, after fn's own
+        # error, which is then raised again
+        z = np.atleast_1d(z)
         f = _eval_batch(fn, z)
         return np.stack((f, z * f))
 
@@ -419,8 +415,7 @@ def _running_primitive(fn, path: Path, tol: float = DEFAULT_TOL
     seg, a, b = seg[order], a[order], b[order]
     ts = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _NODES
     z, dz = path.arrays.nodes(seg, ts)
-    rules = _Panels(lambda z: _eval_batch(fn, z), path,
-                    (GAUSS_ORDER + 1) * DEFAULT_MAX_PANELS)
+    rules = _Panels(fn, path, (GAUSS_ORDER + 1) * DEFAULT_MAX_PANELS)
     ends = np.column_stack((ts, b))  # one rule from a to each node and to b
     lo, hi = np.repeat(a, GAUSS_ORDER + 1), ends.ravel()
     inner = rules(np.repeat(seg, GAUSS_ORDER + 1), lo, 0.5 * (lo + hi),

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from envelope import geometry as geom
+from envelope import quadrature as quad
 
 # property tests draw the same bounded set of examples on every run and
 # replay no saved failures, so every run of the suite tests the same inputs
@@ -35,3 +36,24 @@ def slab():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def late_nan():
+    """1/z at every node that the adaptive pass of the stack [f, z f] on the
+    unit circle evaluates, and NaN at every other point: finite wherever
+    that pass looks, not finite at the running primitive's node rules."""
+    seen = []
+
+    def record(z):
+        seen.append(np.ravel(z))
+        return np.stack((1 / z, z * (1 / z)))
+
+    quad.integrate(record, geom.circle(0j, 1.0))
+    known = np.concatenate(seen)
+
+    def f(z):
+        z = np.asarray(z, dtype=complex)
+        return np.where(np.isin(z, known), 1 / z, np.nan)
+
+    return f

@@ -15,7 +15,8 @@ from envelope import expr
 from envelope import geometry as geom
 from envelope import moments as mom
 from envelope import quadrature as quad
-from envelope.errors import CurveDataError, GeometryError
+from envelope.errors import (CurveDataError, GeometryError,
+                             NonFiniteIntegrandError)
 
 
 def circle_curve(data_fn, intervals=256, warp_amplitude=0.0):
@@ -373,6 +374,18 @@ class TestIntegrationByParts:
         assert len(rep.tower.functions) == 5
         assert rep.ibp_residuals == tuple(bd.ibp_residual(c, lv)
                                           for lv in range(1, 5))
+
+    def test_equivalence_refuses_a_non_finite_running_primitive(
+            self, late_nan):
+        # the samples are finite, and so is the data at every node the
+        # adaptive pass evaluates; the running primitive's node rules meet
+        # NaN, which is refused rather than reported as analytic_ibp nan
+        samples = circle_curve(np.reciprocal, 128)
+        c = bd.SampledCurve(samples.params, samples.points, samples.values,
+                            path=geom.circle(0j, 1.0), data_fn=late_nan)
+        for route in (bd.analytic_ibp_residual, bd.boundary_duality):
+            with pytest.raises(NonFiniteIntegrandError):
+                route(c)
 
     def test_equivalence_skips_analytic_without_path(self):
         rep = bd.boundary_duality(bd.curve_from_csv(csv_text(32)))

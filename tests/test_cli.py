@@ -223,6 +223,63 @@ class TestValidate:
             assert diags[0].startswith("domain.holes[0]: arc segment:")
             assert diags[0].endswith("ccw true or false")
 
+    # every optional field, by its path in the scenario
+    @pytest.mark.parametrize("where", [
+        ("max_degree",), ("tower_levels",), ("points",), ("node_index",),
+        ("radii",), ("tolerances",), ("tolerances", "abs"),
+        ("tolerances", "rel"), ("tolerances", "quadrature"),
+        ("domain", "outer"), ("domain", "holes"),
+        ("domain", "holes", 0, "circle", "center"), ("curve", "samples"),
+        ("curve", "warp"), ("curve", "path", "circle", "center")])
+    def test_null_reads_as_absent(self, where):
+        # a null field used to be refused where other fields read it as
+        # their default (radii: list of positive numbers required)
+        raw = {"function": "z^2",
+               "domain": {"outer": {"circle": {"center": [0.0, 0.0],
+                                               "radius": 2.0}},
+                          "holes": [{"circle": {"center": [0.1, 0.0],
+                                                "radius": 0.5}}]},
+               "curve": {"path": {"circle": {"center": [0.0, 0.1],
+                                             "radius": 1.0}},
+                         "samples": 32, "warp": 0.2},
+               "checks": ["moments", "extension", "boundary_tower",
+                          "nontangential", "chord_arc"],
+               "max_degree": 3, "tower_levels": 2, "points": [[0.9, 0.2]],
+               "node_index": 5, "radii": [1e-2, 1e-3],
+               "tolerances": {"abs": 1e-8, "rel": 1e-9,
+                              "quadrature": 1e-10}}
+        reports = []
+        for null in (True, False):
+            scenario = json.loads(json.dumps(raw))
+            node = scenario
+            for key in where[:-1]:
+                node = node[key]
+            if null:
+                node[where[-1]] = None
+            else:
+                del node[where[-1]]
+            config, diags = cli.build_config(scenario)
+            assert diags == []
+            reports.append(json.loads(cli.run_scenario(config).to_json()))
+        null, absent = reports
+        assert null["results"] == absent["results"]
+
+    @pytest.mark.parametrize("change, field", [
+        # the radius used to be blamed as well as the centre, and a bad
+        # domain, function or curve added that a check needs one
+        ({"domain": {"holes": [{"circle": {"center": [0], "radius": 2}}]}},
+         "domain.holes[0].circle.center:"),
+        ({"domain": {"holes": [{"circle": {"center": [0, 0],
+                                           "radius": -2}}]}},
+         "domain.holes[0].circle.radius:"),
+        ({"function": "z +"}, "function:"),
+        ({"checks": ["chord_arc"], "curve": {"csv": 5}}, "curve.csv:")])
+    def test_one_diagnostic_per_problem(self, change, field):
+        raw = {"function": "z", "domain": ANNULUS, "checks": ["moments"],
+               **change}
+        diags = cli.validate(raw)
+        assert len(diags) == 1 and diags[0].startswith(field), diags
+
     @pytest.mark.parametrize("big", [1.34e154, 1e200, -2e150])
     def test_coordinates_beyond_the_bound_are_refused(self, big):
         # a polygon vertex at 1.34e154 overflowed the squared distances of
@@ -974,6 +1031,26 @@ class TestMain:
         scenario = write_scenario(tmp_path, raw)
         assert cli.main(["run", "--scenario", str(scenario)]) == 1
         assert message in capsys.readouterr().err.splitlines()
+
+    def test_empty_points_read_as_absent(self, tmp_path, capsys):
+        # an empty list used to run the check on no point: cauchy gave
+        # values [] and extension a discrepancy of 0.0 over nothing
+        raw = {"function": "z^2", "checks": ["cauchy"], "points": [],
+               "curve": {"path": {"circle": {"center": [0, 0],
+                                             "radius": 1.0}},
+                         "samples": 64}}
+        message = "points: required for the cauchy check"
+        assert cli.validate(raw) == [message]
+        scenario = write_scenario(tmp_path, raw)
+        assert cli.main(["validate", "--scenario", str(scenario)]) == 1
+        assert capsys.readouterr().out.splitlines() == [message]
+        raw = {"function": "1/(z-5) + z^2", "checks": ["extension"],
+               "domain": ANNULUS}
+        rows = [json.loads(cli.run_scenario(cli.build_config(
+            {**raw, **points})[0]).to_json())["results"][0]
+            for points in ({"points": []}, {})]
+        assert rows[0] == rows[1]
+        assert len(rows[0]["values"]["points"]) > 0
 
     def test_sampled_path_scenario_with_points(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, {

@@ -232,6 +232,25 @@ class TestRunningPrimitive:
         assert run.stack.evaluations == plain.evaluations
         assert np.array_equal(run.stack.value, plain.value)
 
+    def test_node_rules_refuse_a_non_finite_integrand(self, late_nan):
+        # late_nan is finite at every node of the adaptive pass and NaN at
+        # the new nodes of the rules from each panel's start to its nodes
+        c = geom.circle(0j, 1.0)
+        stack = quad.integrate(lambda z: np.stack((late_nan(z),
+                                                   z * late_nan(z))), c)
+        assert stack.value[0] == pytest.approx(2j * math.pi, abs=1e-12)
+        with pytest.raises(NonFiniteIntegrandError) as info:
+            quad._running_primitive(late_nan, c)
+        point = complex(str(info.value).rsplit("z = ", 1)[1])
+        assert abs(abs(point) - 1.0) < 1e-5
+
+    def test_the_integrand_error_is_raised(self):
+        def f(z):
+            raise KeyError("no data")
+
+        with pytest.raises(KeyError, match="no data"):
+            quad._running_primitive(f, geom.circle(0j, 1.0))
+
     @pytest.mark.parametrize("path", [
         geom.circle(0.3 - 0.2j, 1.3),
         geom.circle(-0.4 + 0.1j, 0.85, ccw=False),

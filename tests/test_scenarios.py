@@ -1,0 +1,142 @@
+"""The scenario files of tests/scenarios, run as the `envelope` console
+script runs them (cli.main): each validates, and two runs with --out write
+reports that parse as strict JSON, echo the scenario file as read and are
+equal apart from timings. Each scenario then makes its own assertions.
+
+- annulus, curve: the README scenarios.
+- pole60: a pole of order 60 in the annulus's hole gives max_order 59.
+- holes3: a disc with three circle holes, whose Laurent tails, exact
+  components and extension contours each share a stacked integral, while
+  each moment table is integrated on its own basis curve. Every row is ok,
+  and the checks run in one fixed order whatever the order listed: with
+  its checks reversed it reports each check's row as the forward run does.
+- slab: a slab hole beside a circle hole, where no circle separates the
+  slab, so its basis curves are dilations checked by
+  DomainSpec.contains_path and the gap code. Every row is ok and
+  cross_verify reads every order.
+- dhole: a "D" hole given as serialized segments (a half circle of radius
+  0.5 and the line back) beside a circle hole. Every row is ok.
+- lhole: an L-shaped hole with a circle hole in its notch, whose dilations
+  cut the L's concave corner (geometry._crossing, one call each for the
+  0.5 and the 0.3 dilation) and whose probe rings are moved basis curve
+  points. Every row is ok, cross_verify reads every order, and the
+  scenario makes two _crossing calls.
+- csvcurve: a curve read from circle.csv, 257 rows of the uniform unit
+  circle with data z^2. Its chord-arc constant is that of its 256 chords,
+  128 sin(pi/256); and invalid/csvsamples.json, the same curve given
+  samples, fails validation with exit 1.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from envelope import cli
+from envelope import geometry as geom
+
+SCENARIOS = Path(__file__).resolve().parent / "scenarios"
+
+
+def _strict_json(text):
+    """json.loads that refuses the NaN and Infinity constants."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _run(scenario: Path, out: Path) -> dict:
+    assert cli.main(["run", "--scenario", str(scenario), "--out",
+                     str(out)]) == 0
+    return _strict_json(out.read_text())
+
+
+def _all_ok(report, all_orders=False):
+    rows = report["results"]
+    assert [r["status"] for r in rows] == ["ok"] * 4, rows
+    if all_orders:
+        assert rows[3]["check"] == "cross_verify", rows
+        assert rows[3]["values"]["all_orders"] is True, rows
+
+
+def _pole60(report, scenario, tmp_path, monkeypatch):
+    row = report["results"][0]
+    assert row["values"]["max_order"] == 59, row
+
+
+def _holes3(report, scenario, tmp_path, monkeypatch):
+    _all_ok(report)
+    raw = json.loads(scenario.read_text())
+    raw["checks"].reverse()
+    reversed_scenario = tmp_path / "holes3rev.json"
+    reversed_scenario.write_text(json.dumps(raw))
+    forward = report["results"]
+    reverse = _run(reversed_scenario, tmp_path / "holes3rev.report.json")[
+        "results"]
+    assert [r["check"] for r in reverse] \
+        == [r["check"] for r in reversed(forward)], reverse
+    assert list(reversed(forward)) == reverse, "rows differ"
+
+
+def _lhole(report, scenario, tmp_path, monkeypatch):
+    _all_ok(report, all_orders=True)
+    calls, crossing = [], geom._crossing
+
+    def counted(*args):
+        calls.append(args)
+        return crossing(*args)
+
+    monkeypatch.setattr(geom, "_crossing", counted)
+    config, _ = cli.build_config(json.loads(scenario.read_text()),
+                                 scenario.parent)
+    assert cli.run_scenario(config).exit_code == 0
+    assert len(calls) == 2, calls
+
+
+def _csvcurve(report, scenario, tmp_path, monkeypatch):
+    row = report["results"][2]
+    want = 128 * math.sin(math.pi / 256)
+    assert row["check"] == "chord_arc", row
+    assert abs(row["values"]["constant"] - want) <= 1e-12, row
+
+
+CHECKS = {
+    "annulus": None,
+    "curve": None,
+    "pole60": _pole60,
+    "holes3": _holes3,
+    "slab": lambda report, *_: _all_ok(report, all_orders=True),
+    "dhole": lambda report, *_: _all_ok(report),
+    "lhole": _lhole,
+    "csvcurve": _csvcurve,
+}
+
+
+def test_every_scenario_file_is_run():
+    assert sorted(path.stem for path in SCENARIOS.glob("*.json")) \
+        == sorted(CHECKS)
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_scenario(tmp_path, monkeypatch, capsys, name):
+    scenario = SCENARIOS / f"{name}.json"
+    assert cli.main(["validate", "--scenario", str(scenario)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["scenario is runnable"]
+    raw = _strict_json(scenario.read_text())
+    reports = [_run(scenario, tmp_path / f"report{run}.json")
+               for run in (1, 2)]
+    for report in reports:
+        report.pop("timings")
+        assert report["scenario"] == raw, "scenario is not the file"
+    assert reports[0] == reports[1], "reports differ"
+    if CHECKS[name] is not None:
+        CHECKS[name](reports[0], scenario, tmp_path, monkeypatch)
+
+
+def test_a_csv_curve_given_samples_fails_validation(capsys):
+    invalid = SCENARIOS / "invalid" / "csvsamples.json"
+    assert cli.main(["validate", "--scenario", str(invalid)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "curve.samples: a csv curve takes no samples (its rows are its "
+        "samples)"]
