@@ -181,7 +181,7 @@ def _build_domain(node, where: str, diags: list[str]
         return None
 
 
-def _build_curve(node, where: str, base_dir: FsPath, fn,
+def _build_curve(node, where: str, base_dir: FsPath, fn, fn_given: bool,
                  diags: list[str]) -> _bd.SampledCurve | None:
     if _object(node, where, diags) is None:
         return None
@@ -213,8 +213,9 @@ def _build_curve(node, where: str, base_dir: FsPath, fn,
             return None
         samples = _integer(node, "samples", 256, _bd.MIN_NODES,
                            _bd.MAX_NODES, diags, f"{where}.samples")
-        if fn is None:
-            diags.append(f"{where}: sampling a path needs a function")
+        if fn is None:  # a refused function has its own diagnostic
+            if not fn_given:
+                diags.append(f"{where}: sampling a path needs a function")
             return None
         warp_amp = _json_number(_field(node, "warp", 0.0))
         if warp_amp is None or not 0 <= warp_amp < 1:
@@ -269,7 +270,8 @@ def build_config(raw: dict, base_dir: FsPath | None = None
         domain = _build_domain(raw["domain"], "domain", diags)
     curve = None
     if raw.get("curve") is not None:
-        curve = _build_curve(raw["curve"], "curve", base_dir, fn, diags)
+        curve = _build_curve(raw["curve"], "curve", base_dir, fn,
+                             fn_text is not None, diags)
 
     # a field that is given but wrong has its own diagnostic already
     for c in checks:
@@ -553,11 +555,10 @@ def run_scenario(config: ScenarioConfig) -> Report:
     remaining checks still run, so a batch never loses results to one bad
     entry. run_scenario keeps no state of its own: what the checks learn,
     the moment tables and verdict and any error included, is kept on the
-    config's domain and basis curves (geometry._kept) and goes with them,
-    so every check that reads the verdict reports one verdict or one
-    error. The fixed order runs the moments check before the checks that
-    read the verdict, so a report does not depend on the order in which
-    the checks are listed.
+    config's domain (geometry._kept) and goes with it, so every check that
+    reads the verdict reports one verdict or one error. The fixed order
+    runs the moments check before the checks that read the verdict, so a
+    report does not depend on the order in which the checks are listed.
     """
     rows = {}
     spent = {}

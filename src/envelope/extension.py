@@ -246,9 +246,10 @@ def _on_contours(f, domain: DomainSpec, pts: np.ndarray, tol: float,
                  verdict: _mom.PrimitiveOrderVerdict | None,
                  contours: tuple[int, ...]) -> np.ndarray:
     """evaluate_extension at the points pts (a flat array) on each of the
-    contours, one row each: one classify pass for all of them, every
-    refusal of each contour in turn, as separate calls would meet them,
-    and then every integral in one quadrature.integrate_each call."""
+    contours, one row each: the precondition, one classify pass and its
+    refusals, then every integral in one quadrature.integrate_each call.
+    A point in hole j goes straight to hole j's contours, kept clear of
+    the hole by their rules (geometry._contour), or refused in hole order."""
     if verdict is None:
         verdict = _mom._verdict(domain, None, tol, _mom.ZeroTolerance(), f=f)
     if verdict.max_order is not None:
@@ -262,6 +263,9 @@ def _on_contours(f, domain: DomainSpec, pts: np.ndarray, tol: float,
             f"{pts[i]:.6g} lies on a hole boundary; no exclusion-radius "
             "evaluation there" if where.hole[i] >= 0 else
             f"{pts[i]:.6g} lies outside the simply connected envelope")
+    for w in pts[np.isinf(where.distance)]:
+        raise GeometryError("the whole plane has no boundary to size a "
+                            f"contour around {w:.6g} by")
     fn = _mom.as_function(f)
     holes = [(j, np.flatnonzero(where.hole == j))
              for j in np.unique(where.hole[where.hole >= 0])]
@@ -270,17 +274,11 @@ def _on_contours(f, domain: DomainSpec, pts: np.ndarray, tol: float,
     jobs, targets = [], []  # each integral, and the entries it fills
     for out, which in zip(values, contours):
         for j, members in holes:
-            contour = _geom.basis_curve_variants(domain, j)[which]
-            ws = pts[members]
-            for near in ws[contour.distance(ws) <= contour.band]:
-                raise GeometryError(f"{near:.6g} is too close to the contour")
-            jobs.append((_cauchy_rows(fn, ws), contour))
+            jobs.append((_cauchy_rows(fn, pts[members]),
+                         _geom.basis_curve_variants(domain, j)[which]))
             targets.append((out, members))
-        radii = (0.4 if which == 0 else 0.7) * where.distance[free, None]
-        for w in pts[free[np.isinf(radii[:, 0])]]:
-            raise GeometryError("the whole plane has no boundary to size a "
-                                f"contour around {w:.6g} by")
         if free.size:
+            radii = (0.4 if which == 0 else 0.7) * where.distance[free, None]
             jobs.append((_shifted_rows(fn, pts[free, None], radii),
                          _quad._UNIT_CIRCLE))
             targets.append((out, free))

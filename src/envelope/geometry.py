@@ -1071,13 +1071,12 @@ _CIRCLE_FRACTIONS = (0.35, 0.5, 0.7)
 
 
 def _kept(fn):
-    """fn(owner, *args), kept in its owner's __dict__ (a DomainSpec or a
-    Path) for as long as the owner lives: what fn returns, or the
-    EnvelopeError it raises (the only error the package keeps), which each
-    later call raises again with a traceback that starts at that call, so
-    it does not grow. A result about a function, fn(owner, *args, f=f), is
-    kept for the last f asked about, compared by identity and never
-    hashed."""
+    """fn(owner, *args), kept in its owner's __dict__ (a DomainSpec) for
+    as long as the owner lives: what fn returns, or the EnvelopeError it
+    raises (the only error the package keeps), which each later call
+    raises again with a traceback that starts at that call, so it does not
+    grow. A result about a function, fn(owner, *args, f=f), is kept for
+    the last f asked about, compared by identity and never hashed."""
     @functools.wraps(fn)
     def kept(owner, *args, f=None):
         memo = vars(owner).setdefault("_memo", {})
@@ -1101,10 +1100,11 @@ def _hole_rules(domain: DomainSpec) -> tuple[tuple[Path, ...], ...]:
     each keeps farther than its band plus the widest boundary band from lo
     and hi: lo is the hole's reach from its sample centroid, hi the distance
     from there to the nearest other boundary (2 lo if none), both measured
-    by the domain's set-up pass. Such a circle meets no band and encloses
-    the hole, and no other hole nor the outside, since their boundaries lie
-    at least hi away and DomainSpec refuses nested holes; so the circles
-    need no check."""
+    by the domain's set-up pass. Such a circle meets no band, lies farther
+    than its band from every point of the hole (all within lo of the
+    centroid), and encloses the hole, and no other hole nor the outside,
+    since their boundaries lie at least hi away and DomainSpec refuses
+    nested holes; so the circles need no check."""
     if not domain.holes:
         return ()
     centers, dist = domain._centroids
@@ -1126,7 +1126,10 @@ def _hole_rules(domain: DomainSpec) -> tuple[tuple[Path, ...], ...]:
 def _contour(domain: DomainSpec, j: int, frac: float) -> Path:
     """Hole j's contour at the fraction frac of its rule. A dilation, whose
     cut offsets can backtrack, is built on first use and must pass
-    _basis_curves_pass, by windings and exact gaps, or be an error."""
+    _basis_curves_pass, by windings and exact gaps, or be an error. So
+    either rule's contour lies outside hole j farther than both bands from
+    its boundary, hence farther than its band from every point of the hole,
+    which extension._on_contours does not check again."""
     circles = _hole_rules(domain)[j]
     if circles:
         return circles[_CIRCLE_FRACTIONS.index(frac)]

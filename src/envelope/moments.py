@@ -76,9 +76,8 @@ def _degree_scales(base: float, reach: float, count: int) -> list[float]:
 def as_function(f):
     """Accept either a parsed expression or any vectorized callable; an
     Expr already is one. f must be a pure function of z: what a scan learns
-    about f on a domain or a curve (geometry._kept) serves every later
-    call about the same f object for as long as the domain or curve
-    lives."""
+    about f on a domain (geometry._kept) serves every later call about the
+    same f object for as long as the domain lives."""
     if callable(f):
         return f
     raise TypeError(f"expected an Expr or a callable, got {type(f).__name__}")

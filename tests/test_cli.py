@@ -139,6 +139,8 @@ class TestValidate:
         ({"domain": {"holes": [{"segments": [5]}]}}, "domain.holes[0]:"),
         ({"curve": {"csv": 5}}, "curve.csv:"),
         ({"curve": {"csv": ""}}, "curve.csv:"),
+        ({"domain": {"outer": 5}}, "domain.outer: expected an object"),
+        ({"domain": {"holes": [5]}}, "domain.holes[0]: expected an object"),
     ])
     def test_wrong_shapes_get_field_diagnostics(self, tmp_path, raw, field):
         raw = {"function": "z", "checks": ["moments"], **raw}
@@ -273,7 +275,15 @@ class TestValidate:
                                            "radius": -2}}]}},
          "domain.holes[0].circle.radius:"),
         ({"function": "z +"}, "function:"),
-        ({"checks": ["chord_arc"], "curve": {"csv": 5}}, "curve.csv:")])
+        ({"checks": ["chord_arc"], "curve": {"csv": 5}}, "curve.csv:"),
+        # a path curve given a function that is refused added that it
+        # needs a function
+        ({"function": "z +", "checks": ["chord_arc"],
+          "curve": {"path": {"circle": {"radius": 1}}, "samples": 64}},
+         "function:"),
+        ({"function": 5, "checks": ["chord_arc"],
+          "curve": {"path": {"circle": {"radius": 1}}, "samples": 64}},
+         "function: expected an expression string")])
     def test_one_diagnostic_per_problem(self, change, field):
         raw = {"function": "z", "domain": ANNULUS, "checks": ["moments"],
                **change}

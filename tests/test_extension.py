@@ -1,19 +1,23 @@
 import dataclasses
+import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from envelope import expr
+from envelope import cli, expr
 from envelope import extension as ext
 from envelope import geometry as geom
 from envelope import moments as mom
 from envelope import quadrature as quad
 from envelope.errors import (ExtensionPreconditionError, GeometryError,
                              PoleProximityError, ScaleOverflowError)
+
+SCENARIOS = Path(__file__).resolve().parent / "scenarios"
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +306,56 @@ class TestEvaluateExtension:
         with pytest.raises(GeometryError):
             ext.evaluate_extension(f, annulus, 0.5 + 0j, verdict=verdict)
 
-    def test_refuses_a_point_within_the_contour_band(self, annulus,
-                                                     monkeypatch):
-        # a contour 2e-9 beyond a point of the hole: within its band of
-        # 2.8e-9, though farther than the pole-exclusion radius 1e-9
+    @pytest.mark.parametrize("outer, w, match", [
+        (None, 1.0, "no boundary to size a contour around 1"),
+        (geom.circle(0j, 2.0), 3.0, "outside the simply connected"),
+        (geom.circle(0j, 2.0), 0.5, "on a hole boundary")])
+    def test_refusals_come_before_any_integral(self, monkeypatch, outer, w,
+                                               match):
+        holes = (geom.circle(0j, 0.5),) if outer is not None else ()
+        domain = geom.DomainSpec(outer, holes)
         f = expr.parse("1/(z-5)")
-        verdict = mom.max_primitive_order(f, annulus)
-        contour = geom.circle(0j, 0.45 + 2e-9)
-        monkeypatch.setattr(geom, "basis_curve_variants",
-                            lambda domain, j: (contour, contour))
-        with pytest.raises(GeometryError, match="too close to the contour"):
-            ext.evaluate_extension(f, annulus, 0.45 + 0j, verdict=verdict)
+        verdict = mom.max_primitive_order(f, domain)
+        monkeypatch.setattr(quad, "integrate_each",
+                            lambda *args: pytest.fail("integrated"))
+        with pytest.raises(GeometryError, match=match):
+            ext.evaluate_extension(f, domain, [w, 0.1j], verdict=verdict)
+
+    @pytest.mark.parametrize("domain", [
+        "annulus", "two_hole", "slab", "scenarios/annulus",
+        "scenarios/pole60", "scenarios/holes3", "scenarios/slab",
+        "scenarios/dhole", "scenarios/lhole"])
+    def test_every_contour_keeps_clear_of_its_hole(self, request, domain):
+        # _on_contours measures no point of a hole against its contours:
+        # by their rules (geometry._contour) both lie outside the hole,
+        # farther than both bands from its boundary, so farther than their
+        # band from every point of the hole, here grid points and points
+        # 1e-8 to 1e-2 of the hole's length inside its boundary
+        if domain.startswith("scenarios/"):
+            path = SCENARIOS / f"{domain.split('/')[1]}.json"
+            config, diags = cli.build_config(json.loads(path.read_text()),
+                                             path.parent)
+            assert diags == []
+            domain = config.domain
+        else:
+            domain = request.getfixturevalue(domain)
+        for j, hole in enumerate(domain.holes):
+            x0, x1, y0, y1 = hole.bbox()
+            grid = np.add.outer(np.linspace(x0, x1, 41),
+                                1j * np.linspace(y0, y1, 41)).ravel()
+            z, v = hole.arrays.nodes(*hole.locate(np.arange(64) / 64))
+            depths = hole.length * 10.0 ** np.arange(-8, -1)
+            inward = 1j * v / np.abs(v)
+            points = np.append(grid, (z[:, None] + inward[:, None]
+                                      * depths).ravel())
+            where = geom.classify(domain, points)
+            points = points[(where.hole == j) & ~where.on_boundary]
+            assert points.size > 64 * 6
+            for contour in geom.basis_curve_variants(domain, j):
+                assert contour.distance(points).min() > contour.band
+                assert geom._gap(contour, hole) > contour.band + hole.band
+                assert np.all(geom.classify(domain,
+                                            contour.sample(256)).inside)
 
 
 class TestCrossVerify:
@@ -564,6 +607,12 @@ class TestCrossVerify:
         assert [v is None for v in rep.extension.reference_values] \
             == (hole >= 0).tolist()
         assert rep.extension.max_reference_residual < 1e-8
+
+    def test_an_expr_refused_at_one_point_is_read_point_by_point(self):
+        # the one array call of 1/z raises at 0, so each point is read
+        # alone and only 0 gets no reference value
+        assert ext._tail_reference(expr.parse("1/z"), np.array([0j, 2])) \
+            == [None, 0.5]
 
 
 class TestProbeSampler:

@@ -10,6 +10,9 @@ equal apart from timings. Each scenario then makes its own assertions.
   each moment table is integrated on its own basis curve. Every row is ok,
   and the checks run in one fixed order whatever the order listed: with
   its checks reversed it reports each check's row as the forward run does.
+  Its points in holes go straight to their circles, so a run builds one
+  chord kernel (the joined basis curves' of the probes) and makes five
+  passes of the kernels.
 - slab: a slab hole beside a circle hole, where no circle separates the
   slab, so its basis curves are dilations checked by
   DomainSpec.contains_path and the gap code. Every row is ok and
@@ -23,8 +26,14 @@ equal apart from timings. Each scenario then makes its own assertions.
   scenario makes two _crossing calls.
 - csvcurve: a curve read from circle.csv, 257 rows of the uniform unit
   circle with data z^2. Its chord-arc constant is that of its 256 chords,
-  128 sin(pi/256); and invalid/csvsamples.json, the same curve given
-  samples, fails validation with exit 1.
+  128 sin(pi/256).
+
+Each file of invalid/ fails validation with exit 1 and exactly its own
+diagnostics:
+
+- csvsamples: the CSV curve given samples.
+- badfunction: a function that does not parse beside a path curve, which
+  needs one; the parse error is its only diagnostic.
 """
 
 import json
@@ -77,6 +86,23 @@ def _holes3(report, scenario, tmp_path, monkeypatch):
     assert [r["check"] for r in reverse] \
         == [r["check"] for r in reversed(forward)], reverse
     assert list(reversed(forward)) == reverse, "rows differ"
+    passes, builds = [], []
+    kernel, build = geom.Chords._pass, geom.Chords.__init__
+
+    def counted_pass(chords, points, wound):
+        passes.append(wound)
+        return kernel(chords, points, wound)
+
+    def counted_build(chords, *args):
+        builds.append(args)
+        build(chords, *args)
+
+    config, _ = cli.build_config(json.loads(scenario.read_text()),
+                                 scenario.parent)
+    monkeypatch.setattr(geom.Chords, "_pass", counted_pass)
+    monkeypatch.setattr(geom.Chords, "__init__", counted_build)
+    assert cli.run_scenario(config).exit_code == 0
+    assert (len(passes), len(builds)) == (5, 1)
 
 
 def _lhole(report, scenario, tmp_path, monkeypatch):
@@ -134,9 +160,21 @@ def test_scenario(tmp_path, monkeypatch, capsys, name):
         CHECKS[name](reports[0], scenario, tmp_path, monkeypatch)
 
 
-def test_a_csv_curve_given_samples_fails_validation(capsys):
-    invalid = SCENARIOS / "invalid" / "csvsamples.json"
+INVALID = {
+    "csvsamples": ["curve.samples: a csv curve takes no samples (its rows "
+                   "are its samples)"],
+    "badfunction": ["function: expected 'z', a number, '(' or 'exp', found "
+                    "'end of input' (at position 3)"],
+}
+
+
+def test_every_invalid_file_is_checked():
+    assert sorted(path.stem for path in (SCENARIOS / "invalid").glob(
+        "*.json")) == sorted(INVALID)
+
+
+@pytest.mark.parametrize("name", list(INVALID))
+def test_an_invalid_scenario_fails_validation(capsys, name):
+    invalid = SCENARIOS / "invalid" / f"{name}.json"
     assert cli.main(["validate", "--scenario", str(invalid)]) == 1
-    assert capsys.readouterr().out.splitlines() == [
-        "curve.samples: a csv curve takes no samples (its rows are its "
-        "samples)"]
+    assert capsys.readouterr().out.splitlines() == INVALID[name]
