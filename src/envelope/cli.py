@@ -485,11 +485,9 @@ def _run_nontangential(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
 
 
 def _run_chord_arc(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
-    constant = _bd.chord_arc_constant(cfg.curve)
-    report = _bd.difference_quotient_check(cfg.curve, cfg.node_index,
-                                           constant)
+    report = _bd.difference_quotient_check(cfg.curve, cfg.node_index)
     values = {
-        "constant": constant,
+        "constant": report.constant,
         "offsets": list(report.offsets),
         "residuals": list(report.residuals),
         "bounds": list(report.bounds),

@@ -352,8 +352,7 @@ def _tail_reference(fn, points: np.ndarray) -> list[complex | None]:
     direct = None
     if isinstance(fn, _expr.Expr):
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                direct = fn(points).tolist()
+            direct = fn(points).tolist()
         except (PoleProximityError, OverflowError):
             pass
     if direct is None:

@@ -697,10 +697,9 @@ class DomainSpec:
     witnesses: tuple[complex, ...] = field(init=False, repr=False,
                                            compare=False)
     gaps: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    # each hole's centroid of 256 samples, and its distance to every
-    # component, which _hole_rules reads
-    _centroids: tuple[np.ndarray, np.ndarray] = field(
-        init=False, repr=False, compare=False)
+    # each hole witness's distance to every component, which _hole_rules
+    # reads
+    _distances: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "holes", tuple(self.holes))
@@ -711,32 +710,26 @@ class DomainSpec:
         object.__setattr__(self, "gaps", ())
         if not paths:
             return
-        # one sampling of each component: a hole's sample(256) centres its
-        # circles, and every 4th of those points is its sample(64), as the
-        # outer boundary's is; the centroid of sample(64) is a component's
-        # witness (or its interior_point where the centroid misses it).
-        # One kernel pass (_measured) winds every component around the
-        # witnesses, measures the centroids and the gap points of every two
-        # components; a witness on another boundary counts as outside or
-        # overlapping
-        samples = [hole.sample(256) for hole in self.holes]
-        points = np.array([_mean(s[::4].copy()) for s in samples]
-                          + [_mean(p.sample(64)) for p in paths[count:]])
-        centers = np.array([_mean(s) for s in samples])
+        # the centroid of a component's sample(64) is its witness, or its
+        # interior_point where the centroid misses it. One kernel pass
+        # (_measured) winds every component around the centroids and
+        # measures their distances to every component and the gap points
+        # of every two components; one more winds and measures the
+        # witnesses where a centroid misses. A witness on another boundary
+        # counts as outside or overlapping
+        points = np.array([_mean(p.sample(64)) for p in paths])
         first, second = np.array(list(itertools.combinations(
             range(len(paths)), 2)), dtype=np.intp).reshape(-1, 2).T
-        wind, d, gap = _measured(
-            self.chords, np.append(points, centers), len(paths), _gap_points(
-                self.arrays, self.arrays, first, second), first, second)
-        object.__setattr__(self, "_centroids", (centers, d[len(paths):]))
-        d = d[:len(paths)]
+        wind, d, gap = _measured(self.chords, points, len(paths), _gap_points(
+            self.arrays, self.arrays, first, second), first, second)
         own = np.arange(len(paths))
         misses = np.flatnonzero(~_strictly_inside(
             paths, wind[own, own], d[own, own]))
         for k in misses:
             points[k] = interior_point(paths[k])
         if misses.size:
-            wind = self.chords.windings(points)[0]
+            wind, d = self.chords.windings(points)
+        object.__setattr__(self, "_distances", d[:count])
         object.__setattr__(self, "witnesses", tuple(map(complex,
                                                         points[:count])))
         for w in np.diagonal(wind):
@@ -1064,7 +1057,7 @@ def interior_point(path: Path) -> complex:
 # homology basis
 
 # Each hole's contours follow one rule, decided once: circles about its
-# sample centroid at these fractions of (lo, hi) when they keep clear of
+# witness at these fractions of (lo, hi) when they keep clear of
 # every band, else dilations of its boundary at 0.5 and 0.3 of its gap to
 # the other boundaries. Both rules give the basis curve at 0.5.
 _CIRCLE_FRACTIONS = (0.35, 0.5, 0.7)
@@ -1098,22 +1091,20 @@ def _kept(fn):
 def _hole_rules(domain: DomainSpec) -> tuple[tuple[Path, ...], ...]:
     """Per hole: its circles at _CIRCLE_FRACTIONS of (lo, hi), or () unless
     each keeps farther than its band plus the widest boundary band from lo
-    and hi: lo is the hole's reach from its sample centroid, hi the distance
-    from there to the nearest other boundary (2 lo if none), both measured
-    by the domain's set-up pass. Such a circle meets no band, lies farther
-    than its band from every point of the hole (all within lo of the
-    centroid), and encloses the hole, and no other hole nor the outside,
-    since their boundaries lie at least hi away and DomainSpec refuses
-    nested holes; so the circles need no check."""
+    and hi: lo is the hole's reach from its witness, hi the distance from
+    there to the nearest other boundary (2 lo if none), measured by the
+    domain's set-up. Such a circle meets no band, lies farther than its
+    band from every point of the hole (all within lo of the witness), and
+    encloses the hole, and no other hole nor the outside, since their
+    boundaries lie at least hi away and DomainSpec refuses nested holes;
+    so the circles need no check."""
     if not domain.holes:
         return ()
-    centers, dist = domain._centroids
     band = float(domain.chords.band.max())
     rules = []
-    for j, (hole, center) in enumerate(zip(domain.holes, map(complex,
-                                                             centers))):
+    for j, (hole, center) in enumerate(zip(domain.holes, domain.witnesses)):
         lo = hole.max_distance(center)
-        others = np.delete(dist[j], j)
+        others = np.delete(domain._distances[j], j)
         hi = float(others.min()) if others.size else 2.0 * lo
         radii = [lo + frac * (hi - lo) for frac in _CIRCLE_FRACTIONS]
         rules.append(tuple(circle(center, r) for r in radii) if all(
@@ -1230,10 +1221,9 @@ def homology_basis(domain: DomainSpec) -> list[Path]:
     """One positively oriented closed curve per hole, each winding once
     around its own hole, zero around the others, and lying in the domain.
 
-    A concentric circle is used when the hole admits a separating annulus
-    about its sample centroid; otherwise the hole boundary is dilated
-    outward by half the minimal gap. Simply connected domains get an empty
-    basis. A dilation of a hole with an inlet narrower than the offset
+    A circle is used when the hole admits a separating annulus about its
+    witness; otherwise the hole boundary is dilated outward by half the
+    minimal gap. Simply connected domains get an empty basis. A dilation of a hole with an inlet narrower than the offset
     winds twice around part of the inlet, where the offsets of its walls
     cross; it still winds once around the hole and lies in the domain, so
     integrals of holomorphic functions over it are unaffected.

@@ -89,9 +89,6 @@ def _eval_batch(fn, xs: np.ndarray) -> np.ndarray:
         vals = np.full(xs.shape, complex(vals))
     if vals is None or vals.ndim > 2 or vals.shape[-1:] != xs.shape:
         vals = _eval_each(fn, xs)
-        if vals.ndim > 2 or vals.shape[-1:] != xs.shape:
-            raise ValueError(f"integrand returned shape {vals.shape} for "
-                             f"{xs.size} points")
     return vals.astype(complex, copy=False)
 
 

@@ -157,6 +157,11 @@ class TestDecompose:
         d = ext.decompose(np.reciprocal, annulus)
         assert d.components[0].terms == mom.DEFAULT_DEGREE_CUTOFF + 1
 
+    def test_refuses_fewer_than_one_term(self, annulus):
+        with pytest.raises(ValueError, match="tail coefficients have index "
+                                             "n >= 1"):
+            ext.decompose(expr.parse("1/z"), annulus, terms=0)
+
 
 class TestEvaluateExtension:
     def test_matches_direct_eval_in_hole(self, annulus):

@@ -603,6 +603,22 @@ class TestDomainSpec:
         assert domain.witnesses == two_hole.witnesses
         assert domain.gaps == two_hole.gaps
 
+    def test_each_component_is_sampled_once(self, two_hole, monkeypatch):
+        # 64 samples of each component, whose centroids alone lead the
+        # set-up pass
+        samples, leads = [], []
+        sample, measured = geom.Path.sample, geom._measured
+        monkeypatch.setattr(geom.Path, "sample", lambda path, n: (
+            samples.append((path, n)) or sample(path, n)))
+        monkeypatch.setattr(geom, "_measured", lambda chords, lead, *args: (
+            leads.append(lead.size) or measured(chords, lead, *args)))
+        geom.DomainSpec(two_hole.outer, two_hole.holes)
+        paths = two_hole.boundary_paths()
+        assert len(samples) == len(paths)
+        assert all(path is p and n == 64
+                   for (path, n), p in zip(samples, paths))
+        assert leads == [len(paths)]
+
     def test_missed_centroids_are_rewound_once(self, kernel_passes):
         # the sample centroid of a C-shaped hole lies in its notch, so both
         # holes take their interior_point as witness; the domain kernel
@@ -727,6 +743,12 @@ class TestDomainSpec:
         assert geom.interior_point(ell) == complex(first, first)
         assert calls == ["wind", "bbox", "wind"]
 
+    def test_interior_point_refuses_a_path_too_thin_for_every_grid(self):
+        # a triangle 1e-9 tall holds no centroid and no point of the grids
+        with pytest.raises(GeometryError, match="could not locate a point "
+                                                "inside the path"):
+            geom.interior_point(geom.polygon([0, 1, 0.5 + 1e-9j]))
+
     def test_path_between_samples_leaves_the_domain(self):
         # the line 0.005 from the centre crosses the hole of radius 0.01
         # between two of any 64 samples of it, 0.031 apart
@@ -747,6 +769,9 @@ class TestDomainSpec:
         assert d.outer is None
         assert d.contains(5 + 0j)
         assert not d.contains(0j)
+
+    def test_the_whole_plane_contains_every_path(self):
+        assert geom.DomainSpec(None).contains_path(geom.circle(0j, 1.0))
 
     def test_contains_refuses_a_point_that_is_not_finite(self, annulus):
         # before the winding kernel warns of an invalid value
@@ -1246,8 +1271,7 @@ def _reference_others(domain, j):
 
 
 def _reference_circle(domain, j, frac):
-    hole = domain.holes[j]
-    center = complex(np.mean(hole.sample(256)))
+    hole, center = domain.holes[j], domain.witnesses[j]
     lo = hole.max_distance(center)
     hi = min((p.distance(center) for p in _reference_others(domain, j)),
              default=math.inf)
@@ -1533,14 +1557,12 @@ class TestSampledBound:
 
 
 def assert_sample_means(domain):
-    """Each hole's witness is the mean of its sample(64), and the centre
-    of its circles the mean of its sample(256), bit for bit."""
-    for hole, witness, center, circles in zip(
-            domain.holes, domain.witnesses, domain._centroids[0],
-            geom._hole_rules(domain)):
+    """Each hole's witness is the mean of its sample(64), bit for bit, and
+    the centre of its circles."""
+    for hole, witness, circles in zip(
+            domain.holes, domain.witnesses, geom._hole_rules(domain)):
         assert witness == complex(np.mean(hole.sample(64)))
-        assert complex(center) == complex(np.mean(hole.sample(256)))
-        assert all(c.segments[0].center == center for c in circles)
+        assert all(c.segments[0].center == witness for c in circles)
 
 
 class TestHomologyBasis:

@@ -134,6 +134,17 @@ class TestIntegrate:
         assert max(abs(v) for v in vec.values[1:]) < 1e-12
         assert mom.moment(scalar_fn, c, 0) == vec.values[0]
 
+    def test_ragged_scalar_answers_are_refused(self):
+        # a scalar-only callable that answers one value at some points and
+        # two at others fits neither a single integral nor a stack
+        def ragged(z):
+            if isinstance(z, np.ndarray):
+                raise TypeError("scalars only")
+            return z if z.real < 0.5 else [z, z]
+
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            quad.integrate(ragged, geom.circle(0j, 1.0))
+
     def test_constant_integrand(self):
         # a 0-d answer for the whole batch is the constant at every node
         closed = quad.integrate(lambda z: 1.0, geom.circle(0j, 1.0))

@@ -24,6 +24,10 @@ equal apart from timings. Each scenario then makes its own assertions.
   0.5 and the 0.3 dilation) and whose probe rings are moved basis curve
   points. Every row is ok, cross_verify reads every order, and the
   scenario makes two _crossing calls.
+- chole: two C-shaped holes, arcs of radius 0.8 and 0.64 joined at their
+  ends, whose sample centroids lie in their notches, so both witnesses
+  are interior_point's. Every row is ok, and each hole's circles are
+  centred at its witness.
 - csvcurve: a curve read from circle.csv, 257 rows of the uniform unit
   circle with data z^2. Its chord-arc constant is that of its 256 chords,
   128 sin(pi/256).
@@ -120,6 +124,19 @@ def _lhole(report, scenario, tmp_path, monkeypatch):
     assert len(calls) == 2, calls
 
 
+def _chole(report, scenario, tmp_path, monkeypatch):
+    _all_ok(report)
+    config, _ = cli.build_config(json.loads(scenario.read_text()),
+                                 scenario.parent)
+    domain = config.domain
+    assert domain.witnesses == tuple(complex(geom.interior_point(h))
+                                     for h in domain.holes)
+    for witness, circles in zip(domain.witnesses,
+                                geom._hole_rules(domain)):
+        assert circles
+        assert all(c.segments[0].center == witness for c in circles)
+
+
 def _csvcurve(report, scenario, tmp_path, monkeypatch):
     row = report["results"][2]
     want = 128 * math.sin(math.pi / 256)
@@ -135,6 +152,7 @@ CHECKS = {
     "slab": lambda report, *_: _all_ok(report, all_orders=True),
     "dhole": lambda report, *_: _all_ok(report),
     "lhole": _lhole,
+    "chole": _chole,
     "csvcurve": _csvcurve,
 }
 
