@@ -115,15 +115,15 @@ def _exact_rows(fn, points: np.ndarray, f_at: np.ndarray):
 
 
 @_geom._kept
-def _probes(domain: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(domain probes, hole probes), read-only, placed by rule, filtered by
-    one classify pass and kept on the domain. Hole j's domain probes are
-    its two rings (geometry._rings), kept in the domain where no basis
-    curve is nearer than hole j's, so each keeps a fraction of its hole's
-    gap from every curve; with no holes they are the midpoints from an
-    interior point of the outer boundary toward it. Hole probes are the
-    witnesses and the midpoints from each toward its hole's boundary, kept
-    strictly inside that hole."""
+def _probes(domain: DomainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(domain probes, the hole of each, hole probes), read-only, placed by
+    rule, filtered by one classify pass and kept on the domain. Hole j's
+    domain probes are its two rings (geometry._rings) kept in the domain,
+    each a fraction of its hole's gap from its basis curve; with no holes
+    they are the midpoints from an interior point of the outer boundary
+    toward it, of hole -1. Hole probes are the witnesses and the midpoints
+    from each toward its hole's boundary, kept strictly inside that
+    hole."""
     n, holes = _PROBES_PER_CURVE, domain.holes
     if holes:
         near = np.array([_geom._rings(domain, j, n)
@@ -138,16 +138,11 @@ def _probes(domain: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
     inner = 0.5 * (wits + np.hstack((wits, np.reshape(
         [h.sample(n) for h in holes], (-1, n)))))
     where = _geom.classify(domain, np.append(near, inner))
-    keep = where.inside[:near.size].reshape(near.shape)
-    if holes:  # dist[j, i, k]: from point i of hole j to basis curve k
-        basis = _geom.SegmentArrays.joined(
-            [c.arrays for c in _geom.homology_basis(domain)]).chords
-        dist = basis.distances(near.ravel()).reshape(near.shape + (-1,))
-        own = np.arange(len(holes))
-        keep &= dist[own, :, own] <= dist.min(axis=2)
+    keep = where.inside[:near.size]
+    owner = np.repeat(np.arange(len(holes)) if holes else [-1], near.shape[1])
     mine = ~where.on_boundary[near.size:] \
         & (where.hole[near.size:] == np.repeat(range(len(holes)), n + 1))
-    probes = near[keep], inner.ravel()[mine]
+    probes = near.ravel()[keep], owner[keep], inner.ravel()[mine]
     for array in probes:
         array.flags.writeable = False
     return probes
@@ -164,12 +159,12 @@ def decompose(f, domain: DomainSpec, terms: int | None = None,
     tail is the moment table's integral about the same center on the same
     path; their zero-test scales are the moment verdict's
     (moments.MomentVector.tail_scales), so decompose samples no magnitude.
-    The reconstruction residual at each domain probe w compares every
-    truncated tail with the exact component, the integral of
-    (f(z) - f(w)) / (z - w) over the basis curve: an independent route
-    that does not assume the defining identity. The tails of all holes go to
-    one quadrature.integrate_each call and the exact components to another,
-    so the circles among the contours of each kind share one integral.
+    The reconstruction residual at each domain probe w of hole j compares
+    hole j's tail with its exact component, the integral of (f(z) - f(w))
+    / (z - w) over hole j's basis curve alone: an independent route that
+    does not assume the defining identity. The tails of all holes go to one
+    quadrature.integrate_each call and the exact components to another, so
+    the circles among the contours of each kind share one integral.
     """
     basis = _geom.homology_basis(domain)
     if terms is None:
@@ -190,21 +185,22 @@ def decompose(f, domain: DomainSpec, terms: int | None = None,
         complex(v) for v in stack / _TWO_PI_I))
         for center, stack in zip(centers, tails)]
 
-    points = _probes(domain)[0]
-
     def f0(z):
         base = fn(z)
         for comp in components:
             base = base - comp(z)
         return base
 
+    points, owner = _probes(domain)[:2]
+    jobs = [(j, np.flatnonzero(owner == j))
+            for j in np.unique(owner[owner >= 0])]
+    f_at = _quad._eval_batch(fn, points)
+    exact = _quad.integrate_each(
+        [(_exact_rows(fn, points[rows], f_at[rows]), basis[j])
+         for j, rows in jobs], tol)
     gap = np.zeros(points.shape, dtype=complex)
-    if points.size:
-        f_at = _quad._eval_batch(fn, points)
-        exact = _quad.integrate_each(
-            [(_exact_rows(fn, points, f_at), curve) for curve in basis], tol)
-        for stack, comp in zip(exact, components):
-            gap += -stack / _TWO_PI_I - comp(points)
+    for (j, rows), stack in zip(jobs, exact):
+        gap[rows] = -stack / _TWO_PI_I - components[j](points[rows])
     residuals = tuple(float(r) for r in np.hypot(gap.real, gap.imag))
     return Decomposition(tuple(components), tuple(map(complex, points)),
                          residuals, f0)
@@ -423,7 +419,7 @@ def cross_verify(f, domain: DomainSpec, degree_cutoff: int | None = None,
     extension_report = None
     if verdict.all_orders:
         # the hole probes, then the domain probes of the decomposition
-        pts = np.append(_probes(domain)[1], decomp.probe_points)
+        pts = np.append(_probes(domain)[2], decomp.probe_points)
         points = pts.tolist()
         values, alts = (tuple(row.tolist()) for row in _on_contours(
             fn, domain, pts, tol, verdict, (0, 1)))

@@ -16,7 +16,8 @@ DomainSpec.contains_path each take one kernel pass (contains_path a
 second one, over the domain's segments and the path's, where its sampled
 lower bound of the gaps leaves the exact gaps to decide); a pass measures
 the distance of every point and winds around only the points whose
-windings are read. A domain samples each boundary once, and keeps what it
+windings are read. A domain samples each boundary once, at 64 points
+(extension._probes samples each hole at 8 more), and keeps what it
 derives, the hole rules and contours included. Every
 point of a segment, arc ends and chord ends included, comes from one
 formula for a number or an array of parameters. The simply connected
@@ -710,13 +711,13 @@ class DomainSpec:
         object.__setattr__(self, "gaps", ())
         if not paths:
             return
-        # the centroid of a component's sample(64) is its witness, or its
-        # interior_point where the centroid misses it. One kernel pass
-        # (_measured) winds every component around the centroids and
-        # measures their distances to every component and the gap points
-        # of every two components; one more winds and measures the
-        # witnesses where a centroid misses. A witness on another boundary
-        # counts as outside or overlapping
+        # the centroid of a component's sample(64) is its witness, or, where
+        # the centroid misses it, interior_point's grid point (_grid_point).
+        # One kernel pass (_measured) winds every component around the
+        # centroids and measures their distances to every component and the
+        # gap points of every two components; one more winds and measures
+        # the witnesses where a centroid misses. A witness on another
+        # boundary counts as outside or overlapping
         points = np.array([_mean(p.sample(64)) for p in paths])
         first, second = np.array(list(itertools.combinations(
             range(len(paths)), 2)), dtype=np.intp).reshape(-1, 2).T
@@ -726,7 +727,7 @@ class DomainSpec:
         misses = np.flatnonzero(~_strictly_inside(
             paths, wind[own, own], d[own, own]))
         for k in misses:
-            points[k] = interior_point(paths[k])
+            points[k] = _grid_point(paths[k])
         if misses.size:
             wind, d = self.chords.windings(points)
         object.__setattr__(self, "_distances", d[:count])
@@ -1031,21 +1032,22 @@ def _crossing_points(p: np.ndarray, q: np.ndarray
 
 
 def interior_point(path: Path) -> complex:
-    """A point strictly inside a closed path (winding +-1).
-
-    Tries the sample centroid, then scans a coarse grid over the bbox.
-    """
+    """A point strictly inside a closed path (winding +-1): the centroid of
+    64 samples, else the first hit of coarse bbox grids, lowest row first."""
     if not path.closed:
         raise GeometryError("interior point needs a closed path")
+    centroid = _mean(path.sample(64))
+    inside = _strictly_inside((path,), *_winding_many(path, [centroid]))[0]
+    return complex(centroid) if inside else _grid_point(path)
 
-    def candidates():  # each grid built only when the points before fail
-        yield np.array([_mean(path.sample(64))])
-        x0, x1, y0, y1 = path.bbox()
-        for n in (8, 16, 32, 64):
-            xs = np.linspace(x0, x1, n + 2)[1:-1]
-            ys = np.linspace(y0, y1, n + 2)[1:-1]
-            yield (xs[None, :] + 1j * ys[:, None]).ravel()
-    for points in candidates():  # the grids row by row, lowest y first
+
+def _grid_point(path: Path) -> complex:
+    """interior_point's grid search: each grid only if the last missed."""
+    x0, x1, y0, y1 = path.bbox()
+    for n in (8, 16, 32, 64):
+        xs = np.linspace(x0, x1, n + 2)[1:-1]
+        ys = np.linspace(y0, y1, n + 2)[1:-1]
+        points = (xs[None, :] + 1j * ys[:, None]).ravel()
         hits = np.flatnonzero(_strictly_inside(
             (path,), *_winding_many(path, points)))
         if hits.size:

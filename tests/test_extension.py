@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,77 @@ class TestDecompose:
                          for j in holes], geom.homology_basis(two_hole)]
         assert calls == [geom.circle(0j, 1.0)] * 2
         assert d.max_residual() < 1e-9
+
+    def test_a_corrupt_tail_shows_at_its_own_probes_only(self, two_hole,
+                                                         monkeypatch):
+        # hole 0's tail gains 1e-3 on a_-1: the residuals rise at hole 0's
+        # probes, and hole 1's probes, integrated on hole 1's basis curve
+        # only, read what they read before
+        f = expr.parse("1/z^2 + 1/(z-3) + z")
+        clean = ext.decompose(f, two_hole)
+        each, second = quad.integrate_each, \
+            geom.basis_curve_variants(two_hole, 0)[1]
+
+        def corrupt(jobs, *args):
+            stacks = each(jobs, *args)
+            if jobs[0][1] is second:
+                stacks[0] = stacks[0] + 2j * math.pi * 1e-3 * (
+                    np.arange(len(stacks[0])) == 0)
+            return stacks
+
+        monkeypatch.setattr(quad, "integrate_each", corrupt)
+        bad = ext.decompose(f, two_hole)
+        assert bad.components[0].coefficients[0] \
+            == pytest.approx(1e-3, abs=1e-10)
+        assert bad.components[1] == clean.components[1]
+        points = np.array(clean.probe_points)
+        own = np.isin(points, geom._rings(two_hole, 0, ext._PROBES_PER_CURVE))
+        assert own.any() and not own.all()
+        before, after = (np.array(d.reconstruction_residuals)
+                         for d in (clean, bad))
+        assert np.all(after[own] > 1e-4)
+        assert after[~own].tobytes() == before[~own].tobytes()
+        assert before.max() < 1e-9
+
+    def test_each_probe_is_integrated_once_on_its_own_basis_curve(
+            self, monkeypatch):
+        # on the 32-hole grid each hole's exact-component job carries its
+        # own probes and no other's, 512 rows in all, so cross_verify stays
+        # within a few MB; every probe on every basis curve, 16,384 rows,
+        # took 121 MB
+        scenario = SCENARIOS / "holes32.json"
+        config, _ = cli.build_config(json.loads(scenario.read_text()),
+                                     scenario.parent)
+        domain, f = config.domain, config.function
+        basis = geom.homology_basis(domain)
+        each, rows = quad.integrate_each, ext._exact_rows
+        carried, jobs = [], []
+
+        def spy_rows(fn, points, f_at):
+            carried.append(points.copy())
+            return rows(fn, points, f_at)
+
+        def spy_each(batch, *args):
+            jobs.append([path for _, path in batch])
+            return each(batch, *args)
+
+        monkeypatch.setattr(ext, "_exact_rows", spy_rows)
+        monkeypatch.setattr(quad, "integrate_each", spy_each)
+        tracemalloc.start()
+        try:
+            rep = ext.cross_verify(f, domain)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.consistent and rep.verdict.all_orders
+        assert peak < 40 * 2 ** 20
+        assert jobs[1] == list(basis)
+        assert len(carried) == len(basis) == 32
+        for j, points in enumerate(carried):
+            rings = geom._rings(domain, j, ext._PROBES_PER_CURVE)
+            assert points.size and np.isin(points, rings).all()
+        assert np.sort(np.concatenate(carried)).tobytes() \
+            == np.sort(rep.decomposition.probe_points).tobytes()
 
     def test_scalar_only_callable(self, annulus):
         def f(z):
@@ -631,7 +703,7 @@ class TestProbeSampler:
             return winding_number(path, point)
 
         monkeypatch.setattr(geom, "winding_number", spy)
-        near, inner = ext._probes(two_hole)
+        near, _, inner = ext._probes(two_hole)
         assert len(near) == 32 and len(inner) == 18
         assert callers == []
         ext.cross_verify(expr.parse("1/(z-9) + z"), two_hole)
@@ -674,7 +746,7 @@ def _assert_probes_placed(domain):
     """Probes on both sides of every basis curve, and in every hole. (A
     dilation whose offsets cross in a narrow slot winds twice around part
     of it.)"""
-    near, inner = ext._probes(domain)
+    near, _, inner = ext._probes(domain)
     assert np.all(geom.classify(domain, near).inside)
     for curve in geom.homology_basis(domain):
         assert {0, 1} <= set(geom._winding_many(curve, near)[0].tolist())
@@ -749,7 +821,7 @@ class TestProbePlacement:
 
     def test_a_domain_without_holes_probes_its_inside(self):
         domain = geom.DomainSpec(geom.circle(1j, 2.0))
-        near, inner = ext._probes(domain)
+        near, _, inner = ext._probes(domain)
         assert len(near) == 8 and len(inner) == 0
         assert np.all(geom.classify(domain, near).inside)
         rep = ext.cross_verify(expr.parse("exp(z)"), domain)

@@ -2,6 +2,7 @@ import cmath
 import functools
 import gc
 import itertools
+import json
 import math
 import re
 import tracemalloc
@@ -605,19 +606,36 @@ class TestDomainSpec:
 
     def test_each_component_is_sampled_once(self, two_hole, monkeypatch):
         # 64 samples of each component, whose centroids alone lead the
-        # set-up pass
-        samples, leads = [], []
-        sample, measured = geom.Path.sample, geom._measured
+        # set-up pass; the C-shaped holes of chole, whose centroids miss,
+        # go straight to the grid search, with no second sampling and no
+        # one-point winding of a centroid
+        scenario = Path(__file__).resolve().parent / "scenarios" \
+            / "chole.json"
+        chole = cli.build_config(json.loads(scenario.read_text()),
+                                 scenario.parent)[0].domain
+        samples, leads, windings = [], [], []
+        sample, measured, many = geom.Path.sample, geom._measured, \
+            geom._winding_many
         monkeypatch.setattr(geom.Path, "sample", lambda path, n: (
             samples.append((path, n)) or sample(path, n)))
         monkeypatch.setattr(geom, "_measured", lambda chords, lead, *args: (
             leads.append(lead.size) or measured(chords, lead, *args)))
-        geom.DomainSpec(two_hole.outer, two_hole.holes)
-        paths = two_hole.boundary_paths()
-        assert len(samples) == len(paths)
-        assert all(path is p and n == 64
-                   for (path, n), p in zip(samples, paths))
-        assert leads == [len(paths)]
+        monkeypatch.setattr(geom, "_winding_many", lambda path, points: (
+            windings.append(np.size(points)) or many(path, points)))
+        for source in (two_hole, chole):
+            for calls in (samples, leads, windings):
+                calls.clear()
+            domain = geom.DomainSpec(source.outer, source.holes)
+            paths = domain.boundary_paths()
+            assert len(samples) == len(paths) == 3
+            assert all(path is p and n == 64
+                       for (path, n), p in zip(samples, paths))
+            assert leads == [len(paths)]
+            assert 1 not in windings
+        assert windings  # chole's grid search
+        monkeypatch.undo()
+        assert domain.witnesses == tuple(complex(geom.interior_point(h))
+                                         for h in domain.holes)
 
     def test_missed_centroids_are_rewound_once(self, kernel_passes):
         # the sample centroid of a C-shaped hole lies in its notch, so both
