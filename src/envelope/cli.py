@@ -414,10 +414,9 @@ def _run_extension(cfg: ScenarioConfig) -> tuple[dict, dict, str]:
                   "certificate": verdict.certificate}
         return values, tol, "ok"
     points = cfg.domain.witnesses if cfg.points is None else cfg.points
-    vals, alts = _ext._on_contours(cfg.function, cfg.domain,
-                                   np.array(points, dtype=complex),
-                                   cfg.quad_tol, verdict, (0, 1)).tolist()
-    worst = max((abs(v0 - v1) for v0, v1 in zip(vals, alts)), default=0.0)
+    vals, alts, worst = _ext._contour_pair(cfg.function, cfg.domain,
+                                           np.array(points, dtype=complex),
+                                           cfg.quad_tol, verdict)
     status = "ok" if worst <= _ext.CONTOUR_TOL else "inconsistent"
     values = {"extends": True, "points": list(points), "values": vals,
               "alt_values": alts, "max_contour_discrepancy": worst}

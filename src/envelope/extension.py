@@ -119,27 +119,19 @@ def _probes(domain: DomainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(domain probes, the hole of each, hole probes), read-only, placed by
     rule, filtered by one classify pass and kept on the domain. Hole j's
     domain probes are its two rings (geometry._rings) kept in the domain,
-    each a fraction of its hole's gap from its basis curve; with no holes
-    they are the midpoints from an interior point of the outer boundary
-    toward it, of hole -1. Hole probes are the witnesses and the midpoints
-    from each toward its hole's boundary, kept strictly inside that
-    hole."""
+    each a fraction of its hole's gap from its basis curve; its hole
+    probes are its witness and the midpoints from it toward its boundary,
+    kept strictly inside the hole. A simply connected domain, the whole
+    plane among them, places none."""
     n, holes = _PROBES_PER_CURVE, domain.holes
-    if holes:
-        near = np.array([_geom._rings(domain, j, n)
-                         for j in range(len(holes))])
-    elif domain.outer is not None:
-        near = 0.5 * (_geom.interior_point(domain.outer)
-                      + domain.outer.sample(n))[None]
-    else:
-        raise GeometryError("the whole plane has no boundary to place "
-                            "probes by")
+    near = np.array([_geom._rings(domain, j, n) for j in range(len(holes))],
+                    dtype=complex).reshape(len(holes), 2 * n)
     wits = np.array(domain.witnesses, dtype=complex)[:, None]
     inner = 0.5 * (wits + np.hstack((wits, np.reshape(
         [h.sample(n) for h in holes], (-1, n)))))
     where = _geom.classify(domain, np.append(near, inner))
     keep = where.inside[:near.size]
-    owner = np.repeat(np.arange(len(holes)) if holes else [-1], near.shape[1])
+    owner = np.repeat(np.arange(len(holes)), 2 * n)
     mine = ~where.on_boundary[near.size:] \
         & (where.hole[near.size:] == np.repeat(range(len(holes)), n + 1))
     probes = near.ravel()[keep], owner[keep], inner.ravel()[mine]
@@ -192,8 +184,7 @@ def decompose(f, domain: DomainSpec, terms: int | None = None,
         return base
 
     points, owner = _probes(domain)[:2]
-    jobs = [(j, np.flatnonzero(owner == j))
-            for j in np.unique(owner[owner >= 0])]
+    jobs = [(j, np.flatnonzero(owner == j)) for j in np.unique(owner)]
     f_at = _quad._eval_batch(fn, points)
     exact = _quad.integrate_each(
         [(_exact_rows(fn, points[rows], f_at[rows]), basis[j])
@@ -282,6 +273,16 @@ def _on_contours(f, domain: DomainSpec, pts: np.ndarray, tol: float,
                                      _quad.integrate_each(jobs, tol)):
         out[members] = stack / _TWO_PI_I
     return values
+
+
+def _contour_pair(f, domain: DomainSpec, pts: np.ndarray, tol: float,
+                  verdict: _mom.PrimitiveOrderVerdict | None
+                  ) -> tuple[list[complex], list[complex], float]:
+    """_on_contours' values at pts on the first and the second contours,
+    and the largest difference between the two."""
+    values, alts = _on_contours(f, domain, pts, tol, verdict, (0, 1)).tolist()
+    worst = max((abs(v0 - v1) for v0, v1 in zip(values, alts)), default=0.0)
+    return values, alts, worst
 
 
 def _cauchy_rows(fn, ws: np.ndarray):
@@ -379,7 +380,9 @@ def cross_verify(f, domain: DomainSpec, degree_cutoff: int | None = None,
     have one coefficient per tested moment degree (tested_through + 1).
     The verdict owns every zero-test number of each hole: the first
     nonzero moment (per_curve_first_nonzero) and the scales of the tail
-    coefficients (MomentVector.tail_scales).
+    coefficients (MomentVector.tail_scales). The extension is checked at
+    the hole probes alone (_probes): in the domain proper it is f by
+    Cauchy's formula, and a comparison there tests only the quadrature.
     """
     findings: list[str] = []
     verdict = _mom._verdict(domain, degree_cutoff, tol, zero_tol, f=f)
@@ -418,14 +421,9 @@ def cross_verify(f, domain: DomainSpec, degree_cutoff: int | None = None,
 
     extension_report = None
     if verdict.all_orders:
-        # the hole probes, then the domain probes of the decomposition
-        pts = np.append(_probes(domain)[2], decomp.probe_points)
-        points = pts.tolist()
-        values, alts = (tuple(row.tolist()) for row in _on_contours(
-            fn, domain, pts, tol, verdict, (0, 1)))
+        pts = _probes(domain)[2]
+        values, _, worst_pair = _contour_pair(fn, domain, pts, tol, verdict)
         refs = _tail_reference(fn, pts)
-        worst_pair = max((abs(v0 - v1) for v0, v1 in zip(values, alts)),
-                         default=0.0)
         worst_ref = max((abs(v0 - ref) / (1.0 + abs(ref))
                          for v0, ref in zip(values, refs) if ref is not None),
                         default=0.0)
@@ -437,7 +435,7 @@ def cross_verify(f, domain: DomainSpec, degree_cutoff: int | None = None,
             findings.append(
                 f"extension disagrees with the truncated-tail route by "
                 f"relative {worst_ref:.3g}")
-        extension_report = ExtensionReport(tuple(points), tuple(refs),
+        extension_report = ExtensionReport(tuple(pts.tolist()), tuple(refs),
                                            worst_pair, worst_ref)
 
     return CrossVerifyReport(verdict, decomp, extension_report,

@@ -1100,8 +1100,6 @@ def _hole_rules(domain: DomainSpec) -> tuple[tuple[Path, ...], ...]:
     encloses the hole, and no other hole nor the outside, since their
     boundaries lie at least hi away and DomainSpec refuses nested holes;
     so the circles need no check."""
-    if not domain.holes:
-        return ()
     band = float(domain.chords.band.max())
     rules = []
     for j, (hole, center) in enumerate(zip(domain.holes, domain.witnesses)):

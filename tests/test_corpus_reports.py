@@ -1,6 +1,7 @@
 """tools/corpus_reports.py --compare on small report trees: equal trees exit
 0, and a changed number, a changed string or a report on one side only
-each exit 1 and are printed."""
+each exit 1 and are printed; a number that shrinks is not counted as
+larger."""
 
 import importlib.util
 import json
@@ -57,7 +58,23 @@ def test_a_changed_number_is_printed(corpus_reports, tmp_path, capsys):
     assert code == 1
     assert out == [
         "results[moments].values.residual: largest relative change 0.2 (1 "
-        "values differ; largest in domain-circle/b.json)",
+        "values differ, 1 larger; largest in domain-circle/b.json)",
+        "2 reports: they differ"]
+
+
+def test_a_shrunk_number_is_not_counted_larger(corpus_reports, tmp_path,
+                                               capsys):
+    # b's residual halves and a's grows by a fifth: two values differ, one
+    # of them larger, and b's change is the largest
+    grown, shrunk = (json.loads(json.dumps(REPORT)) for _ in range(2))
+    grown["results"][0]["values"]["residual"] = 2.4e-12
+    shrunk["results"][0]["values"]["residual"] = 1.0e-12
+    code, out = _compare(corpus_reports, tmp_path,
+                         {"a": grown, "b": shrunk}, capsys)
+    assert code == 1
+    assert out == [
+        "results[moments].values.residual: largest relative change 0.5 (2 "
+        "values differ, 1 larger; largest in domain-circle/b.json)",
         "2 reports: they differ"]
 
 

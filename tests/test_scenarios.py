@@ -32,6 +32,10 @@ equal apart from timings. Each scenario then makes its own assertions.
 - holes32: 32 circle holes of radius 0.2 on a unit grid inside one
   circle, f = z^2 + 1/(z-(30+30i)). Every row is ok and cross_verify reads
   every order.
+- disc, plane: the simply connected domains, a disc with two points and
+  the whole plane with none. Every row is ok, the certificate is
+  simply-connected, and cross_verify, which has no hole to evaluate the
+  extension in and no probe to place, reads every residual as exactly 0.
 - csvcurve: a curve read from circle.csv, 257 rows of the uniform unit
   circle with data z^2. Its chord-arc constant is that of its 256 chords,
   128 sin(pi/256).
@@ -141,6 +145,17 @@ def _chole(report, scenario, tmp_path, monkeypatch):
         assert all(c.segments[0].center == witness for c in circles)
 
 
+def _simply_connected(report, *_):
+    _all_ok(report, all_orders=True)
+    values = report["results"][3]["values"]
+    assert report["results"][1]["values"]["certificate"] \
+        == values["certificate"] == "simply-connected", report
+    assert [values[key] for key in (
+        "duality_max_residual", "reconstruction_max_residual",
+        "extension_max_contour_discrepancy",
+        "extension_max_reference_residual")] == [0.0] * 4, values
+
+
 def _csvcurve(report, scenario, tmp_path, monkeypatch):
     row = report["results"][2]
     want = 128 * math.sin(math.pi / 256)
@@ -158,6 +173,8 @@ CHECKS = {
     "lhole": _lhole,
     "chole": _chole,
     "holes32": lambda report, *_: _all_ok(report, all_orders=True),
+    "disc": _simply_connected,
+    "plane": _simply_connected,
     "csvcurve": _csvcurve,
 }
 

@@ -13,8 +13,9 @@ answer must leave the two directories identical. OUT must not exist yet.
 
 With --compare, two such directories are compared field by field. For each
 field path (a row of `results` is named by its check, other list entries
-by their index) it prints the largest relative change of a number and the
-report where it occurs, and then every other difference: a report on one
+by their index) it prints the largest relative change of a number, how
+many numbers changed and how many of those grew, and the report where the
+largest change occurs, and then every other difference: a report on one
 side only, a field on one side only, a change of type, and every changed
 string, boolean or null (statuses, verdicts, certificates, findings). It
 exits 0 when the trees are equal and 1 on any difference.
@@ -84,15 +85,17 @@ def compare(old: FsPath, new: FsPath) -> int:
             elif _number(a[field]) and type(a[field]) is type(b[field]):
                 change = _relative(a[field], b[field])
                 if change:
-                    top, count, where = largest.get(field, (0.0, 0, name))
+                    top, count, grew, where = largest.get(
+                        field, (0.0, 0, 0, name))
                     largest[field] = max(top, change), count + 1, \
+                        grew + (b[field] > a[field]), \
                         where if top >= change else name
             elif a[field] != b[field] or type(a[field]) is not type(b[field]):
                 other.append(f"{name}: {field}: {json.dumps(a[field])} -> "
                              f"{json.dumps(b[field])}")
-    for field, (top, count, where) in sorted(largest.items()):
+    for field, (top, count, grew, where) in sorted(largest.items()):
         print(f"{field}: largest relative change {top:.3g} ({count} values "
-              f"differ; largest in {where})")
+              f"differ, {grew} larger; largest in {where})")
     for line in other:
         print(line)
     differ = bool(largest or other)
